@@ -38,7 +38,6 @@ from .objectives import (
     gen_linear_regression,
     make_objective,
     per_sample_grad,
-    two_point_per_sample_grad,
 )
 from .privacy import (
     NoiseCalibration,
@@ -48,6 +47,7 @@ from .privacy import (
     calibrate_noise_multiplier,
     clip_automatic,
     clip_normalized,
+    clip_sensitivity,
     clip_standard,
     compose_and_convert,
     delta_convention,

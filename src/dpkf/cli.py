@@ -12,13 +12,16 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import harness, privacy, theory
 from .harness import ExperimentConfig
-from .objectives import full_gradient
+
+# Flags that take a comma-separated list of floats.
+LIST_FLAGS = ("--kappas", "--gammas", "--noise-levels")
 
 
 def _env_seed(default: int | None) -> int | None:
@@ -263,6 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "-1.0,0.5" for an option, so a list that starts with a
+    # negative number is glued to its flag: "--gammas=-1.0,0.5".
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in LIST_FLAGS and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -19,8 +19,8 @@ filter with a covariance recursion instead of the fixed scalar gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,15 @@ from .privacy import clip_batch
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
 BASE_OPTIMIZERS = ("sgd", "momentum", "adam", "adamw")
 FILTER_INITS = ("first_grad", "zero")
+HESSIAN_MODES = ("fd", "exact")
+
+
+def _require_finite(cfg) -> None:
+    """Reject NaN and infinite values in a config's float fields."""
+    for name, value in vars(cfg).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -50,6 +59,7 @@ class DiskConfig:
     two_point: bool = True  # False: evaluate only at x (low-pass baseline)
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must lie in (0, 1]")
         if self.gamma == 0:
@@ -220,22 +230,23 @@ def dpsgd_step(
 
 @dataclass
 class FullFilterConfig:
-    eta: float = 0.1
-    clip: float | None = None
-    sigma_dp: float = 0.0
-    clip_variant: str = "none"
+    """Matrix-filter settings; the observation (clip, noise) and the base
+    update (eta, base) come from the run's ``DiskConfig``."""
+
     sigma_w_sq: float = 1.0
     sigma_h_sq: float = 0.0
     sigma_v_sq: float = 0.0
     gamma: float = 0.01  # finite-difference scale for the Hessian action
     hessian_mode: str = "fd"  # "exact" needs a quadratic objective
-    base: str = "sgd"
 
-    def as_disk(self) -> DiskConfig:
-        return DiskConfig(
-            kappa=1.0, gamma=1.0, eta=self.eta, clip=self.clip,
-            sigma_dp=self.sigma_dp, clip_variant=self.clip_variant, base=self.base,
-        )
+    def __post_init__(self) -> None:
+        _require_finite(self)
+        if min(self.sigma_w_sq, self.sigma_h_sq, self.sigma_v_sq) < 0:
+            raise ValueError("noise variances must be >= 0")
+        if self.gamma == 0:
+            raise ValueError("finite-difference gamma must be nonzero")
+        if self.hessian_mode not in HESSIAN_MODES:
+            raise ValueError(f"hessian_mode must be one of {HESSIAN_MODES}")
 
 
 @dataclass
@@ -267,24 +278,26 @@ def full_filter_step(
     state: FullFilterState,
     batch: tuple[np.ndarray, np.ndarray],
     obj: Objective,
+    opt: DiskConfig,
     cfg: FullFilterConfig,
     rng: np.random.Generator,
 ) -> FullFilterState:
     """One step of the un-simplified matrix filter over the base optimizer.
 
-    The prediction moves the gradient estimate by the Hessian action on the
-    last displacement (exact for quadratics, finite-difference otherwise); the
-    correction applies the multiplicative-noise gain with E[C] = I and no
-    observation-matrix covariance.
+    The observation (clip, noise) and the base update follow ``opt``; its
+    kappa and gamma are unused. The prediction moves the gradient estimate by
+    the Hessian action on the last displacement (exact for quadratics,
+    finite-difference otherwise); the correction applies the
+    multiplicative-noise gain with E[C] = I and no observation-matrix
+    covariance.
     """
     Xb, yb = batch
     x = state.x
     d = x.shape[0]
     if d > MAX_STATE_DIM:
         raise ValueError(f"full-matrix filter is capped at dim <= {MAX_STATE_DIM}")
-    disk_cfg = cfg.as_disk()
     G = obj.per_sample_grads(x, Xb, yb)
-    g_obs = _observe(G, disk_cfg, rng, state.t)
+    g_obs = _observe(G, opt, rng, state.t)
 
     if not np.any(state.d_prev):
         h_action = np.zeros(d)
@@ -303,7 +316,7 @@ def full_filter_step(
     g_filt = g_pred + K @ (g_obs - g_pred)
     P = _symmetrize((np.eye(d) - K) @ P_pred)
 
-    x_new, moments = apply_base_update(disk_cfg, x, g_filt, state.moments)
+    x_new, moments = apply_base_update(opt, x, g_filt, state.moments)
     return FullFilterState(
         x=x_new, g_filt=g_filt, d_prev=x_new - x, P=P, K=K,
         moments=moments, t=state.t + 1,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .disk import (
     DiskState,
     FullFilterConfig,
     disk_step,
-    dpsgd_step,
     full_filter_init,
     full_filter_step,
 )
@@ -42,12 +42,33 @@ from .objectives import (
 from .privacy import (
     PrivacyError,
     calibrate_noise_multiplier,
+    clip_sensitivity,
     compose_and_convert,
     delta_convention,
     subsampled_curve,
 )
 
-ALGORITHMS = ("dpsgd", "disk", "noisy-gd", "noisy-lp", "noisy-kf", "full-kf")
+
+class Preset(NamedTuple):
+    """An algorithm as ``DiskConfig`` overrides on the run's optimizer settings."""
+
+    overrides: dict
+    full_batch: bool = False  # every step sees the whole dataset
+
+
+# disk and noisy-kf are the same run. full-kf swaps the filter for the matrix
+# filter of ``full_filter_step``; everything else runs ``disk_step``.
+PRESETS = {
+    "dpsgd": Preset({"kappa": 1.0, "base": "sgd"}),
+    "disk": Preset({}),
+    "noisy-gd": Preset({"kappa": 1.0, "base": "sgd", "clip_variant": "none"}, True),
+    "noisy-lp": Preset({"two_point": False}),
+    "noisy-kf": Preset({}),
+    "full-kf": Preset({}),
+}
+ALGORITHMS = tuple(PRESETS)
+# Optimizer keys a ``full_filter`` section may repeat, if it agrees.
+SHARED_FILTER_KEYS = ("eta", "clip", "clip_variant", "sigma_dp", "base")
 TRACE_HEADER = "step,loss,grad_norm,filtered_grad_norm,epsilon_spent"
 COMPARISON_HEADER = "sigma_dp,method,seed,final_loss"
 SWEEP_HEADER = "kappa,gamma,metric"
@@ -61,7 +82,6 @@ class StepRecord:
     grad_norm: float
     filtered_grad_norm: float
     epsilon_spent: float
-    noise_index: int = 0
 
 
 @dataclass
@@ -108,7 +128,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     outdir: str = "out"
     init_scale: float = 1.0
-    full_filter: FullFilterConfig | None = None
+    full_filter: FullFilterConfig = field(default_factory=FullFilterConfig)
     _sigma_explicit: bool = True
 
     def __post_init__(self) -> None:
@@ -132,7 +152,10 @@ class ExperimentConfig:
             opt_raw["betas"] = tuple(opt_raw["betas"])
         optimizer = DiskConfig(**opt_raw)
         privacy_raw = raw.get("privacy") or {}
-        ff = raw.get("full_filter")
+        ff = dict(raw.get("full_filter") or {})
+        for key in SHARED_FILTER_KEYS:
+            if key in ff and ff.pop(key) != getattr(optimizer, key):
+                raise ValueError(f"full_filter.{key} disagrees with optimizer.{key}")
         seeds = raw.get("seeds")
         if seeds is None:
             seeds = [raw.get("seed", 0)]
@@ -147,7 +170,7 @@ class ExperimentConfig:
             seeds=tuple(int(s) for s in seeds),
             outdir=raw.get("outdir", "out"),
             init_scale=raw.get("init_scale", 1.0),
-            full_filter=FullFilterConfig(**ff) if ff else None,
+            full_filter=FullFilterConfig(**ff),
             _sigma_explicit=sigma_explicit,
         )
 
@@ -181,8 +204,9 @@ def _resolve_privacy(
     """Fill in sigma_dp from the target budget when requested.
 
     Returns (optimizer config, delta used for accounting, q). The accountant
-    works on the noise multiplier z = sigma_dp * B / C; the noise actually
-    added to the batch-averaged clipped gradient has std z * C / B.
+    works on the noise multiplier z = sigma_dp * B / S, with S the clip
+    sensitivity; the noise actually added to the batch-averaged clipped
+    gradient has std z * S / B.
     """
     q = min(cfg.B / N, 1.0)
     delta = cfg.delta if cfg.delta is not None else (
@@ -196,7 +220,7 @@ def _resolve_privacy(
     if delta is None:
         raise PrivacyError("a privacy target needs delta (or N > 1 for the convention)")
     z = calibrate_noise_multiplier(cfg.epsilon_target, delta, q, cfg.T)
-    sigma_dp = z * opt.clip / cfg.B
+    sigma_dp = z * clip_sensitivity(opt.clip_variant, opt.clip) / cfg.B
     return replace(opt, sigma_dp=sigma_dp), delta, q
 
 
@@ -206,7 +230,7 @@ def _epsilon_schedule(
     """Budget spent after 1..T steps; inf when the run is not clipped/noised."""
     if opt.clip_variant == "none" or opt.sigma_dp <= 0 or delta is None:
         return [math.inf] * T
-    z = opt.sigma_dp * B / opt.clip
+    z = opt.sigma_dp * B / clip_sensitivity(opt.clip_variant, opt.clip)
     curve = subsampled_curve(q, z)
     return [compose_and_convert(curve, t, delta) for t in range(1, T + 1)]
 
@@ -218,62 +242,38 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> MetricsTra
     if cfg.B > ds.n:
         raise ValueError("batch size exceeds dataset size")
 
-    algorithm = cfg.algorithm
-    if algorithm in ("noisy-gd", "full-kf") and cfg.epsilon_target is not None:
+    if cfg.algorithm in ("noisy-gd", "full-kf") and cfg.epsilon_target is not None:
         raise PrivacyError(
-            f"{algorithm} takes an explicit sigma_dp, not a privacy target"
+            f"{cfg.algorithm} takes an explicit sigma_dp, not a privacy target"
         )
+    preset = PRESETS[cfg.algorithm]
     opt, delta, q = _resolve_privacy(cfg, ds.n)
-    full_batch = cfg.B == ds.n or algorithm == "noisy-gd"
-    if algorithm == "noisy-gd":
-        # Full-batch descent with additive noise and no clipping.
-        opt = replace(opt, clip_variant="none", kappa=1.0)
-        q = 1.0
-    if algorithm == "noisy-lp":
-        opt = replace(opt, two_point=False)
+    opt = replace(opt, **preset.overrides)
+    full_batch = preset.full_batch or cfg.B == ds.n
 
     x0 = obj.init_point(seed, cfg.init_scale)
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
     sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
-
-    if algorithm == "full-kf":
-        ff_cfg = cfg.full_filter or FullFilterConfig(eta=opt.eta)
-        ff_state = full_filter_init(x0, ff_cfg)
-        sched_opt = ff_cfg.as_disk()
-    else:
-        ff_cfg, ff_state = None, None
-        sched_opt = opt
-    eps_sched = _epsilon_schedule(
-        sched_opt, delta, q, ds.n if full_batch else cfg.B, cfg.T
-    )
-    state = DiskState(x=x0.copy())
+    eps_sched = _epsilon_schedule(opt, delta, q, ds.n if full_batch else cfg.B, cfg.T)
+    ff = cfg.full_filter if cfg.algorithm == "full-kf" else None
+    state = DiskState(x=x0.copy()) if ff is None else full_filter_init(x0, ff)
 
     loss0 = full_loss(obj, x0, ds)
     grad0 = float(np.linalg.norm(full_gradient(obj, x0, ds)))
     records: list[StepRecord] = []
     for t in range(cfg.T):
-        if full_batch:
-            batch = (ds.X, ds.y)
-        else:
-            idx = sampler.next_batch()
-            batch = ds.subset(idx)
-        if algorithm in ("disk", "noisy-kf", "noisy-lp"):
+        batch = (ds.X, ds.y) if full_batch else ds.subset(sampler.next_batch())
+        if ff is None:
             state = disk_step(state, batch, obj, opt, noise_rng)
-            x, filt = state.x, state.g_filt
-        elif algorithm in ("dpsgd", "noisy-gd"):
-            state = dpsgd_step(state, batch, obj, opt, noise_rng)
-            x, filt = state.x, state.g_filt
-        else:  # full-kf
-            ff_state = full_filter_step(ff_state, batch, obj, ff_cfg, noise_rng)
-            x, filt = ff_state.x, ff_state.g_filt
+        else:
+            state = full_filter_step(state, batch, obj, opt, ff, noise_rng)
         records.append(
             StepRecord(
                 t=t + 1,
-                loss=full_loss(obj, x, ds),
-                grad_norm=float(np.linalg.norm(full_gradient(obj, x, ds))),
-                filtered_grad_norm=float(np.linalg.norm(filt)),
+                loss=full_loss(obj, state.x, ds),
+                grad_norm=float(np.linalg.norm(full_gradient(obj, state.x, ds))),
+                filtered_grad_norm=float(np.linalg.norm(state.g_filt)),
                 epsilon_spent=eps_sched[t],
-                noise_index=t,
             )
         )
     return MetricsTrace(records=records, loss0=loss0, grad0_norm=grad0, seed=seed)
@@ -331,22 +331,16 @@ def compare_filters(
         eta = 1.0 / obj.smoothness(ds)
         x0 = np.zeros(p)
         for sigma in noise_levels:
+            shared = DiskConfig(
+                kappa=kappa, gamma=-1.0, eta=eta, clip=None, clip_variant="none",
+                sigma_dp=sigma, base="sgd",
+            )
             for method in COMPARISON_METHODS:
-                cfg = DiskConfig(
-                    kappa=1.0 if method == "noisy-gd" else kappa,
-                    gamma=-1.0,
-                    eta=eta,
-                    clip=None,
-                    clip_variant="none",
-                    sigma_dp=sigma,
-                    base="sgd",
-                    two_point=(method == "noisy-kf"),
-                )
+                cfg = replace(shared, **PRESETS[method].overrides)
                 rng = seeding.substream(seed, seeding.DP_NOISE, f"sigma={sigma!r}")
                 state = DiskState(x=x0.copy())
-                step = dpsgd_step if method == "noisy-gd" else disk_step
                 for _ in range(T):
-                    state = step(state, (ds.X, ds.y), obj, cfg, rng)
+                    state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
                 rows.append(
                     ComparisonRow(
                         sigma_dp=sigma,
@@ -434,7 +428,6 @@ def read_trace_csv(path: str) -> MetricsTrace:
             StepRecord(
                 t=int(t), loss=float(loss), grad_norm=float(gn),
                 filtered_grad_norm=float(fgn), epsilon_spent=float(eps),
-                noise_index=int(t) - 1,
             )
         )
     return MetricsTrace(records=records, loss0=math.nan, grad0_norm=math.nan, seed=-1)

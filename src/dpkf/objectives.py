@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -344,19 +343,6 @@ def two_point_grads(
     return a * ahead + (1.0 - a) * here
 
 
-def two_point_per_sample_grad(
-    obj: Objective,
-    x: np.ndarray,
-    d_prev: np.ndarray,
-    gamma: float,
-    kappa: float,
-    sample: Sample,
-) -> np.ndarray:
-    feature, target = sample
-    feature = np.atleast_2d(np.asarray(feature, dtype=float))
-    return two_point_grads(obj, x, d_prev, gamma, kappa, feature, np.array([target]))[0]
-
-
 def full_gradient(obj: Objective, x: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Mean of per-sample gradients over the whole dataset."""
     return obj.per_sample_grads(x, dataset.X, dataset.y).mean(axis=0)
@@ -397,7 +383,3 @@ class MinibatchSampler:
         if not self._queue:
             self._queue = self.epoch_batches()
         return self._queue.pop(0)
-
-    def batches(self, steps: int) -> Iterator[np.ndarray]:
-        for _ in range(steps):
-            yield self.next_batch()

@@ -122,6 +122,19 @@ def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
     return G * factors[:, None]
 
 
+def clip_sensitivity(variant: str, C: float) -> float:
+    """Largest row norm ``clip_batch`` can return: 1 for normalized, C otherwise.
+
+    The batch mean then has add/remove sensitivity clip_sensitivity / B, so
+    the accountant's noise multiplier is z = sigma_dp * B / clip_sensitivity.
+    """
+    if variant == "normalized":
+        return 1.0
+    if variant in ("standard", "automatic"):
+        return C
+    raise PrivacyError(f"clip variant {variant!r} has no bounded sensitivity")
+
+
 # ---------------------------------------------------------------------------
 # Gaussian mechanism (analytic calibration)
 # ---------------------------------------------------------------------------
@@ -246,15 +259,6 @@ def compose_and_convert(curve: RdpCurve, steps: int, delta: float) -> float:
     )
 
 
-def conversion_table(curve: RdpCurve, steps: int, delta: float) -> dict[int, float]:
-    """Per-order composed-and-converted epsilon; the minimum is the budget."""
-    penalty = math.log(1.0 / delta)
-    return {
-        alpha: steps * eps + penalty / (alpha - 1)
-        for alpha, eps in curve.values.items()
-    }
-
-
 def calibrate_noise_multiplier(
     eps_target: float,
     delta: float,
@@ -296,17 +300,6 @@ def calibrate_noise_multiplier(
         else:
             lo = mid
     return hi
-
-
-def noise_scaling_rule(
-    C: float, steps: int, N: int, epsilon: float, delta: float, v: float
-) -> float:
-    """sqrt(v C^2 T ln(1/delta)) / (N epsilon): the square-root-in-T noise rule.
-
-    The constant v is caller-supplied; the rule is used for scaling-law tests
-    only, never for actual calibration.
-    """
-    return math.sqrt(v * C * C * steps * math.log(1.0 / delta)) / (N * epsilon)
 
 
 def delta_convention(N: int) -> float:

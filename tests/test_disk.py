@@ -332,14 +332,50 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "cls, kwargs, match",
+    [
+        (DiskConfig, {"eta": math.nan}, "eta"),
+        (DiskConfig, {"eta": math.inf}, "eta"),
+        (DiskConfig, {"gamma": math.inf}, "gamma"),
+        (DiskConfig, {"gamma": -math.inf}, "gamma"),
+        (DiskConfig, {"sigma_dp": math.inf}, "sigma_dp"),
+        (DiskConfig, {"sigma_dp": math.nan}, "sigma_dp"),
+        (DiskConfig, {"clip": math.inf}, "clip"),
+        (DiskConfig, {"clip": math.nan}, "clip"),
+        (DiskConfig, {"momentum": math.nan}, "momentum"),
+        (DiskConfig, {"kappa": math.nan}, "kappa"),
+        (DiskConfig, {"eps_adam": math.inf}, "eps_adam"),
+        (DiskConfig, {"weight_decay": math.nan}, "weight_decay"),
+        (DiskConfig, {"betas": (0.9, math.nan)}, "betas"),
+        (FullFilterConfig, {"hessian_mode": "exakt"}, "hessian_mode"),
+        (FullFilterConfig, {"sigma_w_sq": -1.0}, ">= 0"),
+        (FullFilterConfig, {"sigma_h_sq": -0.5}, ">= 0"),
+        (FullFilterConfig, {"sigma_v_sq": math.inf}, "sigma_v_sq"),
+        (FullFilterConfig, {"sigma_w_sq": math.nan}, "sigma_w_sq"),
+        (FullFilterConfig, {"gamma": math.inf}, "gamma"),
+        (FullFilterConfig, {"gamma": 0.0}, "gamma"),
+    ],
+)
+def test_config_rejects_bad_values(cls, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        cls(**kwargs)
+
+
+def unclipped(eta, sigma_dp):
+    """Observation and base-update settings of the matrix-filter tests."""
+    return DiskConfig(eta=eta, sigma_dp=sigma_dp, clip=None, clip_variant="none")
+
+
 def test_full_filter_covariance_trace_non_increasing():
     obj, ds = quadratic_problem(5)
-    cfg = FullFilterConfig(eta=0.2, sigma_w_sq=0.5, sigma_h_sq=0.0, hessian_mode="exact", sigma_dp=0.1)
+    opt = unclipped(eta=0.2, sigma_dp=0.1)
+    cfg = FullFilterConfig(sigma_w_sq=0.5, sigma_h_sq=0.0, hessian_mode="exact")
     st = full_filter_init(np.ones(5), cfg)
     rng = rng_for(0)
     traces = []
     for _ in range(50):
-        st = full_filter_step(st, (ds.X, ds.y), obj, cfg, rng)
+        st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
         traces.append(float(np.trace(st.P)))
     assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
@@ -348,27 +384,28 @@ def test_full_filter_tracks_gradient_when_observation_noise_vanishes():
     # sigma_w^2 -> 0 with a process-noise floor makes the gain ~1: the filter
     # trusts the (exact) observation and tracks the true gradient.
     obj, ds = quadratic_problem(5)
+    opt = unclipped(eta=0.2, sigma_dp=0.0)
     cfg = FullFilterConfig(
-        eta=0.2, sigma_w_sq=1e-12, sigma_h_sq=0.0, sigma_v_sq=1e-6,
-        hessian_mode="exact", sigma_dp=0.0,
+        sigma_w_sq=1e-12, sigma_h_sq=0.0, sigma_v_sq=1e-6, hessian_mode="exact",
     )
     st = full_filter_init(np.ones(5), cfg)
     rng = rng_for(0)
     for t in range(20):
         x_at_observation = st.x.copy()
-        st = full_filter_step(st, (ds.X, ds.y), obj, cfg, rng)
+        st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
         err = np.abs(st.g_filt - full_gradient(obj, x_at_observation, ds)).max()
         assert err <= 1e-4
 
 
 def test_full_filter_huge_observation_noise_keeps_prediction():
     obj, ds = quadratic_problem(3)
-    cfg = FullFilterConfig(eta=0.2, sigma_w_sq=1e12, sigma_h_sq=0.0, hessian_mode="exact", sigma_dp=0.0)
+    opt = unclipped(eta=0.2, sigma_dp=0.0)
+    cfg = FullFilterConfig(sigma_w_sq=1e12, sigma_h_sq=0.0, hessian_mode="exact")
     st = FullFilterState(
         x=np.ones(3), g_filt=np.array([0.5, 0.5, 0.5]),
         d_prev=np.zeros(3), P=1e-6 * np.eye(3),
     )
-    out = full_filter_step(st, (ds.X, ds.y), obj, cfg, rng_for(0))
+    out = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng_for(0))
     # d_prev = 0 so the prediction equals the previous filtered gradient
     assert np.abs(out.K).max() <= 1e-10
     assert np.abs(out.g_filt - st.g_filt).max() <= 1e-10
@@ -376,15 +413,15 @@ def test_full_filter_huge_observation_noise_keeps_prediction():
 
 def test_full_filter_finite_difference_matches_exact_on_quadratic():
     obj, ds = quadratic_problem(4)
-    kwargs = dict(eta=0.2, sigma_w_sq=0.5, sigma_dp=0.0)
-    cfg_e = FullFilterConfig(hessian_mode="exact", **kwargs)
-    cfg_f = FullFilterConfig(hessian_mode="fd", gamma=0.5, **kwargs)
+    opt = unclipped(eta=0.2, sigma_dp=0.0)
+    cfg_e = FullFilterConfig(hessian_mode="exact", sigma_w_sq=0.5)
+    cfg_f = FullFilterConfig(hessian_mode="fd", gamma=0.5, sigma_w_sq=0.5)
     st_e = full_filter_init(np.ones(4), cfg_e)
     st_f = full_filter_init(np.ones(4), cfg_f)
     re, rf = rng_for(1), rng_for(1)
     for _ in range(20):
-        st_e = full_filter_step(st_e, (ds.X, ds.y), obj, cfg_e, re)
-        st_f = full_filter_step(st_f, (ds.X, ds.y), obj, cfg_f, rf)
+        st_e = full_filter_step(st_e, (ds.X, ds.y), obj, opt, cfg_e, re)
+        st_f = full_filter_step(st_f, (ds.X, ds.y), obj, opt, cfg_f, rf)
     assert np.abs(st_e.x - st_f.x).max() <= 1e-12
 
 

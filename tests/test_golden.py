@@ -1,0 +1,106 @@
+"""Byte-identity gate: the CSV outputs of a fixed command set.
+
+Every command runs through ``cli.main`` at tiny sizes and the sha256 of the
+CSV it writes is compared with a recorded hash. A refactor that keeps the
+trajectories keeps these hashes; a change that is meant to alter an output
+must say so and record the new hash. Tiny runs give the same bytes at 1 and
+2 BLAS threads.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from dpkf.cli import main as cli_main
+
+LOGREG = {
+    "seed": 2,
+    "objective": {"kind": "logistic-regression", "n": 80, "p": 5},
+    "optimizer": {
+        "kappa": 0.6, "gamma": 0.5, "eta": 0.3, "clip": 1.0,
+        "clip_variant": "standard", "sigma_dp": 0.05, "base": "momentum",
+    },
+    "T": 12,
+    "B": 16,
+}
+
+FULLKF_FILTER = {"eta": 0.05, "clip": 1.0, "clip_variant": "standard", "sigma_dp": 0.03}
+FULLKF = {
+    "seed": 5,
+    "objective": {"kind": "linear-regression", "n": 60, "p": 6},
+    "algorithm": "full-kf",
+    "optimizer": dict(FULLKF_FILTER),
+    "full_filter": dict(FULLKF_FILTER, hessian_mode="fd", sigma_w_sq=0.5),
+    "T": 10,
+    "B": 20,
+}
+
+TARGET = {
+    **LOGREG,
+    "optimizer": {k: v for k, v in LOGREG["optimizer"].items() if k != "sigma_dp"},
+    "privacy": {"epsilon": 3.0},
+}
+
+MLP = {
+    "seed": 3,
+    "objective": {"kind": "mlp", "n": 60, "p": 4, "hidden": 5},
+    "optimizer": {
+        "kappa": 0.7, "gamma": 0.5, "eta": 0.05, "clip": 1.0,
+        "clip_variant": "automatic", "base": "adam",
+    },
+    "privacy": {"epsilon": 4.0},
+    "T": 4,
+    "B": 20,
+}
+
+# name -> (config or None, argv after the subcommand, CSV file name)
+COMMANDS = {
+    "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
+    "train-disk": (dict(LOGREG, algorithm="disk"), ["train"], "trace.csv"),
+    "train-noisy-gd": (dict(LOGREG, algorithm="noisy-gd"), ["train"], "trace.csv"),
+    "train-noisy-lp": (dict(LOGREG, algorithm="noisy-lp"), ["train"], "trace.csv"),
+    "train-noisy-kf": (dict(LOGREG, algorithm="noisy-kf"), ["train"], "trace.csv"),
+    "train-full-kf": (FULLKF, ["train"], "trace.csv"),
+    "train-dpsgd-target": (dict(TARGET, algorithm="dpsgd"), ["train"], "trace.csv"),
+    "sweep-mlp": (
+        MLP, ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"], "sweep.csv"
+    ),
+    "compare-filters": (
+        None,
+        ["compare-filters", "--seeds", "0,1", "--noise-levels", "0.05,0.5",
+         "--n", "60", "--p", "4", "--T", "10"],
+        "comparison.csv",
+    ),
+}
+
+GOLDEN = {
+    "compare-filters": "d84a6dba2894403d2348e77e549d3ed292e30388463cef4879d6d17145be6123",
+    "sweep-mlp": "3b3fbd0b9f40e19729c600e2f3070889465dd4b57e5cba8cc62314024258b29f",
+    "train-disk": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
+    "train-dpsgd": "5c0f312f3aef85dcdb60493d0236f9eed111fbbe1e0909d54c2e15475bc97fdc",
+    "train-dpsgd-target": "b970f3dd7c8e1c0aa7ccc6057bdb9e1e560b0c5fac18899a90ae2b8a143bc18c",
+    "train-full-kf": "b4003db80b24a642b5ab40ca4c6f8e0934138759aa48dfedc2a62145742bbd98",
+    "train-noisy-gd": "f97db3f96d7e241a50c88a83ed7de3a5fecc618004a71ccaeca7609c3c923812",
+    "train-noisy-kf": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
+    "train-noisy-lp": "42c71fa5ffed08f81d09643ae56cffd567a7ddcb30914a0baa73f92e6311ff5a",
+}
+
+
+def run_command(name: str, tmp_path) -> str:
+    """Run one named command in ``tmp_path``; sha256 of the CSV it wrote."""
+    config, argv, csv_name = COMMANDS[name]
+    outdir = tmp_path / "out"
+    argv = [*argv, "--outdir", str(outdir)]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv[1:1] = ["--config", str(cfg_path)]
+    assert cli_main(argv) == 0
+    return hashlib.sha256((outdir / csv_name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_csv_bytes_unchanged(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DISK_SEED", raising=False)
+    assert run_command(name, tmp_path) == GOLDEN[name]

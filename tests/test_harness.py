@@ -112,6 +112,29 @@ def test_privacy_target_calibration_and_bookkeeping():
     assert abs(direct - trace.epsilon_total) <= 1e-9
 
 
+def test_normalized_clip_epsilon_uses_unit_sensitivity():
+    # normalized clipping caps row norms at 1, so z = sigma_dp * B whatever C is
+    raw = logistic_raw()
+    raw["optimizer"].update(clip_variant="normalized", clip=0.1)
+    cfg = ExperimentConfig.from_dict(raw)
+    trace = run_experiment(cfg)
+    opt, delta, q = _resolve_privacy(cfg, 120)
+    z = raw["optimizer"]["sigma_dp"] * cfg.B
+    direct = compose_and_convert(subsampled_curve(q, z), cfg.T, delta)
+    assert abs(direct - trace.epsilon_total) <= 1e-9
+
+
+def test_normalized_clip_target_calibrates_for_unit_sensitivity():
+    raw = logistic_raw(privacy={"epsilon": 4.0})
+    del raw["optimizer"]["sigma_dp"]
+    raw["optimizer"].update(clip_variant="normalized", clip=0.1)
+    cfg = ExperimentConfig.from_dict(raw)
+    opt, delta, q = _resolve_privacy(cfg, 120)
+    direct = compose_and_convert(subsampled_curve(q, opt.sigma_dp * cfg.B), cfg.T, delta)
+    assert direct == pytest.approx(4.0, abs=1e-3)
+    assert run_experiment(cfg).epsilon_total == pytest.approx(4.0, abs=1e-3)
+
+
 def test_privacy_target_requires_clipping():
     raw = logistic_raw(privacy={"epsilon": 4.0})
     del raw["optimizer"]["sigma_dp"]
@@ -132,12 +155,48 @@ def test_full_filter_algorithm_runs():
     raw = logistic_raw(
         objective={"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 1.5, 2.0]},
         algorithm="full-kf", B=1, T=15,
-        full_filter={"eta": 0.3, "sigma_w_sq": 0.5, "sigma_dp": 0.1,
-                     "hessian_mode": "exact"},
+        optimizer={"eta": 0.3, "sigma_dp": 0.1, "clip": None, "clip_variant": "none"},
+        full_filter={"sigma_w_sq": 0.5, "hessian_mode": "exact"},
     )
     trace = run_experiment(ExperimentConfig.from_dict(raw))
     assert len(trace.records) == 15
     assert trace.final_loss < trace.loss0
+
+
+def fullkf_raw(**optimizer):
+    return logistic_raw(
+        objective={"kind": "linear-regression", "n": 60, "p": 4},
+        algorithm="full-kf", B=20, T=10,
+        optimizer=dict(eta=0.05, clip=1.0, clip_variant="standard", **optimizer),
+    )
+
+
+def test_full_filter_noise_and_clip_come_from_optimizer():
+    noisy = run_experiment(ExperimentConfig.from_dict(fullkf_raw(sigma_dp=0.5)))
+    quiet = run_experiment(ExperimentConfig.from_dict(fullkf_raw(sigma_dp=0.0)))
+    assert math.isfinite(noisy.epsilon_total)
+    assert math.isinf(quiet.epsilon_total)
+    assert [r.loss for r in noisy.records] != [r.loss for r in quiet.records]
+
+
+def test_full_filter_section_may_repeat_matching_optimizer_keys():
+    raw = fullkf_raw(sigma_dp=0.5)
+    plain = run_experiment(ExperimentConfig.from_dict(raw))
+    repeated = dict(raw, full_filter=dict(raw["optimizer"], sigma_w_sq=1.0))
+    again = run_experiment(ExperimentConfig.from_dict(repeated))
+    assert [r.loss for r in again.records] == [r.loss for r in plain.records]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("eta", 0.1), ("clip", 2.0), ("clip_variant", "none"), ("sigma_dp", 0.1),
+     ("base", "adam")],
+)
+def test_full_filter_section_rejects_disagreeing_optimizer_key(key, value):
+    raw = fullkf_raw(sigma_dp=0.5)
+    raw["full_filter"] = {key: value, "hessian_mode": "fd"}
+    with pytest.raises(ValueError, match=f"full_filter.{key}"):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_run_deterministic_per_seed():
@@ -300,6 +359,23 @@ def test_cli_calibrate_reports_multiplier_and_breakdown(capsys):
     assert payload["epsilon_spent"] <= 1.0 + 1e-6
     assert payload["sigma_dp"] == pytest.approx(payload["noise_multiplier"] / 100)
     assert len(payload["rdp_per_order"]) == 66
+
+
+def test_cli_sweep_reads_negative_leading_lists(tmp_path, capsys):
+    cfg = write_config(tmp_path, logistic_raw(T=3))
+    outputs = []
+    for gammas in (["--gammas", "-1.0,0.5"], ["--gammas=-1.0,0.5"]):
+        outdir = str(tmp_path / f"out{len(outputs)}")
+        rc = cli_main(
+            ["sweep", "--config", cfg, "--kappas", "0.5", *gammas, "--outdir", outdir]
+        )
+        assert rc == 0
+        with open(json.loads(capsys.readouterr().out)["outputs"][0]) as fh:
+            outputs.append(fh.read())
+    assert [ln.split(",")[:2] for ln in outputs[0].splitlines()[1:]] == [
+        ["0.5", "-1.0"], ["0.5", "0.5"]
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_kalman_demo_prints_csv(capsys):

@@ -13,8 +13,14 @@ from dpkf.objectives import (
     per_sample_grad,
     per_sample_loss,
     two_point_grads,
-    two_point_per_sample_grad,
 )
+
+
+def two_point_per_sample_grad(obj, x, d_prev, gamma, kappa, sample):
+    """``two_point_grads`` on a one-row batch."""
+    feature, target = sample
+    feature = np.atleast_2d(np.asarray(feature, dtype=float))
+    return two_point_grads(obj, x, d_prev, gamma, kappa, feature, np.array([target]))[0]
 
 ALL_KINDS = ["quadratic", "linear-regression", "logistic-regression", "mlp"]
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpkf.privacy import (
     DEFAULT_ORDERS,
@@ -12,11 +15,11 @@ from dpkf.privacy import (
     clip_automatic,
     clip_batch,
     clip_normalized,
+    clip_sensitivity,
     clip_standard,
     compose_and_convert,
     delta_convention,
     gaussian_privacy_profile,
-    noise_scaling_rule,
     rdp_gaussian,
     rdp_subsampled,
     subsampled_curve,
@@ -66,6 +69,29 @@ def test_clip_direction_and_norm_bounds(dim):
                 scale = out @ g / (ng * ng)
                 assert scale >= 0
                 assert np.allclose(out, scale * g, atol=1e-9)
+
+
+@given(
+    G=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    C=st.floats(1e-6, 1e6),
+    variant=st.sampled_from(["standard", "automatic", "normalized"]),
+)
+def test_clip_batch_rows_never_exceed_sensitivity(G, C, variant):
+    with np.errstate(over="ignore"):  # rows whose squared norm overflows clip to 0
+        norms = np.linalg.norm(clip_batch(G, C, variant), axis=1)
+    assert (norms <= clip_sensitivity(variant, C) * (1 + 1e-12)).all()
+
+
+def test_clip_sensitivity_values():
+    assert clip_sensitivity("standard", 0.1) == 0.1
+    assert clip_sensitivity("automatic", 2.5) == 2.5
+    assert clip_sensitivity("normalized", 0.1) == 1.0
+    with pytest.raises(PrivacyError):
+        clip_sensitivity("none", 1.0)
 
 
 def test_clip_batch_matches_single_vector_ops():
@@ -285,6 +311,11 @@ def test_noise_multiplier_infeasible_target():
 # ---------------------------------------------------------------------------
 # scaling rule and delta convention
 # ---------------------------------------------------------------------------
+
+
+def noise_scaling_rule(C, steps, N, epsilon, delta, v):
+    """sqrt(v C^2 T ln(1/delta)) / (N epsilon): the square-root-in-T noise rule."""
+    return math.sqrt(v * C * C * steps * math.log(1.0 / delta)) / (N * epsilon)
 
 
 def test_noise_scaling_rule_values():
