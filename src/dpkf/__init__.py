@@ -51,6 +51,7 @@ from .privacy import (
     clip_standard,
     compose_and_convert,
     delta_convention,
+    epsilon_schedule,
     rdp_gaussian,
     rdp_subsampled,
 )

@@ -137,8 +137,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.clip is not None:
         report["clip"] = args.clip
         if args.batch_size:
-            # noise std on the batch-averaged clipped gradient (sensitivity C/B)
-            report["sigma_dp"] = z * args.clip / args.batch_size
+            # noise std on the batch-averaged clipped gradient (sensitivity S/B,
+            # S = C, or 1 under normalized clipping)
+            sensitivity = privacy.clip_sensitivity(args.clip_variant, args.clip)
+            report["sigma_dp"] = z * sensitivity / args.batch_size
     _print_json(report)
     return 0
 
@@ -249,6 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--steps", type=int, required=True)
     p_cal.add_argument("--clip", type=float)
     p_cal.add_argument("--batch-size", dest="batch_size", type=int)
+    p_cal.add_argument(
+        "--clip-variant", dest="clip_variant", default="standard",
+        choices=("standard", "automatic", "normalized"),
+    )
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_bounds = sub.add_parser("bounds", help="bound constants and RHS values")

@@ -43,8 +43,8 @@ from .privacy import (
     PrivacyError,
     calibrate_noise_multiplier,
     clip_sensitivity,
-    compose_and_convert,
     delta_convention,
+    epsilon_schedule,
     subsampled_curve,
 )
 
@@ -142,6 +142,10 @@ class ExperimentConfig:
             raise ValueError(
                 "set exactly one of: a privacy target (epsilon) or an explicit sigma_dp"
             )
+        if self.algorithm in ("noisy-gd", "full-kf") and self.epsilon_target is not None:
+            raise PrivacyError(
+                f"{self.algorithm} takes an explicit sigma_dp, not a privacy target"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -175,6 +179,13 @@ class ExperimentConfig:
         )
 
 
+def _dataset_size(problem: dict, batch_floor: int) -> int:
+    """Rows of the dataset ``build_problem`` makes; the same for every seed."""
+    if problem["kind"] == "quadratic":
+        return max(problem.get("n", batch_floor), batch_floor)
+    return problem["n"]
+
+
 def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objective, Dataset]:
     """Instantiate the objective and its dataset for one seed."""
     kind = problem["kind"]
@@ -183,8 +194,7 @@ def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objec
         eigs = problem.get("eigenvalues")
         H = np.diag(np.asarray(eigs, dtype=float)) if eigs is not None else np.eye(dim)
         obj = make_objective("quadratic", dim, H=H, x_star=problem.get("x_star"))
-        ds = obj.placeholder_dataset(max(problem.get("n", batch_floor), batch_floor))
-        return obj, ds
+        return obj, obj.placeholder_dataset(_dataset_size(problem, batch_floor))
     n, p = problem["n"], problem["p"]
     if kind == "linear-regression":
         return LinearRegression(p), gen_linear_regression(
@@ -231,8 +241,7 @@ def _epsilon_schedule(
     if opt.clip_variant == "none" or opt.sigma_dp <= 0 or delta is None:
         return [math.inf] * T
     z = opt.sigma_dp * B / clip_sensitivity(opt.clip_variant, opt.clip)
-    curve = subsampled_curve(q, z)
-    return [compose_and_convert(curve, t, delta) for t in range(1, T + 1)]
+    return epsilon_schedule(subsampled_curve(q, z), T, delta)
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> MetricsTrace:
@@ -242,10 +251,6 @@ def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> MetricsTra
     if cfg.B > ds.n:
         raise ValueError("batch size exceeds dataset size")
 
-    if cfg.algorithm in ("noisy-gd", "full-kf") and cfg.epsilon_target is not None:
-        raise PrivacyError(
-            f"{cfg.algorithm} takes an explicit sigma_dp, not a privacy target"
-        )
     preset = PRESETS[cfg.algorithm]
     opt, delta, q = _resolve_privacy(cfg, ds.n)
     opt = replace(opt, **preset.overrides)
@@ -371,7 +376,16 @@ def sweep_kappa_gamma(
     cfg: ExperimentConfig,
     metric: str = "final_loss",
 ) -> list[list[float]]:
-    """Seed-averaged metric for every grid cell; one run per (cell, seed)."""
+    """Seed-averaged metric for every grid cell; one run per (cell, seed).
+
+    Cells differ only in kappa and gamma, so with a privacy target they share
+    one budget: sigma_dp is calibrated once and every cell runs with it.
+    """
+    if cfg.epsilon_target is not None:
+        opt, delta, _ = _resolve_privacy(cfg, _dataset_size(cfg.objective, cfg.B))
+        cfg = replace(
+            cfg, optimizer=opt, epsilon_target=None, delta=delta, _sigma_explicit=True
+        )
     matrix: list[list[float]] = []
     for kappa in kappas:
         row = []

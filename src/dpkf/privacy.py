@@ -1,7 +1,8 @@
 """Clipping operators, Gaussian-mechanism calibration, and an RDP accountant.
 
 The accountant works at integer Renyi orders with the binomial-expansion
-formula for the subsampled Gaussian mechanism, composes linearly over steps,
+formula for the subsampled Gaussian mechanism, whose sigma-free terms are
+built once per sampling rate, composes linearly over steps,
 and converts to (epsilon, delta) by minimising over a fixed order grid.
 Calibration routines invert these maps by bisection.
 """
@@ -73,34 +74,17 @@ class RdpCurve:
 
 def clip_standard(g: np.ndarray, C: float) -> np.ndarray:
     """min{1, C/||g||} * g; caps the norm at C, fixed point below it."""
-    if C <= 0:
-        raise PrivacyError("clip threshold must be > 0")
-    g = np.asarray(g, dtype=float)
-    nrm = float(np.linalg.norm(g))
-    if nrm <= C:
-        return g.copy()
-    return (C / nrm) * g
+    return clip_batch(np.asarray(g, dtype=float)[None], C, "standard")[0]
 
 
 def clip_automatic(g: np.ndarray, C: float) -> np.ndarray:
     """g * C/||g||: always rescales the norm to exactly C (0 maps to 0)."""
-    if C <= 0:
-        raise PrivacyError("clip threshold must be > 0")
-    g = np.asarray(g, dtype=float)
-    nrm = float(np.linalg.norm(g))
-    if nrm == 0.0:
-        return g.copy()
-    return (C / nrm) * g
+    return clip_batch(np.asarray(g, dtype=float)[None], C, "automatic")[0]
 
 
 def clip_normalized(g: np.ndarray, C: float) -> np.ndarray:
     """(g/C) * min{C/||g||, 1}; output norm is at most 1."""
-    if C <= 0:
-        raise PrivacyError("clip threshold must be > 0")
-    g = np.asarray(g, dtype=float)
-    nrm = float(np.linalg.norm(g))
-    factor = min(C / nrm, 1.0) if nrm > 0 else 1.0
-    return (factor / C) * g
+    return clip_batch(np.asarray(g, dtype=float)[None], C, "normalized")[0]
 
 
 def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
@@ -109,14 +93,27 @@ def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
         return G
     if C is None or C <= 0:
         raise PrivacyError("clip threshold must be > 0 for clipping variants")
-    norms = np.linalg.norm(G, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(G, axis=1)
+    cap = 1.0
+    huge = np.isinf(norms)
+    if huge.any():
+        # The squared norm overflowed. Write such a row as 2^e u with its
+        # largest entry of u in [1, 2) and clip u instead: the factor
+        # 2^e min{1, C/||g||} is min{2^e, C/||u||}.
+        e = np.frexp(np.abs(G[huge]).max(axis=1))[1] - 1
+        G = G.copy()
+        G[huge] = np.ldexp(G[huge], -e[:, None])
+        norms[huge] = np.linalg.norm(G[huge], axis=1)
+        cap = np.ones(len(G))
+        cap[huge] = np.ldexp(1.0, e)
     safe = np.where(norms > 0, norms, 1.0)
     if variant == "standard":
-        factors = np.minimum(1.0, C / safe)
+        factors = np.minimum(cap, C / safe)
     elif variant == "automatic":
         factors = np.where(norms > 0, C / safe, 0.0)
     elif variant == "normalized":
-        factors = np.minimum(C / safe, 1.0) / C
+        factors = np.minimum(C / safe, cap) / C
     else:
         raise PrivacyError(f"unknown clip variant: {variant!r}")
     return G * factors[:, None]
@@ -202,9 +199,63 @@ def rdp_gaussian(sigma: float, alpha: float) -> float:
     return alpha / (2.0 * sigma * sigma)
 
 
-def _logsumexp(terms: list[float]) -> float:
-    m = max(terms)
-    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
+# exp of anything below this is exactly 0.0 in double precision
+_EXP_UNDERFLOW = -746.0
+
+
+class _BinomialTerms:
+    """The sigma-free part of the subsampled Gaussian's binomial expansion.
+
+    At order alpha, term k (k = 0..alpha) of the log-sum is
+
+        log C(alpha,k) + k log q + (alpha-k) log(1-q) + k (k-1) / (2 sigma^2)
+
+    Everything but the last summand depends on (q, orders) alone and is built
+    once, so a curve for one sigma costs a numpy pass plus an exact sum per
+    order. Each value takes the IEEE operations of the term-by-term formula
+    in the same order, so it has the same bits.
+    """
+
+    def __init__(self, q: float, orders: tuple[int, ...]) -> None:
+        if not 0 < q <= 1:
+            raise PrivacyError("sampling rate must lie in (0, 1]")
+        if any(int(a) != a or a < 2 for a in orders):
+            raise PrivacyError("order alpha must be an integer >= 2")
+        self.q = q
+        self.orders = tuple(orders)
+        self.alphas = [int(a) for a in orders]
+        if q == 1.0:
+            return
+        self.sizes = np.array([a + 1 for a in self.alphas])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        alpha = np.repeat(self.alphas, self.sizes)
+        k = np.concatenate([np.arange(a + 1) for a in self.alphas])
+        lgam = np.array([math.lgamma(n + 1) for n in range(max(self.alphas) + 1)])
+        log_binom = lgam[alpha] - lgam[k] - lgam[alpha - k]
+        self.pre = log_binom + k * math.log(q) + (alpha - k) * math.log1p(-q)
+        self.kk1 = (k * (k - 1)).astype(float)
+
+    def values(self, sigma: float) -> list[float]:
+        """Per-step RDP at every order for noise multiplier sigma."""
+        if sigma <= 0:
+            raise PrivacyError("sigma must be > 0")
+        if self.q == 1.0:  # the sum collapses to its k = alpha term
+            return [rdp_gaussian(sigma, a) for a in self.alphas]
+        terms = self.pre + self.kk1 * (1.0 / (2.0 * sigma * sigma))
+        peaks = np.maximum.reduceat(terms, self.starts)
+        shifted = terms - np.repeat(peaks, self.sizes)
+        keep = ~(shifted < _EXP_UNDERFLOW)  # dropped terms add exactly 0.0
+        kept = shifted[keep].tolist()
+        ends = np.cumsum(np.add.reduceat(keep.astype(int), self.starts)).tolist()
+        out, i = [], 0
+        for alpha, m, j in zip(self.alphas, peaks.tolist(), ends):
+            total = math.fsum(map(math.exp, kept[i:j]))
+            out.append((m + math.log(total)) / (alpha - 1))
+            i = j
+        return out
+
+    def curve(self, sigma: float) -> RdpCurve:
+        return RdpCurve(dict(zip(self.orders, self.values(sigma))))
 
 
 def rdp_subsampled(q: float, sigma: float, alpha: int) -> float:
@@ -218,30 +269,21 @@ def rdp_subsampled(q: float, sigma: float, alpha: int) -> float:
     At q = 1 the sum collapses to the k = alpha term and the value reduces
     exactly to ``rdp_gaussian``.
     """
-    if not 0 < q <= 1:
-        raise PrivacyError("sampling rate must lie in (0, 1]")
-    if sigma <= 0:
-        raise PrivacyError("sigma must be > 0")
-    if int(alpha) != alpha or alpha < 2:
-        raise PrivacyError("order alpha must be an integer >= 2")
-    alpha = int(alpha)
-    if q == 1.0:
-        return rdp_gaussian(sigma, alpha)
-    log_q, log_1mq = math.log(q), math.log1p(-q)
-    c = 1.0 / (2.0 * sigma * sigma)
-    terms = []
-    for k in range(alpha + 1):
-        log_binom = (
-            math.lgamma(alpha + 1) - math.lgamma(k + 1) - math.lgamma(alpha - k + 1)
-        )
-        terms.append(log_binom + k * log_q + (alpha - k) * log_1mq + k * (k - 1) * c)
-    return _logsumexp(terms) / (alpha - 1)
+    return _BinomialTerms(q, (alpha,)).values(sigma)[0]
 
 
 def subsampled_curve(
     q: float, sigma: float, orders: tuple[int, ...] = DEFAULT_ORDERS
 ) -> RdpCurve:
-    return RdpCurve({a: rdp_subsampled(q, sigma, a) for a in orders})
+    return _BinomialTerms(q, orders).curve(sigma)
+
+
+def _conversion_penalty(steps: int, delta: float) -> float:
+    if steps < 1:
+        raise PrivacyError("step count must be >= 1")
+    if not 0 < delta < 1:
+        raise PrivacyError("delta must lie in (0, 1)")
+    return math.log(1.0 / delta)
 
 
 def compose_and_convert(curve: RdpCurve, steps: int, delta: float) -> float:
@@ -249,14 +291,23 @@ def compose_and_convert(curve: RdpCurve, steps: int, delta: float) -> float:
 
     epsilon = min over orders of [steps * eps_rdp(alpha) + ln(1/delta)/(alpha-1)].
     """
-    if steps < 1:
-        raise PrivacyError("step count must be >= 1")
-    if not 0 < delta < 1:
-        raise PrivacyError("delta must lie in (0, 1)")
-    penalty = math.log(1.0 / delta)
+    penalty = _conversion_penalty(steps, delta)
     return min(
         steps * eps + penalty / (alpha - 1) for alpha, eps in curve.values.items()
     )
+
+
+def epsilon_schedule(curve: RdpCurve, steps: int, delta: float) -> list[float]:
+    """``compose_and_convert(curve, t, delta)`` for t = 1..steps.
+
+    One (steps x orders) minimum in numpy; it takes the same IEEE operations
+    as the scalar form, so every entry has the same bits.
+    """
+    penalty = _conversion_penalty(steps, delta)
+    eps = np.array(list(curve.values.values()))
+    shift = np.array([penalty / (alpha - 1) for alpha in curve.values])
+    t = np.arange(1, steps + 1, dtype=float)[:, None]
+    return (t * eps + shift).min(axis=1).tolist()
 
 
 def calibrate_noise_multiplier(
@@ -269,14 +320,16 @@ def calibrate_noise_multiplier(
 ) -> float:
     """Smallest noise multiplier whose composed epsilon meets the target.
 
-    Bisection on sigma against the monotone accountant; the returned value
+    Bisection on sigma against the monotone accountant, with the binomial
+    terms for q built once for every probe; the returned value
     round-trips through ``compose_and_convert`` to within 1e-3 of the target.
     Raises when the target is unreachable even at ``sigma_max``.
     """
     PrivacyBudget(eps_target, delta)
+    terms = _BinomialTerms(q, DEFAULT_ORDERS)
 
     def spent(sigma: float) -> float:
-        return compose_and_convert(subsampled_curve(q, sigma), steps, delta)
+        return compose_and_convert(terms.curve(sigma), steps, delta)
 
     if spent(sigma_max) > eps_target:
         raise PrivacyError(

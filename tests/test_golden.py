@@ -1,7 +1,9 @@
 """Byte-identity gate: the CSV outputs of a fixed command set.
 
 Every command runs through ``cli.main`` at tiny sizes and the sha256 of the
-CSV it writes is compared with a recorded hash. A refactor that keeps the
+CSV it writes is compared with a recorded hash. The ``calibrate`` commands
+write no file; the hash of their JSON report (noise multiplier, epsilon spent
+and the RDP value at every order) gates the accountant itself. A refactor that keeps the
 trajectories keeps these hashes; a change that is meant to alter an output
 must say so and record the new hash. Tiny runs give the same bytes at 1 and
 2 BLAS threads.
@@ -86,6 +88,28 @@ GOLDEN = {
     "train-noisy-lp": "42c71fa5ffed08f81d09643ae56cffd567a7ddcb30914a0baa73f92e6311ff5a",
 }
 
+# name -> argv of a ``calibrate`` command whose stdout is hashed
+CALIBRATE_COMMANDS = {
+    "calibrate-small-q": [
+        "--epsilon", "1.0", "--delta", "1e-5", "--sampling-rate", "0.01",
+        "--steps", "1000",
+    ],
+    "calibrate-clip": [
+        "--epsilon", "4.0", "--delta", "1e-6", "--sampling-rate", "0.2",
+        "--steps", "50", "--clip", "0.5", "--batch-size", "64",
+    ],
+    "calibrate-full-batch": [
+        "--epsilon", "0.5", "--delta", "1e-5", "--sampling-rate", "1.0",
+        "--steps", "10",
+    ],
+}
+
+CALIBRATE_GOLDEN = {
+    "calibrate-clip": "072792c4ebd6eae30d57a96ee1840eeec0a45b5ba337b9b13f2634500ee5c414",
+    "calibrate-full-batch": "b7dec903c51d482479eb2b05fe70ad93bd716b19d540ebc63757ba3bedede180",
+    "calibrate-small-q": "badbf528201df5a323ba5e836b7c1420f6c560b2bc8bdf491c4f3cc5e70bf9f5",
+}
+
 
 def run_command(name: str, tmp_path) -> str:
     """Run one named command in ``tmp_path``; sha256 of the CSV it wrote."""
@@ -104,3 +128,10 @@ def run_command(name: str, tmp_path) -> str:
 def test_csv_bytes_unchanged(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DISK_SEED", raising=False)
     assert run_command(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATE_COMMANDS))
+def test_calibrate_report_bytes_unchanged(name, capsys):
+    assert cli_main(["calibrate", *CALIBRATE_COMMANDS[name]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_GOLDEN[name]

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dpkf import harness
 from dpkf.cli import main as cli_main
 from dpkf.harness import (
     COMPARISON_HEADER,
@@ -55,6 +57,16 @@ def test_config_requires_exactly_one_noise_source():
     del raw["optimizer"]["sigma_dp"]
     with pytest.raises(ValueError, match="exactly one"):
         ExperimentConfig.from_dict(raw)  # neither
+
+
+@pytest.mark.parametrize("algorithm", ["noisy-gd", "full-kf"])
+def test_config_rejects_privacy_target_for_explicit_noise_algorithms(algorithm):
+    raw = logistic_raw(algorithm=algorithm, privacy={"epsilon": 2.0})
+    del raw["optimizer"]["sigma_dp"]
+    with pytest.raises(
+        PrivacyError, match=f"^{algorithm} takes an explicit sigma_dp, not a privacy target$"
+    ):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_rejects_empty_seeds():
@@ -256,6 +268,28 @@ def test_sweep_kappa_one_row_matches_dpsgd_baseline():
         assert matrix[1][j] == pytest.approx(float(baseline))
 
 
+def test_sweep_with_privacy_target_equals_cell_by_cell_runs(monkeypatch):
+    calls = []
+    calibrate = harness.calibrate_noise_multiplier
+    monkeypatch.setattr(
+        harness, "calibrate_noise_multiplier", lambda *a: calls.append(a) or calibrate(*a)
+    )
+    raw = logistic_raw(seeds=[1, 2], privacy={"epsilon": 3.0}, T=8)
+    del raw["optimizer"]["sigma_dp"]
+    cfg = ExperimentConfig.from_dict(raw)
+    kappas, gammas = [0.5, 1.0], [-1.0, 0.5]
+
+    def cell(kappa, gamma, metric):
+        cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
+        return float(np.mean([getattr(run_experiment(cell_cfg, seed=s), metric) for s in (1, 2)]))
+
+    for metric in ("final_loss", "epsilon_total"):
+        expected = [[cell(k, g, metric) for g in gammas] for k in kappas]
+        calls.clear()
+        assert sweep_kappa_gamma(kappas, gammas, cfg, metric=metric) == expected
+        assert len(calls) == 1  # the cells share one calibration
+
+
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -359,6 +393,26 @@ def test_cli_calibrate_reports_multiplier_and_breakdown(capsys):
     assert payload["epsilon_spent"] <= 1.0 + 1e-6
     assert payload["sigma_dp"] == pytest.approx(payload["noise_multiplier"] / 100)
     assert len(payload["rdp_per_order"]) == 66
+
+
+def test_cli_calibrate_sigma_dp_uses_clip_sensitivity(capsys):
+    base = [
+        "calibrate", "--epsilon", "2.0", "--delta", "1e-5", "--sampling-rate", "0.05",
+        "--steps", "100", "--clip", "0.1", "--batch-size", "50",
+    ]
+    payloads = {}
+    for variant in (None, "standard", "automatic", "normalized"):
+        extra = [] if variant is None else ["--clip-variant", variant]
+        assert cli_main([*base, *extra]) == 0
+        payloads[variant] = json.loads(capsys.readouterr().out)
+    z = payloads[None]["noise_multiplier"]
+    assert payloads[None]["sigma_dp"] == z * 0.1 / 50
+    for variant in ("standard", "automatic"):
+        assert payloads[variant] == payloads[None]
+    # normalized rows have norm <= 1 whatever C is: sigma_dp = z / B
+    assert payloads["normalized"]["sigma_dp"] == z / 50
+    with pytest.raises(SystemExit):
+        cli_main([*base, "--clip-variant", "none"])
 
 
 def test_cli_sweep_reads_negative_leading_lists(tmp_path, capsys):

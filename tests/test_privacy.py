@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +19,7 @@ from dpkf.privacy import (
     clip_standard,
     compose_and_convert,
     delta_convention,
+    epsilon_schedule,
     gaussian_privacy_profile,
     rdp_gaussian,
     rdp_subsampled,
@@ -81,9 +82,23 @@ def test_clip_direction_and_norm_bounds(dim):
     variant=st.sampled_from(["standard", "automatic", "normalized"]),
 )
 def test_clip_batch_rows_never_exceed_sensitivity(G, C, variant):
-    with np.errstate(over="ignore"):  # rows whose squared norm overflows clip to 0
-        norms = np.linalg.norm(clip_batch(G, C, variant), axis=1)
+    norms = np.linalg.norm(clip_batch(G, C, variant), axis=1)
     assert (norms <= clip_sensitivity(variant, C) * (1 + 1e-12)).all()
+
+
+@pytest.mark.parametrize(
+    "variant, fn",
+    [("standard", clip_standard), ("automatic", clip_automatic),
+     ("normalized", clip_normalized)],
+)
+def test_clip_batch_keeps_rows_whose_squared_norm_overflows(variant, fn):
+    G = np.array([[1e200, 0.0], [3.0, 4.0], [-1.7e308, 1.7e308], [0.0, 0.0]])
+    out = clip_batch(G, 1.0, variant)
+    assert np.allclose(out[0], [1.0, 0.0], rtol=1e-15, atol=0)
+    assert np.allclose(out[2], [-math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15, atol=0)
+    # the other rows keep the bits of a batch without the huge rows
+    assert np.array_equal(out[[1, 3]], clip_batch(G[[1, 3]], 1.0, variant))
+    assert np.array_equal(fn(G[0], 1.0), out[0])
 
 
 def test_clip_sensitivity_values():
@@ -200,12 +215,87 @@ def test_rdp_subsampled_against_high_precision_oracle():
                 mp.binomial(alpha, k)
                 * mp.mpf(1 - q) ** (alpha - k)
                 * mp.mpf(q) ** k
-                * mp.e ** (mp.mpf(k * (k - 1)) / (2 * sigma**2))
+                * mp.e ** (mp.mpf(k * (k - 1)) / (2 * mp.mpf(sigma) ** 2))
             )
-        return float(mp.log(total) / (alpha - 1))
+        return mp.log(total) / (alpha - 1)
 
     for q, sigma, alpha in ((0.01, 2.0, 16), (0.05, 1.0, 8), (0.3, 0.8, 32)):
         assert abs(rdp_subsampled(q, sigma, alpha) - oracle(q, sigma, alpha)) <= 1e-10
+    # high orders and small sigma, where the values reach the thousands
+    for q, sigma, alpha in (
+        (0.5, 0.3, 64), (0.01, 0.3, 128), (0.1, 0.5, 256), (0.02, 1.0, 512),
+        (0.001, 0.3, 512), (0.05, 4.0, 128), (0.2, 2.0, 256),
+    ):
+        exact = oracle(q, sigma, alpha)
+        assert abs(rdp_subsampled(q, sigma, alpha) - exact) <= 1e-10 * abs(exact)
+
+
+def rdp_subsampled_loop(q, sigma, alpha):
+    """The accountant as a term-by-term loop; a bit-exact oracle."""
+    if q == 1.0:
+        return rdp_gaussian(sigma, alpha)
+    log_q, log_1mq = math.log(q), math.log1p(-q)
+    c = 1.0 / (2.0 * sigma * sigma)
+    terms = []
+    for k in range(alpha + 1):
+        log_binom = (
+            math.lgamma(alpha + 1) - math.lgamma(k + 1) - math.lgamma(alpha - k + 1)
+        )
+        terms.append(log_binom + k * log_q + (alpha - k) * log_1mq + k * (k - 1) * c)
+    m = max(terms)
+    return (m + math.log(math.fsum(math.exp(t - m) for t in terms))) / (alpha - 1)
+
+
+def calibrate_loop(eps_target, delta, q, steps, sigma_max=1e3, tol=1e-6):
+    """Bisection of ``calibrate_noise_multiplier`` over the loop oracle."""
+
+    def spent(sigma):
+        return min(
+            steps * rdp_subsampled_loop(q, sigma, a) + math.log(1.0 / delta) / (a - 1)
+            for a in DEFAULT_ORDERS
+        )
+
+    assert spent(sigma_max) <= eps_target
+    lo = 1e-4
+    while spent(lo) <= eps_target:
+        lo /= 2.0
+        if lo < 1e-12:
+            return lo
+    hi = max(2.0 * lo, 1.0)
+    while spent(hi) > eps_target:
+        hi *= 2.0
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if spent(mid) <= eps_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(0.0, 1.0, exclude_min=True),
+    sigma=st.floats(0.05, 50.0),
+)
+def test_rdp_curve_bit_identical_to_loop(q, sigma):
+    curve = subsampled_curve(q, sigma)
+    for alpha in DEFAULT_ORDERS:
+        assert curve[alpha] == rdp_subsampled_loop(q, sigma, alpha)
+    assert rdp_subsampled(q, sigma, 7) == curve[7]
+
+
+@pytest.mark.parametrize(
+    "eps, delta, q, steps",
+    [(1.0, 1e-5, 0.01, 1000), (4.0, 1e-6, 0.2, 50), (0.5, 1e-5, 1.0, 10),
+     (8.0, 1e-5, 0.0128, 60)],
+)
+def test_calibration_bit_identical_to_loop_bisection(eps, delta, q, steps):
+    assert calibrate_noise_multiplier(eps, delta, q, steps) == calibrate_loop(
+        eps, delta, q, steps
+    )
 
 
 def test_rdp_subsampled_rejects_low_orders():
@@ -229,6 +319,15 @@ def test_compose_and_convert_single_step_value():
     continuous = alpha_star / 2 + math.log(1e5) / (alpha_star - 1)
     assert continuous <= eps <= continuous + 0.005
     assert abs(eps - 5.2985) < 0.01
+
+
+@pytest.mark.parametrize("q, sigma, delta", [(0.05, 1.2, 1e-5), (1.0, 0.8, 1e-6), (0.003, 3.0, 0.5)])
+def test_epsilon_schedule_bit_identical_to_scalar_composition(q, sigma, delta):
+    curve = subsampled_curve(q, sigma)
+    sched = epsilon_schedule(curve, 300, delta)
+    assert sched == [compose_and_convert(curve, t, delta) for t in range(1, 301)]
+    with pytest.raises(PrivacyError):
+        epsilon_schedule(curve, 3, 1.0)
 
 
 def test_compose_monotone_in_steps():
