@@ -17,8 +17,6 @@ from .disk import (
     dpsgd_step,
     full_filter_init,
     full_filter_step,
-    nag_step,
-    storm_step,
 )
 from .kalman import (
     KalmanState,

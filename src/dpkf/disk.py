@@ -9,12 +9,15 @@ Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
     bit-identical trajectories),
   * gamma = (1-kappa)/kappa with base step 1 and zero filter init matches the
-    lookahead-momentum method in ``nag_step``,
+    lookahead-momentum method (mu = 1-kappa, eta = kappa),
   * gamma = -1 with batch size 1 matches the recursive variance-reduced
-    estimator in ``storm_step``.
+    (STORM) estimator.
 
-A small-dimension mode (``full_filter_step``) runs the un-simplified matrix
-filter with a covariance recursion instead of the fixed scalar gain.
+``full_filter_step`` runs the filter with a covariance recursion and a
+time-varying gain k_t instead of the fixed weight kappa, predicting with the
+Hessian action on the last displacement. Its noise terms are multiples of I
+and E[C] = I, so the matrix covariance P_t = p_t I and gain K_t = k_t I are
+exactly scalars, and the step keeps them as scalars at any dimension.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import MAX_STATE_DIM, _symmetrize, kf_gain_multiplicative
-from .objectives import Dataset, Objective, full_gradient, per_sample_grad, two_point_grads
+from .kalman import NumericalError
+from .objectives import Objective, two_point_grads
 from .privacy import clip_batch
 
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
@@ -159,7 +162,10 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
 def _observe(
     G: np.ndarray, cfg: DiskConfig, rng: np.random.Generator, t: int
 ) -> np.ndarray:
-    """Clip per-sample rows, average, add DP noise; abort on non-finite input."""
+    """Clip per-sample rows, average, add DP noise; abort on an empty batch
+    or non-finite input."""
+    if len(G) == 0:
+        raise ValueError("batch must be non-empty")
     if not np.isfinite(G).all():
         bad = int(np.count_nonzero(~np.isfinite(G)))
         raise FloatingPointError(
@@ -181,8 +187,6 @@ def disk_step(
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb)."""
     Xb, yb = batch
-    if len(Xb) == 0:
-        raise ValueError("batch must be non-empty")
     x = state.x
     if cfg.two_point:
         G = two_point_grads(obj, x, state.d_prev, cfg.gamma, cfg.kappa, Xb, yb)
@@ -213,8 +217,6 @@ def dpsgd_step(
 ) -> DiskState:
     """Plain DP-SGD: clip per-sample gradients, average, privatise, step."""
     Xb, yb = batch
-    if len(Xb) == 0:
-        raise ValueError("batch must be non-empty")
     G = obj.per_sample_grads(state.x, Xb, yb)
     g = _observe(G, cfg, rng, state.t)
     x_new = state.x - cfg.eta * g
@@ -224,7 +226,7 @@ def dpsgd_step(
 
 
 # ---------------------------------------------------------------------------
-# Small-dimension matrix-filter mode
+# Covariance-tracking filter (the matrix filter in scalar form)
 # ---------------------------------------------------------------------------
 
 
@@ -251,11 +253,13 @@ class FullFilterConfig:
 
 @dataclass
 class FullFilterState:
+    """Iterate and filter memory; the covariance is p I and the gain k I."""
+
     x: np.ndarray
     g_filt: np.ndarray
     d_prev: np.ndarray
-    P: np.ndarray
-    K: np.ndarray | None = None
+    p: float
+    k: float | None = None
     moments: dict = field(default_factory=dict)
     t: int = 0
 
@@ -264,13 +268,8 @@ def full_filter_init(x0: np.ndarray, cfg: FullFilterConfig) -> FullFilterState:
     """Filter memory starts at zero with covariance sigma_w^2 I."""
     x0 = np.asarray(x0, dtype=float)
     d = x0.shape[0]
-    if d > MAX_STATE_DIM:
-        raise ValueError(f"full-matrix filter is capped at dim <= {MAX_STATE_DIM}")
     return FullFilterState(
-        x=x0.copy(),
-        g_filt=np.zeros(d),
-        d_prev=np.zeros(d),
-        P=cfg.sigma_w_sq * np.eye(d),
+        x=x0.copy(), g_filt=np.zeros(d), d_prev=np.zeros(d), p=cfg.sigma_w_sq
     )
 
 
@@ -282,25 +281,28 @@ def full_filter_step(
     cfg: FullFilterConfig,
     rng: np.random.Generator,
 ) -> FullFilterState:
-    """One step of the un-simplified matrix filter over the base optimizer.
+    """One step of the covariance-tracking filter over the base optimizer.
 
     The observation (clip, noise) and the base update follow ``opt``; its
     kappa and gamma are unused. The prediction moves the gradient estimate by
     the Hessian action on the last displacement (exact for quadratics,
     finite-difference otherwise); the correction applies the
     multiplicative-noise gain with E[C] = I and no observation-matrix
-    covariance.
+    covariance,
+
+        K = P_pred (P_pred + sigma_w^2 I - sigma_h^2 I)^{-1},
+
+    with P = p I, so K = k I. k is p_pred (1/sqrt(c)) (1/sqrt(c)), in the
+    order the Cholesky solve of c I takes, which gives the matrix filter's
+    bits; p_pred / c can differ in the last bit.
     """
     Xb, yb = batch
     x = state.x
-    d = x.shape[0]
-    if d > MAX_STATE_DIM:
-        raise ValueError(f"full-matrix filter is capped at dim <= {MAX_STATE_DIM}")
     G = obj.per_sample_grads(x, Xb, yb)
     g_obs = _observe(G, opt, rng, state.t)
 
     if not np.any(state.d_prev):
-        h_action = np.zeros(d)
+        h_action = np.zeros(x.shape[0])
     elif cfg.hessian_mode == "exact":
         h_action = obj.hessian() @ state.d_prev  # type: ignore[attr-defined]
     else:
@@ -309,63 +311,18 @@ def full_filter_step(
         h_action = (ahead - here) / cfg.gamma
 
     g_pred = state.g_filt + h_action
-    P_pred = state.P + (cfg.sigma_h_sq + cfg.sigma_v_sq) * np.eye(d)
-    K = kf_gain_multiplicative(
-        P_pred, np.eye(d), 0.0, cfg.sigma_w_sq, cfg.sigma_h_sq * np.eye(d)
-    )
-    g_filt = g_pred + K @ (g_obs - g_pred)
-    P = _symmetrize((np.eye(d) - K) @ P_pred)
+    p_pred = state.p + (cfg.sigma_h_sq + cfg.sigma_v_sq)
+    c = (p_pred + cfg.sigma_w_sq) - cfg.sigma_h_sq
+    if not c > 0:
+        raise NumericalError(
+            f"gain bracket: matrix not positive definite (min eigenvalue {c:.6g})"
+        )
+    r = 1.0 / math.sqrt(c)
+    k = (p_pred * r) * r
+    g_filt = g_pred + k * (g_obs - g_pred)
 
     x_new, moments = apply_base_update(opt, x, g_filt, state.moments)
     return FullFilterState(
-        x=x_new, g_filt=g_filt, d_prev=x_new - x, P=P, K=K,
+        x=x_new, g_filt=g_filt, d_prev=x_new - x, p=(1.0 - k) * p_pred, k=k,
         moments=moments, t=state.t + 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# Reference methods the filtered optimizer reduces to
-# ---------------------------------------------------------------------------
-
-
-def nag_step(
-    x: np.ndarray,
-    m: np.ndarray,
-    mu: float,
-    eta: float,
-    obj: Objective,
-    dataset: Dataset,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lookahead-momentum step:
-
-        m' = mu m + eta grad F(x - (mu/eta) m);   x' = x - m'
-
-    The gradient is evaluated at the momentum-extrapolated point; mu = 0 gives
-    plain gradient descent.
-    """
-    lookahead = x - (mu / eta) * m if mu != 0 else x
-    m_new = mu * m + eta * full_gradient(obj, lookahead, dataset)
-    return x - m_new, m_new
-
-
-def storm_step(
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    m: np.ndarray,
-    alpha: float,
-    eta: float,
-    obj: Objective,
-    sample,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive variance-reduced momentum step:
-
-        m' = (1-alpha) m + alpha grad f(x; xi)
-             + (1-alpha) (grad f(x; xi) - grad f(x_prev; xi))
-        x' = x - eta m'
-
-    alpha = 1 is plain SGD on the sampled gradient.
-    """
-    g_here = per_sample_grad(obj, x, sample)
-    g_prev = per_sample_grad(obj, x_prev, sample)
-    m_new = (1.0 - alpha) * m + alpha * g_here + (1.0 - alpha) * (g_here - g_prev)
-    return x - eta * m_new, m_new

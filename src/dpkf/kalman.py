@@ -2,11 +2,14 @@
 noisy inputs with multiplicative observation noise, and the scalar-gain
 simplification chain with its closed-form fixed point.
 
-Covariances are symmetrised after every update and the innovation solve goes
-through a positive-definite factorisation with an explicit conditioning check;
-ill-conditioning is surfaced, never silently regularised. Full-matrix state
-dimension is capped at 64: the point of the scalar chain is precisely that the
-O(d^3) filter does not scale, so the cap keeps usage at demonstration scale.
+Covariances are symmetrised after every update, and the innovation solve
+checks positive definiteness and conditioning from the eigenvalues before it
+solves; ill-conditioning is surfaced, never silently regularised. The state
+dimension of a ``LinearSystem`` is capped at 64: the point of the scalar chain
+is precisely that the O(d^3) filter does not scale, so the cap keeps usage at
+demonstration scale. ``disk.full_filter_step`` needs no such cap: with
+isotropic noise and E[C] = I its covariance and gain stay multiples of I, so
+it runs them as scalars.
 
 Out of scope by design: nonlinear-system variants (extended/unscented filters)
 and state-space constructions that track the iterate or Hessian entries as
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import seeding
 
@@ -65,7 +67,7 @@ def _spd_solve(M: np.ndarray, B: np.ndarray, context: str) -> np.ndarray:
             f"{context}: matrix numerically singular "
             f"(condition number {eigs[-1] / eigs[0]:.3g} > {COND_LIMIT:g})"
         )
-    return cho_solve(cho_factor(M), B)
+    return np.linalg.solve(M, B)
 
 
 @dataclass

@@ -9,7 +9,6 @@ accumulation order, so results are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,26 +49,6 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.X[idx], self.y[idx]
-
-    def to_csv(self, path) -> None:
-        """Write ``x_1..x_p,y`` rows; floats use repr so re-reading is exact."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{j + 1}" for j in range(self.p)] + ["y"])
-            for i in range(self.n):
-                writer.writerow(
-                    [repr(float(v)) for v in self.X[i]] + [repr(float(self.y[i]))]
-                )
-
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        if not header or header[-1] != "y":
-            raise ValueError("expected header x_1..x_p,y")
-        arr = np.array([[float(v) for v in row] for row in body], dtype=float)
-        return cls(X=arr[:, :-1], y=arr[:, -1])
 
 
 def gen_linear_regression(n: int, p: int, noise_std: float, seed: int) -> Dataset:
@@ -309,12 +288,6 @@ def per_sample_grad(obj: Objective, x: np.ndarray, sample: Sample) -> np.ndarray
     feature, target = sample
     feature = np.atleast_2d(np.asarray(feature, dtype=float))
     return obj.per_sample_grads(x, feature, np.array([target]))[0]
-
-
-def per_sample_loss(obj: Objective, x: np.ndarray, sample: Sample) -> float:
-    feature, target = sample
-    feature = np.atleast_2d(np.asarray(feature, dtype=float))
-    return float(obj.per_sample_losses(x, feature, np.array([target]))[0])
 
 
 def two_point_grads(

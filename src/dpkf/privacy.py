@@ -28,8 +28,8 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise PrivacyError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise PrivacyError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not 0 < self.delta < 1:
             raise PrivacyError("delta must lie in (0, 1)")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dpkf import seeding
-from dpkf.disk import DiskConfig, DiskState, disk_step, dpsgd_step, nag_step, storm_step
+from dpkf.disk import DiskConfig, DiskState, disk_step, dpsgd_step
 from dpkf.harness import aggregate_comparison, compare_filters, comparison_noise_levels
 from dpkf.kalman import (
     ScalarGainState,
@@ -27,7 +27,6 @@ from dpkf.objectives import (
     gen_linear_regression,
     make_objective,
     per_sample_grad,
-    per_sample_loss,
 )
 from dpkf.privacy import (
     calibrate_gaussian,
@@ -39,6 +38,7 @@ from dpkf.privacy import (
     subsampled_curve,
 )
 from dpkf.theory import ProblemConstants, tuned_bound, tuned_params
+from reference_methods import nag_step, per_sample_loss, storm_step
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from dpkf.disk import (
     DiskState,
     FullFilterConfig,
     FullFilterState,
+    _observe,
+    apply_base_update,
     base_update_adam,
     base_update_adamw,
     base_update_momentum,
@@ -18,9 +21,8 @@ from dpkf.disk import (
     dpsgd_step,
     full_filter_init,
     full_filter_step,
-    nag_step,
-    storm_step,
 )
+from dpkf.kalman import NumericalError, _symmetrize
 from dpkf.objectives import (
     full_gradient,
     full_loss,
@@ -30,6 +32,7 @@ from dpkf.objectives import (
     per_sample_grad,
     two_point_grads,
 )
+from reference_methods import nag_step, storm_step
 
 
 def rng_for(seed):
@@ -376,7 +379,7 @@ def test_full_filter_covariance_trace_non_increasing():
     traces = []
     for _ in range(50):
         st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
-        traces.append(float(np.trace(st.P)))
+        traces.append(st.p)  # trace(P) = d p
     assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
 
@@ -403,11 +406,11 @@ def test_full_filter_huge_observation_noise_keeps_prediction():
     cfg = FullFilterConfig(sigma_w_sq=1e12, sigma_h_sq=0.0, hessian_mode="exact")
     st = FullFilterState(
         x=np.ones(3), g_filt=np.array([0.5, 0.5, 0.5]),
-        d_prev=np.zeros(3), P=1e-6 * np.eye(3),
+        d_prev=np.zeros(3), p=1e-6,
     )
     out = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng_for(0))
     # d_prev = 0 so the prediction equals the previous filtered gradient
-    assert np.abs(out.K).max() <= 1e-10
+    assert abs(out.k) <= 1e-10
     assert np.abs(out.g_filt - st.g_filt).max() <= 1e-10
 
 
@@ -425,7 +428,123 @@ def test_full_filter_finite_difference_matches_exact_on_quadratic():
     assert np.abs(st_e.x - st_f.x).max() <= 1e-12
 
 
-def test_full_filter_dimension_cap():
-    cfg = FullFilterConfig()
-    with pytest.raises(ValueError, match="capped"):
-        full_filter_init(np.zeros(65), cfg)
+def test_full_filter_runs_above_former_dimension_cap():
+    # The scalar covariance has no cubic cost, so d = 65 (once rejected) runs.
+    obj, ds = quadratic_problem(65)
+    opt = unclipped(eta=0.2, sigma_dp=0.1)
+    cfg = FullFilterConfig(sigma_w_sq=0.5, sigma_v_sq=0.1, hessian_mode="exact")
+    st = full_filter_init(np.ones(65), cfg)
+    rng = rng_for(0)
+    for _ in range(5):
+        st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
+    assert st.x.shape == (65,) and np.isfinite(st.x).all()
+    assert 0 < st.k < 1
+
+
+@dataclass
+class MatrixFilterState:
+    x: np.ndarray
+    g_filt: np.ndarray
+    d_prev: np.ndarray
+    P: np.ndarray
+    K: np.ndarray | None = None
+    moments: dict = field(default_factory=dict)
+    t: int = 0
+
+
+def matrix_filter_step(state, batch, obj, opt, cfg, rng):
+    """The filter step with d x d covariance and gain matrices and a Cholesky
+    solve, as ``full_filter_step`` computed it before it kept them as scalars."""
+    linalg = pytest.importorskip("scipy.linalg")
+    Xb, yb = batch
+    x = state.x
+    d = x.shape[0]
+    G = obj.per_sample_grads(x, Xb, yb)
+    g_obs = _observe(G, opt, rng, state.t)
+    if not np.any(state.d_prev):
+        h_action = np.zeros(d)
+    elif cfg.hessian_mode == "exact":
+        h_action = obj.hessian() @ state.d_prev
+    else:
+        ahead = obj.per_sample_grads(x + cfg.gamma * state.d_prev, Xb, yb).mean(axis=0)
+        h_action = (ahead - G.mean(axis=0)) / cfg.gamma
+    g_pred = state.g_filt + h_action
+    I = np.eye(d)
+    P_pred = state.P + (cfg.sigma_h_sq + cfg.sigma_v_sq) * I
+    Sigma_H = _symmetrize(cfg.sigma_h_sq * I)
+    M = _symmetrize(I @ (P_pred + 0.0 * I) @ I.T + cfg.sigma_w_sq * I - Sigma_H)
+    eigs = np.linalg.eigvalsh(M)
+    if eigs[0] <= 0:
+        raise NumericalError(
+            f"gain bracket: matrix not positive definite (min eigenvalue {eigs[0]:.6g})"
+        )
+    K = linalg.cho_solve(linalg.cho_factor(M), I @ P_pred).T
+    g_filt = g_pred + K @ (g_obs - g_pred)
+    P = _symmetrize((I - K) @ P_pred)
+    x_new, moments = apply_base_update(opt, x, g_filt, state.moments)
+    return MatrixFilterState(
+        x=x_new, g_filt=g_filt, d_prev=x_new - x, P=P, K=K,
+        moments=moments, t=state.t + 1,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, cfg",
+    [
+        ("quadratic", FullFilterConfig(sigma_w_sq=0.5, sigma_h_sq=0.1, sigma_v_sq=0.02,
+                                       hessian_mode="exact")),
+        ("linear-regression", FullFilterConfig(sigma_w_sq=0.5, sigma_h_sq=0.1,
+                                               sigma_v_sq=0.02, gamma=0.3)),
+        # sigma_w^2 < sigma_h^2: the gain exceeds 1 and p turns negative
+        ("quadratic", FullFilterConfig(sigma_w_sq=0.4, sigma_h_sq=0.5, sigma_v_sq=0.5,
+                                       hessian_mode="exact")),
+    ],
+    ids=["exact", "fd", "sigma_w_below_sigma_h"],
+)
+def test_full_filter_matches_matrix_filter_bitwise(problem, cfg):
+    d = 7
+    if problem == "quadratic":
+        obj, ds = quadratic_problem(d)
+    else:
+        ds = gen_linear_regression(40, d, 0.3, seed=2)
+        obj = make_objective("linear-regression", d)
+    opt = DiskConfig(eta=0.1, sigma_dp=0.2, clip=1.0, base="momentum")
+    x0 = np.linspace(-1.0, 1.0, d)
+    st = full_filter_init(x0, cfg)
+    ref = MatrixFilterState(
+        x=x0.copy(), g_filt=np.zeros(d), d_prev=np.zeros(d), P=cfg.sigma_w_sq * np.eye(d)
+    )
+    rng, rng_ref = rng_for(3), rng_for(3)
+    for t in range(50):
+        batch = (ds.X[t % 4 :: 4], ds.y[t % 4 :: 4])
+        st = full_filter_step(st, batch, obj, opt, cfg, rng)
+        ref = matrix_filter_step(ref, batch, obj, opt, cfg, rng_ref)
+        assert np.array_equal(st.x, ref.x)
+        assert np.array_equal(st.g_filt, ref.g_filt)
+        assert np.array_equal(ref.P, st.p * np.eye(d))
+        assert np.array_equal(ref.K, st.k * np.eye(d))
+    if cfg.sigma_w_sq < cfg.sigma_h_sq:
+        assert st.k > 1 and st.p < 0
+
+
+def test_full_filter_rejects_non_positive_gain_bracket():
+    # sigma_w^2 = 0 with zero covariance leaves the bracket p + sigma_w^2 = 0.
+    obj, ds = quadratic_problem(3)
+    cfg = FullFilterConfig(sigma_w_sq=0.0, hessian_mode="exact")
+    st = full_filter_init(np.ones(3), cfg)
+    opt = unclipped(eta=0.2, sigma_dp=0.0)
+    with pytest.raises(NumericalError, match=r"not positive definite \(min eigenvalue 0\)"):
+        full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng_for(0))
+
+
+@pytest.mark.parametrize("step", ["disk", "dpsgd", "full_filter"])
+def test_steps_reject_empty_batch(step):
+    obj, ds = quadratic_problem(3)
+    empty = (ds.X[:0], ds.y[:0])
+    opt, cfg = DiskConfig(), FullFilterConfig(hessian_mode="exact")
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        if step == "full_filter":
+            full_filter_step(full_filter_init(np.ones(3), cfg), empty, obj, opt, cfg, rng_for(0))
+        else:
+            step_fn = disk_step if step == "disk" else dpsgd_step
+            step_fn(DiskState(x=np.ones(3)), empty, obj, opt, rng_for(0))

@@ -124,6 +124,15 @@ def test_privacy_target_calibration_and_bookkeeping():
     assert abs(direct - trace.epsilon_total) <= 1e-9
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_run_rejects_non_finite_privacy_target(epsilon):
+    raw = logistic_raw(privacy={"epsilon": epsilon})
+    del raw["optimizer"]["sigma_dp"]
+    cfg = ExperimentConfig.from_dict(raw)
+    with pytest.raises(PrivacyError, match="epsilon must be finite"):
+        run_experiment(cfg)
+
+
 def test_normalized_clip_epsilon_uses_unit_sensitivity():
     # normalized clipping caps row norms at 1, so z = sigma_dp * B whatever C is
     raw = logistic_raw()

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dpkf
 from dpkf.kalman import (
     KalmanState,
     LinearSystem,
@@ -236,3 +240,12 @@ def test_simulation_deterministic():
     a = simulate_estimation(sys, steps=500, runs=3, seed=2)
     b = simulate_estimation(sys, steps=500, runs=3, seed=2)
     assert [r.mse_kf for r in a] == [r.mse_kf for r in b]
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, dpkf.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dpkf.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

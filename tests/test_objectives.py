@@ -11,9 +11,9 @@ from dpkf.objectives import (
     gen_linear_regression,
     make_objective,
     per_sample_grad,
-    per_sample_loss,
     two_point_grads,
 )
+from reference_methods import per_sample_loss
 
 
 def two_point_per_sample_grad(obj, x, d_prev, gamma, kappa, sample):
@@ -268,22 +268,6 @@ def test_sampler_deterministic():
     b = MinibatchSampler(n=30, batch_size=7, seed=9)
     for _ in range(10):
         assert np.array_equal(a.next_batch(), b.next_batch())
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    ds = gen_linear_regression(25, 4, 0.2, seed=1)
-    path = tmp_path / "data.csv"
-    ds.to_csv(path)
-    back = Dataset.from_csv(path)
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.y, ds.y)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_1,x_2,x_3,x_4,y"
 
 
 def test_substreams_are_independent_and_stable():

@@ -354,6 +354,14 @@ def test_compose_monotone_in_curve_values():
         assert compose_and_convert(bumped, 50, 1e-5) >= base
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_calibrations_reject_non_finite_epsilon(epsilon):
+    with pytest.raises(PrivacyError, match="epsilon must be finite"):
+        calibrate_noise_multiplier(epsilon, 1e-5, 0.01, 100)
+    with pytest.raises(PrivacyError, match="epsilon must be finite"):
+        calibrate_gaussian(1.0, epsilon, 1e-5)
+
+
 def test_budget_and_calibration_record_validation():
     from dpkf.privacy import NoiseCalibration, PrivacyBudget
 
