@@ -56,6 +56,41 @@ MLP = {
     "B": 20,
 }
 
+# Whole-dataset evaluation at the shapes the benchmark runs, and the
+# one-column case, which numpy reduces differently.
+LOGREG_WIDE = {
+    "seed": 4,
+    "objective": {"kind": "logistic-regression", "n": 3000, "p": 50},
+    "optimizer": {
+        "kappa": 0.7, "gamma": 0.5, "eta": 0.1, "clip": 1.0,
+        "clip_variant": "standard", "sigma_dp": 0.02, "base": "momentum",
+    },
+    "T": 5,
+    "B": 64,
+}
+
+MLP_WIDE = {
+    "seed": 6,
+    "objective": {"kind": "mlp", "n": 500, "p": 20, "hidden": 16},
+    "optimizer": {
+        "kappa": 0.6, "gamma": -1.0, "eta": 0.02, "clip": 1.0,
+        "clip_variant": "automatic", "sigma_dp": 0.01, "base": "adam",
+    },
+    "T": 3,
+    "B": 50,
+}
+
+LINREG_P1_FILTER = {"eta": 0.1, "clip": 1.0, "clip_variant": "standard", "sigma_dp": 0.02}
+LINREG_P1 = {
+    "seed": 7,
+    "objective": {"kind": "linear-regression", "n": 40, "p": 1},
+    "algorithm": "full-kf",
+    "optimizer": dict(LINREG_P1_FILTER),
+    "full_filter": dict(LINREG_P1_FILTER, hessian_mode="fd", sigma_w_sq=0.5),
+    "T": 8,
+    "B": 10,
+}
+
 # name -> (config or None, argv after the subcommand, CSV file name)
 COMMANDS = {
     "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
@@ -65,6 +100,9 @@ COMMANDS = {
     "train-noisy-kf": (dict(LOGREG, algorithm="noisy-kf"), ["train"], "trace.csv"),
     "train-full-kf": (FULLKF, ["train"], "trace.csv"),
     "train-dpsgd-target": (dict(TARGET, algorithm="dpsgd"), ["train"], "trace.csv"),
+    "train-logreg-wide": (LOGREG_WIDE, ["train"], "trace.csv"),
+    "train-mlp-wide": (MLP_WIDE, ["train"], "trace.csv"),
+    "train-linreg-p1": (LINREG_P1, ["train"], "trace.csv"),
     "sweep-mlp": (
         MLP, ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"], "sweep.csv"
     ),
@@ -82,6 +120,9 @@ GOLDEN = {
     "train-disk": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
     "train-dpsgd": "5c0f312f3aef85dcdb60493d0236f9eed111fbbe1e0909d54c2e15475bc97fdc",
     "train-dpsgd-target": "b970f3dd7c8e1c0aa7ccc6057bdb9e1e560b0c5fac18899a90ae2b8a143bc18c",
+    "train-linreg-p1": "756ddd893ab200dacb34d5c40ebf896eb050ff54aff58f31ad9a6c60e2337cef",
+    "train-logreg-wide": "f5e901de9b4b07395710aba919265a6a7a3cf4bc00b79b6a6c3ddb37fd8dbe6b",
+    "train-mlp-wide": "63945e3c73c61c75c742acbc58edd624d17af9e7561538f0cb17659b5d1e335c",
     "train-full-kf": "b4003db80b24a642b5ab40ca4c6f8e0934138759aa48dfedc2a62145742bbd98",
     "train-noisy-gd": "f97db3f96d7e241a50c88a83ed7de3a5fecc618004a71ccaeca7609c3c923812",
     "train-noisy-kf": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
