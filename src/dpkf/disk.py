@@ -245,6 +245,9 @@ class FullFilterConfig:
         _require_finite(self)
         if min(self.sigma_w_sq, self.sigma_h_sq, self.sigma_v_sq) < 0:
             raise ValueError("noise variances must be >= 0")
+        if self.sigma_w_sq < self.sigma_h_sq:
+            # the gain would exceed 1 and the covariance p turn negative
+            raise ValueError("need sigma_w^2 >= sigma_h^2 (p would turn negative)")
         if self.gamma == 0:
             raise ValueError("finite-difference gamma must be nonzero")
         if self.hessian_mode not in HESSIAN_MODES:
@@ -306,9 +309,8 @@ def full_filter_step(
     elif cfg.hessian_mode == "exact":
         h_action = obj.hessian() @ state.d_prev  # type: ignore[attr-defined]
     else:
-        ahead = obj.per_sample_grads(x + cfg.gamma * state.d_prev, Xb, yb).mean(axis=0)
-        here = G.mean(axis=0)
-        h_action = (ahead - here) / cfg.gamma
+        ahead = obj.mean_grad(x + cfg.gamma * state.d_prev, Xb, yb)
+        h_action = (ahead - G.mean(axis=0)) / cfg.gamma
 
     g_pred = state.g_filt + h_action
     p_pred = state.p + (cfg.sigma_h_sq + cfg.sigma_v_sq)

@@ -73,6 +73,13 @@ TRACE_HEADER = "step,loss,grad_norm,filtered_grad_norm,epsilon_spent"
 COMPARISON_HEADER = "sigma_dp,method,seed,final_loss"
 SWEEP_HEADER = "kappa,gamma,metric"
 RELATIVE_NOISE_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
+# Keys ``build_problem`` reads for each objective kind.
+OBJECTIVE_KEYS = {
+    "quadratic": {"kind", "dim", "eigenvalues", "x_star", "n"},
+    "linear-regression": {"kind", "n", "p", "noise_std"},
+    "logistic-regression": {"kind", "n", "p"},
+    "mlp": {"kind", "n", "p", "noise_std", "hidden"},
+}
 
 
 @dataclass
@@ -146,6 +153,14 @@ class ExperimentConfig:
             raise PrivacyError(
                 f"{self.algorithm} takes an explicit sigma_dp, not a privacy target"
             )
+        eps = self.epsilon_target
+        if eps is not None and not (math.isfinite(eps) and eps > 0):
+            raise PrivacyError(f"epsilon must be finite and > 0, got {eps!r}")
+        if self.delta is not None and not 0 < self.delta < 1:
+            raise PrivacyError(f"delta must lie in (0, 1), got {self.delta!r}")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
+        _check_objective(self.objective)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -179,6 +194,19 @@ class ExperimentConfig:
         )
 
 
+def _check_objective(problem: dict) -> None:
+    """Reject an objective dict with an unknown kind or a key its kind ignores."""
+    kind = problem.get("kind")
+    if kind not in OBJECTIVE_KEYS:
+        raise ValueError(f"unknown objective kind: {kind!r}")
+    unknown = sorted(set(problem) - OBJECTIVE_KEYS[kind])
+    if unknown:
+        raise ValueError(
+            f"objective {kind!r} has unknown keys {unknown}; "
+            f"allowed: {sorted(OBJECTIVE_KEYS[kind])}"
+        )
+
+
 def _dataset_size(problem: dict, batch_floor: int) -> int:
     """Rows of the dataset ``build_problem`` makes; the same for every seed."""
     if problem["kind"] == "quadratic":
@@ -188,6 +216,7 @@ def _dataset_size(problem: dict, batch_floor: int) -> int:
 
 def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objective, Dataset]:
     """Instantiate the objective and its dataset for one seed."""
+    _check_objective(problem)
     kind = problem["kind"]
     if kind == "quadratic":
         dim = problem["dim"]
@@ -205,7 +234,6 @@ def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objec
     if kind == "mlp":
         ds = gen_linear_regression(n, p, problem.get("noise_std", 0.1), seed)
         return make_objective("mlp", p, hidden=problem.get("hidden", 16)), ds
-    raise ValueError(f"unknown objective kind: {kind!r}")
 
 
 def _resolve_privacy(
@@ -244,10 +272,20 @@ def _epsilon_schedule(
     return epsilon_schedule(subsampled_curve(q, z), T, delta)
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int | None = None) -> MetricsTrace:
-    """Run one algorithm for T steps; deterministic per seed."""
+def run_experiment(
+    cfg: ExperimentConfig,
+    seed: int | None = None,
+    problem: tuple[Objective, Dataset] | None = None,
+) -> MetricsTrace:
+    """Run one algorithm for T steps; deterministic per seed.
+
+    ``problem`` is ``build_problem(cfg.objective, seed, cfg.B)``, passed in by
+    callers that run one seed's problem more than once.
+    """
     seed = cfg.seeds[0] if seed is None else seed
-    obj, ds = build_problem(cfg.objective, seed, batch_floor=cfg.B)
+    if problem is None:
+        problem = build_problem(cfg.objective, seed, batch_floor=cfg.B)
+    obj, ds = problem
     if cfg.B > ds.n:
         raise ValueError("batch size exceeds dataset size")
 
@@ -378,14 +416,16 @@ def sweep_kappa_gamma(
 ) -> list[list[float]]:
     """Seed-averaged metric for every grid cell; one run per (cell, seed).
 
-    Cells differ only in kappa and gamma, so with a privacy target they share
-    one budget: sigma_dp is calibrated once and every cell runs with it.
+    Cells differ only in kappa and gamma, so they share each seed's problem,
+    built once, and with a privacy target one budget: sigma_dp is calibrated
+    once and every cell runs with it.
     """
     if cfg.epsilon_target is not None:
         opt, delta, _ = _resolve_privacy(cfg, _dataset_size(cfg.objective, cfg.B))
         cfg = replace(
             cfg, optimizer=opt, epsilon_target=None, delta=delta, _sigma_explicit=True
         )
+    problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
     matrix: list[list[float]] = []
     for kappa in kappas:
         row = []
@@ -394,7 +434,8 @@ def sweep_kappa_gamma(
                 cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma)
             )
             vals = [
-                getattr(run_experiment(cell_cfg, seed=s), metric) for s in cfg.seeds
+                getattr(run_experiment(cell_cfg, s, problems[s]), metric)
+                for s in cfg.seeds
             ]
             row.append(float(np.mean(vals)))
         matrix.append(row)

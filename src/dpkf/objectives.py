@@ -5,6 +5,8 @@ regression, and a tiny one-hidden-layer MLP. Gradients are analytic (no
 autodiff); each kind is exercised against a finite-difference oracle in the
 test suite. Per-sample evaluation is vectorised over the batch with a fixed
 accumulation order, so results are bit-reproducible for a given seed.
+``mean_grad`` averages the gradients without forming the per-sample matrix
+and gives the same bits as ``per_sample_grads(...).mean(axis=0)``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ class Dataset:
     theta_star: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.X = np.asarray(self.X, dtype=float)
+        # C order fixes the order in which rows are summed (see ``_row_mean``)
+        self.X = np.ascontiguousarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if self.X.ndim != 2 or self.X.shape[0] < 1:
             raise ValueError("dataset needs at least one sample with shared dimension")
@@ -49,6 +52,36 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.X[idx], self.y[idx]
+
+
+def _with_ones(A: np.ndarray) -> np.ndarray:
+    """[A | 1] as a new C-contiguous array; the ones column sums the weights."""
+    out = np.ones((A.shape[0], A.shape[1] + 1))
+    out[:, :-1] = A
+    return out
+
+
+def _row_mean(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``(w[:, None] * X).mean(axis=0)`` with the same bits, without the product.
+
+    Both add the rows in order and divide by n once. einsum keeps that order
+    while the columns of X are its inner loop, which needs X C-contiguous and
+    at least two columns wide. A single column is contiguous, and there the
+    mean itself sums with partial sums, so it is kept; the product is (n, 1).
+    """
+    if X.shape[1] == 1:
+        return (w[:, None] * X).mean(axis=0)
+    return np.einsum("i,ij->j", w, np.ascontiguousarray(X)) / len(X)
+
+
+def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
+    """sigmoid(-m), stable on both tails, with one exp.
+
+    The two-branch form, exp(-m)/(1+exp(-m)) for m >= 0 and 1/(1+exp(m))
+    otherwise, takes exp(-|m|) in both branches, so this gives its bits.
+    """
+    e = np.exp(-np.abs(m))
+    return np.where(m >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def gen_linear_regression(n: int, p: int, noise_std: float, seed: int) -> Dataset:
@@ -92,6 +125,12 @@ class Objective:
 
     def per_sample_grads(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def mean_grad(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mean of the per-sample gradients. An override skips the (n, d)
+        matrix and keeps the bits of ``per_sample_grads(x, X, y).mean(axis=0)``
+        for C-contiguous X."""
+        return self.per_sample_grads(x, X, y).mean(axis=0)
 
     def smoothness(self, dataset: Dataset | None = None) -> float | None:
         """Smoothness constant of the mean loss, when computable exactly."""
@@ -170,6 +209,10 @@ class LinearRegression(Objective):
         r = X @ x - y
         return r[:, None] * X
 
+    def mean_grad(self, x, X, y):
+        x = self._check_dim(x)
+        return _row_mean(X @ x - y, X)
+
     def smoothness(self, dataset=None):
         if dataset is None:
             return None
@@ -190,15 +233,17 @@ class LogisticRegression(Objective):
         margins = y * (X @ x)
         return np.logaddexp(0.0, -margins)
 
+    def _weights(self, x, X, y):
+        """d loss_i / d <a_i, x> = -y_i sigmoid(-y_i <a_i, x>)."""
+        return -y * _sigmoid_neg(y * (X @ x))
+
     def per_sample_grads(self, x, X, y):
         x = self._check_dim(x)
-        margins = y * (X @ x)
-        # sigmoid(-m), computed stably on both tails
-        s = np.empty_like(margins)
-        pos = margins >= 0
-        s[pos] = np.exp(-margins[pos]) / (1.0 + np.exp(-margins[pos]))
-        s[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
-        return (-y * s)[:, None] * X
+        return self._weights(x, X, y)[:, None] * X
+
+    def mean_grad(self, x, X, y):
+        x = self._check_dim(x)
+        return _row_mean(self._weights(x, X, y), X)
 
     def smoothness(self, dataset=None):
         if dataset is None:
@@ -217,6 +262,8 @@ class TinyMLP(Objective):
     kind = "mlp"
 
     def __init__(self, in_dim: int, hidden: int = 16):
+        if hidden < 1 or in_dim < 1:
+            raise ValueError("need hidden >= 1 and in_dim >= 1")
         if hidden * in_dim + 2 * hidden + 1 > 2000:
             raise ValueError("parameter budget is 2000; shrink in_dim or hidden")
         self.in_dim = in_dim
@@ -242,21 +289,31 @@ class TinyMLP(Objective):
         _, out = self._forward(x, X)
         return 0.5 * (out - y) ** 2
 
+    def _backprop(self, x, X, y):
+        """Hidden activations, output residuals and pre-activation gradients."""
+        hidden, out = self._forward(x, X)
+        r = out - y
+        w2 = self._unpack(x)[2]
+        d_pre = (r[:, None] * w2[None, :]) * (1.0 - hidden**2)
+        return hidden, r, d_pre
+
     def per_sample_grads(self, x, X, y):
         x = self._check_dim(x)
-        W1, b1, w2, b2 = self._unpack(x)
-        hidden = np.tanh(X @ W1.T + b1)
-        out = hidden @ w2 + b2
-        r = out - y
-        d_w2 = r[:, None] * hidden
-        d_b2 = r[:, None]
-        d_hidden = r[:, None] * w2[None, :]
-        d_pre = d_hidden * (1.0 - hidden**2)
+        hidden, r, d_pre = self._backprop(x, X, y)
         d_W1 = d_pre[:, :, None] * X[:, None, :]
         B = len(X)
         return np.concatenate(
-            [d_W1.reshape(B, -1), d_pre, d_w2, d_b2], axis=1
+            [d_W1.reshape(B, -1), d_pre, r[:, None] * hidden, r[:, None]], axis=1
         )
+
+    def mean_grad(self, x, X, y):
+        x = self._check_dim(x)
+        hidden, r, d_pre = self._backprop(x, X, y)
+        # Row-ordered sums as in ``_row_mean``; the ones columns give the bias
+        # sums and keep every einsum at least two columns wide.
+        d_W1_b1 = np.einsum("ih,ip->hp", d_pre, _with_ones(X))
+        d_w2_b2 = np.einsum("i,ih->h", r, _with_ones(hidden))
+        return np.concatenate([d_W1_b1[:, :-1].ravel(), d_W1_b1[:, -1], d_w2_b2]) / len(X)
 
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
         rng = seeding.substream(seed, seeding.INIT)
@@ -318,7 +375,7 @@ def two_point_grads(
 
 def full_gradient(obj: Objective, x: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Mean of per-sample gradients over the whole dataset."""
-    return obj.per_sample_grads(x, dataset.X, dataset.y).mean(axis=0)
+    return obj.mean_grad(x, dataset.X, dataset.y)
 
 
 def full_loss(obj: Objective, x: np.ndarray, dataset: Dataset) -> float:

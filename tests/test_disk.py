@@ -358,6 +358,7 @@ def test_config_validation():
         (FullFilterConfig, {"sigma_w_sq": math.nan}, "sigma_w_sq"),
         (FullFilterConfig, {"gamma": math.inf}, "gamma"),
         (FullFilterConfig, {"gamma": 0.0}, "gamma"),
+        (FullFilterConfig, {"sigma_w_sq": 0.4, "sigma_h_sq": 0.5}, "p would turn negative"),
     ],
 )
 def test_config_rejects_bad_values(cls, kwargs, match):
@@ -495,11 +496,11 @@ def matrix_filter_step(state, batch, obj, opt, cfg, rng):
                                        hessian_mode="exact")),
         ("linear-regression", FullFilterConfig(sigma_w_sq=0.5, sigma_h_sq=0.1,
                                                sigma_v_sq=0.02, gamma=0.3)),
-        # sigma_w^2 < sigma_h^2: the gain exceeds 1 and p turns negative
-        ("quadratic", FullFilterConfig(sigma_w_sq=0.4, sigma_h_sq=0.5, sigma_v_sq=0.5,
+        # sigma_w^2 = sigma_h^2, the boundary: the gain is 1 up to rounding
+        ("quadratic", FullFilterConfig(sigma_w_sq=0.5, sigma_h_sq=0.5, sigma_v_sq=0.5,
                                        hessian_mode="exact")),
     ],
-    ids=["exact", "fd", "sigma_w_below_sigma_h"],
+    ids=["exact", "fd", "sigma_w_equals_sigma_h"],
 )
 def test_full_filter_matches_matrix_filter_bitwise(problem, cfg):
     d = 7
@@ -523,8 +524,8 @@ def test_full_filter_matches_matrix_filter_bitwise(problem, cfg):
         assert np.array_equal(st.g_filt, ref.g_filt)
         assert np.array_equal(ref.P, st.p * np.eye(d))
         assert np.array_equal(ref.K, st.k * np.eye(d))
-    if cfg.sigma_w_sq < cfg.sigma_h_sq:
-        assert st.k > 1 and st.p < 0
+    if cfg.sigma_w_sq == cfg.sigma_h_sq:
+        assert st.k == 1.0 and st.p == 0.0  # the observation is trusted fully
 
 
 def test_full_filter_rejects_non_positive_gain_bracket():

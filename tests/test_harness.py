@@ -74,6 +74,53 @@ def test_config_rejects_empty_seeds():
         ExperimentConfig.from_dict(logistic_raw(seeds=[]))
 
 
+def target_raw(**privacy):
+    raw = logistic_raw(privacy=privacy)
+    del raw["optimizer"]["sigma_dp"]
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, error, match",
+    [
+        (target_raw(epsilon=math.nan), PrivacyError, "epsilon must be finite"),
+        (target_raw(epsilon=math.inf), PrivacyError, "epsilon must be finite"),
+        (target_raw(epsilon=-1.0), PrivacyError, "epsilon must be finite and > 0"),
+        (target_raw(epsilon=2.0, delta=math.nan), PrivacyError, "delta must lie in"),
+        (target_raw(epsilon=2.0, delta=math.inf), PrivacyError, "delta must lie in"),
+        (logistic_raw(privacy={"delta": 1.5}), PrivacyError, "delta must lie in"),
+        (logistic_raw(init_scale=math.nan), ValueError, "init_scale must be finite"),
+        (logistic_raw(init_scale=math.inf), ValueError, "init_scale must be finite"),
+        (logistic_raw(init_scale=0.0), ValueError, "init_scale must be finite and > 0"),
+        (logistic_raw(init_scale=-1.0), ValueError, "init_scale must be finite and > 0"),
+        (logistic_raw(objective={"kind": "mlp", "n": 60, "p": 4, "hiden": 8}),
+         ValueError, r"objective 'mlp' has unknown keys \['hiden'\]"),
+        (logistic_raw(objective={"kind": "logistic-regression", "n": 60, "p": 4,
+                                 "noise_std": 0.1}),
+         ValueError, r"unknown keys \['noise_std'\]"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 3, "p": 3}),
+         ValueError, r"unknown keys \['p'\]"),
+        (logistic_raw(objective={"kind": "lasso", "n": 60, "p": 4}),
+         ValueError, "unknown objective kind: 'lasso'"),
+        (logistic_raw(objective={"n": 60, "p": 4}), ValueError, "unknown objective kind: None"),
+    ],
+)
+def test_config_rejects_bad_boundary_values(raw, error, match):
+    with pytest.raises(error, match=match):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_accepts_every_objective_key():
+    for objective in (
+        {"kind": "quadratic", "dim": 2, "eigenvalues": [1.0, 2.0], "x_star": [0.0, 1.0], "n": 4},
+        {"kind": "linear-regression", "n": 8, "p": 2, "noise_std": 0.2},
+        {"kind": "logistic-regression", "n": 8, "p": 2},
+        {"kind": "mlp", "n": 8, "p": 2, "noise_std": 0.2, "hidden": 3},
+    ):
+        cfg = ExperimentConfig.from_dict(logistic_raw(objective=objective, B=4, T=2))
+        assert len(run_experiment(cfg).records) == 2
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
@@ -128,9 +175,8 @@ def test_privacy_target_calibration_and_bookkeeping():
 def test_run_rejects_non_finite_privacy_target(epsilon):
     raw = logistic_raw(privacy={"epsilon": epsilon})
     del raw["optimizer"]["sigma_dp"]
-    cfg = ExperimentConfig.from_dict(raw)
     with pytest.raises(PrivacyError, match="epsilon must be finite"):
-        run_experiment(cfg)
+        ExperimentConfig.from_dict(raw)  # before any run starts
 
 
 def test_normalized_clip_epsilon_uses_unit_sensitivity():
@@ -297,6 +343,26 @@ def test_sweep_with_privacy_target_equals_cell_by_cell_runs(monkeypatch):
         calls.clear()
         assert sweep_kappa_gamma(kappas, gammas, cfg, metric=metric) == expected
         assert len(calls) == 1  # the cells share one calibration
+
+
+def test_sweep_builds_each_seed_problem_once(monkeypatch):
+    calls = []
+    build = harness.build_problem
+    monkeypatch.setattr(
+        harness, "build_problem", lambda *a, **k: calls.append(a[1]) or build(*a, **k)
+    )
+    cfg = ExperimentConfig.from_dict(
+        logistic_raw(objective={"kind": "mlp", "n": 60, "p": 4, "hidden": 5},
+                     seeds=[1, 2], T=6, B=20)
+    )
+    kappas, gammas = [0.5, 1.0], [-1.0, 0.5]
+    matrix = sweep_kappa_gamma(kappas, gammas, cfg)
+    assert calls == [1, 2]
+    for i, kappa in enumerate(kappas):
+        for j, gamma in enumerate(gammas):
+            cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
+            runs = [run_experiment(cell_cfg, seed=s).final_loss for s in (1, 2)]
+            assert matrix[i][j] == float(np.mean(runs))
 
 
 # ---------------------------------------------------------------------------

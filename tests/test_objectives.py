@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpkf import seeding
 from dpkf.objectives import (
+    _sigmoid_neg,
     Dataset,
     MinibatchSampler,
     full_gradient,
@@ -200,6 +203,76 @@ def test_full_gradient_batched_vs_streamed():
         streamed += per_sample_grad(obj, x, ds.sample(i))
     streamed /= ds.n
     assert np.abs(batched - streamed).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["linear-regression", "logistic-regression", "mlp"]),
+    n=st.integers(1, 3000),
+    p=st.one_of(st.just(1), st.integers(1, 60)),
+    hidden=st.one_of(st.just(1), st.integers(1, 16)),
+    log_scale=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="linear-regression", n=1000, p=1, hidden=1, log_scale=0.0, seed=0)
+@example(kind="logistic-regression", n=7, p=1, hidden=1, log_scale=2.0, seed=1)
+@example(kind="mlp", n=1000, p=1, hidden=1, log_scale=0.0, seed=2)
+@example(kind="mlp", n=3000, p=60, hidden=16, log_scale=-1.0, seed=3)
+def test_mean_grad_is_bitwise_per_sample_mean(kind, n, p, hidden, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if kind == "logistic-regression":
+        y = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
+    else:
+        y = rng.standard_normal(n)
+    obj = make_objective(kind, p, hidden=hidden)
+    # a wide range of scales reaches both sigmoid tails and tanh saturation
+    x = 10.0**log_scale * rng.standard_normal(obj.dim)
+    expected = obj.per_sample_grads(x, X, y).mean(axis=0)
+    assert np.array_equal(obj.mean_grad(x, X, y), expected)
+
+
+@pytest.mark.parametrize("in_dim, hidden", [(4, 0), (0, 3)])
+def test_mlp_rejects_empty_layer(in_dim, hidden):
+    # a zero-width layer leaves a single gradient column, whose mean numpy
+    # sums pairwise, so ``mean_grad`` could not keep its bits
+    with pytest.raises(ValueError, match="hidden >= 1 and in_dim >= 1"):
+        make_objective("mlp", in_dim, hidden=hidden)
+
+
+def masked_sigmoid_neg(margins):
+    """sigmoid(-m) in the two-branch masked form ``_sigmoid_neg`` replaced."""
+    s = np.empty_like(margins)
+    pos = margins >= 0
+    s[pos] = np.exp(-margins[pos]) / (1.0 + np.exp(-margins[pos]))
+    s[~pos] = 1.0 / (1.0 + np.exp(margins[~pos]))
+    return s
+
+
+def test_sigmoid_neg_matches_masked_two_branch_form():
+    edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, 1e-300, -1e-300, 36.7, -36.7])
+    spread = np.random.default_rng(0).standard_normal(2000) * np.logspace(-3, 3, 2000)
+    for m in (edges, spread):
+        got, want = _sigmoid_neg(m), masked_sigmoid_neg(m)
+        assert np.array_equal(got, want, equal_nan=True)
+        real = ~np.isnan(want)  # a NaN's sign bit carries nothing
+        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+    assert _sigmoid_neg(edges)[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["linear-regression", "logistic-regression", "mlp"])
+def test_full_gradient_same_bits_for_fortran_ordered_features(kind):
+    obj, ds, x = build(kind, 5, 4)
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((400, 5))
+    y = np.sign(rng.standard_normal(400)) if kind == "logistic-regression" else X[:, 0]
+    c_ds = Dataset(X=X, y=y)
+    f_ds = Dataset(X=np.asfortranarray(X), y=y)
+    assert f_ds.X.flags.c_contiguous
+    assert np.array_equal(full_gradient(obj, x, f_ds), full_gradient(obj, x, c_ds))
+    assert np.array_equal(
+        full_gradient(obj, x, c_ds), obj.per_sample_grads(x, X, y).mean(axis=0)
+    )
 
 
 def test_gradient_zero_at_quadratic_minimizer():
