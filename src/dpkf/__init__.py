@@ -43,10 +43,7 @@ from .privacy import (
     RdpCurve,
     calibrate_gaussian,
     calibrate_noise_multiplier,
-    clip_automatic,
-    clip_normalized,
     clip_sensitivity,
-    clip_standard,
     compose_and_convert,
     delta_convention,
     epsilon_schedule,

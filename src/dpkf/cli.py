@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import harness, privacy, theory
+from .disk import DiskConfig
 from .harness import ExperimentConfig
 
 # Flags that take a comma-separated list of floats.
@@ -57,12 +58,9 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
         raw["B"] = args.B
     if getattr(args, "algorithm", None) is not None:
         raw["algorithm"] = args.algorithm
-    if getattr(args, "eta", None) is not None:
-        raw.setdefault("optimizer", {})["eta"] = args.eta
-    if getattr(args, "kappa", None) is not None:
-        raw.setdefault("optimizer", {})["kappa"] = args.kappa
-    if getattr(args, "gamma", None) is not None:
-        raw.setdefault("optimizer", {})["gamma"] = args.gamma
+    for key in ("eta", "kappa", "gamma"):
+        if getattr(args, key, None) is not None:
+            raw.setdefault("optimizer", {})[key] = getattr(args, key)
     if getattr(args, "outdir", None) is not None:
         raw["outdir"] = args.outdir
     seed = _env_seed(getattr(args, "seed", None))
@@ -148,19 +146,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
     seed = _env_seed(raw.get("seed", 0))
-    obj, ds = harness.build_problem(raw["objective"], seed)
-    x0 = obj.init_point(seed, raw.get("init_scale", 1.0))
+    # train's boundary checks on the keys a report reads
+    cfg = ExperimentConfig(
+        objective=raw["objective"], optimizer=DiskConfig(**raw.get("optimizer", {})),
+        init_scale=raw.get("init_scale", 1.0),
+    )
+    obj, ds = harness.build_problem(cfg.objective, seed)
+    x0 = obj.init_point(seed, cfg.init_scale)
     f_star, estimated = theory.estimate_f_star(
         obj, ds, x0, steps=raw.get("f_star_steps", 100_000)
     )
     pc = theory.problem_constants_for(
         obj, ds, x0, sigma_sgd_sq=raw.get("sigma_sgd_sq", 0.0), f_star=f_star
     )
-    opt = raw.get("optimizer", {})
-    eta = opt.get("eta", 0.1)
-    kappa = opt.get("kappa", 0.7)
-    gamma = opt.get("gamma", 0.5)
-    sigma_dp = opt.get("sigma_dp", 0.0)
+    opt = cfg.optimizer
     T = raw.get("T", 100)
     B = raw.get("B", ds.n)
     report: dict = {
@@ -169,23 +168,23 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "dim": pc.dim, "m_kappa": theory.curvature_ratio(pc),
             "f_star": f_star, "f_star_is_estimate": estimated,
         },
-        "parameter_report": theory.parameter_report(eta, kappa, gamma, pc.L),
+        "parameter_report": theory.parameter_report(opt.eta, opt.kappa, opt.gamma, pc.L),
     }
     try:
-        bound = theory.convergence_bound(pc, eta, kappa, gamma, T, B, sigma_dp)
+        bound = theory.convergence_bound(pc, opt.eta, opt.kappa, opt.gamma, T, B, opt.sigma_dp)
         report["fixed_parameter_bound"] = {
             "total": bound.total, "transient": bound.transient,
             "noise_floor": bound.noise_floor,
         }
     except theory.ParameterConditionError as exc:
         report["fixed_parameter_bound"] = {"invalid": str(exc)}
-    if sigma_dp > 0:
-        tuned = theory.tuned_params(pc, sigma_dp, T)
+    if opt.sigma_dp > 0:
+        tuned = theory.tuned_params(pc, opt.sigma_dp, T)
         report["tuned"] = {
             "eta": tuned.eta, "beta": tuned.beta, "kappa": tuned.kappa,
             "m_kappa": tuned.m_kappa, "B_min": tuned.B_min,
             "T_min": tuned.T_min, "T_ok": tuned.T_ok,
-            "bound": theory.tuned_bound(pc, sigma_dp, T),
+            "bound": theory.tuned_bound(pc, opt.sigma_dp, T),
         }
     if args.trace:
         trace = harness.read_trace_csv(args.trace)

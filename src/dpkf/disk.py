@@ -4,6 +4,9 @@ One step: combine per-sample gradients at two points (x and a lookahead
 x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
 feed the filtered gradient to a base optimizer (sgd, momentum, adam, adamw).
+The mean sums clip factor times row in row order, with no clipped copy; an
+unclipped step at x alone (kappa = 1 or ``two_point=False``) takes
+``Objective.mean_grad`` and no per-sample matrix. Both keep the mean's bits.
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kalman import NumericalError
-from .objectives import Objective, two_point_grads
-from .privacy import clip_batch
+from .objectives import Objective, _row_mean, two_point_grads
+from .privacy import clip_factors
 
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
 BASE_OPTIMIZERS = ("sgd", "momentum", "adam", "adamw")
@@ -62,6 +65,7 @@ class DiskConfig:
     two_point: bool = True  # False: evaluate only at x (low-pass baseline)
 
     def __post_init__(self) -> None:
+        self.betas = tuple(self.betas)  # JSON gives a list
         _require_finite(self)
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must lie in (0, 1]")
@@ -159,11 +163,16 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
 # ---------------------------------------------------------------------------
 
 
-def _observe(
-    G: np.ndarray, cfg: DiskConfig, rng: np.random.Generator, t: int
-) -> np.ndarray:
+def _privatise(g: np.ndarray, cfg: DiskConfig, rng: np.random.Generator) -> np.ndarray:
+    if cfg.sigma_dp > 0:
+        g = g + cfg.sigma_dp * rng.standard_normal(g.shape[0])
+    return g
+
+
+def _observe(G: np.ndarray, cfg: DiskConfig, rng: np.random.Generator, t: int) -> np.ndarray:
     """Clip per-sample rows, average, add DP noise; abort on an empty batch
-    or non-finite input."""
+    or non-finite input. ``_row_mean`` of the clip factors (1 when unclipped)
+    and the rows has the bits of ``clip_batch(G).mean(axis=0)`` for C-ordered G."""
     if len(G) == 0:
         raise ValueError("batch must be non-empty")
     if not np.isfinite(G).all():
@@ -172,10 +181,20 @@ def _observe(
             f"step {t}: {bad} non-finite per-sample gradient components "
             f"(max |finite| entry {np.nanmax(np.abs(G[np.isfinite(G)]), initial=0.0):.3g})"
         )
-    g = clip_batch(G, cfg.clip, cfg.clip_variant).mean(axis=0)
-    if cfg.sigma_dp > 0:
-        g = g + cfg.sigma_dp * rng.standard_normal(g.shape[0])
-    return g
+    rows, factors = clip_factors(G, cfg.clip, cfg.clip_variant)
+    return _privatise(_row_mean(np.ones(len(G)) if factors is None else factors, rows), cfg, rng)
+
+
+def _observe_at(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int) -> np.ndarray:
+    """The observation at x alone. Unclipped, it is ``obj.mean_grad``; a
+    non-finite gradient entry makes that in-order mean non-finite, so it is checked."""
+    if cfg.clip_variant != "none" or len(batch[0]) == 0:  # _observe rejects an empty batch
+        return _observe(obj.per_sample_grads(x, *batch), cfg, rng, t)
+    g = obj.mean_grad(x, *batch)
+    if not np.isfinite(g).all():
+        bad = int(np.count_nonzero(~np.isfinite(g)))
+        raise FloatingPointError(f"step {t}: {bad} non-finite mean gradient components")
+    return _privatise(g, cfg, rng)
 
 
 def disk_step(
@@ -186,13 +205,12 @@ def disk_step(
     rng: np.random.Generator,
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb)."""
-    Xb, yb = batch
     x = state.x
-    if cfg.two_point:
-        G = two_point_grads(obj, x, state.d_prev, cfg.gamma, cfg.kappa, Xb, yb)
+    if cfg.two_point and cfg.kappa != 1.0:
+        G = two_point_grads(obj, x, state.d_prev, cfg.gamma, cfg.kappa, *batch)
+        g = _observe(G, cfg, rng, state.t)
     else:
-        G = obj.per_sample_grads(x, Xb, yb)
-    g = _observe(G, cfg, rng, state.t)
+        g = _observe_at(obj, x, batch, cfg, rng, state.t)
 
     if cfg.kappa == 1.0:
         g_filt = g
@@ -216,9 +234,7 @@ def dpsgd_step(
     rng: np.random.Generator,
 ) -> DiskState:
     """Plain DP-SGD: clip per-sample gradients, average, privatise, step."""
-    Xb, yb = batch
-    G = obj.per_sample_grads(state.x, Xb, yb)
-    g = _observe(G, cfg, rng, state.t)
+    g = _observe_at(obj, state.x, batch, cfg, rng, state.t)
     x_new = state.x - cfg.eta * g
     return DiskState(
         x=x_new, g_filt=g, d_prev=x_new - state.x, moments=state.moments, t=state.t + 1

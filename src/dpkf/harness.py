@@ -167,8 +167,6 @@ class ExperimentConfig:
         raw = dict(raw)
         opt_raw = dict(raw.get("optimizer", {}))
         sigma_explicit = "sigma_dp" in opt_raw
-        if "betas" in opt_raw:
-            opt_raw["betas"] = tuple(opt_raw["betas"])
         optimizer = DiskConfig(**opt_raw)
         privacy_raw = raw.get("privacy") or {}
         ff = dict(raw.get("full_filter") or {})
@@ -447,16 +445,17 @@ def sweep_kappa_gamma(
 # ---------------------------------------------------------------------------
 
 
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _emit(outdir: str, stem: str, csv_lines: list[str], svg: str) -> list[str]:
+    """Write ``stem``.csv and ``stem``.svg under ``outdir``; their paths."""
+    paths = [os.path.join(outdir, f"{stem}.{ext}") for ext in ("csv", "svg")]
+    os.makedirs(os.path.abspath(outdir), exist_ok=True)
+    for path, text in zip(paths, ("\n".join(csv_lines) + "\n", svg)):
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    return paths
 
 
 def emit_trace(trace: MetricsTrace, outdir: str, stem: str = "trace") -> list[str]:
-    csv_path = os.path.join(outdir, f"{stem}.csv")
-    svg_path = os.path.join(outdir, f"{stem}.svg")
-    _write(csv_path, "\n".join(trace.csv_lines()) + "\n")
     steps = [float(r.t) for r in trace.records]
     svg = svgplot.line_plot(
         {
@@ -467,8 +466,7 @@ def emit_trace(trace: MetricsTrace, outdir: str, stem: str = "trace") -> list[st
         xlabel="step",
         ylabel="value",
     )
-    _write(svg_path, svg)
-    return [csv_path, svg_path]
+    return _emit(outdir, stem, trace.csv_lines(), svg)
 
 
 def read_trace_csv(path: str) -> MetricsTrace:
@@ -489,12 +487,9 @@ def read_trace_csv(path: str) -> MetricsTrace:
 
 
 def emit_comparison(rows: list[ComparisonRow], outdir: str, stem: str = "comparison") -> list[str]:
-    csv_path = os.path.join(outdir, f"{stem}.csv")
-    svg_path = os.path.join(outdir, f"{stem}.svg")
     lines = [COMPARISON_HEADER] + [
         f"{r.sigma_dp!r},{r.method},{r.seed},{r.final_loss!r}" for r in rows
     ]
-    _write(csv_path, "\n".join(lines) + "\n")
     agg = aggregate_comparison(rows)
     levels = sorted({r.sigma_dp for r in rows})
     series = {
@@ -506,26 +501,21 @@ def emit_comparison(rows: list[ComparisonRow], outdir: str, stem: str = "compari
         series, title="final loss vs noise level", xlabel="sigma_dp",
         ylabel="log10 final loss", log_y=True,
     )
-    _write(svg_path, svg)
-    return [csv_path, svg_path]
+    return _emit(outdir, stem, lines, svg)
 
 
 def emit_sweep(
     kappas: list[float], gammas: list[float], matrix: list[list[float]],
     outdir: str, stem: str = "sweep",
 ) -> list[str]:
-    csv_path = os.path.join(outdir, f"{stem}.csv")
-    svg_path = os.path.join(outdir, f"{stem}.svg")
     lines = [SWEEP_HEADER]
     for i, kappa in enumerate(kappas):
         for j, gamma in enumerate(gammas):
             lines.append(f"{kappa!r},{gamma!r},{matrix[i][j]!r}")
-    _write(csv_path, "\n".join(lines) + "\n")
     svg = svgplot.heatmap(
         kappas, gammas, matrix, title="sweep metric", xlabel="gamma", ylabel="kappa"
     )
-    _write(svg_path, svg)
-    return [csv_path, svg_path]
+    return _emit(outdir, stem, lines, svg)
 
 
 def estimation_demo(

@@ -72,25 +72,17 @@ class RdpCurve:
 # ---------------------------------------------------------------------------
 
 
-def clip_standard(g: np.ndarray, C: float) -> np.ndarray:
-    """min{1, C/||g||} * g; caps the norm at C, fixed point below it."""
-    return clip_batch(np.asarray(g, dtype=float)[None], C, "standard")[0]
+def clip_factors(
+    G: np.ndarray, C: float | None, variant: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows and per-row factors of a (B, d) matrix; ``clip_batch`` is their product.
 
-
-def clip_automatic(g: np.ndarray, C: float) -> np.ndarray:
-    """g * C/||g||: always rescales the norm to exactly C (0 maps to 0)."""
-    return clip_batch(np.asarray(g, dtype=float)[None], C, "automatic")[0]
-
-
-def clip_normalized(g: np.ndarray, C: float) -> np.ndarray:
-    """(g/C) * min{C/||g||, 1}; output norm is at most 1."""
-    return clip_batch(np.asarray(g, dtype=float)[None], C, "normalized")[0]
-
-
-def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
-    """Row-wise clipping of a (B, d) per-sample gradient matrix."""
+    The factors are min{1, C/||g||} (standard), C/||g|| with 0 kept at 0
+    (automatic), min{C/||g||, 1}/C (normalized), and None for "none". The rows
+    are G, or a copy in which only rows whose squared norm overflows are rescaled.
+    """
     if variant == "none":
-        return G
+        return G, None
     if C is None or C <= 0:
         raise PrivacyError("clip threshold must be > 0 for clipping variants")
     with np.errstate(over="ignore"):
@@ -116,7 +108,13 @@ def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
         factors = np.minimum(C / safe, cap) / C
     else:
         raise PrivacyError(f"unknown clip variant: {variant!r}")
-    return G * factors[:, None]
+    return G, factors
+
+
+def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
+    """Row-wise clipping of a (B, d) per-sample gradient matrix."""
+    rows, factors = clip_factors(G, C, variant)
+    return rows if factors is None else rows * factors[:, None]
 
 
 def clip_sensitivity(variant: str, C: float) -> float:

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpkf import seeding
 from dpkf.disk import (
@@ -32,6 +34,7 @@ from dpkf.objectives import (
     per_sample_grad,
     two_point_grads,
 )
+from dpkf.privacy import clip_batch
 from reference_methods import nag_step, storm_step
 
 
@@ -299,7 +302,7 @@ def test_filter_variance_reduction_at_stationary_point():
     assert np.mean(filt_sq) < np.mean(raw_sq)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_non_finite_gradients_abort():
     obj = make_objective("linear-regression", 2)
     cfg = DiskConfig(kappa=1.0, eta=0.1, clip=None, clip_variant="none")
@@ -308,6 +311,112 @@ def test_non_finite_gradients_abort():
     y = np.array([0.0])
     with pytest.raises(FloatingPointError, match="non-finite"):
         disk_step(state, (X, y), obj, cfg, rng_for(0))
+    # A NaN feature or an infinite target, on the paths with and without the
+    # per-sample matrix; the message names the step.
+    X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
+    y = np.array([0.5, -0.5, 1.0])
+    nan_X, inf_y = X.copy(), y.copy()
+    nan_X[1, 0] = np.nan
+    inf_y[2] = np.inf
+    configs = [
+        cfg,  # mean_grad, no per-sample matrix
+        DiskConfig(kappa=0.6, two_point=False, clip=None, clip_variant="none"),
+        DiskConfig(kappa=0.6, clip=None, clip_variant="none"),  # unclipped two-point
+        DiskConfig(kappa=1.0, clip=1.0, clip_variant="standard"),
+        DiskConfig(kappa=0.6, clip=1.0, clip_variant="automatic"),
+    ]
+    for opt, batch in itertools.product(configs, [(nan_X, y), (X, inf_y)]):
+        for step_fn in (disk_step, dpsgd_step):
+            with pytest.raises(FloatingPointError, match=r"^step 7: \d+ non-finite"):
+                step_fn(DiskState(x=np.array([0.3, -0.2]), t=7), batch, obj, opt, rng_for(0))
+
+
+# ---------------------------------------------------------------------------
+# the privatised observation, against the per-sample and clipped matrices
+# ---------------------------------------------------------------------------
+
+
+def matrix_observe(G, cfg, rng):
+    """Reference observation: average a clipped copy of G, then add the noise."""
+    g = clip_batch(G, cfg.clip, cfg.clip_variant).mean(axis=0)
+    if cfg.sigma_dp > 0:
+        g = g + cfg.sigma_dp * rng.standard_normal(g.shape[0])
+    return g
+
+
+@st.composite
+def gradient_batches(draw):
+    """(B, d) per-sample gradients with zero rows and rows whose squared norm
+    overflows placed explicitly; d = 1 is drawn on its own."""
+    B = draw(st.integers(1, 300))
+    d = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((B, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for i in draw(st.lists(st.integers(0, B - 1), max_size=3)):
+        G[i] = 0.0
+    for i in draw(st.lists(st.integers(0, B - 1), max_size=3)):
+        G[i] = rng.standard_normal(d) * 1e200
+    return G
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    G=gradient_batches(),
+    variant=st.sampled_from(["standard", "automatic", "normalized", "none"]),
+    C=st.floats(1e-3, 1e3),
+    sigma_dp=st.sampled_from([0.0, 0.5]),
+)
+def test_observe_matches_clipped_matrix_mean_bitwise(G, variant, C, sigma_dp):
+    cfg = DiskConfig(clip=C, clip_variant=variant, sigma_dp=sigma_dp)
+    got = _observe(G, cfg, np.random.default_rng(3), 0)
+    assert (got == matrix_observe(G, cfg, np.random.default_rng(3))).all()
+
+
+def single_point_problem(kind):
+    p = 4
+    if kind == "quadratic":
+        obj, _ = quadratic_problem(p)
+        return obj, obj.placeholder_dataset(40)
+    if kind == "logistic-regression":
+        return make_objective(kind, p), gen_classification(40, p, seed=2)
+    obj = make_objective(kind, p, hidden=5) if kind == "mlp" else make_objective(kind, p)
+    return obj, gen_linear_regression(40, p, 0.1, seed=2)
+
+
+def per_sample_step(state, batch, obj, cfg, rng):
+    """Reference single-point step: it averages the per-sample matrix."""
+    g = matrix_observe(obj.per_sample_grads(state.x, *batch), cfg, rng)
+    prev = g if state.g_filt is None else state.g_filt
+    g_filt = g if cfg.kappa == 1.0 else (1.0 - cfg.kappa) * prev + cfg.kappa * g
+    x_new, moments = apply_base_update(cfg, state.x, g_filt, state.moments)
+    return DiskState(x=x_new, g_filt=g_filt, d_prev=x_new - state.x, moments=moments, t=state.t + 1)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear-regression", "logistic-regression", "mlp"])
+@pytest.mark.parametrize("single", [{"kappa": 1.0}, {"kappa": 0.6, "two_point": False}],
+                         ids=["kappa-1", "one-point"])
+@pytest.mark.parametrize("B", [None, 8], ids=["full-batch", "minibatch"])
+def test_unclipped_single_point_step_matches_per_sample_path_bitwise(kind, single, B, monkeypatch):
+    obj, ds = single_point_problem(kind)
+    cfg = DiskConfig(eta=0.05, clip=None, clip_variant="none", sigma_dp=0.3, base="momentum",
+                     **single)
+    sampler = np.random.default_rng(4)
+    x0 = obj.init_point(1)
+    a, b = DiskState(x=x0.copy()), DiskState(x=x0.copy())
+    ra, rb = rng_for(5), rng_for(5)
+    batches = [
+        (ds.X, ds.y) if B is None else ds.subset(sampler.choice(ds.n, B, replace=False))
+        for _ in range(6)
+    ]
+    for batch in batches:
+        b = per_sample_step(b, batch, obj, cfg, rb)
+    if kind != "quadratic":
+        # every kind but the quadratic averages without the per-sample matrix
+        monkeypatch.setattr(obj, "per_sample_grads", None)
+    for batch in batches:
+        a = disk_step(a, batch, obj, cfg, ra)
+    for got, want in ((a.x, b.x), (a.g_filt, b.g_filt), (a.moments["buf"], b.moments["buf"])):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_state_dimension_validation():
@@ -538,14 +647,17 @@ def test_full_filter_rejects_non_positive_gain_bracket():
         full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng_for(0))
 
 
-@pytest.mark.parametrize("step", ["disk", "dpsgd", "full_filter"])
+@pytest.mark.parametrize("step", ["disk", "dpsgd", "full_filter", "disk-unclipped", "dpsgd-unclipped"])
 def test_steps_reject_empty_batch(step):
     obj, ds = quadratic_problem(3)
     empty = (ds.X[:0], ds.y[:0])
     opt, cfg = DiskConfig(), FullFilterConfig(hessian_mode="exact")
+    if step.endswith("-unclipped"):
+        # the path that averages with mean_grad and builds no per-sample matrix
+        opt = DiskConfig(kappa=1.0, clip=None, clip_variant="none")
     with pytest.raises(ValueError, match="batch must be non-empty"):
         if step == "full_filter":
             full_filter_step(full_filter_init(np.ones(3), cfg), empty, obj, opt, cfg, rng_for(0))
         else:
-            step_fn = disk_step if step == "disk" else dpsgd_step
+            step_fn = disk_step if step.startswith("disk") else dpsgd_step
             step_fn(DiskState(x=np.ones(3)), empty, obj, opt, rng_for(0))

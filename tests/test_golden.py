@@ -91,6 +91,23 @@ LINREG_P1 = {
     "B": 10,
 }
 
+# Observations without clipping: a minibatch DP-SGD run, and full-batch
+# noisy-gd on a wide MLP and on one column, which numpy reduces differently.
+LOGREG_UNCLIPPED = {
+    **LOGREG,
+    "algorithm": "dpsgd",
+    "optimizer": dict(LOGREG["optimizer"], clip_variant="none"),
+}
+
+LINREG_P1_GD = {
+    "seed": 8,
+    "objective": {"kind": "linear-regression", "n": 40, "p": 1},
+    "algorithm": "noisy-gd",
+    "optimizer": {"eta": 0.1, "sigma_dp": 0.02},
+    "T": 8,
+    "B": 10,
+}
+
 # name -> (config or None, argv after the subcommand, CSV file name)
 COMMANDS = {
     "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
@@ -103,6 +120,9 @@ COMMANDS = {
     "train-logreg-wide": (LOGREG_WIDE, ["train"], "trace.csv"),
     "train-mlp-wide": (MLP_WIDE, ["train"], "trace.csv"),
     "train-linreg-p1": (LINREG_P1, ["train"], "trace.csv"),
+    "train-dpsgd-unclipped": (LOGREG_UNCLIPPED, ["train"], "trace.csv"),
+    "train-mlp-wide-noisy-gd": (dict(MLP_WIDE, algorithm="noisy-gd"), ["train"], "trace.csv"),
+    "train-linreg-p1-noisy-gd": (LINREG_P1_GD, ["train"], "trace.csv"),
     "sweep-mlp": (
         MLP, ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"], "sweep.csv"
     ),
@@ -112,18 +132,29 @@ COMMANDS = {
          "--n", "60", "--p", "4", "--T", "10"],
         "comparison.csv",
     ),
+    # the benchmark's width
+    "compare-filters-wide": (
+        None,
+        ["compare-filters", "--seeds", "0,1", "--noise-levels", "0.05,0.5",
+         "--n", "1000", "--p", "20", "--T", "30"],
+        "comparison.csv",
+    ),
 }
 
 GOLDEN = {
     "compare-filters": "d84a6dba2894403d2348e77e549d3ed292e30388463cef4879d6d17145be6123",
+    "compare-filters-wide": "da0221941c72e6c609607b131d6241ba16b16770cbc28da21623d7fc789dae42",
     "sweep-mlp": "3b3fbd0b9f40e19729c600e2f3070889465dd4b57e5cba8cc62314024258b29f",
     "train-disk": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
     "train-dpsgd": "5c0f312f3aef85dcdb60493d0236f9eed111fbbe1e0909d54c2e15475bc97fdc",
     "train-dpsgd-target": "b970f3dd7c8e1c0aa7ccc6057bdb9e1e560b0c5fac18899a90ae2b8a143bc18c",
+    "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
     "train-linreg-p1": "756ddd893ab200dacb34d5c40ebf896eb050ff54aff58f31ad9a6c60e2337cef",
+    "train-linreg-p1-noisy-gd": "5eb6bda35b1ba2ffa4679f2b77170404f6380a2906fa04bd57fa88929253975e",
     "train-logreg-wide": "f5e901de9b4b07395710aba919265a6a7a3cf4bc00b79b6a6c3ddb37fd8dbe6b",
     "train-mlp-wide": "63945e3c73c61c75c742acbc58edd624d17af9e7561538f0cb17659b5d1e335c",
     "train-full-kf": "b4003db80b24a642b5ab40ca4c6f8e0934138759aa48dfedc2a62145742bbd98",
+    "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
     "train-noisy-gd": "f97db3f96d7e241a50c88a83ed7de3a5fecc618004a71ccaeca7609c3c923812",
     "train-noisy-kf": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
     "train-noisy-lp": "42c71fa5ffed08f81d09643ae56cffd567a7ddcb30914a0baa73f92e6311ff5a",

@@ -528,3 +528,25 @@ def test_cli_bounds_reports_constants(tmp_path, capsys):
     assert payload["constants"]["L"] == pytest.approx(2.0)
     assert payload["parameter_report"]["valid"] is True
     assert payload["tuned"]["bound"] > 0
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"init_scale": -5.0}, "init_scale must be finite and > 0"),
+        ({"optimizer": {"kappa": 2}}, r"kappa must lie in \(0, 1\]"),
+        ({"optimizer": {"eta": math.nan}}, "eta must be finite"),
+    ],
+    ids=["negative-init-scale", "kappa-2", "nan-eta"],
+)
+def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
+    raw = {
+        "seed": 0,
+        "objective": {"kind": "linear-regression", "n": 30, "p": 3},
+        "optimizer": {"eta": 0.05, "sigma_dp": 0.1},
+        "T": 20,
+        **change,
+    }
+    with pytest.raises(ValueError, match=match):
+        cli_main(["bounds", "--config", write_config(tmp_path, raw)])
+    assert capsys.readouterr().out == ""

@@ -12,11 +12,8 @@ from dpkf.privacy import (
     calibrate_gaussian,
     calibrate_noise_multiplier,
     classical_gaussian_sigma,
-    clip_automatic,
     clip_batch,
-    clip_normalized,
     clip_sensitivity,
-    clip_standard,
     compose_and_convert,
     delta_convention,
     epsilon_schedule,
@@ -29,6 +26,21 @@ from dpkf.privacy import (
 # ---------------------------------------------------------------------------
 # clipping
 # ---------------------------------------------------------------------------
+
+
+def clip_standard(g, C):
+    """min{1, C/||g||} * g; caps the norm at C, fixed point below it."""
+    return clip_batch(np.asarray(g, dtype=float)[None], C, "standard")[0]
+
+
+def clip_automatic(g, C):
+    """g * C/||g||: always rescales the norm to exactly C (0 maps to 0)."""
+    return clip_batch(np.asarray(g, dtype=float)[None], C, "automatic")[0]
+
+
+def clip_normalized(g, C):
+    """(g/C) * min{C/||g||, 1}; output norm is at most 1."""
+    return clip_batch(np.asarray(g, dtype=float)[None], C, "normalized")[0]
 
 
 def test_clip_standard_examples():
