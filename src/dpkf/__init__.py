@@ -35,7 +35,6 @@ from .objectives import (
     full_loss,
     gen_linear_regression,
     make_objective,
-    per_sample_grad,
 )
 from .privacy import (
     NoiseCalibration,

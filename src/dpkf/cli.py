@@ -4,11 +4,18 @@ Subcommands: train, compare-filters, sweep, calibrate, bounds, kalman-demo.
 Config files are JSON; any flag repeated on the command line overrides the
 matching config key. The DISK_SEED environment variable overrides the master
 seed everywhere.
+
+A command runs numpy's bundled OpenBLAS on one thread: on matrices this small
+a second thread that wakes for ``lstsq`` or ``X.T @ X`` busy-waits through
+the calls after it, doubling CPU time for no wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
@@ -23,6 +30,21 @@ from .harness import ExperimentConfig
 
 # Flags that take a comma-separated list of floats.
 LIST_FLAGS = ("--kappas", "--gammas", "--noise-levels")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS in ``numpy.libs``; None
+    when numpy links another BLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)  # numpy has it loaded already
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put  # int() and void(int): ctypes' defaults fit
+    return None
 
 
 def _env_seed(default: int | None) -> int | None:
@@ -52,17 +74,12 @@ def _load_config(path: str) -> dict:
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     """CLI flags win over config keys; seed also honours DISK_SEED."""
-    if getattr(args, "T", None) is not None:
-        raw["T"] = args.T
-    if getattr(args, "B", None) is not None:
-        raw["B"] = args.B
-    if getattr(args, "algorithm", None) is not None:
-        raw["algorithm"] = args.algorithm
+    for key in ("T", "B", "algorithm", "outdir"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     for key in ("eta", "kappa", "gamma"):
         if getattr(args, key, None) is not None:
             raw.setdefault("optimizer", {})[key] = getattr(args, key)
-    if getattr(args, "outdir", None) is not None:
-        raw["outdir"] = args.outdir
     seed = _env_seed(getattr(args, "seed", None))
     if seed is not None:
         raw["seed"] = seed
@@ -278,7 +295,16 @@ def main(argv: list[str] | None = None) -> int:
         if argv[i - 1] in LIST_FLAGS and re.match(r"-\.?\d", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    blas = _openblas_threads()
+    if blas is None:
+        return args.func(args)
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        return args.func(args)
+    finally:
+        put(before)
 
 
 if __name__ == "__main__":

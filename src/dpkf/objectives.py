@@ -7,6 +7,10 @@ test suite. Per-sample evaluation is vectorised over the batch with a fixed
 accumulation order, so results are bit-reproducible for a given seed.
 ``mean_grad`` averages the gradients without forming the per-sample matrix
 and gives the same bits as ``per_sample_grads(...).mean(axis=0)``.
+
+``loss_and_mean_grad`` shares one forward pass (residual, margins, or hidden
+layer and residual) between the two and applies the same operations to it, so
+it is ``==`` to ``(full_loss, mean_grad)``.
 """
 
 from __future__ import annotations
@@ -75,13 +79,13 @@ def _row_mean(w: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
-    """sigmoid(-m), stable on both tails, with one exp.
+    """sigmoid(-m), stable on both tails, with one exp and one division.
 
     The two-branch form, exp(-m)/(1+exp(-m)) for m >= 0 and 1/(1+exp(m))
-    otherwise, takes exp(-|m|) in both branches, so this gives its bits.
+    otherwise, divides by 1 + exp(-|m|) in both, so this gives its bits.
     """
     e = np.exp(-np.abs(m))
-    return np.where(m >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    return np.where(m >= 0, e, 1.0) / (1.0 + e)
 
 
 def gen_linear_regression(n: int, p: int, noise_std: float, seed: int) -> Dataset:
@@ -131,6 +135,11 @@ class Objective:
         matrix and keeps the bits of ``per_sample_grads(x, X, y).mean(axis=0)``
         for C-contiguous X."""
         return self.per_sample_grads(x, X, y).mean(axis=0)
+
+    def loss_and_mean_grad(self, x, X, y) -> tuple[float, np.ndarray]:
+        """``(float(per_sample_losses(...).mean()), mean_grad(...))``, the same
+        bits; an override runs the forward pass once for both."""
+        return float(self.per_sample_losses(x, X, y).mean()), self.mean_grad(x, X, y)
 
     def smoothness(self, dataset: Dataset | None = None) -> float | None:
         """Smoothness constant of the mean loss, when computable exactly."""
@@ -199,19 +208,21 @@ class LinearRegression(Objective):
     def __init__(self, dim: int):
         self.dim = dim
 
+    def _residual(self, x, X, y):
+        return X @ self._check_dim(x) - y
+
     def per_sample_losses(self, x, X, y):
-        x = self._check_dim(x)
-        r = X @ x - y
-        return 0.5 * r**2
+        return 0.5 * self._residual(x, X, y) ** 2
 
     def per_sample_grads(self, x, X, y):
-        x = self._check_dim(x)
-        r = X @ x - y
-        return r[:, None] * X
+        return self._residual(x, X, y)[:, None] * X
 
     def mean_grad(self, x, X, y):
-        x = self._check_dim(x)
-        return _row_mean(X @ x - y, X)
+        return _row_mean(self._residual(x, X, y), X)
+
+    def loss_and_mean_grad(self, x, X, y):
+        r = self._residual(x, X, y)
+        return float((0.5 * r**2).mean()), _row_mean(r, X)
 
     def smoothness(self, dataset=None):
         if dataset is None:
@@ -228,22 +239,26 @@ class LogisticRegression(Objective):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def per_sample_losses(self, x, X, y):
-        x = self._check_dim(x)
-        margins = y * (X @ x)
-        return np.logaddexp(0.0, -margins)
+    def _margins(self, x, X, y):
+        return y * (X @ self._check_dim(x))
 
-    def _weights(self, x, X, y):
-        """d loss_i / d <a_i, x> = -y_i sigmoid(-y_i <a_i, x>)."""
-        return -y * _sigmoid_neg(y * (X @ x))
+    @staticmethod
+    def _weights(m, y):
+        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), m_i = y_i <a_i, x>."""
+        return -y * _sigmoid_neg(m)
+
+    def per_sample_losses(self, x, X, y):
+        return np.logaddexp(0.0, -self._margins(x, X, y))
 
     def per_sample_grads(self, x, X, y):
-        x = self._check_dim(x)
-        return self._weights(x, X, y)[:, None] * X
+        return self._weights(self._margins(x, X, y), y)[:, None] * X
 
     def mean_grad(self, x, X, y):
-        x = self._check_dim(x)
-        return _row_mean(self._weights(x, X, y), X)
+        return _row_mean(self._weights(self._margins(x, X, y), y), X)
+
+    def loss_and_mean_grad(self, x, X, y):
+        m = self._margins(x, X, y)
+        return float(np.logaddexp(0.0, -m).mean()), _row_mean(self._weights(m, y), X)
 
     def smoothness(self, dataset=None):
         if dataset is None:
@@ -285,8 +300,7 @@ class TinyMLP(Objective):
         return hidden, out
 
     def per_sample_losses(self, x, X, y):
-        x = self._check_dim(x)
-        _, out = self._forward(x, X)
+        _, out = self._forward(self._check_dim(x), X)
         return 0.5 * (out - y) ** 2
 
     def _backprop(self, x, X, y):
@@ -298,22 +312,27 @@ class TinyMLP(Objective):
         return hidden, r, d_pre
 
     def per_sample_grads(self, x, X, y):
-        x = self._check_dim(x)
-        hidden, r, d_pre = self._backprop(x, X, y)
+        hidden, r, d_pre = self._backprop(self._check_dim(x), X, y)
         d_W1 = d_pre[:, :, None] * X[:, None, :]
         B = len(X)
         return np.concatenate(
             [d_W1.reshape(B, -1), d_pre, r[:, None] * hidden, r[:, None]], axis=1
         )
 
-    def mean_grad(self, x, X, y):
-        x = self._check_dim(x)
-        hidden, r, d_pre = self._backprop(x, X, y)
+    @staticmethod
+    def _mean_of_backprop(X, hidden, r, d_pre):
         # Row-ordered sums as in ``_row_mean``; the ones columns give the bias
         # sums and keep every einsum at least two columns wide.
         d_W1_b1 = np.einsum("ih,ip->hp", d_pre, _with_ones(X))
         d_w2_b2 = np.einsum("i,ih->h", r, _with_ones(hidden))
         return np.concatenate([d_W1_b1[:, :-1].ravel(), d_W1_b1[:, -1], d_w2_b2]) / len(X)
+
+    def mean_grad(self, x, X, y):
+        return self._mean_of_backprop(X, *self._backprop(self._check_dim(x), X, y))
+
+    def loss_and_mean_grad(self, x, X, y):
+        hidden, r, d_pre = self._backprop(self._check_dim(x), X, y)
+        return float((0.5 * r**2).mean()), self._mean_of_backprop(X, hidden, r, d_pre)
 
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
         rng = seeding.substream(seed, seeding.INIT)
@@ -338,13 +357,6 @@ def make_objective(kind: str, dim: int, **kwargs) -> Objective:
     if kind == "mlp":
         return TinyMLP(dim, hidden=kwargs.get("hidden", 16))
     raise ValueError(f"unknown objective kind: {kind!r}")
-
-
-def per_sample_grad(obj: Objective, x: np.ndarray, sample: Sample) -> np.ndarray:
-    """Exact analytic gradient of f(x; xi) for one sample."""
-    feature, target = sample
-    feature = np.atleast_2d(np.asarray(feature, dtype=float))
-    return obj.per_sample_grads(x, feature, np.array([target]))[0]
 
 
 def two_point_grads(

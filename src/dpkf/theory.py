@@ -281,10 +281,10 @@ def problem_constants_for(
         raise ValueError("objective does not expose an exact smoothness constant")
     if f_star is None:
         f_star, _ = estimate_f_star(obj, dataset, x0)
-    g0 = full_gradient(obj, x0, dataset)
+    loss0, g0 = obj.loss_and_mean_grad(x0, dataset.X, dataset.y)
     return ProblemConstants(
         L=L,
-        gap0=full_loss(obj, x0, dataset) - f_star,
+        gap0=loss0 - f_star,
         grad0_sq=float(g0 @ g0),
         sigma_sgd_sq=sigma_sgd_sq,
         dim=obj.dim,

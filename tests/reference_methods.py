@@ -2,18 +2,26 @@
 
 ``nag_step`` and ``storm_step`` are the methods the filtered optimizer reduces
 to; ``per_sample_loss`` is the one-sample loss the finite-difference gradient
-oracles difference. Nothing in ``dpkf`` calls them.
+oracles difference, and ``per_sample_grad`` the one-sample analytic gradient.
+Nothing in ``dpkf`` calls them.
 """
 
 import numpy as np
 
-from dpkf.objectives import Dataset, Objective, Sample, full_gradient, per_sample_grad
+from dpkf.objectives import Dataset, Objective, Sample, full_gradient
 
 
 def per_sample_loss(obj: Objective, x: np.ndarray, sample: Sample) -> float:
     feature, target = sample
     feature = np.atleast_2d(np.asarray(feature, dtype=float))
     return float(obj.per_sample_losses(x, feature, np.array([target]))[0])
+
+
+def per_sample_grad(obj: Objective, x: np.ndarray, sample: Sample) -> np.ndarray:
+    """Exact analytic gradient of f(x; xi) for one sample."""
+    feature, target = sample
+    feature = np.atleast_2d(np.asarray(feature, dtype=float))
+    return obj.per_sample_grads(x, feature, np.array([target]))[0]
 
 
 def nag_step(

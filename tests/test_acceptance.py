@@ -26,7 +26,6 @@ from dpkf.objectives import (
     gen_classification,
     gen_linear_regression,
     make_objective,
-    per_sample_grad,
 )
 from dpkf.privacy import (
     calibrate_gaussian,
@@ -38,7 +37,7 @@ from dpkf.privacy import (
     subsampled_curve,
 )
 from dpkf.theory import ProblemConstants, tuned_bound, tuned_params
-from reference_methods import nag_step, per_sample_loss, storm_step
+from reference_methods import nag_step, per_sample_grad, per_sample_loss, storm_step
 
 
 @contextmanager

@@ -31,11 +31,10 @@ from dpkf.objectives import (
     gen_classification,
     gen_linear_regression,
     make_objective,
-    per_sample_grad,
     two_point_grads,
 )
 from dpkf.privacy import clip_batch
-from reference_methods import nag_step, storm_step
+from reference_methods import nag_step, per_sample_grad, storm_step
 
 
 def rng_for(seed):

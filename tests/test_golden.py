@@ -3,7 +3,9 @@
 Every command runs through ``cli.main`` at tiny sizes and the sha256 of the
 CSV it writes is compared with a recorded hash. The ``calibrate`` commands
 write no file; the hash of their JSON report (noise multiplier, epsilon spent
-and the RDP value at every order) gates the accountant itself. A refactor that keeps the
+and the RDP value at every order) gates the accountant itself. The ``bounds``
+commands hash their JSON report the same way, which gates the problem
+constants (gap0, grad0_sq), the f* estimate and the bound evaluators. A refactor that keeps the
 trajectories keeps these hashes; a change that is meant to alter an output
 must say so and record the new hash. Tiny runs give the same bytes at 1 and
 2 BLAS threads.
@@ -182,6 +184,50 @@ CALIBRATE_GOLDEN = {
     "calibrate-small-q": "badbf528201df5a323ba5e836b7c1420f6c560b2bc8bdf491c4f3cc5e70bf9f5",
 }
 
+# ``bounds`` reports: the benchmark's small-fullkf shape with the trace of its
+# own train run, a logistic f* estimated by a short descent, and a quadratic.
+SMALL_FULLKF_FILTER = {"eta": 0.05, "clip": 1.0, "clip_variant": "standard", "sigma_dp": 0.05}
+SMALL_FULLKF = {
+    "seed": 11,
+    "objective": {"kind": "linear-regression", "n": 500, "p": 32},
+    "algorithm": "full-kf",
+    "optimizer": dict(SMALL_FULLKF_FILTER),
+    "full_filter": dict(SMALL_FULLKF_FILTER),
+    "T": 100,
+    "B": 50,
+}
+
+BOUNDS_LOGREG = {
+    "seed": 12,
+    "objective": {"kind": "logistic-regression", "n": 200, "p": 6},
+    "optimizer": {"kappa": 0.7, "gamma": -1.0, "eta": 0.2, "sigma_dp": 0.05},
+    "f_star_steps": 200,
+    "sigma_sgd_sq": 0.1,
+    "T": 50,
+    "B": 20,
+}
+
+BOUNDS_QUADRATIC = {
+    "seed": 13,
+    "objective": {"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 2.0, 4.0]},
+    "optimizer": {"kappa": 0.5, "gamma": 0.5, "eta": 0.05, "sigma_dp": 0.1},
+    "init_scale": 2.0,
+    "T": 200,
+}
+
+# name -> (config, whether ``train`` runs first and its trace goes to --trace)
+BOUNDS_COMMANDS = {
+    "bounds-small-fullkf": (SMALL_FULLKF, True),
+    "bounds-logreg": (BOUNDS_LOGREG, False),
+    "bounds-quadratic": (BOUNDS_QUADRATIC, False),
+}
+
+BOUNDS_GOLDEN = {
+    "bounds-logreg": "d4cbea517114d0c3830cf46d7d312f60810b9dabe125672ed7d816a04ea24d31",
+    "bounds-quadratic": "627e17ba56fffed3592e5bd92bdf3db43554af58d2e9a2b7c413ef9153483dae",
+    "bounds-small-fullkf": "182dd177662cea144f4a7671aac65d76fdde836a272e39667d4986962de01693",
+}
+
 
 def run_command(name: str, tmp_path) -> str:
     """Run one named command in ``tmp_path``; sha256 of the CSV it wrote."""
@@ -207,3 +253,24 @@ def test_calibrate_report_bytes_unchanged(name, capsys):
     assert cli_main(["calibrate", *CALIBRATE_COMMANDS[name]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATE_GOLDEN[name]
+
+
+def run_bounds(name: str, tmp_path, capsys) -> str:
+    """sha256 of the stdout of one named ``bounds`` command."""
+    config, with_trace = BOUNDS_COMMANDS[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = ["bounds", "--config", str(cfg_path)]
+    if with_trace:
+        outdir = tmp_path / "out"
+        assert cli_main(["train", "--config", str(cfg_path), "--outdir", str(outdir)]) == 0
+        argv += ["--trace", str(outdir / "trace.csv")]
+    capsys.readouterr()
+    assert cli_main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_COMMANDS))
+def test_bounds_report_bytes_unchanged(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DISK_SEED", raising=False)
+    assert run_bounds(name, tmp_path, capsys) == BOUNDS_GOLDEN[name]

@@ -550,3 +550,107 @@ def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
     with pytest.raises(ValueError, match=match):
         cli_main(["bounds", "--config", write_config(tmp_path, raw)])
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# One forward pass per whole-dataset evaluation
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        {"kind": "logistic-regression", "n": 120, "p": 6},
+        {"kind": "linear-regression", "n": 120, "p": 6},
+        {"kind": "mlp", "n": 120, "p": 3, "hidden": 4},
+    ],
+    ids=["logistic", "linear", "mlp"],
+)
+def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
+    """run_experiment and problem_constants_for (for kinds with an exact L)
+    evaluate the whole dataset through ``loss_and_mean_grad`` alone."""
+    from dpkf.theory import problem_constants_for
+
+    cfg = ExperimentConfig.from_dict(logistic_raw(objective=objective, T=5, B=20))
+    obj, ds = harness.build_problem(cfg.objective, 1, batch_floor=cfg.B)
+    want = run_experiment(cfg, 1, (obj, ds))
+    x0 = obj.init_point(1)
+    bounded = obj.smoothness(ds) is not None
+    want_pc = problem_constants_for(obj, ds, x0, f_star=0.0) if bounded else None
+
+    def guard(name):
+        orig = getattr(type(obj), name)
+
+        def method(self, x, X, y):
+            assert X is not ds.X, f"{name} on the whole dataset"
+            return orig(self, x, X, y)
+
+        monkeypatch.setattr(type(obj), name, method)
+
+    guard("per_sample_losses")
+    guard("mean_grad")
+    got = run_experiment(cfg, 1, (obj, ds))
+    assert got.csv_lines() == want.csv_lines()
+    assert (got.loss0, got.grad0_norm) == (want.loss0, want.grad0_norm)
+    if bounded:
+        assert problem_constants_for(obj, ds, x0, f_star=0.0) == want_pc
+
+
+def test_cli_runs_bundled_openblas_on_one_thread(monkeypatch, capsys):
+    from dpkf import cli
+
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, put = blas
+    seen = []
+
+    def command(args):
+        seen.append(get())
+        if args.steps == 2:
+            raise RuntimeError("command failed")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_calibrate", command)
+    argv = ["calibrate", "--epsilon", "1", "--delta", "1e-5", "--sampling-rate", "0.1"]
+    before = get()
+    try:
+        put(2)
+        assert cli.main([*argv, "--steps", "1"]) == 0
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="command failed"):
+            cli.main([*argv, "--steps", "2"])
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", r":1: expected header"),
+        ("\n\n", r":1: expected header"),
+        ("step,loss\n1,0.5\n", r":1: expected header"),
+        (TRACE_HEADER + "\n", r":1: header with no step rows"),
+        (TRACE_HEADER + "\n1,0.5,0.1,0.2,inf\n2,0.4,0.1\n", r":3: bad trace row"),
+        (TRACE_HEADER + "\n1,0.5,0.1,0.2,inf,7\n", r":2: bad trace row"),
+        (TRACE_HEADER + "\n\n1,0.5,x,0.2,inf\n", r":3: bad trace row"),
+    ],
+    ids=["empty", "blank-lines", "wrong-header", "header-only", "short-row", "long-row",
+         "non-number"],
+)
+def test_read_trace_csv_names_file_and_line_of_a_bad_trace(tmp_path, text, match):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"trace.csv{match}"):
+        read_trace_csv(str(path))
+
+
+def test_cli_bounds_rejects_a_header_only_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_HEADER + "\n")
+    raw = {"seed": 0, "objective": {"kind": "quadratic", "dim": 2},
+           "optimizer": {"eta": 0.05, "sigma_dp": 0.1}}
+    with pytest.raises(ValueError, match="header with no step rows"):
+        cli_main(["bounds", "--config", write_config(tmp_path, raw), "--trace", str(trace)])

@@ -13,10 +13,9 @@ from dpkf.objectives import (
     gen_classification,
     gen_linear_regression,
     make_objective,
-    per_sample_grad,
     two_point_grads,
 )
-from reference_methods import per_sample_loss
+from reference_methods import per_sample_grad, per_sample_loss
 
 
 def two_point_per_sample_grad(obj, x, d_prev, gamma, kappa, sample):
@@ -230,6 +229,45 @@ def test_mean_grad_is_bitwise_per_sample_mean(kind, n, p, hidden, log_scale, see
     x = 10.0**log_scale * rng.standard_normal(obj.dim)
     expected = obj.per_sample_grads(x, X, y).mean(axis=0)
     assert np.array_equal(obj.mean_grad(x, X, y), expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    n=st.integers(1, 300),
+    p=st.one_of(st.just(1), st.integers(1, 60)),
+    fortran=st.booleans(),
+    tail=st.sampled_from([-90.0, -40.5, 40.5, 90.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="logistic-regression", n=3, p=1, fortran=False, tail=40.5, seed=0)
+@example(kind="logistic-regression", n=300, p=60, fortran=True, tail=-90.0, seed=1)
+@example(kind="mlp", n=1, p=1, fortran=True, tail=40.5, seed=2)
+@example(kind="linear-regression", n=300, p=1, fortran=True, tail=40.5, seed=3)
+def test_loss_and_mean_grad_is_bitwise_the_two_calls(kind, n, p, fortran, tail, seed):
+    rng = np.random.default_rng(seed)
+    obj = make_objective(kind, p, hidden=4)
+    x = rng.standard_normal(obj.dim)
+    X = rng.standard_normal((n, p))
+    if kind == "logistic-regression":
+        y = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
+        # a zero row gives a margin of exactly 0; the last row one of |m| > 40
+        X[0] = 0.0
+        if n > 1 and x @ x > 0:
+            X[-1] = tail * y[-1] * x / (x @ x)
+    else:
+        y = rng.standard_normal(n)
+    if fortran:
+        X = np.asfortranarray(X)
+    loss, grad = obj.loss_and_mean_grad(x, X, y)
+    assert type(loss) is float
+    assert loss == float(obj.per_sample_losses(x, X, y).mean())
+    assert np.array_equal(grad, obj.mean_grad(x, X, y))
+    # the harness calls it on a Dataset, which stores X in C order
+    ds = Dataset(X=X, y=y)
+    loss, grad = obj.loss_and_mean_grad(x, ds.X, ds.y)
+    assert loss == full_loss(obj, x, ds)
+    assert np.array_equal(grad, full_gradient(obj, x, ds))
 
 
 @pytest.mark.parametrize("in_dim, hidden", [(4, 0), (0, 3)])
