@@ -161,13 +161,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
-    seed = _env_seed(raw.get("seed", 0))
-    # train's boundary checks on the keys a report reads
+    raw = _apply_overrides(_load_config(args.config), args)
+    # train's boundary checks on the keys a report reads, and train's seed
     cfg = ExperimentConfig(
         objective=raw["objective"], optimizer=DiskConfig(**raw.get("optimizer", {})),
-        init_scale=raw.get("init_scale", 1.0),
+        init_scale=raw.get("init_scale", 1.0), seeds=harness.config_seeds(raw),
     )
+    seed = cfg.seeds[0]
     obj, ds = harness.build_problem(cfg.objective, seed)
     x0 = obj.init_point(seed, cfg.init_scale)
     f_star, estimated = theory.estimate_f_star(
@@ -205,8 +205,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         }
     if args.trace:
         trace = harness.read_trace_csv(args.trace)
-        lhs = float(np.mean([r.grad_norm**2 for r in trace.records]))
-        report["empirical_mean_sq_grad_norm"] = lhs
+        trace.grad0_norm = math.sqrt(pc.grad0_sq)  # x_0 has no trace row
+        report["empirical_mean_sq_grad_norm"] = trace.mean_sq_grad_norm
     _print_json(report)
     return 0
 

@@ -16,11 +16,11 @@ Special cases implemented exactly:
   * gamma = -1 with batch size 1 matches the recursive variance-reduced
     (STORM) estimator.
 
-``full_filter_step`` runs the filter with a covariance recursion and a
-time-varying gain k_t instead of the fixed weight kappa, predicting with the
-Hessian action on the last displacement. Its noise terms are multiples of I
-and E[C] = I, so the matrix covariance P_t = p_t I and gain K_t = k_t I are
-exactly scalars, and the step keeps them as scalars at any dimension.
+``full_filter_step`` is the same step with kappa replaced by the matrix
+filter's gain k_t (its noise terms are multiples of I and E[C] = I, so
+K_t = k_t I): its update (1 - k)(g_filt + h) + k g_obs, with the Hessian
+action h = (g(x + gamma d) - g(x)) / gamma, is the two-point combination at
+kappa = k. The gain uses no data, so the release is the same clipped mean.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import NumericalError
+from .kalman import ScalarGainState, scalar_gain_step
 from .objectives import Objective, _row_mean, two_point_grads
 from .privacy import clip_factors
 
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
 BASE_OPTIMIZERS = ("sgd", "momentum", "adam", "adamw")
 FILTER_INITS = ("first_grad", "zero")
-HESSIAN_MODES = ("fd", "exact")
 
 
 def _require_finite(cfg) -> None:
@@ -95,6 +94,7 @@ class DiskState:
     d_prev: np.ndarray = field(default=None)  # type: ignore[assignment]
     moments: dict = field(default_factory=dict)
     t: int = 0
+    gain: ScalarGainState | None = None  # full-kf's p_t and k_t; None before its first step
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -197,6 +197,29 @@ def _observe_at(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int) -> np.nd
     return _privatise(g, cfg, rng)
 
 
+def _filtered_step(state, batch, obj, cfg, rng, kappa: float, gamma: float) -> DiskState:
+    """The step at weight ``kappa`` and lookahead ``gamma``, the rest from ``cfg``."""
+    x = state.x
+    if cfg.two_point and kappa != 1.0:
+        G = two_point_grads(obj, x, state.d_prev, gamma, kappa, *batch)
+        g = _observe(G, cfg, rng, state.t)
+    else:
+        g = _observe_at(obj, x, batch, cfg, rng, state.t)
+
+    if kappa == 1.0:
+        g_filt = g
+    elif state.g_filt is None:
+        prev = g if cfg.filter_init == "first_grad" else np.zeros_like(g)
+        g_filt = (1.0 - kappa) * prev + kappa * g
+    else:
+        g_filt = (1.0 - kappa) * state.g_filt + kappa * g
+
+    x_new, moments = apply_base_update(cfg, x, g_filt, state.moments)
+    return DiskState(
+        x=x_new, g_filt=g_filt, d_prev=x_new - x, moments=moments, t=state.t + 1
+    )
+
+
 def disk_step(
     state: DiskState,
     batch: tuple[np.ndarray, np.ndarray],
@@ -205,25 +228,7 @@ def disk_step(
     rng: np.random.Generator,
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb)."""
-    x = state.x
-    if cfg.two_point and cfg.kappa != 1.0:
-        G = two_point_grads(obj, x, state.d_prev, cfg.gamma, cfg.kappa, *batch)
-        g = _observe(G, cfg, rng, state.t)
-    else:
-        g = _observe_at(obj, x, batch, cfg, rng, state.t)
-
-    if cfg.kappa == 1.0:
-        g_filt = g
-    elif state.g_filt is None:
-        prev = g if cfg.filter_init == "first_grad" else np.zeros_like(g)
-        g_filt = (1.0 - cfg.kappa) * prev + cfg.kappa * g
-    else:
-        g_filt = (1.0 - cfg.kappa) * state.g_filt + cfg.kappa * g
-
-    x_new, moments = apply_base_update(cfg, x, g_filt, state.moments)
-    return DiskState(
-        x=x_new, g_filt=g_filt, d_prev=x_new - x, moments=moments, t=state.t + 1
-    )
+    return _filtered_step(state, batch, obj, cfg, rng, cfg.kappa, cfg.gamma)
 
 
 def dpsgd_step(
@@ -242,20 +247,19 @@ def dpsgd_step(
 
 
 # ---------------------------------------------------------------------------
-# Covariance-tracking filter (the matrix filter in scalar form)
+# The matrix filter as a gain schedule on the filtered step
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class FullFilterConfig:
-    """Matrix-filter settings; the observation (clip, noise) and the base
-    update (eta, base) come from the run's ``DiskConfig``."""
+    """Matrix-filter settings; the observation (clip, noise), the filter start
+    and the base update (eta, base) come from the run's ``DiskConfig``."""
 
     sigma_w_sq: float = 1.0
     sigma_h_sq: float = 0.0
     sigma_v_sq: float = 0.0
-    gamma: float = 0.01  # finite-difference scale for the Hessian action
-    hessian_mode: str = "fd"  # "exact" needs a quadratic objective
+    gamma: float = 0.01  # lookahead of the two-point Hessian action
 
     def __post_init__(self) -> None:
         _require_finite(self)
@@ -264,83 +268,32 @@ class FullFilterConfig:
         if self.sigma_w_sq < self.sigma_h_sq:
             # the gain would exceed 1 and the covariance p turn negative
             raise ValueError("need sigma_w^2 >= sigma_h^2 (p would turn negative)")
+        if self.sigma_w_sq + self.sigma_v_sq == 0:
+            # the gain divides by p + sigma_w^2 + sigma_v^2, and p can reach 0
+            raise ValueError("need sigma_w^2 + sigma_v^2 > 0 (the gain divides by it)")
         if self.gamma == 0:
-            raise ValueError("finite-difference gamma must be nonzero")
-        if self.hessian_mode not in HESSIAN_MODES:
-            raise ValueError(f"hessian_mode must be one of {HESSIAN_MODES}")
-
-
-@dataclass
-class FullFilterState:
-    """Iterate and filter memory; the covariance is p I and the gain k I."""
-
-    x: np.ndarray
-    g_filt: np.ndarray
-    d_prev: np.ndarray
-    p: float
-    k: float | None = None
-    moments: dict = field(default_factory=dict)
-    t: int = 0
-
-
-def full_filter_init(x0: np.ndarray, cfg: FullFilterConfig) -> FullFilterState:
-    """Filter memory starts at zero with covariance sigma_w^2 I."""
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.shape[0]
-    return FullFilterState(
-        x=x0.copy(), g_filt=np.zeros(d), d_prev=np.zeros(d), p=cfg.sigma_w_sq
-    )
+            raise ValueError("gamma must be nonzero")
 
 
 def full_filter_step(
-    state: FullFilterState,
+    state: DiskState,
     batch: tuple[np.ndarray, np.ndarray],
     obj: Objective,
     opt: DiskConfig,
     cfg: FullFilterConfig,
     rng: np.random.Generator,
-) -> FullFilterState:
-    """One step of the covariance-tracking filter over the base optimizer.
-
-    The observation (clip, noise) and the base update follow ``opt``; its
-    kappa and gamma are unused. The prediction moves the gradient estimate by
-    the Hessian action on the last displacement (exact for quadratics,
-    finite-difference otherwise); the correction applies the
-    multiplicative-noise gain with E[C] = I and no observation-matrix
-    covariance,
-
-        K = P_pred (P_pred + sigma_w^2 I - sigma_h^2 I)^{-1},
-
-    with P = p I, so K = k I. k is p_pred (1/sqrt(c)) (1/sqrt(c)), in the
-    order the Cholesky solve of c I takes, which gives the matrix filter's
-    bits; p_pred / c can differ in the last bit.
-    """
-    Xb, yb = batch
-    x = state.x
-    G = obj.per_sample_grads(x, Xb, yb)
-    g_obs = _observe(G, opt, rng, state.t)
-
-    if not np.any(state.d_prev):
-        h_action = np.zeros(x.shape[0])
-    elif cfg.hessian_mode == "exact":
-        h_action = obj.hessian() @ state.d_prev  # type: ignore[attr-defined]
-    else:
-        ahead = obj.mean_grad(x + cfg.gamma * state.d_prev, Xb, yb)
-        h_action = (ahead - G.mean(axis=0)) / cfg.gamma
-
-    g_pred = state.g_filt + h_action
-    p_pred = state.p + (cfg.sigma_h_sq + cfg.sigma_v_sq)
-    c = (p_pred + cfg.sigma_w_sq) - cfg.sigma_h_sq
-    if not c > 0:
-        raise NumericalError(
-            f"gain bracket: matrix not positive definite (min eigenvalue {c:.6g})"
+) -> DiskState:
+    """One full-kf step: advance the gain, then take the filtered step with
+    kappa = k_t and gamma = ``cfg.gamma``; ``opt`` gives the rest (the full-kf
+    preset starts the filter at zero). The gain recursion starts at
+    p = sigma_w^2 when ``state.gain`` is None and is kept in ``state.gain``."""
+    gain = state.gain
+    if gain is None:  # k is computed from p, so the start k is never read
+        gain = ScalarGainState(
+            p=cfg.sigma_w_sq, k=0.0, sigma_h_sq=cfg.sigma_h_sq,
+            sigma_v_sq=cfg.sigma_v_sq, sigma_w_sq=cfg.sigma_w_sq,
         )
-    r = 1.0 / math.sqrt(c)
-    k = (p_pred * r) * r
-    g_filt = g_pred + k * (g_obs - g_pred)
-
-    x_new, moments = apply_base_update(opt, x, g_filt, state.moments)
-    return FullFilterState(
-        x=x_new, g_filt=g_filt, d_prev=x_new - x, p=(1.0 - k) * p_pred, k=k,
-        moments=moments, t=state.t + 1,
-    )
+    gain = scalar_gain_step(gain)
+    out = _filtered_step(state, batch, obj, opt, rng, gain.k, cfg.gamma)
+    out.gain = gain
+    return out

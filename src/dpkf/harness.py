@@ -14,20 +14,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import seeding, svgplot
-from .disk import (
-    DiskConfig,
-    DiskState,
-    FullFilterConfig,
-    disk_step,
-    full_filter_init,
-    full_filter_step,
-)
+from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, full_filter_step
 from .kalman import random_stable_system, simulate_estimation
 from .objectives import (
     Dataset,
@@ -57,19 +50,20 @@ class Preset(NamedTuple):
     full_batch: bool = False  # every step sees the whole dataset
 
 
-# disk and noisy-kf are the same run. full-kf swaps the filter for the matrix
-# filter of ``full_filter_step``; everything else runs ``disk_step``.
+# disk and noisy-kf are the same run. full-kf runs ``full_filter_step``, the
+# same step with kappa set to the gain k_t; everything else runs ``disk_step``.
 PRESETS = {
     "dpsgd": Preset({"kappa": 1.0, "base": "sgd"}),
     "disk": Preset({}),
     "noisy-gd": Preset({"kappa": 1.0, "base": "sgd", "clip_variant": "none"}, True),
     "noisy-lp": Preset({"two_point": False}),
     "noisy-kf": Preset({}),
-    "full-kf": Preset({}),
+    "full-kf": Preset({"filter_init": "zero"}),
 }
 ALGORITHMS = tuple(PRESETS)
 # Optimizer keys a ``full_filter`` section may repeat, if it agrees.
 SHARED_FILTER_KEYS = ("eta", "clip", "clip_variant", "sigma_dp", "base")
+FULL_FILTER_KEYS = tuple(f.name for f in fields(FullFilterConfig))
 TRACE_HEADER = "step,loss,grad_norm,filtered_grad_norm,epsilon_spent"
 COMPARISON_HEADER = "sigma_dp,method,seed,final_loss"
 SWEEP_HEADER = "kappa,gamma,metric"
@@ -109,10 +103,10 @@ class MetricsTrace:
 
     @property
     def mean_sq_grad_norm(self) -> float:
-        """(1/T) * sum over x_0..x_T of ||grad F||^2 (T+1 terms over T)."""
-        T = len(self.records)
-        total = self.grad0_norm**2 + sum(r.grad_norm**2 for r in self.records)
-        return total / T
+        """(1/T) sum_{t=0}^{T-1} ||grad F(x_t)||^2, the convergence bound's left
+        side: x_0 and the rows before the last (row t holds x_t)."""
+        tail = sum(r.grad_norm**2 for r in self.records[:-1])
+        return (self.grad0_norm**2 + tail) / len(self.records)
 
     def csv_lines(self) -> list[str]:
         lines = [TRACE_HEADER]
@@ -150,10 +144,8 @@ class ExperimentConfig:
             raise ValueError(
                 "set exactly one of: a privacy target (epsilon) or an explicit sigma_dp"
             )
-        if self.algorithm in ("noisy-gd", "full-kf") and self.epsilon_target is not None:
-            raise PrivacyError(
-                f"{self.algorithm} takes an explicit sigma_dp, not a privacy target"
-            )
+        if self.algorithm == "noisy-gd" and self.epsilon_target is not None:
+            raise PrivacyError("noisy-gd takes an explicit sigma_dp, not a privacy target")
         eps = self.epsilon_target
         if eps is not None and not (math.isfinite(eps) and eps > 0):
             raise PrivacyError(f"epsilon must be finite and > 0, got {eps!r}")
@@ -174,9 +166,7 @@ class ExperimentConfig:
         for key in SHARED_FILTER_KEYS:
             if key in ff and ff.pop(key) != getattr(optimizer, key):
                 raise ValueError(f"full_filter.{key} disagrees with optimizer.{key}")
-        seeds = raw.get("seeds")
-        if seeds is None:
-            seeds = [raw.get("seed", 0)]
+        _reject_unknown_keys("full_filter", ff, FULL_FILTER_KEYS + SHARED_FILTER_KEYS)
         return cls(
             objective=raw["objective"],
             algorithm=raw.get("algorithm", "disk"),
@@ -185,7 +175,7 @@ class ExperimentConfig:
             delta=privacy_raw.get("delta"),
             T=raw.get("T", 100),
             B=raw.get("B", 50),
-            seeds=tuple(int(s) for s in seeds),
+            seeds=config_seeds(raw),
             outdir=raw.get("outdir", "out"),
             init_scale=raw.get("init_scale", 1.0),
             full_filter=FullFilterConfig(**ff),
@@ -193,17 +183,24 @@ class ExperimentConfig:
         )
 
 
+def config_seeds(raw: dict) -> tuple[int, ...]:
+    """A raw config's seeds: ``seeds``, else ``[seed]``, else ``[0]``."""
+    seeds = raw.get("seeds")
+    return tuple(int(s) for s in ([raw.get("seed", 0)] if seeds is None else seeds))
+
+
 def _check_objective(problem: dict) -> None:
     """Reject an objective dict with an unknown kind or a key its kind ignores."""
     kind = problem.get("kind")
     if kind not in OBJECTIVE_KEYS:
         raise ValueError(f"unknown objective kind: {kind!r}")
-    unknown = sorted(set(problem) - OBJECTIVE_KEYS[kind])
+    _reject_unknown_keys(f"objective {kind!r}", problem, OBJECTIVE_KEYS[kind])
+
+
+def _reject_unknown_keys(section: str, given, allowed) -> None:
+    unknown = sorted(set(given) - set(allowed))
     if unknown:
-        raise ValueError(
-            f"objective {kind!r} has unknown keys {unknown}; "
-            f"allowed: {sorted(OBJECTIVE_KEYS[kind])}"
-        )
+        raise ValueError(f"{section} has unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
 def _dataset_size(problem: dict, batch_floor: int) -> int:
@@ -298,7 +295,7 @@ def run_experiment(
     sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
     eps_sched = _epsilon_schedule(opt, delta, q, ds.n if full_batch else cfg.B, cfg.T)
     ff = cfg.full_filter if cfg.algorithm == "full-kf" else None
-    state = DiskState(x=x0.copy()) if ff is None else full_filter_init(x0, ff)
+    state = DiskState(x=x0.copy())
 
     loss0, g0 = obj.loss_and_mean_grad(x0, ds.X, ds.y)
     records: list[StepRecord] = []

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import seeding
 
-Sample = tuple[np.ndarray, float]
-
 
 @dataclass
 class Dataset:
@@ -50,9 +48,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return self.X[i], float(self.y[i])
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.X[idx], self.y[idx]
@@ -188,9 +183,6 @@ class Quadratic(Objective):
 
     def smoothness(self, dataset=None):
         return float(np.linalg.eigvalsh(self.H)[-1])
-
-    def hessian(self) -> np.ndarray:
-        return self.H
 
     def f_star(self) -> float:
         return 0.0

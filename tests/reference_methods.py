@@ -2,13 +2,20 @@
 
 ``nag_step`` and ``storm_step`` are the methods the filtered optimizer reduces
 to; ``per_sample_loss`` is the one-sample loss the finite-difference gradient
-oracles difference, and ``per_sample_grad`` the one-sample analytic gradient.
-Nothing in ``dpkf`` calls them.
+oracles difference, and ``per_sample_grad`` the one-sample analytic gradient
+of a ``sample_of`` a dataset. Nothing in ``dpkf`` calls them.
 """
 
 import numpy as np
 
-from dpkf.objectives import Dataset, Objective, Sample, full_gradient
+from dpkf.objectives import Dataset, Objective, full_gradient
+
+Sample = tuple[np.ndarray, float]
+
+
+def sample_of(dataset: Dataset, i: int) -> Sample:
+    """Row ``i`` of a dataset as (features, target)."""
+    return dataset.X[i], float(dataset.y[i])
 
 
 def per_sample_loss(obj: Objective, x: np.ndarray, sample: Sample) -> float:

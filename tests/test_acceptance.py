@@ -37,7 +37,7 @@ from dpkf.privacy import (
     subsampled_curve,
 )
 from dpkf.theory import ProblemConstants, tuned_bound, tuned_params
-from reference_methods import nag_step, per_sample_grad, per_sample_loss, storm_step
+from reference_methods import nag_step, per_sample_grad, per_sample_loss, sample_of, storm_step
 
 
 @contextmanager
@@ -114,7 +114,7 @@ def test_03_variance_reduced_momentum_reduction():
             i = int(idx[t])
             state = disk_step(state, (ds.X[[i]], ds.y[[i]]), obj, cfg, rng)
             x_new, m_ref = storm_step(
-                x_ref, x_prev, m_ref, alpha=alpha, eta=eta, obj=obj, sample=ds.sample(i)
+                x_ref, x_prev, m_ref, alpha=alpha, eta=eta, obj=obj, sample=sample_of(ds, i)
             )
             x_prev, x_ref = x_ref, x_new
             worst = max(worst, float(np.abs(state.x - x_ref).max()))
@@ -246,7 +246,7 @@ def test_10_gradient_correctness():
                     obj = make_objective(kind, 4)
                 for _ in range(25):
                     x = rng.standard_normal(obj.dim)
-                    sample = ds.sample(int(rng.integers(0, ds.n)))
+                    sample = sample_of(ds, int(rng.integers(0, ds.n)))
                     g = per_sample_grad(obj, x, sample)
                     g_fd = np.zeros_like(x)
                     for i in range(len(x)):

@@ -35,7 +35,7 @@ FULLKF = {
     "objective": {"kind": "linear-regression", "n": 60, "p": 6},
     "algorithm": "full-kf",
     "optimizer": dict(FULLKF_FILTER),
-    "full_filter": dict(FULLKF_FILTER, hessian_mode="fd", sigma_w_sq=0.5),
+    "full_filter": dict(FULLKF_FILTER, sigma_w_sq=0.5),
     "T": 10,
     "B": 20,
 }
@@ -88,7 +88,7 @@ LINREG_P1 = {
     "objective": {"kind": "linear-regression", "n": 40, "p": 1},
     "algorithm": "full-kf",
     "optimizer": dict(LINREG_P1_FILTER),
-    "full_filter": dict(LINREG_P1_FILTER, hessian_mode="fd", sigma_w_sq=0.5),
+    "full_filter": dict(LINREG_P1_FILTER, sigma_w_sq=0.5),
     "T": 8,
     "B": 10,
 }
@@ -151,11 +151,11 @@ GOLDEN = {
     "train-dpsgd": "5c0f312f3aef85dcdb60493d0236f9eed111fbbe1e0909d54c2e15475bc97fdc",
     "train-dpsgd-target": "b970f3dd7c8e1c0aa7ccc6057bdb9e1e560b0c5fac18899a90ae2b8a143bc18c",
     "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
-    "train-linreg-p1": "756ddd893ab200dacb34d5c40ebf896eb050ff54aff58f31ad9a6c60e2337cef",
+    "train-linreg-p1": "6c813a2da75c59bc594248b21b08d239339bf1d95286e28c7b777ec325b020de",
     "train-linreg-p1-noisy-gd": "5eb6bda35b1ba2ffa4679f2b77170404f6380a2906fa04bd57fa88929253975e",
     "train-logreg-wide": "f5e901de9b4b07395710aba919265a6a7a3cf4bc00b79b6a6c3ddb37fd8dbe6b",
     "train-mlp-wide": "63945e3c73c61c75c742acbc58edd624d17af9e7561538f0cb17659b5d1e335c",
-    "train-full-kf": "b4003db80b24a642b5ab40ca4c6f8e0934138759aa48dfedc2a62145742bbd98",
+    "train-full-kf": "50027b0982da2b15b9b07fb70a47cbbf9160132b33ae193b78432e80abf93ec0",
     "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
     "train-noisy-gd": "f97db3f96d7e241a50c88a83ed7de3a5fecc618004a71ccaeca7609c3c923812",
     "train-noisy-kf": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
@@ -225,7 +225,7 @@ BOUNDS_COMMANDS = {
 BOUNDS_GOLDEN = {
     "bounds-logreg": "d4cbea517114d0c3830cf46d7d312f60810b9dabe125672ed7d816a04ea24d31",
     "bounds-quadratic": "627e17ba56fffed3592e5bd92bdf3db43554af58d2e9a2b7c413ef9153483dae",
-    "bounds-small-fullkf": "182dd177662cea144f4a7671aac65d76fdde836a272e39667d4986962de01693",
+    "bounds-small-fullkf": "fb9d969cd76d39d1a115a3d9377dbb4437acc7522e6fffe267d5242ef1c40e5b",
 }
 
 

@@ -26,6 +26,7 @@ from dpkf.harness import (
     _resolve_privacy,
 )
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
+from test_golden import FULLKF, SMALL_FULLKF
 
 
 def logistic_raw(**overrides):
@@ -59,12 +60,11 @@ def test_config_requires_exactly_one_noise_source():
         ExperimentConfig.from_dict(raw)  # neither
 
 
-@pytest.mark.parametrize("algorithm", ["noisy-gd", "full-kf"])
-def test_config_rejects_privacy_target_for_explicit_noise_algorithms(algorithm):
-    raw = logistic_raw(algorithm=algorithm, privacy={"epsilon": 2.0})
+def test_config_rejects_privacy_target_for_noisy_gd():
+    raw = logistic_raw(algorithm="noisy-gd", privacy={"epsilon": 2.0})
     del raw["optimizer"]["sigma_dp"]
     with pytest.raises(
-        PrivacyError, match=f"^{algorithm} takes an explicit sigma_dp, not a privacy target$"
+        PrivacyError, match="^noisy-gd takes an explicit sigma_dp, not a privacy target$"
     ):
         ExperimentConfig.from_dict(raw)
 
@@ -223,7 +223,7 @@ def test_full_filter_algorithm_runs():
         objective={"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 1.5, 2.0]},
         algorithm="full-kf", B=1, T=15,
         optimizer={"eta": 0.3, "sigma_dp": 0.1, "clip": None, "clip_variant": "none"},
-        full_filter={"sigma_w_sq": 0.5, "hessian_mode": "exact"},
+        full_filter={"sigma_w_sq": 0.5},
     )
     trace = run_experiment(ExperimentConfig.from_dict(raw))
     assert len(trace.records) == 15
@@ -261,9 +261,31 @@ def test_full_filter_section_may_repeat_matching_optimizer_keys():
 )
 def test_full_filter_section_rejects_disagreeing_optimizer_key(key, value):
     raw = fullkf_raw(sigma_dp=0.5)
-    raw["full_filter"] = {key: value, "hessian_mode": "fd"}
+    raw["full_filter"] = {key: value}
     with pytest.raises(ValueError, match=f"full_filter.{key}"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        ({"hessian_mode": "fd"}, r"full_filter has unknown keys \['hessian_mode'\]; allowed: \["),
+        ({"sigma_w": 1.0, "gama": 0.1}, r"unknown keys \['gama', 'sigma_w'\]; allowed: .*'sigma_w_sq'"),
+        ({"sigma_w_sq": 0.0, "sigma_v_sq": 0.0}, r"need sigma_w\^2 \+ sigma_v\^2 > 0"),
+    ],
+    ids=["hessian-mode", "misspelt", "zero-gain-denominator"],
+)
+def test_full_filter_section_rejected_when_the_config_is_built(section, match):
+    raw = dict(fullkf_raw(sigma_dp=0.5), full_filter=section)
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_full_kf_meets_a_privacy_target():
+    raw = fullkf_raw()
+    raw["privacy"] = {"epsilon": 3.0}
+    trace = run_experiment(ExperimentConfig.from_dict(raw))
+    assert trace.epsilon_total == pytest.approx(3.0, abs=1e-3)
 
 
 def test_run_deterministic_per_seed():
@@ -654,3 +676,33 @@ def test_cli_bounds_rejects_a_header_only_trace(tmp_path, capsys):
            "optimizer": {"eta": 0.05, "sigma_dp": 0.1}}
     with pytest.raises(ValueError, match="header with no step rows"):
         cli_main(["bounds", "--config", write_config(tmp_path, raw), "--trace", str(trace)])
+
+
+# ---------------------------------------------------------------------------
+# The convergence bound's left side, the same in train and bounds
+# ---------------------------------------------------------------------------
+
+
+def test_mean_sq_grad_norm_sums_x0_to_x_t_minus_1():
+    records = [harness.StepRecord(t, 0.0, g, 0.0, 0.0) for t, g in ((1, 2.0), (2, 3.0))]
+    trace = harness.MetricsTrace(records, loss0=0.0, grad0_norm=1.0, seed=0)
+    assert trace.mean_sq_grad_norm == (1.0 + 4.0) / 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**{k: v for k, v in FULLKF.items() if k != "seed"}, "seeds": [5]},
+        SMALL_FULLKF,
+    ],
+    ids=["seeds-list", "small-fullkf"],
+)
+def test_train_and_bounds_report_one_mean_sq_grad_norm(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.delenv("DISK_SEED", raising=False)
+    cfg = write_config(tmp_path, config)
+    outdir = tmp_path / "out"
+    assert cli_main(["train", "--config", cfg, "--outdir", str(outdir)]) == 0
+    train = json.loads(capsys.readouterr().out)["mean_sq_grad_norm"]
+    assert cli_main(["bounds", "--config", cfg, "--trace", str(outdir / "trace.csv")]) == 0
+    bounds = json.loads(capsys.readouterr().out)["empirical_mean_sq_grad_norm"]
+    assert bounds == pytest.approx(train, rel=1e-12, abs=0)

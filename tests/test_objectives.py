@@ -15,7 +15,7 @@ from dpkf.objectives import (
     make_objective,
     two_point_grads,
 )
-from reference_methods import per_sample_grad, per_sample_loss
+from reference_methods import per_sample_grad, per_sample_loss, sample_of
 
 
 def two_point_per_sample_grad(obj, x, d_prev, gamma, kappa, sample):
@@ -118,7 +118,7 @@ def test_gradients_match_finite_differences(kind):
         for _ in range(trials_per_problem):
             x = rng.standard_normal(obj.dim)
             i = rng.integers(0, ds.n)
-            sample = ds.sample(i)
+            sample = sample_of(ds, i)
             g = per_sample_grad(obj, x, sample)
             g_fd = fd_gradient(obj, x, sample)
             denom = max(np.linalg.norm(g), 1e-8)
@@ -129,7 +129,7 @@ def test_interpolating_minimizer_has_zero_gradient():
     ds = gen_linear_regression(10, 3, 0.0, seed=2)
     obj = make_objective("linear-regression", 3)
     for i in range(ds.n):
-        g = per_sample_grad(obj, ds.theta_star, ds.sample(i))
+        g = per_sample_grad(obj, ds.theta_star, sample_of(ds, i))
         assert np.linalg.norm(g) < 1e-12
 
 
@@ -146,7 +146,7 @@ def test_dimension_mismatch_rejected():
 
 def test_two_point_kappa_one_is_plain_gradient():
     obj, ds, x = build("logistic-regression", 4, 0)
-    sample = ds.sample(0)
+    sample = sample_of(ds, 0)
     d_prev = np.ones(4)
     for gamma in (0.5, -1.0, 3.0):
         g = two_point_per_sample_grad(obj, x, d_prev, gamma, 1.0, sample)
@@ -166,7 +166,7 @@ def test_two_point_gamma_minus_one_identity():
     # a = -(1-kappa)/kappa, so the combination equals
     # (1/kappa) grad f(x) - ((1-kappa)/kappa) grad f(x - d_prev).
     obj, ds, x = build("logistic-regression", 4, 1)
-    sample = ds.sample(2)
+    sample = sample_of(ds, 2)
     d_prev = 0.3 * np.ones(4)
     kappa = 0.4
     g = two_point_per_sample_grad(obj, x, d_prev, -1.0, kappa, sample)
@@ -179,7 +179,7 @@ def test_two_point_gamma_minus_one_identity():
 def test_two_point_rejects_gamma_zero():
     obj, ds, x = build("linear-regression", 3, 0)
     with pytest.raises(ValueError):
-        two_point_per_sample_grad(obj, x, np.zeros(3), 0.0, 0.5, ds.sample(0))
+        two_point_per_sample_grad(obj, x, np.zeros(3), 0.0, 0.5, sample_of(ds, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_full_gradient_single_sample():
     ds = gen_linear_regression(1, 3, 0.1, seed=5)
     obj = make_objective("linear-regression", 3)
     x = np.array([0.1, -0.2, 0.3])
-    assert np.allclose(full_gradient(obj, x, ds), per_sample_grad(obj, x, ds.sample(0)), atol=1e-15)
+    assert np.allclose(full_gradient(obj, x, ds), per_sample_grad(obj, x, sample_of(ds, 0)), atol=1e-15)
 
 
 def test_full_gradient_batched_vs_streamed():
@@ -199,7 +199,7 @@ def test_full_gradient_batched_vs_streamed():
     batched = full_gradient(obj, x, ds)
     streamed = np.zeros(obj.dim)
     for i in range(ds.n):
-        streamed += per_sample_grad(obj, x, ds.sample(i))
+        streamed += per_sample_grad(obj, x, sample_of(ds, i))
     streamed /= ds.n
     assert np.abs(batched - streamed).max() <= 1e-12
 
