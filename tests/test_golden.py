@@ -5,7 +5,9 @@ CSV it writes is compared with a recorded hash. The ``calibrate`` commands
 write no file; the hash of their JSON report (noise multiplier, epsilon spent
 and the RDP value at every order) gates the accountant itself. The ``bounds``
 commands hash their JSON report the same way, which gates the problem
-constants (gap0, grad0_sq), the f* estimate and the bound evaluators. A refactor that keeps the
+constants (gap0, grad0_sq), the f* estimate and the bound evaluators. The
+``kalman-demo`` commands hash their stdout, which gates the predict/correct
+filter that the estimator-quality simulation runs. A refactor that keeps the
 trajectories keeps these hashes; a change that is meant to alter an output
 must say so and record the new hash. Tiny runs give the same bytes at 1 and
 2 BLAS threads.
@@ -274,3 +276,23 @@ def run_bounds(name: str, tmp_path, capsys) -> str:
 def test_bounds_report_bytes_unchanged(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DISK_SEED", raising=False)
     assert run_bounds(name, tmp_path, capsys) == BOUNDS_GOLDEN[name]
+
+
+# name -> argv of a ``kalman-demo`` command whose stdout is hashed
+KALMAN_DEMO_COMMANDS = {
+    "kalman-demo-dim3": ["--dim", "3", "--steps", "300", "--runs", "5", "--seed", "0"],
+    "kalman-demo-dim8": ["--dim", "8", "--steps", "300", "--runs", "4", "--seed", "2"],
+}
+
+KALMAN_DEMO_GOLDEN = {
+    "kalman-demo-dim3": "e15f9fb5852b6845d8f23103576142b8b29ce786033f1e12877226a5d55a6e6a",
+    "kalman-demo-dim8": "c5a50ce60403c7338c51ad923593b20f3eefef7a9ff6414ff13d52f1a2292fba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KALMAN_DEMO_COMMANDS))
+def test_kalman_demo_output_bytes_unchanged(name, capsys, monkeypatch):
+    monkeypatch.delenv("DISK_SEED", raising=False)
+    assert cli_main(["kalman-demo", *KALMAN_DEMO_COMMANDS[name]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == KALMAN_DEMO_GOLDEN[name]
