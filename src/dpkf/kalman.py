@@ -1,14 +1,16 @@
-"""Kalman filtering: the classic predict/correct recursion, a gain variant for
-noisy inputs with multiplicative observation noise, and the scalar-gain
-simplification chain with its closed-form fixed point.
+"""Kalman filtering: the classic predict/correct recursion (which the
+``kalman-demo`` simulation runs), a gain variant for noisy inputs with
+multiplicative observation noise, and the scalar-gain simplification chain
+with its closed-form fixed point.
 
-Covariances are symmetrised after every update, and the innovation solve
-checks positive definiteness and conditioning from the eigenvalues before it
-solves; ill-conditioning is surfaced, never silently regularised. The state
-dimension of a ``LinearSystem`` is capped at 64: the point of the scalar chain
-is precisely that the O(d^3) filter does not scale, so the cap keeps usage at
-demonstration scale. ``disk.full_filter_step`` (the ``full-kf`` algorithm)
-runs the scalar chain, ``scalar_gain_step``, at any dimension.
+Covariances are symmetrised whenever a ``KalmanState`` is built, and the
+innovation solve checks positive definiteness and conditioning from the
+eigenvalues before it solves; ill-conditioning is surfaced, never silently
+regularised. The state dimension of a ``LinearSystem`` is capped at 64: the
+point of the scalar chain is precisely that the O(d^3) filter does not scale,
+so the cap keeps usage at demonstration scale. ``disk.full_filter_step`` (the
+``full-kf`` algorithm) runs the scalar chain, ``scalar_gain_step``, at any
+dimension.
 
 Out of scope by design: nonlinear-system variants (extended/unscented filters)
 and state-space constructions that track the iterate or Hessian entries as
@@ -112,10 +114,11 @@ class KalmanState:
 
 
 def kf_predict(state: KalmanState, sys: LinearSystem, u: np.ndarray) -> KalmanState:
-    """Time update: theta' = A theta + u; P' = A P A^T + Sigma_v."""
+    """Time update of one state, or of a stack with one state per row:
+    theta' = A theta + u; P' = A P A^T + Sigma_v."""
     u = np.asarray(u, dtype=float)
-    theta = sys.A @ state.theta + u
-    P = _symmetrize(sys.A @ state.P @ sys.A.T + sys.Sigma_v)
+    theta = state.theta @ sys.A.T + u
+    P = sys.A @ state.P @ sys.A.T + sys.Sigma_v
     return replace(state, theta=theta, P=P)
 
 
@@ -126,8 +129,8 @@ def kf_correct(state: KalmanState, sys: LinearSystem, psi: np.ndarray) -> Kalman
     S = C @ state.P @ C.T + sys.Sigma_w
     # K = P C^T S^{-1}  ==  (S^{-1} C P)^T since P is symmetric
     K = _spd_solve(S, C @ state.P, "innovation covariance").T
-    theta = state.theta + K @ (psi - C @ state.theta)
-    P = _symmetrize((np.eye(sys.state_dim) - K @ C) @ state.P)
+    theta = state.theta + (psi - state.theta @ C.T) @ K.T
+    P = (np.eye(sys.state_dim) - K @ C) @ state.P
     return KalmanState(theta=theta, P=P, K=K)
 
 
@@ -276,7 +279,8 @@ def simulate_estimation(
 
     Compares the filter estimate against the raw observation mapped back
     through the observation pseudo-inverse. The system is shared across runs,
-    so P and K follow one deterministic recursion while states are vectorised.
+    so one ``KalmanState`` carries every run: ``kf_predict``/``kf_correct``
+    advance its one P and K, and its ``theta`` holds one row per trajectory.
     """
     rng = seeding.substream(seed, seeding.SYSTEM, "trajectories")
     d, m = sys.state_dim, sys.obs_dim
@@ -285,27 +289,19 @@ def simulate_estimation(
     C_pinv = np.linalg.pinv(sys.C_obs)
 
     theta = np.zeros((runs, d))
-    est = np.zeros((runs, d))
-    P = np.eye(d)
+    st = KalmanState(theta=np.zeros((runs, d)), P=np.eye(d))
     sq_raw = np.zeros(runs)
     sq_kf = np.zeros(runs)
     min_eig = math.inf
-    I = np.eye(d)
 
     for _ in range(steps):
         theta = theta @ sys.A.T + rng.standard_normal((runs, d)) @ Lv.T
         psi = theta @ sys.C_obs.T + rng.standard_normal((runs, m)) @ Lw.T
+        st = kf_correct(kf_predict(st, sys, 0.0), sys, psi)
 
-        est = est @ sys.A.T
-        P = _symmetrize(sys.A @ P @ sys.A.T + sys.Sigma_v)
-        S = sys.C_obs @ P @ sys.C_obs.T + sys.Sigma_w
-        K = _spd_solve(S, sys.C_obs @ P, "innovation covariance").T
-        est = est + (psi - est @ sys.C_obs.T) @ K.T
-        P = _symmetrize((I - K @ sys.C_obs) @ P)
-
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(P)[0]))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(st.P)[0]))
         sq_raw += ((psi @ C_pinv.T - theta) ** 2).sum(axis=1)
-        sq_kf += ((est - theta) ** 2).sum(axis=1)
+        sq_kf += ((st.theta - theta) ** 2).sum(axis=1)
 
     return [
         EstimationRun(

@@ -42,23 +42,17 @@ class BoundConstants:
     m_gamma: float
     m_one: float
     beta: float
+    contraction: float  # filter-error contraction factor; beta needs it < 1
 
 
 class ParameterConditionError(ValueError):
     """A step-size/filter-weight combination falls outside the valid region."""
 
 
-def _contraction(eta: float, kappa: float, gamma: float, L: float, m_gamma: float) -> float:
-    lead = abs(1.0 + gamma)
-    return (1.0 - kappa) ** 2 * (
-        1.0 + 4.0 * eta**2 * L**2 + lead * (kappa + 2.0 * eta**2 * L**2 * m_gamma)
-    )
-
-
 def convergence_constants(
     eta: float, kappa: float, gamma: float, L: float
 ) -> BoundConstants:
-    """Evaluate the bound constants (m_gamma, m_one, beta) for one setting.
+    """Evaluate the bound constants (m_gamma, m_one, beta, contraction).
 
     Raises when the filter-error contraction fails (beta's denominator
     1 - (1-kappa)^2 (1 + 4 eta^2 L^2 + |1+gamma|(kappa + 2 eta^2 L^2 m_gamma))
@@ -72,7 +66,9 @@ def convergence_constants(
         raise ParameterConditionError("need eta > 0 and L > 0")
     lead = abs(1.0 + gamma)
     m_gamma = 1.0 + 4.0 * (2.0 + 1.0 / kappa + lead) / gamma**2
-    A = _contraction(eta, kappa, gamma, L, m_gamma)
+    A = (1.0 - kappa) ** 2 * (
+        1.0 + 4.0 * eta**2 * L**2 + lead * (kappa + 2.0 * eta**2 * L**2 * m_gamma)
+    )
     denom = 1.0 - A
     if kappa == 1.0:
         beta = 0.0
@@ -85,7 +81,7 @@ def convergence_constants(
     m_one = (1.0 + kappa - 2.0 * eta * L) - 4.0 * (beta + eta**2 * L) * (
         1.0 - kappa
     ) ** 2 * L**2 * eta * (2.0 + lead * m_gamma)
-    return BoundConstants(m_gamma=m_gamma, m_one=m_one, beta=beta)
+    return BoundConstants(m_gamma=m_gamma, m_one=m_one, beta=beta, contraction=A)
 
 
 def parameter_report(eta: float, kappa: float, gamma: float, L: float) -> dict:
@@ -103,7 +99,7 @@ def parameter_report(eta: float, kappa: float, gamma: float, L: float) -> dict:
         report.update(valid=False, reason=str(exc))
         return report
     lead = abs(1.0 + gamma)
-    A = _contraction(eta, kappa, gamma, L, consts.m_gamma)
+    A = consts.contraction
     brake = 2.0 * L * (
         1.0 + 2.0 * (1.0 - kappa) ** 2 * consts.beta * L * (2.0 + lead * consts.m_gamma)
     )
@@ -138,9 +134,6 @@ class Thm2Bound:
     total: float
     transient: float  # vanishes like 1/T
     noise_floor: float
-
-    def __float__(self) -> float:
-        return self.total
 
 
 def convergence_bound(
@@ -195,7 +188,8 @@ def tuned_params(pc: ProblemConstants, sigma_dp: float, T: int) -> TunedParams:
     """Parameter rule for the gamma = -1 configuration.
 
     Evaluates the step-size min-rule, kappa = m_kappa L eta, the beta value,
-    the minimum batch size, and the minimum horizon; flags T below it.
+    the minimum batch size, and the minimum horizon; flags T below it. beta is
+    ``convergence_constants``' at gamma = -1, where the |1+gamma| terms vanish.
     """
     if sigma_dp <= 0:
         raise ValueError("the tuned rule needs sigma_dp > 0")
@@ -209,10 +203,7 @@ def tuned_params(pc: ProblemConstants, sigma_dp: float, T: int) -> TunedParams:
         ),
     )
     kappa = min(m_kappa * L * eta, 1.0)
-    shrink = (1.0 - kappa) ** 2 * (1.0 + 4.0 * eta**2 * L**2)
-    if shrink >= 1.0:
-        raise ParameterConditionError("tuned parameters fall outside the valid region")
-    beta = (eta * (1.0 - kappa) / 2.0 + eta**2 * L * shrink) / (1.0 - shrink)
+    beta = convergence_constants(eta, kappa, -1.0, L).beta
     B_min = max(1, math.ceil(2.0 * pc.sigma_sgd_sq / (d * sigma_dp**2)))
     T_min = (
         2.0 * L * pc.gap0 * (16.0 / m_kappa**3 + 16.0 / m_kappa**2 - 4.0 / m_kappa - 4.0)

@@ -73,6 +73,7 @@ def test_accepted_parameters_satisfy_coefficient_inequalities():
         beta, m_gamma = rep["beta"], rep["m_gamma"]
         lead = abs(1 + gamma)
         A = _contraction(eta, kappa, gamma, L, m_gamma)
+        assert rep["contraction"] == A
         assert beta >= 0
         assert rep["m_one"] > 0
         # (i) positive gradient-norm coefficient
@@ -85,6 +86,22 @@ def test_accepted_parameters_satisfy_coefficient_inequalities():
         slack = beta - eta * (1 - kappa) / 2 - (beta + eta**2 * L) * A
         assert slack >= -1e-12
         accepted += 1
+
+
+def test_tuned_beta_is_the_gamma_minus_one_closed_form():
+    # at gamma = -1 the contraction is (1-kappa)^2 (1 + 4 eta^2 L^2)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        L = float(rng.uniform(0.1, 10.0))
+        gap0 = float(rng.uniform(0.01, 10.0))
+        pc = ProblemConstants(
+            L=L, gap0=gap0, grad0_sq=float(rng.uniform(0.001, 1.0)) * 2 * L * gap0,
+            dim=int(rng.integers(1, 50)),
+        )
+        tp = tuned_params(pc, float(10 ** rng.uniform(-3, 1)), int(10 ** rng.uniform(0, 6)))
+        eta, kappa = tp.eta, tp.kappa
+        shrink = (1 - kappa) ** 2 * (1 + 4 * eta**2 * L**2)
+        assert tp.beta == (eta * (1 - kappa) / 2 + eta**2 * L * shrink) / (1 - shrink)
 
 
 def test_report_surfaces_both_clip_multipliers():
