@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import harness, privacy, theory
+from . import harness, kalman, privacy, theory
 from .disk import DiskConfig
 from .harness import ExperimentConfig
 
@@ -45,6 +45,33 @@ def _openblas_threads():
             if get is not None and put is not None:
                 return get, put  # int() and void(int): ctypes' defaults fit
     return None
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """Argument type: an integer in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not lo <= value <= hi:
+            span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """Argument type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _env_seed(default: int | None) -> int | None:
@@ -151,7 +178,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     }
     if args.clip is not None:
         report["clip"] = args.clip
-        if args.batch_size:
+        if args.batch_size is not None:
             # noise std on the batch-averaged clipped gradient (sensitivity S/B,
             # S = C, or 1 under normalized clipping)
             sensitivity = privacy.clip_sensitivity(args.clip_variant, args.clip)
@@ -162,10 +189,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     raw = _apply_overrides(_load_config(args.config), args)
-    # train's boundary checks on the keys a report reads, and train's seed
+    # train's boundary checks on the keys a report reads, and train's seed;
+    # B's default, the dataset size, is known once the problem is built
     cfg = ExperimentConfig(
         objective=raw["objective"], optimizer=DiskConfig(**raw.get("optimizer", {})),
         init_scale=raw.get("init_scale", 1.0), seeds=harness.config_seeds(raw),
+        T=raw.get("T", 100), B=raw.get("B", 1),
     )
     seed = cfg.seeds[0]
     obj, ds = harness.build_problem(cfg.objective, seed)
@@ -177,7 +206,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         obj, ds, x0, sigma_sgd_sq=raw.get("sigma_sgd_sq", 0.0), f_star=f_star
     )
     opt = cfg.optimizer
-    T = raw.get("T", 100)
+    T = cfg.T
     B = raw.get("B", ds.n)
     report: dict = {
         "constants": {
@@ -265,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--delta", type=float, required=True)
     p_cal.add_argument("--sampling-rate", dest="sampling_rate", type=float, required=True)
     p_cal.add_argument("--steps", type=int, required=True)
-    p_cal.add_argument("--clip", type=float)
-    p_cal.add_argument("--batch-size", dest="batch_size", type=int)
+    p_cal.add_argument("--clip", type=_positive_float)
+    p_cal.add_argument("--batch-size", dest="batch_size", type=_int_in(1))
     p_cal.add_argument(
         "--clip-variant", dest="clip_variant", default="standard",
         choices=("standard", "automatic", "normalized"),
@@ -279,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_kd = sub.add_parser("kalman-demo", help="estimator-quality simulation")
-    p_kd.add_argument("--dim", type=int, default=3)
-    p_kd.add_argument("--steps", type=int, default=10_000)
-    p_kd.add_argument("--runs", type=int, default=50)
+    p_kd.add_argument("--dim", type=_int_in(1, kalman.MAX_STATE_DIM), default=3)
+    p_kd.add_argument("--steps", type=_int_in(1), default=10_000)
+    p_kd.add_argument("--runs", type=_int_in(1), default=50)
     p_kd.add_argument("--seed", type=int, default=0)
     p_kd.set_defaults(func=cmd_kalman_demo)
     return parser

@@ -512,6 +512,26 @@ def test_cli_calibrate_sigma_dp_uses_clip_sensitivity(capsys):
         cli_main([*base, "--clip-variant", "none"])
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--clip", "0"), ("--clip", "-1"), ("--clip", "nan"), ("--clip", "inf"),
+        ("--batch-size", "0"), ("--batch-size", "-5"),
+    ],
+)
+def test_cli_calibrate_rejects_bad_clip_and_batch_size(flag, value, capsys):
+    argv = [
+        "calibrate", "--epsilon", "1.0", "--delta", "1e-5", "--sampling-rate", "0.1",
+        "--steps", "10", "--clip", "1.0", "--batch-size", "10",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_sweep_reads_negative_leading_lists(tmp_path, capsys):
     cfg = write_config(tmp_path, logistic_raw(T=3))
     outputs = []
@@ -537,6 +557,19 @@ def test_cli_kalman_demo_prints_csv(capsys):
     assert len(out) == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--steps", "0"), ("--runs", "0"), ("--dim", "0"), ("--dim", "65")],
+)
+def test_cli_kalman_demo_rejects_bad_sizes(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["kalman-demo", "--steps", "5", "--runs", "2", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bounds_reports_constants(tmp_path, capsys):
     raw = {
         "seed": 0,
@@ -558,8 +591,11 @@ def test_cli_bounds_reports_constants(tmp_path, capsys):
         ({"init_scale": -5.0}, "init_scale must be finite and > 0"),
         ({"optimizer": {"kappa": 2}}, r"kappa must lie in \(0, 1\]"),
         ({"optimizer": {"eta": math.nan}}, "eta must be finite"),
+        ({"T": 0}, "need T >= 1 and B >= 1"),
+        ({"B": 0}, "need T >= 1 and B >= 1"),
+        ({"T": -5}, "need T >= 1 and B >= 1"),
     ],
-    ids=["negative-init-scale", "kappa-2", "nan-eta"],
+    ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5"],
 )
 def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
     raw = {
