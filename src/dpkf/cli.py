@@ -323,7 +323,11 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in LIST_FLAGS and re.match(r"-\.?\d", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "calibrate" and args.batch_size is not None and args.clip is None:
+        # sigma_dp = z * S / B needs the clip's sensitivity S
+        parser.error("calibrate: argument --batch-size: needs --clip to report sigma_dp")
     blas = _openblas_threads()
     if blas is None:
         return args.func(args)

@@ -38,8 +38,7 @@ from .privacy import (
     calibrate_noise_multiplier,
     clip_sensitivity,
     delta_convention,
-    epsilon_schedule,
-    subsampled_curve,
+    spend_schedule,
 )
 
 
@@ -260,12 +259,12 @@ def _resolve_privacy(
 
 def _epsilon_schedule(
     opt: DiskConfig, delta: float | None, q: float, B: int, T: int
-) -> list[float]:
+) -> tuple[float, ...]:
     """Budget spent after 1..T steps; inf when the run is not clipped/noised."""
     if opt.clip_variant == "none" or opt.sigma_dp <= 0 or delta is None:
-        return [math.inf] * T
+        return (math.inf,) * T
     z = opt.sigma_dp * B / clip_sensitivity(opt.clip_variant, opt.clip)
-    return epsilon_schedule(subsampled_curve(q, z), T, delta)
+    return spend_schedule(q, z, T, delta)
 
 
 def run_experiment(
@@ -414,7 +413,8 @@ def sweep_kappa_gamma(
 
     Cells differ only in kappa and gamma, so they share each seed's problem,
     built once, and with a privacy target one budget: sigma_dp is calibrated
-    once and every cell runs with it.
+    once and every cell runs with it. Every run shares one epsilon schedule
+    (``privacy.spend_schedule``).
     """
     if cfg.epsilon_target is not None:
         opt, delta, _ = _resolve_privacy(cfg, _dataset_size(cfg.objective, cfg.B))

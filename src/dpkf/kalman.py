@@ -196,7 +196,7 @@ def scalar_gain_step(s: ScalarGainState) -> ScalarGainState:
     numer = s.p + s.sigma_h_sq + s.sigma_v_sq
     k = numer / denom
     p = (s.sigma_w_sq - s.sigma_h_sq) * numer / denom
-    return replace(s, p=p, k=k)
+    return ScalarGainState(p, k, s.sigma_h_sq, s.sigma_v_sq, s.sigma_w_sq)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpkf import harness
+from dpkf import harness, privacy
 from dpkf.cli import main as cli_main
 from dpkf.harness import (
     COMPARISON_HEADER,
@@ -367,6 +367,32 @@ def test_sweep_with_privacy_target_equals_cell_by_cell_runs(monkeypatch):
         assert len(calls) == 1  # the cells share one calibration
 
 
+def test_privacy_target_sweep_builds_terms_and_schedule_once(monkeypatch):
+    builds, schedules = [], []
+
+    class CountedTerms(privacy._BinomialTerms):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    schedule = privacy.epsilon_schedule
+    monkeypatch.setattr(privacy, "_BinomialTerms", CountedTerms)
+    monkeypatch.setattr(
+        privacy, "epsilon_schedule", lambda *a: schedules.append(a) or schedule(*a)
+    )
+    raw = logistic_raw(seeds=[1, 2], privacy={"epsilon": 2.5}, T=5)
+    del raw["optimizer"]["sigma_dp"]
+    privacy._binomial_terms.cache_clear()
+    privacy.spend_schedule.cache_clear()
+    try:
+        sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], ExperimentConfig.from_dict(raw))
+    finally:
+        privacy._binomial_terms.cache_clear()
+        privacy.spend_schedule.cache_clear()
+    assert len(builds) == 1  # calibration and all 8 runs' schedule
+    assert len(schedules) == 1
+
+
 def test_sweep_builds_each_seed_problem_once(monkeypatch):
     calls = []
     build = harness.build_problem
@@ -529,6 +555,19 @@ def test_cli_calibrate_rejects_bad_clip_and_batch_size(flag, value, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_calibrate_rejects_batch_size_without_clip(capsys):
+    argv = [
+        "calibrate", "--epsilon", "1.0", "--delta", "1e-5", "--sampling-rate", "0.1",
+        "--steps", "10", "--batch-size", "5",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--batch-size" in captured.err and "--clip" in captured.err
     assert captured.out == ""
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dpkf import privacy
 from dpkf.privacy import (
     DEFAULT_ORDERS,
     PrivacyError,
@@ -302,12 +304,73 @@ def test_rdp_curve_bit_identical_to_loop(q, sigma):
 @pytest.mark.parametrize(
     "eps, delta, q, steps",
     [(1.0, 1e-5, 0.01, 1000), (4.0, 1e-6, 0.2, 50), (0.5, 1e-5, 1.0, 10),
-     (8.0, 1e-5, 0.0128, 60)],
+     (8.0, 1e-5, 0.0128, 60),
+     # the train-logreg and sweep-mlp benchmark shapes
+     (2.7, 5000**-1.1, 64 / 5000, 60), (5.3, 500**-1.1, 64 / 500, 20)],
 )
 def test_calibration_bit_identical_to_loop_bisection(eps, delta, q, steps):
     assert calibrate_noise_multiplier(eps, delta, q, steps) == calibrate_loop(
         eps, delta, q, steps
     )
+
+
+def _nudge(x, ulps):
+    """x moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.floats(1e-4, 1.0, exclude_min=True),
+    sigma=st.floats(1e-4, 1e3, exclude_min=True, exclude_max=True),
+    steps=st.integers(1, 10**6),
+    delta=st.floats(1e-9, 1e-3, exclude_min=True, exclude_max=True),
+    ulps=st.integers(-4, 4),
+    rel=st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-3, -1e-3]),
+)
+def test_probe_decision_matches_exact_spend(q, sigma, steps, delta, ulps, rel):
+    terms = privacy._BinomialTerms(q, DEFAULT_ORDERS)
+    curve = terms.curve(sigma)
+    spend = compose_and_convert(curve, steps, delta)
+    target = _nudge(spend * (1.0 + rel), ulps)
+    at_most = privacy._spend_test(terms, steps, delta, target)
+    assert at_most(sigma) == (spend <= target)
+    shifts = privacy._order_shifts(DEFAULT_ORDERS, steps, delta)
+    v, m = terms.composed(sigma, steps, shifts)
+    for i, alpha in enumerate(DEFAULT_ORDERS):
+        assert abs(v[i] - (steps * curve[alpha] + shifts[i])) <= m[i], alpha
+
+
+def test_calibration_probes_rarely_run_the_exact_sum(monkeypatch):
+    calls = []
+    values = privacy._BinomialTerms.values
+    monkeypatch.setattr(
+        privacy._BinomialTerms, "values", lambda self, s: calls.append(s) or values(self, s)
+    )
+    rng = random.Random(0)
+    for n, steps in ((5000, 60), (500, 20)):  # train-logreg, sweep-mlp
+        calls.clear()
+        for _ in range(20):
+            calibrate_noise_multiplier(rng.uniform(1.0, 8.0), n**-1.1, 64 / n, steps)
+        assert len(calls) - 20 < 20  # one exact spend each is the final check
+
+
+def test_calibration_checks_its_result_against_the_exact_spend(monkeypatch):
+    # the bracket's early exit below sigma = 1e-12 returns a sigma it never
+    # tested; at this target its spend is 1.8e24
+    with pytest.raises(PrivacyError, match="exceeds the target"):
+        calibrate_noise_multiplier(1e24, 1e-5, 0.5, 1)
+    composed = privacy._BinomialTerms.composed
+
+    def optimistic(self, sigma, steps, shifts):
+        v, m = composed(self, sigma, steps, shifts)
+        return v - 0.1, m
+
+    monkeypatch.setattr(privacy._BinomialTerms, "composed", optimistic)
+    with pytest.raises(PrivacyError, match="exceeds the target"):
+        calibrate_noise_multiplier(2.0, 1e-5, 0.05, 100)
 
 
 def test_rdp_subsampled_rejects_low_orders():
