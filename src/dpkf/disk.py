@@ -4,9 +4,15 @@ One step: combine per-sample gradients at two points (x and a lookahead
 x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
 feed the filtered gradient to a base optimizer (sgd, momentum, adam, adamw).
-The mean sums clip factor times row in row order, with no clipped copy; an
-unclipped step at x alone (kappa = 1 or ``two_point=False``) takes
-``Objective.mean_grad`` and no per-sample matrix. Both keep the mean's bits.
+Every step observes through ``_observe``, which never forms a (B, d) matrix:
+``Objective.grad_factors`` gives the rows as per-row coefficients times
+features, the two points combine in the coefficients (the features x_i are
+shared), row norms come from the factors, ``privacy.clip_factored`` gives the
+clip factors, and the weighted rows are summed in row order. Unclipped at x
+alone it is ``Objective.mean_grad``, bit for bit. Clipped or two-point
+observations moved in the last bits when the per-sample matrix went: the
+factor now multiplies the coefficient, not each product c_i x_ij, and the
+norm is |c_i| ||x_i||.
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -31,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kalman import ScalarGainState, scalar_gain_step
-from .objectives import Objective, _row_mean, two_point_grads
-from .privacy import clip_factors
+from .objectives import Objective
+from .privacy import clip_factored
 
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
 BASE_OPTIMIZERS = ("sgd", "momentum", "adam", "adamw")
@@ -163,48 +169,37 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
 # ---------------------------------------------------------------------------
 
 
-def _privatise(g: np.ndarray, cfg: DiskConfig, rng: np.random.Generator) -> np.ndarray:
+def _observe(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int, ahead=None, a=0.0):
+    """The privatised observation: the per-sample gradients at x, or their
+    combination a * grad(ahead) + (1 - a) * grad(x), clipped, averaged in row
+    order and noised, all from ``obj.grad_factors``. Unclipped at x alone it
+    is ``obj.mean_grad``. Aborts on an empty batch or a non-finite mean."""
+    if len(batch[0]) == 0:
+        raise ValueError("batch must be non-empty")
+    fac = obj.grad_factors(x, *batch, ahead, a)
+    weights = None
+    if cfg.clip_variant != "none":
+        fac.coefs, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
+    g = fac.mean(weights)
+    if not np.isfinite(g).all():
+        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
+        raise FloatingPointError(
+            f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
+            f"components ({bad} non-finite per-sample gradient factors)"
+        )
     if cfg.sigma_dp > 0:
         g = g + cfg.sigma_dp * rng.standard_normal(g.shape[0])
     return g
-
-
-def _observe(G: np.ndarray, cfg: DiskConfig, rng: np.random.Generator, t: int) -> np.ndarray:
-    """Clip per-sample rows, average, add DP noise; abort on an empty batch
-    or non-finite input. ``_row_mean`` of the clip factors (1 when unclipped)
-    and the rows has the bits of ``clip_batch(G).mean(axis=0)`` for C-ordered G."""
-    if len(G) == 0:
-        raise ValueError("batch must be non-empty")
-    if not np.isfinite(G).all():
-        bad = int(np.count_nonzero(~np.isfinite(G)))
-        raise FloatingPointError(
-            f"step {t}: {bad} non-finite per-sample gradient components "
-            f"(max |finite| entry {np.nanmax(np.abs(G[np.isfinite(G)]), initial=0.0):.3g})"
-        )
-    rows, factors = clip_factors(G, cfg.clip, cfg.clip_variant)
-    return _privatise(_row_mean(np.ones(len(G)) if factors is None else factors, rows), cfg, rng)
-
-
-def _observe_at(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int) -> np.ndarray:
-    """The observation at x alone. Unclipped, it is ``obj.mean_grad``; a
-    non-finite gradient entry makes that in-order mean non-finite, so it is checked."""
-    if cfg.clip_variant != "none" or len(batch[0]) == 0:  # _observe rejects an empty batch
-        return _observe(obj.per_sample_grads(x, *batch), cfg, rng, t)
-    g = obj.mean_grad(x, *batch)
-    if not np.isfinite(g).all():
-        bad = int(np.count_nonzero(~np.isfinite(g)))
-        raise FloatingPointError(f"step {t}: {bad} non-finite mean gradient components")
-    return _privatise(g, cfg, rng)
 
 
 def _filtered_step(state, batch, obj, cfg, rng, kappa: float, gamma: float) -> DiskState:
     """The step at weight ``kappa`` and lookahead ``gamma``, the rest from ``cfg``."""
     x = state.x
     if cfg.two_point and kappa != 1.0:
-        G = two_point_grads(obj, x, state.d_prev, gamma, kappa, *batch)
-        g = _observe(G, cfg, rng, state.t)
+        a = (1.0 - kappa) / (kappa * gamma)
+        g = _observe(obj, x, batch, cfg, rng, state.t, x + gamma * state.d_prev, a)
     else:
-        g = _observe_at(obj, x, batch, cfg, rng, state.t)
+        g = _observe(obj, x, batch, cfg, rng, state.t)
 
     if kappa == 1.0:
         g_filt = g
@@ -239,7 +234,7 @@ def dpsgd_step(
     rng: np.random.Generator,
 ) -> DiskState:
     """Plain DP-SGD: clip per-sample gradients, average, privatise, step."""
-    g = _observe_at(obj, state.x, batch, cfg, rng, state.t)
+    g = _observe(obj, state.x, batch, cfg, rng, state.t)
     x_new = state.x - cfg.eta * g
     return DiskState(
         x=x_new, g_filt=g, d_prev=x_new - state.x, moments=state.moments, t=state.t + 1

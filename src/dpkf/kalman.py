@@ -3,12 +3,13 @@
 multiplicative observation noise, and the scalar-gain simplification chain
 with its closed-form fixed point.
 
-Covariances are symmetrised whenever a ``KalmanState`` is built, and the
-innovation solve checks positive definiteness and conditioning from the
-eigenvalues before it solves; ill-conditioning is surfaced, never silently
-regularised. The state dimension of a ``LinearSystem`` is capped at 64: the
-point of the scalar chain is precisely that the O(d^3) filter does not scale,
-so the cap keeps usage at demonstration scale. ``disk.full_filter_step`` (the
+Covariances are symmetrised by each predict/correct step and whenever a
+``KalmanState`` is built, and the innovation solve checks positive
+definiteness and conditioning from the eigenvalues before it solves;
+ill-conditioning is surfaced, never silently regularised. The state
+dimension of a ``LinearSystem`` is capped at 64: the point of the scalar
+chain is precisely that the O(d^3) filter does not scale, so the cap keeps
+usage at demonstration scale. ``disk.full_filter_step`` (the
 ``full-kf`` algorithm) runs the scalar chain, ``scalar_gain_step``, at any
 dimension.
 
@@ -92,6 +93,7 @@ class LinearSystem:
             raise ValueError("observation matrix has inconsistent state dimension")
         self.Sigma_v = _as_cov(self.Sigma_v, d, "Sigma_v")
         self.Sigma_w = _as_cov(self.Sigma_w, self.C_obs.shape[0], "Sigma_w")
+        self._eye = np.eye(d)  # kf_correct's I, built once
 
     @property
     def state_dim(self) -> int:
@@ -113,24 +115,28 @@ class KalmanState:
         self.P = _symmetrize(np.asarray(self.P, dtype=float))
 
 
+def _predict(theta, P, sys: LinearSystem, u):
+    return theta @ sys.A.T + u, _symmetrize(sys.A @ P @ sys.A.T + sys.Sigma_v)
+
+
+def _correct(theta, P, sys: LinearSystem, psi):
+    C = sys.C_obs
+    S = C @ P @ C.T + sys.Sigma_w
+    # K = P C^T S^{-1}  ==  (S^{-1} C P)^T since P is symmetric
+    K = _spd_solve(S, C @ P, "innovation covariance").T
+    return theta + (psi - theta @ C.T) @ K.T, _symmetrize((sys._eye - K @ C) @ P), K
+
+
 def kf_predict(state: KalmanState, sys: LinearSystem, u: np.ndarray) -> KalmanState:
     """Time update of one state, or of a stack with one state per row:
     theta' = A theta + u; P' = A P A^T + Sigma_v."""
-    u = np.asarray(u, dtype=float)
-    theta = state.theta @ sys.A.T + u
-    P = sys.A @ state.P @ sys.A.T + sys.Sigma_v
+    theta, P = _predict(state.theta, state.P, sys, np.asarray(u, dtype=float))
     return replace(state, theta=theta, P=P)
 
 
 def kf_correct(state: KalmanState, sys: LinearSystem, psi: np.ndarray) -> KalmanState:
     """Measurement update with gain K = P C^T (C P C^T + Sigma_w)^{-1}."""
-    psi = np.asarray(psi, dtype=float)
-    C = sys.C_obs
-    S = C @ state.P @ C.T + sys.Sigma_w
-    # K = P C^T S^{-1}  ==  (S^{-1} C P)^T since P is symmetric
-    K = _spd_solve(S, C @ state.P, "innovation covariance").T
-    theta = state.theta + (psi - state.theta @ C.T) @ K.T
-    P = (np.eye(sys.state_dim) - K @ C) @ state.P
+    theta, P, K = _correct(state.theta, state.P, sys, np.asarray(psi, dtype=float))
     return KalmanState(theta=theta, P=P, K=K)
 
 
@@ -279,8 +285,9 @@ def simulate_estimation(
 
     Compares the filter estimate against the raw observation mapped back
     through the observation pseudo-inverse. The system is shared across runs,
-    so one ``KalmanState`` carries every run: ``kf_predict``/``kf_correct``
-    advance its one P and K, and its ``theta`` holds one row per trajectory.
+    so one state carries every run: the recursion of ``kf_predict`` and
+    ``kf_correct`` advances its one P, with one row of theta per trajectory,
+    as bare arrays (no ``KalmanState`` per step).
     """
     rng = seeding.substream(seed, seeding.SYSTEM, "trajectories")
     d, m = sys.state_dim, sys.obs_dim
@@ -289,7 +296,7 @@ def simulate_estimation(
     C_pinv = np.linalg.pinv(sys.C_obs)
 
     theta = np.zeros((runs, d))
-    st = KalmanState(theta=np.zeros((runs, d)), P=np.eye(d))
+    theta_kf, P = np.zeros((runs, d)), np.eye(d)
     sq_raw = np.zeros(runs)
     sq_kf = np.zeros(runs)
     min_eig = math.inf
@@ -297,11 +304,11 @@ def simulate_estimation(
     for _ in range(steps):
         theta = theta @ sys.A.T + rng.standard_normal((runs, d)) @ Lv.T
         psi = theta @ sys.C_obs.T + rng.standard_normal((runs, m)) @ Lw.T
-        st = kf_correct(kf_predict(st, sys, 0.0), sys, psi)
+        theta_kf, P, _ = _correct(*_predict(theta_kf, P, sys, 0.0), sys, psi)
 
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(st.P)[0]))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(P)[0]))
         sq_raw += ((psi @ C_pinv.T - theta) ** 2).sum(axis=1)
-        sq_kf += ((st.theta - theta) ** 2).sum(axis=1)
+        sq_kf += ((theta_kf - theta) ** 2).sum(axis=1)
 
     return [
         EstimationRun(

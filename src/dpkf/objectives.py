@@ -5,8 +5,14 @@ regression, and a tiny one-hidden-layer MLP. Gradients are analytic (no
 autodiff); each kind is exercised against a finite-difference oracle in the
 test suite. Per-sample evaluation is vectorised over the batch with a fixed
 accumulation order, so results are bit-reproducible for a given seed.
-``mean_grad`` averages the gradients without forming the per-sample matrix
-and gives the same bits as ``per_sample_grads(...).mean(axis=0)``.
+``grad_factors`` gives a batch's gradients without the (n, d) matrix: c_i x_i
+for the linear models, d_pre_i (x) [x_i, 1] and r_i [h_i, 1] for the MLP and
+one shared vector for the quadratic. Two points combine in the coefficients,
+where the features are shared (the MLP's small second block, whose h_i moves,
+combines densely); that and the clip factor multiplying c_i rather than each
+entry moved clipped and two-point observations in the last bits.
+``mean_grad`` is their unit-weight mean, with the bits of
+``per_sample_grads(...).mean(axis=0)``.
 
 ``loss_and_mean_grad`` shares one forward pass (residual, margins, or hidden
 layer and residual) between the two and applies the same operations to it, so
@@ -15,6 +21,8 @@ it is ``==`` to ``(full_loss, mean_grad)``.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +81,38 @@ def _row_mean(w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", w, np.ascontiguousarray(X)) / len(X)
 
 
+@dataclass
+class GradFactors:
+    """A batch's per-sample gradients, factored: block b of row i is the
+    flattened coefs[b][i] (x) feats[b][i]; a feats entry of one row is shared
+    by every row. ``pack`` lays blocks out in the parameter order."""
+
+    coefs: list[np.ndarray]
+    feats: list[np.ndarray]
+    pack: Callable = functools.partial(np.concatenate, axis=-1)
+
+    def rows(self) -> np.ndarray:
+        """The (B, d) matrix of the rows."""
+        B = len(self.coefs[0])
+        return self.pack([(c[:, :, None] * f[:, None, :]).reshape(B, -1)
+                          for c, f in zip(self.coefs, self.feats)])
+
+    def mean(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """Mean of the rows times ``weights`` (1 when None), summed in row order
+        without the rows. A shared row's own mean over the batch gives the bits
+        of the mean of its repeats."""
+        means = []
+        for c, f in zip(self.coefs, self.feats):
+            c = c if weights is None else weights[:, None] * c
+            if len(f) < len(c):
+                means.append(np.broadcast_to(f[0], (len(c), f.shape[1])).mean(axis=0) * c.mean())
+            elif c.shape[1] == 1:
+                means.append(_row_mean(c[:, 0], f))
+            else:
+                means.append(np.einsum("ik,im->km", c, f) / len(c))
+        return self.pack(means)
+
+
 def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
     """sigmoid(-m), stable on both tails, with one exp and one division.
 
@@ -122,14 +162,19 @@ class Objective:
     def per_sample_losses(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def per_sample_grads(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def grad_factors(self, x, X, y, ahead=None, a: float = 0.0) -> GradFactors:
+        """The per-sample gradients at x, or their two-point combination
+        a * grad(ahead) + (1 - a) * grad(x), in factored form."""
         raise NotImplementedError
 
+    def per_sample_grads(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The (n, d) matrix of per-sample gradients: the tests' reference."""
+        return self.grad_factors(x, X, y).rows()
+
     def mean_grad(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mean of the per-sample gradients. An override skips the (n, d)
-        matrix and keeps the bits of ``per_sample_grads(x, X, y).mean(axis=0)``
-        for C-contiguous X."""
-        return self.per_sample_grads(x, X, y).mean(axis=0)
+        """Mean of the per-sample gradients, from their factors; the bits of
+        ``per_sample_grads(x, X, y).mean(axis=0)`` for C-contiguous X."""
+        return self.grad_factors(x, X, y).mean()
 
     def loss_and_mean_grad(self, x, X, y) -> tuple[float, np.ndarray]:
         """``(float(per_sample_losses(...).mean()), mean_grad(...))``, the same
@@ -176,10 +221,11 @@ class Quadratic(Objective):
         val = 0.5 * float(r @ self.H @ r)
         return np.full(len(X), val)
 
-    def per_sample_grads(self, x, X, y):
-        x = self._check_dim(x)
-        g = self.H @ (x - self.x_star)
-        return np.tile(g, (len(X), 1))
+    def grad_factors(self, x, X, y, ahead=None, a=0.0):
+        g = self.H @ (self._check_dim(x) - self.x_star)
+        if ahead is not None:
+            g = a * (self.H @ (self._check_dim(ahead) - self.x_star)) + (1.0 - a) * g
+        return GradFactors([np.ones((len(X), 1))], [g[None, :]])
 
     def smoothness(self, dataset=None):
         return float(np.linalg.eigvalsh(self.H)[-1])
@@ -192,44 +238,53 @@ class Quadratic(Objective):
         return Dataset(X=np.zeros((n, 1)), y=np.zeros(n))
 
 
-class LinearRegression(Objective):
-    """Squared loss f(x; (a, y)) = 0.5 (<a, x> - y)^2."""
+class _GeneralisedLinear(Objective):
+    """A loss of <a, x>: the per-sample gradient is c_i a_i, with c_i the
+    loss's derivative in <a_i, x>, and its smoothness ``curvature`` times
+    the top eigenvalue of the second moment of a."""
 
-    kind = "linear-regression"
+    curvature = 1.0
 
     def __init__(self, dim: int):
         self.dim = dim
 
-    def _residual(self, x, X, y):
-        return X @ self._check_dim(x) - y
+    def _coef(self, x, X, y):
+        raise NotImplementedError
 
-    def per_sample_losses(self, x, X, y):
-        return 0.5 * self._residual(x, X, y) ** 2
-
-    def per_sample_grads(self, x, X, y):
-        return self._residual(x, X, y)[:, None] * X
-
-    def mean_grad(self, x, X, y):
-        return _row_mean(self._residual(x, X, y), X)
-
-    def loss_and_mean_grad(self, x, X, y):
-        r = self._residual(x, X, y)
-        return float((0.5 * r**2).mean()), _row_mean(r, X)
+    def grad_factors(self, x, X, y, ahead=None, a=0.0):
+        c = self._coef(x, X, y)
+        if ahead is not None:
+            c = a * self._coef(ahead, X, y) + (1.0 - a) * c
+        return GradFactors([c[:, None]], [X])
 
     def smoothness(self, dataset=None):
         if dataset is None:
             return None
         second_moment = dataset.X.T @ dataset.X / dataset.n
-        return float(np.linalg.eigvalsh(second_moment)[-1])
+        return float(np.linalg.eigvalsh(second_moment)[-1]) * self.curvature
 
 
-class LogisticRegression(Objective):
+class LinearRegression(_GeneralisedLinear):
+    """Squared loss f(x; (a, y)) = 0.5 (<a, x> - y)^2."""
+
+    kind = "linear-regression"
+
+    def _coef(self, x, X, y):
+        return X @ self._check_dim(x) - y
+
+    def per_sample_losses(self, x, X, y):
+        return 0.5 * self._coef(x, X, y) ** 2
+
+    def loss_and_mean_grad(self, x, X, y):
+        r = self._coef(x, X, y)
+        return float((0.5 * r**2).mean()), _row_mean(r, X)
+
+
+class LogisticRegression(_GeneralisedLinear):
     """Logistic loss with labels in {-1, +1}: f = log(1 + exp(-y <a, x>))."""
 
     kind = "logistic-regression"
-
-    def __init__(self, dim: int):
-        self.dim = dim
+    curvature = 0.25
 
     def _margins(self, x, X, y):
         return y * (X @ self._check_dim(x))
@@ -239,24 +294,15 @@ class LogisticRegression(Objective):
         """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), m_i = y_i <a_i, x>."""
         return -y * _sigmoid_neg(m)
 
+    def _coef(self, x, X, y):
+        return self._weights(self._margins(x, X, y), y)
+
     def per_sample_losses(self, x, X, y):
         return np.logaddexp(0.0, -self._margins(x, X, y))
-
-    def per_sample_grads(self, x, X, y):
-        return self._weights(self._margins(x, X, y), y)[:, None] * X
-
-    def mean_grad(self, x, X, y):
-        return _row_mean(self._weights(self._margins(x, X, y), y), X)
 
     def loss_and_mean_grad(self, x, X, y):
         m = self._margins(x, X, y)
         return float(np.logaddexp(0.0, -m).mean()), _row_mean(self._weights(m, y), X)
-
-    def smoothness(self, dataset=None):
-        if dataset is None:
-            return None
-        second_moment = dataset.X.T @ dataset.X / dataset.n
-        return float(np.linalg.eigvalsh(second_moment)[-1]) / 4.0
 
 
 class TinyMLP(Objective):
@@ -303,28 +349,28 @@ class TinyMLP(Objective):
         d_pre = (r[:, None] * w2[None, :]) * (1.0 - hidden**2)
         return hidden, r, d_pre
 
-    def per_sample_grads(self, x, X, y):
+    def grad_factors(self, x, X, y, ahead=None, a=0.0):
+        # W1, b1 are d_pre (x) [x_i, 1]; w2, b2 are r [h_i, 1], kept dense as
+        # h_i differs between the two points. The ones columns give the bias
+        # sums and keep every einsum two columns wide.
         hidden, r, d_pre = self._backprop(self._check_dim(x), X, y)
-        d_W1 = d_pre[:, :, None] * X[:, None, :]
-        B = len(X)
-        return np.concatenate(
-            [d_W1.reshape(B, -1), d_pre, r[:, None] * hidden, r[:, None]], axis=1
-        )
+        dense = r[:, None] * _with_ones(hidden)
+        if ahead is not None:
+            h_a, r_a, d_a = self._backprop(self._check_dim(ahead), X, y)
+            d_pre = a * d_a + (1.0 - a) * d_pre
+            dense = a * (r_a[:, None] * _with_ones(h_a)) + (1.0 - a) * dense
+        return GradFactors([d_pre, np.ones((len(X), 1))], [_with_ones(X), dense], self._pack)
 
-    @staticmethod
-    def _mean_of_backprop(X, hidden, r, d_pre):
-        # Row-ordered sums as in ``_row_mean``; the ones columns give the bias
-        # sums and keep every einsum at least two columns wide.
-        d_W1_b1 = np.einsum("ih,ip->hp", d_pre, _with_ones(X))
-        d_w2_b2 = np.einsum("i,ih->h", r, _with_ones(hidden))
-        return np.concatenate([d_W1_b1[:, :-1].ravel(), d_W1_b1[:, -1], d_w2_b2]) / len(X)
-
-    def mean_grad(self, x, X, y):
-        return self._mean_of_backprop(X, *self._backprop(self._check_dim(x), X, y))
+    def _pack(self, blocks):
+        # blocks of means, or of rows with a leading batch axis
+        lead = blocks[1].shape[:-1]
+        W1_b1 = blocks[0].reshape(*lead, self.hidden, self.in_dim + 1)
+        return np.concatenate([W1_b1[..., :-1].reshape(*lead, -1), W1_b1[..., -1], blocks[1]], axis=-1)
 
     def loss_and_mean_grad(self, x, X, y):
-        hidden, r, d_pre = self._backprop(self._check_dim(x), X, y)
-        return float((0.5 * r**2).mean()), self._mean_of_backprop(X, hidden, r, d_pre)
+        fac = self.grad_factors(x, X, y)
+        r = fac.feats[1][:, -1]  # the ones column of r [h_i, 1]
+        return float((0.5 * r**2).mean()), fac.mean()
 
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
         rng = seeding.substream(seed, seeding.INIT)

@@ -78,19 +78,37 @@ class RdpCurve:
 # ---------------------------------------------------------------------------
 
 
+def clip_rule(norms: np.ndarray, C: float | None, variant: str, cap=1.0) -> np.ndarray:
+    """Per-row factors for rows of the given norms: min{cap, C/||g||}
+    (standard), C/||g|| with 0 kept at 0 (automatic), min{C/||g||, cap}/C
+    (normalized). ``cap`` is 1, or 2^e for a row clipped as 2^-e g."""
+    if C is None or C <= 0:
+        raise PrivacyError("clip threshold must be > 0 for clipping variants")
+    safe = np.where(norms > 0, norms, 1.0)
+    if variant == "standard":
+        return np.minimum(cap, C / safe)
+    if variant == "automatic":
+        return np.where(norms > 0, C / safe, 0.0)
+    if variant == "normalized":
+        return np.minimum(C / safe, cap) / C
+    raise PrivacyError(f"unknown clip variant: {variant!r}")
+
+
+def _top_exponent(A: np.ndarray) -> np.ndarray:
+    """e with 2^e <= max |entry| < 2^(e+1), row by row; -2^16 for a zero row."""
+    top = np.abs(A).max(axis=1)
+    return np.where(top > 0, np.frexp(top)[1] - 1, -(2**16))
+
+
 def clip_factors(
     G: np.ndarray, C: float | None, variant: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows and per-row factors of a (B, d) matrix; ``clip_batch`` is their product.
-
-    The factors are min{1, C/||g||} (standard), C/||g|| with 0 kept at 0
-    (automatic), min{C/||g||, 1}/C (normalized), and None for "none". The rows
-    are G, or a copy in which only rows whose squared norm overflows are rescaled.
+    """Rows and per-row ``clip_rule`` factors of a (B, d) matrix, None for
+    "none"; ``clip_batch`` is their product. The rows are G, or a copy in
+    which only rows whose squared norm overflows are rescaled.
     """
     if variant == "none":
         return G, None
-    if C is None or C <= 0:
-        raise PrivacyError("clip threshold must be > 0 for clipping variants")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(G, axis=1)
     cap = 1.0
@@ -99,22 +117,45 @@ def clip_factors(
         # The squared norm overflowed. Write such a row as 2^e u with its
         # largest entry of u in [1, 2) and clip u instead: the factor
         # 2^e min{1, C/||g||} is min{2^e, C/||u||}.
-        e = np.frexp(np.abs(G[huge]).max(axis=1))[1] - 1
+        e = _top_exponent(G[huge])
         G = G.copy()
         G[huge] = np.ldexp(G[huge], -e[:, None])
         norms[huge] = np.linalg.norm(G[huge], axis=1)
         cap = np.ones(len(G))
         cap[huge] = np.ldexp(1.0, e)
-    safe = np.where(norms > 0, norms, 1.0)
-    if variant == "standard":
-        factors = np.minimum(cap, C / safe)
-    elif variant == "automatic":
-        factors = np.where(norms > 0, C / safe, 0.0)
-    elif variant == "normalized":
-        factors = np.minimum(C / safe, cap) / C
-    else:
-        raise PrivacyError(f"unknown clip variant: {variant!r}")
-    return G, factors
+    return G, clip_rule(norms, C, variant, cap)
+
+
+def _row_sq(A: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, A)
+
+
+def clip_factored(
+    coefs: list, feats: list, C: float | None, variant: str
+) -> tuple[list, np.ndarray]:
+    """``clip_factors`` for per-sample gradients in factored form, block b of
+    row i being coefs[b][i] (x) feats[b][i] (``objectives.GradFactors``): the
+    coefs, with each row whose squared norm overflows rescaled, and the factors.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 of a zero block
+        norms = np.sqrt(sum(_row_sq(c) * _row_sq(f) for c, f in zip(coefs, feats)))
+    cap, huge = 1.0, np.flatnonzero(~np.isfinite(norms))
+    if huge.size:
+        # Clip u = 2^-e g_i as clip_factors does, 2^e being the largest top
+        # coefficient times top feature of a block (e >= 0; a zero factor
+        # sets none). Features are scaled by their own 2^-ef for the norm.
+        cs = [c[huge] for c in coefs]
+        fs = [np.broadcast_to(f, (len(c), f.shape[1]))[huge] for c, f in zip(coefs, feats)]
+        ef = [_top_exponent(f) for f in fs]
+        e = np.maximum(np.max([_top_exponent(c) + x for c, x in zip(cs, ef)], axis=0), 0)
+        norms[huge] = np.sqrt(sum(_row_sq(np.ldexp(c, (x - e)[:, None]))
+                                  * _row_sq(np.ldexp(f, -x[:, None])) for c, f, x in zip(cs, fs, ef)))
+        coefs = [c.copy() for c in coefs]
+        for c, part in zip(coefs, cs):
+            c[huge] = np.ldexp(part, -e[:, None])
+        cap = np.ones(len(norms))
+        cap[huge] = np.ldexp(1.0, e)
+    return coefs, clip_rule(norms, C, variant, cap)
 
 
 def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
@@ -474,7 +515,7 @@ def _bisect(meets: Callable[[float], bool], tol: float) -> float:
     while meets(lo):
         lo /= 2.0
         if lo < 1e-12:
-            return lo
+            return 2.0 * lo  # the last sigma that met the target
     hi = max(2.0 * lo, 1.0)
     while not meets(hi):
         hi *= 2.0

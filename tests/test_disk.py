@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkf import seeding
+from dpkf import disk, objectives, privacy, seeding
 from dpkf.disk import (
     DiskConfig,
     DiskState,
     FullFilterConfig,
-    _observe,
     apply_base_update,
     base_update_adam,
     base_update_adamw,
@@ -31,7 +30,7 @@ from dpkf.objectives import (
     make_objective,
     two_point_grads,
 )
-from dpkf.privacy import clip_batch
+from dpkf.privacy import clip_batch, clip_sensitivity
 from reference_methods import nag_step, per_sample_grad, sample_of, storm_step
 
 
@@ -300,32 +299,35 @@ def test_filter_variance_reduction_at_stationary_point():
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_non_finite_gradients_abort():
-    obj = make_objective("linear-regression", 2)
+@pytest.mark.parametrize("kind", ["linear-regression", "mlp"])
+def test_non_finite_gradients_abort(kind):
+    obj = make_objective(kind, 2, hidden=3)
     cfg = DiskConfig(kappa=1.0, eta=0.1, clip=None, clip_variant="none")
-    state = DiskState(x=np.array([1e308, 1e308]))
+    state = DiskState(x=np.full(obj.dim, 1e308))
     X = np.array([[1e308, 1e308]])
     y = np.array([0.0])
     with pytest.raises(FloatingPointError, match="non-finite"):
         disk_step(state, (X, y), obj, cfg, rng_for(0))
-    # A NaN feature or an infinite target, on the paths with and without the
-    # per-sample matrix; the message names the step.
+    # A NaN feature or an infinite target, clipped and unclipped, at one point
+    # and at two; the message names the step.
     X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
     y = np.array([0.5, -0.5, 1.0])
     nan_X, inf_y = X.copy(), y.copy()
     nan_X[1, 0] = np.nan
     inf_y[2] = np.inf
     configs = [
-        cfg,  # mean_grad, no per-sample matrix
+        cfg,
         DiskConfig(kappa=0.6, two_point=False, clip=None, clip_variant="none"),
         DiskConfig(kappa=0.6, clip=None, clip_variant="none"),  # unclipped two-point
         DiskConfig(kappa=1.0, clip=1.0, clip_variant="standard"),
         DiskConfig(kappa=0.6, clip=1.0, clip_variant="automatic"),
+        DiskConfig(kappa=0.6, clip=1.0, clip_variant="normalized"),
     ]
+    x0 = np.random.default_rng(1).standard_normal(obj.dim)
     for opt, batch in itertools.product(configs, [(nan_X, y), (X, inf_y)]):
         for step_fn in (disk_step, dpsgd_step):
             with pytest.raises(FloatingPointError, match=r"^step 7: \d+ non-finite"):
-                step_fn(DiskState(x=np.array([0.3, -0.2]), t=7), batch, obj, opt, rng_for(0))
+                step_fn(DiskState(x=x0, d_prev=0.1 * x0, t=7), batch, obj, opt, rng_for(0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,32 +343,156 @@ def matrix_observe(G, cfg, rng):
     return g
 
 
+def matrix_rows(obj, x, batch, ahead=None, a=0.0):
+    """Reference per-sample matrix: the rows at x, or a * ahead + (1 - a) * here."""
+    here = obj.per_sample_grads(x, *batch)
+    return here if ahead is None else a * obj.per_sample_grads(ahead, *batch) + (1.0 - a) * here
+
+
+def row_norms(A):
+    """||A_i|| for each row, scaled so that no square overflows."""
+    top = np.abs(A).max(axis=1, keepdims=True)
+    top[top == 0] = 1.0
+    return top[:, 0] * np.linalg.norm(A / top, axis=1)
+
+
+def summand_scale(obj, x, batch, ahead, a, cfg):
+    """Mean over rows of the clip factor times |a| ||g_i(ahead)|| + |1 - a| ||g_i(x)||:
+    the size of what the observation adds up, so the scale of its rounding,
+    which a mean that cancels (rows of opposite signs, or the two points at
+    a large a) does not show."""
+    G = matrix_rows(obj, x, batch, ahead, a)
+    norms = row_norms(G)
+    factors = np.divide(row_norms(clip_batch(G, cfg.clip, cfg.clip_variant)), norms,
+                        out=np.zeros_like(norms), where=norms > 0)
+    here = row_norms(obj.per_sample_grads(x, *batch))
+    if ahead is None:
+        return float(np.mean(factors * here))
+    return float(np.mean(factors * (abs(a) * row_norms(obj.per_sample_grads(ahead, *batch))
+                                    + abs(1.0 - a) * here)))
+
+
+KINDS = ["quadratic", "linear-regression", "logistic-regression", "mlp"]
+HUGE_FEATURE, HUGE_TARGET = 1e200, 1e250
+
+
+def observation_problem(kind, p, B, a, rng, zero=(), huge_x=(), huge_c=()):
+    """An objective, a batch, x and the lookahead point (None when a is None).
+
+    Rows in ``zero`` have a zero gradient (zero features; for the MLP at one
+    point, a target equal to its output; for the quadratic, whose rows are all
+    one vector H (x - x*), x = x* makes every row zero). Rows in ``huge_x``
+    have features of 1e200, whose squared norm overflows; rows in ``huge_c`` a
+    target of 1e250, so |c_i| ||x_i|| overflows when squared. For the
+    quadratic either makes x of order 1e200. The linear models put the huge
+    feature on a coordinate where x and the lookahead are 0, so c_i stays
+    finite, and the logistic coefficient is bounded, so it takes no huge_c.
+    """
+    if kind == "quadratic":
+        M = rng.standard_normal((p, p))
+        obj = make_objective(kind, p, H=M @ M.T / p + 0.1 * np.eye(p))
+    else:
+        obj = make_objective(kind, p, hidden=int(rng.integers(1, 5)))
+    X = rng.standard_normal((B, p))
+    y = np.sign(rng.standard_normal(B)) if kind == "logistic-regression" else rng.standard_normal(B)
+    x = rng.standard_normal(obj.dim)
+    ahead = None if a is None else x + rng.standard_normal(obj.dim)
+    if kind == "quadratic":
+        if zero:
+            x = obj.x_star.copy()
+            ahead = None if a is None else x.copy()
+        elif huge_x or huge_c:
+            x = HUGE_FEATURE * x
+            ahead = None if a is None else HUGE_FEATURE * ahead
+        return obj, (obj.placeholder_dataset(B).X, np.zeros(B)), x, ahead
+    for i in huge_x:
+        if kind == "mlp":  # tanh saturates: d_pre_i = 0 times ||[x_i, 1]|| = inf
+            X[i] = HUGE_FEATURE * rng.standard_normal(p)
+        else:
+            X[i] = 0.0
+            X[i, 0] = HUGE_FEATURE
+            x[0] = 0.0
+            if ahead is not None:
+                ahead[0] = 0.0
+    if kind != "logistic-regression":
+        y[list(set(huge_c) - set(huge_x))] = HUGE_TARGET  # both would overflow g_i itself
+    for i in zero:
+        X[i] = 0.0
+        if kind == "mlp" and a is None:
+            y[i] = obj._forward(x, X[i : i + 1])[1][0]
+    return obj, (X, y), x, ahead
+
+
 @st.composite
-def gradient_batches(draw):
-    """(B, d) per-sample gradients with zero rows and rows whose squared norm
-    overflows placed explicitly; d = 1 is drawn on its own."""
-    B = draw(st.integers(1, 300))
-    d = draw(st.one_of(st.just(1), st.integers(1, 60)))
+def observation_cases(draw):
+    kind = draw(st.sampled_from(KINDS))
+    p = draw(st.one_of(st.just(1), st.integers(2, 8)))
+    B = draw(st.integers(1, 40))
+    # None: one point; 1e4: a full-kf weight, k_t = 1/(t+1) ~ 1e-2 at gamma = 0.01
+    a = draw(st.sampled_from([None, 0.3, -1.5, 1.0, 1e4]))
+    rows = st.lists(st.integers(0, B - 1), max_size=2)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    G = rng.standard_normal((B, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    for i in draw(st.lists(st.integers(0, B - 1), max_size=3)):
-        G[i] = 0.0
-    for i in draw(st.lists(st.integers(0, B - 1), max_size=3)):
-        G[i] = rng.standard_normal(d) * 1e200
-    return G
+    obj, batch, x, ahead = observation_problem(
+        kind, p, B, a, rng, zero=draw(rows), huge_x=draw(rows), huge_c=draw(rows)
+    )
+    return obj, batch, x, ahead, a
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
-    G=gradient_batches(),
-    variant=st.sampled_from(["standard", "automatic", "normalized", "none"]),
+    case=observation_cases(),
+    variant=st.sampled_from(disk.CLIP_VARIANTS),
     C=st.floats(1e-3, 1e3),
-    sigma_dp=st.sampled_from([0.0, 0.5]),
 )
-def test_observe_matches_clipped_matrix_mean_bitwise(G, variant, C, sigma_dp):
-    cfg = DiskConfig(clip=C, clip_variant=variant, sigma_dp=sigma_dp)
-    got = _observe(G, cfg, np.random.default_rng(3), 0)
-    assert (got == matrix_observe(G, cfg, np.random.default_rng(3))).all()
+def test_factored_observation_matches_per_sample_matrix(case, variant, C):
+    obj, batch, x, ahead, a = case
+    cfg = DiskConfig(clip=C, clip_variant=variant, sigma_dp=0.0)
+    got = disk._observe(obj, x, batch, cfg, rng_for(0), 0, ahead, 0.0 if a is None else a)
+    want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
+    assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
+
+
+@pytest.mark.parametrize("kind, huge", [
+    (kind, huge) for kind in KINDS for huge in ("huge_x", "huge_c")
+    if (kind, huge) != ("logistic-regression", "huge_c")  # its coefficient is bounded by 1
+])
+@pytest.mark.parametrize("variant", ["standard", "automatic", "normalized"])
+@pytest.mark.parametrize("a", [None, 1e4], ids=["one-point", "two-point"])
+def test_overflowing_row_clips_to_the_sensitivity(kind, huge, variant, a):
+    """A lone row whose factored squared norm overflows clips to exactly the
+    variant's sensitivity: its norm is above C."""
+    obj, batch, x, ahead = observation_problem(kind, 3, 1, a, np.random.default_rng(7), **{huge: [0]})
+    a = 0.0 if a is None else a
+    fac = obj.grad_factors(x, *batch, ahead, a)
+    with np.errstate(over="ignore", invalid="ignore"):  # the MLP's huge_x is 0 * inf
+        assert not np.isfinite(sum(np.sum(c**2) * np.sum(f**2) for c, f in zip(fac.coefs, fac.feats)))
+    C = 1e-3
+    g = disk._observe(obj, x, batch, DiskConfig(clip=C, clip_variant=variant), rng_for(0), 0, ahead, a)
+    assert np.linalg.norm(g) == pytest.approx(clip_sensitivity(variant, C), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_steps_form_no_per_sample_matrix(kind, monkeypatch):
+    """Every step, clipped or not, at one point or two, works from the factors."""
+    obj, ds = single_point_problem(kind)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step formed or clipped the per-sample matrix")
+
+    monkeypatch.setattr(type(obj), "per_sample_grads", refuse)
+    monkeypatch.setattr(objectives.GradFactors, "rows", refuse)
+    for mod, name in itertools.product((objectives, privacy, disk), ("two_point_grads", "clip_factors")):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, refuse)
+    for clip in ({"clip": 1.0, "clip_variant": "standard"}, {"clip": None, "clip_variant": "none"}):
+        for kappa in (1.0, 0.6):
+            cfg = DiskConfig(kappa=kappa, eta=0.05, sigma_dp=0.1, **clip)
+            for step in (disk_step, dpsgd_step, lambda s, b, o, c, r: full_filter_step(
+                    s, b, o, c, FullFilterConfig(), r)):
+                state = DiskState(x=obj.init_point(1))
+                for t in range(3):
+                    state = step(state, ds.subset(np.arange(8 * t, 8 * t + 8)), obj, cfg, rng_for(t))
+                assert np.isfinite(state.x).all()
 
 
 def single_point_problem(kind):
@@ -565,7 +691,7 @@ def inline_gain_filter_step(state, batch, obj, opt, cfg, rng):
     Xb, yb = batch
     x = state.x
     G = obj.per_sample_grads(x, Xb, yb)
-    g_obs = _observe(G, opt, rng, state.t)
+    g_obs = matrix_observe(G, opt, rng)
     if not np.any(state.d_prev):
         h_action = np.zeros(x.shape[0])
     else:
@@ -666,7 +792,7 @@ def matrix_filter_step(state, batch, obj, opt, cfg, rng):
     x = state.x
     d = x.shape[0]
     G = obj.per_sample_grads(x, Xb, yb)
-    g_obs = _observe(G, opt, rng, state.t)
+    g_obs = matrix_observe(G, opt, rng)
     if not np.any(state.d_prev):
         h_action = np.zeros(d)
     else:

@@ -146,22 +146,22 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    "compare-filters": "d84a6dba2894403d2348e77e549d3ed292e30388463cef4879d6d17145be6123",
-    "compare-filters-wide": "da0221941c72e6c609607b131d6241ba16b16770cbc28da21623d7fc789dae42",
-    "sweep-mlp": "3b3fbd0b9f40e19729c600e2f3070889465dd4b57e5cba8cc62314024258b29f",
-    "train-disk": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
-    "train-dpsgd": "5c0f312f3aef85dcdb60493d0236f9eed111fbbe1e0909d54c2e15475bc97fdc",
-    "train-dpsgd-target": "b970f3dd7c8e1c0aa7ccc6057bdb9e1e560b0c5fac18899a90ae2b8a143bc18c",
+    "compare-filters": "87fc945e43a24c8cafb6db007944bc0b2868bedfed02d96b91d81b37bdc21ed5",
+    "compare-filters-wide": "64a53e73c2b4d3e028c7cc3049d206f992998d1a5d23284e410b24b9bf1d4be3",
+    "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
+    "train-disk": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
+    "train-dpsgd": "d1b1cf4965fe5f42c5b9339daa278a16d05a605447f3ddf976553d57ab2109d9",
+    "train-dpsgd-target": "fdd94d3cfc53926b2eedb8037226a858a56c7bcee8b1ef740c30e64a408958a3",
     "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
-    "train-linreg-p1": "6c813a2da75c59bc594248b21b08d239339bf1d95286e28c7b777ec325b020de",
+    "train-linreg-p1": "c28779808b436fd5a2ff0c163fcad7cfd3f3c03bc5663552f6504b09eb7b966a",
     "train-linreg-p1-noisy-gd": "5eb6bda35b1ba2ffa4679f2b77170404f6380a2906fa04bd57fa88929253975e",
-    "train-logreg-wide": "f5e901de9b4b07395710aba919265a6a7a3cf4bc00b79b6a6c3ddb37fd8dbe6b",
-    "train-mlp-wide": "63945e3c73c61c75c742acbc58edd624d17af9e7561538f0cb17659b5d1e335c",
-    "train-full-kf": "50027b0982da2b15b9b07fb70a47cbbf9160132b33ae193b78432e80abf93ec0",
+    "train-logreg-wide": "1103dfa2915fe57248daab6fa5b6e9ceec87f7966f8219efa3549d5543ee38fe",
+    "train-mlp-wide": "73ab8a626e7b631467ce233621c8e8f05f4e00f939b16f52f10d774f43257c04",
+    "train-full-kf": "01f4288d2eec7b30d4f981ec48016ff8472f0af479b37db0124262674eeab99c",
     "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
     "train-noisy-gd": "f97db3f96d7e241a50c88a83ed7de3a5fecc618004a71ccaeca7609c3c923812",
-    "train-noisy-kf": "229758fbf7a233049d58e31956c3d583860ca48a6d17c05b1d1f6a465893add6",
-    "train-noisy-lp": "42c71fa5ffed08f81d09643ae56cffd567a7ddcb30914a0baa73f92e6311ff5a",
+    "train-noisy-kf": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
+    "train-noisy-lp": "772cb553198392c8469449ad38985bb94382ef3e2607dc61e1abfb9f28cf34dd",
 }
 
 # name -> argv of a ``calibrate`` command whose stdout is hashed
@@ -227,7 +227,7 @@ BOUNDS_COMMANDS = {
 BOUNDS_GOLDEN = {
     "bounds-logreg": "d4cbea517114d0c3830cf46d7d312f60810b9dabe125672ed7d816a04ea24d31",
     "bounds-quadratic": "627e17ba56fffed3592e5bd92bdf3db43554af58d2e9a2b7c413ef9153483dae",
-    "bounds-small-fullkf": "fb9d969cd76d39d1a115a3d9377dbb4437acc7522e6fffe267d5242ef1c40e5b",
+    "bounds-small-fullkf": "d3b70bdc59e53a910395998c44c50d5f272739a9772de24480de08c156d7afa0",
 }
 
 

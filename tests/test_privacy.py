@@ -274,7 +274,7 @@ def calibrate_loop(eps_target, delta, q, steps, sigma_max=1e3, tol=1e-6):
     while spent(lo) <= eps_target:
         lo /= 2.0
         if lo < 1e-12:
-            return lo
+            return 2.0 * lo  # the last sigma that met the target
     hi = max(2.0 * lo, 1.0)
     while spent(hi) > eps_target:
         hi *= 2.0
@@ -357,11 +357,16 @@ def test_calibration_probes_rarely_run_the_exact_sum(monkeypatch):
         assert len(calls) - 20 < 20  # one exact spend each is the final check
 
 
+def test_calibration_below_the_bracket_floor_returns_a_tested_sigma():
+    # the bracket stops halving below sigma = 1e-12; the sigma one step above
+    # is the last it tested, and its spend meets the target (the untested one
+    # below it spends 1.8e24)
+    z = calibrate_noise_multiplier(1e24, 1e-5, 0.5, 1)
+    assert compose_and_convert(subsampled_curve(0.5, z), 1, 1e-5) <= 1e24
+    assert z == calibrate_loop(1e24, 1e-5, 0.5, 1) < 2e-12
+
+
 def test_calibration_checks_its_result_against_the_exact_spend(monkeypatch):
-    # the bracket's early exit below sigma = 1e-12 returns a sigma it never
-    # tested; at this target its spend is 1.8e24
-    with pytest.raises(PrivacyError, match="exceeds the target"):
-        calibrate_noise_multiplier(1e24, 1e-5, 0.5, 1)
     composed = privacy._BinomialTerms.composed
 
     def optimistic(self, sigma, steps, shifts):
