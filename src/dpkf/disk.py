@@ -4,15 +4,13 @@ One step: combine per-sample gradients at two points (x and a lookahead
 x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
 feed the filtered gradient to a base optimizer (sgd, momentum, adam, adamw).
-Every step observes through ``_observe``, which never forms a (B, d) matrix:
-``Objective.grad_factors`` gives the rows as per-row coefficients times
-features, the two points combine in the coefficients (the features x_i are
-shared), row norms come from the factors, ``privacy.clip_factored`` gives the
-clip factors, and the weighted rows are summed in row order. Unclipped at x
-alone it is ``Objective.mean_grad``, bit for bit. Clipped or two-point
-observations moved in the last bits when the per-sample matrix went: the
-factor now multiplies the coefficient, not each product c_i x_ij, and the
-norm is |c_i| ||x_i||.
+Every step observes through ``_observe``. Clipped or on a minibatch it never
+forms the (B, d) matrix: ``Objective.grad_factors`` gives per-row coefficients
+times shared features, two points combine in the coefficients, row norms come
+from the factors (``privacy.clip_factored``) and weighted rows are summed in
+order; unclipped at x alone that is ``mean_grad``, bit for bit. Unclipped over
+a whole linear-regression ``Dataset`` it is G z - b from cached Gram statistics,
+z the combined point: O(p^2) a step, not O(np); those runs moved in the last bits.
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kalman import ScalarGainState, scalar_gain_step
-from .objectives import Objective
+from .objectives import Dataset, Objective
 from .privacy import clip_factored
 
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
@@ -172,21 +170,25 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
 def _observe(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int, ahead=None, a=0.0):
     """The privatised observation: the per-sample gradients at x, or their
     combination a * grad(ahead) + (1 - a) * grad(x), clipped, averaged in row
-    order and noised, all from ``obj.grad_factors``. Unclipped at x alone it
-    is ``obj.mean_grad``. Aborts on an empty batch or a non-finite mean."""
-    if len(batch[0]) == 0:
+    order and noised, all from ``obj.grad_factors``, or unclipped over a whole
+    ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x alone
+    it is ``obj.mean_grad``. Aborts on an empty batch or a non-finite mean."""
+    X, y = batch
+    if len(X) == 0:
         raise ValueError("batch must be non-empty")
-    fac = obj.grad_factors(x, *batch, ahead, a)
-    weights = None
-    if cfg.clip_variant != "none":
-        fac.coefs, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
-    g = fac.mean(weights)
-    if not np.isfinite(g).all():
-        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
-        raise FloatingPointError(
-            f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
-            f"components ({bad} non-finite per-sample gradient factors)"
-        )
+    g = obj.dataset_mean_grad(batch, x, ahead, a) if cfg.clip_variant == "none" else None
+    if g is None or not np.isfinite(g).all():  # statistics can overflow where rows do not
+        fac = obj.grad_factors(x, X, y, ahead, a)
+        weights = None
+        if cfg.clip_variant != "none":
+            fac.coefs, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
+        g = fac.mean(weights)
+        if not np.isfinite(g).all():
+            bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
+            raise FloatingPointError(
+                f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
+                f"components ({bad} non-finite per-sample gradient factors)"
+            )
     if cfg.sigma_dp > 0:
         g = g + cfg.sigma_dp * rng.standard_normal(g.shape[0])
     return g
@@ -217,18 +219,18 @@ def _filtered_step(state, batch, obj, cfg, rng, kappa: float, gamma: float) -> D
 
 def disk_step(
     state: DiskState,
-    batch: tuple[np.ndarray, np.ndarray],
+    batch: tuple[np.ndarray, np.ndarray] | Dataset,
     obj: Objective,
     cfg: DiskConfig,
     rng: np.random.Generator,
 ) -> DiskState:
-    """One filtered-optimizer step on a minibatch (Xb, yb)."""
+    """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``."""
     return _filtered_step(state, batch, obj, cfg, rng, cfg.kappa, cfg.gamma)
 
 
 def dpsgd_step(
     state: DiskState,
-    batch: tuple[np.ndarray, np.ndarray],
+    batch: tuple[np.ndarray, np.ndarray] | Dataset,
     obj: Objective,
     cfg: DiskConfig,
     rng: np.random.Generator,
@@ -272,7 +274,7 @@ class FullFilterConfig:
 
 def full_filter_step(
     state: DiskState,
-    batch: tuple[np.ndarray, np.ndarray],
+    batch: tuple[np.ndarray, np.ndarray] | Dataset,
     obj: Objective,
     opt: DiskConfig,
     cfg: FullFilterConfig,

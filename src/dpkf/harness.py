@@ -299,7 +299,7 @@ def run_experiment(
     loss0, g0 = obj.loss_and_mean_grad(x0, ds.X, ds.y)
     records: list[StepRecord] = []
     for t in range(cfg.T):
-        batch = (ds.X, ds.y) if full_batch else ds.subset(sampler.next_batch())
+        batch = ds if full_batch else ds.subset(sampler.next_batch())
         if ff is None:
             state = disk_step(state, batch, obj, opt, noise_rng)
         else:
@@ -333,12 +333,12 @@ class ComparisonRow:
 
 
 def comparison_noise_levels(
-    n: int = 1000, p: int = 20, noise_std: float = 0.1, seed: int = 0
+    n: int = 1000, p: int = 20, noise_std: float = 0.1, seed: int = 0, ds: Dataset | None = None
 ) -> list[float]:
-    """Relative grid scaled by ||grad F(0)|| / sqrt(d) on the seed-0 dataset."""
-    ds = gen_linear_regression(n, p, noise_std, seed)
-    obj = LinearRegression(p)
-    scale = float(np.linalg.norm(full_gradient(obj, np.zeros(p), ds))) / math.sqrt(p)
+    """Relative grid scaled by ||grad F(0)|| / sqrt(d) on the seed-0 dataset, ``ds`` if given."""
+    ds = gen_linear_regression(n, p, noise_std, seed) if ds is None else ds
+    obj = LinearRegression(ds.p)
+    scale = float(np.linalg.norm(full_gradient(obj, np.zeros(ds.p), ds))) / math.sqrt(ds.p)
     return [r * scale for r in RELATIVE_NOISE_GRID]
 
 
@@ -360,11 +360,11 @@ def compare_filters(
     Step size (1/L) and the per-step noise realisations are shared across
     methods, so differences isolate the filter. Deterministic per seed.
     """
-    if noise_levels is None:
-        noise_levels = comparison_noise_levels(n, p, noise_std, seed=seeds[0])
     rows: list[ComparisonRow] = []
     for seed in seeds:
         ds = gen_linear_regression(n, p, noise_std, seed)
+        if noise_levels is None:  # from the seeds[0] dataset
+            noise_levels = comparison_noise_levels(ds=ds)
         obj = LinearRegression(p)
         eta = 1.0 / obj.smoothness(ds)
         x0 = np.zeros(p)
@@ -378,7 +378,7 @@ def compare_filters(
                 rng = seeding.substream(seed, seeding.DP_NOISE, f"sigma={sigma!r}")
                 state = DiskState(x=x0.copy())
                 for _ in range(T):
-                    state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+                    state = disk_step(state, ds, obj, cfg, rng)
                 rows.append(
                     ComparisonRow(
                         sigma_dp=sigma,

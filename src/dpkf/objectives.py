@@ -8,11 +8,11 @@ accumulation order, so results are bit-reproducible for a given seed.
 ``grad_factors`` gives a batch's gradients without the (n, d) matrix: c_i x_i
 for the linear models, d_pre_i (x) [x_i, 1] and r_i [h_i, 1] for the MLP and
 one shared vector for the quadratic. Two points combine in the coefficients,
-where the features are shared (the MLP's small second block, whose h_i moves,
-combines densely); that and the clip factor multiplying c_i rather than each
-entry moved clipped and two-point observations in the last bits.
-``mean_grad`` is their unit-weight mean, with the bits of
-``per_sample_grads(...).mean(axis=0)``.
+where the features are shared (the MLP's second block, whose h_i moves,
+combines densely). ``mean_grad`` is their unit-weight mean, with the bits of
+``per_sample_grads(...).mean(axis=0)``. Over a whole ``Dataset``, linear
+regression's is G x - b (``dataset_mean_grad``, G and b cached on it; the
+last bits moved); losses stay on residuals, where the G form would cancel.
 
 ``loss_and_mean_grad`` shares one forward pass (residual, margins, or hidden
 layer and residual) between the two and applies the same operations to it, so
@@ -30,9 +30,10 @@ import numpy as np
 from . import seeding
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Feature matrix ``X`` (n x p) with scalar targets ``y`` (n,)."""
+    """Features ``X`` (n x p) and targets ``y`` (n,), read-only so cached statistics
+    cannot go stale; unpacks as ``X, y``, a step's whole-dataset batch."""
 
     X: np.ndarray
     y: np.ndarray
@@ -40,8 +41,13 @@ class Dataset:
 
     def __post_init__(self) -> None:
         # C order fixes the order in which rows are summed (see ``_row_mean``)
-        self.X = np.ascontiguousarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        for name in ("X", "y"):  # read-only; an array the caller can write is copied
+            a = getattr(self, name)
+            arr = np.ascontiguousarray(a, dtype=float)
+            if arr is a and (a.flags.writeable or not a.flags.owndata):
+                arr = arr.copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.X.ndim != 2 or self.X.shape[0] < 1:
             raise ValueError("dataset needs at least one sample with shared dimension")
         if self.y.shape != (self.X.shape[0],):
@@ -59,6 +65,18 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.X[idx], self.y[idx]
+
+    def __iter__(self):
+        return iter((self.X, self.y))
+
+    # G = X^T X / n and b = X^T y / n, each built on first use
+    @functools.cached_property
+    def second_moment(self) -> np.ndarray:
+        return self.X.T @ self.X / self.n
+
+    @functools.cached_property
+    def moment_xy(self) -> np.ndarray:
+        return self.X.T @ self.y / self.n
 
 
 def _with_ones(A: np.ndarray) -> np.ndarray:
@@ -138,6 +156,7 @@ def gen_linear_regression(n: int, p: int, noise_std: float, seed: int) -> Datase
     X = rng.standard_normal((n, p))
     noise = rng.standard_normal(n)
     y = X @ theta_star + noise_std * noise
+    X.flags.writeable = y.flags.writeable = False  # the Dataset keeps them uncopied
     return Dataset(X=X, y=y, theta_star=theta_star)
 
 
@@ -150,6 +169,7 @@ def gen_classification(n: int, p: int, seed: int) -> Dataset:
     X = rng.standard_normal((n, p))
     y = np.sign(X @ theta_star + 0.3 * rng.standard_normal(n))
     y[y == 0] = 1.0
+    X.flags.writeable = y.flags.writeable = False
     return Dataset(X=X, y=y, theta_star=theta_star)
 
 
@@ -183,6 +203,10 @@ class Objective:
 
     def smoothness(self, dataset: Dataset | None = None) -> float | None:
         """Smoothness constant of the mean loss, when computable exactly."""
+        return None
+
+    def dataset_mean_grad(self, batch, x, ahead=None, a: float = 0.0):
+        """``grad_factors(...).mean()`` from a whole ``Dataset``'s statistics, or None."""
         return None
 
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -260,8 +284,7 @@ class _GeneralisedLinear(Objective):
     def smoothness(self, dataset=None):
         if dataset is None:
             return None
-        second_moment = dataset.X.T @ dataset.X / dataset.n
-        return float(np.linalg.eigvalsh(second_moment)[-1]) * self.curvature
+        return float(np.linalg.eigvalsh(dataset.second_moment)[-1]) * self.curvature
 
 
 class LinearRegression(_GeneralisedLinear):
@@ -274,6 +297,11 @@ class LinearRegression(_GeneralisedLinear):
 
     def per_sample_losses(self, x, X, y):
         return 0.5 * self._coef(x, X, y) ** 2
+
+    def dataset_mean_grad(self, batch, x, ahead=None, a=0.0):
+        if isinstance(batch, Dataset):  # G z - b; affine, so two points combine in z
+            z = x if ahead is None else x + a * (ahead - x)
+            return batch.second_moment @ self._check_dim(z) - batch.moment_xy
 
     def loss_and_mean_grad(self, x, X, y):
         r = self._coef(x, X, y)

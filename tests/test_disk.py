@@ -1,13 +1,15 @@
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpkf import disk, objectives, privacy, seeding
+from dpkf import disk, harness, objectives, privacy, seeding
 from dpkf.disk import (
     DiskConfig,
     DiskState,
@@ -328,6 +330,21 @@ def test_non_finite_gradients_abort(kind):
         for step_fn in (disk_step, dpsgd_step):
             with pytest.raises(FloatingPointError, match=r"^step 7: \d+ non-finite"):
                 step_fn(DiskState(x=x0, d_prev=0.1 * x0, t=7), batch, obj, opt, rng_for(0))
+    if kind != "linear-regression":
+        return
+    # Full batch from the Gram statistics: a step far above 2/L diverges, and
+    # the run stops at the step whose mean overflows instead of tracing NaNs.
+    raw = {"seed": 3, "objective": {"kind": kind, "n": 30, "p": 2}, "algorithm": "noisy-gd",
+           "optimizer": {"sigma_dp": 0.1}, "T": 5000, "B": 30}
+    ds = harness.build_problem(raw["objective"], 3)[1]
+    raw["optimizer"]["eta"] = 100.0 / obj.smoothness(ds)
+    with pytest.raises(FloatingPointError, match=r"^step \d+: \d+ non-finite mean gradient"):
+        harness.run_experiment(harness.ExperimentConfig.from_dict(raw), problem=(obj, ds))
+    # an empty batch is refused before the dataset builds any statistics
+    fresh = gen_linear_regression(30, 2, 0.1, seed=3)
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        disk_step(DiskState(x=x0), fresh.subset(np.arange(0)), obj, configs[0], rng_for(0))
+    assert "second_moment" not in vars(fresh) and "moment_xy" not in vars(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +465,37 @@ def test_factored_observation_matches_per_sample_matrix(case, variant, C):
     obj, batch, x, ahead, a = case
     cfg = DiskConfig(clip=C, clip_variant=variant, sigma_dp=0.0)
     got = disk._observe(obj, x, batch, cfg, rng_for(0), 0, ahead, 0.0 if a is None else a)
+    want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
+    assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
+
+
+@st.composite
+def gram_cases(draw):
+    p = draw(st.one_of(st.just(1), st.integers(2, 8)))
+    B = draw(st.integers(1, 40))
+    a = draw(st.sampled_from([None, -1.0, 0.3, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = st.lists(st.integers(0, B - 1), max_size=2)
+    huge_x = draw(st.one_of(st.just([]), rows))
+    obj, batch, x, ahead = observation_problem(
+        "linear-regression", p, B, a, rng, zero=draw(rows), huge_x=huge_x
+    )
+    return obj, batch, x, ahead, a, huge_x
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@settings(max_examples=300, deadline=None)
+@given(case=gram_cases())
+def test_gram_observation_matches_per_sample_matrix(case):
+    """Unclipped over a whole linear-regression dataset, the observation is
+    G z - b; it matches the per-sample mean to the scale of its summands. A
+    1e200 feature overflows G, and the observation falls back to the rows."""
+    obj, batch, x, ahead, a, huge_x = case
+    cfg = DiskConfig(clip=None, clip_variant="none", sigma_dp=0.0)
+    ds = objectives.Dataset(*batch)
+    rows_path = mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("rows"))
+    with contextlib.nullcontext() if huge_x else rows_path:
+        got = disk._observe(obj, x, ds, cfg, rng_for(0), 0, ahead, 0.0 if a is None else a)
     want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
     assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
 

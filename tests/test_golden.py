@@ -146,15 +146,15 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    "compare-filters": "87fc945e43a24c8cafb6db007944bc0b2868bedfed02d96b91d81b37bdc21ed5",
-    "compare-filters-wide": "64a53e73c2b4d3e028c7cc3049d206f992998d1a5d23284e410b24b9bf1d4be3",
+    "compare-filters": "8922a2ab8f7a2776bcd90d72f753df0693cb292294ba804a52fd68c235017b47",
+    "compare-filters-wide": "776c3b0d3a41eb9652a798b1668777a13b8235842704ac92de2bf88cc324dd3f",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
     "train-disk": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
     "train-dpsgd": "d1b1cf4965fe5f42c5b9339daa278a16d05a605447f3ddf976553d57ab2109d9",
     "train-dpsgd-target": "fdd94d3cfc53926b2eedb8037226a858a56c7bcee8b1ef740c30e64a408958a3",
     "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
     "train-linreg-p1": "c28779808b436fd5a2ff0c163fcad7cfd3f3c03bc5663552f6504b09eb7b966a",
-    "train-linreg-p1-noisy-gd": "5eb6bda35b1ba2ffa4679f2b77170404f6380a2906fa04bd57fa88929253975e",
+    "train-linreg-p1-noisy-gd": "c6c0f7a680482a9f57346693bb855b82375baf296a092b2bac4e087d15d6ba25",
     "train-logreg-wide": "1103dfa2915fe57248daab6fa5b6e9ceec87f7966f8219efa3549d5543ee38fe",
     "train-mlp-wide": "73ab8a626e7b631467ce233621c8e8f05f4e00f939b16f52f10d774f43257c04",
     "train-full-kf": "01f4288d2eec7b30d4f981ec48016ff8472f0af479b37db0124262674eeab99c",

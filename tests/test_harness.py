@@ -25,6 +25,7 @@ from dpkf.harness import (
     sweep_kappa_gamma,
     _resolve_privacy,
 )
+from dpkf.objectives import LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
 from test_golden import FULLKF, SMALL_FULLKF
 
@@ -318,6 +319,41 @@ def test_compare_filters_row_count_and_ordering():
     for lvl in levels:
         assert agg[(lvl, "noisy-kf")] <= agg[(lvl, "noisy-gd")]
         assert agg[(lvl, "noisy-kf")] <= agg[(lvl, "noisy-lp")]
+
+
+def test_full_batch_linear_regression_steps_observe_from_gram_statistics(monkeypatch):
+    """Unclipped full-batch linear-regression steps form no per-row
+    coefficients; clipped full-batch and minibatch steps still do."""
+    factored = LinearRegression.grad_factors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-batch step formed per-row coefficients")
+
+    monkeypatch.setattr(LinearRegression, "grad_factors", refuse)
+    rows = compare_filters(noise_levels=[0.0, 0.1], seeds=(0, 1), n=30, p=3, T=5)
+    assert len(rows) == 12 and all(math.isfinite(r.final_loss) for r in rows)
+    raw = {
+        "seed": 2, "objective": {"kind": "linear-regression", "n": 30, "p": 3},
+        "algorithm": "noisy-gd", "optimizer": {"eta": 0.1, "sigma_dp": 0.1}, "T": 5, "B": 30,
+    }
+    clipped = {"clip": 1.0, "clip_variant": "standard", "sigma_dp": 0.1, "eta": 0.1}
+    unclipped = dict(clipped, clip=None, clip_variant="none")
+    # noisy-gd is full batch; disk at B = n is too
+    for cfg in (raw, dict(raw, algorithm="disk", optimizer=unclipped)):
+        assert math.isfinite(run_experiment(ExperimentConfig.from_dict(cfg)).final_loss)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factored(*args, **kwargs)
+
+    monkeypatch.setattr(LinearRegression, "grad_factors", counted)
+    for opt, algorithm, B in ((clipped, "disk", 30), (clipped, "noisy-kf", 10),
+                              (clipped, "dpsgd", 10), (unclipped, "disk", 10)):
+        calls.clear()
+        run_experiment(ExperimentConfig.from_dict(dict(raw, algorithm=algorithm, optimizer=opt, B=B)))
+        assert len(calls) == raw["T"], (algorithm, B)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,57 @@ def test_dataset_validation():
         Dataset(X=np.array([[1.0, np.inf]]), y=np.array([0.0]))
     with pytest.raises(ValueError):
         Dataset(X=np.ones((3, 2)), y=np.ones(2))
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["own-array", "view"])
+def test_dataset_statistics_cannot_go_stale(view):
+    """The cached Gram statistics stay right: a Dataset's arrays can be neither
+    reassigned nor written, and the caller's arrays stay writeable and apart."""
+    rng = np.random.default_rng(3)
+    X, y = rng.standard_normal((20, 3)), rng.standard_normal(20)
+    if view:
+        X, y = X[:, :], y[:]
+    ds = Dataset(X=X, y=y)
+    G, b = ds.second_moment, ds.moment_xy
+    assert np.array_equal(G, X.T @ X / 20) and np.array_equal(b, X.T @ y / 20)
+    for name in ("X", "y"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, np.zeros_like(getattr(ds, name)))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 7.0
+    assert X.flags.writeable and y.flags.writeable
+    X[0], y[0] = 7.0, 7.0  # the caller's arrays are not the dataset's
+    assert not np.shares_memory(X, ds.X) and not np.shares_memory(y, ds.y)
+    assert ds.second_moment is G and np.array_equal(G, ds.X.T @ ds.X / 20)
+
+
+def test_dataset_keeps_a_read_only_array_that_owns_its_memory():
+    """No array can write one that is read-only and owns its memory, as the
+    generators hand over, so the dataset keeps it uncopied; its own view is not."""
+    X, y = np.ones((4, 2)), np.zeros(4)
+    X.flags.writeable = y.flags.writeable = False
+    ds = Dataset(X=X, y=y)
+    assert ds.X is X and ds.y is y
+    assert Dataset(X=X[:, :], y=y).X is not X
+    gen = gen_linear_regression(30, 3, 0.1, seed=2)
+    assert gen.X.flags.owndata and not gen.X.flags.writeable
+
+
+def test_dataset_builds_its_statistics_on_first_use():
+    """A new dataset holds no statistics; the smoothness reads the same cached
+    X^T X / n as the full-batch step, with the bits of the formula."""
+    ds = gen_linear_regression(50, 4, 0.1, seed=1)
+    assert "second_moment" not in vars(ds) and "moment_xy" not in vars(ds)
+    obj = make_objective("linear-regression", 4)
+    L = obj.smoothness(ds)
+    assert L == float(np.linalg.eigvalsh(ds.X.T @ ds.X / ds.n)[-1])
+    G = vars(ds)["second_moment"]
+    obj.dataset_mean_grad(ds, np.zeros(4))
+    assert ds.second_moment is G and "moment_xy" in vars(ds)
+    assert obj.smoothness(ds) == L
+    # only linear regression observes from the statistics
+    for kind in ("quadratic", "logistic-regression", "mlp"):
+        assert make_objective(kind, 4).dataset_mean_grad(ds, np.zeros(4)) is None
 
 
 # ---------------------------------------------------------------------------
