@@ -112,6 +112,20 @@ LINREG_P1_GD = {
     "B": 10,
 }
 
+# Sweeps off the privacy-target path: an explicit sigma_dp over two seeds, and
+# unclipped linear regression at B = n, whose full-batch steps observe G z - b.
+SWEEP_SEEDS = dict(LOGREG, seeds=[1, 2])
+
+LINREG_FULL_BATCH = {
+    "seed": 9,
+    "objective": {"kind": "linear-regression", "n": 40, "p": 3},
+    "optimizer": {"eta": 0.1, "clip_variant": "none", "sigma_dp": 0.02},
+    "T": 8,
+    "B": 40,
+}
+
+SWEEP_GRID = ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"]
+
 # name -> (config or None, argv after the subcommand, CSV file name)
 COMMANDS = {
     "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
@@ -127,9 +141,9 @@ COMMANDS = {
     "train-dpsgd-unclipped": (LOGREG_UNCLIPPED, ["train"], "trace.csv"),
     "train-mlp-wide-noisy-gd": (dict(MLP_WIDE, algorithm="noisy-gd"), ["train"], "trace.csv"),
     "train-linreg-p1-noisy-gd": (LINREG_P1_GD, ["train"], "trace.csv"),
-    "sweep-mlp": (
-        MLP, ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"], "sweep.csv"
-    ),
+    "sweep-mlp": (MLP, SWEEP_GRID, "sweep.csv"),
+    "sweep-logreg-seeds": (SWEEP_SEEDS, SWEEP_GRID, "sweep.csv"),
+    "sweep-linreg-full-batch": (LINREG_FULL_BATCH, SWEEP_GRID, "sweep.csv"),
     "compare-filters": (
         None,
         ["compare-filters", "--seeds", "0,1", "--noise-levels", "0.05,0.5",
@@ -148,6 +162,8 @@ COMMANDS = {
 GOLDEN = {
     "compare-filters": "8922a2ab8f7a2776bcd90d72f753df0693cb292294ba804a52fd68c235017b47",
     "compare-filters-wide": "776c3b0d3a41eb9652a798b1668777a13b8235842704ac92de2bf88cc324dd3f",
+    "sweep-linreg-full-batch": "d449b753031da5826035df4415fc426ef59153293af890d3b288d7fe0efe2f29",
+    "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
     "train-disk": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
     "train-dpsgd": "d1b1cf4965fe5f42c5b9339daa278a16d05a605447f3ddf976553d57ab2109d9",
