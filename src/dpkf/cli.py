@@ -189,6 +189,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     raw = _apply_overrides(_load_config(args.config), args)
+    harness._reject_unknown_keys("config", raw, harness.CONFIG_KEYS)
     # train's boundary checks on the keys a report reads, and train's seed;
     # B's default, the dataset size, is known once the problem is built
     cfg = ExperimentConfig(

@@ -2,6 +2,9 @@
 benchmark on synthetic regression, (kappa, gamma) sweep grids, and
 deterministic CSV/SVG emission.
 
+A training run and a sweep cell step through one loop, ``_trajectory``:
+``run_experiment`` evaluates and records every state, a sweep cell only its last.
+
 Runs are pure functions of their config and seed: datasets, minibatch order,
 and DP noise each come from a named substream of the run's seed, so the full
 pipeline (calibrate -> train -> emit) is byte-reproducible. Grid cells and
@@ -67,6 +70,9 @@ TRACE_HEADER = "step,loss,grad_norm,filtered_grad_norm,epsilon_spent"
 COMPARISON_HEADER = "sigma_dp,method,seed,final_loss"
 SWEEP_HEADER = "kappa,gamma,metric"
 RELATIVE_NOISE_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
+# Top-level config keys; ``bounds`` reads the same files and the last two.
+CONFIG_KEYS = ("objective", "algorithm", "optimizer", "privacy", "T", "B", "seed", "seeds",
+               "outdir", "init_scale", "full_filter", "f_star_steps", "sigma_sgd_sq")
 # Keys ``build_problem`` reads for each objective kind.
 OBJECTIVE_KEYS = {
     "quadratic": {"kind", "dim", "eigenvalues", "x_star", "n"},
@@ -156,11 +162,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
+        _reject_unknown_keys("config", raw, CONFIG_KEYS)
         opt_raw = dict(raw.get("optimizer", {}))
         sigma_explicit = "sigma_dp" in opt_raw
         optimizer = DiskConfig(**opt_raw)
         privacy_raw = raw.get("privacy") or {}
+        _reject_unknown_keys("privacy", privacy_raw, ("epsilon", "delta"))
         ff = dict(raw.get("full_filter") or {})
         for key in SHARED_FILTER_KEYS:
             if key in ff and ff.pop(key) != getattr(optimizer, key):
@@ -202,13 +209,6 @@ def _reject_unknown_keys(section: str, given, allowed) -> None:
         raise ValueError(f"{section} has unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
-def _dataset_size(problem: dict, batch_floor: int) -> int:
-    """Rows of the dataset ``build_problem`` makes; the same for every seed."""
-    if problem["kind"] == "quadratic":
-        return max(problem.get("n", batch_floor), batch_floor)
-    return problem["n"]
-
-
 def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objective, Dataset]:
     """Instantiate the objective and its dataset for one seed."""
     _check_objective(problem)
@@ -218,7 +218,7 @@ def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objec
         eigs = problem.get("eigenvalues")
         H = np.diag(np.asarray(eigs, dtype=float)) if eigs is not None else np.eye(dim)
         obj = make_objective("quadratic", dim, H=H, x_star=problem.get("x_star"))
-        return obj, obj.placeholder_dataset(_dataset_size(problem, batch_floor))
+        return obj, obj.placeholder_dataset(max(problem.get("n", batch_floor), batch_floor))
     n, p = problem["n"], problem["p"]
     if kind == "linear-regression":
         return LinearRegression(p), gen_linear_regression(
@@ -241,7 +241,9 @@ def _resolve_privacy(
     sensitivity; the noise actually added to the batch-averaged clipped
     gradient has std z * S / B.
     """
-    q = min(cfg.B / N, 1.0)
+    if cfg.B > N:
+        raise ValueError("batch size exceeds dataset size")
+    q = cfg.B / N
     delta = cfg.delta if cfg.delta is not None else (
         delta_convention(N) if N > 1 else None
     )
@@ -257,14 +259,35 @@ def _resolve_privacy(
     return replace(opt, sigma_dp=sigma_dp), delta, q
 
 
-def _epsilon_schedule(
-    opt: DiskConfig, delta: float | None, q: float, B: int, T: int
-) -> tuple[float, ...]:
-    """Budget spent after 1..T steps; inf when the run is not clipped/noised."""
+def _epsilon_schedule(cfg: ExperimentConfig, opt: DiskConfig, delta: float | None, q: float):
+    """Budget spent after 1..T steps; inf when the run is not clipped/noised.
+    A clipped run's batch is B rows: only noisy-gd's full batch is n != B."""
+    opt = replace(opt, **PRESETS[cfg.algorithm].overrides)
     if opt.clip_variant == "none" or opt.sigma_dp <= 0 or delta is None:
-        return (math.inf,) * T
-    z = opt.sigma_dp * B / clip_sensitivity(opt.clip_variant, opt.clip)
-    return spend_schedule(q, z, T, delta)
+        return (math.inf,) * cfg.T
+    z = opt.sigma_dp * cfg.B / clip_sensitivity(opt.clip_variant, opt.clip)
+    return spend_schedule(q, z, cfg.T, delta)
+
+
+def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
+    """The states x_0..x_T of one run of ``problem`` (``build_problem``'s pair),
+    ``opt`` being its optimizer with sigma_dp resolved, before the preset."""
+    obj, ds = problem
+    preset = PRESETS[cfg.algorithm]
+    opt = replace(opt, **preset.overrides)
+    full_batch = preset.full_batch or cfg.B == ds.n
+    noise_rng = seeding.substream(seed, seeding.DP_NOISE)
+    sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
+    ff = cfg.full_filter if cfg.algorithm == "full-kf" else None
+    state = DiskState(x=obj.init_point(seed, cfg.init_scale))
+    yield state
+    for _ in range(cfg.T):
+        batch = ds if full_batch else ds.subset(sampler.next_batch())
+        if ff is None:
+            state = disk_step(state, batch, obj, opt, noise_rng)
+        else:
+            state = full_filter_step(state, batch, obj, opt, ff, noise_rng)
+        yield state
 
 
 def run_experiment(
@@ -272,7 +295,7 @@ def run_experiment(
     seed: int | None = None,
     problem: tuple[Objective, Dataset] | None = None,
 ) -> MetricsTrace:
-    """Run one algorithm for T steps; deterministic per seed.
+    """Run one algorithm for T steps, recording every state; deterministic per seed.
 
     ``problem`` is ``build_problem(cfg.objective, seed, cfg.B)``, passed in by
     callers that run one seed's problem more than once.
@@ -281,37 +304,20 @@ def run_experiment(
     if problem is None:
         problem = build_problem(cfg.objective, seed, batch_floor=cfg.B)
     obj, ds = problem
-    if cfg.B > ds.n:
-        raise ValueError("batch size exceeds dataset size")
-
-    preset = PRESETS[cfg.algorithm]
     opt, delta, q = _resolve_privacy(cfg, ds.n)
-    opt = replace(opt, **preset.overrides)
-    full_batch = preset.full_batch or cfg.B == ds.n
-
-    x0 = obj.init_point(seed, cfg.init_scale)
-    noise_rng = seeding.substream(seed, seeding.DP_NOISE)
-    sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
-    eps_sched = _epsilon_schedule(opt, delta, q, ds.n if full_batch else cfg.B, cfg.T)
-    ff = cfg.full_filter if cfg.algorithm == "full-kf" else None
-    state = DiskState(x=x0.copy())
-
-    loss0, g0 = obj.loss_and_mean_grad(x0, ds.X, ds.y)
+    eps_sched = _epsilon_schedule(cfg, opt, delta, q)
+    states = _trajectory(cfg, opt, seed, problem)
+    loss0, g0 = obj.loss_and_mean_grad(next(states).x, ds.X, ds.y)
     records: list[StepRecord] = []
-    for t in range(cfg.T):
-        batch = ds if full_batch else ds.subset(sampler.next_batch())
-        if ff is None:
-            state = disk_step(state, batch, obj, opt, noise_rng)
-        else:
-            state = full_filter_step(state, batch, obj, opt, ff, noise_rng)
+    for t, state in enumerate(states, 1):
         loss, g = obj.loss_and_mean_grad(state.x, ds.X, ds.y)
         records.append(
             StepRecord(
-                t=t + 1,
+                t=t,
                 loss=loss,
                 grad_norm=float(np.linalg.norm(g)),
                 filtered_grad_norm=float(np.linalg.norm(state.g_filt)),
-                epsilon_spent=eps_sched[t],
+                epsilon_spent=eps_sched[t - 1],
             )
         )
     return MetricsTrace(records, loss0, float(np.linalg.norm(g0)), seed)
@@ -404,35 +410,27 @@ def aggregate_comparison(rows: list[ComparisonRow]) -> dict[tuple[float, str], f
 
 
 def sweep_kappa_gamma(
-    kappas: list[float],
-    gammas: list[float],
-    cfg: ExperimentConfig,
-    metric: str = "final_loss",
+    kappas: list[float], gammas: list[float], cfg: ExperimentConfig
 ) -> list[list[float]]:
-    """Seed-averaged metric for every grid cell; one run per (cell, seed).
+    """Seed-averaged final loss for every grid cell; one run per (cell, seed).
 
     Cells differ only in kappa and gamma, so they share each seed's problem,
-    built once, and with a privacy target one budget: sigma_dp is calibrated
-    once and every cell runs with it. Every run shares one epsilon schedule
-    (``privacy.spend_schedule``).
+    built once, and one sigma_dp, calibrated once for a privacy target. A run
+    records nothing on the way: its last state is evaluated once, by
+    ``full_loss``, which gives the bits of ``run_experiment``'s ``final_loss``.
     """
-    if cfg.epsilon_target is not None:
-        opt, delta, _ = _resolve_privacy(cfg, _dataset_size(cfg.objective, cfg.B))
-        cfg = replace(
-            cfg, optimizer=opt, epsilon_target=None, delta=delta, _sigma_explicit=True
-        )
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
+    opt, _, _ = _resolve_privacy(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
     matrix: list[list[float]] = []
     for kappa in kappas:
         row = []
         for gamma in gammas:
-            cell_cfg = replace(
-                cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma)
-            )
-            vals = [
-                getattr(run_experiment(cell_cfg, s, problems[s]), metric)
-                for s in cfg.seeds
-            ]
+            cell, vals = replace(opt, kappa=kappa, gamma=gamma), []
+            for s in cfg.seeds:
+                obj, ds = problems[s]
+                for state in _trajectory(cfg, cell, s, (obj, ds)):
+                    pass
+                vals.append(full_loss(obj, state.x, ds))
             row.append(float(np.mean(vals)))
         matrix.append(row)
     return matrix

@@ -94,6 +94,9 @@ def clip_rule(norms: np.ndarray, C: float | None, variant: str, cap=1.0) -> np.n
     raise PrivacyError(f"unknown clip variant: {variant!r}")
 
 
+_TINY_NORM = 2.0**-511  # below it, a squared norm is subnormal or 0
+
+
 def _top_exponent(A: np.ndarray) -> np.ndarray:
     """e with 2^e <= max |entry| < 2^(e+1), row by row; -2^16 for a zero row."""
     top = np.abs(A).max(axis=1)
@@ -105,18 +108,18 @@ def clip_factors(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Rows and per-row ``clip_rule`` factors of a (B, d) matrix, None for
     "none"; ``clip_batch`` is their product. The rows are G, or a copy in
-    which only rows whose squared norm overflows are rescaled.
+    which only rows whose squared norm over- or underflows are rescaled.
     """
     if variant == "none":
         return G, None
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(G, axis=1)
     cap = 1.0
-    huge = np.isinf(norms)
+    huge = np.isinf(norms) | (norms < _TINY_NORM)
     if huge.any():
-        # The squared norm overflowed. Write such a row as 2^e u with its
-        # largest entry of u in [1, 2) and clip u instead: the factor
-        # 2^e min{1, C/||g||} is min{2^e, C/||u||}.
+        # The squared norm overflowed, or is subnormal or 0. Write such a row
+        # as 2^e u with its largest entry of u in [1, 2) and clip u instead:
+        # the factor 2^e min{1, C/||g||} is min{2^e, C/||u||}; 0 for a zero row.
         e = _top_exponent(G[huge])
         G = G.copy()
         G[huge] = np.ldexp(G[huge], -e[:, None])
@@ -135,19 +138,21 @@ def clip_factored(
 ) -> tuple[list, np.ndarray]:
     """``clip_factors`` for per-sample gradients in factored form, block b of
     row i being coefs[b][i] (x) feats[b][i] (``objectives.GradFactors``): the
-    coefs, with each row whose squared norm overflows rescaled, and the factors.
+    coefs, each row whose squared norm over- or underflows rescaled, and the factors.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 of a zero block
         norms = np.sqrt(sum(_row_sq(c) * _row_sq(f) for c, f in zip(coefs, feats)))
-    cap, huge = 1.0, np.flatnonzero(~np.isfinite(norms))
+    cap, huge = 1.0, np.flatnonzero(~np.isfinite(norms) | (norms < _TINY_NORM))
     if huge.size:
         # Clip u = 2^-e g_i as clip_factors does, 2^e being the largest top
-        # coefficient times top feature of a block (e >= 0; a zero factor
-        # sets none). Features are scaled by their own 2^-ef for the norm.
+        # coefficient times top feature of a block (a zero factor sets none,
+        # and a row with one in every block keeps e = 0). Features are scaled
+        # by their own 2^-ef for the norm.
         cs = [c[huge] for c in coefs]
         fs = [np.broadcast_to(f, (len(c), f.shape[1]))[huge] for c, f in zip(coefs, feats)]
         ef = [_top_exponent(f) for f in fs]
-        e = np.maximum(np.max([_top_exponent(c) + x for c, x in zip(cs, ef)], axis=0), 0)
+        e = np.max([_top_exponent(c) + x for c, x in zip(cs, ef)], axis=0)
+        e[e < -(2**15)] = 0
         norms[huge] = np.sqrt(sum(_row_sq(np.ldexp(c, (x - e)[:, None]))
                                   * _row_sq(np.ldexp(f, -x[:, None])) for c, f, x in zip(cs, fs, ef)))
         coefs = [c.copy() for c in coefs]

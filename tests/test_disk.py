@@ -503,20 +503,29 @@ def test_gram_observation_matches_per_sample_matrix(case):
 @pytest.mark.parametrize("kind, huge", [
     (kind, huge) for kind in KINDS for huge in ("huge_x", "huge_c")
     if (kind, huge) != ("logistic-regression", "huge_c")  # its coefficient is bounded by 1
-])
+] + [("linear-regression", "tiny")])
 @pytest.mark.parametrize("variant", ["standard", "automatic", "normalized"])
 @pytest.mark.parametrize("a", [None, 1e4], ids=["one-point", "two-point"])
 def test_overflowing_row_clips_to_the_sensitivity(kind, huge, variant, a):
     """A lone row whose factored squared norm overflows clips to exactly the
-    variant's sensitivity: its norm is above C."""
-    obj, batch, x, ahead = observation_problem(kind, 3, 1, a, np.random.default_rng(7), **{huge: [0]})
+    variant's sensitivity: its norm is above C. A tiny row, whose squared
+    norm underflows, clips from its true norm, below C."""
+    rows = {"huge_x" if huge == "tiny" else huge: [0]}
+    obj, batch, x, ahead = observation_problem(kind, 3, 1, a, np.random.default_rng(7), **rows)
+    if huge == "tiny":  # coefficient 3e-100 times features of norm 5e-70
+        batch[0][0, 0], batch[1][0] = 5e-70, -3e-100
     a = 0.0 if a is None else a
     fac = obj.grad_factors(x, *batch, ahead, a)
     with np.errstate(over="ignore", invalid="ignore"):  # the MLP's huge_x is 0 * inf
-        assert not np.isfinite(sum(np.sum(c**2) * np.sum(f**2) for c, f in zip(fac.coefs, fac.feats)))
+        sq = sum(np.sum(c**2) * np.sum(f**2) for c, f in zip(fac.coefs, fac.feats))
+    assert sq == 0.0 if huge == "tiny" else not np.isfinite(sq)
     C = 1e-3
     g = disk._observe(obj, x, batch, DiskConfig(clip=C, clip_variant=variant), rng_for(0), 0, ahead, a)
-    assert np.linalg.norm(g) == pytest.approx(clip_sensitivity(variant, C), rel=1e-12)
+    want = clip_sensitivity(variant, C)
+    if huge == "tiny":
+        norm = abs(fac.coefs[0][0, 0]) * 5e-70
+        want = {"standard": norm, "automatic": C, "normalized": norm / C}[variant]
+    assert row_norms(g[None])[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpkf import harness, privacy
+from dpkf import harness, objectives, privacy
 from dpkf.cli import main as cli_main
 from dpkf.harness import (
     COMPARISON_HEADER,
@@ -104,11 +104,19 @@ def target_raw(**privacy):
         (logistic_raw(objective={"kind": "lasso", "n": 60, "p": 4}),
          ValueError, "unknown objective kind: 'lasso'"),
         (logistic_raw(objective={"n": 60, "p": 4}), ValueError, "unknown objective kind: None"),
+        (target_raw(epsilon=2.0, detla=1e-3), ValueError,
+         r"privacy has unknown keys \['detla'\]; allowed: \['delta', 'epsilon'\]"),
+        (logistic_raw(init_sclae=2.0), ValueError, r"config has unknown keys \['init_sclae'\]"),
     ],
 )
 def test_config_rejects_bad_boundary_values(raw, error, match):
     with pytest.raises(error, match=match):
         ExperimentConfig.from_dict(raw)
+
+
+def test_config_accepts_the_keys_bounds_reads():
+    cfg = ExperimentConfig.from_dict(logistic_raw(f_star_steps=10, sigma_sgd_sq=0.1))
+    assert cfg.T == 25
 
 
 def test_config_accepts_every_objective_key():
@@ -392,18 +400,17 @@ def test_sweep_with_privacy_target_equals_cell_by_cell_runs(monkeypatch):
     cfg = ExperimentConfig.from_dict(raw)
     kappas, gammas = [0.5, 1.0], [-1.0, 0.5]
 
-    def cell(kappa, gamma, metric):
+    def cell(kappa, gamma):
         cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
-        return float(np.mean([getattr(run_experiment(cell_cfg, seed=s), metric) for s in (1, 2)]))
+        return float(np.mean([run_experiment(cell_cfg, seed=s).final_loss for s in (1, 2)]))
 
-    for metric in ("final_loss", "epsilon_total"):
-        expected = [[cell(k, g, metric) for g in gammas] for k in kappas]
-        calls.clear()
-        assert sweep_kappa_gamma(kappas, gammas, cfg, metric=metric) == expected
-        assert len(calls) == 1  # the cells share one calibration
+    expected = [[cell(k, g) for g in gammas] for k in kappas]
+    calls.clear()
+    assert sweep_kappa_gamma(kappas, gammas, cfg) == expected
+    assert len(calls) == 1  # the cells share one calibration
 
 
-def test_privacy_target_sweep_builds_terms_and_schedule_once(monkeypatch):
+def test_privacy_target_sweep_builds_terms_once_and_no_schedule(monkeypatch):
     builds, schedules = [], []
 
     class CountedTerms(privacy._BinomialTerms):
@@ -425,8 +432,29 @@ def test_privacy_target_sweep_builds_terms_and_schedule_once(monkeypatch):
     finally:
         privacy._binomial_terms.cache_clear()
         privacy.spend_schedule.cache_clear()
-    assert len(builds) == 1  # calibration and all 8 runs' schedule
-    assert len(schedules) == 1
+    assert len(builds) == 1  # the calibration's
+    assert schedules == []  # a sweep reports no epsilon
+
+
+def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
+    """A 2 x 2 sweep over 2 seeds: one ``full_loss`` per run and no per-step
+    evaluation or epsilon schedule."""
+    losses, evals, schedules = [], [], []
+    full_loss = harness.full_loss
+    monkeypatch.setattr(harness, "full_loss", lambda *a: losses.append(a) or full_loss(*a))
+    evaluate = objectives.TinyMLP.loss_and_mean_grad
+    monkeypatch.setattr(
+        objectives.TinyMLP, "loss_and_mean_grad", lambda *a: evals.append(a) or evaluate(*a)
+    )
+    schedule = privacy.epsilon_schedule
+    monkeypatch.setattr(
+        privacy, "epsilon_schedule", lambda *a: schedules.append(a) or schedule(*a)
+    )
+    raw = logistic_raw(objective={"kind": "mlp", "n": 60, "p": 4, "hidden": 5},
+                       seeds=[1, 2], privacy={"epsilon": 2.0}, T=4)
+    del raw["optimizer"]["sigma_dp"]
+    sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], ExperimentConfig.from_dict(raw))
+    assert (len(losses), len(evals), len(schedules)) == (8, 0, 0)
 
 
 def test_sweep_builds_each_seed_problem_once(monkeypatch):
@@ -669,8 +697,9 @@ def test_cli_bounds_reports_constants(tmp_path, capsys):
         ({"T": 0}, "need T >= 1 and B >= 1"),
         ({"B": 0}, "need T >= 1 and B >= 1"),
         ({"T": -5}, "need T >= 1 and B >= 1"),
+        ({"f_star_step": 10}, r"config has unknown keys \['f_star_step'\]"),
     ],
-    ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5"],
+    ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5", "misspelled-key"],
 )
 def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
     raw = {

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -95,6 +95,11 @@ def test_clip_direction_and_norm_bounds(dim):
     C=st.floats(1e-6, 1e6),
     variant=st.sampled_from(["standard", "automatic", "normalized"]),
 )
+# rows whose squared norm underflows
+@example(G=np.array([[3.5307853e-161]]), C=1.0, variant="automatic")
+@example(G=np.array([[3e-170, 4e-170]]), C=0.5, variant="standard")
+@example(G=np.array([[3e-170, 4e-170]]), C=0.5, variant="automatic")
+@example(G=np.array([[3e-170, 4e-170]]), C=0.5, variant="normalized")
 def test_clip_batch_rows_never_exceed_sensitivity(G, C, variant):
     norms = np.linalg.norm(clip_batch(G, C, variant), axis=1)
     assert (norms <= clip_sensitivity(variant, C) * (1 + 1e-12)).all()
@@ -106,13 +111,24 @@ def test_clip_batch_rows_never_exceed_sensitivity(G, C, variant):
      ("normalized", clip_normalized)],
 )
 def test_clip_batch_keeps_rows_whose_squared_norm_overflows(variant, fn):
-    G = np.array([[1e200, 0.0], [3.0, 4.0], [-1.7e308, 1.7e308], [0.0, 0.0]])
-    out = clip_batch(G, 1.0, variant)
-    assert np.allclose(out[0], [1.0, 0.0], rtol=1e-15, atol=0)
-    assert np.allclose(out[2], [-math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15, atol=0)
-    # the other rows keep the bits of a batch without the huge rows
-    assert np.array_equal(out[[1, 3]], clip_batch(G[[1, 3]], 1.0, variant))
-    assert np.array_equal(fn(G[0], 1.0), out[0])
+    """And rows whose squared norm underflows: they clip from their true norm."""
+    G = np.array([
+        [1e200, 0.0], [3.0, 4.0], [-1.7e308, 1.7e308], [0.0, 0.0],
+        [3e-170, 4e-170], [3.5307853e-161, 0.0], [5e-324, 0.0],
+    ])
+    out = clip_batch(G, 0.5, variant)
+    top = clip_sensitivity(variant, 0.5)
+    assert np.allclose(out[0], [top, 0.0], rtol=1e-15, atol=0)
+    assert np.allclose(out[2], [-top * math.sqrt(0.5), top * math.sqrt(0.5)], rtol=1e-15, atol=0)
+    # below C: automatic scales up to C, normalized divides by C, standard keeps the row
+    tiny = G[4:]
+    want = {"standard": tiny, "normalized": tiny / 0.5,
+            "automatic": [[0.3, 0.4], [0.5, 0.0], [0.5, 0.0]]}[variant]
+    assert np.allclose(out[4:], want, rtol=1e-15, atol=0)
+    # the normal row and the zero row keep the bits of a batch without the others
+    assert np.array_equal(out[[1, 3]], clip_batch(G[[1, 3]], 0.5, variant))
+    assert np.array_equal(fn(G[0], 0.5), out[0])
+    assert np.array_equal(fn(G[4], 0.5), out[4])
 
 
 def test_clip_sensitivity_values():
