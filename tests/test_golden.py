@@ -124,6 +124,21 @@ LINREG_FULL_BATCH = {
     "B": 40,
 }
 
+# The benchmark's train-logreg op (n 5000, p 50, B 64, automatic clipping,
+# privacy target), with T cut short: its whole-dataset evaluation per state.
+LOGREG_BENCH = {
+    "seed": 14,
+    "objective": {"kind": "logistic-regression", "n": 5000, "p": 50},
+    "algorithm": "disk",
+    "optimizer": {
+        "kappa": 0.7, "gamma": 0.5, "eta": 0.2, "clip": 1.0,
+        "clip_variant": "automatic", "base": "sgd",
+    },
+    "privacy": {"epsilon": 2.5},
+    "T": 4,
+    "B": 64,
+}
+
 SWEEP_GRID = ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"]
 
 # name -> (config or None, argv after the subcommand, CSV file name)
@@ -136,6 +151,7 @@ COMMANDS = {
     "train-full-kf": (FULLKF, ["train"], "trace.csv"),
     "train-dpsgd-target": (dict(TARGET, algorithm="dpsgd"), ["train"], "trace.csv"),
     "train-logreg-wide": (LOGREG_WIDE, ["train"], "trace.csv"),
+    "train-logreg-bench": (LOGREG_BENCH, ["train"], "trace.csv"),
     "train-mlp-wide": (MLP_WIDE, ["train"], "trace.csv"),
     "train-linreg-p1": (LINREG_P1, ["train"], "trace.csv"),
     "train-dpsgd-unclipped": (LOGREG_UNCLIPPED, ["train"], "trace.csv"),
@@ -171,6 +187,7 @@ GOLDEN = {
     "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
     "train-linreg-p1": "c28779808b436fd5a2ff0c163fcad7cfd3f3c03bc5663552f6504b09eb7b966a",
     "train-linreg-p1-noisy-gd": "c6c0f7a680482a9f57346693bb855b82375baf296a092b2bac4e087d15d6ba25",
+    "train-logreg-bench": "834fa9271d908b399ec45b50aaaf9387565ffcd5ba1c7af7efb3a5a1018ff8e2",
     "train-logreg-wide": "1103dfa2915fe57248daab6fa5b6e9ceec87f7966f8219efa3549d5543ee38fe",
     "train-mlp-wide": "73ab8a626e7b631467ce233621c8e8f05f4e00f939b16f52f10d774f43257c04",
     "train-full-kf": "01f4288d2eec7b30d4f981ec48016ff8472f0af479b37db0124262674eeab99c",
