@@ -181,7 +181,7 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int, ahead=None,
         fac = obj.grad_factors(x, X, y, ahead, a)
         weights = None
         if cfg.clip_variant != "none":
-            fac.coefs, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
+            fac.coefs, fac.feats, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
         g = fac.mean(weights)
         if not np.isfinite(g).all():
             bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)

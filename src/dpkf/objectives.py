@@ -131,14 +131,23 @@ class GradFactors:
         return self.pack(means)
 
 
-def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
-    """sigmoid(-m), stable on both tails, with one exp and one division.
+def _sigmoid_neg(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(-m), stable on both tails, from e = exp(-|m|) and one division.
 
     The two-branch form, exp(-m)/(1+exp(-m)) for m >= 0 and 1/(1+exp(m))
     otherwise, divides by 1 + exp(-|m|) in both, so this gives its bits.
     """
-    e = np.exp(-np.abs(m))
     return np.where(m >= 0, e, 1.0) / (1.0 + e)
+
+
+def _log1p_exp_neg(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-m)) from e = exp(-|m|), as log1p(e) + max(-m, 0).
+
+    This is numpy's own ``logaddexp(0, -m)`` formula: m = 0 gives ln 2, the
+    tails give 0 and -m, and NaN stays NaN. Only the exp differs, numpy's
+    vector one here and libm's scalar one there, so the two agree to 2 ulp.
+    """
+    return np.log1p(e) + np.maximum(-m, 0.0)
 
 
 def gen_linear_regression(n: int, p: int, noise_std: float, seed: int) -> Dataset:
@@ -315,22 +324,24 @@ class LogisticRegression(_GeneralisedLinear):
     curvature = 0.25
 
     def _margins(self, x, X, y):
-        return y * (X @ self._check_dim(x))
+        """m_i = y_i <a_i, x> and exp(-|m_i|), which the loss and its weights share."""
+        m = y * (X @ self._check_dim(x))
+        return m, np.exp(-np.abs(m))
 
     @staticmethod
-    def _weights(m, y):
-        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), m_i = y_i <a_i, x>."""
-        return -y * _sigmoid_neg(m)
+    def _weights(m, e, y):
+        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i)."""
+        return -y * _sigmoid_neg(m, e)
 
     def _coef(self, x, X, y):
-        return self._weights(self._margins(x, X, y), y)
+        return self._weights(*self._margins(x, X, y), y)
 
     def per_sample_losses(self, x, X, y):
-        return np.logaddexp(0.0, -self._margins(x, X, y))
+        return _log1p_exp_neg(*self._margins(x, X, y))
 
     def loss_and_mean_grad(self, x, X, y):
-        m = self._margins(x, X, y)
-        return float(np.logaddexp(0.0, -m).mean()), _row_mean(self._weights(m, y), X)
+        m, e = self._margins(x, X, y)
+        return float(_log1p_exp_neg(m, e).mean()), _row_mean(self._weights(m, e, y), X)
 
 
 class TinyMLP(Objective):

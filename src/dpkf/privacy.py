@@ -135,32 +135,41 @@ def _row_sq(A: np.ndarray) -> np.ndarray:
 
 def clip_factored(
     coefs: list, feats: list, C: float | None, variant: str
-) -> tuple[list, np.ndarray]:
+) -> tuple[list, list, np.ndarray]:
     """``clip_factors`` for per-sample gradients in factored form, block b of
     row i being coefs[b][i] (x) feats[b][i] (``objectives.GradFactors``): the
-    coefs, each row whose squared norm over- or underflows rescaled, and the factors.
+    coefs and feats, each row rescaled whose squared norm over- or underflows
+    or has a factor whose own squared norm is subnormal or 0, and the factors.
     """
+    sq = [(_row_sq(c), _row_sq(f)) for c, f in zip(coefs, feats)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 of a zero block
-        norms = np.sqrt(sum(_row_sq(c) * _row_sq(f) for c, f in zip(coefs, feats)))
-    cap, huge = 1.0, np.flatnonzero(~np.isfinite(norms) | (norms < _TINY_NORM))
+        norms = np.sqrt(sum(sc * sf for sc, sf in sq))
+    # A subnormal factor keeps few bits of its squared norm even where the
+    # product is normal; a zero factor is rescued too, which keeps its bits.
+    huge = ~np.isfinite(norms) | (norms < _TINY_NORM)
+    for sc, sf in sq:
+        huge |= (sc < _TINY_NORM**2) | (sf < _TINY_NORM**2)
+    cap, huge = 1.0, np.flatnonzero(huge)
     if huge.size:
         # Clip u = 2^-e g_i as clip_factors does, 2^e being the largest top
         # coefficient times top feature of a block (a zero factor sets none,
-        # and a row with one in every block keeps e = 0). Features are scaled
-        # by their own 2^-ef for the norm.
+        # and a row with one in every block keeps e = 0). A block's features
+        # are scaled by their own 2^-ef and its coefficients by 2^(ef - e), so
+        # neither over- or underflows; a shared feature row becomes B rows.
         cs = [c[huge] for c in coefs]
-        fs = [np.broadcast_to(f, (len(c), f.shape[1]))[huge] for c, f in zip(coefs, feats)]
-        ef = [_top_exponent(f) for f in fs]
+        feats = [np.array(np.broadcast_to(f, (len(c), f.shape[1]))) for c, f in zip(coefs, feats)]
+        ef = [_top_exponent(f[huge]) for f in feats]
         e = np.max([_top_exponent(c) + x for c, x in zip(cs, ef)], axis=0)
         e[e < -(2**15)] = 0
-        norms[huge] = np.sqrt(sum(_row_sq(np.ldexp(c, (x - e)[:, None]))
-                                  * _row_sq(np.ldexp(f, -x[:, None])) for c, f, x in zip(cs, fs, ef)))
         coefs = [c.copy() for c in coefs]
-        for c, part in zip(coefs, cs):
-            c[huge] = np.ldexp(part, -e[:, None])
+        for c, f, part, x in zip(coefs, feats, cs, ef):
+            c[huge] = np.ldexp(part, (x - e)[:, None])
+            f[huge] = np.ldexp(f[huge], -x[:, None])
+        norms[huge] = np.sqrt(sum(_row_sq(c[huge]) * _row_sq(f[huge]) for c, f in zip(coefs, feats)))
         cap = np.ones(len(norms))
-        cap[huge] = np.ldexp(1.0, e)
-    return coefs, clip_rule(norms, C, variant, cap)
+        with np.errstate(over="ignore"):  # e above 1023: an infinite cap, none
+            cap[huge] = np.ldexp(1.0, e)
+    return coefs, feats, clip_rule(norms, C, variant, cap)
 
 
 def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:

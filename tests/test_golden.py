@@ -182,7 +182,7 @@ GOLDEN = {
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
     "train-disk": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
-    "train-dpsgd": "d1b1cf4965fe5f42c5b9339daa278a16d05a605447f3ddf976553d57ab2109d9",
+    "train-dpsgd": "b236870a40004da97b089750e7118a071074738f3c077e53d12e641d6f25da41",
     "train-dpsgd-target": "fdd94d3cfc53926b2eedb8037226a858a56c7bcee8b1ef740c30e64a408958a3",
     "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
     "train-linreg-p1": "c28779808b436fd5a2ff0c163fcad7cfd3f3c03bc5663552f6504b09eb7b966a",
@@ -192,7 +192,7 @@ GOLDEN = {
     "train-mlp-wide": "73ab8a626e7b631467ce233621c8e8f05f4e00f939b16f52f10d774f43257c04",
     "train-full-kf": "01f4288d2eec7b30d4f981ec48016ff8472f0af479b37db0124262674eeab99c",
     "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
-    "train-noisy-gd": "f97db3f96d7e241a50c88a83ed7de3a5fecc618004a71ccaeca7609c3c923812",
+    "train-noisy-gd": "4aebf5be99538fc66b572d436d5a54f3b940276b965f95e7cd0c437827a139f9",
     "train-noisy-kf": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
     "train-noisy-lp": "772cb553198392c8469449ad38985bb94382ef3e2607dc61e1abfb9f28cf34dd",
 }

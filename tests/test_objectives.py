@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -344,11 +346,63 @@ def test_sigmoid_neg_matches_masked_two_branch_form():
     edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, 1e-300, -1e-300, 36.7, -36.7])
     spread = np.random.default_rng(0).standard_normal(2000) * np.logspace(-3, 3, 2000)
     for m in (edges, spread):
-        got, want = _sigmoid_neg(m), masked_sigmoid_neg(m)
+        got, want = _sigmoid_neg(m, np.exp(-np.abs(m))), masked_sigmoid_neg(m)
         assert np.array_equal(got, want, equal_nan=True)
         real = ~np.isnan(want)  # a NaN's sign bit carries nothing
         assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
-    assert _sigmoid_neg(edges)[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
+    assert _sigmoid_neg(edges, np.exp(-np.abs(edges)))[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
+
+
+def logistic_losses(margins):
+    """``LogisticRegression.per_sample_losses`` at the given margins (y = 1, x = 1)."""
+    m = np.asarray(margins, dtype=float)
+    return make_objective("logistic-regression", 1).per_sample_losses(np.ones(1), m[:, None], np.ones(len(m)))
+
+
+def test_logistic_loss_edges():
+    m = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 746.0, -746.0, 1e308, -1e308])
+    got = logistic_losses(m)
+    assert got[0] == got[1] == np.logaddexp(0.0, -0.0) == math.log(2.0)
+    assert np.array_equal(got[2:], [0.0, np.inf, np.nan, 0.0, 746.0, 0.0, 1e308], equal_nan=True)
+    with np.errstate(invalid="ignore"):  # logaddexp flags its NaN
+        assert np.array_equal(got[2:], np.logaddexp(0.0, -m[2:]), equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(allow_nan=False, allow_infinity=False))
+@example(m=4.157618328626281)  # 3 ulp from logaddexp: 1.57 ulp below the truth, it 1.43 above
+@example(m=-0.4140064185649884)
+@example(m=740.0)  # a subnormal loss
+@example(m=5e-324)
+def test_logistic_loss_matches_logaddexp_and_mpmath(m):
+    """log1p(e) + max(-m, 0) with numpy's vector exp is within 3 ulp of
+    ``logaddexp(0, -m)``, which calls libm's scalar exp, and within 1e-15 of
+    the exact value (or two subnormal spacings, for a subnormal loss)."""
+    got = logistic_losses([m])[0]
+    want = np.logaddexp(0.0, -m)
+    assert abs(got - want) <= 3 * math.ulp(want)
+    with mpmath.workdps(40):
+        exact = mpmath.log1p(mpmath.exp(-mpmath.mpf(m)))
+        assert abs(mpmath.mpf(got) - exact) <= max(1e-15 * exact, 2.0**-1073)
+
+
+def test_logistic_weights_keep_the_bits_of_the_two_branch_sigmoid():
+    """The weights share exp(-|m|) with the loss and keep -y sigmoid(-m)'s bits,
+    at one point and in the two-point combination."""
+    rng = np.random.default_rng(5)
+    n, p = 400, 6
+    X = rng.standard_normal((n, p)) * np.logspace(-3, 3, n)[:, None]
+    y = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
+    X[0] = 0.0
+    obj = make_objective("logistic-regression", p)
+    x, ahead, a = rng.standard_normal(p), rng.standard_normal(p), 0.3
+
+    def weights(z):
+        return -y * masked_sigmoid_neg(y * (X @ z))
+
+    assert np.array_equal(obj.grad_factors(x, X, y).coefs[0][:, 0], weights(x))
+    two = obj.grad_factors(x, X, y, ahead, a).coefs[0][:, 0]
+    assert np.array_equal(two, a * weights(ahead) + (1.0 - a) * weights(x))
 
 
 @pytest.mark.parametrize("kind", ["linear-regression", "logistic-regression", "mlp"])

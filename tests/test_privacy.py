@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpkf import privacy
+from dpkf.objectives import GradFactors
 from dpkf.privacy import (
     DEFAULT_ORDERS,
     PrivacyError,
@@ -103,6 +104,45 @@ def test_clip_direction_and_norm_bounds(dim):
 def test_clip_batch_rows_never_exceed_sensitivity(G, C, variant):
     norms = np.linalg.norm(clip_batch(G, C, variant), axis=1)
     assert (norms <= clip_sensitivity(variant, C) * (1 + 1e-12)).all()
+
+
+@st.composite
+def factored_batches(draw):
+    """One or two blocks of coefficients and features over B rows, entries
+    across the whole finite range; a block's features may be one shared row."""
+    B = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coefs, feats = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        coefs.append(draw(arrays(np.float64, (B, draw(st.integers(1, 3))), elements=finite)))
+        rows = 1 if draw(st.booleans()) else B
+        feats.append(draw(arrays(np.float64, (rows, draw(st.integers(1, 3))), elements=finite)))
+    return coefs, feats
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=factored_batches(),
+    C=st.floats(1e-6, 1e6),
+    variant=st.sampled_from(["standard", "automatic", "normalized"]),
+)
+# a coefficient whose own squared norm is subnormal, features of 1e100
+@example(batch=([np.array([[3.5307853e-161]])], [np.array([[1e100]])]), C=1.0, variant="automatic")
+# subnormal features, coefficient 1
+@example(batch=([np.array([[1.0]])], [np.array([[1e-310, 0.0]])]), C=1.0, variant="automatic")
+@example(batch=([np.array([[1.0]])], [np.array([[1e-310, 0.0]])]), C=1.0, variant="standard")
+def test_clip_factored_rows_never_exceed_sensitivity(batch, C, variant):
+    """Every clipped factored row has norm at most the sensitivity, automatic
+    clipping takes every nonzero row to C, and no product is inf or NaN."""
+    coefs, feats, w = privacy.clip_factored(*batch, C, variant)
+    # the products the weighted mean sums
+    rows = GradFactors([w[:, None] * c for c in coefs], feats).rows()
+    assert np.isfinite(rows).all()
+    norms = np.array([math.hypot(*row) for row in rows])
+    assert (norms <= clip_sensitivity(variant, C) * (1 + 1e-12)).all()
+    if variant == "automatic":
+        nonzero = sum(c.any(axis=1) & f.any(axis=1) for c, f in zip(*batch)) > 0
+        assert norms[nonzero] == pytest.approx(np.full(nonzero.sum(), C), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
