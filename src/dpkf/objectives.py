@@ -16,7 +16,10 @@ last bits moved); losses stay on residuals, where the G form would cancel.
 
 ``loss_and_mean_grad`` shares one forward pass (residual, margins, or hidden
 layer and residual) between the two and applies the same operations to it, so
-it is ``==`` to ``(full_loss, mean_grad)``.
+it is ``==`` to ``(full_loss, mean_grad)``. The logistic margins m come with
+e = exp(-|m|), taken once: the loss is log1p(e) + max(-m, 0), numpy's
+``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it), and the
+weights are -y where(m >= 0, e, 1) / (1 + e).
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def _log1p_exp_neg(m: np.ndarray, e: np.ndarray) -> np.ndarray:
 
     This is numpy's own ``logaddexp(0, -m)`` formula: m = 0 gives ln 2, the
     tails give 0 and -m, and NaN stays NaN. Only the exp differs, numpy's
-    vector one here and libm's scalar one there, so the two agree to 2 ulp.
+    vector one here and libm's scalar one there, so the two agree to 3 ulp.
     """
     return np.log1p(e) + np.maximum(-m, 0.0)
 

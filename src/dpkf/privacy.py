@@ -145,7 +145,8 @@ def clip_factored(
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 of a zero block
         norms = np.sqrt(sum(sc * sf for sc, sf in sq))
     # A subnormal factor keeps few bits of its squared norm even where the
-    # product is normal; a zero factor is rescued too, which keeps its bits.
+    # product is normal. A zero factor is rescued too: scaling by powers of
+    # two leaves the products the mean sums with their bits.
     huge = ~np.isfinite(norms) | (norms < _TINY_NORM)
     for sc, sf in sq:
         huge |= (sc < _TINY_NORM**2) | (sf < _TINY_NORM**2)
@@ -155,15 +156,14 @@ def clip_factored(
         # coefficient times top feature of a block (a zero factor sets none,
         # and a row with one in every block keeps e = 0). A block's features
         # are scaled by their own 2^-ef and its coefficients by 2^(ef - e), so
-        # neither over- or underflows; a shared feature row becomes B rows.
-        cs = [c[huge] for c in coefs]
+        # neither over- nor underflows; a shared feature row becomes B rows.
+        coefs = [c.copy() for c in coefs]
         feats = [np.array(np.broadcast_to(f, (len(c), f.shape[1]))) for c, f in zip(coefs, feats)]
         ef = [_top_exponent(f[huge]) for f in feats]
-        e = np.max([_top_exponent(c) + x for c, x in zip(cs, ef)], axis=0)
+        e = np.max([_top_exponent(c[huge]) + x for c, x in zip(coefs, ef)], axis=0)
         e[e < -(2**15)] = 0
-        coefs = [c.copy() for c in coefs]
-        for c, f, part, x in zip(coefs, feats, cs, ef):
-            c[huge] = np.ldexp(part, (x - e)[:, None])
+        for c, f, x in zip(coefs, feats, ef):
+            c[huge] = np.ldexp(c[huge], (x - e)[:, None])
             f[huge] = np.ldexp(f[huge], -x[:, None])
         norms[huge] = np.sqrt(sum(_row_sq(c[huge]) * _row_sq(f[huge]) for c, f in zip(coefs, feats)))
         cap = np.ones(len(norms))
