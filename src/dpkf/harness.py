@@ -4,6 +4,9 @@ deterministic CSV/SVG emission.
 
 A training run and a sweep cell step through one loop, ``_trajectory``:
 ``run_experiment`` evaluates and records every state, a sweep cell only its last.
+The run evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
+``Objective.evaluate`` with one weight buffer, and stops at the first state
+whose loss or gradient is not finite.
 
 Runs are pure functions of their config and seed: datasets, minibatch order,
 and DP noise each come from a named substream of the run's seed, so the full
@@ -15,6 +18,7 @@ seeds touch disjoint state, yet run in sequence: a 2-thread pool over
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -26,6 +30,7 @@ from . import seeding, svgplot
 from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, full_filter_step
 from .kalman import random_stable_system, simulate_estimation
 from .objectives import (
+    EVAL_BLOCK,
     Dataset,
     LinearRegression,
     MinibatchSampler,
@@ -296,6 +301,7 @@ def run_experiment(
     problem: tuple[Objective, Dataset] | None = None,
 ) -> MetricsTrace:
     """Run one algorithm for T steps, recording every state; deterministic per seed.
+    A state whose loss or gradient is not finite raises ``FloatingPointError``.
 
     ``problem`` is ``build_problem(cfg.objective, seed, cfg.B)``, passed in by
     callers that run one seed's problem more than once.
@@ -307,20 +313,28 @@ def run_experiment(
     opt, delta, q = _resolve_privacy(cfg, ds.n)
     eps_sched = _epsilon_schedule(cfg, opt, delta, q)
     states = _trajectory(cfg, opt, seed, problem)
-    loss0, g0 = obj.loss_and_mean_grad(next(states).x, ds.X, ds.y)
+    W = np.empty((EVAL_BLOCK, ds.n))  # a linear model's per-state coefficients, reused
     records: list[StepRecord] = []
-    for t, state in enumerate(states, 1):
-        loss, g = obj.loss_and_mean_grad(state.x, ds.X, ds.y)
-        records.append(
-            StepRecord(
-                t=t,
-                loss=loss,
-                grad_norm=float(np.linalg.norm(g)),
-                filtered_grad_norm=float(np.linalg.norm(state.g_filt)),
-                epsilon_spent=eps_sched[t - 1],
+    t = 0
+    while block := list(itertools.islice(states, EVAL_BLOCK)):
+        losses, grads = obj.evaluate([s.x for s in block], ds.X, ds.y, W)
+        finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise FloatingPointError(
+                f"step {t + i}: non-finite evaluation, loss {float(losses[i])!r} and "
+                f"{np.count_nonzero(~np.isfinite(grads[i]))} non-finite gradient components"
             )
-        )
-    return MetricsTrace(records, loss0, float(np.linalg.norm(g0)), seed)
+        for state, loss, g in zip(block, losses.tolist(), grads):
+            if t == 0:
+                loss0, grad0_norm = loss, float(np.linalg.norm(g))
+            else:
+                records.append(StepRecord(
+                    t, loss, float(np.linalg.norm(g)), float(np.linalg.norm(state.g_filt)),
+                    eps_sched[t - 1],
+                ))
+            t += 1
+    return MetricsTrace(records, loss0, grad0_norm, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,15 @@ combines densely). ``mean_grad`` is their unit-weight mean, with the bits of
 regression's is G x - b (``dataset_mean_grad``, G and b cached on it; the
 last bits moved); losses stay on residuals, where the G form would cancel.
 
-``loss_and_mean_grad`` shares one forward pass (residual, margins, or hidden
-layer and residual) between the two and applies the same operations to it, so
-it is ``==`` to ``(full_loss, mean_grad)``. The logistic margins m come with
-e = exp(-|m|), taken once: the loss is log1p(e) + max(-m, 0), numpy's
-``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it), and the
-weights are -y where(m >= 0, e, 1) / (1 + e).
+``evaluate`` gives the mean loss and mean gradient at a block of up to
+``EVAL_BLOCK`` states, each state's from one forward pass (residual, margins,
+or hidden layer and residual). Every loss is ``==`` to ``full_loss``. The MLP's
+and the quadratic's gradients are ``==`` to ``mean_grad``; the linear models'
+are one product ``W @ X / n`` for the whole block, W holding each state's
+coefficients, so they differ from ``mean_grad`` only in the order of the sum.
+The logistic margins m come with e = exp(-|m|), taken once: the loss is
+log1p(e) + max(-m, 0), numpy's ``logaddexp(0, -m)`` formula with the vector
+exp (within 3 ulp of it), and the weights are -y where(m >= 0, e, 1) / (1 + e).
 """
 
 from __future__ import annotations
@@ -31,6 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
+
+# States per ``evaluate`` product. OpenBLAS picks its kernel by the row count
+# of W, and a row's bits differ between 1-4 rows and 8 (n 5000, p 50); at 8
+# rows they are the same at every position. So W always has 8 rows, zero past
+# the states given, and a state's gradient bits depend on the state alone (and
+# on the BLAS thread count at large n; the CLI runs one thread).
+EVAL_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -208,10 +218,21 @@ class Objective:
         ``per_sample_grads(x, X, y).mean(axis=0)`` for C-contiguous X."""
         return self.grad_factors(x, X, y).mean()
 
-    def loss_and_mean_grad(self, x, X, y) -> tuple[float, np.ndarray]:
-        """``(float(per_sample_losses(...).mean()), mean_grad(...))``, the same
-        bits; an override runs the forward pass once for both."""
-        return float(self.per_sample_losses(x, X, y).mean()), self.mean_grad(x, X, y)
+    def evaluate(self, xs, X, y, W: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Mean losses (k,) and mean gradients (k, d) at the k rows of ``xs``,
+        1 <= k <= ``EVAL_BLOCK``; each loss has the bits of ``full_loss``. ``W``
+        is an (EVAL_BLOCK, n) buffer a caller may reuse across blocks; the
+        linear models' override fills it, here each state runs on its own."""
+        xs = self._check_block(xs)
+        losses, grads = np.empty(len(xs)), np.empty(xs.shape)
+        for i, x in enumerate(xs):
+            losses[i], grads[i] = self._loss_and_mean_grad(x, X, y)
+        return losses, grads
+
+    def _loss_and_mean_grad(self, x, X, y):
+        """One state's ``(per_sample_losses(...).mean(), mean_grad(...))``; an
+        override runs the forward pass once for both, with the same bits."""
+        return self.per_sample_losses(x, X, y).mean(), self.mean_grad(x, X, y)
 
     def smoothness(self, dataset: Dataset | None = None) -> float | None:
         """Smoothness constant of the mean loss, when computable exactly."""
@@ -224,6 +245,14 @@ class Objective:
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
         rng = seeding.substream(seed, seeding.INIT)
         return scale * rng.standard_normal(self.dim)
+
+    def _check_block(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim or not 1 <= len(xs) <= EVAL_BLOCK:
+            raise ValueError(
+                f"states must have shape (k, {self.dim}) with 1 <= k <= {EVAL_BLOCK}, got {xs.shape}"
+            )
+        return xs
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -287,6 +316,21 @@ class _GeneralisedLinear(Objective):
     def _coef(self, x, X, y):
         raise NotImplementedError
 
+    def _loss_and_coef(self, x, X, y):
+        """The mean loss and the coefficients c at one state, from one forward pass."""
+        raise NotImplementedError
+
+    def evaluate(self, xs, X, y, W=None):
+        """Each state's loss and coefficients from its own forward pass; the
+        block's gradients from one product (see ``EVAL_BLOCK``)."""
+        xs = self._check_block(xs)
+        W = np.empty((EVAL_BLOCK, len(X))) if W is None else W
+        W[len(xs):] = 0.0
+        losses = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            losses[i], W[i] = self._loss_and_coef(x, X, y)
+        return losses, (W @ X)[: len(xs)] / len(X)
+
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
         c = self._coef(x, X, y)
         if ahead is not None:
@@ -315,9 +359,9 @@ class LinearRegression(_GeneralisedLinear):
             z = x if ahead is None else x + a * (ahead - x)
             return batch.second_moment @ self._check_dim(z) - batch.moment_xy
 
-    def loss_and_mean_grad(self, x, X, y):
+    def _loss_and_coef(self, x, X, y):
         r = self._coef(x, X, y)
-        return float((0.5 * r**2).mean()), _row_mean(r, X)
+        return (0.5 * r**2).mean(), r
 
 
 class LogisticRegression(_GeneralisedLinear):
@@ -342,9 +386,9 @@ class LogisticRegression(_GeneralisedLinear):
     def per_sample_losses(self, x, X, y):
         return _log1p_exp_neg(*self._margins(x, X, y))
 
-    def loss_and_mean_grad(self, x, X, y):
+    def _loss_and_coef(self, x, X, y):
         m, e = self._margins(x, X, y)
-        return float(_log1p_exp_neg(m, e).mean()), _row_mean(self._weights(m, e, y), X)
+        return _log1p_exp_neg(m, e).mean(), self._weights(m, e, y)
 
 
 class TinyMLP(Objective):
@@ -409,10 +453,10 @@ class TinyMLP(Objective):
         W1_b1 = blocks[0].reshape(*lead, self.hidden, self.in_dim + 1)
         return np.concatenate([W1_b1[..., :-1].reshape(*lead, -1), W1_b1[..., -1], blocks[1]], axis=-1)
 
-    def loss_and_mean_grad(self, x, X, y):
+    def _loss_and_mean_grad(self, x, X, y):
         fac = self.grad_factors(x, X, y)
         r = fac.feats[1][:, -1]  # the ones column of r [h_i, 1]
-        return float((0.5 * r**2).mean()), fac.mean()
+        return (0.5 * r**2).mean(), fac.mean()
 
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
         rng = seeding.substream(seed, seeding.INIT)

@@ -272,10 +272,10 @@ def problem_constants_for(
         raise ValueError("objective does not expose an exact smoothness constant")
     if f_star is None:
         f_star, _ = estimate_f_star(obj, dataset, x0)
-    loss0, g0 = obj.loss_and_mean_grad(x0, dataset.X, dataset.y)
+    (loss0,), (g0,) = obj.evaluate([x0], dataset.X, dataset.y)  # padded: the bits train reports
     return ProblemConstants(
         L=L,
-        gap0=loss0 - f_star,
+        gap0=float(loss0) - f_star,
         grad0_sq=float(g0 @ g0),
         sigma_sgd_sq=sigma_sgd_sq,
         dim=obj.dim,

@@ -333,13 +333,18 @@ def test_non_finite_gradients_abort(kind):
     if kind != "linear-regression":
         return
     # Full batch from the Gram statistics: a step far above 2/L diverges, and
-    # the run stops at the step whose mean overflows instead of tracing NaNs.
+    # the steps stop at the one whose mean overflows instead of tracing NaNs;
+    # a run stops before that, at the first state whose loss overflows.
     raw = {"seed": 3, "objective": {"kind": kind, "n": 30, "p": 2}, "algorithm": "noisy-gd",
            "optimizer": {"sigma_dp": 0.1}, "T": 5000, "B": 30}
     ds = harness.build_problem(raw["objective"], 3)[1]
     raw["optimizer"]["eta"] = 100.0 / obj.smoothness(ds)
+    cfg = harness.ExperimentConfig.from_dict(raw)
     with pytest.raises(FloatingPointError, match=r"^step \d+: \d+ non-finite mean gradient"):
-        harness.run_experiment(harness.ExperimentConfig.from_dict(raw), problem=(obj, ds))
+        for _ in harness._trajectory(cfg, cfg.optimizer, 3, (obj, ds)):
+            pass
+    with pytest.raises(FloatingPointError, match=r"^step \d+: non-finite evaluation, loss inf"):
+        harness.run_experiment(cfg, problem=(obj, ds))
     # an empty batch is refused before the dataset builds any statistics
     fresh = gen_linear_regression(30, 2, 0.1, seed=3)
     with pytest.raises(ValueError, match="batch must be non-empty"):

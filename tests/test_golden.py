@@ -181,20 +181,20 @@ GOLDEN = {
     "sweep-linreg-full-batch": "d449b753031da5826035df4415fc426ef59153293af890d3b288d7fe0efe2f29",
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
-    "train-disk": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
-    "train-dpsgd": "b236870a40004da97b089750e7118a071074738f3c077e53d12e641d6f25da41",
-    "train-dpsgd-target": "fdd94d3cfc53926b2eedb8037226a858a56c7bcee8b1ef740c30e64a408958a3",
-    "train-dpsgd-unclipped": "f672640422115e7a566a3a40363b264f5fb01bda92a00600d25985479cc16ce1",
-    "train-linreg-p1": "c28779808b436fd5a2ff0c163fcad7cfd3f3c03bc5663552f6504b09eb7b966a",
-    "train-linreg-p1-noisy-gd": "c6c0f7a680482a9f57346693bb855b82375baf296a092b2bac4e087d15d6ba25",
-    "train-logreg-bench": "834fa9271d908b399ec45b50aaaf9387565ffcd5ba1c7af7efb3a5a1018ff8e2",
-    "train-logreg-wide": "1103dfa2915fe57248daab6fa5b6e9ceec87f7966f8219efa3549d5543ee38fe",
+    "train-disk": "d2f6dc9d6a05498083c51d00e2cb6efdd08a1526c793418b8593c50dd7765396",
+    "train-dpsgd": "2b7cbe2e05396fd7dbd203eff5bc30a05a44bf42b5f05accef081dff05058966",
+    "train-dpsgd-target": "7503914c95d239ca61a4f4293986e8b7e1966d33507072ed998085c0ca74affb",
+    "train-dpsgd-unclipped": "89a5f7ae3bea646cbdb0d4f996421f36c3d321148aabe59053e8fc1ef9058321",
+    "train-linreg-p1": "42e81b9f51decbcd93012d5784913ee631e0d1f6b4b0df39d50f0afc4ae8b7ef",
+    "train-linreg-p1-noisy-gd": "b5951f53179fbd669e291b9be11c8b2d2df33e97446519953db05802ebec1ffd",
+    "train-logreg-bench": "42050a9b615d993da9d3d4a625f81455aeee6e8e8c227d43f8e88f40e6510c02",
+    "train-logreg-wide": "506739d0ee81d7601d18def48164853d7d53bb4f987f41e07150e87abf32560e",
     "train-mlp-wide": "73ab8a626e7b631467ce233621c8e8f05f4e00f939b16f52f10d774f43257c04",
-    "train-full-kf": "01f4288d2eec7b30d4f981ec48016ff8472f0af479b37db0124262674eeab99c",
+    "train-full-kf": "10f3071efa4fc2f8df132c43270c5c7d7e5cd96647ce454c56ba248ffa87fec4",
     "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
-    "train-noisy-gd": "4aebf5be99538fc66b572d436d5a54f3b940276b965f95e7cd0c437827a139f9",
-    "train-noisy-kf": "355875d3f7c3a84d42ecc1612c1bc329b7335e080a5c7035a7c7ad5f0e466b19",
-    "train-noisy-lp": "772cb553198392c8469449ad38985bb94382ef3e2607dc61e1abfb9f28cf34dd",
+    "train-noisy-gd": "ac5f41ea0540be34666574271eccf5584aab6969d80d3ee7b76eae0c3e78767b",
+    "train-noisy-kf": "d2f6dc9d6a05498083c51d00e2cb6efdd08a1526c793418b8593c50dd7765396",
+    "train-noisy-lp": "8b3be2e517161e9927f740a247f2518bc6464ebe858dc782c89eb62e870b666d",
 }
 
 # name -> argv of a ``calibrate`` command whose stdout is hashed

@@ -25,7 +25,7 @@ from dpkf.harness import (
     sweep_kappa_gamma,
     _resolve_privacy,
 )
-from dpkf.objectives import LinearRegression
+from dpkf.objectives import EVAL_BLOCK, LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
 from test_golden import FULLKF, SMALL_FULLKF
 
@@ -442,9 +442,9 @@ def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
     losses, evals, schedules = [], [], []
     full_loss = harness.full_loss
     monkeypatch.setattr(harness, "full_loss", lambda *a: losses.append(a) or full_loss(*a))
-    evaluate = objectives.TinyMLP.loss_and_mean_grad
+    evaluate = objectives.TinyMLP.evaluate
     monkeypatch.setattr(
-        objectives.TinyMLP, "loss_and_mean_grad", lambda *a: evals.append(a) or evaluate(*a)
+        objectives.TinyMLP, "evaluate", lambda *a: evals.append(a) or evaluate(*a)
     )
     schedule = privacy.epsilon_schedule
     monkeypatch.setattr(
@@ -715,7 +715,7 @@ def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
 
 
 # ---------------------------------------------------------------------------
-# One forward pass per whole-dataset evaluation
+# Whole-dataset evaluation: one forward pass per state, blocks of EVAL_BLOCK
 # ---------------------------------------------------------------------------
 
 
@@ -730,7 +730,7 @@ def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
 )
 def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
     """run_experiment and problem_constants_for (for kinds with an exact L)
-    evaluate the whole dataset through ``loss_and_mean_grad`` alone."""
+    evaluate the whole dataset through ``Objective.evaluate`` alone."""
     from dpkf.theory import problem_constants_for
 
     cfg = ExperimentConfig.from_dict(logistic_raw(objective=objective, T=5, B=20))
@@ -756,6 +756,85 @@ def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
     assert (got.loss0, got.grad0_norm) == (want.loss0, want.grad0_norm)
     if bounded:
         assert problem_constants_for(obj, ds, x0, f_star=0.0) == want_pc
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [{"kind": "logistic-regression", "n": 3000, "p": 50}, {"kind": "linear-regression", "n": 40, "p": 1}],
+    ids=["logistic-wide", "linear-p1"],
+)
+def test_run_rows_do_not_depend_on_where_a_block_ends(objective):
+    """Runs of T + 1 = 2, 7, 8, 9 and 17 states give the first rows of a longer
+    run bit for bit, whether a state lands in a full or a padded block. A lone
+    state (x_0 in ``bounds``) gives the run's gap0 and grad0 bits too."""
+    from dpkf.theory import problem_constants_for
+
+    raw = logistic_raw(objective=objective, T=20, B=20)
+    obj, ds = harness.build_problem(raw["objective"], 1, batch_floor=20)
+    longer = run_experiment(ExperimentConfig.from_dict(raw), 1, (obj, ds))
+    for T in (1, 6, 7, 8, 16):
+        trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=T)), 1, (obj, ds))
+        assert (trace.loss0, trace.grad0_norm) == (longer.loss0, longer.grad0_norm)
+        assert trace.csv_lines() == longer.csv_lines()[: T + 1]
+    pc = problem_constants_for(obj, ds, obj.init_point(1), f_star=0.0)
+    assert (pc.gap0, math.sqrt(pc.grad0_sq)) == (longer.loss0, longer.grad0_norm)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize(
+    "objective",
+    [{"kind": "linear-regression", "n": 30, "p": 2}, {"kind": "quadratic", "dim": 3}],
+    ids=["linear", "quadratic"],
+)
+def test_run_stops_at_a_state_whose_loss_overflows(objective):
+    """Full-batch descent at eta = 1e40 / L grows the iterate about 1e40-fold a
+    step, so the loss, quadratic in it, first overflows at x_4; no step before
+    it overflows. T = 3 writes finite rows, T = 4 names step 4 instead of
+    writing an inf row."""
+    raw = {"seed": 2, "objective": objective, "algorithm": "noisy-gd",
+           "optimizer": {"sigma_dp": 0.0}, "B": 1}
+    obj, ds = harness.build_problem(objective, 2)
+    raw["optimizer"]["eta"] = 1e40 / obj.smoothness(ds)
+    trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=3)), 2, (obj, ds))
+    assert all(math.isfinite(r.loss) and math.isfinite(r.grad_norm) for r in trace.records)
+    with pytest.raises(FloatingPointError, match=r"^step 4: non-finite evaluation, loss inf"):
+        run_experiment(ExperimentConfig.from_dict(dict(raw, T=4)), 2, (obj, ds))
+
+
+def test_train_evaluation_holds_one_block_buffer(monkeypatch):
+    """At the benchmark's n 5000, p 50, a run's evaluation allocates, above the
+    run's entry level, its one (EVAL_BLOCK, n) weight buffer and one state's
+    forward-pass temporaries (measured alone), plus 64 KB for the block's
+    (EVAL_BLOCK, d) arrays, states and records: less than a second buffer."""
+    import tracemalloc
+
+    raw = {"seed": 1, "objective": {"kind": "logistic-regression", "n": 5000, "p": 50},
+           "algorithm": "noisy-gd", "optimizer": {"eta": 0.2, "sigma_dp": 0.01}, "T": 17, "B": 64}
+    cfg = ExperimentConfig.from_dict(raw)
+    obj, ds = harness.build_problem(cfg.objective, 1, batch_floor=cfg.B)
+    run_experiment(cfg, 1, (obj, ds))  # numpy's own first-use allocations
+    evaluate, peaks = type(obj).evaluate, []
+
+    def traced(self, *args):
+        tracemalloc.reset_peak()
+        out = evaluate(self, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        return out
+
+    monkeypatch.setattr(type(obj), "evaluate", traced)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        run_experiment(cfg, 1, (obj, ds))
+        tracemalloc.reset_peak()
+        level = tracemalloc.get_traced_memory()[0]
+        obj._loss_and_coef(obj.init_point(1), ds.X, ds.y)
+        one_state = tracemalloc.get_traced_memory()[1] - level
+    finally:
+        tracemalloc.stop()
+    buffer = EVAL_BLOCK * ds.n * 8
+    assert len(peaks) == 3  # 18 states: 8, 8 and a padded 2
+    assert max(peaks) <= buffer + one_state + 64 * 1024 < 2 * buffer + one_state
 
 
 def test_cli_runs_bundled_openblas_on_one_thread(monkeypatch, capsys):
@@ -845,4 +924,4 @@ def test_train_and_bounds_report_one_mean_sq_grad_norm(tmp_path, capsys, monkeyp
     train = json.loads(capsys.readouterr().out)["mean_sq_grad_norm"]
     assert cli_main(["bounds", "--config", cfg, "--trace", str(outdir / "trace.csv")]) == 0
     bounds = json.loads(capsys.readouterr().out)["empirical_mean_sq_grad_norm"]
-    assert bounds == pytest.approx(train, rel=1e-12, abs=0)
+    assert bounds == train  # x_0 evaluated in a padded block by both

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dpkf import seeding
 from dpkf.objectives import (
     _sigmoid_neg,
+    EVAL_BLOCK,
     Dataset,
     MinibatchSampler,
     full_gradient,
@@ -286,43 +287,92 @@ def test_mean_grad_is_bitwise_per_sample_mean(kind, n, p, hidden, log_scale, see
     assert np.array_equal(obj.mean_grad(x, X, y), expected)
 
 
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+def _evaluation_problem(kind, n, p, k, tail, seed):
+    """An objective, a Dataset and k states; for logistic regression a zero row
+    gives a margin of exactly 0 and the last row one of |m| > 40 at state 0."""
+    rng = np.random.default_rng(seed)
+    obj = make_objective(kind, p, hidden=4)
+    xs = rng.standard_normal((k, obj.dim))
+    X = rng.standard_normal((n, p))
+    if kind == "logistic-regression":
+        y = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
+        X[0] = 0.0
+        x = xs[0]
+        if n > 1 and x @ x > 0:
+            X[-1] = tail * y[-1] * x / (x @ x)
+    else:
+        y = rng.standard_normal(n)
+    return obj, Dataset(X=X, y=y), xs
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(ALL_KINDS),
     n=st.integers(1, 300),
     p=st.one_of(st.just(1), st.integers(1, 60)),
-    fortran=st.booleans(),
+    k=st.integers(1, EVAL_BLOCK),
     tail=st.sampled_from([-90.0, -40.5, 40.5, 90.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(kind="logistic-regression", n=3, p=1, fortran=False, tail=40.5, seed=0)
-@example(kind="logistic-regression", n=300, p=60, fortran=True, tail=-90.0, seed=1)
-@example(kind="mlp", n=1, p=1, fortran=True, tail=40.5, seed=2)
-@example(kind="linear-regression", n=300, p=1, fortran=True, tail=40.5, seed=3)
-def test_loss_and_mean_grad_is_bitwise_the_two_calls(kind, n, p, fortran, tail, seed):
-    rng = np.random.default_rng(seed)
-    obj = make_objective(kind, p, hidden=4)
-    x = rng.standard_normal(obj.dim)
-    X = rng.standard_normal((n, p))
-    if kind == "logistic-regression":
-        y = np.where(rng.standard_normal(n) >= 0, 1.0, -1.0)
-        # a zero row gives a margin of exactly 0; the last row one of |m| > 40
-        X[0] = 0.0
-        if n > 1 and x @ x > 0:
-            X[-1] = tail * y[-1] * x / (x @ x)
-    else:
-        y = rng.standard_normal(n)
-    if fortran:
-        X = np.asfortranarray(X)
-    loss, grad = obj.loss_and_mean_grad(x, X, y)
-    assert type(loss) is float
-    assert loss == float(obj.per_sample_losses(x, X, y).mean())
-    assert np.array_equal(grad, obj.mean_grad(x, X, y))
-    # the harness calls it on a Dataset, which stores X in C order
-    ds = Dataset(X=X, y=y)
-    loss, grad = obj.loss_and_mean_grad(x, ds.X, ds.y)
-    assert loss == full_loss(obj, x, ds)
-    assert np.array_equal(grad, full_gradient(obj, x, ds))
+@example(kind="logistic-regression", n=3, p=1, k=1, tail=40.5, seed=0)
+@example(kind="logistic-regression", n=300, p=60, k=8, tail=-90.0, seed=1)
+@example(kind="mlp", n=1, p=1, k=3, tail=40.5, seed=2)
+@example(kind="linear-regression", n=300, p=1, k=5, tail=40.5, seed=3)
+def test_evaluate_keeps_loss_bits_and_sums_gradients_within_the_bound(kind, n, p, k, tail, seed):
+    """Losses are ``==`` to ``full_loss``. The MLP's and the quadratic's
+    gradients are ``==`` to ``mean_grad``; a linear model's are the same
+    coefficients w summed by BLAS instead of in row order. Each of the two sums
+    of n products, divided by n, lies within gamma_{n+1} sum_i |w_i x_ij| / n of
+    the exact mean (Higham, Accuracy and Stability, eq. 3.5 and lemma 3.3),
+    whatever the order, so they lie within twice that of each other."""
+    obj, ds, xs = _evaluation_problem(kind, n, p, k, tail, seed)
+    losses, grads = obj.evaluate(xs, ds.X, ds.y)
+    assert losses.shape == (k,) and grads.shape == (k, obj.dim)
+    for x, loss, g in zip(xs, losses, grads):
+        assert loss == full_loss(obj, x, ds)
+        want = full_gradient(obj, x, ds)
+        if kind in ("mlp", "quadratic"):
+            assert np.array_equal(g, want)
+            continue
+        # the computed sum of |w_i x_ij| is at least (1 - gamma_n) times the exact one
+        sums = np.abs(obj._coef(x, ds.X, ds.y)) @ np.abs(ds.X) / (1 - _gamma(n))
+        assert (np.abs(g - want) <= 2 * _gamma(n + 1) * sums / n).all()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize(
+    "n, p", [(5000, 50), (3000, 50), (500, 32), (1000, 20), (80, 5), (40, 1), (17, 1), (1, 3)]
+)
+def test_evaluate_row_bits_depend_on_the_state_alone(kind, n, p):
+    """A state's loss and gradient have the same bits at every position of a
+    block, in a partial block and alone; the linear models' product is padded
+    to EVAL_BLOCK rows, where OpenBLAS computes every row alike."""
+    obj, ds, xs = _evaluation_problem(kind, n, p, EVAL_BLOCK, 40.5, n + p)
+    losses, grads = obj.evaluate(xs, ds.X, ds.y)
+    W = np.full((EVAL_BLOCK, n), np.nan)  # a reused buffer's old rows must not leak in
+    for shift in range(1, EVAL_BLOCK):
+        got_l, got_g = obj.evaluate(np.roll(xs, shift, axis=0), ds.X, ds.y, W)
+        assert np.array_equal(np.roll(got_l, -shift), losses)
+        assert np.array_equal(np.roll(got_g, -shift, axis=0), grads)
+    for k in range(1, EVAL_BLOCK):
+        got_l, got_g = obj.evaluate(xs[:k], ds.X, ds.y, W)
+        assert np.array_equal(got_l, losses[:k]) and np.array_equal(got_g, grads[:k])
+    for i in range(EVAL_BLOCK):
+        got_l, got_g = obj.evaluate(xs[i : i + 1], ds.X, ds.y)
+        assert np.array_equal(got_l, losses[i : i + 1]) and np.array_equal(got_g, grads[i : i + 1])
+
+
+@pytest.mark.parametrize("k", [0, EVAL_BLOCK + 1])
+def test_evaluate_rejects_a_block_outside_one_to_eval_block(k):
+    obj, ds, _ = build("logistic-regression", 3, 0)
+    with pytest.raises(ValueError, match="states must have shape"):
+        obj.evaluate(np.zeros((k, obj.dim)), ds.X, ds.y)
 
 
 @pytest.mark.parametrize("in_dim, hidden", [(4, 0), (0, 3)])

@@ -276,7 +276,6 @@ def test_rdp_subsampled_amplification():
 
 def test_rdp_subsampled_against_high_precision_oracle():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 60
 
     def oracle(q, sigma, alpha):
         total = mp.mpf(0)
@@ -289,15 +288,16 @@ def test_rdp_subsampled_against_high_precision_oracle():
             )
         return mp.log(total) / (alpha - 1)
 
-    for q, sigma, alpha in ((0.01, 2.0, 16), (0.05, 1.0, 8), (0.3, 0.8, 32)):
-        assert abs(rdp_subsampled(q, sigma, alpha) - oracle(q, sigma, alpha)) <= 1e-10
-    # high orders and small sigma, where the values reach the thousands
-    for q, sigma, alpha in (
-        (0.5, 0.3, 64), (0.01, 0.3, 128), (0.1, 0.5, 256), (0.02, 1.0, 512),
-        (0.001, 0.3, 512), (0.05, 4.0, 128), (0.2, 2.0, 256),
-    ):
-        exact = oracle(q, sigma, alpha)
-        assert abs(rdp_subsampled(q, sigma, alpha) - exact) <= 1e-10 * abs(exact)
+    with mp.workdps(60):  # mpmath's precision is process-wide; restore it on exit
+        for q, sigma, alpha in ((0.01, 2.0, 16), (0.05, 1.0, 8), (0.3, 0.8, 32)):
+            assert abs(rdp_subsampled(q, sigma, alpha) - oracle(q, sigma, alpha)) <= 1e-10
+        # high orders and small sigma, where the values reach the thousands
+        for q, sigma, alpha in (
+            (0.5, 0.3, 64), (0.01, 0.3, 128), (0.1, 0.5, 256), (0.02, 1.0, 512),
+            (0.001, 0.3, 512), (0.05, 4.0, 128), (0.2, 2.0, 256),
+        ):
+            exact = oracle(q, sigma, alpha)
+            assert abs(rdp_subsampled(q, sigma, alpha) - exact) <= 1e-10 * abs(exact)
 
 
 def rdp_subsampled_loop(q, sigma, alpha):
