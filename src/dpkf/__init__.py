@@ -36,9 +36,7 @@ from .objectives import (
     make_objective,
 )
 from .privacy import (
-    NoiseCalibration,
     PrivacyBudget,
-    RdpCurve,
     calibrate_gaussian,
     calibrate_noise_multiplier,
     clip_sensitivity,

@@ -3,7 +3,9 @@
 Subcommands: train, compare-filters, sweep, calibrate, bounds, kalman-demo.
 Config files are JSON; any flag repeated on the command line overrides the
 matching config key. The DISK_SEED environment variable overrides the master
-seed everywhere.
+seed everywhere. train, sweep and bounds read a config through
+``ExperimentConfig.from_dict`` and take the run's optimizer from
+``harness.resolve_optimizer``, so bounds reports on the run train makes.
 
 A command runs numpy's bundled OpenBLAS on one thread: on matrices this small
 a second thread that wakes for ``lstsq`` or ``X.T @ X`` busy-waits through
@@ -25,7 +27,6 @@ import sys
 import numpy as np
 
 from . import harness, kalman, privacy, theory
-from .disk import DiskConfig
 from .harness import ExperimentConfig
 
 # Flags that take a comma-separated list of floats.
@@ -174,7 +175,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "steps": args.steps,
         "noise_multiplier": z,
         "epsilon_spent": privacy.compose_and_convert(curve, args.steps, args.delta),
-        "rdp_per_order": {str(a): curve[a] for a in curve.orders()},
+        "rdp_per_order": {str(a): curve[a] for a in sorted(curve)},
     }
     if args.clip is not None:
         report["clip"] = args.clip
@@ -189,26 +190,18 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     raw = _apply_overrides(_load_config(args.config), args)
-    harness._reject_unknown_keys("config", raw, harness.CONFIG_KEYS)
-    # train's boundary checks on the keys a report reads, and train's seed;
-    # B's default, the dataset size, is known once the problem is built
-    cfg = ExperimentConfig(
-        objective=raw["objective"], optimizer=DiskConfig(**raw.get("optimizer", {})),
-        init_scale=raw.get("init_scale", 1.0), seeds=harness.config_seeds(raw),
-        T=raw.get("T", 100), B=raw.get("B", 1),
-    )
+    cfg = ExperimentConfig.from_dict(raw)
     seed = cfg.seeds[0]
-    obj, ds = harness.build_problem(cfg.objective, seed)
+    obj, ds = harness.build_problem(cfg.objective, seed, batch_floor=cfg.B)
+    opt, delta, _ = harness.resolve_optimizer(cfg, ds.n)
     x0 = obj.init_point(seed, cfg.init_scale)
     f_star, estimated = theory.estimate_f_star(
-        obj, ds, x0, steps=raw.get("f_star_steps", 100_000)
+        obj, ds, x0, steps=cfg.f_star_steps
     )
     pc = theory.problem_constants_for(
-        obj, ds, x0, sigma_sgd_sq=raw.get("sigma_sgd_sq", 0.0), f_star=f_star
+        obj, ds, x0, sigma_sgd_sq=cfg.sigma_sgd_sq, f_star=f_star
     )
-    opt = cfg.optimizer
-    T = cfg.T
-    B = raw.get("B", ds.n)
+    T, B = cfg.T, cfg.B
     report: dict = {
         "constants": {
             "L": pc.L, "gap0": pc.gap0, "grad0_sq": pc.grad0_sq,
@@ -232,6 +225,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "m_kappa": tuned.m_kappa, "B_min": tuned.B_min,
             "T_min": tuned.T_min, "T_ok": tuned.T_ok,
             "bound": theory.tuned_bound(pc, opt.sigma_dp, T),
+        }
+    if cfg.epsilon_target is not None:
+        C = privacy.clip_sensitivity(opt.clip_variant, opt.clip)
+        bound, horizon = theory.privacy_utility_bound(pc, ds.n, cfg.epsilon_target, delta, C)
+        report["privacy_utility"] = {
+            "epsilon": cfg.epsilon_target, "delta": delta, "sensitivity": C,
+            "bound": bound, "T_prescribed": horizon,
         }
     if args.trace:
         trace = harness.read_trace_csv(args.trace)

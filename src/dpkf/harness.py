@@ -6,7 +6,9 @@ A training run and a sweep cell step through one loop, ``_trajectory``:
 ``run_experiment`` evaluates and records every state, a sweep cell only its last.
 The run evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
 ``Objective.evaluate`` with one weight buffer, and stops at the first state
-whose loss or gradient is not finite.
+whose loss or gradient is not finite. ``ExperimentConfig.from_dict`` is the
+one config reader and ``resolve_optimizer`` the one place a run's optimizer is
+resolved (preset, calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
 
 Runs are pure functions of their config and seed: datasets, minibatch order,
 and DP noise each come from a named substream of the run's seed, so the full
@@ -75,7 +77,7 @@ TRACE_HEADER = "step,loss,grad_norm,filtered_grad_norm,epsilon_spent"
 COMPARISON_HEADER = "sigma_dp,method,seed,final_loss"
 SWEEP_HEADER = "kappa,gamma,metric"
 RELATIVE_NOISE_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
-# Top-level config keys; ``bounds`` reads the same files and the last two.
+# Top-level config keys; only ``bounds`` reads the last two.
 CONFIG_KEYS = ("objective", "algorithm", "optimizer", "privacy", "T", "B", "seed", "seeds",
                "outdir", "init_scale", "full_filter", "f_star_steps", "sigma_sgd_sq")
 # Keys ``build_problem`` reads for each objective kind.
@@ -141,7 +143,8 @@ class ExperimentConfig:
     outdir: str = "out"
     init_scale: float = 1.0
     full_filter: FullFilterConfig = field(default_factory=FullFilterConfig)
-    _sigma_explicit: bool = True
+    f_star_steps: int = 100_000  # bounds: the descent that estimates F* where it is not exact
+    sigma_sgd_sq: float = 0.0  # bounds: the minibatch gradient's variance
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -150,10 +153,6 @@ class ExperimentConfig:
             raise ValueError("need T >= 1 and B >= 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if (self.epsilon_target is not None) == self._sigma_explicit:
-            raise ValueError(
-                "set exactly one of: a privacy target (epsilon) or an explicit sigma_dp"
-            )
         if self.algorithm == "noisy-gd" and self.epsilon_target is not None:
             raise PrivacyError("noisy-gd takes an explicit sigma_dp, not a privacy target")
         eps = self.epsilon_target
@@ -163,21 +162,29 @@ class ExperimentConfig:
             raise PrivacyError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
+        if not (isinstance(self.f_star_steps, int) and self.f_star_steps >= 1):
+            raise ValueError(f"f_star_steps must be an integer >= 1, got {self.f_star_steps!r}")
+        if not (math.isfinite(self.sigma_sgd_sq) and self.sigma_sgd_sq >= 0):
+            raise ValueError(f"sigma_sgd_sq must be finite and >= 0, got {self.sigma_sgd_sq!r}")
         _check_objective(self.objective)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _reject_unknown_keys("config", raw, CONFIG_KEYS)
-        opt_raw = dict(raw.get("optimizer", {}))
-        sigma_explicit = "sigma_dp" in opt_raw
+        opt_raw = raw.get("optimizer", {})
         optimizer = DiskConfig(**opt_raw)
         privacy_raw = raw.get("privacy") or {}
         _reject_unknown_keys("privacy", privacy_raw, ("epsilon", "delta"))
+        if (privacy_raw.get("epsilon") is not None) == ("sigma_dp" in opt_raw):
+            raise ValueError(
+                "set exactly one of: a privacy target (epsilon) or an explicit sigma_dp"
+            )
         ff = dict(raw.get("full_filter") or {})
         for key in SHARED_FILTER_KEYS:
             if key in ff and ff.pop(key) != getattr(optimizer, key):
                 raise ValueError(f"full_filter.{key} disagrees with optimizer.{key}")
         _reject_unknown_keys("full_filter", ff, FULL_FILTER_KEYS + SHARED_FILTER_KEYS)
+        seeds = raw.get("seeds")  # seeds, else [seed], else [0]
         return cls(
             objective=raw["objective"],
             algorithm=raw.get("algorithm", "disk"),
@@ -186,18 +193,13 @@ class ExperimentConfig:
             delta=privacy_raw.get("delta"),
             T=raw.get("T", 100),
             B=raw.get("B", 50),
-            seeds=config_seeds(raw),
+            seeds=tuple(int(s) for s in ([raw.get("seed", 0)] if seeds is None else seeds)),
             outdir=raw.get("outdir", "out"),
             init_scale=raw.get("init_scale", 1.0),
             full_filter=FullFilterConfig(**ff),
-            _sigma_explicit=sigma_explicit,
+            f_star_steps=raw.get("f_star_steps", 100_000),
+            sigma_sgd_sq=raw.get("sigma_sgd_sq", 0.0),
         )
-
-
-def config_seeds(raw: dict) -> tuple[int, ...]:
-    """A raw config's seeds: ``seeds``, else ``[seed]``, else ``[0]``."""
-    seeds = raw.get("seeds")
-    return tuple(int(s) for s in ([raw.get("seed", 0)] if seeds is None else seeds))
 
 
 def _check_objective(problem: dict) -> None:
@@ -236,10 +238,12 @@ def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objec
         return make_objective("mlp", p, hidden=problem.get("hidden", 16)), ds
 
 
-def _resolve_privacy(
+def resolve_optimizer(
     cfg: ExperimentConfig, N: int
 ) -> tuple[DiskConfig, float | None, float]:
-    """Fill in sigma_dp from the target budget when requested.
+    """The optimizer a run of ``cfg`` on N rows steps with: the algorithm's
+    preset applied and, for a privacy target, sigma_dp calibrated. ``train``,
+    ``sweep`` and ``bounds`` each take their optimizer from here.
 
     Returns (optimizer config, delta used for accounting, q). The accountant
     works on the noise multiplier z = sigma_dp * B / S, with S the clip
@@ -252,7 +256,7 @@ def _resolve_privacy(
     delta = cfg.delta if cfg.delta is not None else (
         delta_convention(N) if N > 1 else None
     )
-    opt = cfg.optimizer
+    opt = replace(cfg.optimizer, **PRESETS[cfg.algorithm].overrides)
     if cfg.epsilon_target is None:
         return opt, delta, q
     if opt.clip_variant == "none" or not opt.clip:
@@ -267,7 +271,6 @@ def _resolve_privacy(
 def _epsilon_schedule(cfg: ExperimentConfig, opt: DiskConfig, delta: float | None, q: float):
     """Budget spent after 1..T steps; inf when the run is not clipped/noised.
     A clipped run's batch is B rows: only noisy-gd's full batch is n != B."""
-    opt = replace(opt, **PRESETS[cfg.algorithm].overrides)
     if opt.clip_variant == "none" or opt.sigma_dp <= 0 or delta is None:
         return (math.inf,) * cfg.T
     z = opt.sigma_dp * cfg.B / clip_sensitivity(opt.clip_variant, opt.clip)
@@ -276,7 +279,8 @@ def _epsilon_schedule(cfg: ExperimentConfig, opt: DiskConfig, delta: float | Non
 
 def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
     """The states x_0..x_T of one run of ``problem`` (``build_problem``'s pair),
-    ``opt`` being its optimizer with sigma_dp resolved, before the preset."""
+    ``opt`` being ``resolve_optimizer``'s or a sweep cell's change of it; the
+    preset is applied again, over a cell's kappa and gamma."""
     obj, ds = problem
     preset = PRESETS[cfg.algorithm]
     opt = replace(opt, **preset.overrides)
@@ -310,7 +314,7 @@ def run_experiment(
     if problem is None:
         problem = build_problem(cfg.objective, seed, batch_floor=cfg.B)
     obj, ds = problem
-    opt, delta, q = _resolve_privacy(cfg, ds.n)
+    opt, delta, q = resolve_optimizer(cfg, ds.n)
     eps_sched = _epsilon_schedule(cfg, opt, delta, q)
     states = _trajectory(cfg, opt, seed, problem)
     W = np.empty((EVAL_BLOCK, ds.n))  # a linear model's per-state coefficients, reused
@@ -434,7 +438,7 @@ def sweep_kappa_gamma(
     ``full_loss``, which gives the bits of ``run_experiment``'s ``final_loss``.
     """
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
-    opt, _, _ = _resolve_privacy(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
+    opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
     matrix: list[list[float]] = []
     for kappa in kappas:
         row = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,39 +38,6 @@ class PrivacyBudget:
             raise PrivacyError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not 0 < self.delta < 1:
             raise PrivacyError("delta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class NoiseCalibration:
-    """Per-step mechanism parameters: clip C, noise std, sampling rate, steps."""
-
-    clip: float
-    sigma_dp: float
-    q: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.clip <= 0:
-            raise PrivacyError("clip threshold must be > 0")
-        if self.sigma_dp < 0:
-            raise PrivacyError("sigma_dp must be >= 0")
-        if not 0 < self.q <= 1:
-            raise PrivacyError("sampling rate must lie in (0, 1]")
-        if self.steps < 1:
-            raise PrivacyError("step count must be >= 1")
-
-
-@dataclass
-class RdpCurve:
-    """Map from integer order alpha to the per-step RDP epsilon."""
-
-    values: dict[int, float] = field(default_factory=dict)
-
-    def orders(self) -> list[int]:
-        return sorted(self.values)
-
-    def __getitem__(self, alpha: int) -> float:
-        return self.values[alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +292,8 @@ class _BinomialTerms:
             i = j
         return out
 
-    def curve(self, sigma: float) -> RdpCurve:
-        return RdpCurve(dict(zip(self.orders, self.values(sigma))))
+    def curve(self, sigma: float) -> dict[int, float]:
+        return dict(zip(self.orders, self.values(sigma)))
 
     def composed(
         self, sigma: float, steps: int, shifts: np.ndarray
@@ -403,7 +370,7 @@ def rdp_subsampled(q: float, sigma: float, alpha: int) -> float:
 
 def subsampled_curve(
     q: float, sigma: float, orders: tuple[int, ...] = DEFAULT_ORDERS
-) -> RdpCurve:
+) -> dict[int, float]:
     return _binomial_terms(q, tuple(orders)).curve(sigma)
 
 
@@ -415,15 +382,13 @@ def _conversion_penalty(steps: int, delta: float) -> float:
     return math.log(1.0 / delta)
 
 
-def compose_and_convert(curve: RdpCurve, steps: int, delta: float) -> float:
+def compose_and_convert(curve: dict[int, float], steps: int, delta: float) -> float:
     """Compose ``steps`` mechanisms and convert to epsilon at the given delta.
 
     epsilon = min over orders of [steps * eps_rdp(alpha) + ln(1/delta)/(alpha-1)].
     """
     penalty = _conversion_penalty(steps, delta)
-    return min(
-        steps * eps + penalty / (alpha - 1) for alpha, eps in curve.values.items()
-    )
+    return min(steps * eps + penalty / (alpha - 1) for alpha, eps in curve.items())
 
 
 def _order_shifts(orders, steps: int, delta: float) -> np.ndarray:
@@ -432,14 +397,14 @@ def _order_shifts(orders, steps: int, delta: float) -> np.ndarray:
     return np.array([penalty / (alpha - 1) for alpha in orders])
 
 
-def epsilon_schedule(curve: RdpCurve, steps: int, delta: float) -> list[float]:
+def epsilon_schedule(curve: dict[int, float], steps: int, delta: float) -> list[float]:
     """``compose_and_convert(curve, t, delta)`` for t = 1..steps.
 
     One (steps x orders) minimum in numpy; it takes the same IEEE operations
     as the scalar form, so every entry has the same bits.
     """
-    shift = _order_shifts(curve.values, steps, delta)
-    eps = np.array(list(curve.values.values()))
+    shift = _order_shifts(curve, steps, delta)
+    eps = np.array(list(curve.values()))
     t = np.arange(1, steps + 1, dtype=float)[:, None]
     return (t * eps + shift).min(axis=1).tolist()
 

@@ -23,8 +23,15 @@ from dpkf.disk import (
     dpsgd_step,
     full_filter_step,
 )
-from dpkf.kalman import NumericalError, ScalarGainState, _symmetrize, scalar_gain_step
+from dpkf.kalman import (
+    NumericalError,
+    ScalarGainState,
+    _symmetrize,
+    scalar_fixed_point,
+    scalar_gain_step,
+)
 from dpkf.objectives import (
+    MinibatchSampler,
     full_gradient,
     full_loss,
     gen_classification,
@@ -833,6 +840,44 @@ def test_full_filter_moves_the_filter_by_at_most_the_clipped_sensitivity():
     assert a.gain.k == b.gain.k < 1
     bound = a.gain.k * 2 * C / B
     assert 0.5 * bound < np.linalg.norm(a.g_filt - b.g_filt) <= bound * (1 + 1e-12)
+
+
+# (sigma_h^2, sigma_v^2, sigma_w^2) with k_inf in (0, 1]: DiskConfig rejects kappa 0
+STEADY_NOISE = [(0.0, 1.0, 1.0), (0.0, 0.25, 1.0), (0.1, 2.0, 1.0), (0.0, 1e-4, 1.0),
+                (0.5, 0.5, 0.5), (0.3, 0.02, 0.5)]
+STEADY_PROBLEMS = {
+    "quadratic": {"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 2.0, 4.0]},
+    "linear-regression": {"kind": "linear-regression", "n": 36, "p": 5},
+    "logistic-regression": {"kind": "logistic-regression", "n": 36, "p": 5},
+    "mlp": {"kind": "mlp", "n": 36, "p": 3, "hidden": 4},
+}
+
+
+@pytest.mark.parametrize("noise", STEADY_NOISE, ids=str)
+@pytest.mark.parametrize("variant", ["standard", "automatic", "normalized", "none"])
+@pytest.mark.parametrize("kind", sorted(STEADY_PROBLEMS))
+def test_full_filter_started_at_its_fixed_point_is_disk_at_k_inf(kind, variant, noise):
+    """DiSK is the matrix filter's steady state: started at p_inf the gain
+    recursion returns k_inf at every step, so full-kf is disk at kappa = k_inf,
+    gamma = full_filter.gamma and a zero filter start, bit for bit. Every
+    fifth step observes the whole dataset, the rest a minibatch."""
+    sh, sv, sw = noise
+    ff = FullFilterConfig(sigma_w_sq=sw, sigma_h_sq=sh, sigma_v_sq=sv, gamma=0.3)
+    fp = scalar_fixed_point(sh, sv, sw)
+    obj, ds = harness.build_problem(STEADY_PROBLEMS[kind], 3, batch_floor=12)
+    opt = DiskConfig(eta=0.05, clip=None if variant == "none" else 1.0, clip_variant=variant,
+                     sigma_dp=0.05, filter_init="zero")
+    steady = replace(opt, kappa=fp.k_inf, gamma=ff.gamma)
+    x0 = obj.init_point(3)
+    kf = DiskState(x=x0.copy(), gain=ScalarGainState(fp.p_inf, fp.k_inf, sh, sv, sw))
+    dk = DiskState(x=x0.copy())
+    kf_rng, dk_rng, sampler = rng_for(5), rng_for(5), MinibatchSampler(ds.n, 12, 5)
+    for t in range(30):
+        batch = ds if t % 5 == 4 else ds.subset(sampler.next_batch())
+        kf = full_filter_step(kf, batch, obj, opt, ff, kf_rng)
+        dk = disk_step(dk, batch, obj, steady, dk_rng)
+        assert kf.gain.k == fp.k_inf  # p may sit an ulp off p_inf
+        assert np.array_equal(kf.x, dk.x) and np.array_equal(kf.g_filt, dk.g_filt)
 
 
 @dataclass

@@ -250,15 +250,27 @@ BOUNDS_QUADRATIC = {
     "T": 200,
 }
 
+# The logistic report at train's calibrated sigma_dp for a privacy target, and
+# at the kappa = 1 of the dpsgd preset.
+BOUNDS_LOGREG_TARGET = {
+    **BOUNDS_LOGREG,
+    "optimizer": {k: v for k, v in BOUNDS_LOGREG["optimizer"].items() if k != "sigma_dp"},
+    "privacy": {"epsilon": 2.0},
+}
+
 # name -> (config, whether ``train`` runs first and its trace goes to --trace)
 BOUNDS_COMMANDS = {
     "bounds-small-fullkf": (SMALL_FULLKF, True),
     "bounds-logreg": (BOUNDS_LOGREG, False),
+    "bounds-logreg-target": (BOUNDS_LOGREG_TARGET, False),
+    "bounds-dpsgd": (dict(BOUNDS_LOGREG, algorithm="dpsgd"), False),
     "bounds-quadratic": (BOUNDS_QUADRATIC, False),
 }
 
 BOUNDS_GOLDEN = {
+    "bounds-dpsgd": "1ee7b1d1dd25aa17b622724ae1b8be5ab4895cc8d8167c54eb77e87e5fb006ca",
     "bounds-logreg": "d4cbea517114d0c3830cf46d7d312f60810b9dabe125672ed7d816a04ea24d31",
+    "bounds-logreg-target": "80ab38acbdc8eb958c80068aeb339eaa51b47477dcc5b75f4ef782c64f743405",
     "bounds-quadratic": "627e17ba56fffed3592e5bd92bdf3db43554af58d2e9a2b7c413ef9153483dae",
     "bounds-small-fullkf": "d3b70bdc59e53a910395998c44c50d5f272739a9772de24480de08c156d7afa0",
 }

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dpkf import harness, objectives, privacy
+from dpkf import harness, objectives, privacy, theory
 from dpkf.cli import main as cli_main
 from dpkf.harness import (
     COMPARISON_HEADER,
@@ -21,9 +21,9 @@ from dpkf.harness import (
     emit_trace,
     estimation_demo,
     read_trace_csv,
+    resolve_optimizer,
     run_experiment,
     sweep_kappa_gamma,
-    _resolve_privacy,
 )
 from dpkf.objectives import EVAL_BLOCK, LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
@@ -116,7 +116,7 @@ def test_config_rejects_bad_boundary_values(raw, error, match):
 
 def test_config_accepts_the_keys_bounds_reads():
     cfg = ExperimentConfig.from_dict(logistic_raw(f_star_steps=10, sigma_sgd_sq=0.1))
-    assert cfg.T == 25
+    assert (cfg.T, cfg.f_star_steps, cfg.sigma_sgd_sq) == (25, 10, 0.1)
 
 
 def test_config_accepts_every_objective_key():
@@ -174,7 +174,7 @@ def test_privacy_target_calibration_and_bookkeeping():
     trace = run_experiment(cfg)
     assert trace.epsilon_total == pytest.approx(4.0, abs=1e-3)
     # reported spend equals an independent composition of the run parameters
-    opt, delta, q = _resolve_privacy(cfg, 120)
+    opt, delta, q = resolve_optimizer(cfg, 120)
     z = opt.sigma_dp * cfg.B / opt.clip
     direct = compose_and_convert(subsampled_curve(q, z), cfg.T, delta)
     assert abs(direct - trace.epsilon_total) <= 1e-9
@@ -194,7 +194,7 @@ def test_normalized_clip_epsilon_uses_unit_sensitivity():
     raw["optimizer"].update(clip_variant="normalized", clip=0.1)
     cfg = ExperimentConfig.from_dict(raw)
     trace = run_experiment(cfg)
-    opt, delta, q = _resolve_privacy(cfg, 120)
+    opt, delta, q = resolve_optimizer(cfg, 120)
     z = raw["optimizer"]["sigma_dp"] * cfg.B
     direct = compose_and_convert(subsampled_curve(q, z), cfg.T, delta)
     assert abs(direct - trace.epsilon_total) <= 1e-9
@@ -205,7 +205,7 @@ def test_normalized_clip_target_calibrates_for_unit_sensitivity():
     del raw["optimizer"]["sigma_dp"]
     raw["optimizer"].update(clip_variant="normalized", clip=0.1)
     cfg = ExperimentConfig.from_dict(raw)
-    opt, delta, q = _resolve_privacy(cfg, 120)
+    opt, delta, q = resolve_optimizer(cfg, 120)
     direct = compose_and_convert(subsampled_curve(q, opt.sigma_dp * cfg.B), cfg.T, delta)
     assert direct == pytest.approx(4.0, abs=1e-3)
     assert run_experiment(cfg).epsilon_total == pytest.approx(4.0, abs=1e-3)
@@ -698,8 +698,17 @@ def test_cli_bounds_reports_constants(tmp_path, capsys):
         ({"B": 0}, "need T >= 1 and B >= 1"),
         ({"T": -5}, "need T >= 1 and B >= 1"),
         ({"f_star_step": 10}, r"config has unknown keys \['f_star_step'\]"),
+        ({"algorithm": "bogus"}, "algorithm must be one of"),
+        ({"privacy": {"epsilon": -1, "foo": 2}}, r"privacy has unknown keys \['foo'\]"),
+        ({"full_filter": {"sigma_w_sq": -1}}, "noise variances must be >= 0"),
+        ({"privacy": {"epsilon": 2.0}}, "set exactly one of"),
+        ({"B": 31}, "batch size exceeds dataset size"),
+        ({"f_star_steps": 2.5}, "f_star_steps must be an integer >= 1"),
+        ({"sigma_sgd_sq": -0.1}, "sigma_sgd_sq must be finite and >= 0"),
     ],
-    ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5", "misspelled-key"],
+    ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5", "misspelled-key",
+         "unknown-algorithm", "unknown-privacy-key", "negative-sigma-w", "epsilon-and-sigma",
+         "B-above-n", "fractional-f-star-steps", "negative-sigma-sgd"],
 )
 def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
     raw = {
@@ -707,11 +716,56 @@ def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
         "objective": {"kind": "linear-regression", "n": 30, "p": 3},
         "optimizer": {"eta": 0.05, "sigma_dp": 0.1},
         "T": 20,
+        "B": 10,
         **change,
     }
-    with pytest.raises(ValueError, match=match):
-        cli_main(["bounds", "--config", write_config(tmp_path, raw)])
+    cfg = write_config(tmp_path, raw)
+    for argv in (["train", "--config", cfg, "--outdir", str(tmp_path / "out")],
+                 ["bounds", "--config", cfg]):
+        with pytest.raises(ValueError, match=match):
+            cli_main(argv)
     assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def bounds_report(tmp_path, capsys, raw):
+    assert cli_main(["bounds", "--config", write_config(tmp_path, raw)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    c = report["constants"]
+    pc = theory.ProblemConstants(L=c["L"], gap0=c["gap0"], grad0_sq=c["grad0_sq"], dim=c["dim"])
+    return report, pc
+
+
+def test_cli_bounds_evaluates_the_sigma_dp_train_calibrates(tmp_path, capsys):
+    """A privacy target is bounded at the sigma_dp train adds: calibrated for
+    q = B/n, delta = n^-1.1 and S = C, here recomputed from the accountant."""
+    raw = logistic_raw(privacy={"epsilon": 4.0}, f_star_steps=50)
+    del raw["optimizer"]["sigma_dp"]
+    n, B, T = raw["objective"]["n"], raw["B"], raw["T"]
+    delta = privacy.delta_convention(n)
+    sigma = privacy.calibrate_noise_multiplier(4.0, delta, B / n, T) * 1.0 / B
+    report, pc = bounds_report(tmp_path, capsys, raw)
+    want = theory.convergence_bound(pc, 0.2, 0.7, 0.5, T, B, sigma)
+    assert want.noise_floor > 0
+    assert report["fixed_parameter_bound"] == {
+        "total": want.total, "transient": want.transient, "noise_floor": want.noise_floor,
+    }
+    assert report["tuned"]["bound"] == theory.tuned_bound(pc, sigma, T)
+    bound, horizon = theory.privacy_utility_bound(pc, n, 4.0, delta, 1.0)
+    assert report["privacy_utility"] == {
+        "epsilon": 4.0, "delta": delta, "sensitivity": 1.0,
+        "bound": bound, "T_prescribed": horizon,
+    }
+
+
+def test_cli_bounds_evaluates_the_preset_train_runs(tmp_path, capsys):
+    """dpsgd steps at kappa 1 whatever the optimizer section says."""
+    raw = logistic_raw(algorithm="dpsgd", f_star_steps=50)
+    report, pc = bounds_report(tmp_path, capsys, raw)
+    assert report["parameter_report"]["kappa"] == 1.0
+    want = theory.convergence_bound(pc, 0.2, 1.0, 0.5, raw["T"], raw["B"], 0.05)
+    assert report["fixed_parameter_bound"]["total"] == want.total
+    assert "privacy_utility" not in report
 
 
 # ---------------------------------------------------------------------------

@@ -474,19 +474,17 @@ def test_compose_monotone_in_steps():
 
 def test_conversion_penalty_vanishes_as_delta_grows():
     curve = subsampled_curve(1.0, 1.0)
-    floor = min(2 * eps for eps in curve.values.values())
+    floor = min(2 * eps for eps in curve.values())
     eps = compose_and_convert(curve, 2, 1 - 1e-12)
     assert abs(eps - floor) < 1e-9
 
 
 def test_compose_monotone_in_curve_values():
-    from dpkf.privacy import RdpCurve
-
     curve = subsampled_curve(0.05, 1.2)
     base = compose_and_convert(curve, 50, 1e-5)
-    for alpha in curve.orders():
-        bumped = RdpCurve(dict(curve.values))
-        bumped.values[alpha] += 0.01
+    for alpha in sorted(curve):
+        bumped = dict(curve)
+        bumped[alpha] += 0.01
         assert compose_and_convert(bumped, 50, 1e-5) >= base
 
 
@@ -498,19 +496,14 @@ def test_calibrations_reject_non_finite_epsilon(epsilon):
         calibrate_gaussian(1.0, epsilon, 1e-5)
 
 
-def test_budget_and_calibration_record_validation():
-    from dpkf.privacy import NoiseCalibration, PrivacyBudget
+def test_budget_record_validation():
+    from dpkf.privacy import PrivacyBudget
 
     PrivacyBudget(1.0, 1e-5)
     with pytest.raises(PrivacyError):
         PrivacyBudget(0.0, 1e-5)
     with pytest.raises(PrivacyError):
         PrivacyBudget(1.0, 1.0)
-    NoiseCalibration(clip=1.0, sigma_dp=0.1, q=0.01, steps=100)
-    with pytest.raises(PrivacyError):
-        NoiseCalibration(clip=0.0, sigma_dp=0.1, q=0.01, steps=100)
-    with pytest.raises(PrivacyError):
-        NoiseCalibration(clip=1.0, sigma_dp=0.1, q=1.5, steps=100)
 
 
 # ---------------------------------------------------------------------------
