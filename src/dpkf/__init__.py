@@ -3,8 +3,8 @@
 The package wraps standard DP optimizers with a simplified Kalman filter that
 treats the privatised gradient as a noisy observation of the true gradient:
 a two-point gradient combination predicts, an exponential average corrects.
-Alongside the optimizer live the privacy machinery (clipping, Gaussian
-calibration, an RDP accountant), the full matrix filter it simplifies, the
+Alongside the optimizer live the privacy machinery (clipping, an RDP
+accountant, noise calibration), the full matrix filter it simplifies, the
 closed-form filter-gain analysis, worst-case bound evaluators, and a small
 benchmark harness.
 """
@@ -18,7 +18,6 @@ from .disk import (
     full_filter_step,
 )
 from .kalman import (
-    KalmanState,
     LinearSystem,
     ScalarGainState,
     kf_correct,
@@ -37,7 +36,6 @@ from .objectives import (
 )
 from .privacy import (
     PrivacyBudget,
-    calibrate_gaussian,
     calibrate_noise_multiplier,
     clip_sensitivity,
     compose_and_convert,

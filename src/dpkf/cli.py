@@ -76,8 +76,10 @@ def _positive_float(text: str) -> float:
 
 
 def _env_seed(default: int | None) -> int | None:
-    raw = os.environ.get("DISK_SEED")
-    return int(raw) if raw not in (None, "") else default
+    raw = os.environ.get("DISK_SEED", "")
+    if raw and not raw.isdecimal():
+        raise ValueError(f"DISK_SEED must be an integer >= 0, got {raw!r}")
+    return int(raw) if raw else default
 
 
 def _jsonable(obj):
@@ -133,10 +135,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_filters(args: argparse.Namespace) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
     seed0 = _env_seed(None)
-    if seed0 is not None:
-        seeds = tuple(seed0 + i for i in range(len(seeds)))
+    seeds = args.seeds if seed0 is None else tuple(range(seed0, seed0 + len(args.seeds)))
     levels = (
         [float(v) for v in args.noise_levels.split(",")]
         if args.noise_levels
@@ -201,7 +201,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     pc = theory.problem_constants_for(
         obj, ds, x0, sigma_sgd_sq=cfg.sigma_sgd_sq, f_star=f_star
     )
-    T, B = cfg.T, cfg.B
+    T, B = cfg.T, cfg.batch_size(ds.n)
     report: dict = {
         "constants": {
             "L": pc.L, "gap0": pc.gap0, "grad0_sq": pc.grad0_sq,
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run one experiment from a JSON config")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--seed", type=_int_in(0))
     p_train.add_argument("--T", type=int)
     p_train.add_argument("--B", type=int)
     p_train.add_argument("--eta", type=float)
@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare-filters", help="benchmark the three filters")
     p_cmp.add_argument("--noise-levels", dest="noise_levels")
-    p_cmp.add_argument("--seeds", default="0,1,2,3,4")
+    p_cmp.add_argument(
+        "--seeds", default="0,1,2,3,4", type=lambda s: tuple(map(_int_in(0), s.split(",")))
+    )
     p_cmp.add_argument("--n", type=int, default=1000)
     p_cmp.add_argument("--p", type=int, default=20)
     p_cmp.add_argument("--T", type=int, default=400)
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0")
     p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0")
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--seed", type=_int_in(0))
     p_sweep.add_argument("--T", type=int)
     p_sweep.add_argument("--B", type=int)
     p_sweep.add_argument("--eta", type=float)
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kd.add_argument("--dim", type=_int_in(1, kalman.MAX_STATE_DIM), default=3)
     p_kd.add_argument("--steps", type=_int_in(1), default=10_000)
     p_kd.add_argument("--runs", type=_int_in(1), default=50)
-    p_kd.add_argument("--seed", type=int, default=0)
+    p_kd.add_argument("--seed", type=_int_in(0), default=0)
     p_kd.set_defaults(func=cmd_kalman_demo)
     return parser
 

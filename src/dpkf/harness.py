@@ -149,10 +149,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.T < 1 or self.B < 1:
-            raise ValueError("need T >= 1 and B >= 1")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        if not (_is_int(self.T) and _is_int(self.B) and self.T >= 1 and self.B >= 1):
+            raise ValueError(f"need T >= 1 and B >= 1, integers; got T={self.T!r}, B={self.B!r}")
+        if not (self.seeds and all(_is_int(s) and s >= 0 for s in self.seeds)):
+            raise ValueError(f"need one seed or more, each an integer >= 0; got {self.seeds!r}")
         if self.algorithm == "noisy-gd" and self.epsilon_target is not None:
             raise PrivacyError("noisy-gd takes an explicit sigma_dp, not a privacy target")
         eps = self.epsilon_target
@@ -162,11 +162,15 @@ class ExperimentConfig:
             raise PrivacyError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
-        if not (isinstance(self.f_star_steps, int) and self.f_star_steps >= 1):
+        if not (_is_int(self.f_star_steps) and self.f_star_steps >= 1):
             raise ValueError(f"f_star_steps must be an integer >= 1, got {self.f_star_steps!r}")
         if not (math.isfinite(self.sigma_sgd_sq) and self.sigma_sgd_sq >= 0):
             raise ValueError(f"sigma_sgd_sq must be finite and >= 0, got {self.sigma_sgd_sq!r}")
         _check_objective(self.objective)
+
+    def batch_size(self, n: int) -> int:
+        """Rows per step on an n-row dataset: n under a full-batch preset, else B."""
+        return n if PRESETS[self.algorithm].full_batch else self.B
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -193,13 +197,18 @@ class ExperimentConfig:
             delta=privacy_raw.get("delta"),
             T=raw.get("T", 100),
             B=raw.get("B", 50),
-            seeds=tuple(int(s) for s in ([raw.get("seed", 0)] if seeds is None else seeds)),
+            seeds=tuple([raw.get("seed", 0)] if seeds is None else seeds),
             outdir=raw.get("outdir", "out"),
             init_scale=raw.get("init_scale", 1.0),
             full_filter=FullFilterConfig(**ff),
             f_star_steps=raw.get("f_star_steps", 100_000),
             sigma_sgd_sq=raw.get("sigma_sgd_sq", 0.0),
         )
+
+
+def _is_int(value) -> bool:
+    """An int or a numpy integer (``operator.index`` takes it), not a bool or a float."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
 
 
 def _check_objective(problem: dict) -> None:
@@ -252,7 +261,7 @@ def resolve_optimizer(
     """
     if cfg.B > N:
         raise ValueError("batch size exceeds dataset size")
-    q = cfg.B / N
+    q = cfg.batch_size(N) / N
     delta = cfg.delta if cfg.delta is not None else (
         delta_convention(N) if N > 1 else None
     )
@@ -282,9 +291,8 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
     ``opt`` being ``resolve_optimizer``'s or a sweep cell's change of it; the
     preset is applied again, over a cell's kappa and gamma."""
     obj, ds = problem
-    preset = PRESETS[cfg.algorithm]
-    opt = replace(opt, **preset.overrides)
-    full_batch = preset.full_batch or cfg.B == ds.n
+    opt = replace(opt, **PRESETS[cfg.algorithm].overrides)
+    full_batch = cfg.batch_size(ds.n) == ds.n
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
     sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
     ff = cfg.full_filter if cfg.algorithm == "full-kf" else None
@@ -356,11 +364,8 @@ class ComparisonRow:
     final_loss: float
 
 
-def comparison_noise_levels(
-    n: int = 1000, p: int = 20, noise_std: float = 0.1, seed: int = 0, ds: Dataset | None = None
-) -> list[float]:
-    """Relative grid scaled by ||grad F(0)|| / sqrt(d) on the seed-0 dataset, ``ds`` if given."""
-    ds = gen_linear_regression(n, p, noise_std, seed) if ds is None else ds
+def comparison_noise_levels(ds: Dataset) -> list[float]:
+    """Relative grid scaled by ||grad F(0)|| / sqrt(d) on the dataset ``ds``."""
     obj = LinearRegression(ds.p)
     scale = float(np.linalg.norm(full_gradient(obj, np.zeros(ds.p), ds))) / math.sqrt(ds.p)
     return [r * scale for r in RELATIVE_NOISE_GRID]
@@ -388,7 +393,7 @@ def compare_filters(
     for seed in seeds:
         ds = gen_linear_regression(n, p, noise_std, seed)
         if noise_levels is None:  # from the seeds[0] dataset
-            noise_levels = comparison_noise_levels(ds=ds)
+            noise_levels = comparison_noise_levels(ds)
         obj = LinearRegression(p)
         eta = 1.0 / obj.smoothness(ds)
         x0 = np.zeros(p)

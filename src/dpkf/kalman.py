@@ -1,15 +1,14 @@
-"""Kalman filtering: the classic predict/correct recursion (which the
-``kalman-demo`` simulation runs), a gain variant for noisy inputs with
-multiplicative observation noise, and the scalar-gain simplification chain
-with its closed-form fixed point.
+"""Kalman filtering: the classic predict/correct recursion on bare arrays
+(``kf_predict``, ``kf_correct``; the ``kalman-demo`` simulation runs it), a
+gain variant for noisy inputs with multiplicative observation noise, and the
+scalar-gain simplification chain with its closed-form fixed point.
 
-Covariances are symmetrised by each predict/correct step and whenever a
-``KalmanState`` is built, and the innovation solve checks positive
-definiteness and conditioning from the eigenvalues before it solves;
-ill-conditioning is surfaced, never silently regularised. The state
-dimension of a ``LinearSystem`` is capped at 64: the point of the scalar
-chain is precisely that the O(d^3) filter does not scale, so the cap keeps
-usage at demonstration scale. ``disk.full_filter_step`` (the
+Covariances are symmetrised by each predict/correct step, and the innovation
+solve checks positive definiteness and conditioning from the eigenvalues
+before it solves; ill-conditioning is surfaced, never silently regularised.
+The state dimension of a ``LinearSystem`` is capped at 64: the point of the
+scalar chain is precisely that the O(d^3) filter does not scale, so the cap
+keeps usage at demonstration scale. ``disk.full_filter_step`` (the
 ``full-kf`` algorithm) runs the scalar chain, ``scalar_gain_step``, at any
 dimension.
 
@@ -22,7 +21,7 @@ package exists to avoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,40 +103,22 @@ class LinearSystem:
         return self.C_obs.shape[0]
 
 
-@dataclass
-class KalmanState:
-    theta: np.ndarray
-    P: np.ndarray
-    K: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.P = _symmetrize(np.asarray(self.P, dtype=float))
-
-
-def _predict(theta, P, sys: LinearSystem, u):
+def kf_predict(theta, P, sys: LinearSystem, u) -> tuple[np.ndarray, np.ndarray]:
+    """Time update of one state, or of a stack with one state per row:
+    theta' = A theta + u; P' = A P A^T + Sigma_v."""
     return theta @ sys.A.T + u, _symmetrize(sys.A @ P @ sys.A.T + sys.Sigma_v)
 
 
-def _correct(theta, P, sys: LinearSystem, psi):
+def kf_correct(
+    theta, P, sys: LinearSystem, psi
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update with gain K = P C^T (C P C^T + Sigma_w)^{-1};
+    returns (theta', P', K)."""
     C = sys.C_obs
     S = C @ P @ C.T + sys.Sigma_w
     # K = P C^T S^{-1}  ==  (S^{-1} C P)^T since P is symmetric
     K = _spd_solve(S, C @ P, "innovation covariance").T
     return theta + (psi - theta @ C.T) @ K.T, _symmetrize((sys._eye - K @ C) @ P), K
-
-
-def kf_predict(state: KalmanState, sys: LinearSystem, u: np.ndarray) -> KalmanState:
-    """Time update of one state, or of a stack with one state per row:
-    theta' = A theta + u; P' = A P A^T + Sigma_v."""
-    theta, P = _predict(state.theta, state.P, sys, np.asarray(u, dtype=float))
-    return replace(state, theta=theta, P=P)
-
-
-def kf_correct(state: KalmanState, sys: LinearSystem, psi: np.ndarray) -> KalmanState:
-    """Measurement update with gain K = P C^T (C P C^T + Sigma_w)^{-1}."""
-    theta, P, K = _correct(state.theta, state.P, sys, np.asarray(psi, dtype=float))
-    return KalmanState(theta=theta, P=P, K=K)
 
 
 def kf_gain_multiplicative(
@@ -285,9 +266,8 @@ def simulate_estimation(
 
     Compares the filter estimate against the raw observation mapped back
     through the observation pseudo-inverse. The system is shared across runs,
-    so one state carries every run: the recursion of ``kf_predict`` and
-    ``kf_correct`` advances its one P, with one row of theta per trajectory,
-    as bare arrays (no ``KalmanState`` per step).
+    so one state carries every run: ``kf_predict`` and ``kf_correct`` advance
+    its one P, with one row of theta per trajectory.
     """
     rng = seeding.substream(seed, seeding.SYSTEM, "trajectories")
     d, m = sys.state_dim, sys.obs_dim
@@ -304,7 +284,7 @@ def simulate_estimation(
     for _ in range(steps):
         theta = theta @ sys.A.T + rng.standard_normal((runs, d)) @ Lv.T
         psi = theta @ sys.C_obs.T + rng.standard_normal((runs, m)) @ Lw.T
-        theta_kf, P, _ = _correct(*_predict(theta_kf, P, sys, 0.0), sys, psi)
+        theta_kf, P, _ = kf_correct(*kf_predict(theta_kf, P, sys, 0.0), sys, psi)
 
         min_eig = min(min_eig, float(np.linalg.eigvalsh(P)[0]))
         sq_raw += ((psi @ C_pinv.T - theta) ** 2).sum(axis=1)

@@ -1,4 +1,4 @@
-"""Clipping operators, Gaussian-mechanism calibration, and an RDP accountant.
+"""Clipping operators and the subsampled-Gaussian RDP accountant.
 
 The accountant works at integer Renyi orders with the binomial-expansion
 formula for the subsampled Gaussian mechanism, composes linearly over steps,
@@ -6,7 +6,7 @@ and converts to (epsilon, delta) by minimising over a fixed order grid. The
 sigma-free binomial terms are built once per (sampling rate, orders) and a
 run's epsilon schedule once per (q, sigma, steps, delta); both are kept,
 read-only, in small caches that live as long as the process. Calibration
-routines invert these maps by bisection; a noise-multiplier probe is decided
+inverts these maps by bisection; a noise-multiplier probe is decided
 by a numpy pass with a proven error margin, and by the exact sum only when
 that margin does not decide it.
 """
@@ -156,59 +156,6 @@ def clip_sensitivity(variant: str, C: float) -> float:
     if variant in ("standard", "automatic"):
         return C
     raise PrivacyError(f"clip variant {variant!r} has no bounded sensitivity")
-
-
-# ---------------------------------------------------------------------------
-# Gaussian mechanism (analytic calibration)
-# ---------------------------------------------------------------------------
-
-
-def _phi(t: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
-
-
-def gaussian_privacy_profile(sensitivity: float, epsilon: float, sigma: float) -> float:
-    """Smallest delta for which N(0, sigma^2) noise on a sensitivity-Delta
-    release is (epsilon, delta)-DP; decreasing in sigma."""
-    r = sensitivity / sigma
-    return _phi(r / 2.0 - epsilon / r) - math.exp(epsilon) * _phi(-r / 2.0 - epsilon / r)
-
-
-def calibrate_gaussian(
-    sensitivity: float, epsilon: float, delta: float, tol: float = 1e-9
-) -> float:
-    """Smallest sigma meeting the Gaussian-mechanism CDF condition, by bisection.
-
-    Strictly tighter than the classical sqrt(2 ln(1.25/delta))/epsilon rule.
-    """
-    if sensitivity <= 0:
-        raise PrivacyError("sensitivity must be > 0")
-    PrivacyBudget(epsilon, delta)
-
-    def feasible(sigma: float) -> bool:
-        return gaussian_privacy_profile(sensitivity, epsilon, sigma) <= delta
-
-    lo = 1e-12 * sensitivity
-    hi = sensitivity  # grow until feasible
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > 1e12 * sensitivity:
-            raise PrivacyError("failed to bracket sigma in Gaussian calibration")
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def classical_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
-    """Textbook sqrt(2 ln(1.25/delta)) * Delta / epsilon reference value."""
-    return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,18 @@
 ``nag_step`` and ``storm_step`` are the methods the filtered optimizer reduces
 to; ``per_sample_loss`` is the one-sample loss the finite-difference gradient
 oracles difference, and ``per_sample_grad`` the one-sample analytic gradient
-of a ``sample_of`` a dataset. Nothing in ``dpkf`` calls them.
+of a ``sample_of`` a dataset. ``calibrate_gaussian`` and its helpers are the
+analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530), which acceptance
+criterion 9 checks; every command calibrates through the RDP accountant instead.
+Nothing in ``dpkf`` calls them.
 """
+
+import math
 
 import numpy as np
 
 from dpkf.objectives import Dataset, Objective, full_gradient
+from dpkf.privacy import PrivacyBudget, PrivacyError
 
 Sample = tuple[np.ndarray, float]
 
@@ -72,3 +78,56 @@ def storm_step(
     g_prev = per_sample_grad(obj, x_prev, sample)
     m_new = (1.0 - alpha) * m + alpha * g_here + (1.0 - alpha) * (g_here - g_prev)
     return x - eta * m_new, m_new
+
+
+# ---------------------------------------------------------------------------
+# Gaussian mechanism (analytic calibration)
+# ---------------------------------------------------------------------------
+
+
+def _phi(t: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+
+
+def gaussian_privacy_profile(sensitivity: float, epsilon: float, sigma: float) -> float:
+    """Smallest delta for which N(0, sigma^2) noise on a sensitivity-Delta
+    release is (epsilon, delta)-DP; decreasing in sigma."""
+    r = sensitivity / sigma
+    return _phi(r / 2.0 - epsilon / r) - math.exp(epsilon) * _phi(-r / 2.0 - epsilon / r)
+
+
+def calibrate_gaussian(
+    sensitivity: float, epsilon: float, delta: float, tol: float = 1e-9
+) -> float:
+    """Smallest sigma meeting the Gaussian-mechanism CDF condition, by bisection.
+
+    Strictly tighter than the classical sqrt(2 ln(1.25/delta))/epsilon rule.
+    """
+    if sensitivity <= 0:
+        raise PrivacyError("sensitivity must be > 0")
+    PrivacyBudget(epsilon, delta)
+
+    def feasible(sigma: float) -> bool:
+        return gaussian_privacy_profile(sensitivity, epsilon, sigma) <= delta
+
+    lo = 1e-12 * sensitivity
+    hi = sensitivity  # grow until feasible
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > 1e12 * sensitivity:
+            raise PrivacyError("failed to bracket sigma in Gaussian calibration")
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def classical_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
+    """Textbook sqrt(2 ln(1.25/delta)) * Delta / epsilon reference value."""
+    return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon

@@ -28,16 +28,22 @@ from dpkf.objectives import (
     make_objective,
 )
 from dpkf.privacy import (
-    calibrate_gaussian,
     calibrate_noise_multiplier,
-    classical_gaussian_sigma,
     compose_and_convert,
     delta_convention,
-    gaussian_privacy_profile,
     subsampled_curve,
 )
 from dpkf.theory import ProblemConstants, tuned_bound, tuned_params
-from reference_methods import nag_step, per_sample_grad, per_sample_loss, sample_of, storm_step
+from reference_methods import (
+    calibrate_gaussian,
+    classical_gaussian_sigma,
+    gaussian_privacy_profile,
+    nag_step,
+    per_sample_grad,
+    per_sample_loss,
+    sample_of,
+    storm_step,
+)
 
 
 @contextmanager
@@ -154,7 +160,7 @@ def test_05_filter_beats_raw_observations():
 def test_06_filter_comparison_ordering():
     with criterion(6, "two-point filter has lowest loss at every noise level"):
         start = time.monotonic()
-        levels = comparison_noise_levels(n=1000, p=20, noise_std=0.1, seed=0)
+        levels = comparison_noise_levels(gen_linear_regression(1000, 20, 0.1, 0))
         rows = compare_filters(
             noise_levels=levels, seeds=(0, 1, 2, 3, 4), n=1000, p=20,
             noise_std=0.1, T=400, kappa=0.5,

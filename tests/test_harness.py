@@ -320,7 +320,7 @@ def test_compare_filters_converge_together_without_noise():
 
 
 def test_compare_filters_row_count_and_ordering():
-    levels = comparison_noise_levels(n=300, p=10, seed=0)[:3]
+    levels = comparison_noise_levels(objectives.gen_linear_regression(300, 10, 0.1, 0))[:3]
     rows = compare_filters(noise_levels=levels, seeds=(0,), n=300, p=10, T=150)
     assert len(rows) == len(levels) * 3
     agg = aggregate_comparison(rows)
@@ -705,10 +705,20 @@ def test_cli_bounds_reports_constants(tmp_path, capsys):
         ({"B": 31}, "batch size exceeds dataset size"),
         ({"f_star_steps": 2.5}, "f_star_steps must be an integer >= 1"),
         ({"sigma_sgd_sq": -0.1}, "sigma_sgd_sq must be finite and >= 0"),
+        ({"seeds": [1.5]}, "need one seed or more, each an integer >= 0"),
+        ({"seed": True}, "need one seed or more, each an integer >= 0"),
+        ({"seed": -1}, "need one seed or more, each an integer >= 0"),
+        ({"T": True}, r"need T >= 1 and B >= 1, integers; got T=True"),
+        ({"T": 2.5}, r"need T >= 1 and B >= 1, integers; got T=2.5"),
+        ({"B": 10.5}, r"need T >= 1 and B >= 1, integers; got T=20, B=10.5"),
+        ({"B": "10"}, r"need T >= 1 and B >= 1, integers; got T=20, B='10'"),
+        ({"f_star_steps": True}, "f_star_steps must be an integer >= 1"),
     ],
     ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5", "misspelled-key",
          "unknown-algorithm", "unknown-privacy-key", "negative-sigma-w", "epsilon-and-sigma",
-         "B-above-n", "fractional-f-star-steps", "negative-sigma-sgd"],
+         "B-above-n", "fractional-f-star-steps", "negative-sigma-sgd", "fractional-seeds",
+         "bool-seed", "negative-seed", "bool-T", "fractional-T", "fractional-B", "string-B",
+         "bool-f-star-steps"],
 )
 def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
     raw = {
@@ -726,6 +736,76 @@ def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
             cli_main(argv)
     assert capsys.readouterr().out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_config_integers_admit_numpy_integers_only():
+    """T, B and the seeds are integers: numpy integers pass, numpy floats do not."""
+    problem = {"kind": "linear-regression", "n": 30, "p": 3}
+    cfg = ExperimentConfig(problem, T=np.int64(5), B=np.int32(10), seeds=(np.uint8(3),))
+    assert run_experiment(cfg).seed == 3
+    for bad in ({"T": np.float64(5.0)}, {"B": np.float64(10.0)}, {"seeds": (np.float64(3.0),)}):
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig(problem, **bad)
+
+
+CLI_SEED_CASES = [
+    ("train", "--seed", "-1"),
+    ("sweep", "--seed", "-1"),
+    ("kalman-demo", "--seed", "-1"),
+    ("compare-filters", "--seeds", "-1"),
+    ("compare-filters", "--seeds", "0,-1"),
+    ("compare-filters", "--seeds", "0,1.5"),
+]
+
+
+def small_command(tmp_path, command):
+    """argv for a small run of ``command``."""
+    if command in ("train", "sweep", "bounds"):
+        raw = {"objective": {"kind": "linear-regression", "n": 30, "p": 3},
+               "optimizer": {"sigma_dp": 0.1}, "T": 3, "B": 10, "outdir": str(tmp_path / "out")}
+        return [command, "--config", write_config(tmp_path, raw)]
+    if command == "kalman-demo":
+        return [command, "--steps", "3", "--runs", "2"]
+    return [command, "--n", "20", "--p", "2", "--T", "3", "--noise-levels", "0.1",
+            "--outdir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command, flag, value", CLI_SEED_CASES)
+def test_cli_seed_flags_take_integers_from_zero(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*small_command(tmp_path, command), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}:" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
+@pytest.mark.parametrize("command", ["train", "sweep", "bounds", "kalman-demo", "compare-filters"])
+def test_cli_disk_seed_takes_an_integer_from_zero(tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("DISK_SEED", value)
+    with pytest.raises(ValueError, match=f"DISK_SEED must be an integer >= 0, got '{value}'"):
+        cli_main(small_command(tmp_path, command))
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bounds_evaluates_noisy_gd_at_its_full_batch(tmp_path, capsys):
+    """noisy-gd steps on all n rows whatever B says: train writes one trace and
+    bounds reports one bound, evaluated at B = n, for every B."""
+    traces, reports = [], []
+    for B in (10, 40):
+        raw = {"seed": 3, "algorithm": "noisy-gd", "T": 8, "B": B, "sigma_sgd_sq": 0.5,
+               "objective": {"kind": "linear-regression", "n": 40, "p": 3},
+               "optimizer": {"sigma_dp": 0.02}, "outdir": str(tmp_path / f"out{B}")}
+        path = write_config(tmp_path, raw)
+        assert cli_main(["train", "--config", path]) == 0
+        traces.append(read_trace_csv(json.loads(capsys.readouterr().out)["outputs"][0]).records)
+        assert cli_main(["bounds", "--config", path]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert traces[0] == traces[1]
+    assert reports[0] == reports[1]
 
 
 def bounds_report(tmp_path, capsys, raw):

@@ -8,7 +8,6 @@ import pytest
 
 import dpkf
 from dpkf.kalman import (
-    KalmanState,
     LinearSystem,
     NumericalError,
     ScalarGainState,
@@ -36,50 +35,45 @@ def scalar_system(sigma_v_sq=1.0, sigma_w_sq=1.0, a=1.0, c=1.0):
 
 def test_predict_identity_is_noop():
     sys = LinearSystem(A=np.eye(2), C_obs=np.eye(2), Sigma_v=np.zeros((2, 2)), Sigma_w=np.eye(2))
-    st = KalmanState(theta=np.array([1.0, 2.0]), P=np.eye(2))
-    out = kf_predict(st, sys, np.zeros(2))
-    assert np.array_equal(out.theta, st.theta)
-    assert np.array_equal(out.P, st.P)
+    theta, P = np.array([1.0, 2.0]), np.eye(2)
+    theta_out, P_out = kf_predict(theta, P, sys, np.zeros(2))
+    assert np.array_equal(theta_out, theta)
+    assert np.array_equal(P_out, P)
 
 
 def test_predict_scalar_covariance():
     sys = scalar_system(sigma_v_sq=3.0, a=2.0)
-    st = KalmanState(theta=np.array([0.5]), P=np.array([[1.0]]))
-    out = kf_predict(st, sys, np.zeros(1))
-    assert out.P[0, 0] == pytest.approx(7.0)  # 4*1 + 3
+    _, P = kf_predict(np.array([0.5]), np.array([[1.0]]), sys, np.zeros(1))
+    assert P[0, 0] == pytest.approx(7.0)  # 4*1 + 3
 
 
 def test_predict_rotation():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     sys = LinearSystem(A=rot, C_obs=np.eye(2), Sigma_v=np.zeros((2, 2)), Sigma_w=np.eye(2))
-    st = KalmanState(theta=np.array([1.0, 0.0]), P=np.eye(2))
-    out = kf_predict(st, sys, np.zeros(2))
-    assert np.allclose(out.theta, [0.0, 1.0], atol=1e-15)
+    theta, _ = kf_predict(np.array([1.0, 0.0]), np.eye(2), sys, np.zeros(2))
+    assert np.allclose(theta, [0.0, 1.0], atol=1e-15)
 
 
 def test_correct_huge_observation_noise_ignores_observation():
     sys = scalar_system(sigma_w_sq=1e12)
-    st = KalmanState(theta=np.array([2.0]), P=np.array([[1.0]]))
-    out = kf_correct(st, sys, np.array([100.0]))
-    assert abs(out.K[0, 0]) <= 1e-10
-    assert out.theta[0] == pytest.approx(2.0, abs=1e-8)
+    theta, _, K = kf_correct(np.array([2.0]), np.array([[1.0]]), sys, np.array([100.0]))
+    assert abs(K[0, 0]) <= 1e-10
+    assert theta[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_correct_perfect_observation():
     sys = LinearSystem(A=np.eye(2), C_obs=np.eye(2), Sigma_v=np.eye(2), Sigma_w=np.zeros((2, 2)))
-    st = KalmanState(theta=np.zeros(2), P=np.eye(2))
     psi = np.array([3.0, -1.0])
-    out = kf_correct(st, sys, psi)
-    assert np.allclose(out.K, np.eye(2), atol=1e-12)
-    assert np.allclose(out.theta, psi, atol=1e-12)
+    theta, _, K = kf_correct(np.zeros(2), np.eye(2), sys, psi)
+    assert np.allclose(K, np.eye(2), atol=1e-12)
+    assert np.allclose(theta, psi, atol=1e-12)
 
 
 def test_correct_scalar_hand_value():
     sys = scalar_system(sigma_w_sq=1.0)
-    st = KalmanState(theta=np.array([0.0]), P=np.array([[1.0]]))
-    out = kf_correct(st, sys, np.array([1.0]))
-    assert out.K[0, 0] == pytest.approx(0.5)
-    assert out.P[0, 0] == pytest.approx(0.5)
+    _, P, K = kf_correct(np.array([0.0]), np.array([[1.0]]), sys, np.array([1.0]))
+    assert K[0, 0] == pytest.approx(0.5)
+    assert P[0, 0] == pytest.approx(0.5)
 
 
 def test_correct_singular_innovation_raises():
@@ -87,20 +81,19 @@ def test_correct_singular_innovation_raises():
         A=np.eye(2), C_obs=np.array([[1.0, 0.0], [1.0, 0.0]]),
         Sigma_v=np.eye(2), Sigma_w=np.zeros((2, 2)),
     )
-    st = KalmanState(theta=np.zeros(2), P=np.eye(2))
     with pytest.raises(NumericalError):
-        kf_correct(st, sys, np.zeros(2))
+        kf_correct(np.zeros(2), np.eye(2), sys, np.zeros(2))
 
 
 def test_covariance_stays_psd_along_trajectory():
     rng = np.random.default_rng(0)
     sys = random_stable_system(3, seed=4)
-    st = KalmanState(theta=np.zeros(3), P=np.eye(3))
+    theta, P = np.zeros(3), np.eye(3)
     for _ in range(200):
-        st = kf_predict(st, sys, np.zeros(3))
-        st = kf_correct(st, sys, rng.standard_normal(3))
-        assert np.allclose(st.P, st.P.T)
-        assert np.linalg.eigvalsh(st.P)[0] >= -1e-10
+        theta, P = kf_predict(theta, P, sys, np.zeros(3))
+        theta, P, _ = kf_correct(theta, P, sys, rng.standard_normal(3))
+        assert np.allclose(P, P.T)
+        assert np.linalg.eigvalsh(P)[0] >= -1e-10
 
 
 def test_state_dim_cap():

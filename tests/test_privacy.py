@@ -12,19 +12,17 @@ from dpkf.objectives import GradFactors
 from dpkf.privacy import (
     DEFAULT_ORDERS,
     PrivacyError,
-    calibrate_gaussian,
     calibrate_noise_multiplier,
-    classical_gaussian_sigma,
     clip_batch,
     clip_sensitivity,
     compose_and_convert,
     delta_convention,
     epsilon_schedule,
-    gaussian_privacy_profile,
     rdp_gaussian,
     rdp_subsampled,
     subsampled_curve,
 )
+from reference_methods import calibrate_gaussian, classical_gaussian_sigma, gaussian_privacy_profile
 
 # ---------------------------------------------------------------------------
 # clipping
