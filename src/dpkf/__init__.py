@@ -15,7 +15,6 @@ from .disk import (
     FullFilterConfig,
     disk_step,
     dpsgd_step,
-    full_filter_step,
 )
 from .kalman import (
     LinearSystem,

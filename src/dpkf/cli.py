@@ -75,6 +75,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _float_list(text: str) -> list[float]:
+    """Argument type: a comma-separated list of finite floats."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"each value must be finite, got {text}")
+    return values
+
+
 def _env_seed(default: int | None) -> int | None:
     raw = os.environ.get("DISK_SEED", "")
     if raw and not raw.isdecimal():
@@ -137,13 +148,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare_filters(args: argparse.Namespace) -> int:
     seed0 = _env_seed(None)
     seeds = args.seeds if seed0 is None else tuple(range(seed0, seed0 + len(args.seeds)))
-    levels = (
-        [float(v) for v in args.noise_levels.split(",")]
-        if args.noise_levels
-        else None
-    )
     rows = harness.compare_filters(
-        noise_levels=levels, seeds=seeds, n=args.n, p=args.p, T=args.T,
+        noise_levels=args.noise_levels, seeds=seeds, n=args.n, p=args.p, T=args.T,
         kappa=args.kappa,
     )
     paths = harness.emit_comparison(rows, args.outdir)
@@ -154,12 +160,10 @@ def cmd_compare_filters(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = _apply_overrides(_load_config(args.config), args)
-    kappas = [float(v) for v in args.kappas.split(",")]
-    gammas = [float(v) for v in args.gammas.split(",")]
     cfg = ExperimentConfig.from_dict(raw)
-    matrix = harness.sweep_kappa_gamma(kappas, gammas, cfg)
-    paths = harness.emit_sweep(kappas, gammas, matrix, cfg.outdir)
-    _print_json({"shape": [len(kappas), len(gammas)], "outputs": paths})
+    matrix = harness.sweep_kappa_gamma(args.kappas, args.gammas, cfg)
+    paths = harness.emit_sweep(args.kappas, args.gammas, matrix, cfg.outdir)
+    _print_json({"shape": [len(args.kappas), len(args.gammas)], "outputs": paths})
     return 0
 
 
@@ -270,21 +274,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare-filters", help="benchmark the three filters")
-    p_cmp.add_argument("--noise-levels", dest="noise_levels")
+    p_cmp.add_argument("--noise-levels", dest="noise_levels", type=_float_list)
     p_cmp.add_argument(
         "--seeds", default="0,1,2,3,4", type=lambda s: tuple(map(_int_in(0), s.split(",")))
     )
-    p_cmp.add_argument("--n", type=int, default=1000)
-    p_cmp.add_argument("--p", type=int, default=20)
-    p_cmp.add_argument("--T", type=int, default=400)
+    p_cmp.add_argument("--n", type=_int_in(1), default=1000)
+    p_cmp.add_argument("--p", type=_int_in(1), default=20)
+    p_cmp.add_argument("--T", type=_int_in(1), default=400)
     p_cmp.add_argument("--kappa", type=float, default=0.5)
     p_cmp.add_argument("--outdir", default="out")
     p_cmp.set_defaults(func=cmd_compare_filters)
 
     p_sweep = sub.add_parser("sweep", help="grid over (kappa, gamma)")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0")
-    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0")
+    p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list)
+    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list)
     p_sweep.add_argument("--seed", type=_int_in(0))
     p_sweep.add_argument("--T", type=int)
     p_sweep.add_argument("--B", type=int)
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--epsilon", type=float, required=True)
     p_cal.add_argument("--delta", type=float, required=True)
     p_cal.add_argument("--sampling-rate", dest="sampling_rate", type=float, required=True)
-    p_cal.add_argument("--steps", type=int, required=True)
+    p_cal.add_argument("--steps", type=_int_in(1), required=True)
     p_cal.add_argument("--clip", type=_positive_float)
     p_cal.add_argument("--batch-size", dest="batch_size", type=_int_in(1))
     p_cal.add_argument(

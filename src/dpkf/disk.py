@@ -20,9 +20,9 @@ Special cases implemented exactly:
   * gamma = -1 with batch size 1 matches the recursive variance-reduced
     (STORM) estimator.
 
-``full_filter_step`` is the same step with kappa replaced by the matrix
-filter's gain k_t (its noise terms are multiples of I and E[C] = I, so
-K_t = k_t I): its update (1 - k)(g_filt + h) + k g_obs, with the Hessian
+The matrix filter (full-kf) is this step with kappa = its gain k_t, which
+``FullFilterConfig.gains`` yields (noise terms are multiples of I and E[C] = I,
+so K_t = k_t I): its update (1 - k)(g_filt + h) + k g_obs, with the Hessian
 action h = (g(x + gamma d) - g(x)) / gamma, is the two-point combination at
 kappa = k. The gain uses no data, so the release is the same clipped mean.
 """
@@ -30,6 +30,7 @@ kappa = k. The gain uses no data, so the release is the same clipped mean.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +99,6 @@ class DiskState:
     d_prev: np.ndarray = field(default=None)  # type: ignore[assignment]
     moments: dict = field(default_factory=dict)
     t: int = 0
-    gain: ScalarGainState | None = None  # full-kf's p_t and k_t; None before its first step
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -194,8 +194,19 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int, ahead=None,
     return g
 
 
-def _filtered_step(state, batch, obj, cfg, rng, kappa: float, gamma: float) -> DiskState:
-    """The step at weight ``kappa`` and lookahead ``gamma``, the rest from ``cfg``."""
+def disk_step(
+    state: DiskState,
+    batch: tuple[np.ndarray, np.ndarray] | Dataset,
+    obj: Objective,
+    cfg: DiskConfig,
+    rng: np.random.Generator,
+    kappa: float | None = None,
+    gamma: float | None = None,
+) -> DiskState:
+    """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
+    at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None)."""
+    kappa = cfg.kappa if kappa is None else kappa
+    gamma = cfg.gamma if gamma is None else gamma
     x = state.x
     if cfg.two_point and kappa != 1.0:
         a = (1.0 - kappa) / (kappa * gamma)
@@ -215,17 +226,6 @@ def _filtered_step(state, batch, obj, cfg, rng, kappa: float, gamma: float) -> D
     return DiskState(
         x=x_new, g_filt=g_filt, d_prev=x_new - x, moments=moments, t=state.t + 1
     )
-
-
-def disk_step(
-    state: DiskState,
-    batch: tuple[np.ndarray, np.ndarray] | Dataset,
-    obj: Objective,
-    cfg: DiskConfig,
-    rng: np.random.Generator,
-) -> DiskState:
-    """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``."""
-    return _filtered_step(state, batch, obj, cfg, rng, cfg.kappa, cfg.gamma)
 
 
 def dpsgd_step(
@@ -271,26 +271,17 @@ class FullFilterConfig:
         if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
 
-
-def full_filter_step(
-    state: DiskState,
-    batch: tuple[np.ndarray, np.ndarray] | Dataset,
-    obj: Objective,
-    opt: DiskConfig,
-    cfg: FullFilterConfig,
-    rng: np.random.Generator,
-) -> DiskState:
-    """One full-kf step: advance the gain, then take the filtered step with
-    kappa = k_t and gamma = ``cfg.gamma``; ``opt`` gives the rest (the full-kf
-    preset starts the filter at zero). The gain recursion starts at
-    p = sigma_w^2 when ``state.gain`` is None and is kept in ``state.gain``."""
-    gain = state.gain
-    if gain is None:  # k is computed from p, so the start k is never read
-        gain = ScalarGainState(
-            p=cfg.sigma_w_sq, k=0.0, sigma_h_sq=cfg.sigma_h_sq,
-            sigma_v_sq=cfg.sigma_v_sq, sigma_w_sq=cfg.sigma_w_sq,
+    def gains(self) -> Iterator[tuple[float, float]]:
+        """Full-kf's schedule for ``disk_step``: (k_t, gamma) for t = 1, 2, ...,
+        k_t from ``scalar_gain_step`` started at p = sigma_w^2."""
+        gain = ScalarGainState(  # k is computed from p, so the start k is never read
+            p=self.sigma_w_sq, k=0.0, sigma_h_sq=self.sigma_h_sq,
+            sigma_v_sq=self.sigma_v_sq, sigma_w_sq=self.sigma_w_sq,
         )
-    gain = scalar_gain_step(gain)
-    out = _filtered_step(state, batch, obj, opt, rng, gain.k, cfg.gamma)
-    out.gain = gain
-    return out
+        while True:
+            gain = scalar_gain_step(gain)
+            yield gain.k, self.gamma
+
+
+# perfbench/tracing.py binds this name; it goes once that tracer skips a missing name.
+full_filter_step = disk_step

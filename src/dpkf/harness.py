@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding, svgplot
-from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, full_filter_step
+from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step
 from .kalman import random_stable_system, simulate_estimation
 from .objectives import (
     EVAL_BLOCK,
@@ -59,8 +59,8 @@ class Preset(NamedTuple):
     full_batch: bool = False  # every step sees the whole dataset
 
 
-# disk and noisy-kf are the same run. full-kf runs ``full_filter_step``, the
-# same step with kappa set to the gain k_t; everything else runs ``disk_step``.
+# Every preset runs ``disk_step``; disk and noisy-kf are the same run. full-kf
+# steps at kappa = the gain k_t and gamma = full_filter.gamma (``gains()``).
 PRESETS = {
     "dpsgd": Preset({"kappa": 1.0, "base": "sgd"}),
     "disk": Preset({}),
@@ -189,6 +189,8 @@ class ExperimentConfig:
                 raise ValueError(f"full_filter.{key} disagrees with optimizer.{key}")
         _reject_unknown_keys("full_filter", ff, FULL_FILTER_KEYS + SHARED_FILTER_KEYS)
         seeds = raw.get("seeds")  # seeds, else [seed], else [0]
+        if seeds is not None and not isinstance(seeds, (list, tuple)):
+            raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
         return cls(
             objective=raw["objective"],
             algorithm=raw.get("algorithm", "disk"),
@@ -295,15 +297,13 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
     full_batch = cfg.batch_size(ds.n) == ds.n
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
     sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
-    ff = cfg.full_filter if cfg.algorithm == "full-kf" else None
+    gains = (cfg.full_filter.gains() if cfg.algorithm == "full-kf"
+             else itertools.repeat((opt.kappa, opt.gamma)))  # (kappa, gamma) per step
     state = DiskState(x=obj.init_point(seed, cfg.init_scale))
     yield state
-    for _ in range(cfg.T):
+    for kappa, gamma in itertools.islice(gains, cfg.T):
         batch = ds if full_batch else ds.subset(sampler.next_batch())
-        if ff is None:
-            state = disk_step(state, batch, obj, opt, noise_rng)
-        else:
-            state = full_filter_step(state, batch, obj, opt, ff, noise_rng)
+        state = disk_step(state, batch, obj, opt, noise_rng, kappa, gamma)
         yield state
 
 

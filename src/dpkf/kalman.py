@@ -8,9 +8,9 @@ solve checks positive definiteness and conditioning from the eigenvalues
 before it solves; ill-conditioning is surfaced, never silently regularised.
 The state dimension of a ``LinearSystem`` is capped at 64: the point of the
 scalar chain is precisely that the O(d^3) filter does not scale, so the cap
-keeps usage at demonstration scale. ``disk.full_filter_step`` (the
-``full-kf`` algorithm) runs the scalar chain, ``scalar_gain_step``, at any
-dimension.
+keeps usage at demonstration scale. The ``full-kf`` algorithm runs the
+scalar chain, ``scalar_gain_step``, at any dimension: its gains
+(``disk.FullFilterConfig.gains``) are ``disk_step``'s kappa schedule.
 
 Out of scope by design: nonlinear-system variants (extended/unscented filters)
 and state-space constructions that track the iterate or Hessian entries as

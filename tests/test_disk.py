@@ -21,7 +21,6 @@ from dpkf.disk import (
     base_update_sgd,
     disk_step,
     dpsgd_step,
-    full_filter_step,
 )
 from dpkf.kalman import (
     NumericalError,
@@ -556,8 +555,9 @@ def test_steps_form_no_per_sample_matrix(kind, monkeypatch):
     for clip in ({"clip": 1.0, "clip_variant": "standard"}, {"clip": None, "clip_variant": "none"}):
         for kappa in (1.0, 0.6):
             cfg = DiskConfig(kappa=kappa, eta=0.05, sigma_dp=0.1, **clip)
-            for step in (disk_step, dpsgd_step, lambda s, b, o, c, r: full_filter_step(
-                    s, b, o, c, FullFilterConfig(), r)):
+            gains = FullFilterConfig().gains()  # full-kf's (k_t, gamma), t = 1, 2, 3
+            for step in (disk_step, dpsgd_step, lambda s, b, o, c, r: disk_step(
+                    s, b, o, c, r, *next(gains))):
                 state = DiskState(x=obj.init_point(1))
                 for t in range(3):
                     state = step(state, ds.subset(np.arange(8 * t, 8 * t + 8)), obj, cfg, rng_for(t))
@@ -682,6 +682,13 @@ def gain_start(cfg):
     )
 
 
+def kf_step(state, gain, batch, obj, opt, cfg, rng):
+    """One full-kf step: advance ``gain`` with ``scalar_gain_step``, then take
+    ``disk_step`` at (k_t, cfg.gamma). Returns the new state and gain."""
+    gain = scalar_gain_step(gain)
+    return disk_step(state, batch, obj, opt, rng, gain.k, cfg.gamma), gain
+
+
 def rel_err(a, b):
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
@@ -690,12 +697,12 @@ def test_full_filter_covariance_trace_non_increasing():
     obj, ds = quadratic_problem(5)
     opt = unclipped(eta=0.2, sigma_dp=0.1)
     cfg = FullFilterConfig(sigma_w_sq=0.5, sigma_h_sq=0.0)
-    st = DiskState(x=np.ones(5))
+    st, gain = DiskState(x=np.ones(5)), gain_start(cfg)
     rng = rng_for(0)
     traces = []
     for _ in range(50):
-        st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
-        traces.append(st.gain.p)  # trace(P) = d p
+        st, gain = kf_step(st, gain, (ds.X, ds.y), obj, opt, cfg, rng)
+        traces.append(gain.p)  # trace(P) = d p
     assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
 
@@ -705,11 +712,11 @@ def test_full_filter_tracks_gradient_when_observation_noise_vanishes():
     obj, ds = quadratic_problem(5)
     opt = unclipped(eta=0.2, sigma_dp=0.0)
     cfg = FullFilterConfig(sigma_w_sq=1e-12, sigma_h_sq=0.0, sigma_v_sq=1e-6)
-    st = DiskState(x=np.ones(5))
+    st, gain = DiskState(x=np.ones(5)), gain_start(cfg)
     rng = rng_for(0)
     for t in range(20):
         x_at_observation = st.x.copy()
-        st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
+        st, gain = kf_step(st, gain, (ds.X, ds.y), obj, opt, cfg, rng)
         err = np.abs(st.g_filt - full_gradient(obj, x_at_observation, ds)).max()
         assert err <= 1e-4
 
@@ -718,13 +725,11 @@ def test_full_filter_huge_observation_noise_keeps_prediction():
     obj, ds = quadratic_problem(3)
     opt = unclipped(eta=0.2, sigma_dp=0.0)
     cfg = FullFilterConfig(sigma_w_sq=1e12, sigma_h_sq=0.0)
-    st = DiskState(
-        x=np.ones(3), g_filt=np.array([0.5, 0.5, 0.5]),
-        gain=replace(gain_start(cfg), p=1e-6),
-    )
-    out = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng_for(0))
+    st = DiskState(x=np.ones(3), g_filt=np.array([0.5, 0.5, 0.5]))
+    gain = replace(gain_start(cfg), p=1e-6)
+    out, gain = kf_step(st, gain, (ds.X, ds.y), obj, opt, cfg, rng_for(0))
     # d_prev = 0 so the prediction equals the previous filtered gradient
-    assert abs(out.gain.k) <= 1e-10
+    assert abs(gain.k) <= 1e-10
     assert np.abs(out.g_filt - st.g_filt).max() <= 1e-10
 
 
@@ -733,12 +738,12 @@ def test_full_filter_runs_above_former_dimension_cap():
     obj, ds = quadratic_problem(65)
     opt = unclipped(eta=0.2, sigma_dp=0.1)
     cfg = FullFilterConfig(sigma_w_sq=0.5, sigma_v_sq=0.1)
-    st = DiskState(x=np.ones(65))
+    st, gain = DiskState(x=np.ones(65)), gain_start(cfg)
     rng = rng_for(0)
     for _ in range(5):
-        st = full_filter_step(st, (ds.X, ds.y), obj, opt, cfg, rng)
+        st, gain = kf_step(st, gain, (ds.X, ds.y), obj, opt, cfg, rng)
     assert st.x.shape == (65,) and np.isfinite(st.x).all()
-    assert 0 < st.gain.k < 1
+    assert 0 < gain.k < 1
 
 
 @dataclass
@@ -799,7 +804,7 @@ def regression_problem(kind):
 @pytest.mark.parametrize("kind", ["logistic-regression", "linear-regression", "mlp"])
 def test_full_filter_matches_inline_gain_step_without_clipping_or_noise(kind, filter_name):
     """Without clipping and noise the gain schedule on the filtered step is
-    the inline-gain filter; its gain is ``scalar_gain_step``'s, exactly."""
+    the inline-gain filter; ``gains()`` yields ``scalar_gain_step``'s gain, exactly."""
     obj, ds, eta = regression_problem(kind)
     cfg = FILTER_CONFIGS[filter_name]
     opt = unclipped(eta=eta, sigma_dp=0.0)
@@ -808,14 +813,13 @@ def test_full_filter_matches_inline_gain_step_without_clipping_or_noise(kind, fi
     ref = InlineGainState(
         x=x0.copy(), g_filt=np.zeros_like(x0), d_prev=np.zeros_like(x0), p=cfg.sigma_w_sq
     )
-    gain = gain_start(cfg)
+    gain, gains = gain_start(cfg), cfg.gains()
     for t in range(200):
         batch = (ds.X[t % 3 :: 3], ds.y[t % 3 :: 3])
-        st = full_filter_step(st, batch, obj, opt, cfg, rng_for(0))
+        st, gain = kf_step(st, gain, batch, obj, opt, cfg, rng_for(0))
         ref = inline_gain_filter_step(ref, batch, obj, opt, cfg, rng_for(0))
-        gain = scalar_gain_step(gain)
-        assert st.gain.k == gain.k and st.gain.p == gain.p
-        assert abs(st.gain.k - ref.k) <= 1e-14 * ref.k
+        assert next(gains) == (gain.k, cfg.gamma)
+        assert abs(gain.k - ref.k) <= 1e-14 * ref.k
         assert rel_err(st.x, ref.x) <= 1e-9
         assert rel_err(st.g_filt, ref.g_filt) <= 1e-9
 
@@ -827,18 +831,18 @@ def test_full_filter_moves_the_filter_by_at_most_the_clipped_sensitivity():
     C, B = 1.0, 10
     opt = DiskConfig(eta=0.05, clip=C, sigma_dp=0.0, filter_init="zero")
     cfg = FullFilterConfig(gamma=0.3)
-    st = DiskState(x=obj.init_point(4))
+    st, gain = DiskState(x=obj.init_point(4)), gain_start(cfg)
     for t in range(5):  # a nonzero displacement, filter and covariance
-        st = full_filter_step(st, (ds.X[t * B : (t + 1) * B], ds.y[t * B : (t + 1) * B]),
-                              obj, opt, cfg, rng_for(0))
+        st, gain = kf_step(st, gain, (ds.X[t * B : (t + 1) * B], ds.y[t * B : (t + 1) * B]),
+                           obj, opt, cfg, rng_for(0))
     Xb, yb = ds.X[50:60].copy(), ds.y[50:60].copy()
     Xn, yn = Xb.copy(), yb.copy()
     Xn[3] *= 1e6
     yn[3] *= -1e6  # the clipped row flips: the bound is met with equality
-    a = full_filter_step(st, (Xb, yb), obj, opt, cfg, rng_for(0))
-    b = full_filter_step(st, (Xn, yn), obj, opt, cfg, rng_for(0))
-    assert a.gain.k == b.gain.k < 1
-    bound = a.gain.k * 2 * C / B
+    a, gain_a = kf_step(st, gain, (Xb, yb), obj, opt, cfg, rng_for(0))
+    b, gain_b = kf_step(st, gain, (Xn, yn), obj, opt, cfg, rng_for(0))
+    assert gain_a.k == gain_b.k < 1
+    bound = gain_a.k * 2 * C / B
     assert 0.5 * bound < np.linalg.norm(a.g_filt - b.g_filt) <= bound * (1 + 1e-12)
 
 
@@ -869,14 +873,14 @@ def test_full_filter_started_at_its_fixed_point_is_disk_at_k_inf(kind, variant, 
                      sigma_dp=0.05, filter_init="zero")
     steady = replace(opt, kappa=fp.k_inf, gamma=ff.gamma)
     x0 = obj.init_point(3)
-    kf = DiskState(x=x0.copy(), gain=ScalarGainState(fp.p_inf, fp.k_inf, sh, sv, sw))
+    kf, gain = DiskState(x=x0.copy()), ScalarGainState(fp.p_inf, fp.k_inf, sh, sv, sw)
     dk = DiskState(x=x0.copy())
     kf_rng, dk_rng, sampler = rng_for(5), rng_for(5), MinibatchSampler(ds.n, 12, 5)
     for t in range(30):
         batch = ds if t % 5 == 4 else ds.subset(sampler.next_batch())
-        kf = full_filter_step(kf, batch, obj, opt, ff, kf_rng)
+        kf, gain = kf_step(kf, gain, batch, obj, opt, ff, kf_rng)
         dk = disk_step(dk, batch, obj, steady, dk_rng)
-        assert kf.gain.k == fp.k_inf  # p may sit an ulp off p_inf
+        assert gain.k == fp.k_inf  # p may sit an ulp off p_inf
         assert np.array_equal(kf.x, dk.x) and np.array_equal(kf.g_filt, dk.g_filt)
 
 
@@ -945,21 +949,21 @@ def test_full_filter_matches_matrix_filter(problem, cfg):
         obj = make_objective("linear-regression", d)
     opt = replace(unclipped(eta=0.1, sigma_dp=0.0), base="momentum")
     x0 = np.linspace(-1.0, 1.0, d)
-    st = DiskState(x=x0.copy())
+    st, gain = DiskState(x=x0.copy()), gain_start(cfg)
     ref = MatrixFilterState(
         x=x0.copy(), g_filt=np.zeros(d), d_prev=np.zeros(d), P=cfg.sigma_w_sq * np.eye(d)
     )
     rng, rng_ref = rng_for(3), rng_for(3)
     for t in range(50):
         batch = (ds.X[t % 4 :: 4], ds.y[t % 4 :: 4])
-        st = full_filter_step(st, batch, obj, opt, cfg, rng)
+        st, gain = kf_step(st, gain, batch, obj, opt, cfg, rng)
         ref = matrix_filter_step(ref, batch, obj, opt, cfg, rng_ref)
         assert rel_err(st.x, ref.x) <= 1e-9
         assert rel_err(st.g_filt, ref.g_filt) <= 1e-9
-        assert rel_err(st.gain.p * np.eye(d), ref.P) <= 1e-9 or st.gain.p == 0.0
-        assert rel_err(st.gain.k * np.eye(d), ref.K) <= 1e-9
+        assert rel_err(gain.p * np.eye(d), ref.P) <= 1e-9 or gain.p == 0.0
+        assert rel_err(gain.k * np.eye(d), ref.K) <= 1e-9
     if cfg.sigma_w_sq == cfg.sigma_h_sq:
-        assert st.gain.k == 1.0 and st.gain.p == 0.0  # the observation is trusted fully
+        assert gain.k == 1.0 and gain.p == 0.0  # the observation is trusted fully
 
 
 @pytest.mark.parametrize("step", ["disk", "dpsgd", "full_filter", "disk-unclipped", "dpsgd-unclipped"])
@@ -972,7 +976,8 @@ def test_steps_reject_empty_batch(step):
         opt = DiskConfig(kappa=1.0, clip=None, clip_variant="none")
     with pytest.raises(ValueError, match="batch must be non-empty"):
         if step == "full_filter":
-            full_filter_step(DiskState(x=np.ones(3)), empty, obj, opt, FullFilterConfig(), rng_for(0))
+            cfg = FullFilterConfig()
+            kf_step(DiskState(x=np.ones(3)), gain_start(cfg), empty, obj, opt, cfg, rng_for(0))
         else:
             step_fn = disk_step if step.startswith("disk") else dpsgd_step
             step_fn(DiskState(x=np.ones(3)), empty, obj, opt, rng_for(0))

@@ -713,12 +713,14 @@ def test_cli_bounds_reports_constants(tmp_path, capsys):
         ({"B": 10.5}, r"need T >= 1 and B >= 1, integers; got T=20, B=10.5"),
         ({"B": "10"}, r"need T >= 1 and B >= 1, integers; got T=20, B='10'"),
         ({"f_star_steps": True}, "f_star_steps must be an integer >= 1"),
+        ({"seeds": 5}, "seeds must be a list of integers, got 5"),
+        ({"seeds": "12"}, "seeds must be a list of integers, got '12'"),
     ],
     ids=["negative-init-scale", "kappa-2", "nan-eta", "T-0", "B-0", "T-minus-5", "misspelled-key",
          "unknown-algorithm", "unknown-privacy-key", "negative-sigma-w", "epsilon-and-sigma",
          "B-above-n", "fractional-f-star-steps", "negative-sigma-sgd", "fractional-seeds",
          "bool-seed", "negative-seed", "bool-T", "fractional-T", "fractional-B", "string-B",
-         "bool-f-star-steps"],
+         "bool-f-star-steps", "number-seeds", "string-seeds"],
 )
 def test_cli_bounds_rejects_what_train_rejects(tmp_path, capsys, change, match):
     raw = {
@@ -766,12 +768,16 @@ def small_command(tmp_path, command):
         return [command, "--config", write_config(tmp_path, raw)]
     if command == "kalman-demo":
         return [command, "--steps", "3", "--runs", "2"]
+    if command == "calibrate":
+        return [command, "--epsilon", "1", "--delta", "1e-5", "--sampling-rate", "0.1",
+                "--steps", "10"]
     return [command, "--n", "20", "--p", "2", "--T", "3", "--noise-levels", "0.1",
             "--outdir", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("command, flag, value", CLI_SEED_CASES)
-def test_cli_seed_flags_take_integers_from_zero(tmp_path, capsys, command, flag, value):
+def assert_flag_rejected(tmp_path, capsys, command, flag, value):
+    """A small run of ``command`` with ``flag value`` exits 2 naming the flag,
+    before it prints or writes anything."""
     with pytest.raises(SystemExit) as exc:
         cli_main([*small_command(tmp_path, command), flag, value])
     assert exc.value.code == 2
@@ -779,6 +785,31 @@ def test_cli_seed_flags_take_integers_from_zero(tmp_path, capsys, command, flag,
     assert f"argument {flag}:" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", CLI_SEED_CASES)
+def test_cli_seed_flags_take_integers_from_zero(tmp_path, capsys, command, flag, value):
+    assert_flag_rejected(tmp_path, capsys, command, flag, value)
+
+
+CLI_SIZE_AND_LIST_CASES = [
+    ("compare-filters", "--T", "0"),
+    ("compare-filters", "--n", "0"),
+    ("compare-filters", "--p", "0"),
+    ("calibrate", "--steps", "0"),
+    ("sweep", "--kappas", "0.5,y"),
+    ("sweep", "--gammas", ""),
+    ("sweep", "--kappas", "0.5,inf"),
+    ("compare-filters", "--noise-levels", "0.1,nan"),
+    ("compare-filters", "--noise-levels", "0.1,"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", CLI_SIZE_AND_LIST_CASES)
+def test_cli_sizes_take_integers_from_one_and_lists_finite_numbers(
+    tmp_path, capsys, command, flag, value
+):
+    assert_flag_rejected(tmp_path, capsys, command, flag, value)
 
 
 @pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
