@@ -15,6 +15,7 @@ from .disk import (
     FullFilterConfig,
     disk_step,
     dpsgd_step,
+    noise_rows,
 )
 from .kalman import (
     LinearSystem,

@@ -7,7 +7,7 @@ seed everywhere. train, sweep and bounds read a config through
 ``ExperimentConfig.from_dict`` and take the run's optimizer from
 ``harness.resolve_optimizer``, so bounds reports on the run train makes.
 
-A command runs numpy's bundled OpenBLAS on one thread: on matrices this small
+A command runs inside ``objectives.one_blas_thread``: on matrices this small
 a second thread that wakes for ``lstsq`` or ``X.T @ X`` busy-waits through
 the calls after it, doubling CPU time for no wall time.
 """
@@ -15,37 +15,18 @@ the calls after it, doubling CPU time for no wall time.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
-import glob
 import json
 import math
 import os
 import re
 import sys
 
-import numpy as np
-
 from . import harness, kalman, privacy, theory
 from .harness import ExperimentConfig
+from .objectives import one_blas_thread
 
 # Flags that take a comma-separated list of floats.
 LIST_FLAGS = ("--kappas", "--gammas", "--noise-levels")
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS in ``numpy.libs``; None
-    when numpy links another BLAS."""
-    libdir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)  # numpy has it loaded already
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                return get, put  # int() and void(int): ctypes' defaults fit
-    return None
 
 
 def _int_in(lo: int, hi: float = math.inf):
@@ -264,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run one experiment from a JSON config")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--seed", type=_int_in(0))
-    p_train.add_argument("--T", type=int)
-    p_train.add_argument("--B", type=int)
+    p_train.add_argument("--T", type=_int_in(1))
+    p_train.add_argument("--B", type=_int_in(1))
     p_train.add_argument("--eta", type=float)
     p_train.add_argument("--kappa", type=float)
     p_train.add_argument("--gamma", type=float)
@@ -290,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list)
     p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list)
     p_sweep.add_argument("--seed", type=_int_in(0))
-    p_sweep.add_argument("--T", type=int)
-    p_sweep.add_argument("--B", type=int)
+    p_sweep.add_argument("--T", type=_int_in(1))
+    p_sweep.add_argument("--B", type=_int_in(1))
     p_sweep.add_argument("--eta", type=float)
     p_sweep.add_argument("--outdir")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -335,16 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "calibrate" and args.batch_size is not None and args.clip is None:
         # sigma_dp = z * S / B needs the clip's sensitivity S
         parser.error("calibrate: argument --batch-size: needs --clip to report sigma_dp")
-    blas = _openblas_threads()
-    if blas is None:
+    with one_blas_thread():
         return args.func(args)
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        return args.func(args)
-    finally:
-        put(before)
 
 
 if __name__ == "__main__":

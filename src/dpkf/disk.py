@@ -4,7 +4,11 @@ One step: combine per-sample gradients at two points (x and a lookahead
 x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
 feed the filtered gradient to a base optimizer (sgd, momentum, adam, adamw).
-Every step observes through ``_observe``. Clipped or on a minibatch it never
+Every step observes through ``_observe`` and takes its Gaussian noise as an
+input row, which ``noise_rows`` draws for a whole run in blocks of up to
+``NOISE_BLOCK`` rows: the same stream as one ``standard_normal(d)`` a step.
+A row that is missing, misshapen or given at sigma_dp = 0 is refused, so no
+step releases an un-noised mean. Clipped or on a minibatch the step never
 forms the (B, d) matrix: ``Objective.grad_factors`` gives per-row coefficients
 times shared features, two points combine in the coefficients, row norms come
 from the factors (``privacy.clip_factored``) and weighted rows are summed in
@@ -29,6 +33,7 @@ kappa = k. The gain uses no data, so the release is the same clipped mean.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -42,6 +47,10 @@ from .privacy import clip_factored
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
 BASE_OPTIMIZERS = ("sgd", "momentum", "adam", "adamw")
 FILTER_INITS = ("first_grad", "zero")
+# Noise rows per ``standard_normal`` call in ``noise_rows``; fewer at large d,
+# so that a block stays near 1 MB.
+NOISE_BLOCK = 64
+NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _require_finite(cfg) -> None:
@@ -110,6 +119,14 @@ class DiskState:
         if self.t < 0:
             raise ValueError("step counter must be >= 0")
 
+    @classmethod
+    def _successor(cls, x, g_filt, d_prev, moments, t) -> "DiskState":
+        """The state a step builds from a checked state's arrays, whose shapes
+        it keeps: not checked again."""
+        state = cls.__new__(cls)
+        state.x, state.g_filt, state.d_prev, state.moments, state.t = x, g_filt, d_prev, moments, t
+        return state
+
 
 # ---------------------------------------------------------------------------
 # Base optimizer updates (x, g, eta, moments) -> (x', moments')
@@ -167,31 +184,70 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
 # ---------------------------------------------------------------------------
 
 
-def _observe(obj: Objective, x, batch, cfg: DiskConfig, rng, t: int, ahead=None, a=0.0):
+def noise_rows(
+    rng: np.random.Generator, sigma: float, d: int, T: int
+) -> Iterator[np.ndarray | None]:
+    """The noise rows of a T-step run: T rows of sigma * N(0, I_d), drawn as
+    ``sigma * rng.standard_normal((k, d))`` blocks of k <= ``NOISE_BLOCK``
+    rows, the same numbers as one ``rng.standard_normal(d)`` a step. Each row
+    is None when sigma is 0, and no number is drawn."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    if sigma == 0:
+        yield from itertools.repeat(None, T)
+        return
+    k = max(1, min(NOISE_BLOCK, NOISE_BLOCK_BYTES // (8 * d)))
+    for start in range(0, T, k):
+        yield from sigma * rng.standard_normal((min(k, T - start), d))
+
+
+def _check_noise(noise, cfg: DiskConfig, x, t: int) -> None:
+    """Refuse a noise row that is missing at sigma_dp > 0, given at 0, or not
+    an array of x's shape: no step may release an un-noised mean."""
+    if noise is None:
+        if cfg.sigma_dp != 0:
+            raise ValueError(f"step {t}: sigma_dp = {cfg.sigma_dp!r} needs a noise row, got None")
+    elif cfg.sigma_dp == 0:
+        raise ValueError(f"step {t}: sigma_dp = 0 takes no noise row, got {type(noise).__name__}")
+    elif not isinstance(noise, np.ndarray) or noise.shape != x.shape:
+        raise ValueError(
+            f"step {t}: the noise row must be an array of shape {x.shape}, "
+            f"got {type(noise).__name__} of shape {np.shape(noise)}"
+        )
+
+
+def _finite(g: np.ndarray) -> bool:
+    """Every entry of g finite: a finite sum of squares proves it in one call
+    (``vdot`` raises no overflow warning); only an overflowing or NaN sum
+    takes the entrywise test, so large finite entries still pass."""
+    return math.isfinite(np.vdot(g, g)) or bool(np.isfinite(g).all())
+
+
+def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=None, a=0.0):
     """The privatised observation: the per-sample gradients at x, or their
     combination a * grad(ahead) + (1 - a) * grad(x), clipped, averaged in row
-    order and noised, all from ``obj.grad_factors``, or unclipped over a whole
-    ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x alone
-    it is ``obj.mean_grad``. Aborts on an empty batch or a non-finite mean."""
+    order, plus the noise row, all from ``obj.grad_factors``, or unclipped over
+    a whole ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x
+    alone it is ``obj.mean_grad``. Aborts on a bad noise row (``_check_noise``),
+    an empty batch or a non-finite mean."""
+    _check_noise(noise, cfg, x, t)
     X, y = batch
     if len(X) == 0:
         raise ValueError("batch must be non-empty")
     g = obj.dataset_mean_grad(batch, x, ahead, a) if cfg.clip_variant == "none" else None
-    if g is None or not np.isfinite(g).all():  # statistics can overflow where rows do not
+    if g is None or not _finite(g):  # statistics can overflow where rows do not
         fac = obj.grad_factors(x, X, y, ahead, a)
         weights = None
         if cfg.clip_variant != "none":
             fac.coefs, fac.feats, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
         g = fac.mean(weights)
-        if not np.isfinite(g).all():
+        if not _finite(g):
             bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
             raise FloatingPointError(
                 f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
                 f"components ({bad} non-finite per-sample gradient factors)"
             )
-    if cfg.sigma_dp > 0:
-        g = g + cfg.sigma_dp * rng.standard_normal(g.shape[0])
-    return g
+    return g if noise is None else g + noise
 
 
 def disk_step(
@@ -199,20 +255,22 @@ def disk_step(
     batch: tuple[np.ndarray, np.ndarray] | Dataset,
     obj: Objective,
     cfg: DiskConfig,
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
     kappa: float | None = None,
     gamma: float | None = None,
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
-    at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None)."""
+    at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None). ``noise``
+    is the step's row of ``noise_rows`` (None at sigma_dp = 0), added to the
+    clipped mean."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     x = state.x
     if cfg.two_point and kappa != 1.0:
         a = (1.0 - kappa) / (kappa * gamma)
-        g = _observe(obj, x, batch, cfg, rng, state.t, x + gamma * state.d_prev, a)
+        g = _observe(obj, x, batch, cfg, noise, state.t, x + gamma * state.d_prev, a)
     else:
-        g = _observe(obj, x, batch, cfg, rng, state.t)
+        g = _observe(obj, x, batch, cfg, noise, state.t)
 
     if kappa == 1.0:
         g_filt = g
@@ -223,9 +281,7 @@ def disk_step(
         g_filt = (1.0 - kappa) * state.g_filt + kappa * g
 
     x_new, moments = apply_base_update(cfg, x, g_filt, state.moments)
-    return DiskState(
-        x=x_new, g_filt=g_filt, d_prev=x_new - x, moments=moments, t=state.t + 1
-    )
+    return DiskState._successor(x_new, g_filt, x_new - x, moments, state.t + 1)
 
 
 def dpsgd_step(
@@ -233,14 +289,12 @@ def dpsgd_step(
     batch: tuple[np.ndarray, np.ndarray] | Dataset,
     obj: Objective,
     cfg: DiskConfig,
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
 ) -> DiskState:
-    """Plain DP-SGD: clip per-sample gradients, average, privatise, step."""
-    g = _observe(obj, state.x, batch, cfg, rng, state.t)
+    """Plain DP-SGD: clip per-sample gradients, average, add the noise row, step."""
+    g = _observe(obj, state.x, batch, cfg, noise, state.t)
     x_new = state.x - cfg.eta * g
-    return DiskState(
-        x=x_new, g_filt=g, d_prev=x_new - state.x, moments=state.moments, t=state.t + 1
-    )
+    return DiskState._successor(x_new, g, x_new - state.x, state.moments, state.t + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ resolved (preset, calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
 
 Runs are pure functions of their config and seed: datasets, minibatch order,
 and DP noise each come from a named substream of the run's seed, so the full
-pipeline (calibrate -> train -> emit) is byte-reproducible. Grid cells and
-seeds touch disjoint state, yet run in sequence: a 2-thread pool over
-``compare_filters``' 12 runs kept every bit but gained no wall time and took
-1.5-2x the CPU, as its small numpy calls contend for the GIL.
+pipeline (calibrate -> train -> emit) is byte-reproducible. A run's noise rows
+are drawn in blocks from its substream (``disk.noise_rows``), the numbers of
+one draw a step, and handed to the step. Every run holds one BLAS thread
+(``objectives.one_blas_thread``), so its bits do not depend on the caller's
+thread count. Grid cells and seeds touch disjoint state, yet run in
+sequence: a 2-thread pool over ``compare_filters``' 12 runs kept every bit but
+gained no wall time and took 1.5-2x the CPU, as its small numpy calls contend
+for the GIL.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding, svgplot
-from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step
+from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, noise_rows
 from .kalman import random_stable_system, simulate_estimation
 from .objectives import (
     EVAL_BLOCK,
@@ -42,6 +46,7 @@ from .objectives import (
     gen_classification,
     gen_linear_regression,
     make_objective,
+    one_blas_thread,
 )
 from .privacy import (
     PrivacyError,
@@ -301,12 +306,13 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
              else itertools.repeat((opt.kappa, opt.gamma)))  # (kappa, gamma) per step
     state = DiskState(x=obj.init_point(seed, cfg.init_scale))
     yield state
-    for kappa, gamma in itertools.islice(gains, cfg.T):
+    for noise, (kappa, gamma) in zip(noise_rows(noise_rng, opt.sigma_dp, obj.dim, cfg.T), gains):
         batch = ds if full_batch else ds.subset(sampler.next_batch())
-        state = disk_step(state, batch, obj, opt, noise_rng, kappa, gamma)
+        state = disk_step(state, batch, obj, opt, noise, kappa, gamma)
         yield state
 
 
+@one_blas_thread()
 def run_experiment(
     cfg: ExperimentConfig,
     seed: int | None = None,
@@ -371,6 +377,7 @@ def comparison_noise_levels(ds: Dataset) -> list[float]:
     return [r * scale for r in RELATIVE_NOISE_GRID]
 
 
+@one_blas_thread()
 def compare_filters(
     noise_levels: list[float] | None = None,
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
@@ -406,8 +413,8 @@ def compare_filters(
                 cfg = replace(shared, **PRESETS[method].overrides)
                 rng = seeding.substream(seed, seeding.DP_NOISE, f"sigma={sigma!r}")
                 state = DiskState(x=x0.copy())
-                for _ in range(T):
-                    state = disk_step(state, ds, obj, cfg, rng)
+                for noise in noise_rows(rng, sigma, p, T):
+                    state = disk_step(state, ds, obj, cfg, noise)
                 rows.append(
                     ComparisonRow(
                         sigma_dp=sigma,
@@ -432,6 +439,7 @@ def aggregate_comparison(rows: list[ComparisonRow]) -> dict[tuple[float, str], f
 # ---------------------------------------------------------------------------
 
 
+@one_blas_thread()
 def sweep_kappa_gamma(
     kappas: list[float], gammas: list[float], cfg: ExperimentConfig
 ) -> list[list[float]]:

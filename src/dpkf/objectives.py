@@ -27,7 +27,11 @@ exp (within 3 ulp of it), and the weights are -y where(m >= 0, e, 1) / (1 + e).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import glob
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -38,9 +42,47 @@ from . import seeding
 # States per ``evaluate`` product. OpenBLAS picks its kernel by the row count
 # of W, and a row's bits differ between 1-4 rows and 8 (n 5000, p 50); at 8
 # rows they are the same at every position. So W always has 8 rows, zero past
-# the states given, and a state's gradient bits depend on the state alone (and
-# on the BLAS thread count at large n; the CLI runs one thread).
+# the states given, and a state's gradient bits depend on the state alone. At
+# large n they also depend on the BLAS thread count (n 5000: other bits at 2
+# threads than at 1), so every run holds ``one_blas_thread``.
 EVAL_BLOCK = 8
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS in ``numpy.libs``; None
+    when numpy links another BLAS."""
+    libdir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)  # numpy has it loaded already
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread and restore
+    the caller's count after it; nested blocks leave it at one. Does nothing
+    when numpy links another BLAS. A run's bits then do not depend on the
+    caller's thread count, and on these small matrices a second thread only
+    busy-waits after the calls that wake it."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass(frozen=True)

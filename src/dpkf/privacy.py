@@ -110,7 +110,8 @@ def clip_factored(
     """
     sq = [(_row_sq(c), _row_sq(f)) for c, f in zip(coefs, feats)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 of a zero block
-        norms = np.sqrt(sum(sc * sf for sc, sf in sq))
+        products = (sc * sf for sc, sf in sq)
+        norms = np.sqrt(sum(products, next(products)))  # each >= +0: the bits of 0 + ...
     # A subnormal factor keeps few bits of its squared norm even where the
     # product is normal. A zero factor is rescued too: scaling by powers of
     # two leaves the products the mean sums with their bits.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, full_gradient, full_loss
+from .objectives import Dataset, Objective, full_gradient, full_loss, one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,7 @@ def estimate_f_star(
     return full_loss(obj, x, dataset), True
 
 
+@one_blas_thread()
 def problem_constants_for(
     obj: Objective, dataset: Dataset, x0: np.ndarray,
     sigma_sgd_sq: float = 0.0, f_star: float | None = None,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dpkf import seeding
-from dpkf.disk import DiskConfig, DiskState, disk_step, dpsgd_step
+from dpkf.disk import DiskConfig, DiskState, disk_step, dpsgd_step, noise_rows
 from dpkf.harness import aggregate_comparison, compare_filters, comparison_noise_levels
 from dpkf.kalman import (
     ScalarGainState,
@@ -65,14 +65,14 @@ def test_01_dpsgd_reduction_bit_identical():
             kappa=1.0, gamma=0.5, eta=0.2, clip=1.0, clip_variant="standard",
             sigma_dp=0.3, base="sgd",
         )
-        rng_a = seeding.substream(0, seeding.DP_NOISE)
-        rng_b = seeding.substream(0, seeding.DP_NOISE)
+        rows_a = noise_rows(seeding.substream(0, seeding.DP_NOISE), cfg.sigma_dp, 10, 200)
+        rows_b = noise_rows(seeding.substream(0, seeding.DP_NOISE), cfg.sigma_dp, 10, 200)
         sa = DiskState(x=np.zeros(10))
         sb = DiskState(x=np.zeros(10))
         batch = (ds.X[:50], ds.y[:50])
-        for _ in range(200):
-            sa = disk_step(sa, batch, obj, cfg, rng_a)
-            sb = dpsgd_step(sb, batch, obj, cfg, rng_b)
+        for noise_a, noise_b in zip(rows_a, rows_b):
+            sa = disk_step(sa, batch, obj, cfg, noise_a)
+            sb = dpsgd_step(sb, batch, obj, cfg, noise_b)
             assert np.array_equal(sa.x, sb.x)  # exact equality, no tolerance
         assert time.monotonic() - start < 5.0
 
@@ -92,8 +92,8 @@ def test_02_lookahead_momentum_reduction():
             rng = seeding.substream(0, seeding.DP_NOISE)
             x_ref, m_ref = np.zeros(6), np.zeros(6)
             worst = 0.0
-            for _ in range(100):
-                state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+            for noise in noise_rows(rng, cfg.sigma_dp, 6, 100):
+                state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
                 x_ref, m_ref = nag_step(
                     x_ref, m_ref, mu=1 - kappa, eta=kappa, obj=obj, dataset=ds
                 )
@@ -116,9 +116,9 @@ def test_03_variance_reduced_momentum_reduction():
         rng = seeding.substream(0, seeding.DP_NOISE)
         x_ref, x_prev, m_ref = np.zeros(6), np.zeros(6), np.zeros(6)
         worst = 0.0
-        for t in range(100):
+        for t, noise in enumerate(noise_rows(rng, cfg.sigma_dp, 6, 100)):
             i = int(idx[t])
-            state = disk_step(state, (ds.X[[i]], ds.y[[i]]), obj, cfg, rng)
+            state = disk_step(state, (ds.X[[i]], ds.y[[i]]), obj, cfg, noise)
             x_new, m_ref = storm_step(
                 x_ref, x_prev, m_ref, alpha=alpha, eta=eta, obj=obj, sample=sample_of(ds, i)
             )
@@ -201,8 +201,8 @@ def test_07_tuned_parameters_meet_bound():
             rng = seeding.substream(seed, seeding.DP_NOISE)
             state = DiskState(x=x0.copy())
             total = pc.grad0_sq
-            for _ in range(T):
-                state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+            for noise in noise_rows(rng, sigma_dp, d, T):
+                state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
                 g = H @ state.x
                 total += float(g @ g)
             assert total / T <= rhs
@@ -293,8 +293,8 @@ def test_11_filter_noise_reduction():
             for seed in range(100):
                 state = DiskState(x=np.zeros(d))
                 rng = seeding.substream(seed, seeding.DP_NOISE)
-                for _ in range(300):
-                    state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+                for noise in noise_rows(rng, sigma, d, 300):
+                    state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
                 filt_sq.append(float(state.g_filt @ state.g_filt))
             var_filtered = float(np.mean(filt_sq))
             var_raw = d * sigma**2  # E||w||^2 of the raw observation

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from unittest import mock
 
@@ -21,6 +22,7 @@ from dpkf.disk import (
     base_update_sgd,
     disk_step,
     dpsgd_step,
+    noise_rows,
 )
 from dpkf.kalman import (
     NumericalError,
@@ -102,9 +104,8 @@ def test_dpsgd_is_gradient_descent_without_noise():
     cfg = DiskConfig(kappa=1.0, eta=1.0 / L, clip=None, clip_variant="none", sigma_dp=0.0)
     state = DiskState(x=np.ones(5))
     losses = [full_loss(obj, state.x, ds)]
-    rng = rng_for(0)
-    for _ in range(40):
-        state = dpsgd_step(state, (ds.X, ds.y), obj, cfg, rng)
+    for noise in noise_rows(rng_for(0), cfg.sigma_dp, 5, 40):
+        state = dpsgd_step(state, (ds.X, ds.y), obj, cfg, noise)
         losses.append(full_loss(obj, state.x, ds))
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -116,11 +117,11 @@ def test_dpsgd_update_norm_bound():
     C, eta, sigma = 0.05, 0.3, 0.2
     cfg = DiskConfig(kappa=1.0, eta=eta, clip=C, clip_variant="standard", sigma_dp=sigma)
     for seed in range(10):
-        rng = rng_for(seed)
+        (noise,) = noise_rows(rng_for(seed), sigma, 4, 1)
         # reproduce the noise by re-drawing from an identical stream
         w = sigma * rng_for(seed).standard_normal(4)
         state = DiskState(x=np.zeros(4))
-        out = dpsgd_step(state, (ds.X[:1], ds.y[:1]), obj, cfg, rng)
+        out = dpsgd_step(state, (ds.X[:1], ds.y[:1]), obj, cfg, noise)
         assert np.linalg.norm(out.x - state.x) <= eta * (C + np.linalg.norm(w)) + 1e-12
 
 
@@ -128,12 +129,12 @@ def test_disk_with_kappa_one_is_dpsgd_bitwise():
     ds = gen_classification(40, 6, seed=3)
     obj = make_objective("logistic-regression", 6)
     cfg = DiskConfig(kappa=1.0, gamma=0.5, eta=0.2, clip=1.0, clip_variant="standard", sigma_dp=0.4)
-    rng_a, rng_b = rng_for(7), rng_for(7)
+    rows_a, rows_b = (noise_rows(rng_for(7), cfg.sigma_dp, 6, 60) for _ in range(2))
     sa = DiskState(x=np.ones(6))
     sb = DiskState(x=np.ones(6))
-    for _ in range(60):
-        sa = disk_step(sa, (ds.X[:8], ds.y[:8]), obj, cfg, rng_a)
-        sb = dpsgd_step(sb, (ds.X[:8], ds.y[:8]), obj, cfg, rng_b)
+    for noise_a, noise_b in zip(rows_a, rows_b):
+        sa = disk_step(sa, (ds.X[:8], ds.y[:8]), obj, cfg, noise_a)
+        sb = dpsgd_step(sb, (ds.X[:8], ds.y[:8]), obj, cfg, noise_b)
         assert np.array_equal(sa.x, sb.x)
 
 
@@ -171,11 +172,10 @@ def test_filtered_optimizer_matches_lookahead_momentum(kappa):
         sigma_dp=0.0, base="sgd", filter_init="zero",
     )
     state = DiskState(x=np.zeros(5))
-    rng = rng_for(0)
     x_ref = np.zeros(5)
     m_ref = np.zeros(5)
-    for _ in range(100):
-        state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+    for noise in noise_rows(rng_for(0), cfg.sigma_dp, 5, 100):
+        state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
         x_ref, m_ref = nag_step(x_ref, m_ref, mu=1 - kappa, eta=kappa, obj=obj, dataset=ds)
         assert np.abs(state.x - x_ref).max() <= 1e-10
 
@@ -213,13 +213,12 @@ def test_filtered_optimizer_matches_storm(alpha):
     )
     idx = seeding.substream(11, seeding.SAMPLING).integers(0, ds.n, size=100)
     state = DiskState(x=np.zeros(5))
-    rng = rng_for(0)
     x_ref = np.zeros(5)
     x_prev = np.zeros(5)
     m_ref = np.zeros(5)
-    for t in range(100):
+    for t, noise in enumerate(noise_rows(rng_for(0), cfg.sigma_dp, 5, 100)):
         i = int(idx[t])
-        state = disk_step(state, (ds.X[[i]], ds.y[[i]]), obj, cfg, rng)
+        state = disk_step(state, (ds.X[[i]], ds.y[[i]]), obj, cfg, noise)
         x_new, m_ref = storm_step(
             x_ref, x_prev, m_ref, alpha=alpha, eta=eta, obj=obj, sample=sample_of(ds, i)
         )
@@ -241,10 +240,10 @@ def test_clipping_inactive_below_threshold():
     cfg_clip = DiskConfig(clip=50.0, clip_variant="standard", **base)
     cfg_none = DiskConfig(clip=None, clip_variant="none", **base)
     sa, sb = DiskState(x=np.zeros(4)), DiskState(x=np.zeros(4))
-    ra, rb = rng_for(3), rng_for(3)
-    for _ in range(50):
-        sa = disk_step(sa, (ds.X, ds.y), obj, cfg_clip, ra)
-        sb = disk_step(sb, (ds.X, ds.y), obj, cfg_none, rb)
+    ra, rb = (noise_rows(rng_for(3), base["sigma_dp"], 4, 50) for _ in range(2))
+    for noise_a, noise_b in zip(ra, rb):
+        sa = disk_step(sa, (ds.X, ds.y), obj, cfg_clip, noise_a)
+        sb = disk_step(sb, (ds.X, ds.y), obj, cfg_none, noise_b)
         assert np.abs(sa.x - sb.x).max() <= 1e-12
 
 
@@ -273,10 +272,9 @@ def test_trajectory_deterministic_per_seed():
 
     def run(seed):
         state = DiskState(x=np.zeros(4))
-        rng = rng_for(seed)
         xs = []
-        for _ in range(30):
-            state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+        for noise in noise_rows(rng_for(seed), cfg.sigma_dp, 4, 30):
+            state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
             xs.append(state.x.copy())
         return np.array(xs)
 
@@ -296,9 +294,8 @@ def test_filter_variance_reduction_at_stationary_point():
     filt_sq, raw_sq = [], []
     for seed in range(60):
         state = DiskState(x=np.zeros(d))
-        rng = rng_for(seed)
-        for _ in range(200):
-            state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+        for noise in noise_rows(rng_for(seed), sigma, d, 200):
+            state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
         filt_sq.append(float(state.g_filt @ state.g_filt))
         raw_sq.append(d * sigma**2)
     ratio = np.mean(filt_sq) / np.mean(raw_sq)
@@ -315,7 +312,7 @@ def test_non_finite_gradients_abort(kind):
     X = np.array([[1e308, 1e308]])
     y = np.array([0.0])
     with pytest.raises(FloatingPointError, match="non-finite"):
-        disk_step(state, (X, y), obj, cfg, rng_for(0))
+        disk_step(state, (X, y), obj, cfg, None)
     # A NaN feature or an infinite target, clipped and unclipped, at one point
     # and at two; the message names the step.
     X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
@@ -335,7 +332,7 @@ def test_non_finite_gradients_abort(kind):
     for opt, batch in itertools.product(configs, [(nan_X, y), (X, inf_y)]):
         for step_fn in (disk_step, dpsgd_step):
             with pytest.raises(FloatingPointError, match=r"^step 7: \d+ non-finite"):
-                step_fn(DiskState(x=x0, d_prev=0.1 * x0, t=7), batch, obj, opt, rng_for(0))
+                step_fn(DiskState(x=x0, d_prev=0.1 * x0, t=7), batch, obj, opt, None)
     if kind != "linear-regression":
         return
     # Full batch from the Gram statistics: a step far above 2/L diverges, and
@@ -354,7 +351,7 @@ def test_non_finite_gradients_abort(kind):
     # an empty batch is refused before the dataset builds any statistics
     fresh = gen_linear_regression(30, 2, 0.1, seed=3)
     with pytest.raises(ValueError, match="batch must be non-empty"):
-        disk_step(DiskState(x=x0), fresh.subset(np.arange(0)), obj, configs[0], rng_for(0))
+        disk_step(DiskState(x=x0), fresh.subset(np.arange(0)), obj, configs[0], None)
     assert "second_moment" not in vars(fresh) and "moment_xy" not in vars(fresh)
 
 
@@ -475,7 +472,7 @@ def observation_cases(draw):
 def test_factored_observation_matches_per_sample_matrix(case, variant, C):
     obj, batch, x, ahead, a = case
     cfg = DiskConfig(clip=C, clip_variant=variant, sigma_dp=0.0)
-    got = disk._observe(obj, x, batch, cfg, rng_for(0), 0, ahead, 0.0 if a is None else a)
+    got = disk._observe(obj, x, batch, cfg, None, 0, ahead, 0.0 if a is None else a)
     want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
     assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
 
@@ -506,7 +503,7 @@ def test_gram_observation_matches_per_sample_matrix(case):
     ds = objectives.Dataset(*batch)
     rows_path = mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("rows"))
     with contextlib.nullcontext() if huge_x else rows_path:
-        got = disk._observe(obj, x, ds, cfg, rng_for(0), 0, ahead, 0.0 if a is None else a)
+        got = disk._observe(obj, x, ds, cfg, None, 0, ahead, 0.0 if a is None else a)
     want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
     assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
 
@@ -531,7 +528,7 @@ def test_overflowing_row_clips_to_the_sensitivity(kind, huge, variant, a):
         sq = sum(np.sum(c**2) * np.sum(f**2) for c, f in zip(fac.coefs, fac.feats))
     assert sq == 0.0 if huge == "tiny" else not np.isfinite(sq)
     C = 1e-3
-    g = disk._observe(obj, x, batch, DiskConfig(clip=C, clip_variant=variant), rng_for(0), 0, ahead, a)
+    g = disk._observe(obj, x, batch, DiskConfig(clip=C, clip_variant=variant), None, 0, ahead, a)
     want = clip_sensitivity(variant, C)
     if huge == "tiny":
         norm = abs(fac.coefs[0][0, 0]) * 5e-70
@@ -560,8 +557,80 @@ def test_steps_form_no_per_sample_matrix(kind, monkeypatch):
                     s, b, o, c, r, *next(gains))):
                 state = DiskState(x=obj.init_point(1))
                 for t in range(3):
-                    state = step(state, ds.subset(np.arange(8 * t, 8 * t + 8)), obj, cfg, rng_for(t))
+                    (noise,) = noise_rows(rng_for(t), cfg.sigma_dp, obj.dim, 1)
+                    state = step(state, ds.subset(np.arange(8 * t, 8 * t + 8)), obj, cfg, noise)
                 assert np.isfinite(state.x).all()
+
+
+@pytest.mark.parametrize("d", [1, 20, 2**15], ids=["d1", "d20", "d32768"])
+def test_noise_rows_are_the_per_step_draws(d):
+    """A run's noise rows, drawn in blocks, are the numbers of one
+    ``standard_normal(d)`` a step, scaled: across block edges (64 rows, or
+    4 at d = 2^15, where a block is capped near 1 MB), and the generator is
+    left where the per-step draws leave it. At sigma 0 every row is None."""
+    for T in (1, 63, 64, 65, 130) if d < 2**15 else (1, 4, 9):
+        rng, per_step = rng_for(3), rng_for(3)
+        rows = list(noise_rows(rng, 0.7, d, T))
+        assert len(rows) == T
+        for row in rows:
+            assert row.tobytes() == (0.7 * per_step.standard_normal(d)).tobytes()
+        assert rng.standard_normal() == per_step.standard_normal()
+        assert list(noise_rows(rng_for(3), 0.0, d, T)) == [None] * T
+
+
+@pytest.mark.parametrize("sigma_dp, noise, match", [
+    (0.1, None, "needs a noise row, got None"),
+    (0.0, np.zeros(4), "takes no noise row"),
+    (0.1, np.zeros(3), r"shape \(4,\), got ndarray of shape \(3,\)"),
+    (0.1, np.zeros((1, 4)), r"shape \(4,\), got ndarray of shape \(1, 4\)"),
+    (0.1, [0.0] * 4, "got list"),
+    (0.1, rng_for(0), "got Generator"),
+], ids=["missing", "at-sigma-0", "short", "2d", "list", "generator"])
+@pytest.mark.parametrize("step_fn", [disk_step, dpsgd_step])
+def test_steps_refuse_a_missing_or_stray_noise_row(step_fn, sigma_dp, noise, match):
+    """No step releases an un-noised mean: a missing row, a row at sigma_dp
+    0, and a row that is not an array of x's shape (a stray ``Generator``
+    among them) each raise before anything is observed."""
+    obj, ds = quadratic_problem(4)
+    cfg = DiskConfig(sigma_dp=sigma_dp)
+    with mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("observed")):
+        with pytest.raises(ValueError, match=f"^step 3: .*{match}"):
+            step_fn(DiskState(x=np.ones(4), t=3), (ds.X, ds.y), obj, cfg, noise)
+
+
+def test_finiteness_checks_raise_no_warning():
+    """Under warnings as errors the observation decides as an entrywise test
+    does. A whole-dataset mean with entries near 1e200, whose squares
+    overflow, stays on the Gram path with its bits; a non-finite Gram
+    statistic falls back to the factors, whose finite mean has entries near
+    1e297; a non-finite factored mean raises the error naming the step."""
+    obj = make_objective("linear-regression", 3)
+    rng = np.random.default_rng(0)
+    X, x = rng.standard_normal((30, 3)), rng.standard_normal(3)
+    cfg = DiskConfig(kappa=1.0, eta=0.1, clip=None, clip_variant="none", sigma_dp=0.1)
+    (noise,) = noise_rows(rng_for(2), cfg.sigma_dp, 3, 1)
+    huge = objectives.Dataset(X, 1e200 * rng.standard_normal(30))
+    X_big = X.copy()
+    X_big[0, 0] = 1.5e154  # its square overflows G = X^T X / n, not c_0 x_0
+    big = objectives.Dataset(X_big, rng.standard_normal(30))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(big.second_moment).all()
+    x_big = np.array([1e-10, 0.5, -0.3])
+    X_nan = X.copy()
+    X_nan[1, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = obj.dataset_mean_grad(huge, x) + noise
+        assert np.abs(want).max() > 1e198
+        with mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("rows")):
+            got = disk_step(DiskState(x=x), huge, obj, cfg, noise)
+        assert got.g_filt.tobytes() == want.tobytes()
+        got = disk._observe(obj, x_big, big, cfg, noise, 0)
+        want = obj.grad_factors(x_big, big.X, big.y).mean() + noise
+        assert np.abs(want).max() > 1e296
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(FloatingPointError, match=r"^step 6: 3 non-finite mean gradient"):
+            disk._observe(obj, x, (X_nan, huge.y / 1e200), cfg, noise, 6)
 
 
 def single_point_problem(kind):
@@ -595,7 +664,7 @@ def test_unclipped_single_point_step_matches_per_sample_path_bitwise(kind, singl
     sampler = np.random.default_rng(4)
     x0 = obj.init_point(1)
     a, b = DiskState(x=x0.copy()), DiskState(x=x0.copy())
-    ra, rb = rng_for(5), rng_for(5)
+    rb = rng_for(5)
     batches = [
         (ds.X, ds.y) if B is None else ds.subset(sampler.choice(ds.n, B, replace=False))
         for _ in range(6)
@@ -605,8 +674,8 @@ def test_unclipped_single_point_step_matches_per_sample_path_bitwise(kind, singl
     if kind != "quadratic":
         # every kind but the quadratic averages without the per-sample matrix
         monkeypatch.setattr(obj, "per_sample_grads", None)
-    for batch in batches:
-        a = disk_step(a, batch, obj, cfg, ra)
+    for batch, noise in zip(batches, noise_rows(rng_for(5), cfg.sigma_dp, obj.dim, len(batches))):
+        a = disk_step(a, batch, obj, cfg, noise)
     for got, want in ((a.x, b.x), (a.g_filt, b.g_filt), (a.moments["buf"], b.moments["buf"])):
         assert got.tobytes() == want.tobytes()
 
@@ -684,9 +753,11 @@ def gain_start(cfg):
 
 def kf_step(state, gain, batch, obj, opt, cfg, rng):
     """One full-kf step: advance ``gain`` with ``scalar_gain_step``, then take
-    ``disk_step`` at (k_t, cfg.gamma). Returns the new state and gain."""
+    ``disk_step`` at (k_t, cfg.gamma) with a noise row drawn for this step
+    alone. Returns the new state and gain."""
     gain = scalar_gain_step(gain)
-    return disk_step(state, batch, obj, opt, rng, gain.k, cfg.gamma), gain
+    noise = opt.sigma_dp * rng.standard_normal(state.x.shape[0]) if opt.sigma_dp > 0 else None
+    return disk_step(state, batch, obj, opt, noise, gain.k, cfg.gamma), gain
 
 
 def rel_err(a, b):
@@ -875,11 +946,11 @@ def test_full_filter_started_at_its_fixed_point_is_disk_at_k_inf(kind, variant, 
     x0 = obj.init_point(3)
     kf, gain = DiskState(x=x0.copy()), ScalarGainState(fp.p_inf, fp.k_inf, sh, sv, sw)
     dk = DiskState(x=x0.copy())
-    kf_rng, dk_rng, sampler = rng_for(5), rng_for(5), MinibatchSampler(ds.n, 12, 5)
-    for t in range(30):
+    kf_rng, sampler = rng_for(5), MinibatchSampler(ds.n, 12, 5)
+    for t, noise in enumerate(noise_rows(rng_for(5), steady.sigma_dp, obj.dim, 30)):
         batch = ds if t % 5 == 4 else ds.subset(sampler.next_batch())
         kf, gain = kf_step(kf, gain, batch, obj, opt, ff, kf_rng)
-        dk = disk_step(dk, batch, obj, steady, dk_rng)
+        dk = disk_step(dk, batch, obj, steady, noise)
         assert gain.k == fp.k_inf  # p may sit an ulp off p_inf
         assert np.array_equal(kf.x, dk.x) and np.array_equal(kf.g_filt, dk.g_filt)
 
@@ -980,4 +1051,4 @@ def test_steps_reject_empty_batch(step):
             kf_step(DiskState(x=np.ones(3)), gain_start(cfg), empty, obj, opt, cfg, rng_for(0))
         else:
             step_fn = disk_step if step.startswith("disk") else dpsgd_step
-            step_fn(DiskState(x=np.ones(3)), empty, obj, opt, rng_for(0))
+            step_fn(DiskState(x=np.ones(3)), empty, obj, opt, None)

@@ -802,6 +802,10 @@ CLI_SIZE_AND_LIST_CASES = [
     ("sweep", "--kappas", "0.5,inf"),
     ("compare-filters", "--noise-levels", "0.1,nan"),
     ("compare-filters", "--noise-levels", "0.1,"),
+    ("train", "--T", "0"),
+    ("train", "--B", "0"),
+    ("sweep", "--T", "0"),
+    ("sweep", "--B", "0"),
 ]
 
 
@@ -1005,7 +1009,7 @@ def test_train_evaluation_holds_one_block_buffer(monkeypatch):
 def test_cli_runs_bundled_openblas_on_one_thread(monkeypatch, capsys):
     from dpkf import cli
 
-    blas = cli._openblas_threads()
+    blas = objectives._openblas_threads()
     if blas is None:
         pytest.skip("numpy bundles no OpenBLAS")
     get, put = blas
@@ -1030,6 +1034,30 @@ def test_cli_runs_bundled_openblas_on_one_thread(monkeypatch, capsys):
     finally:
         put(before)
     assert seen == [1, 1]
+
+
+def test_run_at_two_blas_threads_gives_the_bytes_train_writes(tmp_path, capsys):
+    """``run_experiment`` runs on one OpenBLAS thread whatever its caller set,
+    and restores the caller's count: at n 5000 the evaluation's ``W @ X``
+    has other bits at two threads than at one."""
+    blas = objectives._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, put = blas
+    raw = {"seed": 3, "objective": {"kind": "logistic-regression", "n": 5000, "p": 50},
+           "algorithm": "disk", "T": 20, "privacy": {"epsilon": 2.5},
+           "outdir": str(tmp_path / "out")}
+    assert cli_main(["train", "--config", write_config(tmp_path, raw)]) == 0
+    with open(json.loads(capsys.readouterr().out)["outputs"][0]) as fh:
+        written = fh.read()
+    before = get()
+    try:
+        put(2)
+        trace = run_experiment(ExperimentConfig.from_dict(raw))
+        assert get() == 2
+    finally:
+        put(before)
+    assert "\n".join(trace.csv_lines()) + "\n" == written
 
 
 @pytest.mark.parametrize(

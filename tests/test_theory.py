@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpkf import seeding
-from dpkf.disk import DiskConfig, DiskState, disk_step
+from dpkf.disk import DiskConfig, DiskState, disk_step, noise_rows
 from dpkf.objectives import gen_classification, make_objective
 from dpkf.theory import (
     ParameterConditionError,
@@ -234,8 +234,8 @@ def run_tuned_quadratic(pc, H, x0, sigma_dp, T, tp, seed):
     rng = seeding.substream(seed, seeding.DP_NOISE)
     state = DiskState(x=x0.copy())
     total = pc.grad0_sq
-    for _ in range(T):
-        state = disk_step(state, (ds.X, ds.y), obj, cfg, rng)
+    for noise in noise_rows(rng, sigma_dp, len(x0), T):
+        state = disk_step(state, (ds.X, ds.y), obj, cfg, noise)
         g = H @ state.x
         total += float(g @ g)
     return total / T
