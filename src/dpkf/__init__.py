@@ -19,7 +19,6 @@ from .disk import (
 )
 from .kalman import (
     LinearSystem,
-    ScalarGainState,
     kf_correct,
     kf_gain_multiplicative,
     kf_predict,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kalman import ScalarGainState, scalar_gain_step
+from .kalman import check_noise_levels, scalar_gain_step
 from .objectives import Dataset, Objective
 from .privacy import clip_factored
 
@@ -314,11 +314,7 @@ class FullFilterConfig:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        if min(self.sigma_w_sq, self.sigma_h_sq, self.sigma_v_sq) < 0:
-            raise ValueError("noise variances must be >= 0")
-        if self.sigma_w_sq < self.sigma_h_sq:
-            # the gain would exceed 1 and the covariance p turn negative
-            raise ValueError("need sigma_w^2 >= sigma_h^2 (p would turn negative)")
+        check_noise_levels(self.sigma_h_sq, self.sigma_v_sq, self.sigma_w_sq)
         if self.sigma_w_sq + self.sigma_v_sq == 0:
             # the gain divides by p + sigma_w^2 + sigma_v^2, and p can reach 0
             raise ValueError("need sigma_w^2 + sigma_v^2 > 0 (the gain divides by it)")
@@ -327,14 +323,11 @@ class FullFilterConfig:
 
     def gains(self) -> Iterator[tuple[float, float]]:
         """Full-kf's schedule for ``disk_step``: (k_t, gamma) for t = 1, 2, ...,
-        k_t from ``scalar_gain_step`` started at p = sigma_w^2."""
-        gain = ScalarGainState(  # k is computed from p, so the start k is never read
-            p=self.sigma_w_sq, k=0.0, sigma_h_sq=self.sigma_h_sq,
-            sigma_v_sq=self.sigma_v_sq, sigma_w_sq=self.sigma_w_sq,
-        )
+        k_t from ``scalar_gain_step`` stepped on p from p_0 = sigma_w^2."""
+        p = self.sigma_w_sq
         while True:
-            gain = scalar_gain_step(gain)
-            yield gain.k, self.gamma
+            p, k = scalar_gain_step(p, self.sigma_h_sq, self.sigma_v_sq, self.sigma_w_sq)
+            yield k, self.gamma
 
 
 # perfbench/tracing.py binds this name; it goes once that tracer skips a missing name.

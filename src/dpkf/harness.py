@@ -266,7 +266,7 @@ def resolve_optimizer(
     sensitivity; the noise actually added to the batch-averaged clipped
     gradient has std z * S / B.
     """
-    if cfg.B > N:
+    if cfg.batch_size(N) > N:
         raise ValueError("batch size exceeds dataset size")
     q = cfg.batch_size(N) / N
     delta = cfg.delta if cfg.delta is not None else (

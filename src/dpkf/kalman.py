@@ -1,7 +1,7 @@
 """Kalman filtering: the classic predict/correct recursion on bare arrays
 (``kf_predict``, ``kf_correct``; the ``kalman-demo`` simulation runs it), a
 gain variant for noisy inputs with multiplicative observation noise, and the
-scalar-gain simplification chain with its closed-form fixed point.
+scalar-gain simplification chain on floats with its closed-form fixed point.
 
 Covariances are symmetrised by each predict/correct step, and the innovation
 solve checks positive definiteness and conditioning from the eigenvalues
@@ -152,38 +152,30 @@ def kf_gain_multiplicative(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarGainState:
-    """State of the isotropic-covariance recursion: p_t and the gain k_t."""
-
-    p: float
-    k: float
-    sigma_h_sq: float
-    sigma_v_sq: float
-    sigma_w_sq: float
-
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError("p must be >= 0")
-        if min(self.sigma_h_sq, self.sigma_v_sq, self.sigma_w_sq) < 0:
-            raise ValueError("noise levels must be >= 0")
-        if self.sigma_w_sq < self.sigma_h_sq:
-            raise ValueError("need sigma_w^2 >= sigma_h^2 (p would turn negative)")
+def check_noise_levels(sigma_h_sq: float, sigma_v_sq: float, sigma_w_sq: float) -> None:
+    """Refuse a negative noise variance, and sigma_w^2 < sigma_h^2 (a gain above 1)."""
+    if min(sigma_h_sq, sigma_v_sq, sigma_w_sq) < 0:
+        raise ValueError("noise variances must be >= 0")
+    if sigma_w_sq < sigma_h_sq:
+        raise ValueError("need sigma_w^2 >= sigma_h^2 (p would turn negative)")
 
 
-def scalar_gain_step(s: ScalarGainState) -> ScalarGainState:
-    """One recursion step:
+def scalar_gain_step(
+    p: float, sigma_h_sq: float, sigma_v_sq: float, sigma_w_sq: float
+) -> tuple[float, float]:
+    """One step of the isotropic-covariance recursion, (p_t, k_t) from p_{t-1}:
 
         k' = (p + sh2 + sv2) / (p + sw2 + sv2)
         p' = (sw2 - sh2) (p + sh2 + sv2) / (p + sw2 + sv2)
     """
-    denom = s.p + s.sigma_w_sq + s.sigma_v_sq
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    check_noise_levels(sigma_h_sq, sigma_v_sq, sigma_w_sq)
+    denom = p + sigma_w_sq + sigma_v_sq
     if denom == 0:
         raise ValueError("degenerate recursion: p + sigma_w^2 + sigma_v^2 = 0")
-    numer = s.p + s.sigma_h_sq + s.sigma_v_sq
-    k = numer / denom
-    p = (s.sigma_w_sq - s.sigma_h_sq) * numer / denom
-    return ScalarGainState(p, k, s.sigma_h_sq, s.sigma_v_sq, s.sigma_w_sq)
+    numer = p + sigma_h_sq + sigma_v_sq
+    return (sigma_w_sq - sigma_h_sq) * numer / denom, numer / denom
 
 
 @dataclass(frozen=True)
@@ -210,13 +202,8 @@ def scalar_fixed_point(
     in place of the 2 sw2 + 3 sh2 + sv2 base, returned as ``contraction``.
     The two coincide when sh2 = 0.
     """
-    if min(sigma_h_sq, sigma_v_sq, sigma_w_sq) < 0:
-        raise ValueError("noise levels must be >= 0")
-    if sigma_w_sq < sigma_h_sq:
-        raise ValueError("need sigma_w^2 >= sigma_h^2")
-    disc = 4.0 * sigma_w_sq - 3.0 * sigma_h_sq + sigma_v_sq
-    if disc < 0:
-        raise ValueError("need 4 sigma_w^2 + sigma_v^2 >= 3 sigma_h^2")
+    check_noise_levels(sigma_h_sq, sigma_v_sq, sigma_w_sq)
+    disc = 4.0 * sigma_w_sq - 3.0 * sigma_h_sq + sigma_v_sq  # >= sh2 + sv2 >= 0: sw2 >= sh2
     s = sigma_h_sq + sigma_v_sq
     p_inf = 0.5 * (math.sqrt(s) * math.sqrt(disc) - s)
     denom = p_inf + sigma_w_sq + sigma_v_sq

@@ -70,32 +70,6 @@ def _top_exponent(A: np.ndarray) -> np.ndarray:
     return np.where(top > 0, np.frexp(top)[1] - 1, -(2**16))
 
 
-def clip_factors(
-    G: np.ndarray, C: float | None, variant: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows and per-row ``clip_rule`` factors of a (B, d) matrix, None for
-    "none"; ``clip_batch`` is their product. The rows are G, or a copy in
-    which only rows whose squared norm over- or underflows are rescaled.
-    """
-    if variant == "none":
-        return G, None
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(G, axis=1)
-    cap = 1.0
-    huge = np.isinf(norms) | (norms < _TINY_NORM)
-    if huge.any():
-        # The squared norm overflowed, or is subnormal or 0. Write such a row
-        # as 2^e u with its largest entry of u in [1, 2) and clip u instead:
-        # the factor 2^e min{1, C/||g||} is min{2^e, C/||u||}; 0 for a zero row.
-        e = _top_exponent(G[huge])
-        G = G.copy()
-        G[huge] = np.ldexp(G[huge], -e[:, None])
-        norms[huge] = np.linalg.norm(G[huge], axis=1)
-        cap = np.ones(len(G))
-        cap[huge] = np.ldexp(1.0, e)
-    return G, clip_rule(norms, C, variant, cap)
-
-
 def _row_sq(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, A)
 
@@ -103,7 +77,7 @@ def _row_sq(A: np.ndarray) -> np.ndarray:
 def clip_factored(
     coefs: list, feats: list, C: float | None, variant: str
 ) -> tuple[list, list, np.ndarray]:
-    """``clip_factors`` for per-sample gradients in factored form, block b of
+    """Row-wise clipping of per-sample gradients in factored form, block b of
     row i being coefs[b][i] (x) feats[b][i] (``objectives.GradFactors``): the
     coefs and feats, each row rescaled whose squared norm over- or underflows
     or has a factor whose own squared norm is subnormal or 0, and the factors.
@@ -120,13 +94,16 @@ def clip_factored(
         huge |= (sc < _TINY_NORM**2) | (sf < _TINY_NORM**2)
     cap, huge = 1.0, np.flatnonzero(huge)
     if huge.size:
-        # Clip u = 2^-e g_i as clip_factors does, 2^e being the largest top
-        # coefficient times top feature of a block (a zero factor sets none,
-        # and a row with one in every block keeps e = 0). A block's features
-        # are scaled by their own 2^-ef and its coefficients by 2^(ef - e), so
-        # neither over- nor underflows; a shared feature row becomes B rows.
+        # Clip u = 2^-e g_i, whose factor min{2^e, C/||u||} is g_i's, 2^e being
+        # the largest top coefficient times top feature of a block (a zero
+        # factor sets none, and a row with one in every block keeps e = 0). A
+        # block's features are scaled by their own 2^-ef and its coefficients by
+        # 2^(ef - e), so neither over- nor underflows; shared features become B rows.
         coefs = [c.copy() for c in coefs]
         feats = [np.array(np.broadcast_to(f, (len(c), f.shape[1]))) for c, f in zip(coefs, feats)]
+        # A row with a NaN or infinite entry has no scale to rescue (its finite
+        # entries would overflow): the step's non-finite mean reports it.
+        huge = huge[np.all([np.isfinite(a[huge]).all(axis=1) for a in coefs + feats], axis=0)]
         ef = [_top_exponent(f[huge]) for f in feats]
         e = np.max([_top_exponent(c[huge]) + x for c, x in zip(coefs, ef)], axis=0)
         e[e < -(2**15)] = 0
@@ -141,13 +118,16 @@ def clip_factored(
 
 
 def clip_batch(G: np.ndarray, C: float | None, variant: str) -> np.ndarray:
-    """Row-wise clipping of a (B, d) per-sample gradient matrix."""
-    rows, factors = clip_factors(G, C, variant)
-    return rows if factors is None else rows * factors[:, None]
+    """Row-wise clipping of a (B, d) per-sample gradient matrix: ``clip_factored``
+    on one block of unit coefficients and features G. G itself for "none"."""
+    if variant == "none":
+        return G
+    (c,), (f,), w = clip_factored([np.ones((len(G), 1))], [G], C, variant)
+    return (w[:, None] * c) * f
 
 
 def clip_sensitivity(variant: str, C: float) -> float:
-    """Largest row norm ``clip_batch`` can return: 1 for normalized, C otherwise.
+    """Largest norm of a row ``clip_factored`` clips: 1 for normalized, C otherwise.
 
     The batch mean then has add/remove sensitivity clip_sensitivity / B, so
     the accountant's noise multiplier is z = sigma_dp * B / clip_sensitivity.

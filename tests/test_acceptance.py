@@ -15,7 +15,6 @@ from dpkf import seeding
 from dpkf.disk import DiskConfig, DiskState, disk_step, dpsgd_step, noise_rows
 from dpkf.harness import aggregate_comparison, compare_filters, comparison_noise_levels
 from dpkf.kalman import (
-    ScalarGainState,
     random_stable_system,
     scalar_fixed_point,
     scalar_gain_step,
@@ -130,16 +129,16 @@ def test_03_variance_reduced_momentum_reduction():
 def test_04_scalar_gain_fixed_point():
     with criterion(4, "scalar gain hits golden-ratio fixed point at rate c_k"):
         fp = scalar_fixed_point(0.0, 1.0, 1.0)
-        s = ScalarGainState(p=0.0, k=1.0, sigma_h_sq=0.0, sigma_v_sq=1.0, sigma_w_sq=1.0)
+        p = 0.0
         ratios = []
         prev_err = None
         for _ in range(200):
-            s = scalar_gain_step(s)
-            err = abs(s.k - fp.k_inf)
+            p, k = scalar_gain_step(p, 0.0, 1.0, 1.0)
+            err = abs(k - fp.k_inf)
             if prev_err is not None and 1e-9 < err < 1e-3:
                 ratios.append(err / prev_err)
             prev_err = err
-        assert abs(s.k - 0.618034) <= 1e-6
+        assert abs(k - 0.618034) <= 1e-6
         assert abs(fp.k_inf - 0.618034) <= 1e-6
         measured = float(np.median(ratios))
         assert abs(measured - fp.c_k) <= 0.05 * fp.c_k

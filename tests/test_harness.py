@@ -827,20 +827,26 @@ def test_cli_disk_seed_takes_an_integer_from_zero(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_bounds_evaluates_noisy_gd_at_its_full_batch(tmp_path, capsys):
-    """noisy-gd steps on all n rows whatever B says: train writes one trace and
-    bounds reports one bound, evaluated at B = n, for every B."""
+    """noisy-gd steps on all n rows whatever B says: train writes the bytes of
+    one trace and bounds of one bound, evaluated at B = n, for every B, the
+    default B 50 above n 40 among them (a minibatch algorithm refuses that B,
+    ``test_cli_bounds_rejects_what_train_rejects``)."""
     traces, reports = [], []
-    for B in (10, 40):
+    for B in (10, 40, None):
         raw = {"seed": 3, "algorithm": "noisy-gd", "T": 8, "B": B, "sigma_sgd_sq": 0.5,
                "objective": {"kind": "linear-regression", "n": 40, "p": 3},
                "optimizer": {"sigma_dp": 0.02}, "outdir": str(tmp_path / f"out{B}")}
+        if B is None:
+            del raw["B"]
         path = write_config(tmp_path, raw)
         assert cli_main(["train", "--config", path]) == 0
-        traces.append(read_trace_csv(json.loads(capsys.readouterr().out)["outputs"][0]).records)
+        with open(json.loads(capsys.readouterr().out)["outputs"][0], "rb") as fh:
+            traces.append(fh.read())
         assert cli_main(["bounds", "--config", path]) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    assert traces[0] == traces[1]
-    assert reports[0] == reports[1]
+        reports.append(capsys.readouterr().out)
+    assert ExperimentConfig.from_dict(raw).B > 40
+    assert traces[0] == traces[1] == traces[2]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def bounds_report(tmp_path, capsys, raw):

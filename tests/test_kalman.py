@@ -5,12 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import dpkf
+from dpkf.disk import FullFilterConfig
 from dpkf.kalman import (
     LinearSystem,
     NumericalError,
-    ScalarGainState,
     kf_correct,
     kf_gain_multiplicative,
     kf_predict,
@@ -134,34 +136,68 @@ def test_gain_reports_offending_eigenvalue():
 
 
 def test_scalar_step_hand_values():
-    s = ScalarGainState(p=0.0, k=1.0, sigma_h_sq=0.0, sigma_v_sq=1.0, sigma_w_sq=1.0)
-    out = scalar_gain_step(s)
-    assert out.k == pytest.approx(0.5)
-    assert out.p == pytest.approx(0.5)
+    p, k = scalar_gain_step(0.0, 0.0, 1.0, 1.0)
+    assert k == pytest.approx(0.5)
+    assert p == pytest.approx(0.5)
 
 
 def test_scalar_step_equal_noise_pins_p_at_zero():
-    s = ScalarGainState(p=0.3, k=0.5, sigma_h_sq=1.0, sigma_v_sq=0.7, sigma_w_sq=1.0)
+    p = 0.3
     for _ in range(5):
-        s = scalar_gain_step(s)
-        assert s.p == 0.0
-    assert s.k == pytest.approx(1.0)
+        p, k = scalar_gain_step(p, 1.0, 0.7, 1.0)
+        assert p == 0.0
+    assert k == pytest.approx(1.0)
 
 
 def test_scalar_step_rejects_w_below_h():
     with pytest.raises(ValueError):
-        ScalarGainState(p=0.0, k=1.0, sigma_h_sq=2.0, sigma_v_sq=0.0, sigma_w_sq=1.0)
+        scalar_gain_step(0.0, 2.0, 0.0, 1.0)
+
+
+# (sigma_h^2, sigma_v^2, sigma_w^2) the recursion cannot run on
+BAD_NOISE = [
+    ((-0.5, 1.0, 1.0), "noise variances must be >= 0"),
+    ((0.0, -1.0, 1.0), "noise variances must be >= 0"),
+    ((0.0, 1.0, -1.0), "noise variances must be >= 0"),
+    ((0.5, 0.0, 0.4), r"need sigma_w\^2 >= sigma_h\^2 \(p would turn negative\)"),
+]
+
+
+@pytest.mark.parametrize("noise, match", BAD_NOISE, ids=str)
+def test_bad_noise_levels_meet_one_check_with_one_message(noise, match):
+    sh, sv, sw = noise
+    for build in (
+        lambda: FullFilterConfig(sigma_w_sq=sw, sigma_h_sq=sh, sigma_v_sq=sv),
+        lambda: scalar_gain_step(0.0, sh, sv, sw),
+        lambda: scalar_fixed_point(sh, sv, sw),
+    ):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
+@given(
+    h_w=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2).map(sorted),
+    sv=st.floats(0.0, 1e6),
+    p=st.floats(0.0, 1e6),
+)
+def test_scalar_gain_step_keeps_k_and_p_in_range(h_w, sv, p):
+    """0 <= k <= 1 and 0 <= p' <= sigma_w^2 - sigma_h^2, p' up to the rounding
+    of (sw - sh) numer / denom with numer <= denom."""
+    sh, sw = h_w
+    assume(p + sw + sv > 0)
+    p_next, k = scalar_gain_step(p, sh, sv, sw)
+    assert 0.0 <= k <= 1.0
+    assert 0.0 <= p_next <= (sw - sh) * (1 + 2**-50)
 
 
 def test_scalar_iteration_reaches_golden_ratio():
-    s = ScalarGainState(p=0.0, k=1.0, sigma_h_sq=0.0, sigma_v_sq=1.0, sigma_w_sq=1.0)
-    prev = math.inf
-    while abs(s.p - prev) > 1e-12:
-        prev = s.p
-        s = scalar_gain_step(s)
+    p, prev = 0.0, math.inf
+    while abs(p - prev) > 1e-12:
+        prev = p
+        p, k = scalar_gain_step(p, 0.0, 1.0, 1.0)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    assert s.p == pytest.approx(golden, abs=1e-10)
-    assert s.k == pytest.approx(golden, abs=1e-10)
+    assert p == pytest.approx(golden, abs=1e-10)
+    assert k == pytest.approx(golden, abs=1e-10)
 
 
 def test_fixed_point_examples():
@@ -194,18 +230,18 @@ def test_random_triples_converge_to_fixed_point_at_rate_c_k():
         fp = scalar_fixed_point(sh, sv, sw)
         if not 0 < fp.contraction < 0.95:
             continue
-        s = ScalarGainState(p=0.0, k=1.0, sigma_h_sq=sh, sigma_v_sq=sv, sigma_w_sq=sw)
+        p = 0.0
         ratios = []
         prev_err = None
         for _ in range(400):
-            s = scalar_gain_step(s)
-            err = abs(s.k - fp.k_inf)
+            p, k = scalar_gain_step(p, sh, sv, sw)
+            err = abs(k - fp.k_inf)
             # measure the geometric regime, above the float plateau near k_inf
             if prev_err is not None and 1e-7 < err < 1e-3 and 1e-7 < prev_err:
                 ratios.append(err / prev_err)
             prev_err = err
-        assert abs(s.p - fp.p_inf) <= 1e-9
-        assert abs(s.k - fp.k_inf) <= 1e-9
+        assert abs(p - fp.p_inf) <= 1e-9
+        assert abs(k - fp.k_inf) <= 1e-9
         assert fp.contraction <= fp.c_k + 1e-12
         if ratios:
             measured = float(np.median(ratios))
