@@ -18,7 +18,7 @@ z the combined point: O(p^2) a step, not O(np); those runs moved in the last bit
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
-    bit-identical trajectories),
+    bit-identical trajectories); gamma is not read there (``reads_gamma``),
   * gamma = (1-kappa)/kappa with base step 1 and zero filter init matches the
     lookahead-momentum method (mu = 1-kappa, eta = kappa),
   * gamma = -1 with batch size 1 matches the recursive variance-reduced
@@ -250,6 +250,14 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     return g if noise is None else g + noise
 
 
+def reads_gamma(cfg: DiskConfig, kappa: float) -> bool:
+    """Whether a step at weight kappa reads its lookahead gamma: only a
+    two-point step off kappa = 1 observes at x + gamma * d_prev. ``disk_step``
+    branches on this, and a sweep lets cells that differ only in an unread
+    gamma share one run."""
+    return cfg.two_point and kappa != 1.0
+
+
 def disk_step(
     state: DiskState,
     batch: tuple[np.ndarray, np.ndarray] | Dataset,
@@ -266,7 +274,7 @@ def disk_step(
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     x = state.x
-    if cfg.two_point and kappa != 1.0:
+    if reads_gamma(cfg, kappa):
         a = (1.0 - kappa) / (kappa * gamma)
         g = _observe(obj, x, batch, cfg, noise, state.t, x + gamma * state.d_prev, a)
     else:

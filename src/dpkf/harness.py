@@ -16,10 +16,12 @@ pipeline (calibrate -> train -> emit) is byte-reproducible. A run's noise rows
 are drawn in blocks from its substream (``disk.noise_rows``), the numbers of
 one draw a step, and handed to the step. Every run holds one BLAS thread
 (``objectives.one_blas_thread``), so its bits do not depend on the caller's
-thread count. Grid cells and seeds touch disjoint state, yet run in
-sequence: a 2-thread pool over ``compare_filters``' 12 runs kept every bit but
-gained no wall time and took 1.5-2x the CPU, as its small numpy calls contend
-for the GIL.
+thread count. A sweep runs each distinct trajectory once per seed: grid
+cells whose steps read the same (kappa, gamma), after the preset, share one
+run (``_run_key``). Runs touch disjoint state, yet run in sequence: a
+2-thread pool over ``compare_filters``' 12 runs kept every bit but gained no
+wall time and took 1.5-2x the CPU, as its small numpy calls contend for the
+GIL.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding, svgplot
-from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, noise_rows
+from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, noise_rows, reads_gamma
 from .kalman import random_stable_system, simulate_estimation
 from .objectives import (
     EVAL_BLOCK,
@@ -439,30 +441,51 @@ def aggregate_comparison(rows: list[ComparisonRow]) -> dict[tuple[float, str], f
 # ---------------------------------------------------------------------------
 
 
+def _run_key(cfg: ExperimentConfig, cell: DiskConfig) -> tuple | None:
+    """The step parameters a sweep cell's trajectory reads, after the preset's
+    overrides: (kappa, gamma), with gamma None where the step does not read it
+    (``reads_gamma``), or None for full-kf, whose (k_t, gamma) come from
+    ``full_filter.gains()``. Cells with one key run the same trajectory."""
+    if cfg.algorithm == "full-kf":
+        return None
+    stepped = replace(cell, **PRESETS[cfg.algorithm].overrides)
+    return stepped.kappa, stepped.gamma if reads_gamma(stepped, stepped.kappa) else None
+
+
 @one_blas_thread()
 def sweep_kappa_gamma(
     kappas: list[float], gammas: list[float], cfg: ExperimentConfig
 ) -> list[list[float]]:
-    """Seed-averaged final loss for every grid cell; one run per (cell, seed).
+    """Seed-averaged final loss for every grid cell; one run per distinct
+    trajectory and seed.
 
     Cells differ only in kappa and gamma, so they share each seed's problem,
-    built once, and one sigma_dp, calibrated once for a privacy target. A run
-    records nothing on the way: its last state is evaluated once, by
+    built once, and one sigma_dp, calibrated once for a privacy target. Cells
+    whose steps read the same parameters (``_run_key``) share one run, and
+    every such cell gets its float: the kappa = 1 column, every cell of a
+    dpsgd, noisy-gd or full-kf sweep, and noisy-lp's cells along gamma. Every
+    cell is still built, so a bad value is refused where its run is shared. A
+    run records nothing on the way: its last state is evaluated once, by
     ``full_loss``, which gives the bits of ``run_experiment``'s ``final_loss``.
     """
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
     opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
+    runs: dict[tuple | None, float] = {}  # run key -> seed-mean final loss
     matrix: list[list[float]] = []
     for kappa in kappas:
         row = []
         for gamma in gammas:
-            cell, vals = replace(opt, kappa=kappa, gamma=gamma), []
-            for s in cfg.seeds:
-                obj, ds = problems[s]
-                for state in _trajectory(cfg, cell, s, (obj, ds)):
-                    pass
-                vals.append(full_loss(obj, state.x, ds))
-            row.append(float(np.mean(vals)))
+            cell = replace(opt, kappa=kappa, gamma=gamma)
+            key = _run_key(cfg, cell)
+            if key not in runs:
+                vals = []
+                for s in cfg.seeds:
+                    obj, ds = problems[s]
+                    for state in _trajectory(cfg, cell, s, (obj, ds)):
+                        pass
+                    vals.append(full_loss(obj, state.x, ds))
+                runs[key] = float(np.mean(vals))
+            row.append(runs[key])
         matrix.append(row)
     return matrix
 

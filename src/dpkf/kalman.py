@@ -153,8 +153,9 @@ def kf_gain_multiplicative(
 
 
 def check_noise_levels(sigma_h_sq: float, sigma_v_sq: float, sigma_w_sq: float) -> None:
-    """Refuse a negative noise variance, and sigma_w^2 < sigma_h^2 (a gain above 1)."""
-    if min(sigma_h_sq, sigma_v_sq, sigma_w_sq) < 0:
+    """Refuse a noise variance that is not >= 0 (NaN included), and
+    sigma_w^2 < sigma_h^2 (a gain above 1)."""
+    if not (sigma_h_sq >= 0 and sigma_v_sq >= 0 and sigma_w_sq >= 0):
         raise ValueError("noise variances must be >= 0")
     if sigma_w_sq < sigma_h_sq:
         raise ValueError("need sigma_w^2 >= sigma_h^2 (p would turn negative)")
@@ -168,7 +169,7 @@ def scalar_gain_step(
         k' = (p + sh2 + sv2) / (p + sw2 + sv2)
         p' = (sw2 - sh2) (p + sh2 + sv2) / (p + sw2 + sv2)
     """
-    if p < 0:
+    if not p >= 0:  # NaN too
         raise ValueError("p must be >= 0")
     check_noise_levels(sigma_h_sq, sigma_v_sq, sigma_w_sq)
     denom = p + sigma_w_sq + sigma_v_sq

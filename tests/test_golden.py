@@ -160,6 +160,9 @@ COMMANDS = {
     "sweep-mlp": (MLP, SWEEP_GRID, "sweep.csv"),
     "sweep-logreg-seeds": (SWEEP_SEEDS, SWEEP_GRID, "sweep.csv"),
     "sweep-linreg-full-batch": (LINREG_FULL_BATCH, SWEEP_GRID, "sweep.csv"),
+    # presets that read neither kappa nor gamma (full-kf) or not gamma (noisy-lp)
+    "sweep-full-kf": (FULLKF, SWEEP_GRID, "sweep.csv"),
+    "sweep-noisy-lp": (dict(LOGREG, algorithm="noisy-lp"), SWEEP_GRID, "sweep.csv"),
     "compare-filters": (
         None,
         ["compare-filters", "--seeds", "0,1", "--noise-levels", "0.05,0.5",
@@ -179,8 +182,10 @@ GOLDEN = {
     "compare-filters": "8922a2ab8f7a2776bcd90d72f753df0693cb292294ba804a52fd68c235017b47",
     "compare-filters-wide": "776c3b0d3a41eb9652a798b1668777a13b8235842704ac92de2bf88cc324dd3f",
     "sweep-linreg-full-batch": "d449b753031da5826035df4415fc426ef59153293af890d3b288d7fe0efe2f29",
+    "sweep-full-kf": "ddd1357cd76e60689f51fdc4ba4daee2b52a48cf14d578120b6dd0dce4272e3e",
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
+    "sweep-noisy-lp": "6e11b0711dabf7178fd19b4543d2d1abe325347871e9761a2db0c28fc8b312f4",
     "train-disk": "d2f6dc9d6a05498083c51d00e2cb6efdd08a1526c793418b8593c50dd7765396",
     "train-dpsgd": "2b7cbe2e05396fd7dbd203eff5bc30a05a44bf42b5f05accef081dff05058966",
     "train-dpsgd-target": "7503914c95d239ca61a4f4293986e8b7e1966d33507072ed998085c0ca74affb",

@@ -369,6 +369,28 @@ def test_full_batch_linear_regression_steps_observe_from_gram_statistics(monkeyp
 # ---------------------------------------------------------------------------
 
 
+def counted_sweep(monkeypatch, kappas, gammas, cfg):
+    """The sweep's matrix and the (seed, kappa, gamma) of every run it stepped."""
+    runs = []
+    trajectory = harness._trajectory
+
+    def counted(cfg, opt, seed, problem):
+        runs.append((seed, opt.kappa, opt.gamma))
+        return trajectory(cfg, opt, seed, problem)
+
+    monkeypatch.setattr(harness, "_trajectory", counted)
+    return sweep_kappa_gamma(kappas, gammas, cfg), runs
+
+
+def cell_by_cell(kappas, gammas, cfg):
+    """The seed mean of ``run_experiment``'s final loss at every cell."""
+    def cell(kappa, gamma):
+        cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
+        return float(np.mean([run_experiment(cell_cfg, seed=s).final_loss for s in cfg.seeds]))
+
+    return [[cell(k, g) for g in gammas] for k in kappas]
+
+
 def test_sweep_single_cell_equals_single_run():
     raw = logistic_raw(seeds=[2])
     cfg = ExperimentConfig.from_dict(raw)
@@ -385,8 +407,8 @@ def test_sweep_kappa_one_row_matches_dpsgd_baseline():
     assert len(matrix) == 2 and len(matrix[0]) == 2
     dpsgd_cfg = ExperimentConfig.from_dict(dict(raw, algorithm="dpsgd"))
     baseline = np.mean([run_experiment(dpsgd_cfg, seed=s).final_loss for s in (1, 2)])
-    for j in range(2):  # gamma is irrelevant at kappa = 1
-        assert matrix[1][j] == pytest.approx(float(baseline))
+    for j in range(2):  # gamma is not read at kappa = 1: DP-SGD bit for bit
+        assert matrix[1][j] == float(baseline)
 
 
 def test_sweep_with_privacy_target_equals_cell_by_cell_runs(monkeypatch):
@@ -399,12 +421,7 @@ def test_sweep_with_privacy_target_equals_cell_by_cell_runs(monkeypatch):
     del raw["optimizer"]["sigma_dp"]
     cfg = ExperimentConfig.from_dict(raw)
     kappas, gammas = [0.5, 1.0], [-1.0, 0.5]
-
-    def cell(kappa, gamma):
-        cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
-        return float(np.mean([run_experiment(cell_cfg, seed=s).final_loss for s in (1, 2)]))
-
-    expected = [[cell(k, g) for g in gammas] for k in kappas]
+    expected = cell_by_cell(kappas, gammas, cfg)
     calls.clear()
     assert sweep_kappa_gamma(kappas, gammas, cfg) == expected
     assert len(calls) == 1  # the cells share one calibration
@@ -437,8 +454,8 @@ def test_privacy_target_sweep_builds_terms_once_and_no_schedule(monkeypatch):
 
 
 def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
-    """A 2 x 2 sweep over 2 seeds: one ``full_loss`` per run and no per-step
-    evaluation or epsilon schedule."""
+    """A 2 x 2 sweep over 2 seeds: one ``full_loss`` per distinct run and no
+    per-step evaluation or epsilon schedule."""
     losses, evals, schedules = [], [], []
     full_loss = harness.full_loss
     monkeypatch.setattr(harness, "full_loss", lambda *a: losses.append(a) or full_loss(*a))
@@ -454,7 +471,8 @@ def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
                        seeds=[1, 2], privacy={"epsilon": 2.0}, T=4)
     del raw["optimizer"]["sigma_dp"]
     sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], ExperimentConfig.from_dict(raw))
-    assert (len(losses), len(evals), len(schedules)) == (8, 0, 0)
+    # 3 distinct runs (the kappa = 1 column is one) over 2 seeds
+    assert (len(losses), len(evals), len(schedules)) == (6, 0, 0)
 
 
 def test_sweep_builds_each_seed_problem_once(monkeypatch):
@@ -470,11 +488,43 @@ def test_sweep_builds_each_seed_problem_once(monkeypatch):
     kappas, gammas = [0.5, 1.0], [-1.0, 0.5]
     matrix = sweep_kappa_gamma(kappas, gammas, cfg)
     assert calls == [1, 2]
-    for i, kappa in enumerate(kappas):
-        for j, gamma in enumerate(gammas):
-            cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
-            runs = [run_experiment(cell_cfg, seed=s).final_loss for s in (1, 2)]
-            assert matrix[i][j] == float(np.mean(runs))
+    assert matrix == cell_by_cell(kappas, gammas, cfg)
+
+
+SWEEP_KAPPAS, SWEEP_GAMMAS = [0.5, 1.0], [-1.0, 0.5, 2.0]
+# Runs a seed over that grid: disk one a cell but one for the kappa = 1 column,
+# noisy-lp one a kappa, and one in all where the preset or the gain schedule
+# sets both kappa and gamma.
+SWEEP_RUNS_PER_SEED = {"disk": 4, "noisy-lp": 2, "dpsgd": 1, "noisy-gd": 1, "full-kf": 1}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SWEEP_RUNS_PER_SEED))
+def test_sweep_runs_each_distinct_trajectory_once(algorithm, monkeypatch):
+    """Cells whose steps read the same (kappa, gamma) share one run a seed, and
+    sharing changes no cell: each is the seed mean of its own runs."""
+    raw = dict(FULLKF, seeds=[1, 2]) if algorithm == "full-kf" else logistic_raw(
+        algorithm=algorithm, seeds=[1, 2], T=8)
+    cfg = ExperimentConfig.from_dict(raw)
+    matrix, runs = counted_sweep(monkeypatch, SWEEP_KAPPAS, SWEEP_GAMMAS, cfg)
+    assert len(runs) == 2 * SWEEP_RUNS_PER_SEED[algorithm]
+    assert matrix == cell_by_cell(SWEEP_KAPPAS, SWEEP_GAMMAS, cfg)
+
+
+def test_repeated_grid_value_runs_once(monkeypatch):
+    cfg = ExperimentConfig.from_dict(logistic_raw(seeds=[1], T=6))
+    kappas, gammas = [0.5, 0.7, 0.5], [0.5, 0.5]
+    matrix, runs = counted_sweep(monkeypatch, kappas, gammas, cfg)
+    assert runs == [(1, 0.5, 0.5), (1, 0.7, 0.5)]
+    assert matrix == cell_by_cell(kappas, gammas, cfg)
+
+
+def test_shared_sweep_cell_still_refuses_a_bad_value():
+    """At kappa = 1 gamma is not read, yet gamma = 0 is still refused."""
+    cfg = ExperimentConfig.from_dict(logistic_raw(algorithm="dpsgd", seeds=[1], T=3))
+    with pytest.raises(ValueError, match="gamma must be nonzero"):
+        sweep_kappa_gamma([1.0], [0.5, 0.0], cfg)
+    with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\]"):
+        sweep_kappa_gamma([1.0, 1.5], [0.5], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,27 @@ def test_bad_noise_levels_meet_one_check_with_one_message(noise, match):
             build()
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize("noise", [(NAN, 0.0, 1.0), (0.0, NAN, 1.0), (0.0, 0.0, NAN)], ids=str)
+def test_nan_noise_level_is_refused(noise):
+    """NaN is not >= 0: the scalar chain refuses it where a ``min(...) < 0``
+    check would let it through; ``FullFilterConfig`` refuses it as non-finite."""
+    sh, sv, sw = noise
+    with pytest.raises(ValueError, match="noise variances must be >= 0"):
+        scalar_gain_step(0.0, sh, sv, sw)
+    with pytest.raises(ValueError, match="noise variances must be >= 0"):
+        scalar_fixed_point(sh, sv, sw)
+    with pytest.raises(ValueError, match="must be finite"):
+        FullFilterConfig(sigma_w_sq=sw, sigma_h_sq=sh, sigma_v_sq=sv)
+
+
+def test_nan_p_is_refused():
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        scalar_gain_step(NAN, 0.0, 0.0, 1.0)
+
+
 @given(
     h_w=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2).map(sorted),
     sv=st.floats(0.0, 1e6),
