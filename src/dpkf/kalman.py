@@ -244,7 +244,6 @@ def random_stable_system(dim: int, seed: int, spectral_radius: float = 0.9) -> L
 class EstimationRun:
     mse_raw: float
     mse_kf: float
-    min_P_eig: float
 
 
 def simulate_estimation(
@@ -267,22 +266,15 @@ def simulate_estimation(
     theta_kf, P = np.zeros((runs, d)), np.eye(d)
     sq_raw = np.zeros(runs)
     sq_kf = np.zeros(runs)
-    min_eig = math.inf
 
     for _ in range(steps):
         theta = theta @ sys.A.T + rng.standard_normal((runs, d)) @ Lv.T
         psi = theta @ sys.C_obs.T + rng.standard_normal((runs, m)) @ Lw.T
         theta_kf, P, _ = kf_correct(*kf_predict(theta_kf, P, sys, 0.0), sys, psi)
-
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(P)[0]))
         sq_raw += ((psi @ C_pinv.T - theta) ** 2).sum(axis=1)
         sq_kf += ((theta_kf - theta) ** 2).sum(axis=1)
 
     return [
-        EstimationRun(
-            mse_raw=float(sq_raw[r] / steps),
-            mse_kf=float(sq_kf[r] / steps),
-            min_P_eig=min_eig,
-        )
+        EstimationRun(mse_raw=float(sq_raw[r] / steps), mse_kf=float(sq_kf[r] / steps))
         for r in range(runs)
     ]

@@ -1,14 +1,14 @@
 """Clipping operators and the subsampled-Gaussian RDP accountant.
 
-The accountant works at integer Renyi orders with the binomial-expansion
-formula for the subsampled Gaussian mechanism, composes linearly over steps,
-and converts to (epsilon, delta) by minimising over a fixed order grid. The
-sigma-free binomial terms are built once per (sampling rate, orders) and a
+The accountant works at integer Renyi orders with a cancellation-free form of
+the subsampled Gaussian mechanism's binomial expansion, composes linearly over
+steps, and converts to (epsilon, delta) by minimising over a fixed order grid.
+It has one path: a numpy pass whose every value, composed spend included, is
+rounded up to a certified upper bound at most 1e-9 relative above the exact
+one. The sigma-free terms are built once per (sampling rate, orders) and a
 run's epsilon schedule once per (q, sigma, steps, delta); both are kept,
 read-only, in small caches that live as long as the process. Calibration
-inverts these maps by bisection; a noise-multiplier probe is decided
-by a numpy pass with a proven error margin, and by the exact sum only when
-that margin does not decide it.
+bisects on the same reported spend.
 """
 
 from __future__ import annotations
@@ -153,26 +153,59 @@ def rdp_gaussian(sigma: float, alpha: float) -> float:
     return alpha / (2.0 * sigma * sigma)
 
 
-# exp of anything below this is exactly 0.0 in double precision
-_EXP_UNDERFLOW = -746.0
-# exp of anything above this is a normal double
-_EXP_NORMAL = -700.0
-# Relative error taken for each exp, log and rounding in ``composed``'s margin.
-_OP_ERROR = 2.0**-44
+# Relative error bound taken for each floating-point operation: 16 times the
+# 1-ULP bound numpy's accuracy tests hold its float64 exp, log, expm1 and log1p to.
+_U = 2.0**-48
+# numpy's exp is slow on subnormal results (below e^-708); raising to this only adds
+_EXP_FLOOR = -700.0
+
+
+def _round_up(x, r):
+    """x raised by a relative bound r on its rounding error, then by one ULP,
+    which also covers a subnormal or underflowed x."""
+    return np.nextafter(x * (1.0 + r), np.inf)
+
+
+def _log_binomials(alpha: int) -> list[float]:
+    """log C(alpha, k) for k = 2..alpha, each the log of an exact integer."""
+    out, c = [], alpha
+    for j in range(1, alpha):
+        c = c * (alpha - j) // (j + 1)
+        out.append(math.log(c))
+    return out
 
 
 class _BinomialTerms:
-    """The sigma-free part of the subsampled Gaussian's binomial expansion.
+    """The sigma-free part of the subsampled Gaussian's Renyi moment A.
 
-    At order alpha, term k (k = 0..alpha) of the log-sum is
+    At integer order alpha, with c = 1 / (2 sigma^2) and binomial weights that
+    sum to 1,
 
-        log C(alpha,k) + k log q + (alpha-k) log(1-q) + k (k-1) / (2 sigma^2)
+        A - 1 = sum_{k=2..alpha} C(alpha,k) q^k (1-q)^(alpha-k) expm1(k(k-1)c),
 
-    Everything but the last summand depends on (q, orders) alone and is built
-    once (see ``_binomial_terms``), so a curve for one sigma costs a numpy
-    pass plus an exact sum per order. Each value takes the IEEE operations of
-    the term-by-term formula in the same order, so it has the same bits. The
-    arrays are read-only, as one build is shared by every caller.
+    a sum of positive terms, free of the cancellation that costs log A its
+    digits at small q. Term k's log is pre_k + x_k + h_k, with x_k = k(k-1)c,
+    h_k = log(-expm1(-x_k)) <= 0 and pre_k = log C(alpha,k) + k log q +
+    (alpha-k) log1p(-q). A probe sums the terms in log space per order, giving
+    L = log(A - 1), and the RDP is logaddexp(0, L) / (alpha - 1).
+
+    Why it is an upper bound. Let u = 2^-48 (``_U``) bound the relative error
+    of every operation. Counting them, each computed log term is within
+    6u (1 + m_k + x_k - h_k) of its value, m_k = log C + k |log q| +
+    (alpha-k) |log1p(-q)|, as a relative error e in x moves x + h by at most
+    e (1 + x). Raised by 8u (1 + m_k + x_k - h_k), no term is below its value.
+    Summing the n = alpha - 1 exps, each shifted by the order's peak and raised
+    to at least e^-700, then the log give log(A - 1) <= L + (2n + 3 + log n) u
+    + u |L|. logaddexp(0, L) moves by sigmoid(L) times that at most, and
+    sigmoid(L) <= logaddexp(0, L), sigmoid(L) |L| <= (1 + max(0, -L))
+    logaddexp(0, L). With logaddexp's own 3u and the division, the RDP is at
+    most the computed one times 1 + 4u (n + 4 + max(0, -L)). The slack is
+    below 1e-9 relative over q in [1e-5, 1], sigma in [0.5, 100] and the
+    default orders.
+
+    The sigma-free arrays (the raised pre_k, each term's k as a gather index,
+    each order's error constant) are built once and are read-only, as one
+    build (``_binomial_terms``) is shared by every caller.
     """
 
     def __init__(self, q: float, orders: tuple[int, ...]) -> None:
@@ -185,144 +218,93 @@ class _BinomialTerms:
         self.alphas = tuple(int(a) for a in orders)
         if q == 1.0:
             return
-        self.sizes = np.array([a + 1 for a in self.alphas])
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.denoms = np.array([a - 1 for a in self.alphas], dtype=float)
-        alpha = np.repeat(self.alphas, self.sizes)
-        k = np.concatenate([np.arange(a + 1) for a in self.alphas])
-        lgam = np.array([math.lgamma(n + 1) for n in range(max(self.alphas) + 1)])
-        log_binom = lgam[alpha] - lgam[k] - lgam[alpha - k]
-        self.pre = log_binom + k * math.log(q) + (alpha - k) * math.log1p(-q)
-        self.kk1 = (k * (k - 1)).astype(float)
-        for arr in (self.sizes, self.starts, self.denoms, self.pre, self.kk1):
+        sizes = np.array([a - 1 for a in self.alphas])  # k = 2..alpha
+        self.denoms = sizes.astype(float)
+        self.starts = np.cumsum(sizes) - sizes
+        self.order_of = np.repeat(np.arange(len(sizes)), sizes)
+        k = np.concatenate([np.arange(2, a + 1) for a in self.alphas])
+        alpha = np.repeat(self.alphas, sizes)
+        log_binom = np.concatenate([_log_binomials(a) for a in self.alphas])
+        log_q, log_1mq = math.log(q), math.log1p(-q)
+        pre = log_binom + k * log_q + (alpha - k) * log_1mq
+        mag = log_binom - k * log_q - (alpha - k) * log_1mq
+        self.pre = pre + 8 * _U * (1.0 + mag)
+        self.k_of = k - 2
+        ks = np.arange(2, max(self.alphas) + 1)
+        self.kk1 = (ks * (ks - 1)).astype(float)
+        self.sum_error = 4 * _U * (sizes + 4.0)
+        for arr in (self.denoms, self.starts, self.order_of, self.pre, self.k_of,
+                    self.kk1, self.sum_error):
             arr.flags.writeable = False
 
-    def _shifted(self, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-order peak term and every term minus its order's peak."""
-        terms = self.pre + self.kk1 * (1.0 / (2.0 * sigma * sigma))
-        peaks = np.maximum.reduceat(terms, self.starts)
-        return peaks, terms - np.repeat(peaks, self.sizes)
-
-    def values(self, sigma: float) -> list[float]:
-        """Per-step RDP at every order for noise multiplier sigma."""
-        if sigma <= 0:
-            raise PrivacyError("sigma must be > 0")
-        if self.q == 1.0:  # the sum collapses to its k = alpha term
-            return [rdp_gaussian(sigma, a) for a in self.alphas]
-        peaks, shifted = self._shifted(sigma)
-        keep = ~(shifted < _EXP_UNDERFLOW)  # dropped terms add exactly 0.0
-        kept = shifted[keep].tolist()
-        ends = np.cumsum(np.add.reduceat(keep.astype(int), self.starts)).tolist()
-        out, i = [], 0
-        for alpha, m, j in zip(self.alphas, peaks.tolist(), ends):
-            total = math.fsum(map(math.exp, kept[i:j]))
-            out.append((m + math.log(total)) / (alpha - 1))
-            i = j
-        return out
-
-    def curve(self, sigma: float) -> dict[int, float]:
-        return dict(zip(self.orders, self.values(sigma)))
-
-    def composed(
-        self, sigma: float, steps: int, shifts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Composed spend ``steps * rdp + shift`` at every order by one numpy
-        pass, and a margin m per order that bounds its distance from the spend
-        ``values`` gives; ``shifts`` are the orders' ``ln(1/delta)/(alpha-1)``.
-
-        The pass takes the same shifted terms and peaks as ``values`` and
-        replaces its exact sum by ``np.exp``, ``np.add.reduceat`` and
-        ``np.log``. At q = 1 the spend is exact and m = 0.
-
-        Why m bounds the error. Let u = 2^-44 (``_OP_ERROR``) bound the
-        relative error of every exp, log and rounding on either path: 64
-        times the 4-ULP bound of numpy's SIMD exp and log, 256 times libm's
-        1 ULP. At order alpha both paths share the peak M and the n = alpha+1
-        shifted terms s_k <= 0, one of them 0, so S = sum_k exp(s_k) lies in
-        [1, n] and the exact value is r = (M + log S) / (alpha - 1).
-
-        * Sum. Each exp is within u of its value, or within 2^-1074 if
-          subnormal, and n such errors are far below u S, as S >= 1.
-          ``values`` adds libm exps with the correctly rounded ``fsum`` and
-          drops terms below -746, whose exps round to 0: it gets S (1 + t)
-          with |t| <= 2.1 u. The pass raises terms below -700 to -700, which
-          keeps numpy's exp off its slow subnormal path and adds at most
-          n e^-700 to S, and adds the n positive exps in some order:
-          |t| <= 1.01 n u.
-        * Log. log(S (1 + t)) is within 1.01 |t| of log S, and the log's own
-          rounding adds u log n.
-        * Adding M, dividing by alpha - 1, multiplying by T and adding the
-          shift (the same bits on both paths) each round by u times their
-          result, and |M + log S| <= |M| + log n <= |M| + n.
-
-        So each path's rdp lies within 3 u (n + |M|) / (alpha - 1) of r, and
-        the two spends differ by at most 9 u [T (n + |M|) / (alpha - 1) + |v|],
-        with v this pass's spend. The returned m takes 16 for 9; the rest
-        covers the roundings in forming m and v +- m. The bound is absolute in
-        M and n, not relative to v: at small q, M and log S nearly cancel, so
-        v can be far smaller than the error of either summand.
-        """
+    def values(self, sigma: float) -> np.ndarray:
+        """Upper bounds on the per-step RDP at every order for noise
+        multiplier sigma; at q = 1, ``rdp_gaussian`` raised by its roundings."""
         if sigma <= 0:
             raise PrivacyError("sigma must be > 0")
         if self.q == 1.0:
-            return steps * np.array(self.values(sigma)) + shifts, np.zeros(len(shifts))
-        peaks, shifted = self._shifted(sigma)
-        exps = np.exp(np.maximum(shifted, _EXP_NORMAL))
-        rdp = (peaks + np.log(np.add.reduceat(exps, self.starts))) / self.denoms
-        v = steps * rdp + shifts
-        m = 16 * _OP_ERROR * (steps * (self.sizes + np.abs(peaks)) / self.denoms + np.abs(v))
-        return v, m
+            return _round_up(np.array([rdp_gaussian(sigma, a) for a in self.alphas]), 2 * _U)
+        x = self.kk1 * (1.0 / (2.0 * sigma * sigma))
+        h = np.log(-np.expm1(-x))
+        t = self.pre + (x * (1.0 + 8 * _U) + h * (1.0 - 8 * _U))[self.k_of]
+        peaks = np.maximum.reduceat(t, self.starts)
+        exps = np.exp(np.maximum(t - peaks[self.order_of], _EXP_FLOOR))
+        L = peaks + np.log(np.add.reduceat(exps, self.starts))
+        r = self.sum_error - 4 * _U * np.minimum(L, 0.0)
+        return _round_up(np.logaddexp(0.0, L) / self.denoms, r)
 
 
 @functools.lru_cache(maxsize=16)
 def _binomial_terms(q: float, orders: tuple[int, ...]) -> _BinomialTerms:
-    """The build for (q, orders), kept across calls (about 50 KB at the
+    """The build for (q, orders), kept across calls (about 70 KB at the
     default orders). Every accountant entry point builds through here, so
     calibration, schedules and curves at one sampling rate share one build."""
     return _BinomialTerms(q, orders)
 
 
 def rdp_subsampled(q: float, sigma: float, alpha: int) -> float:
-    """RDP upper bound for the subsampled Gaussian mechanism at integer order.
-
-    Binomial expansion over the subsampling mixture:
+    """Upper bound on the RDP of the subsampled Gaussian mechanism at integer
+    order alpha (Mironov, Talwar & Zhang, arXiv 1908.10530):
 
         eps(alpha) = log( sum_k C(alpha,k) (1-q)^(alpha-k) q^k
-                          exp(k (k-1) / (2 sigma^2)) ) / (alpha - 1)
+                          exp(k (k-1) / (2 sigma^2)) ) / (alpha - 1),
 
-    At q = 1 the sum collapses to the k = alpha term and the value reduces
-    exactly to ``rdp_gaussian``.
+    evaluated by ``_BinomialTerms``' cancellation-free pass and rounded up.
+    At q = 1 it is ``rdp_gaussian`` rounded up.
     """
-    return _binomial_terms(q, (alpha,)).values(sigma)[0]
+    return float(_binomial_terms(q, (alpha,)).values(sigma)[0])
 
 
 def subsampled_curve(
     q: float, sigma: float, orders: tuple[int, ...] = DEFAULT_ORDERS
 ) -> dict[int, float]:
-    return _binomial_terms(q, tuple(orders)).curve(sigma)
+    terms = _binomial_terms(q, tuple(orders))
+    return dict(zip(terms.orders, terms.values(sigma).tolist()))
 
 
-def _conversion_penalty(steps: int, delta: float) -> float:
+def _order_shifts(orders, steps: int, delta: float) -> np.ndarray:
+    """``ln(1/delta)/(alpha-1)`` per order."""
     if steps < 1:
         raise PrivacyError("step count must be >= 1")
     if not 0 < delta < 1:
         raise PrivacyError("delta must lie in (0, 1)")
-    return math.log(1.0 / delta)
+    return -math.log(delta) / np.array([alpha - 1 for alpha in orders], dtype=float)
+
+
+def _spend(rdp: np.ndarray, steps, shifts: np.ndarray) -> np.ndarray:
+    """``steps * rdp + shifts`` raised by its roundings (the shift's log and
+    division, the product and the sum: positive terms, each within 3u)."""
+    return _round_up(steps * rdp + shifts, 4 * _U)
 
 
 def compose_and_convert(curve: dict[int, float], steps: int, delta: float) -> float:
     """Compose ``steps`` mechanisms and convert to epsilon at the given delta.
 
-    epsilon = min over orders of [steps * eps_rdp(alpha) + ln(1/delta)/(alpha-1)].
+    epsilon = min over orders of [steps * eps_rdp(alpha) + ln(1/delta)/(alpha-1)],
+    each order's value rounded up.
     """
-    penalty = _conversion_penalty(steps, delta)
-    return min(steps * eps + penalty / (alpha - 1) for alpha, eps in curve.items())
-
-
-def _order_shifts(orders, steps: int, delta: float) -> np.ndarray:
-    """``ln(1/delta)/(alpha-1)`` per order, as ``compose_and_convert`` forms it."""
-    penalty = _conversion_penalty(steps, delta)
-    return np.array([penalty / (alpha - 1) for alpha in orders])
+    shifts = _order_shifts(curve, steps, delta)
+    return float(_spend(np.array(list(curve.values())), steps, shifts).min())
 
 
 def epsilon_schedule(curve: dict[int, float], steps: int, delta: float) -> list[float]:
@@ -331,10 +313,9 @@ def epsilon_schedule(curve: dict[int, float], steps: int, delta: float) -> list[
     One (steps x orders) minimum in numpy; it takes the same IEEE operations
     as the scalar form, so every entry has the same bits.
     """
-    shift = _order_shifts(curve, steps, delta)
-    eps = np.array(list(curve.values()))
+    shifts = _order_shifts(curve, steps, delta)
     t = np.arange(1, steps + 1, dtype=float)[:, None]
-    return (t * eps + shift).min(axis=1).tolist()
+    return _spend(np.array(list(curve.values())), t, shifts).min(axis=1).tolist()
 
 
 @functools.lru_cache(maxsize=4)
@@ -349,29 +330,6 @@ def spend_schedule(q: float, sigma: float, steps: int, delta: float) -> tuple[fl
     return tuple(epsilon_schedule(subsampled_curve(q, sigma), steps, delta))
 
 
-def _spend_test(
-    terms: _BinomialTerms, steps: int, delta: float, target: float
-) -> Callable[[float], bool]:
-    """``sigma -> compose_and_convert(terms.curve(sigma), steps, delta) <= target``.
-
-    A probe takes ``terms.composed``'s numpy spends v and margins m. Some
-    order with v + m < target has an exact spend below the target: True.
-    Every order with v - m > target has one above it: False. Only a probe
-    with an order within its margin of the target runs the exact sum.
-    """
-    shifts = _order_shifts(terms.orders, steps, delta)
-
-    def at_most(sigma: float) -> bool:
-        v, m = terms.composed(sigma, steps, shifts)
-        if (v + m < target).any():
-            return True
-        if (v - m > target).all():
-            return False
-        return compose_and_convert(terms.curve(sigma), steps, delta) <= target
-
-    return at_most
-
-
 def calibrate_noise_multiplier(
     eps_target: float,
     delta: float,
@@ -382,37 +340,27 @@ def calibrate_noise_multiplier(
 ) -> float:
     """Smallest noise multiplier whose composed epsilon meets the target.
 
-    Bisection on sigma against the monotone accountant, with the binomial
-    terms for q built once. Each probe only asks on which side of the target
-    the spend falls, and one numpy pass with a proven error margin answers
-    it unless the spend lies within that margin of the target; then the
-    exact ``math.fsum`` spend decides (see ``_spend_test``). So every probe
-    branches as the exact accountant does, and the result has its bits. The
-    returned value is checked once against the exact spend, so the privacy
-    guarantee does not rest on the margin, and it round-trips through
-    ``compose_and_convert`` to within 1e-3 of the target. Raises when the
-    target is unreachable even at ``sigma_max``.
+    Bisection on sigma, with the binomial terms for q built once. Each probe
+    evaluates the one accountant path, the certified upper bound that
+    ``compose_and_convert(subsampled_curve(q, sigma), steps, delta)`` reports,
+    with the same bits. So the returned multiplier's reported spend is at most
+    the target, and within 1e-3 of it; the exact spend is below that and at
+    most 1e-9 relative lower. Raises when the target is unreachable even at
+    ``sigma_max``.
     """
     PrivacyBudget(eps_target, delta)
     terms = _binomial_terms(q, DEFAULT_ORDERS)
-    meets = _spend_test(terms, steps, delta, eps_target)
+    shifts = _order_shifts(terms.orders, steps, delta)
 
     def spent(sigma: float) -> float:
-        return compose_and_convert(terms.curve(sigma), steps, delta)
+        return _spend(terms.values(sigma), steps, shifts).min()
 
-    if not meets(sigma_max):
+    if not spent(sigma_max) <= eps_target:
         raise PrivacyError(
             f"budget infeasible at sigma<={sigma_max:g}: epsilon target {eps_target:g} "
             f"is below the floor {spent(sigma_max):.6g} for q={q:g}, T={steps}, delta={delta:g}"
         )
-    z = _bisect(meets, tol)
-    spend = spent(z)
-    if spend > eps_target:
-        raise PrivacyError(
-            f"calibration returned sigma={z!r}, whose exact epsilon {spend!r} "
-            f"exceeds the target {eps_target!r}"
-        )
-    return z
+    return _bisect(lambda sigma: spent(sigma) <= eps_target, tol)
 
 
 def _bisect(meets: Callable[[float], bool], tol: float) -> float:

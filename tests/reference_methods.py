@@ -3,16 +3,18 @@
 ``nag_step`` and ``storm_step`` are the methods the filtered optimizer reduces
 to; ``per_sample_loss`` is the one-sample loss the finite-difference gradient
 oracles difference, and ``per_sample_grad`` the one-sample analytic gradient
-of a ``sample_of`` a dataset. ``calibrate_gaussian`` and its helpers are the
-analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530), which acceptance
-criterion 9 checks; every command calibrates through the RDP accountant instead.
-Nothing in ``dpkf`` calls them.
+of a ``sample_of`` a dataset. ``filter_min_eig`` steps the covariance that
+``kalman.simulate_estimation`` advances. ``calibrate_gaussian`` and its
+helpers are the analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530),
+which acceptance criterion 9 checks; every command calibrates through the RDP
+accountant instead. Nothing in ``dpkf`` calls them.
 """
 
 import math
 
 import numpy as np
 
+from dpkf.kalman import LinearSystem, kf_correct, kf_predict
 from dpkf.objectives import Dataset, Objective, full_gradient
 from dpkf.privacy import PrivacyBudget, PrivacyError
 
@@ -78,6 +80,16 @@ def storm_step(
     g_prev = per_sample_grad(obj, x_prev, sample)
     m_new = (1.0 - alpha) * m + alpha * g_here + (1.0 - alpha) * (g_here - g_prev)
     return x - eta * m_new, m_new
+
+
+def filter_min_eig(sys: LinearSystem, steps: int) -> float:
+    """Smallest eigenvalue of P over ``steps`` predict/correct steps from
+    P = I, as ``simulate_estimation`` runs them; P does not depend on the data."""
+    theta, P, low = np.zeros(sys.state_dim), np.eye(sys.state_dim), math.inf
+    for _ in range(steps):
+        theta, P, _ = kf_correct(*kf_predict(theta, P, sys, 0.0), sys, np.zeros(sys.obs_dim))
+        low = min(low, float(np.linalg.eigvalsh(P)[0]))
+    return low
 
 
 # ---------------------------------------------------------------------------

@@ -186,20 +186,20 @@ GOLDEN = {
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
     "sweep-noisy-lp": "6e11b0711dabf7178fd19b4543d2d1abe325347871e9761a2db0c28fc8b312f4",
-    "train-disk": "d2f6dc9d6a05498083c51d00e2cb6efdd08a1526c793418b8593c50dd7765396",
-    "train-dpsgd": "2b7cbe2e05396fd7dbd203eff5bc30a05a44bf42b5f05accef081dff05058966",
-    "train-dpsgd-target": "7503914c95d239ca61a4f4293986e8b7e1966d33507072ed998085c0ca74affb",
+    "train-disk": "3d96d4459a06c6a99fae61f30f7e8a9947b07535143f79c8bc4f1b00b0f9e99b",
+    "train-dpsgd": "b39d42c14ea20a6e45abe7c0669dd8c575b4753dfa6c96dc0c86bbc7c8f2d5d4",
+    "train-dpsgd-target": "0c54b948d4b43689f675a2750e99282457cc317d4f72abf6974e595bc3f2cbec",
     "train-dpsgd-unclipped": "89a5f7ae3bea646cbdb0d4f996421f36c3d321148aabe59053e8fc1ef9058321",
-    "train-linreg-p1": "42e81b9f51decbcd93012d5784913ee631e0d1f6b4b0df39d50f0afc4ae8b7ef",
+    "train-linreg-p1": "bfa6904c6df4ac77f67b0182b2990b40f5477dd8e0e3ec62139e5b77b80b731b",
     "train-linreg-p1-noisy-gd": "b5951f53179fbd669e291b9be11c8b2d2df33e97446519953db05802ebec1ffd",
-    "train-logreg-bench": "42050a9b615d993da9d3d4a625f81455aeee6e8e8c227d43f8e88f40e6510c02",
-    "train-logreg-wide": "506739d0ee81d7601d18def48164853d7d53bb4f987f41e07150e87abf32560e",
-    "train-mlp-wide": "73ab8a626e7b631467ce233621c8e8f05f4e00f939b16f52f10d774f43257c04",
-    "train-full-kf": "10f3071efa4fc2f8df132c43270c5c7d7e5cd96647ce454c56ba248ffa87fec4",
+    "train-logreg-bench": "c8c2906de952798ff4c9590350abf753e54da7e43c619c8c04bb3b8d2cc69bdf",
+    "train-logreg-wide": "3733bbf372ecced7c8c0f80609a60ced0814d33ea9f3e8617ddd80843e73b65a",
+    "train-mlp-wide": "08664153f68b2f3d34b5a5b27178068ff5836c74f3adb33f37a4fe8c2b119f23",
+    "train-full-kf": "d013cf5bcdda3cfa104b1442a2669526ae218ef876290156a322815815e41116",
     "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
     "train-noisy-gd": "ac5f41ea0540be34666574271eccf5584aab6969d80d3ee7b76eae0c3e78767b",
-    "train-noisy-kf": "d2f6dc9d6a05498083c51d00e2cb6efdd08a1526c793418b8593c50dd7765396",
-    "train-noisy-lp": "8b3be2e517161e9927f740a247f2518bc6464ebe858dc782c89eb62e870b666d",
+    "train-noisy-kf": "3d96d4459a06c6a99fae61f30f7e8a9947b07535143f79c8bc4f1b00b0f9e99b",
+    "train-noisy-lp": "61212ed558e552aaa1d770ebb7d35f5451e66da83020a5a8f0e203d4ddc667d2",
 }
 
 # name -> argv of a ``calibrate`` command whose stdout is hashed
@@ -219,9 +219,9 @@ CALIBRATE_COMMANDS = {
 }
 
 CALIBRATE_GOLDEN = {
-    "calibrate-clip": "072792c4ebd6eae30d57a96ee1840eeec0a45b5ba337b9b13f2634500ee5c414",
-    "calibrate-full-batch": "b7dec903c51d482479eb2b05fe70ad93bd716b19d540ebc63757ba3bedede180",
-    "calibrate-small-q": "badbf528201df5a323ba5e836b7c1420f6c560b2bc8bdf491c4f3cc5e70bf9f5",
+    "calibrate-clip": "6de2f7cf905bb8c618e675a062050141af8e8faeb7724130d398777ffc435ef1",
+    "calibrate-full-batch": "4dc454039bf639293a47c713b389b2aeca1c93c3e569aa25c9b11b0b442c648f",
+    "calibrate-small-q": "9ce1e33f391890648d15a1f7b8cac8b0c5659ca9a6b664cecc459a76fb3c0aa8",
 }
 
 # ``bounds`` reports: the benchmark's small-fullkf shape with the trace of its

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -262,9 +261,11 @@ def test_rdp_gaussian_values():
 
 
 def test_rdp_subsampled_q1_reduces_to_gaussian():
+    # rdp_gaussian rounded up
     for sigma in (0.7, 1.0, 1.7, 4.0):
         for alpha in DEFAULT_ORDERS:
-            assert abs(rdp_subsampled(1.0, sigma, alpha) - rdp_gaussian(sigma, alpha)) <= 1e-12
+            exact = rdp_gaussian(sigma, alpha)
+            assert exact <= rdp_subsampled(1.0, sigma, alpha) <= exact * (1 + 1e-13)
 
 
 def test_rdp_subsampled_amplification():
@@ -272,34 +273,61 @@ def test_rdp_subsampled_amplification():
     assert 0.0 <= v <= rdp_gaussian(1.0, 2)
 
 
+def exact_curve(mp, q, sigma, orders):
+    """The RDP at each order as mpmath numbers at the working precision, with
+    1 - q formed exactly from the double q."""
+    q = mp.mpf(q)
+    c = 1 / (2 * mp.mpf(sigma) ** 2)
+    top = max(orders)
+    q_pow = [q**k for k in range(top + 1)]
+    p_pow = [(1 - q) ** k for k in range(top + 1)]
+    e_pow = [mp.exp(k * (k - 1) * c) for k in range(top + 1)]
+    return {
+        a: mp.log(mp.fsum(math.comb(a, k) * q_pow[k] * p_pow[a - k] * e_pow[k] for k in range(a + 1)))
+        / (a - 1)
+        for a in orders
+    }
+
+
 def test_rdp_subsampled_against_high_precision_oracle():
     mp = pytest.importorskip("mpmath")
-
-    def oracle(q, sigma, alpha):
-        total = mp.mpf(0)
-        for k in range(alpha + 1):
-            total += (
-                mp.binomial(alpha, k)
-                * mp.mpf(1 - q) ** (alpha - k)
-                * mp.mpf(q) ** k
-                * mp.e ** (mp.mpf(k * (k - 1)) / (2 * mp.mpf(sigma) ** 2))
-            )
-        return mp.log(total) / (alpha - 1)
-
-    with mp.workdps(60):  # mpmath's precision is process-wide; restore it on exit
-        for q, sigma, alpha in ((0.01, 2.0, 16), (0.05, 1.0, 8), (0.3, 0.8, 32)):
-            assert abs(rdp_subsampled(q, sigma, alpha) - oracle(q, sigma, alpha)) <= 1e-10
-        # high orders and small sigma, where the values reach the thousands
+    with mp.workdps(80):  # mpmath's precision is process-wide; restore it on exit
         for q, sigma, alpha in (
+            (0.01, 2.0, 16), (0.05, 1.0, 8), (0.3, 0.8, 32),
+            # high orders and small sigma, where the values reach the thousands
             (0.5, 0.3, 64), (0.01, 0.3, 128), (0.1, 0.5, 256), (0.02, 1.0, 512),
             (0.001, 0.3, 512), (0.05, 4.0, 128), (0.2, 2.0, 256),
         ):
-            exact = oracle(q, sigma, alpha)
-            assert abs(rdp_subsampled(q, sigma, alpha) - exact) <= 1e-10 * abs(exact)
+            exact = exact_curve(mp, q, sigma, (alpha,))[alpha]
+            assert exact <= rdp_subsampled(q, sigma, alpha) <= exact * (1 + 1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    q=st.floats(1e-5, 1.0),
+    sigma=st.floats(0.5, 100.0),
+    steps=st.integers(1, 10**5),
+    delta=st.floats(1e-10, 0.5),
+)
+# the direct sum with an exact fsum put alpha 3 here 3.2e-6 and alpha 2 here 0.78%
+# (relative) below the exact RDP
+@example(q=1.8e-4, sigma=62.5, steps=1, delta=1e-5)
+@example(q=1e-5, sigma=100.0, steps=1, delta=1e-5)
+def test_reported_rdp_and_spend_bound_the_exact_ones(q, sigma, steps, delta):
+    """Every per-order RDP and the composed spend are at least the 80-digit
+    value and at most 1e-9 relative above it."""
+    mp = pytest.importorskip("mpmath")
+    curve = subsampled_curve(q, sigma)
+    with mp.workdps(80):
+        exact = exact_curve(mp, q, sigma, DEFAULT_ORDERS)
+        for alpha in DEFAULT_ORDERS:
+            assert exact[alpha] <= curve[alpha] <= exact[alpha] * (1 + 1e-9), alpha
+        spend = min(steps * exact[a] - mp.log(mp.mpf(delta)) / (a - 1) for a in DEFAULT_ORDERS)
+        assert spend <= compose_and_convert(curve, steps, delta) <= spend * (1 + 1e-9)
 
 
 def rdp_subsampled_loop(q, sigma, alpha):
-    """The accountant as a term-by-term loop; a bit-exact oracle."""
+    """The accountant as a term-by-term loop over the direct sum."""
     if q == 1.0:
         return rdp_gaussian(sigma, alpha)
     log_q, log_1mq = math.log(q), math.log1p(-q)
@@ -343,18 +371,6 @@ def calibrate_loop(eps_target, delta, q, steps, sigma_max=1e3, tol=1e-6):
     return hi
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    q=st.floats(0.0, 1.0, exclude_min=True),
-    sigma=st.floats(0.05, 50.0),
-)
-def test_rdp_curve_bit_identical_to_loop(q, sigma):
-    curve = subsampled_curve(q, sigma)
-    for alpha in DEFAULT_ORDERS:
-        assert curve[alpha] == rdp_subsampled_loop(q, sigma, alpha)
-    assert rdp_subsampled(q, sigma, 7) == curve[7]
-
-
 @pytest.mark.parametrize(
     "eps, delta, q, steps",
     [(1.0, 1e-5, 0.01, 1000), (4.0, 1e-6, 0.2, 50), (0.5, 1e-5, 1.0, 10),
@@ -362,53 +378,60 @@ def test_rdp_curve_bit_identical_to_loop(q, sigma):
      # the train-logreg and sweep-mlp benchmark shapes
      (2.7, 5000**-1.1, 64 / 5000, 60), (5.3, 500**-1.1, 64 / 500, 20)],
 )
-def test_calibration_bit_identical_to_loop_bisection(eps, delta, q, steps):
-    assert calibrate_noise_multiplier(eps, delta, q, steps) == calibrate_loop(
-        eps, delta, q, steps
-    )
+def test_calibration_agrees_with_loop_bisection(eps, delta, q, steps):
+    # The two spends differ by far less than 1e-9 relative here, so the two
+    # bisections can part only where the target lies between them, and each
+    # ends within tol above its own crossing.
+    z = calibrate_noise_multiplier(eps, delta, q, steps)
+    assert abs(z - calibrate_loop(eps, delta, q, steps)) <= 1e-6 + 1e-8 * z
+    assert compose_and_convert(subsampled_curve(q, z), steps, delta) <= eps
 
 
-def _nudge(x, ulps):
-    """x moved by ``ulps`` units in the last place."""
-    for _ in range(abs(ulps)):
-        x = math.nextafter(x, math.copysign(math.inf, ulps))
-    return x
+def spend(q, sigma, steps, delta=1e-5):
+    return compose_and_convert(subsampled_curve(q, sigma), steps, delta)
 
 
-@settings(max_examples=150, deadline=None)
+# The exact spend is monotone in q and sigma; the reported one lies within
+# 1e-9 relative above it, so it may step back by at most that much.
+MONOTONE_SLACK = 1 + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.lists(st.floats(1e-5, 1.0), min_size=2, max_size=2), sigma=st.floats(0.5, 100.0),
+       steps=st.integers(1, 10**5))
+def test_spend_does_not_decrease_in_q(q, sigma, steps):
+    lo, hi = sorted(q)
+    assert spend(lo, sigma, steps) <= spend(hi, sigma, steps) * MONOTONE_SLACK
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(1e-5, 1.0), sigma=st.lists(st.floats(0.5, 100.0), min_size=2, max_size=2),
+       steps=st.integers(1, 10**5))
+def test_spend_does_not_increase_in_sigma(q, sigma, steps):
+    lo, hi = sorted(sigma)
+    assert spend(q, hi, steps) <= spend(q, lo, steps) * MONOTONE_SLACK
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(1e-5, 1.0), sigma=st.floats(0.5, 100.0),
+       steps=st.lists(st.integers(1, 10**5), min_size=2, max_size=2))
+def test_spend_does_not_decrease_in_steps(q, sigma, steps):
+    # exact: rounding, the round-up and the minimum are all monotone
+    lo, hi = sorted(steps)
+    assert spend(q, sigma, lo) <= spend(q, sigma, hi)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    q=st.floats(1e-4, 1.0, exclude_min=True),
-    sigma=st.floats(1e-4, 1e3, exclude_min=True, exclude_max=True),
-    steps=st.integers(1, 10**6),
-    delta=st.floats(1e-9, 1e-3, exclude_min=True, exclude_max=True),
-    ulps=st.integers(-4, 4),
-    rel=st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-3, -1e-3]),
+    eps=st.floats(0.5, 10.0),
+    delta=st.floats(1e-10, 1e-3),
+    q=st.floats(1e-3, 1.0),
+    steps=st.integers(1, 1000),
 )
-def test_probe_decision_matches_exact_spend(q, sigma, steps, delta, ulps, rel):
-    terms = privacy._BinomialTerms(q, DEFAULT_ORDERS)
-    curve = terms.curve(sigma)
-    spend = compose_and_convert(curve, steps, delta)
-    target = _nudge(spend * (1.0 + rel), ulps)
-    at_most = privacy._spend_test(terms, steps, delta, target)
-    assert at_most(sigma) == (spend <= target)
-    shifts = privacy._order_shifts(DEFAULT_ORDERS, steps, delta)
-    v, m = terms.composed(sigma, steps, shifts)
-    for i, alpha in enumerate(DEFAULT_ORDERS):
-        assert abs(v[i] - (steps * curve[alpha] + shifts[i])) <= m[i], alpha
-
-
-def test_calibration_probes_rarely_run_the_exact_sum(monkeypatch):
-    calls = []
-    values = privacy._BinomialTerms.values
-    monkeypatch.setattr(
-        privacy._BinomialTerms, "values", lambda self, s: calls.append(s) or values(self, s)
-    )
-    rng = random.Random(0)
-    for n, steps in ((5000, 60), (500, 20)):  # train-logreg, sweep-mlp
-        calls.clear()
-        for _ in range(20):
-            calibrate_noise_multiplier(rng.uniform(1.0, 8.0), n**-1.1, 64 / n, steps)
-        assert len(calls) - 20 < 20  # one exact spend each is the final check
+def test_calibration_round_trips(eps, delta, q, steps):
+    z = calibrate_noise_multiplier(eps, delta, q, steps)
+    back = spend(q, z, steps, delta)
+    assert eps - 1e-3 <= back <= eps
 
 
 def test_calibration_below_the_bracket_floor_returns_a_tested_sigma():
@@ -418,18 +441,6 @@ def test_calibration_below_the_bracket_floor_returns_a_tested_sigma():
     z = calibrate_noise_multiplier(1e24, 1e-5, 0.5, 1)
     assert compose_and_convert(subsampled_curve(0.5, z), 1, 1e-5) <= 1e24
     assert z == calibrate_loop(1e24, 1e-5, 0.5, 1) < 2e-12
-
-
-def test_calibration_checks_its_result_against_the_exact_spend(monkeypatch):
-    composed = privacy._BinomialTerms.composed
-
-    def optimistic(self, sigma, steps, shifts):
-        v, m = composed(self, sigma, steps, shifts)
-        return v - 0.1, m
-
-    monkeypatch.setattr(privacy._BinomialTerms, "composed", optimistic)
-    with pytest.raises(PrivacyError, match="exceeds the target"):
-        calibrate_noise_multiplier(2.0, 1e-5, 0.05, 100)
 
 
 def test_rdp_subsampled_rejects_low_orders():
