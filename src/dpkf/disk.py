@@ -3,7 +3,7 @@
 One step: combine per-sample gradients at two points (x and a lookahead
 x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
-feed the filtered gradient to a base optimizer (sgd, momentum, adam, adamw).
+feed the filtered gradient to ``apply_base_update`` (sgd, momentum, adam, adamw).
 Every step observes through ``_observe`` and takes its Gaussian noise as an
 input row, which ``noise_rows`` draws for a whole run in blocks of up to
 ``NOISE_BLOCK`` rows: the same stream as one ``standard_normal(d)`` a step.
@@ -88,6 +88,8 @@ class DiskConfig:
             raise ValueError("step size eta must be > 0")
         if self.sigma_dp < 0:
             raise ValueError("sigma_dp must be >= 0")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {self.betas!r}")
         if self.clip_variant not in CLIP_VARIANTS:
             raise ValueError(f"clip_variant must be one of {CLIP_VARIANTS}")
         if self.clip_variant != "none" and (self.clip is None or self.clip <= 0):
@@ -129,54 +131,27 @@ class DiskState:
 
 
 # ---------------------------------------------------------------------------
-# Base optimizer updates (x, g, eta, moments) -> (x', moments')
+# Base optimizer update (x, g, moments) -> (x', moments')
 # ---------------------------------------------------------------------------
 
 
-def base_update_sgd(x, g, eta, moments):
-    return x - eta * g, moments
-
-
-def base_update_momentum(x, g, eta, moments, mu=0.9):
-    buf = moments.get("buf")
-    buf = g.copy() if buf is None else mu * buf + g
-    return x - eta * buf, {**moments, "buf": buf}
-
-
-def _adam_direction(g, eta, moments, betas, eps):
-    b1, b2 = betas
+def apply_base_update(cfg: DiskConfig, x, g, moments):
+    """The base optimizer's update on the filtered gradient g: (x', moments')."""
+    if cfg.base == "sgd":
+        return x - cfg.eta * g, moments
+    if cfg.base == "momentum":
+        buf = moments.get("buf")
+        buf = g.copy() if buf is None else cfg.momentum * buf + g
+        return x - cfg.eta * buf, {**moments, "buf": buf}
+    b1, b2 = cfg.betas
     t = moments.get("t", 0) + 1
-    m = moments.get("m", np.zeros_like(g))
-    v = moments.get("v", np.zeros_like(g))
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * g * g
+    m = b1 * moments.get("m", np.zeros_like(g)) + (1.0 - b1) * g
+    v = b2 * moments.get("v", np.zeros_like(g)) + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    step = eta * m_hat / (np.sqrt(v_hat) + eps)
-    return step, {"m": m, "v": v, "t": t}
-
-
-def base_update_adam(x, g, eta, moments, betas=(0.9, 0.999), eps=1e-8):
-    step, new = _adam_direction(g, eta, moments, betas, eps)
-    return x - step, new
-
-
-def base_update_adamw(x, g, eta, moments, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-    step, new = _adam_direction(g, eta, moments, betas, eps)
-    return x - step - eta * weight_decay * x, new
-
-
-def apply_base_update(cfg: DiskConfig, x, g, moments):
-    if cfg.base == "sgd":
-        return base_update_sgd(x, g, cfg.eta, moments)
-    if cfg.base == "momentum":
-        return base_update_momentum(x, g, cfg.eta, moments, mu=cfg.momentum)
-    if cfg.base == "adam":
-        return base_update_adam(x, g, cfg.eta, moments, betas=cfg.betas, eps=cfg.eps_adam)
-    return base_update_adamw(
-        x, g, cfg.eta, moments, betas=cfg.betas, eps=cfg.eps_adam,
-        weight_decay=cfg.weight_decay,
-    )
+    step = cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+    x_new = x - step if cfg.base == "adam" else x - step - cfg.eta * cfg.weight_decay * x
+    return x_new, {"m": m, "v": v, "t": t}
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ A training run and a sweep cell step through one loop, ``_trajectory``:
 The run evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
 ``Objective.evaluate`` with one weight buffer, and stops at the first state
 whose loss or gradient is not finite. ``ExperimentConfig.from_dict`` is the
-one config reader and ``resolve_optimizer`` the one place a run's optimizer is
-resolved (preset, calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
+one config reader: every default is a field's default, and ``__post_init__``
+refuses a privacy target for a run that is unclipped after its preset.
+``resolve_optimizer`` is the one place a run's optimizer is resolved (preset,
+calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
 
 Runs are pure functions of their config and seed: datasets, minibatch order,
 and DP noise each come from a named substream of the run's seed, so the full
@@ -84,9 +86,11 @@ TRACE_HEADER = "step,loss,grad_norm,filtered_grad_norm,epsilon_spent"
 COMPARISON_HEADER = "sigma_dp,method,seed,final_loss"
 SWEEP_HEADER = "kappa,gamma,metric"
 RELATIVE_NOISE_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
-# Top-level config keys; only ``bounds`` reads the last two.
-CONFIG_KEYS = ("objective", "algorithm", "optimizer", "privacy", "T", "B", "seed", "seeds",
-               "outdir", "init_scale", "full_filter", "f_star_steps", "sigma_sgd_sq")
+# Top-level keys ``from_dict`` passes to ``ExperimentConfig`` as they are; only
+# ``bounds`` reads the last two. The other five have sections of their own.
+PLAIN_KEYS = ("objective", "algorithm", "T", "B", "outdir", "init_scale",
+              "f_star_steps", "sigma_sgd_sq")
+CONFIG_KEYS = PLAIN_KEYS + ("optimizer", "privacy", "full_filter", "seed", "seeds")
 # Keys ``build_problem`` reads for each objective kind.
 OBJECTIVE_KEYS = {
     "quadratic": {"kind", "dim", "eigenvalues", "x_star", "n"},
@@ -160,8 +164,9 @@ class ExperimentConfig:
             raise ValueError(f"need T >= 1 and B >= 1, integers; got T={self.T!r}, B={self.B!r}")
         if not (self.seeds and all(_is_int(s) and s >= 0 for s in self.seeds)):
             raise ValueError(f"need one seed or more, each an integer >= 0; got {self.seeds!r}")
-        if self.algorithm == "noisy-gd" and self.epsilon_target is not None:
-            raise PrivacyError("noisy-gd takes an explicit sigma_dp, not a privacy target")
+        stepped = replace(self.optimizer, **PRESETS[self.algorithm].overrides)
+        if self.epsilon_target is not None and stepped.clip_variant == "none":
+            raise PrivacyError(f"{self.algorithm} takes an explicit sigma_dp, not a privacy target")
         eps = self.epsilon_target
         if eps is not None and not (math.isfinite(eps) and eps > 0):
             raise PrivacyError(f"epsilon must be finite and > 0, got {eps!r}")
@@ -195,23 +200,18 @@ class ExperimentConfig:
             if key in ff and ff.pop(key) != getattr(optimizer, key):
                 raise ValueError(f"full_filter.{key} disagrees with optimizer.{key}")
         _reject_unknown_keys("full_filter", ff, FULL_FILTER_KEYS + SHARED_FILTER_KEYS)
-        seeds = raw.get("seeds")  # seeds, else [seed], else [0]
+        plain = {k: raw[k] for k in PLAIN_KEYS if k in raw}
+        seeds = raw.get("seeds")  # seeds, else [seed], else the field's default
         if seeds is not None and not isinstance(seeds, (list, tuple)):
             raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
+        if seeds is not None or "seed" in raw:
+            plain["seeds"] = tuple([raw["seed"]] if seeds is None else seeds)
         return cls(
-            objective=raw["objective"],
-            algorithm=raw.get("algorithm", "disk"),
+            **plain,
             optimizer=optimizer,
             epsilon_target=privacy_raw.get("epsilon"),
             delta=privacy_raw.get("delta"),
-            T=raw.get("T", 100),
-            B=raw.get("B", 50),
-            seeds=tuple([raw.get("seed", 0)] if seeds is None else seeds),
-            outdir=raw.get("outdir", "out"),
-            init_scale=raw.get("init_scale", 1.0),
             full_filter=FullFilterConfig(**ff),
-            f_star_steps=raw.get("f_star_steps", 100_000),
-            sigma_sgd_sq=raw.get("sigma_sgd_sq", 0.0),
         )
 
 
@@ -221,11 +221,22 @@ def _is_int(value) -> bool:
 
 
 def _check_objective(problem: dict) -> None:
-    """Reject an objective dict with an unknown kind or a key its kind ignores."""
+    """Reject an objective dict with an unknown kind, a key its kind ignores or
+    lacks, a size that is not an integer >= 1, or a quadratic vector not of length dim."""
     kind = problem.get("kind")
     if kind not in OBJECTIVE_KEYS:
         raise ValueError(f"unknown objective kind: {kind!r}")
     _reject_unknown_keys(f"objective {kind!r}", problem, OBJECTIVE_KEYS[kind])
+    for key in ("dim",) if kind == "quadratic" else ("n", "p"):
+        if key not in problem:
+            raise ValueError(f"objective {kind!r} needs the key {key!r}")
+    for key in ("n", "p", "dim", "hidden"):
+        if key in problem and not (_is_int(problem[key]) and problem[key] >= 1):
+            raise ValueError(f"objective {key} must be an integer >= 1, got {problem[key]!r}")
+    for key in ("eigenvalues", "x_star"):
+        if problem.get(key) is not None and np.shape(problem[key]) != (problem["dim"],):
+            raise ValueError(f"objective {key} must hold dim = {problem['dim']} values, "
+                             f"got shape {np.shape(problem[key])}")
 
 
 def _reject_unknown_keys(section: str, given, allowed) -> None:
@@ -239,21 +250,16 @@ def build_problem(problem: dict, seed: int, batch_floor: int = 1) -> tuple[Objec
     _check_objective(problem)
     kind = problem["kind"]
     if kind == "quadratic":
-        dim = problem["dim"]
         eigs = problem.get("eigenvalues")
-        H = np.diag(np.asarray(eigs, dtype=float)) if eigs is not None else np.eye(dim)
-        obj = make_objective("quadratic", dim, H=H, x_star=problem.get("x_star"))
+        H = None if eigs is None else np.diag(np.asarray(eigs, dtype=float))
+        obj = make_objective(kind, problem["dim"], H=H, x_star=problem.get("x_star"))
         return obj, obj.placeholder_dataset(max(problem.get("n", batch_floor), batch_floor))
     n, p = problem["n"], problem["p"]
-    if kind == "linear-regression":
-        return LinearRegression(p), gen_linear_regression(
-            n, p, problem.get("noise_std", 0.1), seed
-        )
     if kind == "logistic-regression":
-        return make_objective("logistic-regression", p), gen_classification(n, p, seed)
-    if kind == "mlp":
+        ds = gen_classification(n, p, seed)
+    else:
         ds = gen_linear_regression(n, p, problem.get("noise_std", 0.1), seed)
-        return make_objective("mlp", p, hidden=problem.get("hidden", 16)), ds
+    return make_objective(kind, p, hidden=problem.get("hidden", 16)), ds
 
 
 def resolve_optimizer(
@@ -277,8 +283,6 @@ def resolve_optimizer(
     opt = replace(cfg.optimizer, **PRESETS[cfg.algorithm].overrides)
     if cfg.epsilon_target is None:
         return opt, delta, q
-    if opt.clip_variant == "none" or not opt.clip:
-        raise PrivacyError("a privacy target requires an active clipping variant")
     if delta is None:
         raise PrivacyError("a privacy target needs delta (or N > 1 for the convention)")
     z = calibrate_noise_multiplier(cfg.epsilon_target, delta, q, cfg.T)
@@ -505,7 +509,7 @@ def _emit(outdir: str, stem: str, csv_lines: list[str], svg: str) -> list[str]:
     return paths
 
 
-def emit_trace(trace: MetricsTrace, outdir: str, stem: str = "trace") -> list[str]:
+def emit_trace(trace: MetricsTrace, outdir: str) -> list[str]:
     steps = [float(r.t) for r in trace.records]
     svg = svgplot.line_plot(
         {
@@ -516,7 +520,7 @@ def emit_trace(trace: MetricsTrace, outdir: str, stem: str = "trace") -> list[st
         xlabel="step",
         ylabel="value",
     )
-    return _emit(outdir, stem, trace.csv_lines(), svg)
+    return _emit(outdir, "trace", trace.csv_lines(), svg)
 
 
 def read_trace_csv(path: str) -> MetricsTrace:
@@ -538,7 +542,7 @@ def read_trace_csv(path: str) -> MetricsTrace:
     return MetricsTrace(records=records, loss0=math.nan, grad0_norm=math.nan, seed=-1)
 
 
-def emit_comparison(rows: list[ComparisonRow], outdir: str, stem: str = "comparison") -> list[str]:
+def emit_comparison(rows: list[ComparisonRow], outdir: str) -> list[str]:
     lines = [COMPARISON_HEADER] + [
         f"{r.sigma_dp!r},{r.method},{r.seed},{r.final_loss!r}" for r in rows
     ]
@@ -553,12 +557,11 @@ def emit_comparison(rows: list[ComparisonRow], outdir: str, stem: str = "compari
         series, title="final loss vs noise level", xlabel="sigma_dp",
         ylabel="log10 final loss", log_y=True,
     )
-    return _emit(outdir, stem, lines, svg)
+    return _emit(outdir, "comparison", lines, svg)
 
 
 def emit_sweep(
-    kappas: list[float], gammas: list[float], matrix: list[list[float]],
-    outdir: str, stem: str = "sweep",
+    kappas: list[float], gammas: list[float], matrix: list[list[float]], outdir: str
 ) -> list[str]:
     lines = [SWEEP_HEADER]
     for i, kappa in enumerate(kappas):
@@ -567,7 +570,7 @@ def emit_sweep(
     svg = svgplot.heatmap(
         kappas, gammas, matrix, title="sweep metric", xlabel="gamma", ylabel="kappa"
     )
-    return _emit(outdir, stem, lines, svg)
+    return _emit(outdir, "sweep", lines, svg)
 
 
 def estimation_demo(

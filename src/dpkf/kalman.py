@@ -224,13 +224,13 @@ def scalar_fixed_point(
 # ---------------------------------------------------------------------------
 
 
-def random_stable_system(dim: int, seed: int, spectral_radius: float = 0.9) -> LinearSystem:
-    """Random rotation-like dynamics scaled inside the unit circle, orthogonal
+def random_stable_system(dim: int, seed: int) -> LinearSystem:
+    """Random rotation-like dynamics scaled to spectral radius 0.9, orthogonal
     observation, mild process noise, strong observation noise."""
     rng = seeding.substream(seed, seeding.SYSTEM)
     Q, R = np.linalg.qr(rng.standard_normal((dim, dim)))
     Q = Q @ np.diag(np.sign(np.diag(R)))  # fix QR sign convention
-    A = spectral_radius * Q
+    A = 0.9 * Q
     Qc, Rc = np.linalg.qr(rng.standard_normal((dim, dim)))
     C = Qc @ np.diag(np.sign(np.diag(Rc)))
     Mv = rng.standard_normal((dim, dim))

@@ -275,10 +275,8 @@ def rdp_subsampled(q: float, sigma: float, alpha: int) -> float:
     return float(_binomial_terms(q, (alpha,)).values(sigma)[0])
 
 
-def subsampled_curve(
-    q: float, sigma: float, orders: tuple[int, ...] = DEFAULT_ORDERS
-) -> dict[int, float]:
-    terms = _binomial_terms(q, tuple(orders))
+def subsampled_curve(q: float, sigma: float) -> dict[int, float]:
+    terms = _binomial_terms(q, DEFAULT_ORDERS)
     return dict(zip(terms.orders, terms.values(sigma).tolist()))
 
 

@@ -16,10 +16,6 @@ from dpkf.disk import (
     DiskState,
     FullFilterConfig,
     apply_base_update,
-    base_update_adam,
-    base_update_adamw,
-    base_update_momentum,
-    base_update_sgd,
     disk_step,
     dpsgd_step,
     noise_rows,
@@ -58,7 +54,9 @@ def quadratic_problem(d=5, lo=0.5, hi=2.0):
 
 
 def test_sgd_update():
-    x, moments = base_update_sgd(np.array([1.0, 2.0]), np.array([0.5, -1.0]), 0.1, {})
+    x, moments = apply_base_update(
+        DiskConfig(eta=0.1), np.array([1.0, 2.0]), np.array([0.5, -1.0]), {}
+    )
     assert np.allclose(x, [0.95, 2.1])
 
 
@@ -66,9 +64,10 @@ def test_momentum_accumulates():
     x = np.zeros(1)
     moments = {}
     g = np.array([1.0])
-    x, moments = base_update_momentum(x, g, 0.1, moments, mu=0.9)
+    cfg = DiskConfig(eta=0.1, base="momentum", momentum=0.9)
+    x, moments = apply_base_update(cfg, x, g, moments)
     assert x[0] == pytest.approx(-0.1)
-    x, moments = base_update_momentum(x, g, 0.1, moments, mu=0.9)
+    x, moments = apply_base_update(cfg, x, g, moments)
     assert x[0] == pytest.approx(-0.1 - 0.19)
 
 
@@ -79,16 +78,18 @@ def test_adam_constant_gradient_approaches_sign_step():
     g = np.array([3.0, -0.2])
     x = np.zeros(2)
     moments = {}
+    cfg = DiskConfig(eta=eta, base="adam")
     for _ in range(500):
         x_prev = x
-        x, moments = base_update_adam(x, g, eta, moments)
+        x, moments = apply_base_update(cfg, x, g, moments)
     step = x - x_prev
     assert np.abs(np.abs(step) - eta).max() <= 1e-3 * eta
 
 
 def test_adamw_pure_decay_with_zero_gradient():
     x = np.array([2.0, -4.0])
-    out, _ = base_update_adamw(x, np.zeros(2), 0.1, {}, weight_decay=0.5)
+    cfg = DiskConfig(eta=0.1, base="adamw", weight_decay=0.5)
+    out, _ = apply_base_update(cfg, x, np.zeros(2), {})
     assert np.allclose(out, (1 - 0.1 * 0.5) * x)
 
 

@@ -107,6 +107,28 @@ def target_raw(**privacy):
         (target_raw(epsilon=2.0, detla=1e-3), ValueError,
          r"privacy has unknown keys \['detla'\]; allowed: \['delta', 'epsilon'\]"),
         (logistic_raw(init_sclae=2.0), ValueError, r"config has unknown keys \['init_sclae'\]"),
+        ({k: v for k, v in logistic_raw().items() if k != "objective"}, TypeError,
+         "missing 1 required positional argument: 'objective'"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 3, "eigenvalues": [1.0, 2.0]}),
+         ValueError, r"objective eigenvalues must hold dim = 3 values, got shape \(2,\)"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 2, "x_star": [0.0, 1.0, 2.0]}),
+         ValueError, r"objective x_star must hold dim = 2 values, got shape \(3,\)"),
+        (logistic_raw(objective={"kind": "quadratic", "eigenvalues": [1.0, 2.0]}),
+         ValueError, "objective 'quadratic' needs the key 'dim'"),
+        (logistic_raw(objective={"kind": "logistic-regression", "n": 60.5, "p": 4}),
+         ValueError, "objective n must be an integer >= 1, got 60.5"),
+        (logistic_raw(objective={"kind": "mlp", "n": 60, "p": 4, "hidden": 2.5}),
+         ValueError, "objective hidden must be an integer >= 1, got 2.5"),
+        (logistic_raw(objective={"kind": "linear-regression", "n": 60, "p": "4"}),
+         ValueError, "objective p must be an integer >= 1, got '4'"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 0}),
+         ValueError, "objective dim must be an integer >= 1, got 0"),
+        (logistic_raw(optimizer={"base": "adam", "betas": [0.9], "sigma_dp": 0.05}),
+         ValueError, r"betas must be two values in \[0, 1\), got \(0.9,\)"),
+        (logistic_raw(optimizer={"base": "adam", "betas": [1.0, 0.999], "sigma_dp": 0.05}),
+         ValueError, r"betas must be two values in \[0, 1\), got \(1.0, 0.999\)"),
+        (dict(target_raw(epsilon=2.0), optimizer={"clip_variant": "none", "clip": None}),
+         PrivacyError, "^disk takes an explicit sigma_dp, not a privacy target$"),
     ],
 )
 def test_config_rejects_bad_boundary_values(raw, error, match):
@@ -128,6 +150,29 @@ def test_config_accepts_every_objective_key():
     ):
         cfg = ExperimentConfig.from_dict(logistic_raw(objective=objective, B=4, T=2))
         assert len(run_experiment(cfg).records) == 2
+
+
+def test_build_problem_makes_every_kind_through_make_objective(monkeypatch):
+    problems = {
+        "quadratic": {"kind": "quadratic", "dim": 2, "n": 8},
+        "linear-regression": {"kind": "linear-regression", "n": 8, "p": 2},
+        "logistic-regression": {"kind": "logistic-regression", "n": 8, "p": 2},
+        "mlp": {"kind": "mlp", "n": 8, "p": 2, "hidden": 3},
+    }
+    assert set(problems) == set(harness.OBJECTIVE_KEYS)
+    made = []
+
+    def spy(kind, dim, **kwargs):
+        made.append(kind)
+        return objectives.make_objective(kind, dim, **kwargs)
+
+    monkeypatch.setattr(harness, "make_objective", spy)
+    for kind, problem in problems.items():
+        obj, ds = harness.build_problem(problem, seed=0)
+        assert made[-1] == kind
+        assert type(obj) is type(objectives.make_objective(kind, 2, hidden=3))
+        assert ds.n == 8
+    assert made == list(problems)
 
 
 # ---------------------------------------------------------------------------
