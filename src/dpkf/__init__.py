@@ -27,11 +27,11 @@ from .kalman import (
 )
 from .objectives import (
     Dataset,
-    MinibatchSampler,
     full_gradient,
     full_loss,
     gen_linear_regression,
     make_objective,
+    minibatches,
 )
 from .privacy import (
     PrivacyBudget,

@@ -3,9 +3,10 @@
 Subcommands: train, compare-filters, sweep, calibrate, bounds, kalman-demo.
 Config files are JSON; any flag repeated on the command line overrides the
 matching config key. The DISK_SEED environment variable overrides the master
-seed everywhere. train, sweep and bounds read a config through
-``ExperimentConfig.from_dict`` and take the run's optimizer from
-``harness.resolve_optimizer``, so bounds reports on the run train makes.
+seed everywhere. train, sweep and bounds read a config through ``_config``
+and take the run's optimizer from ``harness.resolve_optimizer``, so bounds
+reports on the run train makes; train and sweep declare their six shared run
+flags once, on a parent parser. kalman-demo calls ``kalman`` directly.
 
 A command runs inside ``objectives.one_blas_thread``: on matrices this small
 a second thread that wakes for ``lstsq`` or ``X.T @ X`` busy-waits through
@@ -89,13 +90,11 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2))
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    """CLI flags win over config keys; seed also honours DISK_SEED."""
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file ``args.config``, with CLI flags winning over its keys;
+    the seed also honours DISK_SEED."""
+    with open(args.config) as fh:
+        raw = json.load(fh)
     for key in ("T", "B", "algorithm", "outdir"):
         if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
@@ -106,12 +105,11 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     if seed is not None:
         raw["seed"] = seed
         raw["seeds"] = [seed]
-    return raw
+    return ExperimentConfig.from_dict(raw)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = _config(args)
     trace = harness.run_experiment(cfg)
     paths = harness.emit_trace(trace, cfg.outdir)
     _print_json(
@@ -140,8 +138,7 @@ def cmd_compare_filters(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = _config(args)
     matrix = harness.sweep_kappa_gamma(args.kappas, args.gammas, cfg)
     paths = harness.emit_sweep(args.kappas, args.gammas, matrix, cfg.outdir)
     _print_json({"shape": [len(args.kappas), len(args.gammas)], "outputs": paths})
@@ -174,8 +171,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    raw = _apply_overrides(_load_config(args.config), args)
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = _config(args)
     seed = cfg.seeds[0]
     obj, ds = harness.build_problem(cfg.objective, seed, batch_floor=cfg.B)
     opt, delta, _ = harness.resolve_optimizer(cfg, ds.n)
@@ -183,9 +179,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     f_star, estimated = theory.estimate_f_star(
         obj, ds, x0, steps=cfg.f_star_steps
     )
-    pc = theory.problem_constants_for(
-        obj, ds, x0, sigma_sgd_sq=cfg.sigma_sgd_sq, f_star=f_star
-    )
+    pc = theory.problem_constants_for(obj, ds, x0, sigma_sgd_sq=cfg.sigma_sgd_sq, f_star=f_star)
     T, B = cfg.T, cfg.batch_size(ds.n)
     report: dict = {
         "constants": {
@@ -228,10 +222,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_kalman_demo(args: argparse.Namespace) -> int:
     seed = _env_seed(args.seed)
-    lines = harness.estimation_demo(
-        dim=args.dim, steps=args.steps, runs=args.runs, seed=seed
-    )
-    print("\n".join(lines))
+    system = kalman.random_stable_system(args.dim, seed)
+    results = kalman.simulate_estimation(system, steps=args.steps, runs=args.runs, seed=seed)
+    print("run,mse_raw,mse_kf")
+    for i, res in enumerate(results):
+        print(f"{i},{res.mse_raw!r},{res.mse_kf!r}")
     return 0
 
 
@@ -241,17 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private optimization with filtered gradients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the run flags train and sweep share
+    run.add_argument("--config", required=True)
+    run.add_argument("--seed", type=_int_in(0))
+    run.add_argument("--T", type=_int_in(1))
+    run.add_argument("--B", type=_int_in(1))
+    run.add_argument("--eta", type=float)
+    run.add_argument("--outdir")
 
-    p_train = sub.add_parser("train", help="run one experiment from a JSON config")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=_int_in(0))
-    p_train.add_argument("--T", type=_int_in(1))
-    p_train.add_argument("--B", type=_int_in(1))
-    p_train.add_argument("--eta", type=float)
+    p_train = sub.add_parser("train", parents=[run], help="run one experiment from a JSON config")
     p_train.add_argument("--kappa", type=float)
     p_train.add_argument("--gamma", type=float)
     p_train.add_argument("--algorithm")
-    p_train.add_argument("--outdir")
     p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare-filters", help="benchmark the three filters")
@@ -266,15 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--outdir", default="out")
     p_cmp.set_defaults(func=cmd_compare_filters)
 
-    p_sweep = sub.add_parser("sweep", help="grid over (kappa, gamma)")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[run], help="grid over (kappa, gamma)")
     p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list)
     p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list)
-    p_sweep.add_argument("--seed", type=_int_in(0))
-    p_sweep.add_argument("--T", type=_int_in(1))
-    p_sweep.add_argument("--B", type=_int_in(1))
-    p_sweep.add_argument("--eta", type=float)
-    p_sweep.add_argument("--outdir")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="noise multiplier for a budget")

@@ -38,18 +38,17 @@ import numpy as np
 
 from . import seeding, svgplot
 from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, noise_rows, reads_gamma
-from .kalman import random_stable_system, simulate_estimation
 from .objectives import (
     EVAL_BLOCK,
     Dataset,
     LinearRegression,
-    MinibatchSampler,
     Objective,
     full_gradient,
     full_loss,
     gen_classification,
     gen_linear_regression,
     make_objective,
+    minibatches,
     one_blas_thread,
 )
 from .privacy import (
@@ -222,7 +221,8 @@ def _is_int(value) -> bool:
 
 def _check_objective(problem: dict) -> None:
     """Reject an objective dict with an unknown kind, a key its kind ignores or
-    lacks, a size that is not an integer >= 1, or a quadratic vector not of length dim."""
+    lacks, a size that is not an integer >= 1, a quadratic vector not of length
+    dim or not finite, or a negative quadratic eigenvalue (unbounded below)."""
     kind = problem.get("kind")
     if kind not in OBJECTIVE_KEYS:
         raise ValueError(f"unknown objective kind: {kind!r}")
@@ -234,9 +234,16 @@ def _check_objective(problem: dict) -> None:
         if key in problem and not (_is_int(problem[key]) and problem[key] >= 1):
             raise ValueError(f"objective {key} must be an integer >= 1, got {problem[key]!r}")
     for key in ("eigenvalues", "x_star"):
-        if problem.get(key) is not None and np.shape(problem[key]) != (problem["dim"],):
+        if problem.get(key) is None:
+            continue
+        if np.shape(problem[key]) != (problem["dim"],):
             raise ValueError(f"objective {key} must hold dim = {problem['dim']} values, "
                              f"got shape {np.shape(problem[key])}")
+        values = np.asarray(problem[key], dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"objective {key} must be finite, got {values.tolist()}")
+        if key == "eigenvalues" and (values < 0).any():
+            raise ValueError(f"objective eigenvalues must be >= 0, got {values.tolist()}")
 
 
 def _reject_unknown_keys(section: str, given, allowed) -> None:
@@ -307,13 +314,13 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
     opt = replace(opt, **PRESETS[cfg.algorithm].overrides)
     full_batch = cfg.batch_size(ds.n) == ds.n
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
-    sampler = None if full_batch else MinibatchSampler(ds.n, cfg.B, seed)
+    batches = None if full_batch else minibatches(ds.n, cfg.B, seed)
     gains = (cfg.full_filter.gains() if cfg.algorithm == "full-kf"
              else itertools.repeat((opt.kappa, opt.gamma)))  # (kappa, gamma) per step
     state = DiskState(x=obj.init_point(seed, cfg.init_scale))
     yield state
     for noise, (kappa, gamma) in zip(noise_rows(noise_rng, opt.sigma_dp, obj.dim, cfg.T), gains):
-        batch = ds if full_batch else ds.subset(sampler.next_batch())
+        batch = ds if full_batch else ds.subset(next(batches))
         state = disk_step(state, batch, obj, opt, noise, kappa, gamma)
         yield state
 
@@ -389,7 +396,6 @@ def compare_filters(
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     n: int = 1000,
     p: int = 20,
-    noise_std: float = 0.1,
     T: int = 400,
     kappa: float = 0.5,
 ) -> list[ComparisonRow]:
@@ -404,7 +410,7 @@ def compare_filters(
     """
     rows: list[ComparisonRow] = []
     for seed in seeds:
-        ds = gen_linear_regression(n, p, noise_std, seed)
+        ds = gen_linear_regression(n, p, noise_std=0.1, seed=seed)
         if noise_levels is None:  # from the seeds[0] dataset
             noise_levels = comparison_noise_levels(ds)
         obj = LinearRegression(p)
@@ -572,14 +578,3 @@ def emit_sweep(
     )
     return _emit(outdir, "sweep", lines, svg)
 
-
-def estimation_demo(
-    dim: int = 3, steps: int = 10_000, runs: int = 50, seed: int = 0
-) -> list[str]:
-    """CSV lines (run,mse_raw,mse_kf) for the estimator-quality simulation."""
-    sys = random_stable_system(dim, seed)
-    results = simulate_estimation(sys, steps=steps, runs=runs, seed=seed)
-    lines = ["run,mse_raw,mse_kf"]
-    for i, res in enumerate(results):
-        lines.append(f"{i},{res.mse_raw!r},{res.mse_kf!r}")
-    return lines

@@ -31,9 +31,10 @@ import contextlib
 import ctypes
 import functools
 import glob
+import itertools
 import os
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -560,34 +561,14 @@ def full_loss(obj: Objective, x: np.ndarray, dataset: Dataset) -> float:
     return float(obj.per_sample_losses(x, dataset.X, dataset.y).mean())
 
 
-@dataclass
-class MinibatchSampler:
-    """Without-replacement sampling with fixed batch size.
+def minibatches(n: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:
+    """An endless iterator of fixed-size batches, sampled without replacement.
 
-    Each epoch is a fresh permutation of {0..n-1} cut into floor(n/B) full
-    batches; the partial tail batch is dropped. Deterministic per seed.
+    Each epoch is a fresh permutation of {0..n-1} from the ``SAMPLING`` substream,
+    cut into floor(n/B) full batches; the partial tail batch is dropped. Deterministic per seed.
     """
-
-    n: int
-    batch_size: int
-    seed: int
-    _rng: np.random.Generator = field(init=False, repr=False)
-    _queue: list[np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.batch_size <= self.n:
-            raise ValueError("need 1 <= batch_size <= n")
-        self._rng = seeding.substream(self.seed, seeding.SAMPLING)
-        self._queue = []
-
-    def epoch_batches(self) -> list[np.ndarray]:
-        perm = self._rng.permutation(self.n)
-        full = (self.n // self.batch_size) * self.batch_size
-        return [
-            perm[i : i + self.batch_size] for i in range(0, full, self.batch_size)
-        ]
-
-    def next_batch(self) -> np.ndarray:
-        if not self._queue:
-            self._queue = self.epoch_batches()
-        return self._queue.pop(0)
+    if not 1 <= batch_size <= n:
+        raise ValueError("need 1 <= batch_size <= n")
+    epochs = map(seeding.substream(seed, seeding.SAMPLING).permutation, itertools.repeat(n))
+    full = (n // batch_size) * batch_size
+    return (perm[i : i + batch_size] for perm in epochs for i in range(0, full, batch_size))

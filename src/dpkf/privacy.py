@@ -329,12 +329,7 @@ def spend_schedule(q: float, sigma: float, steps: int, delta: float) -> tuple[fl
 
 
 def calibrate_noise_multiplier(
-    eps_target: float,
-    delta: float,
-    q: float,
-    steps: int,
-    sigma_max: float = 1e3,
-    tol: float = 1e-6,
+    eps_target: float, delta: float, q: float, steps: int, sigma_max: float = 1e3
 ) -> float:
     """Smallest noise multiplier whose composed epsilon meets the target.
 
@@ -358,11 +353,11 @@ def calibrate_noise_multiplier(
             f"budget infeasible at sigma<={sigma_max:g}: epsilon target {eps_target:g} "
             f"is below the floor {spent(sigma_max):.6g} for q={q:g}, T={steps}, delta={delta:g}"
         )
-    return _bisect(lambda sigma: spent(sigma) <= eps_target, tol)
+    return _bisect(lambda sigma: spent(sigma) <= eps_target)
 
 
-def _bisect(meets: Callable[[float], bool], tol: float) -> float:
-    """Smallest sigma, to within tol, for which ``meets`` holds; ``meets`` is
+def _bisect(meets: Callable[[float], bool]) -> float:
+    """Smallest sigma, to within 1e-6, for which ``meets`` holds; ``meets`` is
     monotone in sigma and holds at the upper end of the search."""
     lo = 1e-4
     while meets(lo):
@@ -373,7 +368,7 @@ def _bisect(meets: Callable[[float], bool], tol: float) -> float:
     while not meets(hi):
         hi *= 2.0
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= 1e-6:
             break
         mid = 0.5 * (lo + hi)
         if meets(mid):

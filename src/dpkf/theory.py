@@ -25,7 +25,6 @@ class ProblemConstants:
     gap0: float  # F(x0) - F*
     grad0_sq: float  # ||grad F(x0)||^2
     sigma_sgd_sq: float = 0.0
-    G: float | None = None
     dim: int = 1
 
     def __post_init__(self) -> None:
@@ -265,14 +264,12 @@ def estimate_f_star(
 @one_blas_thread()
 def problem_constants_for(
     obj: Objective, dataset: Dataset, x0: np.ndarray,
-    sigma_sgd_sq: float = 0.0, f_star: float | None = None,
+    sigma_sgd_sq: float = 0.0, *, f_star: float,
 ) -> ProblemConstants:
-    """Assemble bound inputs from an objective/dataset/start triple."""
+    """Assemble bound inputs from an objective/dataset/start triple and its minimum."""
     L = obj.smoothness(dataset)
     if L is None or L <= 0:
         raise ValueError("objective does not expose an exact smoothness constant")
-    if f_star is None:
-        f_star, _ = estimate_f_star(obj, dataset, x0)
     (loss0,), (g0,) = obj.evaluate([x0], dataset.X, dataset.y)  # padded: the bits train reports
     return ProblemConstants(
         L=L,

@@ -162,8 +162,7 @@ def test_06_filter_comparison_ordering():
         start = time.monotonic()
         levels = comparison_noise_levels(gen_linear_regression(1000, 20, 0.1, 0))
         rows = compare_filters(
-            noise_levels=levels, seeds=(0, 1, 2, 3, 4), n=1000, p=20,
-            noise_std=0.1, T=400, kappa=0.5,
+            noise_levels=levels, seeds=(0, 1, 2, 3, 4), n=1000, p=20, T=400, kappa=0.5,
         )
         agg = aggregate_comparison(rows)
         for lvl in levels:

@@ -27,12 +27,12 @@ from dpkf.kalman import (
     scalar_gain_step,
 )
 from dpkf.objectives import (
-    MinibatchSampler,
     full_gradient,
     full_loss,
     gen_classification,
     gen_linear_regression,
     make_objective,
+    minibatches,
     two_point_grads,
 )
 from dpkf.privacy import clip_batch, clip_sensitivity
@@ -960,9 +960,9 @@ def test_full_filter_started_at_its_fixed_point_is_disk_at_k_inf(kind, variant, 
     x0 = obj.init_point(3)
     kf, p = DiskState(x=x0.copy()), fp.p_inf
     dk = DiskState(x=x0.copy())
-    kf_rng, sampler = rng_for(5), MinibatchSampler(ds.n, 12, 5)
+    kf_rng, batches = rng_for(5), minibatches(ds.n, 12, 5)
     for t, noise in enumerate(noise_rows(rng_for(5), steady.sigma_dp, obj.dim, 30)):
-        batch = ds if t % 5 == 4 else ds.subset(sampler.next_batch())
+        batch = ds if t % 5 == 4 else ds.subset(next(batches))
         kf, p, k = kf_step(kf, p, batch, obj, opt, ff, kf_rng)
         dk = disk_step(dk, batch, obj, steady, noise)
         assert k == fp.k_inf  # p may sit an ulp off p_inf

@@ -19,7 +19,6 @@ from dpkf.harness import (
     emit_comparison,
     emit_sweep,
     emit_trace,
-    estimation_demo,
     read_trace_csv,
     resolve_optimizer,
     run_experiment,
@@ -129,6 +128,12 @@ def target_raw(**privacy):
          ValueError, r"betas must be two values in \[0, 1\), got \(1.0, 0.999\)"),
         (dict(target_raw(epsilon=2.0), optimizer={"clip_variant": "none", "clip": None}),
          PrivacyError, "^disk takes an explicit sigma_dp, not a privacy target$"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 2, "eigenvalues": [math.nan, 1.0]}),
+         ValueError, r"^objective eigenvalues must be finite, got \[nan, 1.0\]$"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 2, "x_star": [0.0, math.inf]}),
+         ValueError, r"^objective x_star must be finite, got \[0.0, inf\]$"),
+        (logistic_raw(objective={"kind": "quadratic", "dim": 2, "eigenvalues": [-1.0, 1.0]}),
+         ValueError, r"^objective eigenvalues must be >= 0, got \[-1.0, 1.0\]$"),
     ],
 )
 def test_config_rejects_bad_boundary_values(raw, error, match):
@@ -620,12 +625,6 @@ def test_emit_comparison_and_sweep_schemas(tmp_path):
     slines = open(spaths[0]).read().splitlines()
     assert slines[0] == SWEEP_HEADER
     assert len(slines) == 1 + 2 * 1
-
-
-def test_estimation_demo_csv_shape():
-    lines = estimation_demo(dim=3, steps=100, runs=4, seed=0)
-    assert lines[0] == "run,mse_raw,mse_kf"
-    assert len(lines) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -12,12 +13,12 @@ from dpkf.objectives import (
     _sigmoid_neg,
     EVAL_BLOCK,
     Dataset,
-    MinibatchSampler,
     full_gradient,
     full_loss,
     gen_classification,
     gen_linear_regression,
     make_objective,
+    minibatches,
     two_point_grads,
 )
 from reference_methods import per_sample_grad, per_sample_loss, sample_of
@@ -510,32 +511,41 @@ def test_quadratic_smoothness_equals_power_iteration():
 # ---------------------------------------------------------------------------
 
 
+def first_batches(n, batch_size, seed, count):
+    return list(itertools.islice(minibatches(n, batch_size, seed), count))
+
+
 def test_sampler_epoch_covers_dataset():
-    sampler = MinibatchSampler(n=12, batch_size=3, seed=0)
-    batches = sampler.epoch_batches()
-    assert len(batches) == 4
-    union = np.sort(np.concatenate(batches))
-    assert np.array_equal(union, np.arange(12))
+    batches = first_batches(12, 3, 0, 8)
+    for epoch in (batches[:4], batches[4:]):  # an epoch is 4 batches
+        union = np.sort(np.concatenate(epoch))
+        assert np.array_equal(union, np.arange(12))
 
 
 def test_sampler_drops_partial_batch():
-    sampler = MinibatchSampler(n=10, batch_size=3, seed=0)
-    batches = sampler.epoch_batches()
-    assert len(batches) == 3
+    batches = first_batches(10, 3, 0, 6)
     assert all(len(b) == 3 for b in batches)
+    rng = seeding.substream(0, seeding.SAMPLING)
+    for epoch in (batches[:3], batches[3:]):  # 3 batches, then the next permutation
+        assert np.array_equal(np.concatenate(epoch), rng.permutation(10)[:9])
 
 
 def test_sampler_no_repeats_within_epoch():
-    sampler = MinibatchSampler(n=20, batch_size=5, seed=3)
-    seen = np.concatenate(sampler.epoch_batches())
+    seen = np.concatenate(first_batches(20, 5, 3, 4))
     assert len(np.unique(seen)) == len(seen)
 
 
 def test_sampler_deterministic():
-    a = MinibatchSampler(n=30, batch_size=7, seed=9)
-    b = MinibatchSampler(n=30, batch_size=7, seed=9)
+    a = minibatches(n=30, batch_size=7, seed=9)
+    b = minibatches(n=30, batch_size=7, seed=9)
     for _ in range(10):
-        assert np.array_equal(a.next_batch(), b.next_batch())
+        assert np.array_equal(next(a), next(b))
+
+
+@pytest.mark.parametrize("batch_size", [0, 4])
+def test_sampler_rejects_batch_size_at_the_call(batch_size):
+    with pytest.raises(ValueError, match="need 1 <= batch_size <= n"):
+        minibatches(3, batch_size, 0)  # no next(): the check runs before the first batch
 
 
 def test_substreams_are_independent_and_stable():
