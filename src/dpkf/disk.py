@@ -90,6 +90,12 @@ class DiskConfig:
             raise ValueError("sigma_dp must be >= 0")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
             raise ValueError(f"betas must be two values in [0, 1), got {self.betas!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if self.eps_adam <= 0:
+            raise ValueError("eps_adam must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.clip_variant not in CLIP_VARIANTS:
             raise ValueError(f"clip_variant must be one of {CLIP_VARIANTS}")
         if self.clip_variant != "none" and (self.clip is None or self.clip <= 0):

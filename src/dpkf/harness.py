@@ -5,10 +5,10 @@ deterministic CSV/SVG emission.
 A training run and a sweep cell step through one loop, ``_trajectory``:
 ``run_experiment`` evaluates and records every state, a sweep cell only its last.
 The run evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
-``Objective.evaluate`` with one weight buffer, and stops at the first state
-whose loss or gradient is not finite. ``ExperimentConfig.from_dict`` is the
-one config reader: every default is a field's default, and ``__post_init__``
-refuses a privacy target for a run that is unclipped after its preset.
+``Objective.evaluate``, and stops at the first state whose loss or gradient is
+not finite. ``ExperimentConfig.from_dict`` is the one config reader: every
+default is a field's default, and ``__post_init__`` refuses a privacy target
+for a run that is unclipped after its preset.
 ``resolve_optimizer`` is the one place a run's optimizer is resolved (preset,
 calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
 
@@ -344,11 +344,10 @@ def run_experiment(
     opt, delta, q = resolve_optimizer(cfg, ds.n)
     eps_sched = _epsilon_schedule(cfg, opt, delta, q)
     states = _trajectory(cfg, opt, seed, problem)
-    W = np.empty((EVAL_BLOCK, ds.n))  # a linear model's per-state coefficients, reused
     records: list[StepRecord] = []
     t = 0
     while block := list(itertools.islice(states, EVAL_BLOCK)):
-        losses, grads = obj.evaluate([s.x for s in block], ds.X, ds.y, W)
+        losses, grads = obj.evaluate([s.x for s in block], ds.X, ds.y)
         finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))

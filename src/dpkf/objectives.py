@@ -9,20 +9,21 @@ accumulation order, so results are bit-reproducible for a given seed.
 for the linear models, d_pre_i (x) [x_i, 1] and r_i [h_i, 1] for the MLP and
 one shared vector for the quadratic. Two points combine in the coefficients,
 where the features are shared (the MLP's second block, whose h_i moves,
-combines densely). ``mean_grad`` is their unit-weight mean, with the bits of
-``per_sample_grads(...).mean(axis=0)``. Over a whole ``Dataset``, linear
-regression's is G x - b (``dataset_mean_grad``, G and b cached on it; the
-last bits moved); losses stay on residuals, where the G form would cancel.
+combines densely). ``mean_grad`` is their unit-weight mean, one einsum a
+block, with the bits of ``per_sample_grads(...).mean(axis=0)``. Over a whole
+``Dataset``, linear regression's is G x - b (``dataset_mean_grad``, G and b
+cached; the last bits moved); losses stay on residuals, where G would cancel.
 
 ``evaluate`` gives the mean loss and mean gradient at a block of up to
 ``EVAL_BLOCK`` states, each state's from one forward pass (residual, margins,
 or hidden layer and residual). Every loss is ``==`` to ``full_loss``. The MLP's
 and the quadratic's gradients are ``==`` to ``mean_grad``; the linear models'
 are one product ``W @ X / n`` for the whole block, W holding each state's
-coefficients, so they differ from ``mean_grad`` only in the order of the sum.
-The logistic margins m come with e = exp(-|m|), taken once: the loss is
-log1p(e) + max(-m, 0), numpy's ``logaddexp(0, -m)`` formula with the vector
-exp (within 3 ulp of it), and the weights are -y where(m >= 0, e, 1) / (1 + e).
+coefficients in a zero-padded block that ``evaluate`` allocates, so they differ
+from ``mean_grad`` only in the order of the sum. The logistic margins m come
+with e = exp(-|m|), taken once: the loss is log1p(e) + max(-m, 0), numpy's
+``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it), and the
+weights are -y where(m >= 0, e, 1) / (1 + e).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Dataset:
     theta_star: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        # C order fixes the order in which rows are summed (see ``_row_mean``)
+        # C order fixes the order in which rows are summed (see ``GradFactors.mean``)
         for name in ("X", "y"):  # read-only; an array the caller can write is copied
             a = getattr(self, name)
             arr = np.ascontiguousarray(a, dtype=float)
@@ -142,19 +143,6 @@ def _with_ones(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_mean(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``(w[:, None] * X).mean(axis=0)`` with the same bits, without the product.
-
-    Both add the rows in order and divide by n once. einsum keeps that order
-    while the columns of X are its inner loop, which needs X C-contiguous and
-    at least two columns wide. A single column is contiguous, and there the
-    mean itself sums with partial sums, so it is kept; the product is (n, 1).
-    """
-    if X.shape[1] == 1:
-        return (w[:, None] * X).mean(axis=0)
-    return np.einsum("i,ij->j", w, np.ascontiguousarray(X)) / len(X)
-
-
 @dataclass
 class GradFactors:
     """A batch's per-sample gradients, factored: block b of row i is the
@@ -172,18 +160,20 @@ class GradFactors:
                           for c, f in zip(self.coefs, self.feats)])
 
     def mean(self, weights: np.ndarray | None = None) -> np.ndarray:
-        """Mean of the rows times ``weights`` (1 when None), summed in row order
-        without the rows. A shared row's own mean over the batch gives the bits
-        of the mean of its repeats."""
+        """Mean of the rows times ``weights`` (1 when None), with the bits of
+        the dense rows' ``mean(axis=0)`` and without the rows: einsum adds them in
+        order when the feature columns, C-contiguous and at least two, are its inner
+        loop; one column is the dense product, whose mean sums pairwise. A shared
+        row's own mean over the batch gives the bits of the mean of its repeats."""
         means = []
         for c, f in zip(self.coefs, self.feats):
             c = c if weights is None else weights[:, None] * c
             if len(f) < len(c):
                 means.append(np.broadcast_to(f[0], (len(c), f.shape[1])).mean(axis=0) * c.mean())
-            elif c.shape[1] == 1:
-                means.append(_row_mean(c[:, 0], f))
+            elif f.shape[1] == 1:
+                means.append((c * f).mean(axis=0))
             else:
-                means.append(np.einsum("ik,im->km", c, f) / len(c))
+                means.append(np.einsum("ik,im->km", c, np.ascontiguousarray(f)).ravel() / len(c))
         return self.pack(means)
 
 
@@ -261,21 +251,24 @@ class Objective:
         ``per_sample_grads(x, X, y).mean(axis=0)`` for C-contiguous X."""
         return self.grad_factors(x, X, y).mean()
 
-    def evaluate(self, xs, X, y, W: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, xs, X, y) -> tuple[np.ndarray, np.ndarray]:
         """Mean losses (k,) and mean gradients (k, d) at the k rows of ``xs``,
-        1 <= k <= ``EVAL_BLOCK``; each loss has the bits of ``full_loss``. ``W``
-        is an (EVAL_BLOCK, n) buffer a caller may reuse across blocks; the
-        linear models' override fills it, here each state runs on its own."""
+        1 <= k <= ``EVAL_BLOCK``; each loss has the bits of ``full_loss``. Here
+        each state runs on its own; the linear models' override takes one product."""
         xs = self._check_block(xs)
         losses, grads = np.empty(len(xs)), np.empty(xs.shape)
         for i, x in enumerate(xs):
             losses[i], grads[i] = self._loss_and_mean_grad(x, X, y)
         return losses, grads
 
+    def mean_loss(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+        """Mean of the per-sample losses."""
+        return self.per_sample_losses(x, X, y).mean()
+
     def _loss_and_mean_grad(self, x, X, y):
-        """One state's ``(per_sample_losses(...).mean(), mean_grad(...))``; an
-        override runs the forward pass once for both, with the same bits."""
-        return self.per_sample_losses(x, X, y).mean(), self.mean_grad(x, X, y)
+        """One state's ``(mean_loss(...), mean_grad(...))``; an override runs
+        the forward pass once for both, with the same bits."""
+        return self.mean_loss(x, X, y), self.mean_grad(x, X, y)
 
     def smoothness(self, dataset: Dataset | None = None) -> float | None:
         """Smoothness constant of the mean loss, when computable exactly."""
@@ -324,10 +317,12 @@ class Quadratic(Objective):
         self.x_star = np.zeros(self.dim) if x_star is None else np.asarray(x_star, dtype=float)
 
     def per_sample_losses(self, x, X, y):
-        x = self._check_dim(x)
-        r = x - self.x_star
-        val = 0.5 * float(r @ self.H @ r)
-        return np.full(len(X), val)
+        return np.full(len(X), self.mean_loss(x, X, y))
+
+    def mean_loss(self, x, X, y):
+        # every sample's loss, as is: a mean over n copies of it rounds at some n
+        r = self._check_dim(x) - self.x_star
+        return 0.5 * float(r @ self.H @ r)
 
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
         g = self.H @ (self._check_dim(x) - self.x_star)
@@ -363,12 +358,11 @@ class _GeneralisedLinear(Objective):
         """The mean loss and the coefficients c at one state, from one forward pass."""
         raise NotImplementedError
 
-    def evaluate(self, xs, X, y, W=None):
-        """Each state's loss and coefficients from its own forward pass; the
-        block's gradients from one product (see ``EVAL_BLOCK``)."""
+    def evaluate(self, xs, X, y):
+        """Each state's loss and coefficients from its own forward pass, in a
+        row of W; the block's gradients from one product (see ``EVAL_BLOCK``)."""
         xs = self._check_block(xs)
-        W = np.empty((EVAL_BLOCK, len(X))) if W is None else W
-        W[len(xs):] = 0.0
+        W = np.zeros((EVAL_BLOCK, len(X)))
         losses = np.empty(len(xs))
         for i, x in enumerate(xs):
             losses[i], W[i] = self._loss_and_coef(x, X, y)
@@ -558,7 +552,7 @@ def full_gradient(obj: Objective, x: np.ndarray, dataset: Dataset) -> np.ndarray
 
 
 def full_loss(obj: Objective, x: np.ndarray, dataset: Dataset) -> float:
-    return float(obj.per_sample_losses(x, dataset.X, dataset.y).mean())
+    return float(obj.mean_loss(x, dataset.X, dataset.y))
 
 
 def minibatches(n: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:

@@ -229,8 +229,8 @@ def privacy_utility_bound(
 
         bound = 4 C sqrt(2 m_kappa L gap0 d ln(1/delta)) / (N eps).
     """
-    if N < 1 or epsilon <= 0 or not 0 < delta < 1 or C <= 0:
-        raise ValueError("need N >= 1, epsilon > 0, delta in (0,1), C > 0")
+    if N < 1 or not 0 < epsilon < math.inf or not 0 < delta < 1 or not 0 < C < math.inf:
+        raise ValueError("need N >= 1, finite epsilon > 0, delta in (0,1), finite C > 0")
     m_kappa = curvature_ratio(pc)
     log_term = math.log(1.0 / delta)
     T = math.sqrt(2.0) * N * epsilon / (C * math.sqrt(pc.dim * log_term))

@@ -751,6 +751,10 @@ def test_config_validation():
         (FullFilterConfig, {"gamma": math.inf}, "gamma"),
         (FullFilterConfig, {"gamma": 0.0}, "gamma"),
         (FullFilterConfig, {"sigma_w_sq": 0.4, "sigma_h_sq": 0.5}, "p would turn negative"),
+        (DiskConfig, {"momentum": 1.0}, r"momentum must lie in \[0, 1\), got 1.0"),
+        (DiskConfig, {"momentum": -0.1}, r"momentum must lie in \[0, 1\), got -0.1"),
+        (DiskConfig, {"eps_adam": 0.0}, "eps_adam must be > 0"),
+        (DiskConfig, {"weight_decay": -0.1}, "weight_decay must be >= 0"),
     ],
 )
 def test_config_rejects_bad_values(cls, kwargs, match):

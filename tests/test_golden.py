@@ -10,15 +10,43 @@ constants (gap0, grad0_sq), the f* estimate and the bound evaluators. The
 filter that the estimator-quality simulation runs. A refactor that keeps the
 trajectories keeps these hashes; a change that is meant to alter an output
 must say so and record the new hash. Tiny runs give the same bytes at 1 and
-2 BLAS threads.
+2 BLAS threads. The hashes hold on the OpenBLAS kernel they were taken on,
+``KERNEL``; another kernel sums in another order, and a run on it fails
+``test_hashes_were_taken_on_this_openblas_kernel``, which names both.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
+import os
 
+import numpy as np
 import pytest
 
 from dpkf.cli import main as cli_main
+
+# The core name of the OpenBLAS kernel the hashes below were taken on.
+KERNEL = "SkylakeX"
+
+
+def openblas_kernel() -> str | None:
+    """The core name of the OpenBLAS in ``numpy.libs``, the library
+    ``objectives._openblas_threads`` finds; None when numpy bundles none."""
+    libdir = os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def test_hashes_were_taken_on_this_openblas_kernel():
+    kernel = openblas_kernel()
+    assert kernel == KERNEL, (
+        f"the golden hashes were taken on the {KERNEL} OpenBLAS kernel; this run uses {kernel}"
+    )
 
 LOGREG = {
     "seed": 2,

@@ -1072,7 +1072,7 @@ def test_run_stops_at_a_state_whose_loss_overflows(objective):
 
 def test_train_evaluation_holds_one_block_buffer(monkeypatch):
     """At the benchmark's n 5000, p 50, a run's evaluation allocates, above the
-    run's entry level, its one (EVAL_BLOCK, n) weight buffer and one state's
+    run's entry level, one block's (EVAL_BLOCK, n) weight buffer and one state's
     forward-pass temporaries (measured alone), plus 64 KB for the block's
     (EVAL_BLOCK, d) arrays, states and records: less than a second buffer."""
     import tracemalloc

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpkf import seeding
+from dpkf import harness, seeding
 from dpkf.objectives import (
     _sigmoid_neg,
     EVAL_BLOCK,
     Dataset,
+    GradFactors,
     full_gradient,
     full_loss,
     gen_classification,
@@ -288,6 +289,31 @@ def test_mean_grad_is_bitwise_per_sample_mean(kind, n, p, hidden, log_scale, see
     assert np.array_equal(obj.mean_grad(x, X, y), expected)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    B=st.integers(1, 70),
+    k=st.integers(1, 16),
+    m=st.integers(1, 25),
+    weighted=st.booleans(),
+    order=st.sampled_from("CF"),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(B=70, k=1, m=1, weighted=True, order="C", seed=0)
+@example(B=70, k=1, m=25, weighted=False, order="F", seed=1)
+@example(B=33, k=16, m=2, weighted=True, order="F", seed=2)
+def test_factored_mean_is_bitwise_dense_mean(B, k, m, weighted, order, seed):
+    """A per-row block's mean, weights in (0, 1] or none, has the bits of the
+    mean of the dense C-ordered rows, whether the features are C- or
+    Fortran-ordered."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((B, k))
+    f = rng.standard_normal((B, m))
+    w = 1.0 - rng.random(B) if weighted else None
+    wc = c if w is None else w[:, None] * c
+    dense = (wc[:, :, None] * f[:, None, :]).reshape(B, -1).mean(axis=0)
+    assert np.array_equal(GradFactors([c], [np.asarray(f, order=order)]).mean(w), dense)
+
+
 def _gamma(m: int) -> float:
     """Higham's gamma_m = m u / (1 - m u), u the unit roundoff of float64."""
     u = np.finfo(float).eps / 2
@@ -356,13 +382,12 @@ def test_evaluate_row_bits_depend_on_the_state_alone(kind, n, p):
     to EVAL_BLOCK rows, where OpenBLAS computes every row alike."""
     obj, ds, xs = _evaluation_problem(kind, n, p, EVAL_BLOCK, 40.5, n + p)
     losses, grads = obj.evaluate(xs, ds.X, ds.y)
-    W = np.full((EVAL_BLOCK, n), np.nan)  # a reused buffer's old rows must not leak in
     for shift in range(1, EVAL_BLOCK):
-        got_l, got_g = obj.evaluate(np.roll(xs, shift, axis=0), ds.X, ds.y, W)
+        got_l, got_g = obj.evaluate(np.roll(xs, shift, axis=0), ds.X, ds.y)
         assert np.array_equal(np.roll(got_l, -shift), losses)
         assert np.array_equal(np.roll(got_g, -shift, axis=0), grads)
     for k in range(1, EVAL_BLOCK):
-        got_l, got_g = obj.evaluate(xs[:k], ds.X, ds.y, W)
+        got_l, got_g = obj.evaluate(xs[:k], ds.X, ds.y)
         assert np.array_equal(got_l, losses[:k]) and np.array_equal(got_g, grads[:k])
     for i in range(EVAL_BLOCK):
         got_l, got_g = obj.evaluate(xs[i : i + 1], ds.X, ds.y)
@@ -476,6 +501,20 @@ def test_gradient_zero_at_quadratic_minimizer():
     ds = obj.placeholder_dataset(4)
     assert np.linalg.norm(full_gradient(obj, np.array([1.0, 1.0, -1.0]), ds)) == 0.0
     assert full_loss(obj, np.array([1.0, 1.0, -1.0]), ds) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 100])
+def test_quadratic_mean_loss_does_not_depend_on_the_placeholder_size(n):
+    """Every sample has the loss 0.5 (x - x*)^T H (x - x*), so the mean over
+    n samples is that value at every n; bounds-quadratic's problem."""
+    problem = {"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 2.0, 4.0]}
+    obj, ds = harness.build_problem(problem, 13, batch_floor=n)
+    assert ds.n == n
+    x = obj.init_point(13, 2.0)
+    r = x - obj.x_star
+    want = 0.5 * float(r @ obj.H @ r)
+    (loss,), _ = obj.evaluate([x], ds.X, ds.y)
+    assert full_loss(obj, x, ds) == loss == want
 
 
 def test_hessian_action_finite_difference_identity():

@@ -219,6 +219,16 @@ def test_privacy_utility_bound_values_and_monotonicity():
     assert b4 == pytest.approx(2 * b1)
 
 
+@pytest.mark.parametrize(
+    "epsilon, C", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)],
+    ids=["epsilon-inf", "epsilon-nan", "C-inf", "C-nan"],
+)
+def test_privacy_utility_bound_refuses_non_finite_budget_or_clip(epsilon, C):
+    pc = ProblemConstants(L=1.0, gap0=1.0, grad0_sq=1.0, dim=1)
+    with pytest.raises(ValueError, match="finite epsilon > 0, delta in \\(0,1\\), finite C > 0"):
+        privacy_utility_bound(pc, N=1000, epsilon=epsilon, delta=1e-5, C=C)
+
+
 # ---------------------------------------------------------------------------
 # empirical bound check (small version; the full one lives in acceptance)
 # ---------------------------------------------------------------------------
