@@ -10,20 +10,24 @@ for the linear models, d_pre_i (x) [x_i, 1] and r_i [h_i, 1] for the MLP and
 one shared vector for the quadratic. Two points combine in the coefficients,
 where the features are shared (the MLP's second block, whose h_i moves,
 combines densely). ``mean_grad`` is their unit-weight mean, one einsum a
-block, with the bits of ``per_sample_grads(...).mean(axis=0)``. Over a whole
-``Dataset``, linear regression's is G x - b (``dataset_mean_grad``, G and b
-cached; the last bits moved); losses stay on residuals, where G would cancel.
+block, with the bits of ``per_sample_grads(...).mean(axis=0)``; the
+quadratic's is its shared row, which a mean over n copies would round. Over a
+whole ``Dataset``, linear regression's is G x - b (``dataset_mean_grad``, G and
+b cached; the last bits moved); losses stay on residuals, where G would cancel.
 
 ``evaluate`` gives the mean loss and mean gradient at a block of up to
-``EVAL_BLOCK`` states, each state's from one forward pass (residual, margins,
-or hidden layer and residual). Every loss is ``==`` to ``full_loss``. The MLP's
-and the quadratic's gradients are ``==`` to ``mean_grad``; the linear models'
-are one product ``W @ X / n`` for the whole block, W holding each state's
-coefficients in a zero-padded block that ``evaluate`` allocates, so they differ
-from ``mean_grad`` only in the order of the sum. The logistic margins m come
-with e = exp(-|m|), taken once: the loss is log1p(e) + max(-m, 0), numpy's
+``EVAL_BLOCK`` states, and holds ``one_blas_thread``. Every loss is ``==`` to
+``full_loss``. The MLP's and the quadratic's states each run one forward pass,
+and their gradients are ``==`` to ``mean_grad``. The linear models hold each
+state's coefficients in a row of a zero-padded block W, and the block's
+gradients are one product ``W @ X / n``, so they differ from ``mean_grad`` only
+in the order of the sum. Logistic regression takes the whole block's margins m
+from one padded product ``XS @ X.T``, which becomes W: row by row, with
+e = exp(-|m|) taken once, the loss is log1p(e) + max(-m, 0), numpy's
 ``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it), and the
-weights are -y where(m >= 0, e, 1) / (1 + e).
+row is then overwritten by the weights -y where(m >= 0, e, 1) / (1 + e). One
+state's ``per_sample_losses`` come from the same padded product; the step's
+``grad_factors`` keep the margins of ``X @ x``.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ import numpy as np
 
 from . import seeding
 
-# States per ``evaluate`` product. OpenBLAS picks its kernel by the row count
-# of W, and a row's bits differ between 1-4 rows and 8 (n 5000, p 50); at 8
-# rows they are the same at every position. So W always has 8 rows, zero past
-# the states given, and a state's gradient bits depend on the state alone. At
-# large n they also depend on the BLAS thread count (n 5000: other bits at 2
-# threads than at 1), so every run holds ``one_blas_thread``.
+# States per ``evaluate`` block. OpenBLAS picks its kernel by the row count of
+# the left factor, and a row's bits differ between 1-4 rows and 8 (n 5000,
+# p 50); at 8 rows they are the same at every position. So the logistic
+# margins ``XS @ X.T`` and the gradients ``W @ X`` always take 8 rows, zero
+# past the states given, and a state's loss and gradient bits depend on the
+# state alone. At large n ``W @ X`` also depends on the BLAS thread count
+# (n 5000: other bits at 2 threads than at 1), so ``evaluate`` holds
+# ``one_blas_thread``.
 EVAL_BLOCK = 8
 
 
@@ -164,12 +170,13 @@ class GradFactors:
         the dense rows' ``mean(axis=0)`` and without the rows: einsum adds them in
         order when the feature columns, C-contiguous and at least two, are its inner
         loop; one column is the dense product, whose mean sums pairwise. A shared
-        row's own mean over the batch gives the bits of the mean of its repeats."""
+        row's mean is the row times the mean weight: a mean over its n copies
+        would round at some n."""
         means = []
         for c, f in zip(self.coefs, self.feats):
             c = c if weights is None else weights[:, None] * c
             if len(f) < len(c):
-                means.append(np.broadcast_to(f[0], (len(c), f.shape[1])).mean(axis=0) * c.mean())
+                means.append(f[0] * c.mean())
             elif f.shape[1] == 1:
                 means.append((c * f).mean(axis=0))
             else:
@@ -248,13 +255,16 @@ class Objective:
 
     def mean_grad(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mean of the per-sample gradients, from their factors; the bits of
-        ``per_sample_grads(x, X, y).mean(axis=0)`` for C-contiguous X."""
+        ``per_sample_grads(x, X, y).mean(axis=0)`` for C-contiguous X, but for
+        the quadratic, whose mean is its shared row."""
         return self.grad_factors(x, X, y).mean()
 
+    @one_blas_thread()
     def evaluate(self, xs, X, y) -> tuple[np.ndarray, np.ndarray]:
         """Mean losses (k,) and mean gradients (k, d) at the k rows of ``xs``,
         1 <= k <= ``EVAL_BLOCK``; each loss has the bits of ``full_loss``. Here
-        each state runs on its own; the linear models' override takes one product."""
+        each state runs on its own; the linear models' override takes one product
+        for the block's gradients."""
         xs = self._check_block(xs)
         losses, grads = np.empty(len(xs)), np.empty(xs.shape)
         for i, x in enumerate(xs):
@@ -354,18 +364,17 @@ class _GeneralisedLinear(Objective):
     def _coef(self, x, X, y):
         raise NotImplementedError
 
-    def _loss_and_coef(self, x, X, y):
-        """The mean loss and the coefficients c at one state, from one forward pass."""
+    def _block_coefs(self, xs, X, y):
+        """The mean losses (k,) at the k states ``xs`` and their coefficients
+        c, one state a row of a zero-padded (EVAL_BLOCK, n) block."""
         raise NotImplementedError
 
+    @one_blas_thread()
     def evaluate(self, xs, X, y):
-        """Each state's loss and coefficients from its own forward pass, in a
-        row of W; the block's gradients from one product (see ``EVAL_BLOCK``)."""
+        """Each state's loss and coefficients, in a row of W; the block's
+        gradients from one product (see ``EVAL_BLOCK``)."""
         xs = self._check_block(xs)
-        W = np.zeros((EVAL_BLOCK, len(X)))
-        losses = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            losses[i], W[i] = self._loss_and_coef(x, X, y)
+        losses, W = self._block_coefs(xs, X, y)
         return losses, (W @ X)[: len(xs)] / len(X)
 
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
@@ -396,9 +405,13 @@ class LinearRegression(_GeneralisedLinear):
             z = x if ahead is None else x + a * (ahead - x)
             return batch.second_moment @ self._check_dim(z) - batch.moment_xy
 
-    def _loss_and_coef(self, x, X, y):
-        r = self._coef(x, X, y)
-        return (0.5 * r**2).mean(), r
+    def _block_coefs(self, xs, X, y):
+        W = np.zeros((EVAL_BLOCK, len(X)))
+        losses = np.empty(len(xs))
+        for i, x in enumerate(xs):
+            W[i] = r = self._coef(x, X, y)
+            losses[i] = (0.5 * r**2).mean()
+        return losses, W
 
 
 class LogisticRegression(_GeneralisedLinear):
@@ -407,25 +420,39 @@ class LogisticRegression(_GeneralisedLinear):
     kind = "logistic-regression"
     curvature = 0.25
 
-    def _margins(self, x, X, y):
-        """m_i = y_i <a_i, x> and exp(-|m_i|), which the loss and its weights share."""
-        m = y * (X @ self._check_dim(x))
-        return m, np.exp(-np.abs(m))
+    @staticmethod
+    def _block_margins(xs, X, y):
+        """The margins y_i <a_i, x> of the states ``xs``, zero-padded to
+        EVAL_BLOCK rows: one product ``XS @ X.T``, whose rows OpenBLAS computes
+        alike, so a state's margins have the same bits at every row position."""
+        XS = np.zeros((EVAL_BLOCK, X.shape[1]))
+        XS[: len(xs)] = xs
+        M = XS @ X.T
+        M *= y
+        return M
 
     @staticmethod
     def _weights(m, e, y):
-        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i)."""
+        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), from e = exp(-|m_i|)."""
         return -y * _sigmoid_neg(m, e)
 
     def _coef(self, x, X, y):
-        return self._weights(*self._margins(x, X, y), y)
+        m = y * (X @ self._check_dim(x))
+        return self._weights(m, np.exp(-np.abs(m)), y)
 
     def per_sample_losses(self, x, X, y):
-        return _log1p_exp_neg(*self._margins(x, X, y))
+        m = self._block_margins(self._check_dim(x)[None, :], X, y)[0]
+        return _log1p_exp_neg(m, np.exp(-np.abs(m)))
 
-    def _loss_and_coef(self, x, X, y):
-        m, e = self._margins(x, X, y)
-        return _log1p_exp_neg(m, e).mean(), self._weights(m, e, y)
+    def _block_coefs(self, xs, X, y):
+        # each row of margins gives its loss, then is overwritten by its weights
+        W = self._block_margins(xs, X, y)
+        losses = np.empty(len(xs))
+        for i, m in enumerate(W[: len(xs)]):
+            e = np.exp(-np.abs(m))
+            losses[i] = _log1p_exp_neg(m, e).mean()
+            m[:] = self._weights(m, e, y)
+        return losses, W
 
 
 class TinyMLP(Objective):

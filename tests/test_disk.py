@@ -667,8 +667,14 @@ def single_point_problem(kind):
 
 
 def per_sample_step(state, batch, obj, cfg, rng):
-    """Reference single-point step: it averages the per-sample matrix."""
-    g = matrix_observe(obj.per_sample_grads(state.x, *batch), cfg, rng)
+    """Reference single-point step: it averages the per-sample matrix. The
+    quadratic's rows are B copies of one shared row, whose mean is that row
+    times the mean weight, 1: a mean over the copies would round at some B."""
+    G = obj.per_sample_grads(state.x, *batch)
+    if obj.kind == "quadratic":
+        assert (G == G[0]).all()
+        G = G[:1] * np.ones(len(G)).mean()
+    g = matrix_observe(G, cfg, rng)
     prev = g if state.g_filt is None else state.g_filt
     g_filt = g if cfg.kappa == 1.0 else (1.0 - cfg.kappa) * prev + cfg.kappa * g
     x_new, moments = apply_base_update(cfg, state.x, g_filt, state.moments)

@@ -213,21 +213,21 @@ GOLDEN = {
     "sweep-full-kf": "ddd1357cd76e60689f51fdc4ba4daee2b52a48cf14d578120b6dd0dce4272e3e",
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
-    "sweep-noisy-lp": "6e11b0711dabf7178fd19b4543d2d1abe325347871e9761a2db0c28fc8b312f4",
-    "train-disk": "3d96d4459a06c6a99fae61f30f7e8a9947b07535143f79c8bc4f1b00b0f9e99b",
-    "train-dpsgd": "b39d42c14ea20a6e45abe7c0669dd8c575b4753dfa6c96dc0c86bbc7c8f2d5d4",
-    "train-dpsgd-target": "0c54b948d4b43689f675a2750e99282457cc317d4f72abf6974e595bc3f2cbec",
-    "train-dpsgd-unclipped": "89a5f7ae3bea646cbdb0d4f996421f36c3d321148aabe59053e8fc1ef9058321",
+    "sweep-noisy-lp": "2c05541c1f046a730509868f2819a28472d12b9c2b925f6d967308e385d98cd6",
+    "train-disk": "5f0543b2f89ca3a07f0ebef9b86e8d1e1f1afe8ff0fcf750150cc19964616026",
+    "train-dpsgd": "0faf0c1b01a79791981075584dd22122652ef60dbdd7bf39a07d47d5d2eafcad",
+    "train-dpsgd-target": "8128d60b8af5ceeb3ff2e7d6e26a4e663a145b82083148f3ab2c6788fa588441",
+    "train-dpsgd-unclipped": "d316657440fbec15bc578a989ba334578cd415050b81edbc2dd0b6274100768f",
     "train-linreg-p1": "bfa6904c6df4ac77f67b0182b2990b40f5477dd8e0e3ec62139e5b77b80b731b",
     "train-linreg-p1-noisy-gd": "b5951f53179fbd669e291b9be11c8b2d2df33e97446519953db05802ebec1ffd",
     "train-logreg-bench": "c8c2906de952798ff4c9590350abf753e54da7e43c619c8c04bb3b8d2cc69bdf",
-    "train-logreg-wide": "3733bbf372ecced7c8c0f80609a60ced0814d33ea9f3e8617ddd80843e73b65a",
+    "train-logreg-wide": "843b1e2ee7d5cb8925045ca7ad49aa0d26d2d10ecc6e90a1672e3dabf9f800e9",
     "train-mlp-wide": "08664153f68b2f3d34b5a5b27178068ff5836c74f3adb33f37a4fe8c2b119f23",
     "train-full-kf": "d013cf5bcdda3cfa104b1442a2669526ae218ef876290156a322815815e41116",
     "train-mlp-wide-noisy-gd": "dd2757d51d57fcd2b30050c801d0fa2f477a6514cc29f8c451247875a102d626",
-    "train-noisy-gd": "ac5f41ea0540be34666574271eccf5584aab6969d80d3ee7b76eae0c3e78767b",
-    "train-noisy-kf": "3d96d4459a06c6a99fae61f30f7e8a9947b07535143f79c8bc4f1b00b0f9e99b",
-    "train-noisy-lp": "61212ed558e552aaa1d770ebb7d35f5451e66da83020a5a8f0e203d4ddc667d2",
+    "train-noisy-gd": "142d5f5862e5b93b6c02667cecd37fda228bf5735461b044e46e646a6a639496",
+    "train-noisy-kf": "5f0543b2f89ca3a07f0ebef9b86e8d1e1f1afe8ff0fcf750150cc19964616026",
+    "train-noisy-lp": "d0b55c39cd0c2576c7094880bca4c497aff2cda22862f6435bdf827deb392534",
 }
 
 # name -> argv of a ``calibrate`` command whose stdout is hashed

@@ -1072,8 +1072,9 @@ def test_run_stops_at_a_state_whose_loss_overflows(objective):
 
 def test_train_evaluation_holds_one_block_buffer(monkeypatch):
     """At the benchmark's n 5000, p 50, a run's evaluation allocates, above the
-    run's entry level, one block's (EVAL_BLOCK, n) weight buffer and one state's
-    forward-pass temporaries (measured alone), plus 64 KB for the block's
+    run's entry level, one block's (EVAL_BLOCK, n) margins, which become its
+    weights, and one state's forward-pass temporaries (the step's margins and
+    weights at one state, measured alone), plus 64 KB for the block's
     (EVAL_BLOCK, d) arrays, states and records: less than a second buffer."""
     import tracemalloc
 
@@ -1097,7 +1098,7 @@ def test_train_evaluation_holds_one_block_buffer(monkeypatch):
         run_experiment(cfg, 1, (obj, ds))
         tracemalloc.reset_peak()
         level = tracemalloc.get_traced_memory()[0]
-        obj._loss_and_coef(obj.init_point(1), ds.X, ds.y)
+        obj._coef(obj.init_point(1), ds.X, ds.y)
         one_state = tracemalloc.get_traced_memory()[1] - level
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpkf import harness, seeding
+from dpkf import harness, objectives, seeding
 from dpkf.objectives import (
     _sigmoid_neg,
     EVAL_BLOCK,
@@ -351,6 +351,7 @@ def _evaluation_problem(kind, n, p, k, tail, seed):
 @example(kind="logistic-regression", n=300, p=60, k=8, tail=-90.0, seed=1)
 @example(kind="mlp", n=1, p=1, k=3, tail=40.5, seed=2)
 @example(kind="linear-regression", n=300, p=1, k=5, tail=40.5, seed=3)
+@example(kind="logistic-regression", n=5000, p=50, k=EVAL_BLOCK, tail=40.5, seed=4)  # the benchmark's
 def test_evaluate_keeps_loss_bits_and_sums_gradients_within_the_bound(kind, n, p, k, tail, seed):
     """Losses are ``==`` to ``full_loss``. The MLP's and the quadratic's
     gradients are ``==`` to ``mean_grad``; a linear model's are the same
@@ -394,6 +395,50 @@ def test_evaluate_row_bits_depend_on_the_state_alone(kind, n, p):
         assert np.array_equal(got_l, losses[i : i + 1]) and np.array_equal(got_g, grads[i : i + 1])
 
 
+@pytest.mark.parametrize("n, p", [(5000, 50), (300, 60), (40, 1), (1, 3)])
+def test_logistic_mean_loss_has_the_bits_of_every_block_position(n, p):
+    """One state's ``per_sample_losses(x, X, y).mean()`` takes its margins from
+    the same padded product as ``evaluate``, so it is ``==`` to the state's
+    loss at each of the EVAL_BLOCK positions of a block."""
+    obj, ds, xs = _evaluation_problem("logistic-regression", n, p, EVAL_BLOCK, 40.5, n + p)
+    for shift in range(EVAL_BLOCK):
+        rolled = np.roll(xs, shift, axis=0)
+        losses, _ = obj.evaluate(rolled, ds.X, ds.y)
+        for x, loss in zip(rolled, losses):
+            assert obj.per_sample_losses(x, ds.X, ds.y).mean() == loss
+
+
+def test_evaluation_bits_do_not_depend_on_the_callers_blas_thread_count():
+    """At n 5000, p 50, ``W @ X`` gives other bits at 2 OpenBLAS threads than
+    at 1; ``evaluate`` holds one thread itself, so the logistic and linear
+    blocks, and the logistic ``full_loss``, keep their bits whatever the caller
+    set."""
+    blas = objectives._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, put = blas
+    xs = np.random.default_rng(3).standard_normal((EVAL_BLOCK, 50)) / 4
+    problems = [
+        (make_objective("logistic-regression", 50), gen_classification(5000, 50, 3)),
+        (make_objective("linear-regression", 50), gen_linear_regression(5000, 50, 0.3, 3)),
+    ]
+    before = get()
+    seen = {}
+    try:
+        for threads in (1, 2):
+            put(threads)
+            seen[threads] = [obj.evaluate(xs, ds.X, ds.y) for obj, ds in problems]
+            seen[threads].append([full_loss(problems[0][0], x, problems[0][1]) for x in xs])
+            assert get() == threads  # the caller's count is restored
+    finally:
+        put(before)
+    (l1, g1), (r1, h1), f1 = seen[1]
+    (l2, g2), (r2, h2), f2 = seen[2]
+    for one, two in ((l1, l2), (g1, g2), (r1, r2), (h1, h2)):
+        assert one.tobytes() == two.tobytes()
+    assert f1 == f2 and f1 == l1.tolist()
+
+
 @pytest.mark.parametrize("k", [0, EVAL_BLOCK + 1])
 def test_evaluate_rejects_a_block_outside_one_to_eval_block(k):
     obj, ds, _ = build("logistic-regression", 3, 0)
@@ -432,7 +477,8 @@ def test_sigmoid_neg_matches_masked_two_branch_form():
 def logistic_losses(margins):
     """``LogisticRegression.per_sample_losses`` at the given margins (y = 1, x = 1)."""
     m = np.asarray(margins, dtype=float)
-    return make_objective("logistic-regression", 1).per_sample_losses(np.ones(1), m[:, None], np.ones(len(m)))
+    with np.errstate(invalid="ignore"):  # the padded zero states times an infinite margin
+        return make_objective("logistic-regression", 1).per_sample_losses(np.ones(1), m[:, None], np.ones(len(m)))
 
 
 def test_logistic_loss_edges():
@@ -501,6 +547,20 @@ def test_gradient_zero_at_quadratic_minimizer():
     ds = obj.placeholder_dataset(4)
     assert np.linalg.norm(full_gradient(obj, np.array([1.0, 1.0, -1.0]), ds)) == 0.0
     assert full_loss(obj, np.array([1.0, 1.0, -1.0]), ds) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 100, 1000])
+def test_quadratic_mean_grad_does_not_depend_on_the_placeholder_size(n):
+    """Every sample has the gradient H (x - x*), so the mean over n samples is
+    that vector at every n: the shared row times the mean weight, 1."""
+    problem = {"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 2.0, 4.0]}
+    obj, ds = harness.build_problem(problem, 13, batch_floor=n)
+    assert ds.n == n
+    x0 = obj.init_point(13, 2.0)
+    want = obj.H @ (x0 - obj.x_star)
+    assert obj.mean_grad(x0, ds.X, ds.y).tobytes() == want.tobytes()
+    _, (g,) = obj.evaluate([x0], ds.X, ds.y)
+    assert g.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 50, 100])
