@@ -20,14 +20,15 @@ b cached; the last bits moved); losses stay on residuals, where G would cancel.
 ``full_loss``. The MLP's and the quadratic's states each run one forward pass,
 and their gradients are ``==`` to ``mean_grad``. The linear models hold each
 state's coefficients in a row of a zero-padded block W, and the block's
-gradients are one product ``W @ X / n``, so they differ from ``mean_grad`` only
-in the order of the sum. Logistic regression takes the whole block's margins m
-from one padded product ``XS @ X.T``, which becomes W: row by row, with
-e = exp(-|m|) taken once, the loss is log1p(e) + max(-m, 0), numpy's
-``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it), and the
-row is then overwritten by the weights -y where(m >= 0, e, 1) / (1 + e). One
-state's ``per_sample_losses`` come from the same padded product; the step's
-``grad_factors`` keep the margins of ``X @ x``.
+gradients are one product ``W @ X / n``, so linear regression's differ from
+``mean_grad`` only in the order of the sum. Logistic regression takes the
+whole block's margins m from one padded product ``XS @ X.T``, which becomes W:
+row by row, with e = exp(-|m|) taken once, the loss is log1p(e) + max(-m, 0),
+numpy's ``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it),
+and the row is then overwritten by the weights -y where(m >= 0, e, 1) / (1 + e).
+One state's ``per_sample_losses`` come from the same padded product; the
+step's ``grad_factors`` keep the margins of ``X @ x``, so logistic gradients
+differ from ``mean_grad`` also in the rounding of the margins.
 """
 
 from __future__ import annotations

@@ -352,24 +352,43 @@ def _evaluation_problem(kind, n, p, k, tail, seed):
 @example(kind="mlp", n=1, p=1, k=3, tail=40.5, seed=2)
 @example(kind="linear-regression", n=300, p=1, k=5, tail=40.5, seed=3)
 @example(kind="logistic-regression", n=5000, p=50, k=EVAL_BLOCK, tail=40.5, seed=4)  # the benchmark's
+@example(kind="logistic-regression", n=2, p=2, k=1, tail=90.0, seed=0)  # margins differ from X @ x
 def test_evaluate_keeps_loss_bits_and_sums_gradients_within_the_bound(kind, n, p, k, tail, seed):
     """Losses are ``==`` to ``full_loss``. The MLP's and the quadratic's
-    gradients are ``==`` to ``mean_grad``; a linear model's are the same
+    gradients are ``==`` to ``mean_grad``; a linear model's are its block's
     coefficients w summed by BLAS instead of in row order. Each of the two sums
     of n products, divided by n, lies within gamma_{n+1} sum_i |w_i x_ij| / n of
     the exact mean (Higham, Accuracy and Stability, eq. 3.5 and lemma 3.3),
-    whatever the order, so they lie within twice that of each other."""
+    whatever the order, so they lie within twice that of each other. Linear
+    regression's w are ``mean_grad``'s. Logistic regression's are the weights
+    of the padded product's margins, where ``mean_grad`` takes those of
+    ``X @ x``; each margin, a sum of p products, lies within
+    gamma_p sum_j |a_ij x_j| of the exact one, so the two within twice that."""
     obj, ds, xs = _evaluation_problem(kind, n, p, k, tail, seed)
     losses, grads = obj.evaluate(xs, ds.X, ds.y)
     assert losses.shape == (k,) and grads.shape == (k, obj.dim)
-    for x, loss, g in zip(xs, losses, grads):
+    if kind in ("linear-regression", "logistic-regression"):
+        with objectives.one_blas_thread():
+            W = obj._block_coefs(xs, ds.X, ds.y)[1]
+    for i, (x, loss, g) in enumerate(zip(xs, losses, grads)):
         assert loss == full_loss(obj, x, ds)
-        want = full_gradient(obj, x, ds)
         if kind in ("mlp", "quadratic"):
-            assert np.array_equal(g, want)
+            assert np.array_equal(g, full_gradient(obj, x, ds))
             continue
+        w = W[i]
+        if kind == "linear-regression":
+            assert np.array_equal(w, obj._coef(x, ds.X, ds.y))
+        else:
+            with objectives.one_blas_thread():
+                m = obj._block_margins(xs, ds.X, ds.y)[i]
+            assert np.array_equal(w, obj._weights(m, np.exp(-np.abs(m)), ds.y))
+            step = ds.y * (ds.X @ x)
+            # the computed sum of |a_ij x_j| is at least (1 - gamma_p) times the exact one
+            bound = 2 * _gamma(p) * (np.abs(ds.X) @ np.abs(x)) / (1 - _gamma(p))
+            assert (np.abs(m - step) <= bound).all()
+        want = GradFactors([w[:, None]], [ds.X]).mean()
         # the computed sum of |w_i x_ij| is at least (1 - gamma_n) times the exact one
-        sums = np.abs(obj._coef(x, ds.X, ds.y)) @ np.abs(ds.X) / (1 - _gamma(n))
+        sums = np.abs(w) @ np.abs(ds.X) / (1 - _gamma(n))
         assert (np.abs(g - want) <= 2 * _gamma(n + 1) * sums / n).all()
 
 
