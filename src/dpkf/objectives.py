@@ -53,7 +53,8 @@ from . import seeding
 # past the states given, and a state's loss and gradient bits depend on the
 # state alone. At large n ``W @ X`` also depends on the BLAS thread count
 # (n 5000: other bits at 2 threads than at 1), so ``evaluate`` holds
-# ``one_blas_thread``.
+# ``one_blas_thread``, as does the logistic ``per_sample_losses``, whose
+# margins must keep ``evaluate``'s bits.
 EVAL_BLOCK = 8
 
 
@@ -441,6 +442,7 @@ class LogisticRegression(_GeneralisedLinear):
         m = y * (X @ self._check_dim(x))
         return self._weights(m, np.exp(-np.abs(m)), y)
 
+    @one_blas_thread()
     def per_sample_losses(self, x, X, y):
         m = self._block_margins(self._check_dim(x)[None, :], X, y)[0]
         return _log1p_exp_neg(m, np.exp(-np.abs(m)))

@@ -355,41 +355,37 @@ def _evaluation_problem(kind, n, p, k, tail, seed):
 @example(kind="logistic-regression", n=2, p=2, k=1, tail=90.0, seed=0)  # margins differ from X @ x
 def test_evaluate_keeps_loss_bits_and_sums_gradients_within_the_bound(kind, n, p, k, tail, seed):
     """Losses are ``==`` to ``full_loss``. The MLP's and the quadratic's
-    gradients are ``==`` to ``mean_grad``; a linear model's are its block's
+    gradients are ``==`` to ``mean_grad``; a linear model's are ``mean_grad``'s
     coefficients w summed by BLAS instead of in row order. Each of the two sums
     of n products, divided by n, lies within gamma_{n+1} sum_i |w_i x_ij| / n of
     the exact mean (Higham, Accuracy and Stability, eq. 3.5 and lemma 3.3),
-    whatever the order, so they lie within twice that of each other. Linear
-    regression's w are ``mean_grad``'s. Logistic regression's are the weights
-    of the padded product's margins, where ``mean_grad`` takes those of
-    ``X @ x``; each margin, a sum of p products, lies within
-    gamma_p sum_j |a_ij x_j| of the exact one, so the two within twice that."""
+    whatever the order, so they lie within twice that of each other.
+    Logistic regression's coefficients w' come from other margins than
+    ``mean_grad``'s: each margin, a sum of p products, lies within
+    gamma_p sum_j |a_ij x_j| of the exact one, so the two within
+    delta_i = twice that. As |d ln sigmoid(-m) / dm| <= 1, w'_i lies within
+    |w_i| (exp(delta_i) - 1) of w_i, plus the rounding of the two weights
+    (exp within 1 ulp, then three roundings: 5u each, 12u with the second-order
+    terms); the exact means then differ by at most sum_i |w'_i - w_i| |x_ij| / n."""
     obj, ds, xs = _evaluation_problem(kind, n, p, k, tail, seed)
     losses, grads = obj.evaluate(xs, ds.X, ds.y)
     assert losses.shape == (k,) and grads.shape == (k, obj.dim)
-    if kind in ("linear-regression", "logistic-regression"):
-        with objectives.one_blas_thread():
-            W = obj._block_coefs(xs, ds.X, ds.y)[1]
-    for i, (x, loss, g) in enumerate(zip(xs, losses, grads)):
+    u = np.finfo(float).eps / 2
+    for x, loss, g in zip(xs, losses, grads):
         assert loss == full_loss(obj, x, ds)
+        want = full_gradient(obj, x, ds)
         if kind in ("mlp", "quadratic"):
-            assert np.array_equal(g, full_gradient(obj, x, ds))
+            assert np.array_equal(g, want)
             continue
-        w = W[i]
-        if kind == "linear-regression":
-            assert np.array_equal(w, obj._coef(x, ds.X, ds.y))
-        else:
-            with objectives.one_blas_thread():
-                m = obj._block_margins(xs, ds.X, ds.y)[i]
-            assert np.array_equal(w, obj._weights(m, np.exp(-np.abs(m)), ds.y))
-            step = ds.y * (ds.X @ x)
+        w = np.abs(obj._coef(x, ds.X, ds.y))
+        dw = np.zeros(n)
+        if kind == "logistic-regression":
             # the computed sum of |a_ij x_j| is at least (1 - gamma_p) times the exact one
-            bound = 2 * _gamma(p) * (np.abs(ds.X) @ np.abs(x)) / (1 - _gamma(p))
-            assert (np.abs(m - step) <= bound).all()
-        want = GradFactors([w[:, None]], [ds.X]).mean()
+            delta = 2 * _gamma(p) * (np.abs(ds.X) @ np.abs(x)) / (1 - _gamma(p))
+            dw = w * (np.expm1(delta) + 12 * u)
         # the computed sum of |w_i x_ij| is at least (1 - gamma_n) times the exact one
-        sums = np.abs(w) @ np.abs(ds.X) / (1 - _gamma(n))
-        assert (np.abs(g - want) <= 2 * _gamma(n + 1) * sums / n).all()
+        sums = (2 * _gamma(n + 1) * w + (1 + _gamma(n + 1)) * dw) @ np.abs(ds.X) / (1 - _gamma(n))
+        assert (np.abs(g - want) <= sums / n).all()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
