@@ -475,7 +475,7 @@ def sweep_kappa_gamma(
     dpsgd, noisy-gd or full-kf sweep, and noisy-lp's cells along gamma. Every
     cell is still built, so a bad value is refused where its run is shared. A
     run records nothing on the way: its last state is evaluated once, by
-    ``full_loss``, which gives the bits of ``run_experiment``'s ``final_loss``.
+    ``full_loss`` (``evaluate`` at that state), with ``final_loss``'s bits.
     """
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
     opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed

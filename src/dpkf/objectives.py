@@ -15,20 +15,20 @@ quadratic's is its shared row, which a mean over n copies would round. Over a
 whole ``Dataset``, linear regression's is G x - b (``dataset_mean_grad``, G and
 b cached; the last bits moved); losses stay on residuals, where G would cancel.
 
-``evaluate`` gives the mean loss and mean gradient at a block of up to
-``EVAL_BLOCK`` states, and holds ``one_blas_thread``. Every loss is ``==`` to
-``full_loss``. The MLP's and the quadratic's states each run one forward pass,
-and their gradients are ``==`` to ``mean_grad``. The linear models hold each
-state's coefficients in a row of a zero-padded block W, and the block's
-gradients are one product ``W @ X / n``, so linear regression's differ from
-``mean_grad`` only in the order of the sum. Logistic regression takes the
-whole block's margins m from one padded product ``XS @ X.T``, which becomes W:
-row by row, with e = exp(-|m|) taken once, the loss is log1p(e) + max(-m, 0),
-numpy's ``logaddexp(0, -m)`` formula with the vector exp (within 3 ulp of it),
-and the row is then overwritten by the weights -y where(m >= 0, e, 1) / (1 + e).
-One state's ``per_sample_losses`` come from the same padded product; the
-step's ``grad_factors`` keep the margins of ``X @ x``, so logistic gradients
-differ from ``mean_grad`` also in the rounding of the margins.
+``evaluate`` is the one whole-dataset loss: the mean loss and mean gradient
+at a block of up to ``EVAL_BLOCK`` states, under ``one_blas_thread``;
+``full_loss`` is its loss at one state. The MLP's and the quadratic's states
+each run one forward pass, and their gradients are ``==`` to ``mean_grad``.
+The linear models hold each state's coefficients in a row of a zero-padded
+block W, and the block's gradients are one product ``W @ X / n``, so linear
+regression's differ from ``mean_grad`` only in the order of the sum. Logistic
+regression takes the block's margins m from one padded product ``XS @ X.T``,
+which becomes W: row by row, with e = exp(-|m|) taken once, the loss is
+log1p(e) + max(-m, 0), numpy's ``logaddexp(0, -m)`` formula with the vector
+exp (within 3 ulp of it), and the row is then overwritten by the weights
+-y where(m >= 0, e, 1) / (1 + e). The step's ``grad_factors`` keep the margins
+of ``X @ x``, so logistic gradients differ from ``mean_grad`` also in the
+rounding of the margins.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from . import seeding
 # past the states given, and a state's loss and gradient bits depend on the
 # state alone. At large n ``W @ X`` also depends on the BLAS thread count
 # (n 5000: other bits at 2 threads than at 1), so ``evaluate`` holds
-# ``one_blas_thread``, as does the logistic ``per_sample_losses``, whose
-# margins must keep ``evaluate``'s bits.
+# ``one_blas_thread``.
 EVAL_BLOCK = 8
 
 
@@ -238,13 +237,11 @@ def gen_classification(n: int, p: int, seed: int) -> Dataset:
 
 
 class Objective:
-    """Base class: per-sample losses/gradients, vectorised over a batch."""
+    """Base class: per-sample gradients, vectorised over a batch, and the
+    whole-dataset mean losses and gradients of ``evaluate``."""
 
     kind: str = ""
     dim: int = 0
-
-    def per_sample_losses(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def grad_factors(self, x, X, y, ahead=None, a: float = 0.0) -> GradFactors:
         """The per-sample gradients at x, or their two-point combination
@@ -264,23 +261,14 @@ class Objective:
     @one_blas_thread()
     def evaluate(self, xs, X, y) -> tuple[np.ndarray, np.ndarray]:
         """Mean losses (k,) and mean gradients (k, d) at the k rows of ``xs``,
-        1 <= k <= ``EVAL_BLOCK``; each loss has the bits of ``full_loss``. Here
-        each state runs on its own; the linear models' override takes one product
-        for the block's gradients."""
+        1 <= k <= ``EVAL_BLOCK``. Here each state runs its kind's
+        ``_loss_and_mean_grad``, one forward pass for the loss and ``mean_grad``;
+        the linear models' override takes one product for the block's gradients."""
         xs = self._check_block(xs)
         losses, grads = np.empty(len(xs)), np.empty(xs.shape)
         for i, x in enumerate(xs):
             losses[i], grads[i] = self._loss_and_mean_grad(x, X, y)
         return losses, grads
-
-    def mean_loss(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean of the per-sample losses."""
-        return self.per_sample_losses(x, X, y).mean()
-
-    def _loss_and_mean_grad(self, x, X, y):
-        """One state's ``(mean_loss(...), mean_grad(...))``; an override runs
-        the forward pass once for both, with the same bits."""
-        return self.mean_loss(x, X, y), self.mean_grad(x, X, y)
 
     def smoothness(self, dataset: Dataset | None = None) -> float | None:
         """Smoothness constant of the mean loss, when computable exactly."""
@@ -322,19 +310,21 @@ class Quadratic(Objective):
         H = np.asarray(H, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("H must be square")
+        if not np.isfinite(H).all():
+            raise ValueError("H must be finite")
         if not np.allclose(H, H.T, atol=1e-12):
             raise ValueError("H must be symmetric")
         self.H = H
         self.dim = H.shape[0]
-        self.x_star = np.zeros(self.dim) if x_star is None else np.asarray(x_star, dtype=float)
+        x_star = np.zeros(self.dim) if x_star is None else np.asarray(x_star, dtype=float)
+        if x_star.shape != (self.dim,) or not np.isfinite(x_star).all():
+            raise ValueError(f"x_star must be {self.dim} finite values, got {x_star.tolist()}")
+        self.x_star = x_star
 
-    def per_sample_losses(self, x, X, y):
-        return np.full(len(X), self.mean_loss(x, X, y))
-
-    def mean_loss(self, x, X, y):
+    def _loss_and_mean_grad(self, x, X, y):
         # every sample's loss, as is: a mean over n copies of it rounds at some n
         r = self._check_dim(x) - self.x_star
-        return 0.5 * float(r @ self.H @ r)
+        return 0.5 * float(r @ self.H @ r), self.mean_grad(x, X, y)
 
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
         g = self.H @ (self._check_dim(x) - self.x_star)
@@ -399,9 +389,6 @@ class LinearRegression(_GeneralisedLinear):
     def _coef(self, x, X, y):
         return X @ self._check_dim(x) - y
 
-    def per_sample_losses(self, x, X, y):
-        return 0.5 * self._coef(x, X, y) ** 2
-
     def dataset_mean_grad(self, batch, x, ahead=None, a=0.0):
         if isinstance(batch, Dataset):  # G z - b; affine, so two points combine in z
             z = x if ahead is None else x + a * (ahead - x)
@@ -423,17 +410,6 @@ class LogisticRegression(_GeneralisedLinear):
     curvature = 0.25
 
     @staticmethod
-    def _block_margins(xs, X, y):
-        """The margins y_i <a_i, x> of the states ``xs``, zero-padded to
-        EVAL_BLOCK rows: one product ``XS @ X.T``, whose rows OpenBLAS computes
-        alike, so a state's margins have the same bits at every row position."""
-        XS = np.zeros((EVAL_BLOCK, X.shape[1]))
-        XS[: len(xs)] = xs
-        M = XS @ X.T
-        M *= y
-        return M
-
-    @staticmethod
     def _weights(m, e, y):
         """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), from e = exp(-|m_i|)."""
         return -y * _sigmoid_neg(m, e)
@@ -442,14 +418,14 @@ class LogisticRegression(_GeneralisedLinear):
         m = y * (X @ self._check_dim(x))
         return self._weights(m, np.exp(-np.abs(m)), y)
 
-    @one_blas_thread()
-    def per_sample_losses(self, x, X, y):
-        m = self._block_margins(self._check_dim(x)[None, :], X, y)[0]
-        return _log1p_exp_neg(m, np.exp(-np.abs(m)))
-
     def _block_coefs(self, xs, X, y):
-        # each row of margins gives its loss, then is overwritten by its weights
-        W = self._block_margins(xs, X, y)
+        # the margins y_i <a_i, x>, zero-padded to EVAL_BLOCK rows, from one
+        # product whose rows OpenBLAS computes alike; each row gives its loss,
+        # then is overwritten by its weights
+        XS = np.zeros((EVAL_BLOCK, X.shape[1]))
+        XS[: len(xs)] = xs
+        W = XS @ X.T
+        W *= y
         losses = np.empty(len(xs))
         for i, m in enumerate(W[: len(xs)]):
             e = np.exp(-np.abs(m))
@@ -489,10 +465,6 @@ class TinyMLP(Objective):
         hidden = np.tanh(X @ W1.T + b1)
         out = hidden @ w2 + b2
         return hidden, out
-
-    def per_sample_losses(self, x, X, y):
-        _, out = self._forward(self._check_dim(x), X)
-        return 0.5 * (out - y) ** 2
 
     def _backprop(self, x, X, y):
         """Hidden activations, output residuals and pre-activation gradients."""
@@ -582,7 +554,8 @@ def full_gradient(obj: Objective, x: np.ndarray, dataset: Dataset) -> np.ndarray
 
 
 def full_loss(obj: Objective, x: np.ndarray, dataset: Dataset) -> float:
-    return float(obj.mean_loss(x, dataset.X, dataset.y))
+    """Mean loss over the whole dataset: ``evaluate``'s at the one state x."""
+    return float(obj.evaluate([x], dataset.X, dataset.y)[0][0])
 
 
 def minibatches(n: int, batch_size: int, seed: int) -> Iterator[np.ndarray]:

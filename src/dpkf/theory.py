@@ -19,7 +19,7 @@ from .objectives import Dataset, Objective, full_gradient, full_loss, one_blas_t
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Problem-level quantities entering the bounds; all nonnegative, L > 0."""
+    """Problem-level quantities entering the bounds; all finite and nonnegative, L > 0."""
 
     L: float
     gap0: float  # F(x0) - F*
@@ -28,6 +28,9 @@ class ProblemConstants:
     dim: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("L", "gap0", "grad0_sq", "sigma_sgd_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.L <= 0:
             raise ValueError("smoothness L must be > 0")
         if min(self.gap0, self.grad0_sq, self.sigma_sgd_sq) < 0:
@@ -46,6 +49,15 @@ class BoundConstants:
 
 class ParameterConditionError(ValueError):
     """A step-size/filter-weight combination falls outside the valid region."""
+
+
+def _check_run(T, B=1, sigma_dp=0.0) -> None:
+    """Refuse a horizon T or batch size B below 1 and a negative or non-finite sigma_dp."""
+    for name, value in (("T", T), ("B", B)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if not 0 <= sigma_dp < math.inf:
+        raise ValueError(f"sigma_dp must be finite and >= 0, got {sigma_dp!r}")
 
 
 def convergence_constants(
@@ -150,6 +162,7 @@ def convergence_bound(
         + 2 (beta + eta^2 L) kappa^2 / (m_one eta)
           * ( (2 + |1+gamma|) sigma_sgd^2 / B + d sigma_dp^2 )
     """
+    _check_run(T, B, sigma_dp)
     consts = convergence_constants(eta, kappa, gamma, pc.L)
     if consts.m_one <= 0:
         raise ParameterConditionError("m_one must be positive for a valid bound")
@@ -190,7 +203,8 @@ def tuned_params(pc: ProblemConstants, sigma_dp: float, T: int) -> TunedParams:
     the minimum batch size, and the minimum horizon; flags T below it. beta is
     ``convergence_constants``' at gamma = -1, where the |1+gamma| terms vanish.
     """
-    if sigma_dp <= 0:
+    _check_run(T, sigma_dp=sigma_dp)
+    if sigma_dp == 0:
         raise ValueError("the tuned rule needs sigma_dp > 0")
     m_kappa = curvature_ratio(pc)
     L, d = pc.L, pc.dim
@@ -216,6 +230,7 @@ def tuned_params(pc: ProblemConstants, sigma_dp: float, T: int) -> TunedParams:
 
 def tuned_bound(pc: ProblemConstants, sigma_dp: float, T: int) -> float:
     """Bound under the tuned rule: 8 sqrt(m_kappa L gap0 d sigma_dp^2 / T)."""
+    _check_run(T, sigma_dp=sigma_dp)
     m_kappa = curvature_ratio(pc)
     return 8.0 * math.sqrt(m_kappa * pc.L * pc.gap0 * pc.dim * sigma_dp**2 / T)
 

@@ -1,9 +1,10 @@
 """Reference methods the test suite checks the package against.
 
 ``nag_step`` and ``storm_step`` are the methods the filtered optimizer reduces
-to; ``per_sample_loss`` is the one-sample loss the finite-difference gradient
-oracles difference, and ``per_sample_grad`` the one-sample analytic gradient
-of a ``sample_of`` a dataset. ``filter_min_eig`` steps the covariance that
+to; ``per_sample_loss`` is the one-sample loss (``evaluate`` on a one-row
+array) the finite-difference gradient oracles difference, and
+``per_sample_grad`` the one-sample analytic gradient of a ``sample_of`` a
+dataset. ``filter_min_eig`` steps the covariance that
 ``kalman.simulate_estimation`` advances. ``calibrate_gaussian`` and its
 helpers are the analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530),
 which acceptance criterion 9 checks; every command calibrates through the RDP
@@ -27,9 +28,10 @@ def sample_of(dataset: Dataset, i: int) -> Sample:
 
 
 def per_sample_loss(obj: Objective, x: np.ndarray, sample: Sample) -> float:
+    """f(x; xi) for one sample: ``evaluate``'s loss on the one-row dataset."""
     feature, target = sample
     feature = np.atleast_2d(np.asarray(feature, dtype=float))
-    return float(obj.per_sample_losses(x, feature, np.array([target]))[0])
+    return float(obj.evaluate([x], feature, np.array([target]))[0][0])
 
 
 def per_sample_grad(obj: Objective, x: np.ndarray, sample: Sample) -> np.ndarray:

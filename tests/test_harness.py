@@ -504,8 +504,8 @@ def test_privacy_target_sweep_builds_terms_once_and_no_schedule(monkeypatch):
 
 
 def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
-    """A 2 x 2 sweep over 2 seeds: one ``full_loss`` per distinct run and no
-    per-step evaluation or epsilon schedule."""
+    """A 2 x 2 sweep over 2 seeds: one ``full_loss`` per distinct run, which is
+    one single-state ``evaluate``, and no per-step evaluation or epsilon schedule."""
     losses, evals, schedules = [], [], []
     full_loss = harness.full_loss
     monkeypatch.setattr(harness, "full_loss", lambda *a: losses.append(a) or full_loss(*a))
@@ -522,7 +522,8 @@ def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
     del raw["optimizer"]["sigma_dp"]
     sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], ExperimentConfig.from_dict(raw))
     # 3 distinct runs (the kappa = 1 column is one) over 2 seeds
-    assert (len(losses), len(evals), len(schedules)) == (6, 0, 0)
+    assert (len(losses), len(evals), len(schedules)) == (6, 6, 0)
+    assert all(len(xs) == 1 for _, xs, *_ in evals)
 
 
 def test_sweep_builds_each_seed_problem_once(monkeypatch):
@@ -1018,7 +1019,6 @@ def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
 
         monkeypatch.setattr(type(obj), name, method)
 
-    guard("per_sample_losses")
     guard("mean_grad")
     got = run_experiment(cfg, 1, (obj, ds))
     assert got.csv_lines() == want.csv_lines()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpkf import harness, objectives, seeding
 from dpkf.objectives import (
+    _log1p_exp_neg,
     _sigmoid_neg,
     EVAL_BLOCK,
     Dataset,
@@ -410,17 +411,22 @@ def test_evaluate_row_bits_depend_on_the_state_alone(kind, n, p):
         assert np.array_equal(got_l, losses[i : i + 1]) and np.array_equal(got_g, grads[i : i + 1])
 
 
-@pytest.mark.parametrize("n, p", [(5000, 50), (300, 60), (40, 1), (1, 3)])
-def test_logistic_mean_loss_has_the_bits_of_every_block_position(n, p):
-    """One state's ``per_sample_losses(x, X, y).mean()`` takes its margins from
-    the same padded product as ``evaluate``, so it is ``==`` to the state's
-    loss at each of the EVAL_BLOCK positions of a block."""
-    obj, ds, xs = _evaluation_problem("logistic-regression", n, p, EVAL_BLOCK, 40.5, n + p)
-    for shift in range(EVAL_BLOCK):
-        rolled = np.roll(xs, shift, axis=0)
-        losses, _ = obj.evaluate(rolled, ds.X, ds.y)
-        for x, loss in zip(rolled, losses):
-            assert obj.per_sample_losses(x, ds.X, ds.y).mean() == loss
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_evaluate_gradients_match_finite_differences_of_its_losses(kind):
+    """Central differences of ``evaluate``'s whole-dataset losses, taken a block
+    of states at a time with step 1e-6, match its gradients to 1e-7 relative
+    (at most 8.5e-10 here): the loss a run reports agrees with its gradient."""
+    obj, ds, xs = _evaluation_problem(kind, 200, 4, EVAL_BLOCK, 40.5, 11)
+    _, grads = obj.evaluate(xs, ds.X, ds.y)
+    h = 1e-6
+    fd = np.empty_like(grads)
+    for i in range(obj.dim):
+        e = np.zeros(obj.dim)
+        e[i] = h
+        up, down = obj.evaluate(xs + e, ds.X, ds.y)[0], obj.evaluate(xs - e, ds.X, ds.y)[0]
+        fd[:, i] = (up - down) / (2 * h)
+    err = np.linalg.norm(fd - grads, axis=1)
+    assert (err <= 1e-7 * np.maximum(np.linalg.norm(grads, axis=1), 1e-8)).all()
 
 
 def test_evaluation_bits_do_not_depend_on_the_callers_blas_thread_count():
@@ -490,10 +496,9 @@ def test_sigmoid_neg_matches_masked_two_branch_form():
 
 
 def logistic_losses(margins):
-    """``LogisticRegression.per_sample_losses`` at the given margins (y = 1, x = 1)."""
+    """The logistic loss ``evaluate`` averages, at the given margins."""
     m = np.asarray(margins, dtype=float)
-    with np.errstate(invalid="ignore"):  # the padded zero states times an infinite margin
-        return make_objective("logistic-regression", 1).per_sample_losses(np.ones(1), m[:, None], np.ones(len(m)))
+    return _log1p_exp_neg(m, np.exp(-np.abs(m)))
 
 
 def test_logistic_loss_edges():
@@ -590,6 +595,24 @@ def test_quadratic_mean_loss_does_not_depend_on_the_placeholder_size(n):
     want = 0.5 * float(r @ obj.H @ r)
     (loss,), _ = obj.evaluate([x], ds.X, ds.y)
     assert full_loss(obj, x, ds) == loss == want
+
+
+@pytest.mark.parametrize(
+    "given, match",
+    [
+        ({"x_star": [5.0]}, r"x_star must be 3 finite values, got \[5.0\]"),
+        ({"x_star": np.ones((3, 1))}, "x_star must be 3 finite values"),
+        ({"x_star": [0.0, np.inf, 0.0]}, "x_star must be 3 finite values"),
+        ({"H": np.diag([1.0, np.inf, 1.0])}, "H must be finite"),
+        ({"H": np.diag([1.0, np.nan, 1.0])}, "H must be finite"),
+    ],
+    ids=["x_star-one-value", "x_star-column", "x_star-inf", "H-inf", "H-nan"],
+)
+def test_quadratic_refuses_a_misshapen_x_star_and_a_non_finite_H(given, match):
+    """One x* value would broadcast to every coordinate, and a NaN H would be
+    called asymmetric; the library refuses both as the config check does."""
+    with pytest.raises(ValueError, match=match):
+        make_objective("quadratic", 3, **given)
 
 
 def test_hessian_action_finite_difference_identity():

@@ -229,6 +229,48 @@ def test_privacy_utility_bound_refuses_non_finite_budget_or_clip(epsilon, C):
         privacy_utility_bound(pc, N=1000, epsilon=epsilon, delta=1e-5, C=C)
 
 
+BAD_RUNS = {  # (T, B, sigma_dp) -> the message, which names the argument
+    "T-negative": ((-5, 10, 0.1), "T must be >= 1"),
+    "T-zero": ((0, 10, 0.1), "T must be >= 1"),
+    "T-nan": ((math.nan, 10, 0.1), "T must be >= 1"),
+    "B-zero": ((100, 0, 0.1), "B must be >= 1"),
+    "sigma-negative": ((100, 10, -1.0), "sigma_dp must be finite and >= 0"),
+    "sigma-nan": ((100, 10, math.nan), "sigma_dp must be finite and >= 0"),
+    "sigma-inf": ((100, 10, math.inf), "sigma_dp must be finite and >= 0"),
+}
+EVALUATORS = {  # the tuned rule takes no batch size
+    "convergence_bound": lambda pc, T, B, s: convergence_bound(pc, 0.05, 0.9, -1.0, T, B, s),
+    "tuned_params": lambda pc, T, B, s: tuned_params(pc, s, T),
+    "tuned_bound": lambda pc, T, B, s: tuned_bound(pc, s, T),
+}
+
+
+@pytest.mark.parametrize(
+    "evaluator, run, match",
+    [
+        pytest.param(ev, run, match, id=f"{ev}-{case}")
+        for ev in EVALUATORS
+        for case, (run, match) in BAD_RUNS.items()
+        if ev == "convergence_bound" or case != "B-zero"
+    ],
+)
+def test_bound_evaluators_refuse_a_bad_horizon_batch_or_noise(evaluator, run, match):
+    """A horizon or batch below 1 and a negative or non-finite sigma_dp are
+    refused by name, where they gave a negative or NaN bound or a
+    ZeroDivisionError."""
+    pc = ProblemConstants(L=1.0, gap0=1.0, grad0_sq=1.0, sigma_sgd_sq=0.5, dim=2)
+    with pytest.raises(ValueError, match=match):
+        EVALUATORS[evaluator](pc, *run)
+
+
+@pytest.mark.parametrize("field", ["L", "gap0", "grad0_sq", "sigma_sgd_sq"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_problem_constants_refuse_a_non_finite_field(field, value):
+    given = {"L": 1.0, "gap0": 1.0, "grad0_sq": 1.0, "sigma_sgd_sq": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ProblemConstants(**given)
+
+
 # ---------------------------------------------------------------------------
 # empirical bound check (small version; the full one lives in acceptance)
 # ---------------------------------------------------------------------------
