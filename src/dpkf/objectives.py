@@ -24,11 +24,13 @@ block W, and the block's gradients are one product ``W @ X / n``, so linear
 regression's differ from ``mean_grad`` only in the order of the sum. Logistic
 regression takes the block's margins m from one padded product ``XS @ X.T``,
 which becomes W: row by row, with e = exp(-|m|) taken once, the loss is
-log1p(e) + max(-m, 0), numpy's ``logaddexp(0, -m)`` formula with the vector
-exp (within 3 ulp of it), and the row is then overwritten by the weights
--y where(m >= 0, e, 1) / (1 + e). The step's ``grad_factors`` keep the margins
-of ``X @ x``, so logistic gradients differ from ``mean_grad`` also in the
-rounding of the margins.
+log1p(e) - min(m, 0), the bits of numpy's ``logaddexp(0, -m)`` formula
+log1p(e) + max(-m, 0) with the vector exp (within 3 ulp of it), and the row is
+then overwritten by the weights -y max(e, m < 0) / (1 + e), the bits of
+-y where(m >= 0, e, 1) / (1 + e). Two row buffers, e and the loss, serve every
+row of a block. The step's ``grad_factors`` share these formulas but keep the
+margins of ``X @ x``, so logistic gradients differ from ``mean_grad`` also in
+the rounding of the margins.
 """
 
 from __future__ import annotations
@@ -185,23 +187,40 @@ class GradFactors:
         return self.pack(means)
 
 
-def _sigmoid_neg(m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sigmoid(-m), stable on both tails, from e = exp(-|m|) and one division.
+def _exp_neg_abs(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e = exp(-|m|), in [0, 1], the one exp the logistic loss and weights
+    share; ``out`` may be m."""
+    e = np.abs(m, out=out)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _sigmoid_neg(m: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(-m), stable on both tails, from e = exp(-|m|) and one division;
+    ``out`` may be m.
 
     The two-branch form, exp(-m)/(1+exp(-m)) for m >= 0 and 1/(1+exp(m))
-    otherwise, divides by 1 + exp(-|m|) in both, so this gives its bits.
+    otherwise, divides where(m >= 0, e, 1) by 1 + exp(-|m|). As 0 <= e <= 1,
+    that numerator is max(e, m < 0) for every m, +-0, +-inf and NaN included.
     """
-    return np.where(m >= 0, e, 1.0) / (1.0 + e)
+    s = np.maximum(e, m < 0, out=out)
+    s /= 1.0 + e
+    return s
 
 
-def _log1p_exp_neg(m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """log(1 + exp(-m)) from e = exp(-|m|), as log1p(e) + max(-m, 0).
+def _log1p_exp_neg(m: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(-m)) from e = exp(-|m|), as log1p(e) - min(m, 0); ``out``
+    may be m.
 
-    This is numpy's own ``logaddexp(0, -m)`` formula: m = 0 gives ln 2, the
-    tails give 0 and -m, and NaN stays NaN. Only the exp differs, numpy's
-    vector one here and libm's scalar one there, so the two agree to 3 ulp.
+    This is numpy's own ``logaddexp(0, -m)`` formula, log1p(e) + max(-m, 0),
+    bit for bit, as negation is exact: m = 0 gives ln 2, the tails give 0 and
+    -m, and NaN stays NaN. Only the exp differs, numpy's vector one here and
+    libm's scalar one there, so the two agree to 3 ulp.
     """
-    return np.log1p(e) + np.maximum(-m, 0.0)
+    tail = np.minimum(m, 0.0)
+    out = np.log1p(e, out=out)
+    out -= tail
+    return out
 
 
 def gen_linear_regression(n: int, p: int, noise_std: float, seed: int) -> Dataset:
@@ -314,6 +333,12 @@ class Quadratic(Objective):
             raise ValueError("H must be finite")
         if not np.allclose(H, H.T, atol=1e-12):
             raise ValueError("H must be symmetric")
+        # an indefinite H is unbounded below; the tolerance, scaled to the
+        # largest eigenvalue, keeps the rounding of a PSD product like M M^T / d
+        eigs = np.linalg.eigvalsh(H)
+        low, norm = eigs.min(initial=0.0), np.abs(eigs).max(initial=0.0)
+        if low < -1e-12 * max(1.0, norm):
+            raise ValueError(f"H must be positive semidefinite, smallest eigenvalue {low:g}")
         self.H = H
         self.dim = H.shape[0]
         x_star = np.zeros(self.dim) if x_star is None else np.asarray(x_star, dtype=float)
@@ -410,27 +435,32 @@ class LogisticRegression(_GeneralisedLinear):
     curvature = 0.25
 
     @staticmethod
-    def _weights(m, e, y):
-        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), from e = exp(-|m_i|)."""
-        return -y * _sigmoid_neg(m, e)
+    def _weights(m, e, y, out=None):
+        """d loss_i / d <a_i, x> = -y_i sigmoid(-m_i), from e = exp(-|m_i|):
+        sigmoid(-m) scaled by -y in place, the bits of -y * sigmoid(-m);
+        ``out`` may be m."""
+        w = _sigmoid_neg(m, e, out)
+        w *= -y
+        return w
 
     def _coef(self, x, X, y):
         m = y * (X @ self._check_dim(x))
-        return self._weights(m, np.exp(-np.abs(m)), y)
+        return self._weights(m, _exp_neg_abs(m), y, out=m)
 
     def _block_coefs(self, xs, X, y):
         # the margins y_i <a_i, x>, zero-padded to EVAL_BLOCK rows, from one
         # product whose rows OpenBLAS computes alike; each row gives its loss,
-        # then is overwritten by its weights
+        # then is overwritten by its weights; one e and one loss row serve
+        # every row
         XS = np.zeros((EVAL_BLOCK, X.shape[1]))
         XS[: len(xs)] = xs
         W = XS @ X.T
         W *= y
-        losses = np.empty(len(xs))
+        losses, e, row = np.empty(len(xs)), np.empty(len(X)), np.empty(len(X))
         for i, m in enumerate(W[: len(xs)]):
-            e = np.exp(-np.abs(m))
-            losses[i] = _log1p_exp_neg(m, e).mean()
-            m[:] = self._weights(m, e, y)
+            _exp_neg_abs(m, out=e)
+            losses[i] = _log1p_exp_neg(m, e, out=row).mean()
+            self._weights(m, e, y, out=m)
         return losses, W
 
 

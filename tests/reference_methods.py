@@ -4,7 +4,10 @@
 to; ``per_sample_loss`` is the one-sample loss (``evaluate`` on a one-row
 array) the finite-difference gradient oracles difference, and
 ``per_sample_grad`` the one-sample analytic gradient of a ``sample_of`` a
-dataset. ``filter_min_eig`` steps the covariance that
+dataset. ``logistic_sigmoid_neg``, ``logistic_loss`` and ``logistic_weights``
+are the logistic formulas in their first form, each allocating its result, and
+``logistic_evaluate`` the logistic ``evaluate`` rebuilt from them as a row
+loop. ``filter_min_eig`` steps the covariance that
 ``kalman.simulate_estimation`` advances. ``calibrate_gaussian`` and its
 helpers are the analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530),
 which acceptance criterion 9 checks; every command calibrates through the RDP
@@ -16,7 +19,7 @@ import math
 import numpy as np
 
 from dpkf.kalman import LinearSystem, kf_correct, kf_predict
-from dpkf.objectives import Dataset, Objective, full_gradient
+from dpkf.objectives import EVAL_BLOCK, Dataset, Objective, full_gradient, one_blas_thread
 from dpkf.privacy import PrivacyBudget, PrivacyError
 
 Sample = tuple[np.ndarray, float]
@@ -39,6 +42,39 @@ def per_sample_grad(obj: Objective, x: np.ndarray, sample: Sample) -> np.ndarray
     feature, target = sample
     feature = np.atleast_2d(np.asarray(feature, dtype=float))
     return obj.per_sample_grads(x, feature, np.array([target]))[0]
+
+
+def logistic_sigmoid_neg(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(-m) from e = exp(-|m|): where(m >= 0, e, 1) / (1 + e)."""
+    return np.where(m >= 0, e, 1.0) / (1.0 + e)
+
+
+def logistic_loss(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(-m)) from e = exp(-|m|): log1p(e) + max(-m, 0), numpy's
+    ``logaddexp(0, -m)`` formula."""
+    return np.log1p(e) + np.maximum(-m, 0.0)
+
+
+def logistic_weights(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d loss_i / d <a_i, x> from e = exp(-|m|): -y sigmoid(-m)."""
+    return -y * logistic_sigmoid_neg(m, e)
+
+
+def logistic_evaluate(xs: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic ``evaluate`` at the k rows of ``xs`` from the formulas above:
+    the same padded margin and gradient products, and each row's e, loss and
+    weights allocated afresh."""
+    k = len(xs)
+    XS = np.zeros((EVAL_BLOCK, X.shape[1]))
+    XS[:k] = xs
+    with one_blas_thread():
+        W = XS @ X.T * y
+        losses = np.empty(k)
+        for i in range(k):
+            e = np.exp(-np.abs(W[i]))
+            losses[i] = logistic_loss(W[i], e).mean()
+            W[i] = logistic_weights(W[i], e, y)
+        return losses, (W @ X)[:k] / len(X)
 
 
 def nag_step(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpkf import harness, objectives, seeding
 from dpkf.objectives import (
+    _exp_neg_abs,
     _log1p_exp_neg,
     _sigmoid_neg,
     EVAL_BLOCK,
@@ -23,7 +24,15 @@ from dpkf.objectives import (
     minibatches,
     two_point_grads,
 )
-from reference_methods import per_sample_grad, per_sample_loss, sample_of
+from reference_methods import (
+    logistic_evaluate,
+    logistic_loss,
+    logistic_sigmoid_neg,
+    logistic_weights,
+    per_sample_grad,
+    per_sample_loss,
+    sample_of,
+)
 
 
 def two_point_per_sample_grad(obj, x, d_prev, gamma, kappa, sample):
@@ -484,14 +493,20 @@ def masked_sigmoid_neg(margins):
     return s
 
 
+def same_bits(got, want):
+    """Equal values, NaN where NaN, and equal sign bits, +-0 included; a
+    NaN's sign bit carries nothing."""
+    real = ~np.isnan(want)
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+        np.signbit(got[real]), np.signbit(want[real])
+    )
+
+
 def test_sigmoid_neg_matches_masked_two_branch_form():
     edges = np.array([0.0, -0.0, 800.0, -800.0, np.nan, 1e-300, -1e-300, 36.7, -36.7])
     spread = np.random.default_rng(0).standard_normal(2000) * np.logspace(-3, 3, 2000)
     for m in (edges, spread):
-        got, want = _sigmoid_neg(m, np.exp(-np.abs(m))), masked_sigmoid_neg(m)
-        assert np.array_equal(got, want, equal_nan=True)
-        real = ~np.isnan(want)  # a NaN's sign bit carries nothing
-        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+        assert same_bits(_sigmoid_neg(m, np.exp(-np.abs(m))), masked_sigmoid_neg(m))
     assert _sigmoid_neg(edges, np.exp(-np.abs(edges)))[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
 
 
@@ -507,7 +522,10 @@ def test_logistic_loss_edges():
     assert got[0] == got[1] == np.logaddexp(0.0, -0.0) == math.log(2.0)
     assert np.array_equal(got[2:], [0.0, np.inf, np.nan, 0.0, 746.0, 0.0, 1e308], equal_nan=True)
     with np.errstate(invalid="ignore"):  # logaddexp flags its NaN
-        assert np.array_equal(got[2:], np.logaddexp(0.0, -m[2:]), equal_nan=True)
+        want = np.logaddexp(0.0, -m)
+    assert np.array_equal(got, want, equal_nan=True)
+    real = ~np.isnan(got)  # every real loss is +0 or above, as logaddexp's
+    assert not np.signbit(got[real]).any() and not np.signbit(want[real]).any()
 
 
 @settings(max_examples=300, deadline=None)
@@ -517,15 +535,73 @@ def test_logistic_loss_edges():
 @example(m=740.0)  # a subnormal loss
 @example(m=5e-324)
 def test_logistic_loss_matches_logaddexp_and_mpmath(m):
-    """log1p(e) + max(-m, 0) with numpy's vector exp is within 3 ulp of
-    ``logaddexp(0, -m)``, which calls libm's scalar exp, and within 1e-15 of
-    the exact value (or two subnormal spacings, for a subnormal loss)."""
+    """log1p(e) - min(m, 0), the bits of log1p(e) + max(-m, 0), with numpy's
+    vector exp is within 3 ulp of ``logaddexp(0, -m)``, which calls libm's
+    scalar exp, and within 1e-15 of the exact value (or two subnormal
+    spacings, for a subnormal loss)."""
     got = logistic_losses([m])[0]
     want = np.logaddexp(0.0, -m)
     assert abs(got - want) <= 3 * math.ulp(want)
     with mpmath.workdps(40):
         exact = mpmath.log1p(mpmath.exp(-mpmath.mpf(m)))
         assert abs(mpmath.mpf(got) - exact) <= max(1e-15 * exact, 2.0**-1073)
+
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 745.0, -745.0, 746.0, -746.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.lists(st.floats(), min_size=1, max_size=40),
+    y=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+)
+@example(m=EDGES, y=[1.0, -1.0] * 5)
+@example(m=EDGES * 2, y=[-1.0])  # 20 margins: numpy's vector loops as well as their tails
+@example(m=[0.0], y=[1.0])
+@example(m=[-0.0], y=[-1.0])
+@example(m=[np.inf], y=[1.0])
+@example(m=[-np.inf], y=[-1.0])
+@example(m=[np.nan], y=[1.0])
+@example(m=[5e-324], y=[1.0])
+@example(m=[745.0], y=[-1.0])
+@example(m=[-745.0], y=[1.0])
+@example(m=[746.0], y=[1.0])
+@example(m=[-746.0], y=[-1.0])
+def test_logistic_helpers_keep_the_bits_of_their_first_formulas(m, y):
+    """e, sigmoid(-m), the loss and the weights have the bits of the formulas
+    they replaced (``reference_methods``) at every float margin, allocating,
+    into a buffer, and written over the margins; as 0 <= e <= 1,
+    max(e, m < 0) is where(m >= 0, e, 1), and -min(m, 0) is max(-m, 0)."""
+    m = np.array(m)
+    y = np.resize(np.array(y), len(m))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow in the oracles too
+        e = np.exp(-np.abs(m))
+        oracles = [
+            (lambda m, out=None: _exp_neg_abs(m, out), e),
+            (lambda m, out=None: _sigmoid_neg(m, e, out), logistic_sigmoid_neg(m, e)),
+            (lambda m, out=None: _log1p_exp_neg(m, e, out), logistic_loss(m, e)),
+            (
+                lambda m, out=None: objectives.LogisticRegression._weights(m, e, y, out),
+                logistic_weights(m, e, y),
+            ),
+        ]
+        for helper, want in oracles:
+            assert same_bits(helper(m.copy()), want)
+            buffer = np.full(len(m), 7.0)
+            assert helper(m.copy(), buffer) is buffer and same_bits(buffer, want)
+            over = m.copy()
+            assert helper(over, over) is over and same_bits(over, want)
+
+
+@pytest.mark.parametrize("k", [1, 5, EVAL_BLOCK])
+@pytest.mark.parametrize("n, p", [(5000, 50), (300, 60), (40, 1)])
+def test_logistic_evaluate_keeps_the_bits_of_the_allocating_row_loop(n, p, k):
+    """``evaluate``'s losses and gradients, from reused row buffers, are the
+    bytes of the row loop that allocates each row's e, loss and weights
+    (``reference_methods.logistic_evaluate``), margins of 0 and |m| > 40 included."""
+    obj, ds, xs = _evaluation_problem("logistic-regression", n, p, k, -90.0, n + p + k)
+    got, want = obj.evaluate(xs, ds.X, ds.y), logistic_evaluate(xs, ds.X, ds.y)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_logistic_weights_keep_the_bits_of_the_two_branch_sigmoid():
@@ -605,14 +681,31 @@ def test_quadratic_mean_loss_does_not_depend_on_the_placeholder_size(n):
         ({"x_star": [0.0, np.inf, 0.0]}, "x_star must be 3 finite values"),
         ({"H": np.diag([1.0, np.inf, 1.0])}, "H must be finite"),
         ({"H": np.diag([1.0, np.nan, 1.0])}, "H must be finite"),
+        ({"H": np.diag([-1.0, 1.0, 1.0])}, "H must be positive semidefinite, smallest eigenvalue -1$"),
     ],
-    ids=["x_star-one-value", "x_star-column", "x_star-inf", "H-inf", "H-nan"],
+    ids=["x_star-one-value", "x_star-column", "x_star-inf", "H-inf", "H-nan", "H-indefinite"],
 )
 def test_quadratic_refuses_a_misshapen_x_star_and_a_non_finite_H(given, match):
-    """One x* value would broadcast to every coordinate, and a NaN H would be
-    called asymmetric; the library refuses both as the config check does."""
+    """One x* value would broadcast to every coordinate, a NaN H would be
+    called asymmetric, and an indefinite H is unbounded below; the library
+    refuses them as the config check does."""
     with pytest.raises(ValueError, match=match):
         make_objective("quadratic", 3, **given)
+
+
+def test_quadratic_psd_tolerance_scales_with_the_norm_of_H():
+    """H passes while its smallest eigenvalue is at least -1e-12 max(1, ||H||):
+    a rank-2 M M^T / 6 whose rounding gives eigenvalues down to -3e-10 at
+    ||H|| about 1e6 passes, and -2e-12 is refused at ||H|| 1."""
+    for seed in range(5):
+        M = np.random.default_rng(seed).standard_normal((6, 2)) * 1e3
+        assert np.linalg.eigvalsh(M @ M.T / 6)[0] < -1e-12
+        make_objective("quadratic", 6, H=M @ M.T / 6)
+    make_objective("quadratic", 2, H=np.diag([-0.5e-12, 1.0]))
+    make_objective("quadratic", 2, H=np.diag([-0.5e-6, 1e6]))
+    for H in (np.diag([-2e-12, 1.0]), np.diag([-2e-12, 0.5]), np.diag([-2e-6, 1e6])):
+        with pytest.raises(ValueError, match="H must be positive semidefinite"):
+            make_objective("quadratic", 2, H=H)
 
 
 def test_hessian_action_finite_difference_identity():
