@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,11 +55,18 @@ NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _require_finite(cfg) -> None:
-    """Reject NaN and infinite values in a config's float fields."""
-    for name, value in vars(cfg).items():
+    """Refuse a value of a config's float field (one annotated ``float``) that
+    is not an int or a float (a bool, a string, None), or is NaN or infinite.
+    Only a field annotated ``float | None`` may hold None."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "float" not in str(f.type) or (value is None and "None" in str(f.type)):
+            continue
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -280,10 +288,9 @@ def dpsgd_step(
     cfg: DiskConfig,
     noise: np.ndarray | None,
 ) -> DiskState:
-    """Plain DP-SGD: clip per-sample gradients, average, add the noise row, step."""
-    g = _observe(obj, state.x, batch, cfg, noise, state.t)
-    x_new = state.x - cfg.eta * g
-    return DiskState._successor(x_new, g, x_new - state.x, state.moments, state.t + 1)
+    """Plain DP-SGD: ``disk_step`` at kappa 1 on the sgd base, whatever ``cfg``
+    sets them to."""
+    return disk_step(state, batch, obj, replace(cfg, kappa=1.0, base="sgd"), noise)
 
 
 # ---------------------------------------------------------------------------

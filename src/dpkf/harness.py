@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -56,7 +57,8 @@ from .privacy import (
     calibrate_noise_multiplier,
     clip_sensitivity,
     delta_convention,
-    spend_schedule,
+    epsilon_schedule,
+    subsampled_curve,
 )
 
 
@@ -163,6 +165,12 @@ class ExperimentConfig:
             raise ValueError(f"need T >= 1 and B >= 1, integers; got T={self.T!r}, B={self.B!r}")
         if not (self.seeds and all(_is_int(s) and s >= 0 for s in self.seeds)):
             raise ValueError(f"need one seed or more, each an integer >= 0; got {self.seeds!r}")
+        for name, value in (("epsilon", self.epsilon_target), ("delta", self.delta),
+                            ("init_scale", self.init_scale), ("sigma_sgd_sq", self.sigma_sgd_sq)):
+            if value is None and name in ("epsilon", "delta"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         stepped = replace(self.optimizer, **PRESETS[self.algorithm].overrides)
         if self.epsilon_target is not None and stepped.clip_variant == "none":
             raise PrivacyError(f"{self.algorithm} takes an explicit sigma_dp, not a privacy target")
@@ -303,15 +311,14 @@ def _epsilon_schedule(cfg: ExperimentConfig, opt: DiskConfig, delta: float | Non
     if opt.clip_variant == "none" or opt.sigma_dp <= 0 or delta is None:
         return (math.inf,) * cfg.T
     z = opt.sigma_dp * cfg.B / clip_sensitivity(opt.clip_variant, opt.clip)
-    return spend_schedule(q, z, cfg.T, delta)
+    return epsilon_schedule(subsampled_curve(q, z), cfg.T, delta)
 
 
 def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
-    """The states x_0..x_T of one run of ``problem`` (``build_problem``'s pair),
-    ``opt`` being ``resolve_optimizer``'s or a sweep cell's change of it; the
-    preset is applied again, over a cell's kappa and gamma."""
+    """The states x_0..x_T of one run of ``problem`` (``build_problem``'s pair)
+    stepped with ``opt`` as given: ``resolve_optimizer``'s, or a sweep cell's,
+    the preset already applied."""
     obj, ds = problem
-    opt = replace(opt, **PRESETS[cfg.algorithm].overrides)
     full_batch = cfg.batch_size(ds.n) == ds.n
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
     batches = None if full_batch else minibatches(ds.n, cfg.B, seed)
@@ -451,14 +458,13 @@ def aggregate_comparison(rows: list[ComparisonRow]) -> dict[tuple[float, str], f
 
 
 def _run_key(cfg: ExperimentConfig, cell: DiskConfig) -> tuple | None:
-    """The step parameters a sweep cell's trajectory reads, after the preset's
-    overrides: (kappa, gamma), with gamma None where the step does not read it
-    (``reads_gamma``), or None for full-kf, whose (k_t, gamma) come from
-    ``full_filter.gains()``. Cells with one key run the same trajectory."""
+    """The step parameters a sweep cell's trajectory reads from ``cell``, its
+    optimizer after the preset: (kappa, gamma), with gamma None where the step
+    does not read it (``reads_gamma``), or None for full-kf, whose (k_t, gamma)
+    come from ``full_filter.gains()``. Cells with one key run one trajectory."""
     if cfg.algorithm == "full-kf":
         return None
-    stepped = replace(cell, **PRESETS[cfg.algorithm].overrides)
-    return stepped.kappa, stepped.gamma if reads_gamma(stepped, stepped.kappa) else None
+    return cell.kappa, cell.gamma if reads_gamma(cell, cell.kappa) else None
 
 
 @one_blas_thread()
@@ -472,10 +478,10 @@ def sweep_kappa_gamma(
     built once, and one sigma_dp, calibrated once for a privacy target. Cells
     whose steps read the same parameters (``_run_key``) share one run, and
     every such cell gets its float: the kappa = 1 column, every cell of a
-    dpsgd, noisy-gd or full-kf sweep, and noisy-lp's cells along gamma. Every
-    cell is still built, so a bad value is refused where its run is shared. A
-    run records nothing on the way: its last state is evaluated once, by
-    ``full_loss`` (``evaluate`` at that state), with ``final_loss``'s bits.
+    dpsgd, noisy-gd or full-kf sweep, and noisy-lp's cells along gamma. Each
+    cell is built from its kappa and gamma, so a bad value is refused where its
+    run is shared, then takes the preset. A run records nothing on the way: its
+    last state is evaluated once, by ``full_loss``, with ``final_loss``'s bits.
     """
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
     opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
@@ -484,7 +490,7 @@ def sweep_kappa_gamma(
     for kappa in kappas:
         row = []
         for gamma in gammas:
-            cell = replace(opt, kappa=kappa, gamma=gamma)
+            cell = replace(replace(opt, kappa=kappa, gamma=gamma), **PRESETS[cfg.algorithm].overrides)
             key = _run_key(cfg, cell)
             if key not in runs:
                 vals = []

@@ -360,8 +360,8 @@ class Quadratic(Objective):
     def smoothness(self, dataset=None):
         return float(np.linalg.eigvalsh(self.H)[-1])
 
-    def f_star(self) -> float:
-        return 0.0
+    def f_star(self, dataset: Dataset) -> float:
+        return 0.0  # at x*, whatever the samples
 
     def placeholder_dataset(self, n: int = 1) -> Dataset:
         # Samples are ignored by the loss; the dataset only drives batching.
@@ -413,6 +413,11 @@ class LinearRegression(_GeneralisedLinear):
 
     def _coef(self, x, X, y):
         return X @ self._check_dim(x) - y
+
+    def f_star(self, dataset: Dataset) -> float:
+        """The exact minimum over ``dataset``: the loss at a least-squares solution."""
+        x_star, *_ = np.linalg.lstsq(dataset.X, dataset.y, rcond=None)
+        return full_loss(self, x_star, dataset)
 
     def dataset_mean_grad(self, batch, x, ahead=None, a=0.0):
         if isinstance(batch, Dataset):  # G z - b; affine, so two points combine in z

@@ -5,10 +5,9 @@ the subsampled Gaussian mechanism's binomial expansion, composes linearly over
 steps, and converts to (epsilon, delta) by minimising over a fixed order grid.
 It has one path: a numpy pass whose every value, composed spend included, is
 rounded up to a certified upper bound at most 1e-9 relative above the exact
-one. The sigma-free terms are built once per (sampling rate, orders) and a
-run's epsilon schedule once per (q, sigma, steps, delta); both are kept,
-read-only, in small caches that live as long as the process. Calibration
-bisects on the same reported spend.
+one. The sigma-free terms are built once per (sampling rate, orders) and
+kept, read-only, in a small cache that lives as long as the process.
+Calibration bisects on the same reported spend.
 """
 
 from __future__ import annotations
@@ -314,18 +313,6 @@ def epsilon_schedule(curve: dict[int, float], steps: int, delta: float) -> list[
     shifts = _order_shifts(curve, steps, delta)
     t = np.arange(1, steps + 1, dtype=float)[:, None]
     return _spend(np.array(list(curve.values())), t, shifts).min(axis=1).tolist()
-
-
-@functools.lru_cache(maxsize=4)
-def spend_schedule(q: float, sigma: float, steps: int, delta: float) -> tuple[float, ...]:
-    """Epsilon spent after 1..steps steps of the subsampled Gaussian mechanism:
-    ``epsilon_schedule`` of ``subsampled_curve(q, sigma)``.
-
-    Computed once per argument tuple and kept as a tuple, so the runs of a
-    sweep, which share (q, sigma, steps, delta), share one schedule. The few
-    entries kept bound the memory a long schedule holds.
-    """
-    return tuple(epsilon_schedule(subsampled_curve(q, sigma), steps, delta))
 
 
 def calibrate_noise_multiplier(

@@ -259,13 +259,10 @@ def privacy_utility_bound(
 def estimate_f_star(
     obj: Objective, dataset: Dataset, x0: np.ndarray, steps: int = 100_000
 ) -> tuple[float, bool]:
-    """(min value, is_estimate): exact for quadratics and linear regression,
-    else a long deterministic full-batch descent at eta = 1/L."""
+    """(min value, is_estimate): ``obj.f_star(dataset)`` where the objective has
+    an exact minimum, else a long deterministic full-batch descent at eta = 1/L."""
     if hasattr(obj, "f_star"):
-        return float(obj.f_star()), False
-    if obj.kind == "linear-regression":
-        x_star, *_ = np.linalg.lstsq(dataset.X, dataset.y, rcond=None)
-        return full_loss(obj, x_star, dataset), False
+        return float(obj.f_star(dataset)), False
     L = obj.smoothness(dataset)
     if L is None or L <= 0:
         raise ValueError("need a smoothness constant to estimate the minimum")

@@ -1,10 +1,10 @@
 """Reference methods the test suite checks the package against.
 
-``nag_step`` and ``storm_step`` are the methods the filtered optimizer reduces
-to; ``per_sample_loss`` is the one-sample loss (``evaluate`` on a one-row
-array) the finite-difference gradient oracles difference, and
-``per_sample_grad`` the one-sample analytic gradient of a ``sample_of`` a
-dataset. ``logistic_sigmoid_neg``, ``logistic_loss`` and ``logistic_weights``
+``dpsgd_reference_step``, ``nag_step`` and ``storm_step`` are the methods the
+filtered optimizer reduces to; ``per_sample_loss`` is the one-sample loss
+(``evaluate`` on a one-row array) the finite-difference gradient oracles
+difference, and ``per_sample_grad`` the one-sample analytic gradient of a
+``sample_of`` a dataset. ``logistic_sigmoid_neg``, ``logistic_loss`` and ``logistic_weights``
 are the logistic formulas in their first form, each allocating its result, and
 ``logistic_evaluate`` the logistic ``evaluate`` rebuilt from them as a row
 loop. ``filter_min_eig`` steps the covariance that
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from dpkf.disk import DiskConfig, DiskState, _observe
 from dpkf.kalman import LinearSystem, kf_correct, kf_predict
 from dpkf.objectives import EVAL_BLOCK, Dataset, Objective, full_gradient, one_blas_thread
 from dpkf.privacy import PrivacyBudget, PrivacyError
@@ -75,6 +76,14 @@ def logistic_evaluate(xs: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.
             losses[i] = logistic_loss(W[i], e).mean()
             W[i] = logistic_weights(W[i], e, y)
         return losses, (W @ X)[:k] / len(X)
+
+
+def dpsgd_reference_step(state: DiskState, batch, obj: Objective, cfg: DiskConfig, noise) -> DiskState:
+    """Plain DP-SGD written out: the clipped, averaged, noised observation at x,
+    then x - eta g, whatever ``cfg.kappa`` and ``cfg.base`` say."""
+    g = _observe(obj, state.x, batch, cfg, noise, state.t)
+    x_new = state.x - cfg.eta * g
+    return DiskState._successor(x_new, g, x_new - state.x, state.moments, state.t + 1)
 
 
 def nag_step(

@@ -36,7 +36,7 @@ from dpkf.objectives import (
     two_point_grads,
 )
 from dpkf.privacy import clip_batch, clip_sensitivity
-from reference_methods import nag_step, per_sample_grad, sample_of, storm_step
+from reference_methods import dpsgd_reference_step, nag_step, per_sample_grad, sample_of, storm_step
 
 
 def rng_for(seed):
@@ -134,8 +134,29 @@ def test_disk_with_kappa_one_is_dpsgd_bitwise():
     sb = DiskState(x=np.ones(6))
     for noise_a, noise_b in zip(rows_a, rows_b):
         sa = disk_step(sa, (ds.X[:8], ds.y[:8]), obj, cfg, noise_a)
-        sb = dpsgd_step(sb, (ds.X[:8], ds.y[:8]), obj, cfg, noise_b)
+        sb = dpsgd_reference_step(sb, (ds.X[:8], ds.y[:8]), obj, cfg, noise_b)
         assert np.array_equal(sa.x, sb.x)
+
+
+@pytest.mark.parametrize("base", ["momentum", "adam", "adamw"])
+@pytest.mark.parametrize("clip", [{"clip": 1.0, "clip_variant": "standard"},
+                                  {"clip": None, "clip_variant": "none"}], ids=["clipped", "unclipped"])
+def test_dpsgd_step_is_the_reference_on_any_base(base, clip):
+    """``dpsgd_step`` steps at kappa 1 on the sgd base whatever the config's
+    kappa and base: every state has the bits of the written-out reference."""
+    ds = gen_classification(40, 6, seed=3)
+    obj = make_objective("logistic-regression", 6)
+    cfg = DiskConfig(kappa=0.6, gamma=0.5, eta=0.2, sigma_dp=0.4, base=base,
+                     weight_decay=0.1, **clip)
+    rows_a, rows_b = (noise_rows(rng_for(7), cfg.sigma_dp, 6, 30) for _ in range(2))
+    sa = sb = DiskState(x=np.ones(6))
+    for t, (noise_a, noise_b) in enumerate(zip(rows_a, rows_b)):
+        batch = ds.subset(np.arange(8 * (t % 5), 8 * (t % 5) + 8))
+        sa = dpsgd_step(sa, batch, obj, cfg, noise_a)
+        sb = dpsgd_reference_step(sb, batch, obj, cfg, noise_b)
+        for name in ("x", "g_filt", "d_prev"):
+            assert getattr(sa, name).tobytes() == getattr(sb, name).tobytes()
+        assert (sa.moments, sa.t) == ({}, sb.t)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +365,7 @@ def test_non_finite_gradients_abort(kind):
     raw["optimizer"]["eta"] = 100.0 / obj.smoothness(ds)
     cfg = harness.ExperimentConfig.from_dict(raw)
     with pytest.raises(FloatingPointError, match=r"^step \d+: \d+ non-finite mean gradient"):
-        for _ in harness._trajectory(cfg, cfg.optimizer, 3, (obj, ds)):
+        for _ in harness._trajectory(cfg, harness.resolve_optimizer(cfg, ds.n)[0], 3, (obj, ds)):
             pass
     with pytest.raises(FloatingPointError, match=r"^step \d+: non-finite evaluation, loss inf"):
         harness.run_experiment(cfg, problem=(obj, ds))

@@ -80,6 +80,12 @@ def target_raw(**privacy):
     return raw
 
 
+def optimizer_raw(**change):
+    raw = logistic_raw()
+    raw["optimizer"] = {**raw["optimizer"], **change}
+    return raw
+
+
 @pytest.mark.parametrize(
     "raw, error, match",
     [
@@ -134,11 +140,38 @@ def target_raw(**privacy):
          ValueError, r"^objective x_star must be finite, got \[0.0, inf\]$"),
         (logistic_raw(objective={"kind": "quadratic", "dim": 2, "eigenvalues": [-1.0, 1.0]}),
          ValueError, r"^objective eigenvalues must be >= 0, got \[-1.0, 1.0\]$"),
+        # a float setting takes an int or a float, never a bool; only clip,
+        # epsilon and delta may be null
+        (optimizer_raw(kappa=True), ValueError, "^kappa must be a number, got True$"),
+        (optimizer_raw(gamma="x"), ValueError, "^gamma must be a number, got 'x'$"),
+        (optimizer_raw(eta=None), ValueError, "^eta must be a number, got None$"),
+        (optimizer_raw(clip=True), ValueError, "^clip must be a number, got True$"),
+        (optimizer_raw(sigma_dp=True), ValueError, "^sigma_dp must be a number, got True$"),
+        (optimizer_raw(eps_adam=True), ValueError, "^eps_adam must be a number, got True$"),
+        (logistic_raw(algorithm="full-kf", full_filter={"gamma": None}),
+         ValueError, "^gamma must be a number, got None$"),
+        (logistic_raw(algorithm="full-kf", full_filter={"gamma": "x"}),
+         ValueError, "^gamma must be a number, got 'x'$"),
+        (logistic_raw(full_filter={"sigma_w_sq": True}),
+         ValueError, "^sigma_w_sq must be a number, got True$"),
+        (target_raw(epsilon=True), ValueError, "^epsilon must be a number, got True$"),
+        (target_raw(epsilon=2.0, delta="0.1"), ValueError, "^delta must be a number, got '0.1'$"),
+        (logistic_raw(init_scale=True), ValueError, "^init_scale must be a number, got True$"),
+        (logistic_raw(sigma_sgd_sq=True), ValueError, "^sigma_sgd_sq must be a number, got True$"),
     ],
 )
 def test_config_rejects_bad_boundary_values(raw, error, match):
     with pytest.raises(error, match=match):
         ExperimentConfig.from_dict(raw)
+
+
+def test_config_takes_ints_for_float_settings_and_null_where_allowed():
+    raw = optimizer_raw(kappa=1, gamma=-1, eta=1, clip=None, clip_variant="none")
+    raw.update(algorithm="full-kf", full_filter={"gamma": 2, "sigma_w_sq": 1}, init_scale=2,
+               sigma_sgd_sq=0, privacy={"epsilon": None, "delta": None})
+    cfg = ExperimentConfig.from_dict(raw)
+    assert (cfg.optimizer.kappa, cfg.optimizer.clip, cfg.full_filter.gamma) == (1, None, 2)
+    assert (cfg.epsilon_target, cfg.delta, cfg.init_scale) == (None, None, 2)
 
 
 def test_config_accepts_the_keys_bounds_reads():
@@ -485,22 +518,23 @@ def test_privacy_target_sweep_builds_terms_once_and_no_schedule(monkeypatch):
             builds.append(args)
             super().__init__(*args)
 
-    schedule = privacy.epsilon_schedule
+    schedule = harness.epsilon_schedule
     monkeypatch.setattr(privacy, "_BinomialTerms", CountedTerms)
     monkeypatch.setattr(
-        privacy, "epsilon_schedule", lambda *a: schedules.append(a) or schedule(*a)
+        harness, "epsilon_schedule", lambda *a: schedules.append(a) or schedule(*a)
     )
     raw = logistic_raw(seeds=[1, 2], privacy={"epsilon": 2.5}, T=5)
     del raw["optimizer"]["sigma_dp"]
+    cfg = ExperimentConfig.from_dict(raw)
     privacy._binomial_terms.cache_clear()
-    privacy.spend_schedule.cache_clear()
     try:
-        sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], ExperimentConfig.from_dict(raw))
+        sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], cfg)
+        assert len(builds) == 1  # the calibration's
+        assert schedules == []  # a sweep reports no epsilon
+        run_experiment(cfg)
+        assert len(schedules) == 1  # a run does, through the patched name
     finally:
         privacy._binomial_terms.cache_clear()
-        privacy.spend_schedule.cache_clear()
-    assert len(builds) == 1  # the calibration's
-    assert schedules == []  # a sweep reports no epsilon
 
 
 def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
@@ -513,9 +547,9 @@ def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
     monkeypatch.setattr(
         objectives.TinyMLP, "evaluate", lambda *a: evals.append(a) or evaluate(*a)
     )
-    schedule = privacy.epsilon_schedule
+    schedule = harness.epsilon_schedule
     monkeypatch.setattr(
-        privacy, "epsilon_schedule", lambda *a: schedules.append(a) or schedule(*a)
+        harness, "epsilon_schedule", lambda *a: schedules.append(a) or schedule(*a)
     )
     raw = logistic_raw(objective={"kind": "mlp", "n": 60, "p": 4, "hidden": 5},
                        seeds=[1, 2], privacy={"epsilon": 2.0}, T=4)
