@@ -8,6 +8,10 @@ and take the run's optimizer from ``harness.resolve_optimizer``, so bounds
 reports on the run train makes; train and sweep declare their six shared run
 flags once, on a parent parser. kalman-demo calls ``kalman`` directly.
 
+The parser is built once per process (``build_parser`` is cached) and holds
+no handlers: ``main`` dispatches a command by its name at call time, to the
+``cmd_*`` function of that name.
+
 A command runs inside ``objectives.one_blas_thread``: on matrices this small
 a second thread that wakes for ``lstsq`` or ``X.T @ X`` busy-waits through
 the calls after it, doubling CPU time for no wall time.
@@ -16,6 +20,7 @@ the calls after it, doubling CPU time for no wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -57,15 +62,34 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _float_list(text: str) -> list[float]:
-    """Argument type: a comma-separated list of finite floats."""
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"each value must be finite, got {text}")
-    return values
+def _unit_float(hi_closed: bool):
+    """Argument type: a float in (0, 1], or in (0, 1) unless ``hi_closed``."""
+    span = "(0, 1]" if hi_closed else "(0, 1)"
+
+    def parse(text: str) -> float:
+        value = _positive_float(text)
+        if value > 1 or value == 1 and not hi_closed:
+            raise argparse.ArgumentTypeError(f"must lie in {span}, got {text}")
+        return value
+
+    return parse
+
+
+def _float_list(lo: float = -math.inf):
+    """Argument type: a comma-separated list of finite floats, each >= lo."""
+
+    def parse(text: str) -> list[float]:
+        try:
+            values = [float(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(f"each value must be finite, got {text}")
+        if min(values) < lo:
+            raise argparse.ArgumentTypeError(f"each value must be >= {lo:g}, got {text}")
+        return values
+
+    return parse
 
 
 def _env_seed(default: int | None) -> int | None:
@@ -230,6 +254,7 @@ def cmd_kalman_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpkf",
@@ -248,29 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--kappa", type=float)
     p_train.add_argument("--gamma", type=float)
     p_train.add_argument("--algorithm")
-    p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare-filters", help="benchmark the three filters")
-    p_cmp.add_argument("--noise-levels", dest="noise_levels", type=_float_list)
+    p_cmp.add_argument("--noise-levels", dest="noise_levels", type=_float_list(0))
     p_cmp.add_argument(
         "--seeds", default="0,1,2,3,4", type=lambda s: tuple(map(_int_in(0), s.split(",")))
     )
     p_cmp.add_argument("--n", type=_int_in(1), default=1000)
     p_cmp.add_argument("--p", type=_int_in(1), default=20)
     p_cmp.add_argument("--T", type=_int_in(1), default=400)
-    p_cmp.add_argument("--kappa", type=float, default=0.5)
+    p_cmp.add_argument("--kappa", type=_unit_float(hi_closed=True), default=0.5)
     p_cmp.add_argument("--outdir", default="out")
-    p_cmp.set_defaults(func=cmd_compare_filters)
 
     p_sweep = sub.add_parser("sweep", parents=[run], help="grid over (kappa, gamma)")
-    p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list)
-    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list())
+    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list())
 
     p_cal = sub.add_parser("calibrate", help="noise multiplier for a budget")
-    p_cal.add_argument("--epsilon", type=float, required=True)
-    p_cal.add_argument("--delta", type=float, required=True)
-    p_cal.add_argument("--sampling-rate", dest="sampling_rate", type=float, required=True)
+    p_cal.add_argument("--epsilon", type=_positive_float, required=True)
+    p_cal.add_argument("--delta", type=_unit_float(hi_closed=False), required=True)
+    p_cal.add_argument(
+        "--sampling-rate", dest="sampling_rate", type=_unit_float(hi_closed=True), required=True
+    )
     p_cal.add_argument("--steps", type=_int_in(1), required=True)
     p_cal.add_argument("--clip", type=_positive_float)
     p_cal.add_argument("--batch-size", dest="batch_size", type=_int_in(1))
@@ -278,19 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--clip-variant", dest="clip_variant", default="standard",
         choices=("standard", "automatic", "normalized"),
     )
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_bounds = sub.add_parser("bounds", help="bound constants and RHS values")
     p_bounds.add_argument("--config", required=True)
     p_bounds.add_argument("--trace", help="trace CSV for an empirical LHS")
-    p_bounds.set_defaults(func=cmd_bounds)
 
     p_kd = sub.add_parser("kalman-demo", help="estimator-quality simulation")
     p_kd.add_argument("--dim", type=_int_in(1, kalman.MAX_STATE_DIM), default=3)
     p_kd.add_argument("--steps", type=_int_in(1), default=10_000)
     p_kd.add_argument("--runs", type=_int_in(1), default=50)
     p_kd.add_argument("--seed", type=_int_in(0), default=0)
-    p_kd.set_defaults(func=cmd_kalman_demo)
     return parser
 
 
@@ -307,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         # sigma_dp = z * S / B needs the clip's sensitivity S
         parser.error("calibrate: argument --batch-size: needs --clip to report sigma_dp")
     with one_blas_thread():
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -229,8 +229,9 @@ def _is_int(value) -> bool:
 
 def _check_objective(problem: dict) -> None:
     """Reject an objective dict with an unknown kind, a key its kind ignores or
-    lacks, a size that is not an integer >= 1, a quadratic vector not of length
-    dim or not finite, or a negative quadratic eigenvalue (unbounded below)."""
+    lacks, a size that is not an integer >= 1, a noise_std that is not a finite
+    number >= 0, a quadratic vector not of length dim or not finite, or a
+    negative quadratic eigenvalue (unbounded below)."""
     kind = problem.get("kind")
     if kind not in OBJECTIVE_KEYS:
         raise ValueError(f"unknown objective kind: {kind!r}")
@@ -241,6 +242,9 @@ def _check_objective(problem: dict) -> None:
     for key in ("n", "p", "dim", "hidden"):
         if key in problem and not (_is_int(problem[key]) and problem[key] >= 1):
             raise ValueError(f"objective {key} must be an integer >= 1, got {problem[key]!r}")
+    noise = problem.get("noise_std", 0.0)
+    if isinstance(noise, bool) or not isinstance(noise, numbers.Real) or not 0 <= noise < math.inf:
+        raise ValueError(f"objective noise_std must be a finite number >= 0, got {noise!r}")
     for key in ("eigenvalues", "x_star"):
         if problem.get(key) is None:
             continue

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpkf import harness, objectives, privacy, theory
+from dpkf import cli, harness, objectives, privacy, theory
 from dpkf.cli import main as cli_main
 from dpkf.harness import (
     COMPARISON_HEADER,
@@ -26,7 +28,7 @@ from dpkf.harness import (
 )
 from dpkf.objectives import EVAL_BLOCK, LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
-from test_golden import FULLKF, SMALL_FULLKF
+from test_golden import CALIBRATE_COMMANDS, CALIBRATE_GOLDEN, FULLKF, SMALL_FULLKF
 
 
 def logistic_raw(**overrides):
@@ -188,6 +190,14 @@ def test_config_accepts_every_objective_key():
     ):
         cfg = ExperimentConfig.from_dict(logistic_raw(objective=objective, B=4, T=2))
         assert len(run_experiment(cfg).records) == 2
+
+
+@pytest.mark.parametrize("noise_std", [True, "x", None, math.nan, math.inf, -1.0])
+def test_config_refuses_a_bad_noise_std(noise_std):
+    objective = {"kind": "linear-regression", "n": 30, "p": 3, "noise_std": noise_std}
+    message = f"objective noise_std must be a finite number >= 0, got {noise_std!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(logistic_raw(objective=objective))
 
 
 def test_build_problem_makes_every_kind_through_make_objective(monkeypatch):
@@ -943,6 +953,82 @@ def test_cli_sizes_take_integers_from_one_and_lists_finite_numbers(
     tmp_path, capsys, command, flag, value
 ):
     assert_flag_rejected(tmp_path, capsys, command, flag, value)
+
+
+CLI_RANGE_CASES = [
+    ("calibrate", "--epsilon", "-1"),
+    ("calibrate", "--epsilon", "0"),
+    ("calibrate", "--epsilon", "inf"),
+    ("calibrate", "--delta", "0"),
+    ("calibrate", "--delta", "1"),
+    ("calibrate", "--delta", "nan"),
+    ("calibrate", "--sampling-rate", "0"),
+    ("calibrate", "--sampling-rate", "2"),
+    ("compare-filters", "--kappa", "0"),
+    ("compare-filters", "--kappa", "1.5"),
+    ("compare-filters", "--noise-levels", "0.1,-0.1"),
+    ("compare-filters", "--noise-levels", "-0.5"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", CLI_RANGE_CASES)
+def test_cli_float_flags_take_their_range(tmp_path, capsys, command, flag, value):
+    assert_flag_rejected(tmp_path, capsys, command, flag, value)
+
+
+def test_cli_float_flags_take_the_ends_of_their_range():
+    args = cli.build_parser().parse_args(
+        ["calibrate", "--epsilon", "1e-3", "--delta", "1e-300", "--sampling-rate", "1",
+         "--steps", "1"]
+    )
+    assert (args.epsilon, args.delta, args.sampling_rate) == (1e-3, 1e-300, 1.0)
+    args = cli.build_parser().parse_args(["compare-filters", "--kappa", "1", "--noise-levels", "0"])
+    assert (args.kappa, args.noise_levels) == (1.0, [0.0])
+
+
+def test_cli_builds_its_parser_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_reused_parser_keeps_the_calibrate_bytes(tmp_path, capsys):
+    """In one process, a failed parse and the other commands leave a
+    calibrate golden command's report byte-identical."""
+
+    def calibrate_hash() -> str:
+        assert cli_main(["calibrate", *CALIBRATE_COMMANDS["calibrate-clip"]]) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    assert calibrate_hash() == CALIBRATE_GOLDEN["calibrate-clip"]
+    for command in ("compare-filters", "kalman-demo"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*small_command(tmp_path, "calibrate"), "--delta", "1"])
+        assert exc.value.code == 2
+        assert calibrate_hash() == CALIBRATE_GOLDEN["calibrate-clip"]
+        assert cli_main(small_command(tmp_path, command)) == 0
+        capsys.readouterr()
+        assert calibrate_hash() == CALIBRATE_GOLDEN["calibrate-clip"]
+
+
+# sha256 of the stdout of ``dpkf [command] --help`` at 80 columns, taken with
+# Python 3.11's argparse (another version may word or wrap help differently)
+CLI_HELP = {
+    "": "20a2c9692922dd72202b37d7df492b6fce2c248b1cd3a74028c3a6af31ada619",
+    "train": "dacfe5e50fe04c587c0b2bf40973ae04ac57711efad31d74ed2fa033be96e68c",
+    "compare-filters": "c587d8bbb8d926a20e2b15b2389a917008cc07ba9aad133a3cbd92406da82c37",
+    "sweep": "ca37177266c4dcbe238036f6aaa3555504bf64a19e44ba59e6f57a3817350ccc",
+    "calibrate": "1b242f3064ab43ed3565aaac1cc1afef591e5d332c22a76f18ba54dbea5d680c",
+    "bounds": "708c12af6eef8d32bad78dc3f94816c6b111c0e957def85a80d88f30d93d5de8",
+    "kalman-demo": "246c59dc0c4c957f9e5ef8b1c5be441951625ad7a8d72a9939a646abeed15414",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_HELP))
+def test_cli_help_text_unchanged(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_HELP[command]
 
 
 @pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
