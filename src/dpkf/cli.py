@@ -75,8 +75,9 @@ def _unit_float(hi_closed: bool):
     return parse
 
 
-def _float_list(lo: float = -math.inf):
-    """Argument type: a comma-separated list of finite floats, each >= lo."""
+def _float_list(ok, rule: str):
+    """Argument type: a comma-separated list of finite floats, each passing
+    ``ok``; ``rule`` says what ``ok`` asks, as in "each value must {rule}"."""
 
     def parse(text: str) -> list[float]:
         try:
@@ -85,8 +86,8 @@ def _float_list(lo: float = -math.inf):
             raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
         if not all(map(math.isfinite, values)):
             raise argparse.ArgumentTypeError(f"each value must be finite, got {text}")
-        if min(values) < lo:
-            raise argparse.ArgumentTypeError(f"each value must be >= {lo:g}, got {text}")
+        if not all(map(ok, values)):
+            raise argparse.ArgumentTypeError(f"each value must {rule}, got {text}")
         return values
 
     return parse
@@ -275,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--algorithm")
 
     p_cmp = sub.add_parser("compare-filters", help="benchmark the three filters")
-    p_cmp.add_argument("--noise-levels", dest="noise_levels", type=_float_list(0))
+    p_cmp.add_argument(
+        "--noise-levels", dest="noise_levels", type=_float_list(lambda v: v >= 0, "be >= 0")
+    )
     p_cmp.add_argument(
         "--seeds", default="0,1,2,3,4", type=lambda s: tuple(map(_int_in(0), s.split(",")))
     )
@@ -286,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--outdir", default="out")
 
     p_sweep = sub.add_parser("sweep", parents=[run], help="grid over (kappa, gamma)")
-    p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list())
-    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list())
+    p_sweep.add_argument(
+        "--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list(lambda v: 0 < v <= 1, "lie in (0, 1]")
+    )
+    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list(bool, "be nonzero"))
 
     p_cal = sub.add_parser("calibrate", help="noise multiplier for a budget")
     p_cal.add_argument("--epsilon", type=_positive_float, required=True)

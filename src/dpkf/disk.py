@@ -117,7 +117,9 @@ class DiskConfig:
 @dataclass
 class DiskState:
     """Optimizer memory: iterate, previous filtered gradient and displacement,
-    plus whatever moments the base optimizer keeps."""
+    plus whatever moments the base optimizer keeps. ``x`` of shape (k, d) is a
+    stack of k runs that share the step's config, kappa, gamma and batch, each
+    row a run with its own noise row (see ``disk_step``)."""
 
     x: np.ndarray
     g_filt: np.ndarray | None = None  # None until the first step
@@ -173,21 +175,34 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
 # ---------------------------------------------------------------------------
 
 
+def noise_blocks(
+    rng: np.random.Generator, sigma: float, d: int, T: int
+) -> Iterator[np.ndarray]:
+    """The noise rows of a T-step run at sigma > 0, as
+    ``sigma * rng.standard_normal((k, d))`` blocks of k <= ``NOISE_BLOCK``
+    rows: the same numbers as one ``rng.standard_normal(d)`` a step. A block
+    that is not finite (sigma so large that a draw overflows) is refused."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    k = max(1, min(NOISE_BLOCK, NOISE_BLOCK_BYTES // (8 * d)))
+    for start in range(0, T, k):
+        with np.errstate(over="ignore"):
+            block = sigma * rng.standard_normal((min(k, T - start), d))
+        if not _finite(block):
+            raise ValueError(f"sigma = {sigma!r} overflows: a drawn noise row is not finite")
+        yield block
+
+
 def noise_rows(
     rng: np.random.Generator, sigma: float, d: int, T: int
 ) -> Iterator[np.ndarray | None]:
-    """The noise rows of a T-step run: T rows of sigma * N(0, I_d), drawn as
-    ``sigma * rng.standard_normal((k, d))`` blocks of k <= ``NOISE_BLOCK``
-    rows, the same numbers as one ``rng.standard_normal(d)`` a step. Each row
-    is None when sigma is 0, and no number is drawn."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    """The T noise rows of a run, sigma * N(0, I_d) one a step, from
+    ``noise_blocks``. Each row is None when sigma is 0, and no number is drawn."""
     if sigma == 0:
         yield from itertools.repeat(None, T)
         return
-    k = max(1, min(NOISE_BLOCK, NOISE_BLOCK_BYTES // (8 * d)))
-    for start in range(0, T, k):
-        yield from sigma * rng.standard_normal((min(k, T - start), d))
+    for block in noise_blocks(rng, sigma, d, T):
+        yield from block
 
 
 def _check_noise(noise, cfg: DiskConfig, x, t: int) -> None:
@@ -212,30 +227,47 @@ def _finite(g: np.ndarray) -> bool:
     return math.isfinite(np.vdot(g, g)) or bool(np.isfinite(g).all())
 
 
+def _factored_mean(obj: Objective, x, batch, cfg: DiskConfig, t: int, ahead, a: float):
+    """The clipped mean of the per-sample gradients at one run's x (or their
+    two-point combination), from ``obj.grad_factors``; a non-finite mean
+    raises ``FloatingPointError``, naming the step."""
+    X, y = batch
+    fac = obj.grad_factors(x, X, y, ahead, a)
+    weights = None
+    if cfg.clip_variant != "none":
+        fac.coefs, fac.feats, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
+    g = fac.mean(weights)
+    if not _finite(g):
+        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
+        raise FloatingPointError(
+            f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
+            f"components ({bad} non-finite per-sample gradient factors)"
+        )
+    return g
+
+
 def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=None, a=0.0):
     """The privatised observation: the per-sample gradients at x, or their
     combination a * grad(ahead) + (1 - a) * grad(x), clipped, averaged in row
     order, plus the noise row, all from ``obj.grad_factors``, or unclipped over
     a whole ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x
-    alone it is ``obj.mean_grad``. Aborts on a bad noise row (``_check_noise``),
-    an empty batch or a non-finite mean."""
+    alone it is ``obj.mean_grad``. Only that Gram observation takes a stack of
+    runs; a stack row whose Gram mean is not finite observes on its own, from
+    its factors. Aborts on a bad noise row (``_check_noise``), an empty batch
+    or a non-finite mean."""
     _check_noise(noise, cfg, x, t)
     X, y = batch
     if len(X) == 0:
         raise ValueError("batch must be non-empty")
     g = obj.dataset_mean_grad(batch, x, ahead, a) if cfg.clip_variant == "none" else None
-    if g is None or not _finite(g):  # statistics can overflow where rows do not
-        fac = obj.grad_factors(x, X, y, ahead, a)
-        weights = None
-        if cfg.clip_variant != "none":
-            fac.coefs, fac.feats, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
-        g = fac.mean(weights)
-        if not _finite(g):
-            bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
-            raise FloatingPointError(
-                f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
-                f"components ({bad} non-finite per-sample gradient factors)"
-            )
+    if g is None:
+        g = _factored_mean(obj, x, batch, cfg, t, ahead, a)
+    elif not _finite(g):  # statistics can overflow where rows do not
+        if g.ndim == 1:
+            g = _factored_mean(obj, x, batch, cfg, t, ahead, a)
+        else:  # a stack: each row whose mean is not finite observes alone
+            for i in np.flatnonzero(~np.isfinite(g).all(axis=1)):
+                g[i] = _factored_mean(obj, x[i], batch, cfg, t, None if ahead is None else ahead[i], a)
     return g if noise is None else g + noise
 
 
@@ -259,7 +291,14 @@ def disk_step(
     """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
     at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None). ``noise``
     is the step's row of ``noise_rows`` (None at sigma_dp = 0), added to the
-    clipped mean."""
+    clipped mean.
+
+    A state whose ``x`` is a (k, d) stack steps k runs at once; ``noise`` is
+    then (k, d), a row per run (so ``cfg.sigma_dp`` only says whether rows are
+    given). Only an unclipped step on a whole linear-regression ``Dataset``
+    takes a stack: its observation is one ``G @ z_i`` per row, and the ahead
+    point, filter and base update are elementwise, so each row has the bits
+    of its run stepped alone. Every other observation refuses a stack."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     x = state.x

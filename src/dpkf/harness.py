@@ -20,10 +20,10 @@ one draw a step, and handed to the step. Every run holds one BLAS thread
 (``objectives.one_blas_thread``), so its bits do not depend on the caller's
 thread count. A sweep runs each distinct trajectory once per seed: grid
 cells whose steps read the same (kappa, gamma), after the preset, share one
-run (``_run_key``). Runs touch disjoint state, yet run in sequence: a
-2-thread pool over ``compare_filters``' 12 runs kept every bit but gained no
-wall time and took 1.5-2x the CPU, as its small numpy calls contend for the
-GIL.
+run (``_run_key``). ``compare_filters`` steps each seed and method's noise
+levels as one stack of runs, a level a row of the state (``disk_step``), on
+one draw of each level's noise: a row keeps the bits of its run stepped
+alone, and a step costs one call for the stack, not one a level.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding, svgplot
-from .disk import DiskConfig, DiskState, FullFilterConfig, disk_step, noise_rows, reads_gamma
+from .disk import (DiskConfig, DiskState, FullFilterConfig, disk_step, noise_blocks, noise_rows,
+                   reads_gamma)
 from .objectives import (
     EVAL_BLOCK,
     Dataset,
@@ -417,6 +418,12 @@ def compare_filters(
 
     Step size (1/L) and the per-step noise realisations are shared across
     methods, so differences isolate the filter. Deterministic per seed.
+
+    Each (seed, method) steps its seed's distinct nonzero levels as one stack
+    of runs, a level a row, and its levels of 0 as a second stack, with no
+    noise (``_comparison_stacks``). The three methods step in lockstep on one
+    draw of each level's noise rows. Every row has the bits of its run
+    stepped alone, and the rows keep their order: level, then method.
     """
     rows: list[ComparisonRow] = []
     for seed in seeds:
@@ -424,28 +431,42 @@ def compare_filters(
         if noise_levels is None:  # from the seeds[0] dataset
             noise_levels = comparison_noise_levels(ds)
         obj = LinearRegression(p)
-        eta = 1.0 / obj.smoothness(ds)
-        x0 = np.zeros(p)
-        for sigma in noise_levels:
-            shared = DiskConfig(
-                kappa=kappa, gamma=-1.0, eta=eta, clip=None, clip_variant="none",
-                sigma_dp=sigma, base="sgd",
-            )
-            for method in COMPARISON_METHODS:
-                cfg = replace(shared, **PRESETS[method].overrides)
-                rng = seeding.substream(seed, seeding.DP_NOISE, f"sigma={sigma!r}")
-                state = DiskState(x=x0.copy())
-                for noise in noise_rows(rng, sigma, p, T):
-                    state = disk_step(state, ds, obj, cfg, noise)
-                rows.append(
-                    ComparisonRow(
-                        sigma_dp=sigma,
-                        method=method,
-                        seed=seed,
-                        final_loss=full_loss(obj, state.x, ds),
-                    )
-                )
+        shared = DiskConfig(
+            kappa=kappa, gamma=-1.0, eta=1.0 / obj.smoothness(ds), clip=None,
+            clip_variant="none", base="sgd",
+        )
+        final: dict[tuple[float, str], float] = {}
+        for levels, noise in _comparison_stacks(seed, noise_levels, p, T):
+            cfgs = [replace(shared, sigma_dp=max(levels), **PRESETS[m].overrides)
+                    for m in COMPARISON_METHODS]
+            states = [DiskState(x=np.zeros((len(levels), p))) for _ in cfgs]
+            for row in noise:
+                states = [disk_step(state, ds, obj, cfg, row) for state, cfg in zip(states, cfgs)]
+            for method, state in zip(COMPARISON_METHODS, states):
+                for start in range(0, len(levels), EVAL_BLOCK):
+                    losses, _ = obj.evaluate(state.x[start : start + EVAL_BLOCK], ds.X, ds.y)
+                    final.update(zip([(s, method) for s in levels[start : start + EVAL_BLOCK]],
+                                     losses.tolist()))
+        rows += [ComparisonRow(sigma, method, seed, final[sigma, method])
+                 for sigma in noise_levels for method in COMPARISON_METHODS]
     return rows
+
+
+def _comparison_stacks(seed: int, noise_levels, p: int, T: int):
+    """(levels, noise rows) of each stack a ``compare_filters`` seed steps: its
+    distinct nonzero levels, whose step row i is level i's ``noise_rows`` row
+    from the level's own substream, then [0.0] for any level of 0, whose rows
+    are None. Each level's rows are drawn once, ``noise_blocks`` at a time, and
+    the levels' blocks stacked into a (block, levels, p) array, one
+    (levels, p) row a step."""
+    distinct = list(dict.fromkeys(noise_levels))
+    noisy = [s for s in distinct if s != 0]
+    if noisy:
+        blocks = zip(*(noise_blocks(seeding.substream(seed, seeding.DP_NOISE, f"sigma={s!r}"), s, p, T)
+                       for s in noisy))
+        yield noisy, (row for level_blocks in blocks for row in np.stack(level_blocks, axis=1))
+    if len(noisy) < len(distinct):
+        yield [0.0], itertools.repeat(None, T)
 
 
 def aggregate_comparison(rows: list[ComparisonRow]) -> dict[tuple[float, str], float]:

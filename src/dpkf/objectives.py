@@ -294,7 +294,8 @@ class Objective:
         return None
 
     def dataset_mean_grad(self, batch, x, ahead=None, a: float = 0.0):
-        """``grad_factors(...).mean()`` from a whole ``Dataset``'s statistics, or None."""
+        """``grad_factors(...).mean()`` from a whole ``Dataset``'s statistics, or
+        None; the row of each point of a (k, d) stack, where the kind takes one."""
         return None
 
     def init_point(self, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -309,9 +310,10 @@ class Objective:
             )
         return xs
 
-    def _check_dim(self, x: np.ndarray) -> np.ndarray:
+    def _check_dim(self, x: np.ndarray, stack: bool = False) -> np.ndarray:
+        """x as a float array of shape (dim,), or (k, dim) where ``stack``."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape != (self.dim,) and not (stack and x.ndim == 2 and x.shape[1] == self.dim):
             raise ValueError(f"parameter vector must have shape ({self.dim},), got {x.shape}")
         return x
 
@@ -420,9 +422,21 @@ class LinearRegression(_GeneralisedLinear):
         return full_loss(self, x_star, dataset)
 
     def dataset_mean_grad(self, batch, x, ahead=None, a=0.0):
-        if isinstance(batch, Dataset):  # G z - b; affine, so two points combine in z
-            z = x if ahead is None else x + a * (ahead - x)
-            return batch.second_moment @ self._check_dim(z) - batch.moment_xy
+        """G z - b, affine, so two points combine in z. A (k, p) stack of
+        points takes one product ``G @ z_i`` per row (``np.dot`` into the
+        row, the same gemv), which has the bits of that row alone:
+        ``Z @ G.T`` would round otherwise, and ``G @ Z`` is another product
+        (silently so at k = p)."""
+        if isinstance(batch, Dataset):
+            z = self._check_dim(x if ahead is None else x + a * (ahead - x), stack=True)
+            G = batch.second_moment
+            if z.ndim == 1:
+                return G @ z - batch.moment_xy
+            g = np.empty(z.shape)
+            for z_i, g_i in zip(z, g):
+                np.dot(G, z_i, out=g_i)
+            g -= batch.moment_xy
+            return g
 
     def _block_coefs(self, xs, X, y):
         W = np.zeros((EVAL_BLOCK, len(X)))

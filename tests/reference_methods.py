@@ -8,19 +8,34 @@ difference, and ``per_sample_grad`` the one-sample analytic gradient of a
 are the logistic formulas in their first form, each allocating its result, and
 ``logistic_evaluate`` the logistic ``evaluate`` rebuilt from them as a row
 loop. ``filter_min_eig`` steps the covariance that
-``kalman.simulate_estimation`` advances. ``calibrate_gaussian`` and its
+``kalman.simulate_estimation`` advances. ``compare_filters_reference`` is
+``harness.compare_filters`` as one run per (seed, level, method), each
+drawing its own noise rows and ending in ``full_loss``: the loop that the
+stacked runs replaced. ``calibrate_gaussian`` and its
 helpers are the analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530),
 which acceptance criterion 9 checks; every command calibrates through the RDP
 accountant instead. Nothing in ``dpkf`` calls them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from dpkf.disk import DiskConfig, DiskState, _observe
+from dpkf import seeding
+from dpkf.disk import DiskConfig, DiskState, _observe, disk_step, noise_rows
+from dpkf.harness import COMPARISON_METHODS, PRESETS, ComparisonRow, comparison_noise_levels
 from dpkf.kalman import LinearSystem, kf_correct, kf_predict
-from dpkf.objectives import EVAL_BLOCK, Dataset, Objective, full_gradient, one_blas_thread
+from dpkf.objectives import (
+    EVAL_BLOCK,
+    Dataset,
+    LinearRegression,
+    Objective,
+    full_gradient,
+    full_loss,
+    gen_linear_regression,
+    one_blas_thread,
+)
 from dpkf.privacy import PrivacyBudget, PrivacyError
 
 Sample = tuple[np.ndarray, float]
@@ -84,6 +99,30 @@ def dpsgd_reference_step(state: DiskState, batch, obj: Objective, cfg: DiskConfi
     g = _observe(obj, state.x, batch, cfg, noise, state.t)
     x_new = state.x - cfg.eta * g
     return DiskState._successor(x_new, g, x_new - state.x, state.moments, state.t + 1)
+
+
+@one_blas_thread()
+def compare_filters_reference(noise_levels=None, seeds=(0, 1, 2, 3, 4), n=1000, p=20, T=400,
+                              kappa=0.5) -> list[ComparisonRow]:
+    """``harness.compare_filters`` one run at a time, in row order."""
+    rows = []
+    for seed in seeds:
+        ds = gen_linear_regression(n, p, noise_std=0.1, seed=seed)
+        if noise_levels is None:
+            noise_levels = comparison_noise_levels(ds)
+        obj = LinearRegression(p)
+        eta = 1.0 / obj.smoothness(ds)
+        for sigma in noise_levels:
+            shared = DiskConfig(kappa=kappa, gamma=-1.0, eta=eta, clip=None,
+                                clip_variant="none", sigma_dp=sigma, base="sgd")
+            for method in COMPARISON_METHODS:
+                cfg = replace(shared, **PRESETS[method].overrides)
+                rng = seeding.substream(seed, seeding.DP_NOISE, f"sigma={sigma!r}")
+                state = DiskState(x=np.zeros(p))
+                for noise in noise_rows(rng, sigma, p, T):
+                    state = disk_step(state, ds, obj, cfg, noise)
+                rows.append(ComparisonRow(sigma, method, seed, full_loss(obj, state.x, ds)))
+    return rows
 
 
 def nag_step(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dpkf import disk, harness, objectives, privacy, seeding
 from dpkf.disk import (
     DiskConfig,
+    FILTER_INITS,
     DiskState,
     FullFilterConfig,
     apply_base_update,
@@ -674,6 +675,101 @@ def test_finiteness_checks_raise_no_warning():
         assert got.tobytes() == want.tobytes()
         with pytest.raises(FloatingPointError, match=r"^step 6: 3 non-finite mean gradient"):
             disk._observe(obj, x, (X_nan, huge.y / 1e200), cfg, noise, 6)
+
+
+# ---------------------------------------------------------------------------
+# Stacks: k runs stepped as the rows of one state
+# ---------------------------------------------------------------------------
+
+
+def stack_problem(p=5, seed=4):
+    """A whole linear-regression dataset and p starting points, one a row."""
+    obj = make_objective("linear-regression", p)
+    return obj, gen_linear_regression(40, p, 0.1, seed=seed), 0.3 * rng_for(seed + 1).standard_normal((p, p))
+
+
+def assert_rows_are_single_runs(stack, singles):
+    for i, single in enumerate(singles):
+        for name in ("x", "g_filt", "d_prev"):
+            assert getattr(stack, name)[i].tobytes() == getattr(single, name).tobytes(), (name, i)
+        assert stack.t == single.t
+
+
+@pytest.mark.parametrize("filter_init", FILTER_INITS)
+@pytest.mark.parametrize("method", harness.COMPARISON_METHODS)
+@pytest.mark.parametrize("sigma_dp", [0.0, 0.2])
+def test_stacked_step_is_each_row_stepped_alone(method, filter_init, sigma_dp):
+    """k = p runs stepped as one stack (so ``G @ Z`` would be a wrong product of
+    the right shape) keep each run's bytes: the observation's per-row
+    products, and the ahead point, filter and base update elementwise."""
+    obj, ds, xs = stack_problem()
+    k, p = xs.shape
+    cfg = replace(DiskConfig(kappa=0.6, gamma=-1.0, eta=0.2, clip=None, clip_variant="none",
+                             sigma_dp=sigma_dp, filter_init=filter_init),
+                  **harness.PRESETS[method].overrides)
+    streams = [noise_rows(rng_for(10 + i), sigma_dp * (i + 1), p, 6) for i in range(k)]
+    stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
+    for rows in zip(*streams):
+        noise = None if sigma_dp == 0 else np.array(rows)
+        stack = disk_step(stack, ds, obj, cfg, noise)
+        singles = [disk_step(s, ds, obj, cfg, row) for s, row in zip(singles, rows)]
+    assert stack.x.shape == (k, p)
+    assert_rows_are_single_runs(stack, singles)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
+    """A 1.5e154 feature overflows G = X^T X / n but no row's factors: each
+    row of the stack then observes from its factors, with the bytes of its
+    run stepped alone, and a row whose factored mean is not finite raises the
+    error naming the step."""
+    obj, ds, xs = stack_problem(p=3)
+    X_big = np.array(ds.X)
+    X_big[0, 0] = 1.5e154
+    big = objectives.Dataset(X_big, ds.y)
+    # a step this short keeps x near its start, where the big row's gradient nears 1e307
+    cfg = DiskConfig(kappa=0.5, gamma=-1.0, eta=1e-310, clip=None, clip_variant="none", sigma_dp=0.1)
+    noise = 0.1 * rng_for(2).standard_normal(xs.shape)
+    stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
+    for _ in range(2):
+        stack = disk_step(stack, big, obj, cfg, noise)
+        singles = [disk_step(s, big, obj, cfg, row) for s, row in zip(singles, noise)]
+    assert (~np.isfinite(obj.dataset_mean_grad(big, stack.x))).any(axis=1).all()
+    assert np.isfinite(stack.g_filt).all()
+    assert_rows_are_single_runs(stack, singles)
+    xs[1] = 1e300  # its residual on the big row overflows
+    with pytest.raises(FloatingPointError, match=r"^step 4: .*non-finite mean gradient"):
+        disk._observe(obj, xs, big, cfg, noise, 4)
+
+
+@pytest.mark.parametrize("kind, variant, whole", [
+    ("linear-regression", "standard", True),  # clipped
+    ("linear-regression", "automatic", True),
+    ("linear-regression", "none", False),  # a minibatch
+    ("logistic-regression", "none", True),  # no Gram statistics
+    ("quadratic", "none", True),
+    ("mlp", "none", True),
+])
+def test_stack_is_refused_off_the_gram_path(kind, variant, whole):
+    """Only the unclipped Gram observation over a whole linear-regression
+    dataset takes a stack; every other observation refuses it."""
+    obj, ds = single_point_problem(kind)
+    cfg = DiskConfig(clip=None if variant == "none" else 1.0, clip_variant=variant, sigma_dp=0.1)
+    xs = np.zeros((2, obj.dim))
+    batch = ds if whole else ds.subset(np.arange(10))
+    with pytest.raises(ValueError, match=r"parameter vector must have shape \(\d+,\), got \(2, \d+\)"):
+        disk_step(DiskState(x=xs), batch, obj, cfg, np.zeros(xs.shape))
+
+
+def test_noise_rows_refuse_a_block_that_overflows():
+    """A level whose draw overflows is refused by name, once a block and
+    without a warning; a large level whose draws stay finite is not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sigma = 1e\+308 overflows: a drawn noise row"):
+            list(noise_rows(rng_for(0), 1e308, 2, 64))
+        rows = list(noise_rows(rng_for(0), 1e300, 2, 64))
+    assert len(rows) == 64 and np.isfinite(rows).all()
 
 
 def single_point_problem(kind):

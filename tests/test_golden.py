@@ -204,11 +204,19 @@ COMMANDS = {
          "--n", "1000", "--p", "20", "--T", "30"],
         "comparison.csv",
     ),
+    # 9 levels: a level of 0, a duplicate, and as many nonzero levels as p
+    "compare-filters-levels": (
+        None,
+        ["compare-filters", "--seeds", "0,1", "--noise-levels",
+         "0.05,0,0.3,0.05,1.5,0.01,0.8,0.1,3", "--n", "100", "--p", "8", "--T", "12"],
+        "comparison.csv",
+    ),
 }
 
 GOLDEN = {
     "compare-filters": "8922a2ab8f7a2776bcd90d72f753df0693cb292294ba804a52fd68c235017b47",
     "compare-filters-wide": "776c3b0d3a41eb9652a798b1668777a13b8235842704ac92de2bf88cc324dd3f",
+    "compare-filters-levels": "38b0939181af0bee36d6a9dbbc34490af75b2fd44a7ad05ddb710ad91eab0397",
     "sweep-linreg-full-batch": "d449b753031da5826035df4415fc426ef59153293af890d3b288d7fe0efe2f29",
     "sweep-full-kf": "ddd1357cd76e60689f51fdc4ba4daee2b52a48cf14d578120b6dd0dce4272e3e",
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",

@@ -28,6 +28,7 @@ from dpkf.harness import (
 )
 from dpkf.objectives import EVAL_BLOCK, LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
+from reference_methods import compare_filters_reference
 from test_golden import CALIBRATE_COMMANDS, CALIBRATE_GOLDEN, FULLKF, SMALL_FULLKF
 
 
@@ -420,6 +421,53 @@ def test_compare_filters_row_count_and_ordering():
     for lvl in levels:
         assert agg[(lvl, "noisy-kf")] <= agg[(lvl, "noisy-gd")]
         assert agg[(lvl, "noisy-kf")] <= agg[(lvl, "noisy-lp")]
+
+
+def comparison_bytes(rows):
+    return [(repr(r.sigma_dp), r.method, r.seed, r.final_loss.hex()) for r in rows]
+
+
+@pytest.mark.parametrize("levels, seeds, p", [
+    ([0.05, 0.5], (0, 1), 4),
+    ([0.05, 0.0, 0.3, 0.05, 0.0], (3,), 5),  # duplicates and levels of 0
+    ([0.01 * (i + 1) for i in range(EVAL_BLOCK + 3)], (0, 2), 6),  # more than a block
+    ([0.2 * (i + 1) for i in range(5)] + [0.0], (1,), 5),  # k = p nonzero levels
+    (None, (4, 5), 3),  # the relative grid of the first seed
+], ids=["benchmark-levels", "duplicates-and-zeros", "past-a-block", "k-equals-p", "default"])
+def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p):
+    """Stepping a seed's levels as stacks, on one draw of each level's noise,
+    gives each row the bytes of its own run in the per-run loop, in its
+    order; a duplicated level and a level of 0 included."""
+    got = compare_filters(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
+    want = compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
+    assert comparison_bytes(got) == comparison_bytes(want)
+
+
+def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, monkeypatch, capsys):
+    """A compare-filters op at the benchmark's levels takes seeds x methods x T
+    steps, one a stack of its levels, and draws each level's noise once a seed."""
+    steps, draws = [], []
+    real_step, real_blocks = harness.disk_step, harness.noise_blocks
+
+    def counted_step(state, *args, **kwargs):
+        steps.append(state.x.shape)
+        return real_step(state, *args, **kwargs)
+
+    def counted_blocks(rng, sigma, d, T):
+        draws.append(sigma)
+        return real_blocks(rng, sigma, d, T)
+
+    monkeypatch.setattr(harness, "disk_step", counted_step)
+    monkeypatch.setattr(harness, "noise_blocks", counted_blocks)
+    assert cli_main(["compare-filters", "--seeds", "4,5", "--noise-levels", "0.05,0.5", "--n", "40",
+                     "--p", "3", "--T", "7", "--outdir", str(tmp_path)]) == 0
+    assert steps == [(2, 3)] * (2 * 3 * 7)
+    assert draws == [0.05, 0.5] * 2
+
+
+def test_compare_filters_refuses_a_level_whose_noise_overflows():
+    with pytest.raises(ValueError, match=r"^sigma = 1e\+308 overflows"):
+        compare_filters(noise_levels=[0.1, 1e308], seeds=(0,), n=20, p=2, T=64)
 
 
 def test_full_batch_linear_regression_steps_observe_from_gram_statistics(monkeypatch):
@@ -968,6 +1016,10 @@ CLI_RANGE_CASES = [
     ("compare-filters", "--kappa", "1.5"),
     ("compare-filters", "--noise-levels", "0.1,-0.1"),
     ("compare-filters", "--noise-levels", "-0.5"),
+    ("sweep", "--kappas", "0,0.5"),
+    ("sweep", "--kappas", "0.5,1.5"),
+    ("sweep", "--gammas", "0,0.5"),
+    ("sweep", "--gammas", "0.5,-0.0"),
 ]
 
 
@@ -984,6 +1036,10 @@ def test_cli_float_flags_take_the_ends_of_their_range():
     assert (args.epsilon, args.delta, args.sampling_rate) == (1e-3, 1e-300, 1.0)
     args = cli.build_parser().parse_args(["compare-filters", "--kappa", "1", "--noise-levels", "0"])
     assert (args.kappa, args.noise_levels) == (1.0, [0.0])
+    args = cli.build_parser().parse_args(
+        ["sweep", "--config", "c.json", "--kappas", "1e-300,1", "--gammas=-1e-300,5"]
+    )
+    assert (args.kappas, args.gammas) == ([1e-300, 1.0], [-1e-300, 5.0])
 
 
 def test_cli_builds_its_parser_once():
