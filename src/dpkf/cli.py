@@ -8,6 +8,10 @@ and take the run's optimizer from ``harness.resolve_optimizer``, so bounds
 reports on the run train makes; train and sweep declare their six shared run
 flags once, on a parent parser. kalman-demo calls ``kalman`` directly.
 
+Every number flag, and each entry of a list flag (``_each``), is read by one
+argument type, ``_number(kind, ok, rule)``: a value that does not parse, is
+not finite or is out of range exits 2, naming the flag.
+
 The parser is built once per process (``build_parser`` is cached) and holds
 no handlers: ``main`` dispatches a command by its name at call time, to the
 ``cmd_*`` function of that name.
@@ -26,6 +30,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import harness, kalman, privacy, theory
 from .harness import ExperimentConfig
@@ -35,62 +40,34 @@ from .objectives import one_blas_thread
 LIST_FLAGS = ("--kappas", "--gammas", "--noise-levels")
 
 
-def _int_in(lo: int, hi: float = math.inf):
-    """Argument type: an integer in [lo, hi]."""
+def _number(kind: type, ok, rule: str):
+    """Argument type: a ``kind`` (int or float; a float must be finite) that
+    passes ``ok``; ``rule`` says what ``ok`` asks, as in "must {rule}"."""
+    noun = "an integer" if kind is int else "a number"
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if not lo <= value <= hi:
-            span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
-            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        # floats only: isfinite overflows on an int of 400 digits
+        if kind is float and not math.isfinite(value) or not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
         return value
 
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """Argument type: a finite float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _each(parse, container=list):
+    """Argument type: comma-separated values, each read by ``parse``."""
+    return lambda text: container(map(parse, text.split(",")))
 
 
-def _unit_float(hi_closed: bool):
-    """Argument type: a float in (0, 1], or in (0, 1) unless ``hi_closed``."""
-    span = "(0, 1]" if hi_closed else "(0, 1)"
-
-    def parse(text: str) -> float:
-        value = _positive_float(text)
-        if value > 1 or value == 1 and not hi_closed:
-            raise argparse.ArgumentTypeError(f"must lie in {span}, got {text}")
-        return value
-
-    return parse
-
-
-def _float_list(ok, rule: str):
-    """Argument type: a comma-separated list of finite floats, each passing
-    ``ok``; ``rule`` says what ``ok`` asks, as in "each value must {rule}"."""
-
-    def parse(text: str) -> list[float]:
-        try:
-            values = [float(v) for v in text.split(",")]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise argparse.ArgumentTypeError(f"each value must be finite, got {text}")
-        if not all(map(ok, values)):
-            raise argparse.ArgumentTypeError(f"each value must {rule}, got {text}")
-        return values
-
-    return parse
+_SEED = _number(int, lambda v: v >= 0, "be >= 0")
+_COUNT = _number(int, lambda v: v >= 1, "be >= 1")
+_POSITIVE = _number(float, lambda v: v > 0, "be finite and > 0")
+_UNIT = _number(float, lambda v: 0 < v <= 1, "lie in (0, 1]")
+_NONZERO = _number(float, bool, "be finite and nonzero")
 
 
 def _env_seed(default: int | None) -> int | None:
@@ -128,7 +105,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
             raw.setdefault("optimizer", {})[key] = getattr(args, key)
     seed = _env_seed(getattr(args, "seed", None))
     if seed is not None:
-        raw["seed"] = seed
         raw["seeds"] = [seed]
     return ExperimentConfig.from_dict(raw)
 
@@ -216,20 +192,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     try:
         bound = theory.convergence_bound(pc, opt.eta, opt.kappa, opt.gamma, T, B, opt.sigma_dp)
-        report["fixed_parameter_bound"] = {
-            "total": bound.total, "transient": bound.transient,
-            "noise_floor": bound.noise_floor,
-        }
+        report["fixed_parameter_bound"] = asdict(bound)
     except theory.ParameterConditionError as exc:
         report["fixed_parameter_bound"] = {"invalid": str(exc)}
     if opt.sigma_dp > 0:
         tuned = theory.tuned_params(pc, opt.sigma_dp, T)
-        report["tuned"] = {
-            "eta": tuned.eta, "beta": tuned.beta, "kappa": tuned.kappa,
-            "m_kappa": tuned.m_kappa, "B_min": tuned.B_min,
-            "T_min": tuned.T_min, "T_ok": tuned.T_ok,
-            "bound": theory.tuned_bound(pc, opt.sigma_dp, T),
-        }
+        report["tuned"] = {**asdict(tuned), "bound": theory.tuned_bound(pc, opt.sigma_dp, T)}
     if cfg.epsilon_target is not None:
         C = privacy.clip_sensitivity(opt.clip_variant, opt.clip)
         bound, horizon = theory.privacy_utility_bound(pc, ds.n, cfg.epsilon_target, delta, C)
@@ -264,45 +232,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = argparse.ArgumentParser(add_help=False)  # the run flags train and sweep share
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=_int_in(0))
-    run.add_argument("--T", type=_int_in(1))
-    run.add_argument("--B", type=_int_in(1))
-    run.add_argument("--eta", type=float)
+    run.add_argument("--seed", type=_SEED)
+    run.add_argument("--T", type=_COUNT)
+    run.add_argument("--B", type=_COUNT)
+    run.add_argument("--eta", type=_POSITIVE)
     run.add_argument("--outdir")
 
     p_train = sub.add_parser("train", parents=[run], help="run one experiment from a JSON config")
-    p_train.add_argument("--kappa", type=float)
-    p_train.add_argument("--gamma", type=float)
+    p_train.add_argument("--kappa", type=_UNIT)
+    p_train.add_argument("--gamma", type=_NONZERO)
     p_train.add_argument("--algorithm")
 
     p_cmp = sub.add_parser("compare-filters", help="benchmark the three filters")
     p_cmp.add_argument(
-        "--noise-levels", dest="noise_levels", type=_float_list(lambda v: v >= 0, "be >= 0")
+        "--noise-levels", dest="noise_levels", type=_each(_number(float, lambda v: v >= 0, "be >= 0"))
     )
-    p_cmp.add_argument(
-        "--seeds", default="0,1,2,3,4", type=lambda s: tuple(map(_int_in(0), s.split(",")))
-    )
-    p_cmp.add_argument("--n", type=_int_in(1), default=1000)
-    p_cmp.add_argument("--p", type=_int_in(1), default=20)
-    p_cmp.add_argument("--T", type=_int_in(1), default=400)
-    p_cmp.add_argument("--kappa", type=_unit_float(hi_closed=True), default=0.5)
+    p_cmp.add_argument("--seeds", default="0,1,2,3,4", type=_each(_SEED, tuple))
+    p_cmp.add_argument("--n", type=_COUNT, default=1000)
+    p_cmp.add_argument("--p", type=_COUNT, default=20)
+    p_cmp.add_argument("--T", type=_COUNT, default=400)
+    p_cmp.add_argument("--kappa", type=_UNIT, default=0.5)
     p_cmp.add_argument("--outdir", default="out")
 
     p_sweep = sub.add_parser("sweep", parents=[run], help="grid over (kappa, gamma)")
-    p_sweep.add_argument(
-        "--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_float_list(lambda v: 0 < v <= 1, "lie in (0, 1]")
-    )
-    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_float_list(bool, "be nonzero"))
+    p_sweep.add_argument("--kappas", default="0.3,0.5,0.7,0.9,1.0", type=_each(_UNIT))
+    p_sweep.add_argument("--gammas", default="-1.0,0.2,0.5,1.0", type=_each(_NONZERO))
 
     p_cal = sub.add_parser("calibrate", help="noise multiplier for a budget")
-    p_cal.add_argument("--epsilon", type=_positive_float, required=True)
-    p_cal.add_argument("--delta", type=_unit_float(hi_closed=False), required=True)
-    p_cal.add_argument(
-        "--sampling-rate", dest="sampling_rate", type=_unit_float(hi_closed=True), required=True
-    )
-    p_cal.add_argument("--steps", type=_int_in(1), required=True)
-    p_cal.add_argument("--clip", type=_positive_float)
-    p_cal.add_argument("--batch-size", dest="batch_size", type=_int_in(1))
+    p_cal.add_argument("--epsilon", type=_POSITIVE, required=True)
+    p_cal.add_argument("--delta", type=_number(float, lambda v: 0 < v < 1, "lie in (0, 1)"), required=True)
+    p_cal.add_argument("--sampling-rate", dest="sampling_rate", type=_UNIT, required=True)
+    p_cal.add_argument("--steps", type=_COUNT, required=True)
+    p_cal.add_argument("--clip", type=_POSITIVE)
+    p_cal.add_argument("--batch-size", dest="batch_size", type=_COUNT)
     p_cal.add_argument(
         "--clip-variant", dest="clip_variant", default="standard",
         choices=("standard", "automatic", "normalized"),
@@ -313,10 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--trace", help="trace CSV for an empirical LHS")
 
     p_kd = sub.add_parser("kalman-demo", help="estimator-quality simulation")
-    p_kd.add_argument("--dim", type=_int_in(1, kalman.MAX_STATE_DIM), default=3)
-    p_kd.add_argument("--steps", type=_int_in(1), default=10_000)
-    p_kd.add_argument("--runs", type=_int_in(1), default=50)
-    p_kd.add_argument("--seed", type=_int_in(0), default=0)
+    dim = _number(int, lambda v: 1 <= v <= kalman.MAX_STATE_DIM, f"be in 1..{kalman.MAX_STATE_DIM}")
+    p_kd.add_argument("--dim", type=dim, default=3)
+    p_kd.add_argument("--steps", type=_COUNT, default=10_000)
+    p_kd.add_argument("--runs", type=_COUNT, default=50)
+    p_kd.add_argument("--seed", type=_SEED, default=0)
     return parser
 
 

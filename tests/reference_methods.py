@@ -14,9 +14,14 @@ drawing its own noise rows and ending in ``full_loss``: the loop that the
 stacked runs replaced. ``calibrate_gaussian`` and its
 helpers are the analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530),
 which acceptance criterion 9 checks; every command calibrates through the RDP
-accountant instead. Nothing in ``dpkf`` calls them.
+accountant instead. ``_int_in``, ``_positive_float``, ``_unit_float`` and
+``_float_list`` are the CLI's argument types before ``cli._number`` replaced
+them, and ``optimizer_flag`` is what ``--eta``, ``--kappa`` and ``--gamma``
+accepted then: any float, refused only by ``DiskConfig`` once the run began.
+Nothing in ``dpkf`` calls them.
 """
 
+import argparse
 import math
 from dataclasses import replace
 
@@ -229,3 +234,76 @@ def calibrate_gaussian(
 def classical_gaussian_sigma(sensitivity: float, epsilon: float, delta: float) -> float:
     """Textbook sqrt(2 ln(1.25/delta)) * Delta / epsilon reference value."""
     return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """Argument type: an integer in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not lo <= value <= hi:
+            span = f">= {lo}" if hi == math.inf else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """Argument type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _unit_float(hi_closed: bool):
+    """Argument type: a float in (0, 1], or in (0, 1) unless ``hi_closed``."""
+    span = "(0, 1]" if hi_closed else "(0, 1)"
+
+    def parse(text: str) -> float:
+        value = _positive_float(text)
+        if value > 1 or value == 1 and not hi_closed:
+            raise argparse.ArgumentTypeError(f"must lie in {span}, got {text}")
+        return value
+
+    return parse
+
+
+def _float_list(ok, rule: str):
+    """Argument type: a comma-separated list of finite floats, each passing
+    ``ok``; ``rule`` says what ``ok`` asks, as in "each value must {rule}"."""
+
+    def parse(text: str) -> list[float]:
+        try:
+            values = [float(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(f"each value must be finite, got {text}")
+        if not all(map(ok, values)):
+            raise argparse.ArgumentTypeError(f"each value must {rule}, got {text}")
+        return values
+
+    return parse
+
+
+def optimizer_flag(key: str):
+    """Argument type: ``float``, then ``DiskConfig``'s check of ``key``, its
+    ``ValueError`` raised as an ``ArgumentTypeError``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            DiskConfig(**{key: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse

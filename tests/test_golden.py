@@ -1,9 +1,10 @@
-"""Byte-identity gate: the CSV outputs of a fixed command set.
+"""Byte-identity gate: the CSV and SVG outputs of a fixed command set.
 
 Every command runs through ``cli.main`` at tiny sizes and the sha256 of the
-CSV it writes is compared with a recorded hash. The ``calibrate`` commands
-write no file; the hash of their JSON report (noise multiplier, epsilon spent
-and the RDP value at every order) gates the accountant itself. The ``bounds``
+CSV it writes, and of the SVG plot beside it, is compared with a recorded
+hash. The ``calibrate`` commands write no file; the hash of their JSON
+report (noise multiplier, epsilon spent and the RDP value at every order)
+gates the accountant itself. The ``bounds``
 commands hash their JSON report the same way, which gates the problem
 constants (gap0, grad0_sq), the f* estimate and the bound evaluators. The
 ``kalman-demo`` commands hash their stdout, which gates the predict/correct
@@ -238,6 +239,32 @@ GOLDEN = {
     "train-noisy-lp": "d0b55c39cd0c2576c7094880bca4c497aff2cda22862f6435bdf827deb392534",
 }
 
+# sha256 of the SVG each command above writes beside its CSV
+SVG_GOLDEN = {
+    "compare-filters": "51f789a7a0294b22739fa11ea45b289cabc30f23f6bf910a6f1ca14ff6efdd36",
+    "compare-filters-levels": "ed1a051bbad44168a7baf5bcfa204801418dff64115d5b891e2913a41c82ffb4",
+    "compare-filters-wide": "c8928f68618d5a45cde834de3509187706977f57300344a782c5022066695b66",
+    "sweep-full-kf": "9f38bee5cf01ed8bc9df21e3019db78e1576cb35d7cb96baa958e8b7ed16ffbc",
+    "sweep-linreg-full-batch": "a086f592a3ff0410337d668653146ca8a174ce8264af781dd6aff0affa4783fa",
+    "sweep-logreg-seeds": "4c740324603e8ba91c4eb580e38464f17eb4762aeca689e4fcd8a411ed389e94",
+    "sweep-mlp": "3d45f658f2f2dbfde80ea287e17ff61e750ac2e281adaec16ef91331f2e06f05",
+    "sweep-noisy-lp": "577512e0c9e3e118a69799ec6336fbcc8995aeb2c98f1108913859d34fd19476",
+    "train-disk": "0afee63f5ad15deae0e82237291bf179ee40673a7e2ae54af822ce25bd34d325",
+    "train-dpsgd": "1f8153f6d3be8c1743cf18bcaa419936edc5f9dceb2c72cabf02c3543dc5ae4e",
+    "train-dpsgd-target": "64bd01e151bab1bc5e569ebc3850eb93bd427b71259d1a2bdaf6a57bd72c89a6",
+    "train-dpsgd-unclipped": "e06f600bfb0a92048c5033485ec92d16224534e9d2771d950c1e4f0d3d97499c",
+    "train-full-kf": "a8608da5f097f5355850b2dd4e488d01ea668e3e77932f70e2e66e9a10ffb15a",
+    "train-linreg-p1": "aecc33ed309f47326a9ada577c25c806709ca712a7146a2a3167aa93a8f84bde",
+    "train-linreg-p1-noisy-gd": "dcb027a9d54d59048f00e685762f689f37a3abaa465b2f77943472a3954cc10f",
+    "train-logreg-bench": "863b278e76b0aec8b904b675b3d0e7d75e709ebf0819ba27bd11a531e889638a",
+    "train-logreg-wide": "a865633c27676a922a2c79f43d462bdfcb761b4e14947e8f82c300c752b539be",
+    "train-mlp-wide": "16c5f0fe1bb1a3fe168e414d2e9438036fc8dd0faeb277f61804860e39df138a",
+    "train-mlp-wide-noisy-gd": "66e97413b6791095166f5fc0e5cac4e1a57bb862156fe7e6d161f9cfe5f888c5",
+    "train-noisy-gd": "28d6a2aa0e34bb983bccc9858c26d3374d0a2d1b4573acf03f4ea398b1cb5027",
+    "train-noisy-kf": "0afee63f5ad15deae0e82237291bf179ee40673a7e2ae54af822ce25bd34d325",
+    "train-noisy-lp": "61165f483d4878fe946a9ef6029b6e32c7309be0cd13a08ebc9f1db3a4f0eb1d",
+}
+
 # name -> argv of a ``calibrate`` command whose stdout is hashed
 CALIBRATE_COMMANDS = {
     "calibrate-small-q": [
@@ -317,8 +344,9 @@ BOUNDS_GOLDEN = {
 }
 
 
-def run_command(name: str, tmp_path) -> str:
-    """Run one named command in ``tmp_path``; sha256 of the CSV it wrote."""
+def run_command(name: str, tmp_path, ext: str = "csv") -> str:
+    """Run one named command in ``tmp_path``; sha256 of the CSV it wrote, or
+    of the SVG beside it for ``ext`` "svg"."""
     config, argv, csv_name = COMMANDS[name]
     outdir = tmp_path / "out"
     argv = [*argv, "--outdir", str(outdir)]
@@ -327,13 +355,20 @@ def run_command(name: str, tmp_path) -> str:
         cfg_path.write_text(json.dumps(config))
         argv[1:1] = ["--config", str(cfg_path)]
     assert cli_main(argv) == 0
-    return hashlib.sha256((outdir / csv_name).read_bytes()).hexdigest()
+    path = outdir / csv_name
+    return hashlib.sha256(path.with_suffix(f".{ext}").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_csv_bytes_unchanged(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DISK_SEED", raising=False)
     assert run_command(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_svg_bytes_unchanged(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DISK_SEED", raising=False)
+    assert run_command(name, tmp_path, "svg") == SVG_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(CALIBRATE_COMMANDS))

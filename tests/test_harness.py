@@ -1,3 +1,5 @@
+import argparse
+import functools
 import hashlib
 import json
 import math
@@ -7,8 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dpkf import cli, harness, objectives, privacy, theory
+from dpkf import cli, harness, kalman, objectives, privacy, theory
 from dpkf.cli import main as cli_main
 from dpkf.harness import (
     COMPARISON_HEADER,
@@ -28,7 +32,7 @@ from dpkf.harness import (
 )
 from dpkf.objectives import EVAL_BLOCK, LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
-from reference_methods import compare_filters_reference
+import reference_methods as ref
 from test_golden import CALIBRATE_COMMANDS, CALIBRATE_GOLDEN, FULLKF, SMALL_FULLKF
 
 
@@ -439,7 +443,7 @@ def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p):
     gives each row the bytes of its own run in the per-run loop, in its
     order; a duplicated level and a level of 0 included."""
     got = compare_filters(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
-    want = compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
+    want = ref.compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
     assert comparison_bytes(got) == comparison_bytes(want)
 
 
@@ -1020,6 +1024,14 @@ CLI_RANGE_CASES = [
     ("sweep", "--kappas", "0.5,1.5"),
     ("sweep", "--gammas", "0,0.5"),
     ("sweep", "--gammas", "0.5,-0.0"),
+    ("train", "--eta", "0"),
+    ("train", "--eta", "nan"),
+    ("train", "--kappa", "0"),
+    ("train", "--kappa", "1.5"),
+    ("train", "--gamma", "0"),
+    ("train", "--gamma", "-0.0"),
+    ("sweep", "--eta", "0"),
+    ("sweep", "--eta", "inf"),
 ]
 
 
@@ -1040,6 +1052,102 @@ def test_cli_float_flags_take_the_ends_of_their_range():
         ["sweep", "--config", "c.json", "--kappas", "1e-300,1", "--gammas=-1e-300,5"]
     )
     assert (args.kappas, args.gammas) == ([1e-300, 1.0], [-1e-300, 5.0])
+    args = cli.build_parser().parse_args(
+        ["train", "--config", "c.json", "--eta", "1e-300", "--kappa", "1", "--gamma=-1e-300"]
+    )
+    assert (args.eta, args.kappa, args.gamma) == (1e-300, 1.0, -1e-300)
+
+
+# (command, flag) -> the argument type the flag had before ``cli._number``
+OLD_FLAG_TYPES = {
+    **{(c, "--seed"): ref._int_in(0) for c in ("train", "sweep", "kalman-demo")},
+    **{(c, f): ref._int_in(1) for c in ("train", "sweep") for f in ("--T", "--B")},
+    **{(c, "--eta"): ref.optimizer_flag("eta") for c in ("train", "sweep")},
+    ("train", "--kappa"): ref.optimizer_flag("kappa"),
+    ("train", "--gamma"): ref.optimizer_flag("gamma"),
+    ("compare-filters", "--noise-levels"): ref._float_list(lambda v: v >= 0, "be >= 0"),
+    ("compare-filters", "--seeds"): lambda s: tuple(map(ref._int_in(0), s.split(","))),
+    **{("compare-filters", f): ref._int_in(1) for f in ("--n", "--p", "--T")},
+    ("compare-filters", "--kappa"): ref._unit_float(hi_closed=True),
+    ("sweep", "--kappas"): ref._float_list(lambda v: 0 < v <= 1, "lie in (0, 1]"),
+    ("sweep", "--gammas"): ref._float_list(bool, "be nonzero"),
+    ("calibrate", "--epsilon"): ref._positive_float,
+    ("calibrate", "--delta"): ref._unit_float(hi_closed=False),
+    ("calibrate", "--sampling-rate"): ref._unit_float(hi_closed=True),
+    ("calibrate", "--steps"): ref._int_in(1),
+    ("calibrate", "--clip"): ref._positive_float,
+    ("calibrate", "--batch-size"): ref._int_in(1),
+    ("kalman-demo", "--dim"): ref._int_in(1, kalman.MAX_STATE_DIM),
+    **{("kalman-demo", f): ref._int_in(1) for f in ("--steps", "--runs")},
+}
+
+
+@functools.cache
+def flag_types() -> dict:
+    """(command, flag) -> the argument type of each typed flag of the parser."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (command, action.option_strings[0]): action.type
+        for command, parser in sub.choices.items() for action in parser._actions
+        if action.type is not None
+    }
+
+
+def test_every_typed_flag_has_an_old_type():
+    assert set(flag_types()) == set(OLD_FLAG_TYPES)
+
+
+NUMBER_TEXT = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-inf", "Infinity", "0", "-0", "+0", "0.0", "-0.0", "1", "1.0",
+        "-1", "0.5", "64", "65", "1e-320", "-1e-320", "1e-300", "1e400", "1_000", ".5", "1.",
+        "0x10", "x", "",
+    ]),
+    st.integers(-3, 70).map(str),
+    st.integers(-(10**400), 10**400).map(str),
+    st.integers(10**399, 10**400).map(str),  # 400 digits
+    st.floats(0, 1).map(repr),
+    st.floats(-2, 2).map(repr),
+    st.floats().map(repr),
+    st.text("0123456789.-+e_", max_size=6),
+)
+# surrounding whitespace; an empty entry comes from the text ""
+ENTRY = st.builds(
+    lambda pad, text, tail: pad + text + tail,
+    st.sampled_from(["", "", " ", "\t"]), NUMBER_TEXT, st.sampled_from(["", "", " ", "\n"]),
+)
+FLAG_TEXT = st.one_of(
+    ENTRY,
+    st.lists(ENTRY, min_size=1, max_size=3).map(",".join),
+    ENTRY.map(lambda text: text + ","),  # a trailing comma
+)
+
+
+def parse_or_refuse(parse, text):
+    """What ``parse`` returns for ``text``, or ``ArgumentTypeError`` if it refuses it."""
+    try:
+        return parse(text)
+    except argparse.ArgumentTypeError:
+        return argparse.ArgumentTypeError
+
+
+@pytest.mark.parametrize("command, flag", sorted(OLD_FLAG_TYPES))
+@settings(max_examples=100, deadline=None)
+@given(text=FLAG_TEXT)
+@example(text="nan")
+@example(text="-0.0")
+@example(text="1e-320")
+@example(text=" 1\n")
+@example(text="0.5,,1")
+@example(text="1,")
+@example(text="1" + "0" * 399)
+@example(text="-" + "1" * 400)
+def test_number_flags_accept_what_their_old_types_accepted(command, flag, text):
+    """Each flag's type accepts exactly the texts its old type accepted, and
+    returns a value of the same type and repr: equal, sign of zero included."""
+    old = parse_or_refuse(OLD_FLAG_TYPES[command, flag], text)
+    new = parse_or_refuse(flag_types()[command, flag], text)
+    assert (type(new), repr(new)) == (type(old), repr(old))
 
 
 def test_cli_builds_its_parser_once():

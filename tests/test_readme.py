@@ -73,6 +73,7 @@ VALUES = {
     *",".join((harness.TRACE_HEADER, harness.COMPARISON_HEADER, harness.SWEEP_HEADER)).split(","),
 }
 
+MODULE_ROW = re.compile(r"^\| `dpkf\.(\w+)` \|(.*)$", flags=re.M)
 NAME = re.compile(r"([A-Za-z_][\w.]*)(\([^()]*\))?")
 MATH = re.compile(r"[A-Za-z]\d?(_\w+)?")
 
@@ -142,7 +143,7 @@ def section(title: str) -> str:
 
 
 def test_module_table_rows_cite_only_names_that_resolve(report_keys):
-    rows = re.findall(r"^\| `dpkf\.(\w+)` \|(.*)$", section("module table"), flags=re.M)
+    rows = MODULE_ROW.findall(section("module table"))
     assert rows, "no module rows found in the README's module table"
     for name, text in rows:
         module = MODULES[name]
@@ -152,6 +153,15 @@ def test_module_table_rows_cite_only_names_that_resolve(report_keys):
             if not resolves(n, set(vars(module)), classes, VALUES | report_keys)
         )
         assert not missing, f"the README's {module.__name__} row cites names it does not define: {missing}"
+
+
+def test_module_table_rows_are_at_most_450_characters():
+    """A row says what its module offers, whole line counted; the invariants
+    live in the module docstrings and tests."""
+    lengths = {row[1]: len(row[0]) for row in MODULE_ROW.finditer(section("module table"))}
+    assert lengths, "no module rows found in the README's module table"
+    long = {name: n for name, n in lengths.items() if n > 450}
+    assert not long, f"README module rows over 450 characters: {long}"
 
 
 def test_cli_section_cites_only_names_that_resolve(report_keys):
