@@ -15,6 +15,8 @@ from the factors (``privacy.clip_factored``) and weighted rows are summed in
 order; unclipped at x alone that is ``mean_grad``, bit for bit. Unclipped over
 a whole linear-regression ``Dataset`` it is G z - b from cached Gram statistics,
 z the combined point: O(p^2) a step, not O(np); those runs moved in the last bits.
+Only that Gram step takes a stack of runs, a run a row, and the rows may differ
+in kappa and lookahead weight (``lookahead_weight``), so methods step together.
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -118,8 +120,8 @@ class DiskConfig:
 class DiskState:
     """Optimizer memory: iterate, previous filtered gradient and displacement,
     plus whatever moments the base optimizer keeps. ``x`` of shape (k, d) is a
-    stack of k runs that share the step's config, kappa, gamma and batch, each
-    row a run with its own noise row (see ``disk_step``)."""
+    stack of k runs that share the step's config, gamma and batch, each row a
+    run with its own noise row, kappa and lookahead weight (see ``disk_step``)."""
 
     x: np.ndarray
     g_filt: np.ndarray | None = None  # None until the first step
@@ -252,8 +254,8 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     order, plus the noise row, all from ``obj.grad_factors``, or unclipped over
     a whole ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x
     alone it is ``obj.mean_grad``. Only that Gram observation takes a stack of
-    runs; a stack row whose Gram mean is not finite observes on its own, from
-    its factors. Aborts on a bad noise row (``_check_noise``), an empty batch
+    runs, with a (k, 1) column ``a``; a stack row whose Gram mean is not finite
+    observes on its own, from its factors (at x alone where its a is 0). Aborts on a bad noise row (``_check_noise``), an empty batch
     or a non-finite mean."""
     _check_noise(noise, cfg, x, t)
     X, y = batch
@@ -267,16 +269,24 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
             g = _factored_mean(obj, x, batch, cfg, t, ahead, a)
         else:  # a stack: each row whose mean is not finite observes alone
             for i in np.flatnonzero(~np.isfinite(g).all(axis=1)):
-                g[i] = _factored_mean(obj, x[i], batch, cfg, t, None if ahead is None else ahead[i], a)
+                a_i = a[i, 0] if isinstance(a, np.ndarray) else a
+                ahead_i = None if ahead is None or a_i == 0 else ahead[i]
+                g[i] = _factored_mean(obj, x[i], batch, cfg, t, ahead_i, a_i)
     return g if noise is None else g + noise
 
 
 def reads_gamma(cfg: DiskConfig, kappa: float) -> bool:
     """Whether a step at weight kappa reads its lookahead gamma: only a
-    two-point step off kappa = 1 observes at x + gamma * d_prev. ``disk_step``
-    branches on this, and a sweep lets cells that differ only in an unread
-    gamma share one run."""
+    two-point step off kappa = 1 observes at x + gamma * d_prev. A sweep lets
+    cells that differ only in an unread gamma share one run."""
     return cfg.two_point and kappa != 1.0
+
+
+def lookahead_weight(cfg: DiskConfig, kappa: float, gamma: float) -> float:
+    """The weight a of grad(x + gamma * d_prev) in a step's observation
+    a * grad(ahead) + (1 - a) * grad(x): (1 - kappa) / (kappa * gamma) where
+    the step reads gamma (``reads_gamma``), else 0, an observation at x alone."""
+    return (1.0 - kappa) / (kappa * gamma) if reads_gamma(cfg, kappa) else 0.0
 
 
 def disk_step(
@@ -285,12 +295,14 @@ def disk_step(
     obj: Objective,
     cfg: DiskConfig,
     noise: np.ndarray | None,
-    kappa: float | None = None,
+    kappa: float | np.ndarray | None = None,
     gamma: float | None = None,
+    a: float | np.ndarray | None = None,
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
-    at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None). ``noise``
-    is the step's row of ``noise_rows`` (None at sigma_dp = 0), added to the
+    at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None), observing
+    with lookahead weight ``a`` (``lookahead_weight`` when None). ``noise`` is
+    the step's row of ``noise_rows`` (None at sigma_dp = 0), added to the
     clipped mean.
 
     A state whose ``x`` is a (k, d) stack steps k runs at once; ``noise`` is
@@ -298,23 +310,30 @@ def disk_step(
     given). Only an unclipped step on a whole linear-regression ``Dataset``
     takes a stack: its observation is one ``G @ z_i`` per row, and the ahead
     point, filter and base update are elementwise, so each row has the bits
-    of its run stepped alone. Every other observation refuses a stack."""
+    of its run stepped alone. Every other observation refuses a stack. Its
+    rows may differ in kappa and lookahead weight, given as (k, 1) columns
+    ``kappa`` and ``a`` (each row's config's ``lookahead_weight``), which
+    select rather than multiply: a row at a = 0 observes at x itself, and a
+    row at kappa 1 takes g as its filtered gradient, whatever its ahead point
+    or previous filter holds."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
+    a = lookahead_weight(cfg, kappa, gamma) if a is None else a
     x = state.x
-    if reads_gamma(cfg, kappa):
-        a = (1.0 - kappa) / (kappa * gamma)
+    if isinstance(a, np.ndarray) or a != 0:
         g = _observe(obj, x, batch, cfg, noise, state.t, x + gamma * state.d_prev, a)
     else:
         g = _observe(obj, x, batch, cfg, noise, state.t)
 
-    if kappa == 1.0:
-        g_filt = g
-    elif state.g_filt is None:
-        prev = g if cfg.filter_init == "first_grad" else np.zeros_like(g)
+    if isinstance(kappa, np.ndarray) or kappa != 1.0:
+        prev = state.g_filt
+        if prev is None:
+            prev = g if cfg.filter_init == "first_grad" else np.zeros_like(g)
         g_filt = (1.0 - kappa) * prev + kappa * g
+        if isinstance(kappa, np.ndarray):
+            np.copyto(g_filt, g, where=kappa == 1.0)
     else:
-        g_filt = (1.0 - kappa) * state.g_filt + kappa * g
+        g_filt = g
 
     x_new, moments = apply_base_update(cfg, x, g_filt, state.moments)
     return DiskState._successor(x_new, g_filt, x_new - x, moments, state.t + 1)

@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import seeding, svgplot
-from .disk import (DiskConfig, DiskState, FullFilterConfig, disk_step, noise_blocks, noise_rows,
-                   reads_gamma)
+from .disk import (DiskConfig, DiskState, FullFilterConfig, disk_step, lookahead_weight,
+                   noise_blocks, noise_rows, reads_gamma)
 from .objectives import (
     EVAL_BLOCK,
     Dataset,
@@ -419,34 +419,35 @@ def compare_filters(
     Step size (1/L) and the per-step noise realisations are shared across
     methods, so differences isolate the filter. Deterministic per seed.
 
-    Each (seed, method) steps its seed's distinct nonzero levels as one stack
-    of runs, a level a row, and its levels of 0 as a second stack, with no
-    noise (``_comparison_stacks``). The three methods step in lockstep on one
-    draw of each level's noise rows. Every row has the bits of its run
-    stepped alone, and the rows keep their order: level, then method.
+    Each seed steps the three methods at its distinct nonzero levels as one
+    stack, a (method, level) a row, and at its levels of 0 as a second stack
+    with no noise (``_comparison_stacks``): one ``disk_step`` a step, whose
+    rows differ in kappa and lookahead weight. The methods share one draw of
+    each level's noise rows. Every row has the bits of its run stepped alone,
+    and the rows keep their order: level, then method.
     """
+    shared = DiskConfig(kappa=kappa, gamma=-1.0, clip=None, clip_variant="none", base="sgd")
+    methods = [replace(shared, **PRESETS[m].overrides) for m in COMPARISON_METHODS]
+    # each method's (kappa, lookahead weight), a row of the stack's two columns
+    columns = np.array([(c.kappa, lookahead_weight(c, c.kappa, c.gamma)) for c in methods])
     rows: list[ComparisonRow] = []
     for seed in seeds:
         ds = gen_linear_regression(n, p, noise_std=0.1, seed=seed)
         if noise_levels is None:  # from the seeds[0] dataset
             noise_levels = comparison_noise_levels(ds)
         obj = LinearRegression(p)
-        shared = DiskConfig(
-            kappa=kappa, gamma=-1.0, eta=1.0 / obj.smoothness(ds), clip=None,
-            clip_variant="none", base="sgd",
-        )
+        eta = 1.0 / obj.smoothness(ds)
         final: dict[tuple[float, str], float] = {}
         for levels, noise in _comparison_stacks(seed, noise_levels, p, T):
-            cfgs = [replace(shared, sigma_dp=max(levels), **PRESETS[m].overrides)
-                    for m in COMPARISON_METHODS]
-            states = [DiskState(x=np.zeros((len(levels), p))) for _ in cfgs]
+            kappas, weights = (np.repeat(col, len(levels))[:, None] for col in columns.T)
+            cfg = replace(shared, eta=eta, sigma_dp=max(levels))
+            state = DiskState(x=np.zeros((len(kappas), p)))
             for row in noise:
-                states = [disk_step(state, ds, obj, cfg, row) for state, cfg in zip(states, cfgs)]
-            for method, state in zip(COMPARISON_METHODS, states):
-                for start in range(0, len(levels), EVAL_BLOCK):
-                    losses, _ = obj.evaluate(state.x[start : start + EVAL_BLOCK], ds.X, ds.y)
-                    final.update(zip([(s, method) for s in levels[start : start + EVAL_BLOCK]],
-                                     losses.tolist()))
+                state = disk_step(state, ds, obj, cfg, row, kappas, a=weights)
+            keys = [(s, m) for m in COMPARISON_METHODS for s in levels]
+            for start in range(0, len(keys), EVAL_BLOCK):
+                losses, _ = obj.evaluate(state.x[start : start + EVAL_BLOCK], ds.X, ds.y)
+                final.update(zip(keys[start : start + EVAL_BLOCK], losses.tolist()))
         rows += [ComparisonRow(sigma, method, seed, final[sigma, method])
                  for sigma in noise_levels for method in COMPARISON_METHODS]
     return rows
@@ -454,17 +455,18 @@ def compare_filters(
 
 def _comparison_stacks(seed: int, noise_levels, p: int, T: int):
     """(levels, noise rows) of each stack a ``compare_filters`` seed steps: its
-    distinct nonzero levels, whose step row i is level i's ``noise_rows`` row
-    from the level's own substream, then [0.0] for any level of 0, whose rows
-    are None. Each level's rows are drawn once, ``noise_blocks`` at a time, and
-    the levels' blocks stacked into a (block, levels, p) array, one
-    (levels, p) row a step."""
+    distinct nonzero levels, whose step row holds level i's ``noise_rows`` row
+    from the level's own substream once for each method, method-major, then
+    [0.0] for any level of 0, whose rows are None. Each level's rows are drawn
+    once, ``noise_blocks`` at a time, and each block of every method's levels
+    stacked into one (block, methods x levels, p) array, a row a step."""
     distinct = list(dict.fromkeys(noise_levels))
     noisy = [s for s in distinct if s != 0]
     if noisy:
         blocks = zip(*(noise_blocks(seeding.substream(seed, seeding.DP_NOISE, f"sigma={s!r}"), s, p, T)
                        for s in noisy))
-        yield noisy, (row for level_blocks in blocks for row in np.stack(level_blocks, axis=1))
+        yield noisy, (row for level_blocks in blocks
+                      for row in np.stack(level_blocks * len(COMPARISON_METHODS), axis=1))
     if len(noisy) < len(distinct):
         yield [0.0], itertools.repeat(None, T)
 

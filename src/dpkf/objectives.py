@@ -426,9 +426,13 @@ class LinearRegression(_GeneralisedLinear):
         points takes one product ``G @ z_i`` per row (``np.dot`` into the
         row, the same gemv), which has the bits of that row alone:
         ``Z @ G.T`` would round otherwise, and ``G @ Z`` is another product
-        (silently so at k = p)."""
+        (silently so at k = p). A stack may take a (k, 1) column of weights
+        ``a``; a row at a = 0 then combines to x itself."""
         if isinstance(batch, Dataset):
-            z = self._check_dim(x if ahead is None else x + a * (ahead - x), stack=True)
+            z = x if ahead is None else x + a * (ahead - x)
+            if isinstance(a, np.ndarray):  # 0 * inf is NaN, and -0.0 + 0.0 is 0.0
+                z = np.where(a != 0, z, x)
+            z = self._check_dim(z, stack=True)
             G = batch.second_moment
             if z.ndim == 1:
                 return G @ z - batch.moment_xy

@@ -283,6 +283,10 @@ def _order_shifts(orders, steps: int, delta: float) -> np.ndarray:
     """``ln(1/delta)/(alpha-1)`` per order."""
     if steps < 1:
         raise PrivacyError("step count must be >= 1")
+    try:
+        float(steps)  # ``steps * rdp`` takes its float
+    except OverflowError:
+        raise PrivacyError(f"step count {steps} has no finite float") from None
     if not 0 < delta < 1:
         raise PrivacyError("delta must lie in (0, 1)")
     return -math.log(delta) / np.array([alpha - 1 for alpha in orders], dtype=float)

@@ -695,26 +695,76 @@ def assert_rows_are_single_runs(stack, singles):
         assert stack.t == single.t
 
 
+def comparison_configs(shared, k, methods=harness.COMPARISON_METHODS):
+    """k configs over ``shared``, row i running methods[i % len(methods)], and
+    the kappa and lookahead-weight columns of a stack of those rows."""
+    cfgs = [replace(shared, **harness.PRESETS[methods[i % len(methods)]].overrides) for i in range(k)]
+    kappas = np.array([[c.kappa] for c in cfgs])
+    weights = np.array([[disk.lookahead_weight(c, c.kappa, c.gamma)] for c in cfgs])
+    return cfgs, {"kappa": kappas, "a": weights}
+
+
 @pytest.mark.parametrize("filter_init", FILTER_INITS)
-@pytest.mark.parametrize("method", harness.COMPARISON_METHODS)
+@pytest.mark.parametrize("method", harness.COMPARISON_METHODS + ("mixed",))
 @pytest.mark.parametrize("sigma_dp", [0.0, 0.2])
 def test_stacked_step_is_each_row_stepped_alone(method, filter_init, sigma_dp):
     """k = p runs stepped as one stack (so ``G @ Z`` would be a wrong product of
     the right shape) keep each run's bytes: the observation's per-row
-    products, and the ahead point, filter and base update elementwise."""
-    obj, ds, xs = stack_problem()
+    products, and the ahead point, filter and base update elementwise. A
+    mixed stack runs the three comparison presets in turn on kappa and
+    lookahead-weight columns; its first row starts at -0.0, and its rows at
+    a = 0 start from an infinite d_prev, so their ahead point, which they
+    do not read, is not finite."""
+    obj, ds, xs = stack_problem(p=6)
     k, p = xs.shape
-    cfg = replace(DiskConfig(kappa=0.6, gamma=-1.0, eta=0.2, clip=None, clip_variant="none",
-                             sigma_dp=sigma_dp, filter_init=filter_init),
-                  **harness.PRESETS[method].overrides)
+    shared = DiskConfig(kappa=0.6, gamma=-1.0, eta=0.2, clip=None, clip_variant="none",
+                        sigma_dp=sigma_dp, filter_init=filter_init)
+    methods = harness.COMPARISON_METHODS if method == "mixed" else (method,)
+    cfgs, columns = comparison_configs(shared, k, methods)
+    d_prev = np.zeros((k, p))
+    if method == "mixed":
+        xs[0] = -0.0
+        d_prev[columns["a"][:, 0] == 0] = np.inf
+    else:
+        shared, columns = cfgs[0], {}
     streams = [noise_rows(rng_for(10 + i), sigma_dp * (i + 1), p, 6) for i in range(k)]
-    stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
-    for rows in zip(*streams):
-        noise = None if sigma_dp == 0 else np.array(rows)
-        stack = disk_step(stack, ds, obj, cfg, noise)
-        singles = [disk_step(s, ds, obj, cfg, row) for s, row in zip(singles, rows)]
+    stack = DiskState(x=xs.copy(), d_prev=d_prev.copy())
+    singles = [DiskState(x=x.copy(), d_prev=d.copy()) for x, d in zip(xs, d_prev)]
+    with np.errstate(invalid="ignore"):  # the unread ahead points
+        for rows in zip(*streams):
+            noise = None if sigma_dp == 0 else np.array(rows)
+            stack = disk_step(stack, ds, obj, shared, noise, **columns)
+            singles = [disk_step(s, ds, obj, cfg, row) for s, cfg, row in zip(singles, cfgs, rows)]
     assert stack.x.shape == (k, p)
     assert_rows_are_single_runs(stack, singles)
+
+
+def test_mixed_stack_reads_no_ahead_point_at_a_zero_and_no_filter_at_kappa_one():
+    """Rows at kappa 1 take their observation itself as the filtered gradient
+    (an infinite previous one is not read, where 0 * inf would be NaN), and
+    rows at a = 0 observe at x itself, on a dataset with y = 0 from rows of
+    -0.0 and from rows whose ahead point is not finite."""
+    obj, ds, xs = stack_problem(p=6)
+    k, p = xs.shape
+    zero_y = objectives.Dataset(ds.X, np.zeros(len(ds.y)))
+    shared = DiskConfig(kappa=0.25, gamma=-1.0, eta=0.2, clip=None, clip_variant="none")
+    cfgs, columns = comparison_configs(shared, k)
+    at_one, at_zero = columns["kappa"][:, 0] == 1, columns["a"][:, 0] == 0
+    xs[[0, 1]] = -0.0  # a row at kappa 1 and one at a = 0
+    g_filt = 0.1 * rng_for(3).standard_normal((k, p))
+    g_filt[at_one] = np.inf
+    d_prev = 0.1 * rng_for(4).standard_normal((k, p))
+    d_prev[at_zero & ~at_one] = -np.inf
+    for data in (ds, zero_y):
+        stack = DiskState(x=xs.copy(), g_filt=g_filt.copy(), d_prev=d_prev.copy())
+        singles = [DiskState(x=x.copy(), g_filt=f.copy(), d_prev=d.copy())
+                   for x, f, d in zip(xs, g_filt, d_prev)]
+        with np.errstate(invalid="ignore"):
+            for _ in range(3):
+                stack = disk_step(stack, data, obj, shared, None, **columns)
+                singles = [disk_step(s, data, obj, cfg, None) for s, cfg in zip(singles, cfgs)]
+        assert np.isfinite(stack.g_filt).all()
+        assert_rows_are_single_runs(stack, singles)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -722,7 +772,8 @@ def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
     """A 1.5e154 feature overflows G = X^T X / n but no row's factors: each
     row of the stack then observes from its factors, with the bytes of its
     run stepped alone, and a row whose factored mean is not finite raises the
-    error naming the step."""
+    error naming the step. In a mixed stack, a row at a = 0 observes at x
+    alone there too."""
     obj, ds, xs = stack_problem(p=3)
     X_big = np.array(ds.X)
     X_big[0, 0] = 1.5e154
@@ -730,13 +781,14 @@ def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
     # a step this short keeps x near its start, where the big row's gradient nears 1e307
     cfg = DiskConfig(kappa=0.5, gamma=-1.0, eta=1e-310, clip=None, clip_variant="none", sigma_dp=0.1)
     noise = 0.1 * rng_for(2).standard_normal(xs.shape)
-    stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
-    for _ in range(2):
-        stack = disk_step(stack, big, obj, cfg, noise)
-        singles = [disk_step(s, big, obj, cfg, row) for s, row in zip(singles, noise)]
-    assert (~np.isfinite(obj.dataset_mean_grad(big, stack.x))).any(axis=1).all()
-    assert np.isfinite(stack.g_filt).all()
-    assert_rows_are_single_runs(stack, singles)
+    for cfgs, columns in (([cfg] * len(xs), {}), comparison_configs(cfg, len(xs))):
+        stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
+        for _ in range(2):
+            stack = disk_step(stack, big, obj, cfg, noise, **columns)
+            singles = [disk_step(s, big, obj, c, row) for s, c, row in zip(singles, cfgs, noise)]
+        assert (~np.isfinite(obj.dataset_mean_grad(big, stack.x))).any(axis=1).all()
+        assert np.isfinite(stack.g_filt).all()
+        assert_rows_are_single_runs(stack, singles)
     xs[1] = 1e300  # its residual on the big row overflows
     with pytest.raises(FloatingPointError, match=r"^step 4: .*non-finite mean gradient"):
         disk._observe(obj, xs, big, cfg, noise, 4)

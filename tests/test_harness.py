@@ -431,25 +431,29 @@ def comparison_bytes(rows):
     return [(repr(r.sigma_dp), r.method, r.seed, r.final_loss.hex()) for r in rows]
 
 
-@pytest.mark.parametrize("levels, seeds, p", [
-    ([0.05, 0.5], (0, 1), 4),
-    ([0.05, 0.0, 0.3, 0.05, 0.0], (3,), 5),  # duplicates and levels of 0
-    ([0.01 * (i + 1) for i in range(EVAL_BLOCK + 3)], (0, 2), 6),  # more than a block
-    ([0.2 * (i + 1) for i in range(5)] + [0.0], (1,), 5),  # k = p nonzero levels
-    (None, (4, 5), 3),  # the relative grid of the first seed
-], ids=["benchmark-levels", "duplicates-and-zeros", "past-a-block", "k-equals-p", "default"])
-def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p):
-    """Stepping a seed's levels as stacks, on one draw of each level's noise,
-    gives each row the bytes of its own run in the per-run loop, in its
-    order; a duplicated level and a level of 0 included."""
-    got = compare_filters(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
-    want = ref.compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=0.6)
+@pytest.mark.parametrize("levels, seeds, p, kappa", [
+    ([0.05, 0.5], (0, 1), 4, 0.6),
+    ([0.05, 0.0, 0.3, 0.05, 0.0], (3,), 5, 0.6),  # duplicates and levels of 0
+    ([0.01 * (i + 1) for i in range(EVAL_BLOCK + 3)], (0, 2), 6, 0.6),  # more than a block
+    ([0.2 * (i + 1) for i in range(5)] + [0.0], (1,), 5, 0.6),  # k = p nonzero levels
+    (None, (4, 5), 3, 0.6),  # the relative grid of the first seed
+    ([0.0, 0.05, 0.5], (0, 1), 4, 1.0),  # every row at kappa 1 and a = 0
+    ([0.3, 0.0, 0.05], (2,), 5, 0.25),  # a = -3 on the noisy-kf rows
+], ids=["benchmark-levels", "duplicates-and-zeros", "past-a-block", "k-equals-p", "default",
+        "kappa-1", "kappa-0.25"])
+def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p, kappa):
+    """Stepping a seed's methods and levels as stacks, on one draw of each
+    level's noise, gives each row the bytes of its own run in the per-run
+    loop, in its order; a duplicated level and a level of 0 included."""
+    got = compare_filters(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=kappa)
+    want = ref.compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=kappa)
     assert comparison_bytes(got) == comparison_bytes(want)
 
 
 def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, monkeypatch, capsys):
-    """A compare-filters op at the benchmark's levels takes seeds x methods x T
-    steps, one a stack of its levels, and draws each level's noise once a seed."""
+    """A compare-filters op at the benchmark's levels steps each seed and
+    method once a step: seeds x T steps, each one stack of every method at
+    every level, and each level's noise drawn once a seed."""
     steps, draws = [], []
     real_step, real_blocks = harness.disk_step, harness.noise_blocks
 
@@ -465,7 +469,7 @@ def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, mon
     monkeypatch.setattr(harness, "noise_blocks", counted_blocks)
     assert cli_main(["compare-filters", "--seeds", "4,5", "--noise-levels", "0.05,0.5", "--n", "40",
                      "--p", "3", "--T", "7", "--outdir", str(tmp_path)]) == 0
-    assert steps == [(2, 3)] * (2 * 3 * 7)
+    assert steps == [(6, 3)] * (2 * 7)
     assert draws == [0.05, 0.5] * 2
 
 
@@ -791,6 +795,17 @@ def test_cli_calibrate_sigma_dp_uses_clip_sensitivity(capsys):
     assert payloads["normalized"]["sigma_dp"] == z / 50
     with pytest.raises(SystemExit):
         cli_main([*base, "--clip-variant", "none"])
+
+
+def test_cli_calibrate_refuses_a_step_count_with_no_finite_float():
+    """A --steps past the largest float ends in the accountant's
+    ``PrivacyError`` naming the count, as an infeasible 1e22 does, not in
+    the ``OverflowError`` of ``steps * rdp``."""
+    argv = ["calibrate", "--epsilon", "1", "--delta", "1e-5", "--sampling-rate", "0.01"]
+    with pytest.raises(PrivacyError, match=r"^step count 10{400} has no finite float$"):
+        cli_main([*argv, "--steps", "1" + "0" * 400])
+    with pytest.raises(PrivacyError, match=r"^budget infeasible .* T=10{22},"):
+        cli_main([*argv, "--steps", "1" + "0" * 22])
 
 
 @pytest.mark.parametrize(

@@ -260,6 +260,17 @@ def test_rdp_gaussian_values():
     assert rdp_gaussian(2.0, 4) < rdp_gaussian(1.0, 4)
 
 
+def test_accountant_refuses_a_step_count_with_no_finite_float():
+    """A count whose float is infinite is refused by name, where
+    ``steps * rdp`` would raise ``OverflowError``."""
+    curve = subsampled_curve(0.01, 1.0)
+    too_many = 2**1024 - 2**970  # the least int whose float overflows
+    for spend in (lambda T: compose_and_convert(curve, T, 1e-5),
+                  lambda T: calibrate_noise_multiplier(1.0, 1e-5, 0.01, T)):
+        with pytest.raises(PrivacyError, match=rf"^step count {too_many} has no finite float$"):
+            spend(too_many)
+
+
 def test_rdp_subsampled_q1_reduces_to_gaussian():
     # rdp_gaussian rounded up
     for sigma in (0.7, 1.0, 1.7, 4.0):
