@@ -15,8 +15,8 @@ from the factors (``privacy.clip_factored``) and weighted rows are summed in
 order; unclipped at x alone that is ``mean_grad``, bit for bit. Unclipped over
 a whole linear-regression ``Dataset`` it is G z - b from cached Gram statistics,
 z the combined point: O(p^2) a step, not O(np); those runs moved in the last bits.
-Only that Gram step takes a stack of runs, a run a row, and the rows may differ
-in kappa and lookahead weight (``lookahead_weight``), so methods step together.
+Only that Gram step takes a stack of runs, a run its one row; rows may differ in
+kappa and lookahead weight (``lookahead_weight``), so methods step together.
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -114,6 +114,8 @@ class DiskConfig:
             raise ValueError(f"base must be one of {BASE_OPTIMIZERS}")
         if self.filter_init not in FILTER_INITS:
             raise ValueError(f"filter_init must be one of {FILTER_INITS}")
+        if not isinstance(self.two_point, bool):
+            raise ValueError(f"two_point must be a bool, got {self.two_point!r}")
 
 
 @dataclass
@@ -163,8 +165,8 @@ def apply_base_update(cfg: DiskConfig, x, g, moments):
         return x - cfg.eta * buf, {**moments, "buf": buf}
     b1, b2 = cfg.betas
     t = moments.get("t", 0) + 1
-    m = b1 * moments.get("m", np.zeros_like(g)) + (1.0 - b1) * g
-    v = b2 * moments.get("v", np.zeros_like(g)) + (1.0 - b2) * g * g
+    m = b1 * moments.get("m", 0.0) + (1.0 - b1) * g
+    v = b2 * moments.get("v", 0.0) + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
     step = cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
@@ -254,9 +256,10 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     order, plus the noise row, all from ``obj.grad_factors``, or unclipped over
     a whole ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x
     alone it is ``obj.mean_grad``. Only that Gram observation takes a stack of
-    runs, with a (k, 1) column ``a``; a stack row whose Gram mean is not finite
-    observes on its own, from its factors (at x alone where its a is 0). Aborts on a bad noise row (``_check_noise``), an empty batch
-    or a non-finite mean."""
+    runs, a run its one row, and a (k, 1) column ``a``; a row whose Gram mean
+    is not finite observes alone from its factors, at x where its a is 0.
+    Aborts on a bad noise row (``_check_noise``), an empty batch or a
+    non-finite mean."""
     _check_noise(noise, cfg, x, t)
     X, y = batch
     if len(X) == 0:
@@ -265,13 +268,10 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     if g is None:
         g = _factored_mean(obj, x, batch, cfg, t, ahead, a)
     elif not _finite(g):  # statistics can overflow where rows do not
-        if g.ndim == 1:
-            g = _factored_mean(obj, x, batch, cfg, t, ahead, a)
-        else:  # a stack: each row whose mean is not finite observes alone
-            for i in np.flatnonzero(~np.isfinite(g).all(axis=1)):
-                a_i = a[i, 0] if isinstance(a, np.ndarray) else a
-                ahead_i = None if ahead is None or a_i == 0 else ahead[i]
-                g[i] = _factored_mean(obj, x[i], batch, cfg, t, ahead_i, a_i)
+        rows, xs, aheads = np.atleast_2d(g, x, x if ahead is None else ahead)
+        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+            a_i = np.broadcast_to(a, (len(rows), 1))[i, 0]
+            rows[i] = _factored_mean(obj, xs[i], batch, cfg, t, None if a_i == 0 else aheads[i], a_i)
     return g if noise is None else g + noise
 
 
@@ -308,22 +308,20 @@ def disk_step(
     A state whose ``x`` is a (k, d) stack steps k runs at once; ``noise`` is
     then (k, d), a row per run (so ``cfg.sigma_dp`` only says whether rows are
     given). Only an unclipped step on a whole linear-regression ``Dataset``
-    takes a stack: its observation is one ``G @ z_i`` per row, and the ahead
-    point, filter and base update are elementwise, so each row has the bits
-    of its run stepped alone. Every other observation refuses a stack. Its
-    rows may differ in kappa and lookahead weight, given as (k, 1) columns
-    ``kappa`` and ``a`` (each row's config's ``lookahead_weight``), which
-    select rather than multiply: a row at a = 0 observes at x itself, and a
-    row at kappa 1 takes g as its filtered gradient, whatever its ahead point
-    or previous filter holds."""
+    takes a stack, and steps a lone run as its one row: the observation is one
+    ``G @ z_i`` per row, and the ahead point, filter and base update are
+    elementwise, so each row has the bits of its run stepped alone; every other
+    observation refuses a stack. Its rows may differ in kappa and lookahead
+    weight, given as (k, 1) columns ``kappa`` and ``a`` (each row's config's
+    ``lookahead_weight``), which select rather than multiply: a row at a = 0
+    observes at x itself, and a row at kappa 1 takes g as its filtered
+    gradient, whatever its ahead point or previous filter holds."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     a = lookahead_weight(cfg, kappa, gamma) if a is None else a
     x = state.x
-    if isinstance(a, np.ndarray) or a != 0:
-        g = _observe(obj, x, batch, cfg, noise, state.t, x + gamma * state.d_prev, a)
-    else:
-        g = _observe(obj, x, batch, cfg, noise, state.t)
+    ahead = x + gamma * state.d_prev if isinstance(a, np.ndarray) or a != 0 else None
+    g = _observe(obj, x, batch, cfg, noise, state.t, ahead, a)
 
     if isinstance(kappa, np.ndarray) or kappa != 1.0:
         prev = state.g_filt

@@ -186,6 +186,8 @@ class ExperimentConfig:
             raise ValueError(f"f_star_steps must be an integer >= 1, got {self.f_star_steps!r}")
         if not (math.isfinite(self.sigma_sgd_sq) and self.sigma_sgd_sq >= 0):
             raise ValueError(f"sigma_sgd_sq must be finite and >= 0, got {self.sigma_sgd_sq!r}")
+        if not isinstance(self.outdir, str):
+            raise ValueError(f"outdir must be a string, got {self.outdir!r}")
         _check_objective(self.objective)
 
     def batch_size(self, n: int) -> int:
@@ -195,19 +197,17 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _reject_unknown_keys("config", raw, CONFIG_KEYS)
-        opt_raw = raw.get("optimizer", {})
+        opt_raw = _section(raw, "optimizer", [f.name for f in fields(DiskConfig)])
         optimizer = DiskConfig(**opt_raw)
-        privacy_raw = raw.get("privacy") or {}
-        _reject_unknown_keys("privacy", privacy_raw, ("epsilon", "delta"))
+        privacy_raw = _section(raw, "privacy", ("epsilon", "delta"))
         if (privacy_raw.get("epsilon") is not None) == ("sigma_dp" in opt_raw):
             raise ValueError(
                 "set exactly one of: a privacy target (epsilon) or an explicit sigma_dp"
             )
-        ff = dict(raw.get("full_filter") or {})
+        ff = _section(raw, "full_filter", FULL_FILTER_KEYS + SHARED_FILTER_KEYS)
         for key in SHARED_FILTER_KEYS:
             if key in ff and ff.pop(key) != getattr(optimizer, key):
                 raise ValueError(f"full_filter.{key} disagrees with optimizer.{key}")
-        _reject_unknown_keys("full_filter", ff, FULL_FILTER_KEYS + SHARED_FILTER_KEYS)
         plain = {k: raw[k] for k in PLAIN_KEYS if k in raw}
         seeds = raw.get("seeds")  # seeds, else [seed], else the field's default
         if seeds is not None and not isinstance(seeds, (list, tuple)):
@@ -229,10 +229,12 @@ def _is_int(value) -> bool:
 
 
 def _check_objective(problem: dict) -> None:
-    """Reject an objective dict with an unknown kind, a key its kind ignores or
-    lacks, a size that is not an integer >= 1, a noise_std that is not a finite
-    number >= 0, a quadratic vector not of length dim or not finite, or a
-    negative quadratic eigenvalue (unbounded below)."""
+    """Reject an objective that is not a dict or has an unknown kind, a key its
+    kind ignores or lacks, a size that is not an integer >= 1, a noise_std that
+    is not a finite number >= 0, a quadratic vector not of length dim or not
+    finite, or a negative quadratic eigenvalue (unbounded below)."""
+    if not isinstance(problem, dict):
+        raise ValueError(f"objective must be a mapping, got {problem!r}")
     kind = problem.get("kind")
     if kind not in OBJECTIVE_KEYS:
         raise ValueError(f"unknown objective kind: {kind!r}")
@@ -257,6 +259,16 @@ def _check_objective(problem: dict) -> None:
             raise ValueError(f"objective {key} must be finite, got {values.tolist()}")
         if key == "eigenvalues" and (values < 0).any():
             raise ValueError(f"objective eigenvalues must be >= 0, got {values.tolist()}")
+
+
+def _section(raw: dict, name: str, allowed) -> dict:
+    """A copy of the config's section ``name``, {} where it is absent or null;
+    one that is not a mapping or has a key outside ``allowed`` is refused."""
+    section = {} if raw.get(name) is None else raw[name]
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a mapping, got {section!r}")
+    _reject_unknown_keys(name, section, allowed)
+    return dict(section)
 
 
 def _reject_unknown_keys(section: str, given, allowed) -> None:

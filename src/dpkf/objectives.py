@@ -13,7 +13,7 @@ combines densely). ``mean_grad`` is their unit-weight mean, one einsum a
 block, with the bits of ``per_sample_grads(...).mean(axis=0)``; the
 quadratic's is its shared row, which a mean over n copies would round. Over a
 whole ``Dataset``, linear regression's is G x - b (``dataset_mean_grad``, G and
-b cached; the last bits moved); losses stay on residuals, where G would cancel.
+b cached, a point its one-row stack); losses stay on residuals, where G cancels.
 
 ``evaluate`` is the one whole-dataset loss: the mean loss and mean gradient
 at a block of up to ``EVAL_BLOCK`` states, under ``one_blas_thread``;
@@ -422,25 +422,22 @@ class LinearRegression(_GeneralisedLinear):
         return full_loss(self, x_star, dataset)
 
     def dataset_mean_grad(self, batch, x, ahead=None, a=0.0):
-        """G z - b, affine, so two points combine in z. A (k, p) stack of
-        points takes one product ``G @ z_i`` per row (``np.dot`` into the
-        row, the same gemv), which has the bits of that row alone:
-        ``Z @ G.T`` would round otherwise, and ``G @ Z`` is another product
-        (silently so at k = p). A stack may take a (k, 1) column of weights
-        ``a``; a row at a = 0 then combines to x itself."""
+        """G z - b, affine, so two points combine in z. Each point of a (k, p)
+        stack takes one product ``G @ z_i`` (``np.dot`` into its row, the same
+        gemv), which has the bits of that row alone: ``Z @ G.T`` would round
+        otherwise, and ``G @ Z`` is another product (silently so at k = p). A
+        single point is the stack of its one row. The weight ``a``, a scalar
+        or a (k, 1) column, selects: a row at a = 0 combines to x itself."""
         if isinstance(batch, Dataset):
-            z = x if ahead is None else x + a * (ahead - x)
-            if isinstance(a, np.ndarray):  # 0 * inf is NaN, and -0.0 + 0.0 is 0.0
-                z = np.where(a != 0, z, x)
+            # 0 * inf is NaN, and -0.0 + 0.0 is 0.0
+            z = x if ahead is None else np.where(a != 0, x + a * (ahead - x), x)
             z = self._check_dim(z, stack=True)
-            G = batch.second_moment
-            if z.ndim == 1:
-                return G @ z - batch.moment_xy
-            g = np.empty(z.shape)
-            for z_i, g_i in zip(z, g):
+            G, rows = batch.second_moment, z if z.ndim == 2 else z[None]
+            g = np.empty(rows.shape)
+            for z_i, g_i in zip(rows, g):
                 np.dot(G, z_i, out=g_i)
             g -= batch.moment_xy
-            return g
+            return g if z.ndim == 2 else g[0]
 
     def _block_coefs(self, xs, X, y):
         W = np.zeros((EVAL_BLOCK, len(X)))

@@ -165,15 +165,6 @@ def _round_up(x, r):
     return np.nextafter(x * (1.0 + r), np.inf)
 
 
-def _log_binomials(alpha: int) -> list[float]:
-    """log C(alpha, k) for k = 2..alpha, each the log of an exact integer."""
-    out, c = [], alpha
-    for j in range(1, alpha):
-        c = c * (alpha - j) // (j + 1)
-        out.append(math.log(c))
-    return out
-
-
 class _BinomialTerms:
     """The sigma-free part of the subsampled Gaussian's Renyi moment A.
 
@@ -223,7 +214,8 @@ class _BinomialTerms:
         self.order_of = np.repeat(np.arange(len(sizes)), sizes)
         k = np.concatenate([np.arange(2, a + 1) for a in self.alphas])
         alpha = np.repeat(self.alphas, sizes)
-        log_binom = np.concatenate([_log_binomials(a) for a in self.alphas])
+        # log C(alpha, k), each the log of an exact integer
+        log_binom = np.array([math.log(math.comb(a, j)) for a in self.alphas for j in range(2, a + 1)])
         log_q, log_1mq = math.log(q), math.log1p(-q)
         pre = log_binom + k * log_q + (alpha - k) * log_1mq
         mag = log_binom - k * log_q - (alpha - k) * log_1mq

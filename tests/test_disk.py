@@ -714,29 +714,34 @@ def test_stacked_step_is_each_row_stepped_alone(method, filter_init, sigma_dp):
     mixed stack runs the three comparison presets in turn on kappa and
     lookahead-weight columns; its first row starts at -0.0, and its rows at
     a = 0 start from an infinite d_prev, so their ahead point, which they
-    do not read, is not finite."""
-    obj, ds, xs = stack_problem(p=6)
-    k, p = xs.shape
-    shared = DiskConfig(kappa=0.6, gamma=-1.0, eta=0.2, clip=None, clip_variant="none",
-                        sigma_dp=sigma_dp, filter_init=filter_init)
+    do not read, is not finite. At p = 1, three rows of -0.0 on a dataset
+    whose y is all zero step to signed zeros, which each run stepped alone
+    must match."""
+    base = DiskConfig(kappa=0.6, gamma=-1.0, eta=0.2, clip=None, clip_variant="none",
+                      sigma_dp=sigma_dp, filter_init=filter_init)
     methods = harness.COMPARISON_METHODS if method == "mixed" else (method,)
-    cfgs, columns = comparison_configs(shared, k, methods)
-    d_prev = np.zeros((k, p))
-    if method == "mixed":
-        xs[0] = -0.0
-        d_prev[columns["a"][:, 0] == 0] = np.inf
-    else:
-        shared, columns = cfgs[0], {}
-    streams = [noise_rows(rng_for(10 + i), sigma_dp * (i + 1), p, 6) for i in range(k)]
-    stack = DiskState(x=xs.copy(), d_prev=d_prev.copy())
-    singles = [DiskState(x=x.copy(), d_prev=d.copy()) for x, d in zip(xs, d_prev)]
-    with np.errstate(invalid="ignore"):  # the unread ahead points
-        for rows in zip(*streams):
-            noise = None if sigma_dp == 0 else np.array(rows)
-            stack = disk_step(stack, ds, obj, shared, noise, **columns)
-            singles = [disk_step(s, ds, obj, cfg, row) for s, cfg, row in zip(singles, cfgs, rows)]
-    assert stack.x.shape == (k, p)
-    assert_rows_are_single_runs(stack, singles)
+    for p in (6, 1):
+        obj, ds, xs = stack_problem(p=p)
+        if p == 1:
+            ds, xs = objectives.Dataset(ds.X, np.zeros(ds.n)), np.full((3, 1), -0.0)
+        k = len(xs)
+        cfgs, columns = comparison_configs(base, k, methods)
+        shared, d_prev = base, np.zeros((k, p))
+        if method == "mixed":
+            xs[0] = -0.0
+            d_prev[columns["a"][:, 0] == 0] = np.inf
+        else:
+            shared, columns = cfgs[0], {}
+        streams = [noise_rows(rng_for(10 + i), sigma_dp * (i + 1), p, 6) for i in range(k)]
+        stack = DiskState(x=xs.copy(), d_prev=d_prev.copy())
+        singles = [DiskState(x=x.copy(), d_prev=d.copy()) for x, d in zip(xs, d_prev)]
+        with np.errstate(invalid="ignore"):  # the unread ahead points
+            for rows in zip(*streams):
+                noise = None if sigma_dp == 0 else np.array(rows)
+                stack = disk_step(stack, ds, obj, shared, noise, **columns)
+                singles = [disk_step(s, ds, obj, cfg, row) for s, cfg, row in zip(singles, cfgs, rows)]
+        assert stack.x.shape == (k, p)
+        assert_rows_are_single_runs(stack, singles)
 
 
 def test_mixed_stack_reads_no_ahead_point_at_a_zero_and_no_filter_at_kappa_one():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dpkf import cli, harness, kalman, objectives, privacy, theory
 from dpkf.cli import main as cli_main
+from dpkf.disk import DiskConfig, FullFilterConfig
 from dpkf.harness import (
     COMPARISON_HEADER,
     SWEEP_HEADER,
@@ -165,6 +166,16 @@ def optimizer_raw(**change):
         (target_raw(epsilon=2.0, delta="0.1"), ValueError, "^delta must be a number, got '0.1'$"),
         (logistic_raw(init_scale=True), ValueError, "^init_scale must be a number, got True$"),
         (logistic_raw(sigma_sgd_sq=True), ValueError, "^sigma_sgd_sq must be a number, got True$"),
+        # a section is a mapping of known keys, and two_point and outdir have one type
+        (optimizer_raw(kapa=0.5), ValueError,
+         r"^optimizer has unknown keys \['kapa'\]; allowed: \['base', 'betas', 'clip', "),
+        (logistic_raw(optimizer=[0.5]), ValueError, r"^optimizer must be a mapping, got \[0.5\]$"),
+        (logistic_raw(privacy=[2.0]), ValueError, r"^privacy must be a mapping, got \[2.0\]$"),
+        (logistic_raw(full_filter=[]), ValueError, r"^full_filter must be a mapping, got \[\]$"),
+        (logistic_raw(objective=5), ValueError, "^objective must be a mapping, got 5$"),
+        (logistic_raw(objective=["mlp"]), ValueError, r"^objective must be a mapping, got \['mlp'\]$"),
+        (optimizer_raw(two_point="false"), ValueError, "^two_point must be a bool, got 'false'$"),
+        (logistic_raw(outdir=5), ValueError, "^outdir must be a string, got 5$"),
     ],
 )
 def test_config_rejects_bad_boundary_values(raw, error, match):
@@ -179,6 +190,11 @@ def test_config_takes_ints_for_float_settings_and_null_where_allowed():
     cfg = ExperimentConfig.from_dict(raw)
     assert (cfg.optimizer.kappa, cfg.optimizer.clip, cfg.full_filter.gamma) == (1, None, 2)
     assert (cfg.epsilon_target, cfg.delta, cfg.init_scale) == (None, None, 2)
+
+
+def test_config_reads_a_null_section_as_empty():
+    cfg = ExperimentConfig.from_dict(dict(target_raw(epsilon=2.0), optimizer=None, full_filter=None))
+    assert (cfg.optimizer, cfg.full_filter) == (DiskConfig(), FullFilterConfig())
 
 
 def test_config_accepts_the_keys_bounds_reads():
