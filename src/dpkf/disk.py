@@ -15,8 +15,10 @@ from the factors (``privacy.clip_factored``) and weighted rows are summed in
 order; unclipped at x alone that is ``mean_grad``, bit for bit. Unclipped over
 a whole linear-regression ``Dataset`` it is G z - b from cached Gram statistics,
 z the combined point: O(p^2) a step, not O(np); those runs moved in the last bits.
-Only that Gram step takes a stack of runs, a run its one row; rows may differ in
-kappa and lookahead weight (``lookahead_weight``), so methods step together.
+Every observation takes a stack of runs on one batch through the same code as
+a 1-D run, each row with the bits of its run alone; rows may differ in kappa,
+gamma and lookahead weight (``lookahead_weight``), so the methods of a
+comparison or the cells of a sweep step together.
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -65,7 +67,9 @@ def _require_finite(cfg) -> None:
         if "float" not in str(f.type) or (value is None and "None" in str(f.type)):
             continue
         for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            # a float or an int takes no ABC check, which costs most of a config's build
+            if type(v) is not float and type(v) is not int and (
+                    isinstance(v, bool) or not isinstance(v, numbers.Real)):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
@@ -211,15 +215,17 @@ def noise_rows(
 
 def _check_noise(noise, cfg: DiskConfig, x, t: int) -> None:
     """Refuse a noise row that is missing at sigma_dp > 0, given at 0, or not
-    an array of x's shape: no step may release an un-noised mean."""
+    an array of x's shape or, for a stack, of one of its rows: no step may
+    release an un-noised mean."""
     if noise is None:
         if cfg.sigma_dp != 0:
             raise ValueError(f"step {t}: sigma_dp = {cfg.sigma_dp!r} needs a noise row, got None")
     elif cfg.sigma_dp == 0:
         raise ValueError(f"step {t}: sigma_dp = 0 takes no noise row, got {type(noise).__name__}")
-    elif not isinstance(noise, np.ndarray) or noise.shape != x.shape:
+    elif not isinstance(noise, np.ndarray) or noise.shape not in (x.shape, x.shape[-1:]):
+        shapes = " or ".join(map(str, dict.fromkeys((x.shape[-1:], x.shape))))
         raise ValueError(
-            f"step {t}: the noise row must be an array of shape {x.shape}, "
+            f"step {t}: the noise row must be an array of shape {shapes}, "
             f"got {type(noise).__name__} of shape {np.shape(noise)}"
         )
 
@@ -231,10 +237,13 @@ def _finite(g: np.ndarray) -> bool:
     return math.isfinite(np.vdot(g, g)) or bool(np.isfinite(g).all())
 
 
-def _factored_mean(obj: Objective, x, batch, cfg: DiskConfig, t: int, ahead, a: float):
-    """The clipped mean of the per-sample gradients at one run's x (or their
-    two-point combination), from ``obj.grad_factors``; a non-finite mean
-    raises ``FloatingPointError``, naming the step."""
+def _factored_mean(obj: Objective, x, batch, cfg: DiskConfig, t: int, ahead, a,
+                   kappa=None, gamma=None, rows=None):
+    """The clipped mean of the per-sample gradients at x (or their two-point
+    combination), a row for each run of a stack, from ``obj.grad_factors``; a
+    non-finite mean raises ``FloatingPointError``, naming the step and, in a
+    stack, the first bad row (``rows`` maps x's rows to the caller's) and its
+    ``kappa`` and ``gamma``, scalars or the caller's columns, where given."""
     X, y = batch
     fac = obj.grad_factors(x, X, y, ahead, a)
     weights = None
@@ -242,36 +251,47 @@ def _factored_mean(obj: Objective, x, batch, cfg: DiskConfig, t: int, ahead, a: 
         fac.coefs, fac.feats, weights = clip_factored(fac.coefs, fac.feats, cfg.clip, cfg.clip_variant)
     g = fac.mean(weights)
     if not _finite(g):
-        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in fac.coefs + fac.feats)
+        row, factors, where = g, fac.coefs + fac.feats, ""
+        if g.ndim == 2:  # a stack: name its first bad row
+            i = int(np.argmin(np.isfinite(g).all(axis=1)))
+            row, factors = g[i], [v[i] if v.ndim == 3 else v for v in factors]
+            i = i if rows is None else int(rows[i])
+            where = f" in row {i} of the stack"
+            if kappa is not None:
+                k, gam = (float(v if np.ndim(v) == 0 else v[i, 0]) for v in (kappa, gamma))
+                where += f", at kappa {k!r} and gamma {gam!r}"
+        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in factors)
         raise FloatingPointError(
-            f"step {t}: {np.count_nonzero(~np.isfinite(g))} non-finite mean gradient "
-            f"components ({bad} non-finite per-sample gradient factors)"
+            f"step {t}: {np.count_nonzero(~np.isfinite(row))} non-finite mean gradient "
+            f"components ({bad} non-finite per-sample gradient factors){where}"
         )
     return g
 
 
-def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=None, a=0.0):
+def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=None, a=0.0,
+             kappa=None, gamma=None):
     """The privatised observation: the per-sample gradients at x, or their
     combination a * grad(ahead) + (1 - a) * grad(x), clipped, averaged in row
     order, plus the noise row, all from ``obj.grad_factors``, or unclipped over
     a whole ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x
-    alone it is ``obj.mean_grad``. Only that Gram observation takes a stack of
-    runs, a run its one row, and a (k, 1) column ``a``; a row whose Gram mean
-    is not finite observes alone from its factors, at x where its a is 0.
-    Aborts on a bad noise row (``_check_noise``), an empty batch or a
-    non-finite mean."""
+    alone it is ``obj.mean_grad``. x may be a (k, d) stack of runs, ``a`` a
+    (k, 1) column, and each row is its run's observation alone; a row whose
+    Gram mean is not finite observes from its factors. Aborts on a bad noise
+    row (``_check_noise``), an empty batch or a non-finite mean, which names
+    the row's ``kappa`` and ``gamma`` where given."""
     _check_noise(noise, cfg, x, t)
     X, y = batch
     if len(X) == 0:
         raise ValueError("batch must be non-empty")
     g = obj.dataset_mean_grad(batch, x, ahead, a) if cfg.clip_variant == "none" else None
     if g is None:
-        g = _factored_mean(obj, x, batch, cfg, t, ahead, a)
+        g = _factored_mean(obj, x, batch, cfg, t, ahead, a, kappa, gamma)
     elif not _finite(g):  # statistics can overflow where rows do not
-        rows, xs, aheads = np.atleast_2d(g, x, x if ahead is None else ahead)
-        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
-            a_i = np.broadcast_to(a, (len(rows), 1))[i, 0]
-            rows[i] = _factored_mean(obj, xs[i], batch, cfg, t, None if a_i == 0 else aheads[i], a_i)
+        rows, xs = np.atleast_2d(g, x)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        ahead = None if ahead is None else np.atleast_2d(ahead)[bad]
+        rows[bad] = _factored_mean(obj, xs[bad], batch, cfg, t, ahead,
+                                   a[bad] if isinstance(a, np.ndarray) else a, kappa, gamma, bad)
     return g if noise is None else g + noise
 
 
@@ -296,7 +316,7 @@ def disk_step(
     cfg: DiskConfig,
     noise: np.ndarray | None,
     kappa: float | np.ndarray | None = None,
-    gamma: float | None = None,
+    gamma: float | np.ndarray | None = None,
     a: float | np.ndarray | None = None,
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
@@ -305,23 +325,23 @@ def disk_step(
     the step's row of ``noise_rows`` (None at sigma_dp = 0), added to the
     clipped mean.
 
-    A state whose ``x`` is a (k, d) stack steps k runs at once; ``noise`` is
-    then (k, d), a row per run (so ``cfg.sigma_dp`` only says whether rows are
-    given). Only an unclipped step on a whole linear-regression ``Dataset``
-    takes a stack, and steps a lone run as its one row: the observation is one
-    ``G @ z_i`` per row, and the ahead point, filter and base update are
-    elementwise, so each row has the bits of its run stepped alone; every other
-    observation refuses a stack. Its rows may differ in kappa and lookahead
-    weight, given as (k, 1) columns ``kappa`` and ``a`` (each row's config's
-    ``lookahead_weight``), which select rather than multiply: a row at a = 0
-    observes at x itself, and a row at kappa 1 takes g as its filtered
-    gradient, whatever its ahead point or previous filter holds."""
+    A state whose ``x`` is a (k, d) stack steps k runs at once, on one batch;
+    ``noise`` is then (k, d), a row per run, or one (d,) row that every run
+    adds (so ``cfg.sigma_dp`` only says whether noise is given). Every
+    observation takes a stack through the code that steps a 1-D run, with a
+    leading run axis: the products are one BLAS call a row, and the clipping,
+    means, ahead point, filter and base update act row by row, so each row has
+    the bits of its run stepped alone. Its rows may differ in kappa, gamma and
+    lookahead weight, given as (k, 1) columns ``kappa``, ``gamma`` and ``a``
+    (each row's config's ``lookahead_weight``), which select rather than
+    multiply: a row at a = 0 observes at x itself, and a row at kappa 1 takes g
+    as its filtered gradient, whatever its ahead point or previous filter holds."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     a = lookahead_weight(cfg, kappa, gamma) if a is None else a
     x = state.x
     ahead = x + gamma * state.d_prev if isinstance(a, np.ndarray) or a != 0 else None
-    g = _observe(obj, x, batch, cfg, noise, state.t, ahead, a)
+    g = _observe(obj, x, batch, cfg, noise, state.t, ahead, a, kappa, gamma)
 
     if isinstance(kappa, np.ndarray) or kappa != 1.0:
         prev = state.g_filt

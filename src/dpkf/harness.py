@@ -2,9 +2,11 @@
 benchmark on synthetic regression, (kappa, gamma) sweep grids, and
 deterministic CSV/SVG emission.
 
-A training run and a sweep cell step through one loop, ``_trajectory``:
-``run_experiment`` evaluates and records every state, a sweep cell only its last.
-The run evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
+A training run and a sweep's runs step through one loop, ``_trajectory``,
+which steps a stack of runs, or a training run alone from a 1-D state:
+``run_experiment`` evaluates and records every state, a sweep only the
+stack's last. The run
+evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
 ``Objective.evaluate``, and stops at the first state whose loss or gradient is
 not finite. ``ExperimentConfig.from_dict`` is the one config reader: every
 default is a field's default, and ``__post_init__`` refuses a privacy target
@@ -20,10 +22,12 @@ one draw a step, and handed to the step. Every run holds one BLAS thread
 (``objectives.one_blas_thread``), so its bits do not depend on the caller's
 thread count. A sweep runs each distinct trajectory once per seed: grid
 cells whose steps read the same (kappa, gamma), after the preset, share one
-run (``_run_key``). ``compare_filters`` steps each seed and method's noise
-levels as one stack of runs, a level a row of the state (``disk_step``), on
-one draw of each level's noise: a row keeps the bits of its run stepped
-alone, and a step costs one call for the stack, not one a level.
+run (``_run_key``), and a seed's runs step as one stack on its one noise draw
+and minibatch stream. ``compare_filters`` steps each seed's methods and noise
+levels as one stack of runs (its levels of 0 as a second), a (method, level)
+a row of the state (``disk_step``), on one draw of each level's noise. A row
+keeps the bits of its run stepped alone, and a step costs one call for the
+stack, not one a run.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .objectives import (
     LinearRegression,
     Objective,
     full_gradient,
-    full_loss,
     gen_classification,
     gen_linear_regression,
     make_objective,
@@ -331,21 +334,42 @@ def _epsilon_schedule(cfg: ExperimentConfig, opt: DiskConfig, delta: float | Non
     return epsilon_schedule(subsampled_curve(q, z), cfg.T, delta)
 
 
-def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem):
-    """The states x_0..x_T of one run of ``problem`` (``build_problem``'s pair)
-    stepped with ``opt`` as given: ``resolve_optimizer``'s, or a sweep cell's,
-    the preset already applied."""
+def _column(values) -> float | np.ndarray:
+    """One value a row of a stack: a (k, 1) column, or the one float every
+    row shares, which steps them as a scalar config would (a weight of 0 for
+    every row reads no lookahead point)."""
+    col = np.array(values, dtype=float)[:, None]
+    return float(col[0, 0]) if (col == col[0, 0]).all() else col
+
+
+def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem, cells=None):
+    """The states x_0..x_T of the runs of ``problem`` (``build_problem``'s
+    pair) stepped with ``opt`` as given: ``resolve_optimizer``'s, or a sweep's,
+    the preset already applied. The runs step as one stack, a row for each
+    (kappa, gamma) of ``cells``, from one start, on one minibatch stream and
+    one noise row a step, broadcast to every row. With no ``cells``, ``opt``'s
+    one run steps from a 1-D start: the same step with no run axis, which
+    spares a lone run the cost of broadcasting its data to a row."""
     obj, ds = problem
+    x0 = obj.init_point(seed, cfg.init_scale)
+    if cells is None:
+        cells = [(opt.kappa, opt.gamma)]
+    else:
+        x0 = np.tile(x0, (len(cells), 1))
     full_batch = cfg.batch_size(ds.n) == ds.n
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
     batches = None if full_batch else minibatches(ds.n, cfg.B, seed)
-    gains = (cfg.full_filter.gains() if cfg.algorithm == "full-kf"
-             else itertools.repeat((opt.kappa, opt.gamma)))  # (kappa, gamma) per step
-    state = DiskState(x=obj.init_point(seed, cfg.init_scale))
+    if cfg.algorithm == "full-kf":  # (k_t, gamma) a step; its weight from lookahead_weight
+        columns = ((kappa, gamma, None) for kappa, gamma in cfg.full_filter.gains())
+    else:
+        kappas, gammas = zip(*cells)
+        weights = [lookahead_weight(opt, kappa, gamma) for kappa, gamma in cells]
+        columns = itertools.repeat(tuple(map(_column, (kappas, gammas, weights))))
+    state = DiskState(x=x0)
     yield state
-    for noise, (kappa, gamma) in zip(noise_rows(noise_rng, opt.sigma_dp, obj.dim, cfg.T), gains):
+    for noise, (kappa, gamma, a) in zip(noise_rows(noise_rng, opt.sigma_dp, obj.dim, cfg.T), columns):
         batch = ds if full_batch else ds.subset(next(batches))
-        state = disk_step(state, batch, obj, opt, noise, kappa, gamma)
+        state = disk_step(state, batch, obj, opt, noise, kappa, gamma, a)
         yield state
 
 
@@ -519,29 +543,32 @@ def sweep_kappa_gamma(
     every such cell gets its float: the kappa = 1 column, every cell of a
     dpsgd, noisy-gd or full-kf sweep, and noisy-lp's cells along gamma. Each
     cell is built from its kappa and gamma, so a bad value is refused where its
-    run is shared, then takes the preset. A run records nothing on the way: its
-    last state is evaluated once, by ``full_loss``, with ``final_loss``'s bits.
+    run is shared, then takes the preset. A seed steps its distinct runs as one
+    stack (``_trajectory``), a run a row, on the seed's one minibatch stream
+    and noise draw: one ``disk_step`` a step, each row with the bits of its
+    run stepped alone. The runs record nothing on the way: the stack's last
+    states are evaluated once, ``EVAL_BLOCK`` at a time, with ``final_loss``'s
+    bits.
     """
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
     opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
-    runs: dict[tuple | None, float] = {}  # run key -> seed-mean final loss
-    matrix: list[list[float]] = []
+    runs: dict[tuple | None, tuple[float, float]] = {}  # run key -> its (kappa, gamma)
+    keys: list[list] = []  # each cell's run key, a row a kappa
     for kappa in kappas:
-        row = []
+        keys.append([])
         for gamma in gammas:
             cell = replace(replace(opt, kappa=kappa, gamma=gamma), **PRESETS[cfg.algorithm].overrides)
-            key = _run_key(cfg, cell)
-            if key not in runs:
-                vals = []
-                for s in cfg.seeds:
-                    obj, ds = problems[s]
-                    for state in _trajectory(cfg, cell, s, (obj, ds)):
-                        pass
-                    vals.append(full_loss(obj, state.x, ds))
-                runs[key] = float(np.mean(vals))
-            row.append(runs[key])
-        matrix.append(row)
-    return matrix
+            keys[-1].append(_run_key(cfg, cell))
+            runs.setdefault(keys[-1][-1], (cell.kappa, cell.gamma))
+    final = []  # a seed's final losses, one a run
+    for s in cfg.seeds if runs else ():  # an empty grid steps nothing
+        obj, ds = problems[s]
+        for state in _trajectory(cfg, opt, s, problems[s], list(runs.values())):
+            pass
+        final.append(np.concatenate([obj.evaluate(state.x[i : i + EVAL_BLOCK], ds.X, ds.y)[0]
+                                     for i in range(0, len(runs), EVAL_BLOCK)]))
+    mean = dict(zip(runs, (float(np.mean(losses)) for losses in zip(*final))))
+    return [[mean[key] for key in row] for row in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ accumulation order, so results are bit-reproducible for a given seed.
 for the linear models, d_pre_i (x) [x_i, 1] and r_i [h_i, 1] for the MLP and
 one shared vector for the quadratic. Two points combine in the coefficients,
 where the features are shared (the MLP's second block, whose h_i moves,
-combines densely). ``mean_grad`` is their unit-weight mean, one einsum a
-block, with the bits of ``per_sample_grads(...).mean(axis=0)``; the
-quadratic's is its shared row, which a mean over n copies would round. Over a
-whole ``Dataset``, linear regression's is G x - b (``dataset_mean_grad``, G and
-b cached, a point its one-row stack); losses stay on residuals, where G cancels.
+combines densely). A (k, d) stack of points gives factors with a leading run
+axis, each run's with the bits of its point alone: products are one BLAS call
+a run (``np.matmul`` over the run axis), means one einsum over it. ``mean_grad``
+is the factors' unit-weight mean, one einsum a block, with the bits of
+``per_sample_grads(...).mean(axis=0)``; the quadratic's is its shared row,
+which a mean over n copies would round. Over a whole ``Dataset``, linear
+regression's is G x - b (``dataset_mean_grad``, G and b cached, a point its
+one-row stack); losses stay on residuals, where G cancels.
 
 ``evaluate`` is the one whole-dataset loss: the mean loss and mean gradient
 at a block of up to ``EVAL_BLOCK`` states, under ``one_blas_thread``;
@@ -147,44 +150,46 @@ class Dataset:
 
 def _with_ones(A: np.ndarray) -> np.ndarray:
     """[A | 1] as a new C-contiguous array; the ones column sums the weights."""
-    out = np.ones((A.shape[0], A.shape[1] + 1))
-    out[:, :-1] = A
+    out = np.ones(A.shape[:-1] + (A.shape[-1] + 1,))
+    out[..., :-1] = A
     return out
 
 
 @dataclass
 class GradFactors:
     """A batch's per-sample gradients, factored: block b of row i is the
-    flattened coefs[b][i] (x) feats[b][i]; a feats entry of one row is shared
-    by every row. ``pack`` lays blocks out in the parameter order."""
+    flattened coefs[b][..., i, :] (x) feats[b][..., i, :]. The leading axes
+    are the run axis of a (k, d) stack of points, none for one point. A feats
+    entry without them is shared by every run (the data), and one of one row
+    by every row of its run. ``pack`` lays blocks out in the parameter order."""
 
     coefs: list[np.ndarray]
     feats: list[np.ndarray]
     pack: Callable = functools.partial(np.concatenate, axis=-1)
 
     def rows(self) -> np.ndarray:
-        """The (B, d) matrix of the rows."""
-        B = len(self.coefs[0])
-        return self.pack([(c[:, :, None] * f[:, None, :]).reshape(B, -1)
+        """The (..., B, d) matrix of the rows."""
+        return self.pack([(c[..., None] * f[..., None, :]).reshape(*c.shape[:-1], -1)
                           for c, f in zip(self.coefs, self.feats)])
 
     def mean(self, weights: np.ndarray | None = None) -> np.ndarray:
-        """Mean of the rows times ``weights`` (1 when None), with the bits of
-        the dense rows' ``mean(axis=0)`` and without the rows: einsum adds them in
-        order when the feature columns, C-contiguous and at least two, are its inner
-        loop; one column is the dense product, whose mean sums pairwise. A shared
-        row's mean is the row times the mean weight: a mean over its n copies
-        would round at some n."""
+        """Mean of each run's rows times ``weights`` (1 when None), with the
+        bits of the dense rows' ``mean(axis=0)`` and without the rows: einsum
+        adds them in order when the feature columns, C-contiguous and at least
+        two, are its inner loop, with or without a run axis; one column is the
+        dense product, whose mean sums pairwise. A shared row's mean is the row
+        times the mean weight: a mean over its n copies would round at some n."""
         means = []
         for c, f in zip(self.coefs, self.feats):
-            c = c if weights is None else weights[:, None] * c
-            if len(f) < len(c):
-                means.append(f[0] * c.mean())
-            elif f.shape[1] == 1:
-                means.append((c * f).mean(axis=0))
+            c = c if weights is None else weights[..., None] * c
+            if f.shape[-2] < c.shape[-2]:
+                means.append(f[..., 0, :] * c.mean(axis=-2))
+            elif f.shape[-1] == 1:
+                means.append((c * f).mean(axis=-2))
             else:
-                means.append(np.einsum("ik,im->km", c, np.ascontiguousarray(f)).ravel() / len(c))
-        return self.pack(means)
+                m = np.einsum("...ik,...im->...km", c, np.ascontiguousarray(f))
+                means.append(m.reshape(m.shape[:-2] + (-1,)) / c.shape[-2])
+        return self.pack(means) if len(means) > 1 else means[0]
 
 
 def _exp_neg_abs(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -264,7 +269,12 @@ class Objective:
 
     def grad_factors(self, x, X, y, ahead=None, a: float = 0.0) -> GradFactors:
         """The per-sample gradients at x, or their two-point combination
-        a * grad(ahead) + (1 - a) * grad(x), in factored form."""
+        a * grad(ahead) + (1 - a) * grad(x), in factored form. A (k, d) stack
+        x (and ahead) gives factors with a leading run axis, each run's with
+        the bits of that point alone: the products are one BLAS call a run
+        (``np.matmul`` over the run axis), the rest elementwise. ``a`` is a
+        scalar or a (k, 1) column, and a row at a = 0 selects its factors at
+        x, whatever its ahead point holds."""
         raise NotImplementedError
 
     def per_sample_grads(self, x: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -310,12 +320,23 @@ class Objective:
             )
         return xs
 
-    def _check_dim(self, x: np.ndarray, stack: bool = False) -> np.ndarray:
-        """x as a float array of shape (dim,), or (k, dim) where ``stack``."""
+    def _check_dim(self, x: np.ndarray) -> np.ndarray:
+        """x as a float array of shape (dim,), or a (k, dim) stack of points."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,) and not (stack and x.ndim == 2 and x.shape[1] == self.dim):
-            raise ValueError(f"parameter vector must have shape ({self.dim},), got {x.shape}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(f"parameter vector must have shape ({self.dim},) or (k, {self.dim}), "
+                             f"got {x.shape}")
         return x
+
+
+def _combine(a, here: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+    """a * ahead + (1 - a) * here, for a scalar or a (k, 1) column ``a`` over
+    arrays with a leading run axis; a row at a = 0 is ``here`` itself (0 * inf
+    is NaN, and -0.0 + 0.0 is 0.0)."""
+    if not isinstance(a, np.ndarray):
+        return a * ahead + (1.0 - a) * here
+    a = np.reshape(a, (-1,) + (1,) * (here.ndim - 1))
+    return np.where(a != 0, a * ahead + (1.0 - a) * here, here)
 
 
 class Quadratic(Objective):
@@ -353,11 +374,15 @@ class Quadratic(Objective):
         r = self._check_dim(x) - self.x_star
         return 0.5 * float(r @ self.H @ r), self.mean_grad(x, X, y)
 
+    def _grad(self, x):
+        # H (x - x*) a row, one gemv each
+        return np.matmul(self.H, (self._check_dim(x) - self.x_star)[..., None])[..., 0]
+
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
-        g = self.H @ (self._check_dim(x) - self.x_star)
+        g = self._grad(x)
         if ahead is not None:
-            g = a * (self.H @ (self._check_dim(ahead) - self.x_star)) + (1.0 - a) * g
-        return GradFactors([np.ones((len(X), 1))], [g[None, :]])
+            g = _combine(a, g, self._grad(ahead))
+        return GradFactors([np.ones(g.shape[:-1] + (len(X), 1))], [g[..., None, :]])
 
     def smoothness(self, dataset=None):
         return float(np.linalg.eigvalsh(self.H)[-1])
@@ -399,8 +424,13 @@ class _GeneralisedLinear(Objective):
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
         c = self._coef(x, X, y)
         if ahead is not None:
-            c = a * self._coef(ahead, X, y) + (1.0 - a) * c
-        return GradFactors([c[:, None]], [X])
+            c = _combine(a, c, self._coef(ahead, X, y))
+        return GradFactors([c[..., None]], [X])
+
+    def _margins(self, x, X):
+        """<a_i, x> for each row of X, at a point or a row of each point of a
+        stack: one gemv a point, with the bits of ``X @ x``."""
+        return np.matmul(X, self._check_dim(x)[..., None])[..., 0]
 
     def smoothness(self, dataset=None):
         if dataset is None:
@@ -414,7 +444,7 @@ class LinearRegression(_GeneralisedLinear):
     kind = "linear-regression"
 
     def _coef(self, x, X, y):
-        return X @ self._check_dim(x) - y
+        return self._margins(x, X) - y
 
     def f_star(self, dataset: Dataset) -> float:
         """The exact minimum over ``dataset``: the loss at a least-squares solution."""
@@ -431,7 +461,7 @@ class LinearRegression(_GeneralisedLinear):
         if isinstance(batch, Dataset):
             # 0 * inf is NaN, and -0.0 + 0.0 is 0.0
             z = x if ahead is None else np.where(a != 0, x + a * (ahead - x), x)
-            z = self._check_dim(z, stack=True)
+            z = self._check_dim(z)
             G, rows = batch.second_moment, z if z.ndim == 2 else z[None]
             g = np.empty(rows.shape)
             for z_i, g_i in zip(rows, g):
@@ -464,7 +494,7 @@ class LogisticRegression(_GeneralisedLinear):
         return w
 
     def _coef(self, x, X, y):
-        m = y * (X @ self._check_dim(x))
+        m = y * self._margins(x, X)
         return self._weights(m, _exp_neg_abs(m), y, out=m)
 
     def _block_coefs(self, xs, X, y):
@@ -503,17 +533,19 @@ class TinyMLP(Objective):
         self.dim = hidden * in_dim + 2 * hidden + 1
 
     def _unpack(self, x: np.ndarray):
+        """W1, b1, w2 and b2 of a point, or of each point of a stack (leading axis)."""
         h, p = self.hidden, self.in_dim
-        W1 = x[: h * p].reshape(h, p)
-        b1 = x[h * p : h * p + h]
-        w2 = x[h * p + h : h * p + 2 * h]
-        b2 = x[-1]
+        W1 = x[..., : h * p].reshape(*x.shape[:-1], h, p)
+        b1 = x[..., h * p : h * p + h]
+        w2 = x[..., h * p + h : h * p + 2 * h]
+        b2 = x[..., -1:]
         return W1, b1, w2, b2
 
     def _forward(self, x, X):
+        # one gemm and one gemv a point, as for a point alone
         W1, b1, w2, b2 = self._unpack(x)
-        hidden = np.tanh(X @ W1.T + b1)
-        out = hidden @ w2 + b2
+        hidden = np.tanh(np.matmul(X, W1.swapaxes(-1, -2)) + b1[..., None, :])
+        out = np.matmul(hidden, w2[..., None])[..., 0] + b2
         return hidden, out
 
     def _backprop(self, x, X, y):
@@ -521,7 +553,7 @@ class TinyMLP(Objective):
         hidden, out = self._forward(x, X)
         r = out - y
         w2 = self._unpack(x)[2]
-        d_pre = (r[:, None] * w2[None, :]) * (1.0 - hidden**2)
+        d_pre = (r[..., None] * w2[..., None, :]) * (1.0 - hidden**2)
         return hidden, r, d_pre
 
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
@@ -529,15 +561,15 @@ class TinyMLP(Objective):
         # h_i differs between the two points. The ones columns give the bias
         # sums and keep every einsum two columns wide.
         hidden, r, d_pre = self._backprop(self._check_dim(x), X, y)
-        dense = r[:, None] * _with_ones(hidden)
+        dense = r[..., None] * _with_ones(hidden)
         if ahead is not None:
             h_a, r_a, d_a = self._backprop(self._check_dim(ahead), X, y)
-            d_pre = a * d_a + (1.0 - a) * d_pre
-            dense = a * (r_a[:, None] * _with_ones(h_a)) + (1.0 - a) * dense
-        return GradFactors([d_pre, np.ones((len(X), 1))], [_with_ones(X), dense], self._pack)
+            d_pre = _combine(a, d_pre, d_a)
+            dense = _combine(a, dense, r_a[..., None] * _with_ones(h_a))
+        return GradFactors([d_pre, np.ones(r.shape + (1,))], [_with_ones(X), dense], self._pack)
 
     def _pack(self, blocks):
-        # blocks of means, or of rows with a leading batch axis
+        # blocks of means, or of rows, with leading run and batch axes
         lead = blocks[1].shape[:-1]
         W1_b1 = blocks[0].reshape(*lead, self.hidden, self.in_dim + 1)
         return np.concatenate([W1_b1[..., :-1].reshape(*lead, -1), W1_b1[..., -1], blocks[1]], axis=-1)

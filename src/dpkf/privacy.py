@@ -65,21 +65,32 @@ _TINY_NORM = 2.0**-511  # below it, a squared norm is subnormal or 0
 
 def _top_exponent(A: np.ndarray) -> np.ndarray:
     """e with 2^e <= max |entry| < 2^(e+1), row by row; -2^16 for a zero row."""
-    top = np.abs(A).max(axis=1)
+    top = np.abs(A).max(axis=-1)
     return np.where(top > 0, np.frexp(top)[1] - 1, -(2**16))
 
 
 def _row_sq(A: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", A, A)
+    return np.einsum("...j,...j->...", A, A)
+
+
+def _rows_in(f: np.ndarray, rows: tuple) -> tuple:
+    """The index in f of each row of ``rows`` (a ``np.nonzero`` tuple): the
+    row itself, or the one row f's batch shares."""
+    return rows if f.shape[-2] > 1 else rows[:-1] + (np.zeros_like(rows[-1]),)
 
 
 def clip_factored(
     coefs: list, feats: list, C: float | None, variant: str
 ) -> tuple[list, list, np.ndarray]:
     """Row-wise clipping of per-sample gradients in factored form, block b of
-    row i being coefs[b][i] (x) feats[b][i] (``objectives.GradFactors``): the
-    coefs and feats, each row rescaled whose squared norm over- or underflows
-    or has a factor whose own squared norm is subnormal or 0, and the factors.
+    row i being coefs[b][..., i, :] (x) feats[b][..., i, :]
+    (``objectives.GradFactors``), the rows of every run of a stack at once:
+    the coefs and feats, each row rescaled whose squared norm over- or
+    underflows or has a factor whose own squared norm is subnormal or 0, and
+    the factors, one a row of each run. A feature row shared by the runs is
+    copied to each run before a rescale. The rows of a run that share one
+    feature row (the quadratic's) are rescaled together, that row in place, so
+    the factors keep their layout and the mean its order.
     """
     sq = [(_row_sq(c), _row_sq(f)) for c, f in zip(coefs, feats)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 of a zero block
@@ -91,28 +102,33 @@ def clip_factored(
     huge = ~np.isfinite(norms) | (norms < _TINY_NORM)
     for sc, sf in sq:
         huge |= (sc < _TINY_NORM**2) | (sf < _TINY_NORM**2)
-    cap, huge = 1.0, np.flatnonzero(huge)
-    if huge.size:
+    cap = 1.0
+    if huge.any():
         # Clip u = 2^-e g_i, whose factor min{2^e, C/||u||} is g_i's, 2^e being
         # the largest top coefficient times top feature of a block (a zero
         # factor sets none, and a row with one in every block keeps e = 0). A
         # block's features are scaled by their own 2^-ef and its coefficients by
-        # 2^(ef - e), so neither over- nor underflows; shared features become B rows.
+        # 2^(ef - e), so neither over- nor underflows.
         coefs = [c.copy() for c in coefs]
-        feats = [np.array(np.broadcast_to(f, (len(c), f.shape[1]))) for c, f in zip(coefs, feats)]
+        feats = [np.array(np.broadcast_to(f, c.shape[:-2] + f.shape[-2:])) for c, f in zip(coefs, feats)]
+        if any(f.shape[-2] == 1 for f in feats):
+            huge |= huge.any(axis=-1, keepdims=True)
         # A row with a NaN or infinite entry has no scale to rescue (its finite
         # entries would overflow): the step's non-finite mean reports it.
-        huge = huge[np.all([np.isfinite(a[huge]).all(axis=1) for a in coefs + feats], axis=0)]
-        ef = [_top_exponent(f[huge]) for f in feats]
-        e = np.max([_top_exponent(c[huge]) + x for c, x in zip(coefs, ef)], axis=0)
+        for a in coefs + feats:
+            huge &= np.isfinite(a).all(axis=-1)
+        rows = np.nonzero(huge)
+        at = [_rows_in(f, rows) for f in feats]
+        ef = [_top_exponent(f[i]) for f, i in zip(feats, at)]
+        e = np.max([_top_exponent(c[rows]) + x for c, x in zip(coefs, ef)], axis=0)
         e[e < -(2**15)] = 0
-        for c, f, x in zip(coefs, feats, ef):
-            c[huge] = np.ldexp(c[huge], (x - e)[:, None])
-            f[huge] = np.ldexp(f[huge], -x[:, None])
-        norms[huge] = np.sqrt(sum(_row_sq(c[huge]) * _row_sq(f[huge]) for c, f in zip(coefs, feats)))
-        cap = np.ones(len(norms))
+        for c, f, x, i in zip(coefs, feats, ef, at):
+            c[rows] = np.ldexp(c[rows], (x - e)[:, None])
+            f[i] = np.ldexp(f[i], -x[:, None])
+        norms[rows] = np.sqrt(sum(_row_sq(c[rows]) * _row_sq(f[i]) for c, f, i in zip(coefs, feats, at)))
+        cap = np.ones(norms.shape)
         with np.errstate(over="ignore"):  # e above 1023: an infinite cap, none
-            cap[huge] = np.ldexp(1.0, e)
+            cap[rows] = np.ldexp(1.0, e)
     return coefs, feats, clip_rule(norms, C, variant, cap)
 
 

@@ -11,7 +11,11 @@ loop. ``filter_min_eig`` steps the covariance that
 ``kalman.simulate_estimation`` advances. ``compare_filters_reference`` is
 ``harness.compare_filters`` as one run per (seed, level, method), each
 drawing its own noise rows and ending in ``full_loss``: the loop that the
-stacked runs replaced. ``calibrate_gaussian`` and its
+stacked runs replaced. ``sweep_reference`` is ``harness.sweep_kappa_gamma``
+as that loop was before a seed's runs stepped as one stack: each distinct
+run alone (``run_alone``), on its own noise draw and minibatch stream, ending
+in ``full_loss``. ``require_finite_reference`` is ``disk._require_finite``
+before its fast path for plain floats and ints. ``calibrate_gaussian`` and its
 helpers are the analytic Gaussian mechanism (Balle & Wang, arXiv 1805.06530),
 which acceptance criterion 9 checks; every command calibrates through the RDP
 accountant instead. ``_int_in``, ``_positive_float``, ``_unit_float`` and
@@ -22,14 +26,17 @@ Nothing in ``dpkf`` calls them.
 """
 
 import argparse
+import itertools
 import math
-from dataclasses import replace
+import numbers
+from dataclasses import fields, replace
 
 import numpy as np
 
 from dpkf import seeding
 from dpkf.disk import DiskConfig, DiskState, _observe, disk_step, noise_rows
-from dpkf.harness import COMPARISON_METHODS, PRESETS, ComparisonRow, comparison_noise_levels
+from dpkf.harness import (COMPARISON_METHODS, PRESETS, ComparisonRow, build_problem,
+                          comparison_noise_levels, resolve_optimizer, _run_key)
 from dpkf.kalman import LinearSystem, kf_correct, kf_predict
 from dpkf.objectives import (
     EVAL_BLOCK,
@@ -39,6 +46,7 @@ from dpkf.objectives import (
     full_gradient,
     full_loss,
     gen_linear_regression,
+    minibatches,
     one_blas_thread,
 )
 from dpkf.privacy import PrivacyBudget, PrivacyError
@@ -98,6 +106,21 @@ def logistic_evaluate(xs: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.
         return losses, (W @ X)[:k] / len(X)
 
 
+def require_finite_reference(cfg) -> None:
+    """Refuse a value of a config's float field that is not a real number (a
+    bool, a string, None), or is NaN or infinite; only a ``float | None``
+    field may hold None. Every value takes the ``numbers.Real`` check."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "float" not in str(f.type) or (value is None and "None" in str(f.type)):
+            continue
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 def dpsgd_reference_step(state: DiskState, batch, obj: Objective, cfg: DiskConfig, noise) -> DiskState:
     """Plain DP-SGD written out: the clipped, averaged, noised observation at x,
     then x - eta g, whatever ``cfg.kappa`` and ``cfg.base`` say."""
@@ -128,6 +151,44 @@ def compare_filters_reference(noise_levels=None, seeds=(0, 1, 2, 3, 4), n=1000, 
                     state = disk_step(state, ds, obj, cfg, noise)
                 rows.append(ComparisonRow(sigma, method, seed, full_loss(obj, state.x, ds)))
     return rows
+
+
+def run_alone(cfg, opt: DiskConfig, seed: int, problem) -> DiskState:
+    """The last state of one run of ``problem`` stepped with ``opt`` (the
+    preset applied) from a 1-D state: its own noise draw and minibatch stream,
+    and full-kf's (k_t, gamma) a step."""
+    obj, ds = problem
+    full_batch = cfg.batch_size(ds.n) == ds.n
+    noise_rng = seeding.substream(seed, seeding.DP_NOISE)
+    batches = None if full_batch else minibatches(ds.n, cfg.B, seed)
+    gains = (cfg.full_filter.gains() if cfg.algorithm == "full-kf"
+             else itertools.repeat((opt.kappa, opt.gamma)))
+    state = DiskState(x=obj.init_point(seed, cfg.init_scale))
+    for noise, (kappa, gamma) in zip(noise_rows(noise_rng, opt.sigma_dp, obj.dim, cfg.T), gains):
+        batch = ds if full_batch else ds.subset(next(batches))
+        state = disk_step(state, batch, obj, opt, noise, kappa, gamma)
+    return state
+
+
+@one_blas_thread()
+def sweep_reference(kappas, gammas, cfg) -> list[list[float]]:
+    """``harness.sweep_kappa_gamma`` one distinct run at a time, cell by cell."""
+    problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
+    opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)
+    runs: dict = {}
+    matrix = []
+    for kappa in kappas:
+        row = []
+        for gamma in gammas:
+            cell = replace(replace(opt, kappa=kappa, gamma=gamma), **PRESETS[cfg.algorithm].overrides)
+            key = _run_key(cfg, cell)
+            if key not in runs:
+                vals = [full_loss(problems[s][0], run_alone(cfg, cell, s, problems[s]).x, problems[s][1])
+                        for s in cfg.seeds]
+                runs[key] = float(np.mean(vals))
+            row.append(runs[key])
+        matrix.append(row)
+    return matrix
 
 
 def nag_step(

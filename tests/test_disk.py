@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,8 @@ from dpkf.objectives import (
     two_point_grads,
 )
 from dpkf.privacy import clip_batch, clip_sensitivity
-from reference_methods import dpsgd_reference_step, nag_step, per_sample_grad, sample_of, storm_step
+from reference_methods import (dpsgd_reference_step, nag_step, per_sample_grad, require_finite_reference,
+                               sample_of, storm_step)
 
 
 def rng_for(seed):
@@ -777,8 +779,8 @@ def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
     """A 1.5e154 feature overflows G = X^T X / n but no row's factors: each
     row of the stack then observes from its factors, with the bytes of its
     run stepped alone, and a row whose factored mean is not finite raises the
-    error naming the step. In a mixed stack, a row at a = 0 observes at x
-    alone there too."""
+    error naming the step and the row. In a mixed stack, a row at a = 0
+    observes at x alone there too."""
     obj, ds, xs = stack_problem(p=3)
     X_big = np.array(ds.X)
     X_big[0, 0] = 1.5e154
@@ -795,27 +797,76 @@ def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
         assert np.isfinite(stack.g_filt).all()
         assert_rows_are_single_runs(stack, singles)
     xs[1] = 1e300  # its residual on the big row overflows
-    with pytest.raises(FloatingPointError, match=r"^step 4: .*non-finite mean gradient"):
-        disk._observe(obj, xs, big, cfg, noise, 4)
+    with pytest.raises(FloatingPointError, match=r"^step 4: .*non-finite mean gradient .* in row 1 "
+                                                 r"of the stack, at kappa 0\.2 and gamma -1\.0$"):
+        disk._observe(obj, xs, big, cfg, noise, 4, kappa=np.full((len(xs), 1), 0.2), gamma=-1.0)
 
 
-@pytest.mark.parametrize("kind, variant, whole", [
-    ("linear-regression", "standard", True),  # clipped
-    ("linear-regression", "automatic", True),
-    ("linear-regression", "none", False),  # a minibatch
-    ("logistic-regression", "none", True),  # no Gram statistics
-    ("quadratic", "none", True),
-    ("mlp", "none", True),
-])
-def test_stack_is_refused_off_the_gram_path(kind, variant, whole):
-    """Only the unclipped Gram observation over a whole linear-regression
-    dataset takes a stack; every other observation refuses it."""
+# each row's (kappa, gamma, lookahead weight): a two-point row; a row at
+# kappa 1 (a = 0); a one-point row at a = 0 off kappa 1; a two-point row that
+# starts far out; and the first row again
+STACK_ROWS = [(0.6, 0.5, None), (1.0, 2.0, None), (0.3, -1.0, 0.0), (0.5, 0.25, None), (0.6, 0.5, None)]
+
+
+@pytest.mark.parametrize("base", disk.BASE_OPTIMIZERS)
+@pytest.mark.parametrize("variant", disk.CLIP_VARIANTS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_factored_step_is_each_row_stepped_alone(kind, variant, base, monkeypatch):
+    """Every observation takes a stack: on shared minibatches, with a noise
+    row and a (kappa, gamma, a) each, the rows keep the bytes of each run
+    stepped alone, for each kind, clip variant and base. The kappa-1 row
+    starts from an infinite filter and the rows at a = 0 from an infinite
+    d_prev, so their ahead points, which they do not read, are not finite.
+    Clipped, the far-out row (1e200; the MLP's first layer only, whose tanh
+    saturates to a zero factor) needs ``clip_factored``'s power-of-two rescue,
+    which leaves the other rows' bytes as they are."""
     obj, ds = single_point_problem(kind)
-    cfg = DiskConfig(clip=None if variant == "none" else 1.0, clip_variant=variant, sigma_dp=0.1)
-    xs = np.zeros((2, obj.dim))
-    batch = ds if whole else ds.subset(np.arange(10))
-    with pytest.raises(ValueError, match=r"parameter vector must have shape \(\d+,\), got \(2, \d+\)"):
-        disk_step(DiskState(x=xs), batch, obj, cfg, np.zeros(xs.shape))
+    cfg = DiskConfig(eta=0.05, clip=None if variant == "none" else 1.0, clip_variant=variant,
+                     sigma_dp=0.1, base=base, weight_decay=0.01)
+    kappa, gamma, a = (np.array([[v] for v in col], dtype=float) for col in zip(*(
+        (kap, gam, disk.lookahead_weight(cfg, kap, gam) if w is None else w) for kap, gam, w in STACK_ROWS)))
+    k, d = len(kappa), obj.dim
+    rng = rng_for(6)
+    xs, g_filt, d_prev = rng.standard_normal((k, d)), 0.1 * rng.standard_normal((k, d)), 0.1 * rng.standard_normal((k, d))
+    far = slice(obj.hidden * (obj.in_dim + 1)) if kind == "mlp" else slice(None)
+    xs[3, far] *= 1.0 if variant == "none" else 1e200
+    g_filt[1] = np.inf
+    d_prev[a[:, 0] == 0] = np.inf
+    for arr in (xs, g_filt, d_prev):
+        arr[4] = arr[0]
+    rescues = []
+    top_exponent = privacy._top_exponent
+    monkeypatch.setattr(privacy, "_top_exponent", lambda A: rescues.append(len(A)) or top_exponent(A))
+    stack = DiskState(x=xs.copy(), g_filt=g_filt.copy(), d_prev=d_prev.copy())
+    singles = [DiskState(x=x.copy(), g_filt=f.copy(), d_prev=dp.copy()) for x, f, dp in zip(xs, g_filt, d_prev)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the unread ahead points
+        for t in range(3):
+            batch = ds.subset(np.arange(8 * t, 8 * t + 8))
+            noise = 0.1 * rng_for(20 + t).standard_normal((k, d))
+            stack = disk_step(stack, batch, obj, cfg, noise, kappa, gamma, a)
+            singles = [disk_step(s, batch, obj, cfg, row, kap, gam, w)
+                       for s, row, kap, gam, w in zip(singles, noise, kappa[:, 0], gamma[:, 0], a[:, 0])]
+    assert np.isfinite(stack.x).all() and np.isfinite(stack.g_filt).all()
+    assert_rows_are_single_runs(stack, singles)
+    for name in ("buf", "m", "v"):
+        if name in stack.moments:
+            assert all(stack.moments[name][i].tobytes() == s.moments[name].tobytes() for i, s in enumerate(singles))
+    assert bool(rescues) == (variant != "none")
+
+
+def test_stack_takes_one_noise_row_for_every_run():
+    """A stack adds one (d,) noise row to every run, as the same row given
+    once a run; a noise array of neither shape is refused by name."""
+    obj, ds = single_point_problem("logistic-regression")
+    cfg = DiskConfig(kappa=0.6, clip=1.0, clip_variant="standard", sigma_dp=0.1)
+    xs = rng_for(1).standard_normal((3, obj.dim))
+    (row,) = noise_rows(rng_for(2), cfg.sigma_dp, obj.dim, 1)
+    batch = ds.subset(np.arange(8))
+    once = disk_step(DiskState(x=xs.copy()), batch, obj, cfg, row)
+    each = disk_step(DiskState(x=xs.copy()), batch, obj, cfg, np.tile(row, (3, 1)))
+    assert once.x.tobytes() == each.x.tobytes() and once.g_filt.tobytes() == each.g_filt.tobytes()
+    with pytest.raises(ValueError, match=r"^step 0: .*shape \(4,\) or \(3, 4\), got ndarray of shape \(2, 4\)"):
+        disk_step(DiskState(x=xs.copy()), batch, obj, cfg, np.tile(row, (2, 1)))
 
 
 def test_noise_rows_refuse_a_block_that_overflows():
@@ -880,6 +931,35 @@ def test_unclipped_single_point_step_matches_per_sample_path_bitwise(kind, singl
         a = disk_step(a, batch, obj, cfg, noise)
     for got, want in ((a.x, b.x), (a.g_filt, b.g_filt), (a.moments["buf"], b.moments["buf"])):
         assert got.tobytes() == want.tobytes()
+
+
+@dataclass
+class FloatFields:
+    plain: float = 0.5
+    optional: float | None = None
+    pair: tuple[float, float] = (0.5, 0.5)
+
+
+@pytest.mark.parametrize("name", ["plain", "optional", "pair"])
+@pytest.mark.parametrize("value", [
+    True, False, "0.5", None, np.float64(0.5), np.int64(3), np.float32(0.25), Fraction(1, 3),
+    math.nan, math.inf, -math.inf, np.float64(math.nan), 10**400, -(10**400), 0.5, -0.0, 2,
+], ids=lambda v: repr(v)[:20])
+def test_require_finite_refuses_what_the_real_number_check_refused(name, value):
+    """The fast path for plain floats and ints accepts and refuses, with the
+    same error, exactly what the ``numbers.Real`` check alone did: a bool, a
+    string and a stray None are refused, numpy scalars and a ``Fraction`` are
+    taken, and an int too large for a float overflows in ``math.isfinite``."""
+    cfg = FloatFields(**{name: (0.5, value) if name == "pair" else value})
+
+    def outcome(check):
+        try:
+            check(cfg)
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        return "accepted"
+
+    assert outcome(disk._require_finite) == outcome(require_finite_reference)
 
 
 def test_state_dimension_validation():

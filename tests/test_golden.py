@@ -170,6 +170,21 @@ LOGREG_BENCH = {
 
 SWEEP_GRID = ["sweep", "--kappas", "0.5,1.0", "--gammas=-1.0,0.5"]
 
+# A 3 x 3 MLP sweep over two seeds, automatic clipping under adamw: seven
+# distinct runs a seed, stepped as one stack.
+MLP_ADAMW = {
+    "seeds": [3, 4],
+    "objective": {"kind": "mlp", "n": 60, "p": 4, "hidden": 5},
+    "optimizer": {
+        "kappa": 0.7, "gamma": 0.5, "eta": 0.05, "clip": 1.0,
+        "clip_variant": "automatic", "base": "adamw", "weight_decay": 0.01,
+    },
+    "privacy": {"epsilon": 4.0},
+    "T": 6,
+    "B": 20,
+}
+SWEEP_GRID_3X3 = ["sweep", "--kappas", "0.3,0.5,1.0", "--gammas=-1.0,0.5,2.0"]
+
 # name -> (config or None, argv after the subcommand, CSV file name)
 COMMANDS = {
     "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
@@ -192,6 +207,7 @@ COMMANDS = {
     # presets that read neither kappa nor gamma (full-kf) or not gamma (noisy-lp)
     "sweep-full-kf": (FULLKF, SWEEP_GRID, "sweep.csv"),
     "sweep-noisy-lp": (dict(LOGREG, algorithm="noisy-lp"), SWEEP_GRID, "sweep.csv"),
+    "sweep-mlp-adamw": (MLP_ADAMW, SWEEP_GRID_3X3, "sweep.csv"),
     "compare-filters": (
         None,
         ["compare-filters", "--seeds", "0,1", "--noise-levels", "0.05,0.5",
@@ -231,6 +247,7 @@ GOLDEN = {
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
     "sweep-noisy-lp": "2c05541c1f046a730509868f2819a28472d12b9c2b925f6d967308e385d98cd6",
+    "sweep-mlp-adamw": "15c38ca71c925a8ef8ebba891332c5e711d77f28d2e50aca0279fd1533e8d094",
     "train-disk": "5f0543b2f89ca3a07f0ebef9b86e8d1e1f1afe8ff0fcf750150cc19964616026",
     "train-dpsgd": "0faf0c1b01a79791981075584dd22122652ef60dbdd7bf39a07d47d5d2eafcad",
     "train-dpsgd-target": "8128d60b8af5ceeb3ff2e7d6e26a4e663a145b82083148f3ab2c6788fa588441",
@@ -258,6 +275,7 @@ SVG_GOLDEN = {
     "sweep-logreg-seeds": "4c740324603e8ba91c4eb580e38464f17eb4762aeca689e4fcd8a411ed389e94",
     "sweep-mlp": "3d45f658f2f2dbfde80ea287e17ff61e750ac2e281adaec16ef91331f2e06f05",
     "sweep-noisy-lp": "577512e0c9e3e118a69799ec6336fbcc8995aeb2c98f1108913859d34fd19476",
+    "sweep-mlp-adamw": "3abe4d32c39ba4dcad66e1df2d4f133df6ee84e2a32d2871ac44efc1db3153e5",
     "train-disk": "0afee63f5ad15deae0e82237291bf179ee40673a7e2ae54af822ce25bd34d325",
     "train-dpsgd": "1f8153f6d3be8c1743cf18bcaa419936edc5f9dceb2c72cabf02c3543dc5ae4e",
     "train-dpsgd-target": "64bd01e151bab1bc5e569ebc3850eb93bd427b71259d1a2bdaf6a57bd72c89a6",

@@ -535,13 +535,14 @@ def test_full_batch_linear_regression_steps_observe_from_gram_statistics(monkeyp
 
 
 def counted_sweep(monkeypatch, kappas, gammas, cfg):
-    """The sweep's matrix and the (seed, kappa, gamma) of every run it stepped."""
+    """The sweep's matrix and the (seed, kappa, gamma) of every run it
+    stepped, a row of its seed's stack each."""
     runs = []
     trajectory = harness._trajectory
 
-    def counted(cfg, opt, seed, problem):
-        runs.append((seed, opt.kappa, opt.gamma))
-        return trajectory(cfg, opt, seed, problem)
+    def counted(cfg, opt, seed, problem, cells=None):
+        runs.extend((seed, kappa, gamma) for kappa, gamma in cells or [(opt.kappa, opt.gamma)])
+        return trajectory(cfg, opt, seed, problem, cells)
 
     monkeypatch.setattr(harness, "_trajectory", counted)
     return sweep_kappa_gamma(kappas, gammas, cfg), runs
@@ -620,11 +621,10 @@ def test_privacy_target_sweep_builds_terms_once_and_no_schedule(monkeypatch):
 
 
 def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
-    """A 2 x 2 sweep over 2 seeds: one ``full_loss`` per distinct run, which is
-    one single-state ``evaluate``, and no per-step evaluation or epsilon schedule."""
-    losses, evals, schedules = [], [], []
-    full_loss = harness.full_loss
-    monkeypatch.setattr(harness, "full_loss", lambda *a: losses.append(a) or full_loss(*a))
+    """A 2 x 2 sweep over 2 seeds: each seed's 3 distinct runs are evaluated
+    once, at their end, in one ``evaluate`` of the stack's 3 final states,
+    with no per-step evaluation or epsilon schedule."""
+    evals, schedules = [], []
     evaluate = objectives.TinyMLP.evaluate
     monkeypatch.setattr(
         objectives.TinyMLP, "evaluate", lambda *a: evals.append(a) or evaluate(*a)
@@ -637,9 +637,9 @@ def test_sweep_evaluates_each_run_once_at_its_end(monkeypatch):
                        seeds=[1, 2], privacy={"epsilon": 2.0}, T=4)
     del raw["optimizer"]["sigma_dp"]
     sweep_kappa_gamma([0.5, 1.0], [-1.0, 0.5], ExperimentConfig.from_dict(raw))
-    # 3 distinct runs (the kappa = 1 column is one) over 2 seeds
-    assert (len(losses), len(evals), len(schedules)) == (6, 6, 0)
-    assert all(len(xs) == 1 for _, xs, *_ in evals)
+    # 3 distinct runs (the kappa = 1 column is one), one block a seed
+    assert (len(evals), len(schedules)) == (2, 0)
+    assert [len(xs) for _, xs, *_ in evals] == [3, 3]
 
 
 def test_sweep_builds_each_seed_problem_once(monkeypatch):
@@ -683,6 +683,121 @@ def test_repeated_grid_value_runs_once(monkeypatch):
     matrix, runs = counted_sweep(monkeypatch, kappas, gammas, cfg)
     assert runs == [(1, 0.5, 0.5), (1, 0.7, 0.5)]
     assert matrix == cell_by_cell(kappas, gammas, cfg)
+
+
+def quadratic_raw(**overrides):
+    raw = {
+        "seed": 1,
+        "objective": {"kind": "quadratic", "dim": 4, "eigenvalues": [0.5, 1.0, 2.0, 4.0],
+                      "x_star": [1.0, -1.0, 0.5, 0.0], "n": 20},
+        "optimizer": {"kappa": 0.7, "gamma": 0.5, "eta": 0.1, "clip": 1.0,
+                      "clip_variant": "standard", "sigma_dp": 0.05, "base": "momentum"},
+        "T": 6,
+        "B": 5,
+    }
+    raw.update(overrides)
+    return raw
+
+
+MLP_SWEEP = {
+    "objective": {"kind": "mlp", "n": 60, "p": 4, "hidden": 5},
+    "optimizer": {"kappa": 0.7, "gamma": 0.5, "eta": 0.05, "clip": 1.0,
+                  "clip_variant": "standard", "base": "adam"},
+    "privacy": {"epsilon": 4.0},
+    "seeds": [3, 4],
+    "T": 6,
+    "B": 20,
+}
+LINREG_SWEEP = {
+    "objective": {"kind": "linear-regression", "n": 60, "p": 3},
+    "optimizer": {"kappa": 0.7, "gamma": 0.5, "eta": 0.1, "clip": 1.0,
+                  "clip_variant": "standard", "sigma_dp": 0.03, "base": "sgd"},
+    "seeds": [1, 2],
+    "T": 6,
+    "B": 12,
+}
+# a repeated kappa, the kappa = 1 column and a gamma read at one kappa only
+ORACLE_KAPPAS, ORACLE_GAMMAS = [0.3, 1.0, 0.5, 0.3], [-1.0, 0.5, 2.0]
+
+
+@pytest.mark.parametrize("raw, kappas", [
+    (MLP_SWEEP, ORACLE_KAPPAS),
+    (dict(MLP_SWEEP, optimizer=dict(MLP_SWEEP["optimizer"], clip_variant="automatic", base="adamw",
+                                    weight_decay=0.01)), ORACLE_KAPPAS),
+    (logistic_raw(seeds=[1, 2], T=8, optimizer=dict(logistic_raw()["optimizer"], base="momentum")),
+     [0.2, 0.3, 0.5, 0.7, 1.0]),  # 13 distinct runs: more than an evaluation block
+    (LINREG_SWEEP, ORACLE_KAPPAS),
+    (dict(LINREG_SWEEP, B=60, optimizer=dict(LINREG_SWEEP["optimizer"], clip=None,
+                                             clip_variant="none")), ORACLE_KAPPAS),
+    (quadratic_raw(seeds=[1, 2]), ORACLE_KAPPAS),
+    (logistic_raw(algorithm="noisy-lp", seeds=[1, 2], T=8), ORACLE_KAPPAS),
+    (logistic_raw(algorithm="dpsgd", seeds=[1, 2], T=8), ORACLE_KAPPAS),
+    (dict(FULLKF, seeds=[1, 2]), ORACLE_KAPPAS),
+    (dict(LINREG_SWEEP, algorithm="noisy-gd", B=60,
+          optimizer={"eta": 0.1, "sigma_dp": 0.02}), ORACLE_KAPPAS),
+], ids=["mlp-standard-adam", "mlp-automatic-adamw", "logreg-momentum-past-a-block",
+        "linreg-two-point-minibatch", "linreg-full-batch-gram", "quadratic", "noisy-lp", "dpsgd",
+        "full-kf", "noisy-gd"])
+def test_sweep_equals_the_per_run_oracle(raw, kappas):
+    """Stepping a seed's distinct runs as one stack, on the seed's one
+    minibatch stream and noise draw, gives every cell the bytes of the per-run
+    loop: each run alone from a 1-D state, ending in ``full_loss``."""
+    cfg = ExperimentConfig.from_dict(raw)
+    got = sweep_kappa_gamma(kappas, ORACLE_GAMMAS, cfg)
+    want = ref.sweep_reference(kappas, ORACLE_GAMMAS, cfg)
+    assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+
+def test_sweep_steps_each_seed_once_a_step(monkeypatch):
+    """A sweep makes one ``disk_step`` a seed and step, on the stack of the
+    seed's distinct runs, and draws one noise stream and one minibatch stream
+    a seed."""
+    steps, draws, streams = [], [], []
+    real_step, real_rows, real_batches = harness.disk_step, harness.noise_rows, harness.minibatches
+
+    def counted_step(state, *args, **kwargs):
+        steps.append(state.x.shape)
+        return real_step(state, *args, **kwargs)
+
+    def counted_rows(rng, sigma, d, T):
+        draws.append(T)
+        return real_rows(rng, sigma, d, T)
+
+    def counted_batches(n, B, seed):
+        streams.append(seed)
+        return real_batches(n, B, seed)
+
+    monkeypatch.setattr(harness, "disk_step", counted_step)
+    monkeypatch.setattr(harness, "noise_rows", counted_rows)
+    monkeypatch.setattr(harness, "minibatches", counted_batches)
+    cfg = ExperimentConfig.from_dict(MLP_SWEEP)
+    sweep_kappa_gamma(SWEEP_KAPPAS, SWEEP_GAMMAS, cfg)
+    dim = objectives.TinyMLP(4, hidden=5).dim
+    # disk over the 2 x 3 grid: 4 distinct runs a seed (the kappa = 1 column is one)
+    assert steps == [(4, dim)] * (2 * cfg.T)
+    assert draws == [cfg.T] * 2 and streams == [3, 4]
+
+
+def test_diverging_sweep_run_names_its_cell():
+    """A run that diverges beside a finite one stops the sweep at the step
+    where its own run alone stops, naming its row and its (kappa, gamma): at
+    a step size far above 2/L, plain descent (kappa 1) overflows while the
+    low-pass filter at kappa 0.05 is still finite."""
+    raw = dict(LINREG_SWEEP, algorithm="noisy-lp", seeds=[1], T=400,
+               optimizer=dict(LINREG_SWEEP["optimizer"], eta=20.0, clip=None, clip_variant="none"))
+    cfg = ExperimentConfig.from_dict(raw)
+    opt = resolve_optimizer(cfg, 60)[0]
+    problem = harness.build_problem(cfg.objective, 1, cfg.B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=r"^step \d+: ") as alone:
+            ref.run_alone(cfg, replace(opt, kappa=1.0), 1, problem)
+        step = int(re.match(r"^step (\d+): ", str(alone.value)).group(1))
+        low_pass = ref.run_alone(replace(cfg, T=step + 1), replace(opt, kappa=0.05), 1, problem)
+        assert np.isfinite(low_pass.x).all()
+        with pytest.raises(FloatingPointError, match=(
+                rf"^step {step}: \d+ non-finite mean gradient components \(\d+ non-finite "
+                r"per-sample gradient factors\) in row 1 of the stack, at kappa 1\.0 and gamma 0\.5$")):
+            sweep_kappa_gamma([0.05, 1.0], [0.5], cfg)
 
 
 def test_shared_sweep_cell_still_refuses_a_bad_value():
