@@ -5,20 +5,14 @@ x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
 feed the filtered gradient to ``apply_base_update`` (sgd, momentum, adam, adamw).
 Every step observes through ``_observe`` and takes its Gaussian noise as an
-input row, which ``noise_rows`` draws for a whole run in blocks of up to
-``NOISE_BLOCK`` rows: the same stream as one ``standard_normal(d)`` a step.
-A row that is missing, misshapen or given at sigma_dp = 0 is refused, so no
-step releases an un-noised mean. Clipped or on a minibatch the step never
-forms the (B, d) matrix: ``Objective.grad_factors`` gives per-row coefficients
-times shared features, two points combine in the coefficients, row norms come
-from the factors (``privacy.clip_factored``) and weighted rows are summed in
-order; unclipped at x alone that is ``mean_grad``, bit for bit. Unclipped over
-a whole linear-regression ``Dataset`` it is G z - b from cached Gram statistics,
-z the combined point: O(p^2) a step, not O(np); those runs moved in the last bits.
-Every observation takes a stack of runs on one batch through the same code as
-a 1-D run, each row with the bits of its run alone; rows may differ in kappa,
-gamma and lookahead weight (``lookahead_weight``), so the methods of a
-comparison or the cells of a sweep step together.
+input row from ``noise_rows``, one ``standard_normal(d)`` a step, drawn in
+blocks; a row that is missing, misshapen or given at sigma_dp = 0 is refused.
+Clipped or on a minibatch the step clips and averages ``Objective.grad_factors``
+and never forms the (B, d) matrix. Unclipped over a whole linear-regression
+``Dataset`` it is G z - b from cached Gram statistics: O(p^2) a step, not O(np).
+A (k, d) state steps k runs as rows, each with the bits of its run alone; rows
+may differ in kappa, gamma, lookahead weight and step size, and on the Gram
+path in dataset (``DatasetStack``).
 
 Special cases implemented exactly:
   * kappa = 1 degenerates to plain DP-SGD (shared noise stream gives
@@ -46,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .kalman import check_noise_levels, scalar_gain_step
-from .objectives import Dataset, Objective
+from .objectives import Dataset, DatasetStack, Objective
 from .privacy import clip_factored
 
 CLIP_VARIANTS = ("standard", "automatic", "normalized", "none")
@@ -126,8 +120,8 @@ class DiskConfig:
 class DiskState:
     """Optimizer memory: iterate, previous filtered gradient and displacement,
     plus whatever moments the base optimizer keeps. ``x`` of shape (k, d) is a
-    stack of k runs that share the step's config, gamma and batch, each row a
-    run with its own noise row, kappa and lookahead weight (see ``disk_step``)."""
+    stack of k runs that share the step's config, each row a run with its own
+    noise row and step parameters (see ``disk_step``)."""
 
     x: np.ndarray
     g_filt: np.ndarray | None = None  # None until the first step
@@ -159,22 +153,24 @@ class DiskState:
 # ---------------------------------------------------------------------------
 
 
-def apply_base_update(cfg: DiskConfig, x, g, moments):
-    """The base optimizer's update on the filtered gradient g: (x', moments')."""
+def apply_base_update(cfg: DiskConfig, x, g, moments, eta=None):
+    """The base optimizer's update on the filtered gradient g: (x', moments'),
+    at step size ``eta``, ``cfg.eta`` when None, or a (k, 1) column, a row's each."""
+    eta = cfg.eta if eta is None else eta
     if cfg.base == "sgd":
-        return x - cfg.eta * g, moments
+        return x - eta * g, moments
     if cfg.base == "momentum":
         buf = moments.get("buf")
         buf = g.copy() if buf is None else cfg.momentum * buf + g
-        return x - cfg.eta * buf, {**moments, "buf": buf}
+        return x - eta * buf, {**moments, "buf": buf}
     b1, b2 = cfg.betas
     t = moments.get("t", 0) + 1
     m = b1 * moments.get("m", 0.0) + (1.0 - b1) * g
     v = b2 * moments.get("v", 0.0) + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    step = cfg.eta * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
-    x_new = x - step if cfg.base == "adam" else x - step - cfg.eta * cfg.weight_decay * x
+    step = eta * m_hat / (np.sqrt(v_hat) + cfg.eps_adam)
+    x_new = x - step if cfg.base == "adam" else x - step - eta * cfg.weight_decay * x
     return x_new, {"m": m, "v": v, "t": t}
 
 
@@ -245,6 +241,8 @@ def _factored_mean(obj: Objective, x, batch, cfg: DiskConfig, t: int, ahead, a,
     stack, the first bad row (``rows`` maps x's rows to the caller's) and its
     ``kappa`` and ``gamma``, scalars or the caller's columns, where given."""
     X, y = batch
+    if len(X) == 0:
+        raise ValueError("batch must be non-empty")
     fac = obj.grad_factors(x, X, y, ahead, a)
     weights = None
     if cfg.clip_variant != "none":
@@ -273,25 +271,25 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     """The privatised observation: the per-sample gradients at x, or their
     combination a * grad(ahead) + (1 - a) * grad(x), clipped, averaged in row
     order, plus the noise row, all from ``obj.grad_factors``, or unclipped over
-    a whole ``Dataset`` from a finite ``obj.dataset_mean_grad``. Unclipped at x
-    alone it is ``obj.mean_grad``. x may be a (k, d) stack of runs, ``a`` a
-    (k, 1) column, and each row is its run's observation alone; a row whose
-    Gram mean is not finite observes from its factors. Aborts on a bad noise
-    row (``_check_noise``), an empty batch or a non-finite mean, which names
-    the row's ``kappa`` and ``gamma`` where given."""
+    a whole ``Dataset`` or ``DatasetStack`` from a finite
+    ``obj.dataset_mean_grad``. Unclipped at x alone it is ``obj.mean_grad``. x
+    may be a (k, d) stack of runs, ``a`` a (k, 1) column, and each row is its
+    run's observation alone; a row whose Gram mean is not finite observes from
+    its factors on its own dataset. Aborts on a bad noise row
+    (``_check_noise``), an empty batch or a non-finite mean, which names the
+    row's ``kappa`` and ``gamma`` where given."""
     _check_noise(noise, cfg, x, t)
-    X, y = batch
-    if len(X) == 0:
-        raise ValueError("batch must be non-empty")
     g = obj.dataset_mean_grad(batch, x, ahead, a) if cfg.clip_variant == "none" else None
     if g is None:
         g = _factored_mean(obj, x, batch, cfg, t, ahead, a, kappa, gamma)
     elif not _finite(g):  # statistics can overflow where rows do not
         rows, xs = np.atleast_2d(g, x)
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        ahead = None if ahead is None else np.atleast_2d(ahead)[bad]
-        rows[bad] = _factored_mean(obj, xs[bad], batch, cfg, t, ahead,
-                                   a[bad] if isinstance(a, np.ndarray) else a, kappa, gamma, bad)
+        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
+            row = slice(i, i + 1)
+            data = batch.datasets[i] if isinstance(batch, DatasetStack) else batch
+            rows[row] = _factored_mean(obj, xs[row], data, cfg, t,
+                                       None if ahead is None else np.atleast_2d(ahead)[row],
+                                       a[row] if isinstance(a, np.ndarray) else a, kappa, gamma, [i])
     return g if noise is None else g + noise
 
 
@@ -311,31 +309,31 @@ def lookahead_weight(cfg: DiskConfig, kappa: float, gamma: float) -> float:
 
 def disk_step(
     state: DiskState,
-    batch: tuple[np.ndarray, np.ndarray] | Dataset,
+    batch: tuple[np.ndarray, np.ndarray] | Dataset | DatasetStack,
     obj: Objective,
     cfg: DiskConfig,
     noise: np.ndarray | None,
     kappa: float | np.ndarray | None = None,
     gamma: float | np.ndarray | None = None,
     a: float | np.ndarray | None = None,
+    eta: float | np.ndarray | None = None,
 ) -> DiskState:
     """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
-    at weight ``kappa`` and lookahead ``gamma`` (``cfg``'s when None), observing
-    with lookahead weight ``a`` (``lookahead_weight`` when None). ``noise`` is
-    the step's row of ``noise_rows`` (None at sigma_dp = 0), added to the
-    clipped mean.
+    at weight ``kappa``, lookahead ``gamma`` and step size ``eta`` (``cfg``'s
+    when None), observing with lookahead weight ``a`` (``lookahead_weight``
+    when None). ``noise`` is the step's row of ``noise_rows`` (None at
+    sigma_dp = 0), added to the clipped mean.
 
-    A state whose ``x`` is a (k, d) stack steps k runs at once, on one batch;
-    ``noise`` is then (k, d), a row per run, or one (d,) row that every run
-    adds (so ``cfg.sigma_dp`` only says whether noise is given). Every
-    observation takes a stack through the code that steps a 1-D run, with a
-    leading run axis: the products are one BLAS call a row, and the clipping,
-    means, ahead point, filter and base update act row by row, so each row has
-    the bits of its run stepped alone. Its rows may differ in kappa, gamma and
-    lookahead weight, given as (k, 1) columns ``kappa``, ``gamma`` and ``a``
-    (each row's config's ``lookahead_weight``), which select rather than
-    multiply: a row at a = 0 observes at x itself, and a row at kappa 1 takes g
-    as its filtered gradient, whatever its ahead point or previous filter holds."""
+    A state whose ``x`` is a (k, d) stack steps k runs at once, each row with
+    the bits of its run stepped alone; ``noise`` is then (k, d), a row per
+    run, or one (d,) row that every run adds (so ``cfg.sigma_dp`` only says
+    whether noise is given). The rows share a minibatch, or on the Gram path
+    take a ``DatasetStack``, a dataset a row. They may differ in kappa, gamma,
+    lookahead weight and step size, given as (k, 1) columns ``kappa``,
+    ``gamma``, ``a`` (each row's config's ``lookahead_weight``) and ``eta``.
+    Kappa and ``a`` select rather than multiply: a row at a = 0 observes at x
+    itself, and a row at kappa 1 takes g as its filtered gradient, whatever
+    its ahead point or previous filter holds."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     a = lookahead_weight(cfg, kappa, gamma) if a is None else a
@@ -353,7 +351,7 @@ def disk_step(
     else:
         g_filt = g
 
-    x_new, moments = apply_base_update(cfg, x, g_filt, state.moments)
+    x_new, moments = apply_base_update(cfg, x, g_filt, state.moments, eta)
     return DiskState._successor(x_new, g_filt, x_new - x, moments, state.t + 1)
 
 

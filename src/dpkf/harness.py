@@ -2,32 +2,24 @@
 benchmark on synthetic regression, (kappa, gamma) sweep grids, and
 deterministic CSV/SVG emission.
 
-A training run and a sweep's runs step through one loop, ``_trajectory``,
-which steps a stack of runs, or a training run alone from a 1-D state:
-``run_experiment`` evaluates and records every state, a sweep only the
-stack's last. The run
-evaluates its states as they arrive, ``EVAL_BLOCK`` at a time, through
-``Objective.evaluate``, and stops at the first state whose loss or gradient is
-not finite. ``ExperimentConfig.from_dict`` is the one config reader: every
-default is a field's default, and ``__post_init__`` refuses a privacy target
-for a run that is unclipped after its preset.
-``resolve_optimizer`` is the one place a run's optimizer is resolved (preset,
-calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
+A training run and a sweep's runs step through ``_trajectory``, a stack of
+runs or a lone run from a 1-D state. ``run_experiment`` evaluates every state,
+``EVAL_BLOCK`` at a time, and stops at the first whose loss or gradient is not
+finite; a sweep evaluates only the stack's last. ``ExperimentConfig.from_dict``
+is the one config reader: every default is a field's default, and
+``__post_init__`` refuses a privacy target for a run that is unclipped after
+its preset. ``resolve_optimizer`` is the one place a run's optimizer is
+resolved (preset, calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
 
-Runs are pure functions of their config and seed: datasets, minibatch order,
-and DP noise each come from a named substream of the run's seed, so the full
-pipeline (calibrate -> train -> emit) is byte-reproducible. A run's noise rows
-are drawn in blocks from its substream (``disk.noise_rows``), the numbers of
-one draw a step, and handed to the step. Every run holds one BLAS thread
-(``objectives.one_blas_thread``), so its bits do not depend on the caller's
-thread count. A sweep runs each distinct trajectory once per seed: grid
-cells whose steps read the same (kappa, gamma), after the preset, share one
-run (``_run_key``), and a seed's runs step as one stack on its one noise draw
-and minibatch stream. ``compare_filters`` steps each seed's methods and noise
-levels as one stack of runs (its levels of 0 as a second), a (method, level)
-a row of the state (``disk_step``), on one draw of each level's noise. A row
-keeps the bits of its run stepped alone, and a step costs one call for the
-stack, not one a run.
+Runs are pure functions of their config and seed: datasets, minibatch order
+and DP noise (``disk.noise_rows``) each come from a named substream of the
+run's seed, and every run holds one BLAS thread (``objectives.one_blas_thread``),
+so the full pipeline (calibrate -> train -> emit) is byte-reproducible. A
+sweep runs each distinct trajectory once per seed (``_run_key``), a seed's
+runs one stack on its noise draw and minibatch stream. ``compare_filters``
+steps every seed, method and noise level as one stack (its levels of 0 as a
+second), on one draw of each (seed, level)'s noise. A row keeps the bits of
+its run stepped alone, and a step costs one call for the stack, not one a run.
 """
 
 from __future__ import annotations
@@ -47,6 +39,7 @@ from .disk import (DiskConfig, DiskState, FullFilterConfig, disk_step, lookahead
 from .objectives import (
     EVAL_BLOCK,
     Dataset,
+    DatasetStack,
     LinearRegression,
     Objective,
     full_gradient,
@@ -347,14 +340,13 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem, cell
     pair) stepped with ``opt`` as given: ``resolve_optimizer``'s, or a sweep's,
     the preset already applied. The runs step as one stack, a row for each
     (kappa, gamma) of ``cells``, from one start, on one minibatch stream and
-    one noise row a step, broadcast to every row. With no ``cells``, ``opt``'s
-    one run steps from a 1-D start: the same step with no run axis, which
-    spares a lone run the cost of broadcasting its data to a row."""
+    one noise row a step, broadcast to every row. One cell, or ``opt``'s run
+    where ``cells`` is None, steps from a 1-D start: the same step with no run
+    axis, which spares a lone run the cost of broadcasting its data to a row."""
     obj, ds = problem
+    cells = [(opt.kappa, opt.gamma)] if cells is None else cells
     x0 = obj.init_point(seed, cfg.init_scale)
-    if cells is None:
-        cells = [(opt.kappa, opt.gamma)]
-    else:
+    if len(cells) > 1:
         x0 = np.tile(x0, (len(cells), 1))
     full_batch = cfg.batch_size(ds.n) == ds.n
     noise_rng = seeding.substream(seed, seeding.DP_NOISE)
@@ -452,57 +444,57 @@ def compare_filters(
     * noisy-lp: exponential filter on the single-point noised gradient,
     * noisy-kf: exponential filter on the two-point (gamma = -1) combination.
 
-    Step size (1/L) and the per-step noise realisations are shared across
-    methods, so differences isolate the filter. Deterministic per seed.
+    Step size (1/L of the seed's data) and the per-step noise realisations are
+    shared across methods, so differences isolate the filter. Deterministic
+    per seed.
 
-    Each seed steps the three methods at its distinct nonzero levels as one
-    stack, a (method, level) a row, and at its levels of 0 as a second stack
-    with no noise (``_comparison_stacks``): one ``disk_step`` a step, whose
-    rows differ in kappa and lookahead weight. The methods share one draw of
-    each level's noise rows. Every row has the bits of its run stepped alone,
-    and the rows keep their order: level, then method.
+    Every seed, method and distinct nonzero level is a row of one stack, and
+    the levels of 0 rows of a second with no noise (``_comparison_stacks``):
+    one ``disk_step`` a step, whose rows differ in dataset, step size, kappa
+    and lookahead weight. Every row has the bits of its run stepped alone.
     """
+    if not seeds:
+        return []
+    datasets = [gen_linear_regression(n, p, noise_std=0.1, seed=seed) for seed in seeds]
+    if noise_levels is None:  # from the seeds[0] dataset
+        noise_levels = comparison_noise_levels(datasets[0])
+    obj = LinearRegression(p)
     shared = DiskConfig(kappa=kappa, gamma=-1.0, clip=None, clip_variant="none", base="sgd")
     methods = [replace(shared, **PRESETS[m].overrides) for m in COMPARISON_METHODS]
-    # each method's (kappa, lookahead weight), a row of the stack's two columns
-    columns = np.array([(c.kappa, lookahead_weight(c, c.kappa, c.gamma)) for c in methods])
-    rows: list[ComparisonRow] = []
-    for seed in seeds:
-        ds = gen_linear_regression(n, p, noise_std=0.1, seed=seed)
-        if noise_levels is None:  # from the seeds[0] dataset
-            noise_levels = comparison_noise_levels(ds)
-        obj = LinearRegression(p)
-        eta = 1.0 / obj.smoothness(ds)
-        final: dict[tuple[float, str], float] = {}
-        for levels, noise in _comparison_stacks(seed, noise_levels, p, T):
-            kappas, weights = (np.repeat(col, len(levels))[:, None] for col in columns.T)
-            cfg = replace(shared, eta=eta, sigma_dp=max(levels))
-            state = DiskState(x=np.zeros((len(kappas), p)))
-            for row in noise:
-                state = disk_step(state, ds, obj, cfg, row, kappas, a=weights)
-            keys = [(s, m) for m in COMPARISON_METHODS for s in levels]
-            for start in range(0, len(keys), EVAL_BLOCK):
-                losses, _ = obj.evaluate(state.x[start : start + EVAL_BLOCK], ds.X, ds.y)
-                final.update(zip(keys[start : start + EVAL_BLOCK], losses.tolist()))
-        rows += [ComparisonRow(sigma, method, seed, final[sigma, method])
-                 for sigma in noise_levels for method in COMPARISON_METHODS]
-    return rows
+    columns = [(c.kappa, lookahead_weight(c, c.kappa, c.gamma)) for c in methods]
+    etas = [1.0 / obj.smoothness(ds) for ds in datasets]
+    final = {}  # (seed index, level, method index) -> final loss
+    for levels, noise in _comparison_stacks(seeds, noise_levels, p, T):
+        keys = list(itertools.product(range(len(seeds)), levels, range(len(methods))))  # one a row
+        kappas, weights, eta = (np.array(col)[:, None] for col in zip(*(
+            (*columns[m], etas[i]) for i, _, m in keys)))
+        data = DatasetStack(tuple(datasets[i] for i, _, _ in keys))
+        cfg = replace(shared, sigma_dp=max(levels))
+        state = DiskState(x=np.zeros((len(keys), p)))
+        for row in noise:
+            state = disk_step(state, data, obj, cfg, row, kappas, a=weights, eta=eta)
+        per_seed = len(keys) // len(seeds)  # a seed's rows, evaluated on its own data
+        for i, ds in enumerate(datasets):
+            for start in range(i * per_seed, (i + 1) * per_seed, EVAL_BLOCK):
+                block = slice(start, min(start + EVAL_BLOCK, (i + 1) * per_seed))
+                final.update(zip(keys[block], obj.evaluate(state.x[block], ds.X, ds.y)[0].tolist()))
+    return [ComparisonRow(sigma, method, seed, final[i, sigma, m]) for i, seed in enumerate(seeds)
+            for sigma in noise_levels for m, method in enumerate(COMPARISON_METHODS)]
 
 
-def _comparison_stacks(seed: int, noise_levels, p: int, T: int):
-    """(levels, noise rows) of each stack a ``compare_filters`` seed steps: its
-    distinct nonzero levels, whose step row holds level i's ``noise_rows`` row
-    from the level's own substream once for each method, method-major, then
-    [0.0] for any level of 0, whose rows are None. Each level's rows are drawn
-    once, ``noise_blocks`` at a time, and each block of every method's levels
-    stacked into one (block, methods x levels, p) array, a row a step."""
+def _comparison_stacks(seeds, noise_levels, p: int, T: int):
+    """(levels, noise rows) of each stack ``compare_filters`` steps: the
+    distinct nonzero levels, whose step row holds each (seed, level)'s
+    ``noise_rows`` row, from its own substream, once for each method, in
+    (seed, level, method) order; then [0.0] for any level of 0, whose rows
+    are None. Each pair's rows are drawn once, ``noise_blocks`` at a time."""
     distinct = list(dict.fromkeys(noise_levels))
     noisy = [s for s in distinct if s != 0]
     if noisy:
         blocks = zip(*(noise_blocks(seeding.substream(seed, seeding.DP_NOISE, f"sigma={s!r}"), s, p, T)
-                       for s in noisy))
-        yield noisy, (row for level_blocks in blocks
-                      for row in np.stack(level_blocks * len(COMPARISON_METHODS), axis=1))
+                       for seed in seeds for s in noisy))
+        yield noisy, (row for pairs in blocks for row in np.stack(
+            [block for block in pairs for _ in COMPARISON_METHODS], axis=1))
     if len(noisy) < len(distinct):
         yield [0.0], itertools.repeat(None, T)
 
@@ -565,7 +557,8 @@ def sweep_kappa_gamma(
         obj, ds = problems[s]
         for state in _trajectory(cfg, opt, s, problems[s], list(runs.values())):
             pass
-        final.append(np.concatenate([obj.evaluate(state.x[i : i + EVAL_BLOCK], ds.X, ds.y)[0]
+        xs = state.x.reshape(len(runs), -1)  # a lone run steps from a 1-D state
+        final.append(np.concatenate([obj.evaluate(xs[i : i + EVAL_BLOCK], ds.X, ds.y)[0]
                                      for i in range(0, len(runs), EVAL_BLOCK)]))
     mean = dict(zip(runs, (float(np.mean(losses)) for losses in zip(*final))))
     return [[mean[key] for key in row] for row in keys]

@@ -5,35 +5,22 @@ regression, and a tiny one-hidden-layer MLP. Gradients are analytic (no
 autodiff); each kind is exercised against a finite-difference oracle in the
 test suite. Per-sample evaluation is vectorised over the batch with a fixed
 accumulation order, so results are bit-reproducible for a given seed.
-``grad_factors`` gives a batch's gradients without the (n, d) matrix: c_i x_i
-for the linear models, d_pre_i (x) [x_i, 1] and r_i [h_i, 1] for the MLP and
-one shared vector for the quadratic. Two points combine in the coefficients,
-where the features are shared (the MLP's second block, whose h_i moves,
-combines densely). A (k, d) stack of points gives factors with a leading run
-axis, each run's with the bits of its point alone: products are one BLAS call
-a run (``np.matmul`` over the run axis), means one einsum over it. ``mean_grad``
-is the factors' unit-weight mean, one einsum a block, with the bits of
-``per_sample_grads(...).mean(axis=0)``; the quadratic's is its shared row,
-which a mean over n copies would round. Over a whole ``Dataset``, linear
-regression's is G x - b (``dataset_mean_grad``, G and b cached, a point its
-one-row stack); losses stay on residuals, where G cancels.
+``grad_factors`` gives a batch's gradients without the (n, d) matrix, as
+per-sample coefficients times features (``GradFactors``), two points combined
+in the coefficients. A (k, d) stack of points gives factors with a leading run
+axis, each run's with the bits of its point alone. ``mean_grad`` is the
+factors' unit-weight mean, with the bits of ``per_sample_grads(...).mean(axis=0)``.
+Over a whole ``Dataset``, linear regression's is G x - b (``dataset_mean_grad``,
+G and b cached), and over a ``DatasetStack`` each row's own.
 
 ``evaluate`` is the one whole-dataset loss: the mean loss and mean gradient
 at a block of up to ``EVAL_BLOCK`` states, under ``one_blas_thread``;
 ``full_loss`` is its loss at one state. The MLP's and the quadratic's states
 each run one forward pass, and their gradients are ``==`` to ``mean_grad``.
 The linear models hold each state's coefficients in a row of a zero-padded
-block W, and the block's gradients are one product ``W @ X / n``, so linear
-regression's differ from ``mean_grad`` only in the order of the sum. Logistic
-regression takes the block's margins m from one padded product ``XS @ X.T``,
-which becomes W: row by row, with e = exp(-|m|) taken once, the loss is
-log1p(e) - min(m, 0), the bits of numpy's ``logaddexp(0, -m)`` formula
-log1p(e) + max(-m, 0) with the vector exp (within 3 ulp of it), and the row is
-then overwritten by the weights -y max(e, m < 0) / (1 + e), the bits of
--y where(m >= 0, e, 1) / (1 + e). Two row buffers, e and the loss, serve every
-row of a block. The step's ``grad_factors`` share these formulas but keep the
-margins of ``X @ x``, so logistic gradients differ from ``mean_grad`` also in
-the rounding of the margins.
+block W, and take the block's gradients from one product ``W @ X / n``, which
+differs from ``mean_grad`` in the order of the sum; logistic regression's
+margins come from one padded product ``XS @ X.T``, not the step's ``X @ x``.
 """
 
 from __future__ import annotations
@@ -146,6 +133,22 @@ class Dataset:
     @functools.cached_property
     def moment_xy(self) -> np.ndarray:
         return self.X.T @ self.y / self.n
+
+
+@dataclass(frozen=True)
+class DatasetStack:
+    """The whole ``Dataset`` of each run of a (k, d) stack, ``datasets[i]``
+    row i's: the Gram statistics stacked once, (k, p, p) and (k, p)."""
+
+    datasets: tuple[Dataset, ...]
+
+    @functools.cached_property
+    def second_moment(self) -> np.ndarray:
+        return np.stack([ds.second_moment for ds in self.datasets])
+
+    @functools.cached_property
+    def moment_xy(self) -> np.ndarray:
+        return np.stack([ds.moment_xy for ds in self.datasets])
 
 
 def _with_ones(A: np.ndarray) -> np.ndarray:
@@ -452,22 +455,16 @@ class LinearRegression(_GeneralisedLinear):
         return full_loss(self, x_star, dataset)
 
     def dataset_mean_grad(self, batch, x, ahead=None, a=0.0):
-        """G z - b, affine, so two points combine in z. Each point of a (k, p)
-        stack takes one product ``G @ z_i`` (``np.dot`` into its row, the same
-        gemv), which has the bits of that row alone: ``Z @ G.T`` would round
-        otherwise, and ``G @ Z`` is another product (silently so at k = p). A
-        single point is the stack of its one row. The weight ``a``, a scalar
-        or a (k, 1) column, selects: a row at a = 0 combines to x itself."""
-        if isinstance(batch, Dataset):
+        """G z - b, affine, so two points combine in z: one gemv a point of a
+        (k, p) stack, with a ``DatasetStack``'s rows each on its own G and b.
+        The weight ``a``, a scalar or a (k, 1) column, selects: a row at a = 0
+        combines to x itself."""
+        if isinstance(batch, (Dataset, DatasetStack)):
             # 0 * inf is NaN, and -0.0 + 0.0 is 0.0
             z = x if ahead is None else np.where(a != 0, x + a * (ahead - x), x)
-            z = self._check_dim(z)
-            G, rows = batch.second_moment, z if z.ndim == 2 else z[None]
-            g = np.empty(rows.shape)
-            for z_i, g_i in zip(rows, g):
-                np.dot(G, z_i, out=g_i)
+            g = np.matmul(batch.second_moment, self._check_dim(z)[..., None])[..., 0]
             g -= batch.moment_xy
-            return g if z.ndim == 2 else g[0]
+            return g
 
     def _block_coefs(self, xs, X, y):
         W = np.zeros((EVAL_BLOCK, len(X)))

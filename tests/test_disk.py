@@ -694,6 +694,9 @@ def assert_rows_are_single_runs(stack, singles):
     for i, single in enumerate(singles):
         for name in ("x", "g_filt", "d_prev"):
             assert getattr(stack, name)[i].tobytes() == getattr(single, name).tobytes(), (name, i)
+        for name in ("buf", "m", "v"):  # the base optimizer's moments
+            if name in stack.moments:
+                assert stack.moments[name][i].tobytes() == single.moments[name].tobytes(), (name, i)
         assert stack.t == single.t
 
 
@@ -774,13 +777,50 @@ def test_mixed_stack_reads_no_ahead_point_at_a_zero_and_no_filter_at_kappa_one()
         assert_rows_are_single_runs(stack, singles)
 
 
+# each row's (dataset, kappa, two_point, eta): rows differ in all four, and
+# every dataset is read by two rows
+DATASET_ROWS = [(0, 0.6, True, 0.2), (1, 1.0, True, 0.1), (2, 0.3, False, 0.05),
+                (1, 0.25, True, 0.15), (0, 0.8, False, 0.3), (2, 0.6, True, 0.1)]
+
+
+@pytest.mark.parametrize("base", disk.BASE_OPTIMIZERS)
+@pytest.mark.parametrize("sigma_dp", [0.0, 0.1])
+@pytest.mark.parametrize("p", [5, 1])
+def test_stack_over_datasets_is_each_row_stepped_alone(p, sigma_dp, base):
+    """A stack whose rows differ in dataset (a ``DatasetStack``), step size,
+    kappa, lookahead weight and noise row observes from the rows' own Gram
+    statistics, and each row keeps the bytes of its run stepped alone from a
+    1-D state on its own dataset. At p = 1 every row starts at -0.0 and the
+    second dataset's y is all zero, so its rows step through signed zeros."""
+    obj = make_objective("linear-regression", p)
+    datasets = [gen_linear_regression(40, p, 0.1, seed=s) for s in (4, 5, 6)]
+    xs = 0.3 * rng_for(7).standard_normal((len(DATASET_ROWS), p))
+    if p == 1:
+        datasets[1], xs[:] = objectives.Dataset(datasets[1].X, np.zeros(40)), -0.0
+    shared = DiskConfig(gamma=-1.0, clip=None, clip_variant="none", sigma_dp=sigma_dp, base=base,
+                        weight_decay=0.01)
+    cfgs = [replace(shared, kappa=kap, two_point=two, eta=eta) for _, kap, two, eta in DATASET_ROWS]
+    kappa, a, eta = (np.array(col)[:, None] for col in zip(*(
+        (c.kappa, disk.lookahead_weight(c, c.kappa, c.gamma), c.eta) for c in cfgs)))
+    data = objectives.DatasetStack(tuple(datasets[i] for i, *_ in DATASET_ROWS))
+    streams = [noise_rows(rng_for(10 + i), sigma_dp * (i + 1), p, 5) for i in range(len(xs))]
+    stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
+    for rows in zip(*streams):
+        noise = None if sigma_dp == 0 else np.array(rows)
+        with mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("rows")):
+            stack = disk_step(stack, data, obj, shared, noise, kappa, a=a, eta=eta)
+        singles = [disk_step(s, d, obj, c, row) for s, d, c, row in zip(singles, data.datasets, cfgs, rows)]
+    assert_rows_are_single_runs(stack, singles)
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
     """A 1.5e154 feature overflows G = X^T X / n but no row's factors: each
     row of the stack then observes from its factors, with the bytes of its
     run stepped alone, and a row whose factored mean is not finite raises the
     error naming the step and the row. In a mixed stack, a row at a = 0
-    observes at x alone there too."""
+    observes at x alone there too. In a stack over two datasets whose second
+    alone overflows, its row falls back on its own data, not the first's."""
     obj, ds, xs = stack_problem(p=3)
     X_big = np.array(ds.X)
     X_big[0, 0] = 1.5e154
@@ -796,6 +836,14 @@ def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
         assert (~np.isfinite(obj.dataset_mean_grad(big, stack.x))).any(axis=1).all()
         assert np.isfinite(stack.g_filt).all()
         assert_rows_are_single_runs(stack, singles)
+    data = objectives.DatasetStack((ds, big, ds))
+    stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
+    for _ in range(2):
+        stack = disk_step(stack, data, obj, cfg, noise)
+        singles = [disk_step(s, d, obj, cfg, row) for s, d, row in zip(singles, data.datasets, noise)]
+    assert np.isfinite(obj.dataset_mean_grad(data, stack.x)).all(axis=1).tolist() == [True, False, True]
+    assert np.isfinite(stack.g_filt).all()
+    assert_rows_are_single_runs(stack, singles)
     xs[1] = 1e300  # its residual on the big row overflows
     with pytest.raises(FloatingPointError, match=r"^step 4: .*non-finite mean gradient .* in row 1 "
                                                  r"of the stack, at kappa 0\.2 and gamma -1\.0$"):
@@ -848,9 +896,6 @@ def test_stacked_factored_step_is_each_row_stepped_alone(kind, variant, base, mo
                        for s, row, kap, gam, w in zip(singles, noise, kappa[:, 0], gamma[:, 0], a[:, 0])]
     assert np.isfinite(stack.x).all() and np.isfinite(stack.g_filt).all()
     assert_rows_are_single_runs(stack, singles)
-    for name in ("buf", "m", "v"):
-        if name in stack.moments:
-            assert all(stack.moments[name][i].tobytes() == s.moments[name].tobytes() for i, s in enumerate(singles))
     assert bool(rescues) == (variant != "none")
 
 

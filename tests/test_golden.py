@@ -235,6 +235,12 @@ COMMANDS = {
          "--n", "60", "--p", "4", "--T", "10"],
         "comparison.csv",
     ),
+    # three seeds at p = 1, a level of 0 among them: signed zeros in a cross-seed stack
+    "compare-filters-seeds3-p1": (
+        None,
+        ["compare-filters", "--seeds", "0,1,2", "--p", "1", "--noise-levels", "0,0.05,0.5"],
+        "comparison.csv",
+    ),
 }
 
 GOLDEN = {
@@ -242,6 +248,7 @@ GOLDEN = {
     "compare-filters-wide": "776c3b0d3a41eb9652a798b1668777a13b8235842704ac92de2bf88cc324dd3f",
     "compare-filters-levels": "38b0939181af0bee36d6a9dbbc34490af75b2fd44a7ad05ddb710ad91eab0397",
     "compare-filters-kappa1": "9e4aa63e63a20c160397dd3ce29e1c5d2802f5e97fdaaa441a7834290284f36f",
+    "compare-filters-seeds3-p1": "70889651058981984bad7239cee61bf43f270202dbda230e0944bbb3defc475b",
     "sweep-linreg-full-batch": "d449b753031da5826035df4415fc426ef59153293af890d3b288d7fe0efe2f29",
     "sweep-full-kf": "ddd1357cd76e60689f51fdc4ba4daee2b52a48cf14d578120b6dd0dce4272e3e",
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
@@ -269,6 +276,7 @@ SVG_GOLDEN = {
     "compare-filters": "51f789a7a0294b22739fa11ea45b289cabc30f23f6bf910a6f1ca14ff6efdd36",
     "compare-filters-levels": "ed1a051bbad44168a7baf5bcfa204801418dff64115d5b891e2913a41c82ffb4",
     "compare-filters-kappa1": "44c0ed92af8aab765ed734d9e35bf9c56b85bac2aebf5bcc3d38c719a8e592cc",
+    "compare-filters-seeds3-p1": "76d7bcd61b70208745641e25acd92142d147e9892741007b9e34261505b024b0",
     "compare-filters-wide": "c8928f68618d5a45cde834de3509187706977f57300344a782c5022066695b66",
     "sweep-full-kf": "9f38bee5cf01ed8bc9df21e3019db78e1576cb35d7cb96baa958e8b7ed16ffbc",
     "sweep-linreg-full-batch": "a086f592a3ff0410337d668653146ca8a174ce8264af781dd6aff0affa4783fa",

@@ -455,12 +455,13 @@ def comparison_bytes(rows):
     (None, (4, 5), 3, 0.6),  # the relative grid of the first seed
     ([0.0, 0.05, 0.5], (0, 1), 4, 1.0),  # every row at kappa 1 and a = 0
     ([0.3, 0.0, 0.05], (2,), 5, 0.25),  # a = -3 on the noisy-kf rows
+    ([0.0, 0.05, 0.5], (0, 1, 2), 1, 0.6),  # three seeds at p = 1, a level of 0 among them
 ], ids=["benchmark-levels", "duplicates-and-zeros", "past-a-block", "k-equals-p", "default",
-        "kappa-1", "kappa-0.25"])
+        "kappa-1", "kappa-0.25", "three-seeds-p1"])
 def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p, kappa):
-    """Stepping a seed's methods and levels as stacks, on one draw of each
-    level's noise, gives each row the bytes of its own run in the per-run
-    loop, in its order; a duplicated level and a level of 0 included."""
+    """Stepping every seed's methods and levels as stacks, on one draw of each
+    (seed, level)'s noise, gives each row the bytes of its own run in the
+    per-run loop, in its order; a duplicated level and a level of 0 included."""
     got = compare_filters(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=kappa)
     want = ref.compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=kappa)
     assert comparison_bytes(got) == comparison_bytes(want)
@@ -468,7 +469,7 @@ def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p, kappa):
 
 def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, monkeypatch, capsys):
     """A compare-filters op at the benchmark's levels steps each seed and
-    method once a step: seeds x T steps, each one stack of every method at
+    method once a step: T steps, each one stack of every seed and method at
     every level, and each level's noise drawn once a seed."""
     steps, draws = [], []
     real_step, real_blocks = harness.disk_step, harness.noise_blocks
@@ -485,7 +486,7 @@ def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, mon
     monkeypatch.setattr(harness, "noise_blocks", counted_blocks)
     assert cli_main(["compare-filters", "--seeds", "4,5", "--noise-levels", "0.05,0.5", "--n", "40",
                      "--p", "3", "--T", "7", "--outdir", str(tmp_path)]) == 0
-    assert steps == [(6, 3)] * (2 * 7)
+    assert steps == [(12, 3)] * 7
     assert draws == [0.05, 0.5] * 2
 
 
