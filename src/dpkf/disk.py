@@ -31,7 +31,6 @@ kappa = k. The gain uses no data, so the release is the same clipped mean.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections.abc import Iterator
@@ -182,16 +181,22 @@ def apply_base_update(cfg: DiskConfig, x, g, moments, eta=None):
 def noise_blocks(
     rng: np.random.Generator, sigma: float, d: int, T: int
 ) -> Iterator[np.ndarray]:
-    """The noise rows of a T-step run at sigma > 0, as
-    ``sigma * rng.standard_normal((k, d))`` blocks of k <= ``NOISE_BLOCK``
-    rows: the same numbers as one ``rng.standard_normal(d)`` a step. A block
-    that is not finite (sigma so large that a draw overflows) is refused."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    """The noise rows of a T-step run, sigma * N(0, I_d) one a step, in blocks
+    of at most ``NOISE_BLOCK`` rows: the same numbers as one
+    ``rng.standard_normal(d)`` a step. At sigma = 0 the rows are -0.0, which
+    adds nothing to any row, signed zeros included, and no number is drawn.
+    A negative or non-finite sigma, or one whose drawn block overflows, is
+    refused."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     k = max(1, min(NOISE_BLOCK, NOISE_BLOCK_BYTES // (8 * d)))
     for start in range(0, T, k):
+        shape = (min(k, T - start), d)
+        if sigma == 0:
+            yield np.full(shape, -0.0)
+            continue
         with np.errstate(over="ignore"):
-            block = sigma * rng.standard_normal((min(k, T - start), d))
+            block = sigma * rng.standard_normal(shape)
         if not _finite(block):
             raise ValueError(f"sigma = {sigma!r} overflows: a drawn noise row is not finite")
         yield block
@@ -202,11 +207,7 @@ def noise_rows(
 ) -> Iterator[np.ndarray | None]:
     """The T noise rows of a run, sigma * N(0, I_d) one a step, from
     ``noise_blocks``. Each row is None when sigma is 0, and no number is drawn."""
-    if sigma == 0:
-        yield from itertools.repeat(None, T)
-        return
-    for block in noise_blocks(rng, sigma, d, T):
-        yield from block
+    return (None if sigma == 0 else row for block in noise_blocks(rng, sigma, d, T) for row in block)
 
 
 def _check_noise(noise, cfg: DiskConfig, x, t: int) -> None:
@@ -277,16 +278,25 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     run's observation alone; a row whose Gram mean is not finite observes from
     its factors on its own dataset. Aborts on a bad noise row
     (``_check_noise``), an empty batch or a non-finite mean, which names the
-    row's ``kappa`` and ``gamma`` where given."""
+    row's ``kappa`` and ``gamma`` where given. A ``DatasetStack`` is refused
+    unless it has one dataset a row of x and the step is unclipped on Gram
+    statistics."""
     _check_noise(noise, cfg, x, t)
+    stacked = isinstance(batch, DatasetStack)
+    if stacked and np.shape(x)[:-1] != (len(batch.datasets),):
+        raise ValueError(f"step {t}: a DatasetStack of {len(batch.datasets)} datasets needs a "
+                         f"state of as many rows, got shape {np.shape(x)}")
     g = obj.dataset_mean_grad(batch, x, ahead, a) if cfg.clip_variant == "none" else None
+    if g is None and stacked:
+        raise ValueError(f"step {t}: a DatasetStack takes an unclipped step on Gram statistics, "
+                         f"got clip_variant {cfg.clip_variant!r} on {type(obj).__name__}")
     if g is None:
         g = _factored_mean(obj, x, batch, cfg, t, ahead, a, kappa, gamma)
     elif not _finite(g):  # statistics can overflow where rows do not
         rows, xs = np.atleast_2d(g, x)
         for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)):
             row = slice(i, i + 1)
-            data = batch.datasets[i] if isinstance(batch, DatasetStack) else batch
+            data = batch.datasets[i] if stacked else batch
             rows[row] = _factored_mean(obj, xs[row], data, cfg, t,
                                        None if ahead is None else np.atleast_2d(ahead)[row],
                                        a[row] if isinstance(a, np.ndarray) else a, kappa, gamma, [i])

@@ -2,24 +2,22 @@
 benchmark on synthetic regression, (kappa, gamma) sweep grids, and
 deterministic CSV/SVG emission.
 
-A training run and a sweep's runs step through ``_trajectory``, a stack of
-runs or a lone run from a 1-D state. ``run_experiment`` evaluates every state,
-``EVAL_BLOCK`` at a time, and stops at the first whose loss or gradient is not
-finite; a sweep evaluates only the stack's last. ``ExperimentConfig.from_dict``
-is the one config reader: every default is a field's default, and
-``__post_init__`` refuses a privacy target for a run that is unclipped after
-its preset. ``resolve_optimizer`` is the one place a run's optimizer is
+``ExperimentConfig.from_dict`` is the one config reader: every default is a
+field's default. ``resolve_optimizer`` is the one place a run's optimizer is
 resolved (preset, calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
+A training run and a sweep's runs step through ``_trajectory``.
+``run_experiment`` evaluates every state, ``EVAL_BLOCK`` at a time, and stops
+at the first whose loss or gradient is not finite; a sweep evaluates only its
+runs' last states. A sweep runs each distinct trajectory once per seed
+(``_run_key``), a seed's runs one stack. ``compare_filters`` steps every seed,
+noise level and method as one stack.
 
 Runs are pure functions of their config and seed: datasets, minibatch order
-and DP noise (``disk.noise_rows``) each come from a named substream of the
-run's seed, and every run holds one BLAS thread (``objectives.one_blas_thread``),
-so the full pipeline (calibrate -> train -> emit) is byte-reproducible. A
-sweep runs each distinct trajectory once per seed (``_run_key``), a seed's
-runs one stack on its noise draw and minibatch stream. ``compare_filters``
-steps every seed, method and noise level as one stack (its levels of 0 as a
-second), on one draw of each (seed, level)'s noise. A row keeps the bits of
-its run stepped alone, and a step costs one call for the stack, not one a run.
+and DP noise each come from a named substream of the run's seed, and every
+run holds one BLAS thread (``objectives.one_blas_thread``), so the full
+pipeline (calibrate -> train -> emit) is byte-reproducible. A row of a stack
+keeps the bits of its run stepped alone, and a step costs one call for the
+stack, not one a run.
 """
 
 from __future__ import annotations
@@ -448,55 +446,41 @@ def compare_filters(
     shared across methods, so differences isolate the filter. Deterministic
     per seed.
 
-    Every seed, method and distinct nonzero level is a row of one stack, and
-    the levels of 0 rows of a second with no noise (``_comparison_stacks``):
-    one ``disk_step`` a step, whose rows differ in dataset, step size, kappa
-    and lookahead weight. Every row has the bits of its run stepped alone.
+    Every (seed, distinct level, method) is a row of one stack, stepped on its
+    seed's data and step size, its method's kappa and lookahead weight, and its
+    (seed, level)'s noise rows (-0.0 at a level of 0, None when every level is
+    0): one ``disk_step`` a step. Every row has the bits of its run stepped
+    alone, and each seed's rows are evaluated on its data in one call.
     """
     if not seeds:
         return []
     datasets = [gen_linear_regression(n, p, noise_std=0.1, seed=seed) for seed in seeds]
     if noise_levels is None:  # from the seeds[0] dataset
         noise_levels = comparison_noise_levels(datasets[0])
+    levels = list(dict.fromkeys(noise_levels))
+    if not levels:
+        return []
     obj = LinearRegression(p)
-    shared = DiskConfig(kappa=kappa, gamma=-1.0, clip=None, clip_variant="none", base="sgd")
+    shared = DiskConfig(kappa=kappa, gamma=-1.0, clip=None, clip_variant="none", base="sgd",
+                        sigma_dp=max(levels))
     methods = [replace(shared, **PRESETS[m].overrides) for m in COMPARISON_METHODS]
     columns = [(c.kappa, lookahead_weight(c, c.kappa, c.gamma)) for c in methods]
     etas = [1.0 / obj.smoothness(ds) for ds in datasets]
-    final = {}  # (seed index, level, method index) -> final loss
-    for levels, noise in _comparison_stacks(seeds, noise_levels, p, T):
-        keys = list(itertools.product(range(len(seeds)), levels, range(len(methods))))  # one a row
-        kappas, weights, eta = (np.array(col)[:, None] for col in zip(*(
-            (*columns[m], etas[i]) for i, _, m in keys)))
-        data = DatasetStack(tuple(datasets[i] for i, _, _ in keys))
-        cfg = replace(shared, sigma_dp=max(levels))
-        state = DiskState(x=np.zeros((len(keys), p)))
-        for row in noise:
-            state = disk_step(state, data, obj, cfg, row, kappas, a=weights, eta=eta)
-        per_seed = len(keys) // len(seeds)  # a seed's rows, evaluated on its own data
-        for i, ds in enumerate(datasets):
-            for start in range(i * per_seed, (i + 1) * per_seed, EVAL_BLOCK):
-                block = slice(start, min(start + EVAL_BLOCK, (i + 1) * per_seed))
-                final.update(zip(keys[block], obj.evaluate(state.x[block], ds.X, ds.y)[0].tolist()))
+    keys = list(itertools.product(range(len(seeds)), levels, range(len(methods))))  # one a row
+    kappas, weights, eta = map(_column, zip(*((*columns[m], etas[i]) for i, _, m in keys)))
+    data = DatasetStack(tuple(datasets[i] for i, _, _ in keys))
+    blocks = zip(*(noise_blocks(seeding.substream(seed, seeding.DP_NOISE, f"sigma={s!r}"), s, p, T)
+                   for seed in seeds for s in levels))
+    noise = (None if shared.sigma_dp == 0 else row  # each (seed, level)'s row once a method
+             for pairs in blocks for row in np.stack([block for block in pairs for _ in methods], axis=1))
+    state = DiskState(x=np.zeros((len(keys), p)))
+    for row in noise:
+        state = disk_step(state, data, obj, shared, row, kappas, a=weights, eta=eta)
+    losses = np.concatenate([obj.evaluate(xs, ds.X, ds.y)[0]  # a seed's rows on its own data
+                             for xs, ds in zip(state.x.reshape(len(seeds), -1, p), datasets)])
+    final = dict(zip(keys, losses.tolist()))  # (seed index, level, method index) -> final loss
     return [ComparisonRow(sigma, method, seed, final[i, sigma, m]) for i, seed in enumerate(seeds)
             for sigma in noise_levels for m, method in enumerate(COMPARISON_METHODS)]
-
-
-def _comparison_stacks(seeds, noise_levels, p: int, T: int):
-    """(levels, noise rows) of each stack ``compare_filters`` steps: the
-    distinct nonzero levels, whose step row holds each (seed, level)'s
-    ``noise_rows`` row, from its own substream, once for each method, in
-    (seed, level, method) order; then [0.0] for any level of 0, whose rows
-    are None. Each pair's rows are drawn once, ``noise_blocks`` at a time."""
-    distinct = list(dict.fromkeys(noise_levels))
-    noisy = [s for s in distinct if s != 0]
-    if noisy:
-        blocks = zip(*(noise_blocks(seeding.substream(seed, seeding.DP_NOISE, f"sigma={s!r}"), s, p, T)
-                       for seed in seeds for s in noisy))
-        yield noisy, (row for pairs in blocks for row in np.stack(
-            [block for block in pairs for _ in COMPARISON_METHODS], axis=1))
-    if len(noisy) < len(distinct):
-        yield [0.0], itertools.repeat(None, T)
 
 
 def aggregate_comparison(rows: list[ComparisonRow]) -> dict[tuple[float, str], float]:
@@ -539,8 +523,7 @@ def sweep_kappa_gamma(
     stack (``_trajectory``), a run a row, on the seed's one minibatch stream
     and noise draw: one ``disk_step`` a step, each row with the bits of its
     run stepped alone. The runs record nothing on the way: the stack's last
-    states are evaluated once, ``EVAL_BLOCK`` at a time, with ``final_loss``'s
-    bits.
+    states are evaluated in one call, with ``final_loss``'s bits.
     """
     problems = {s: build_problem(cfg.objective, s, batch_floor=cfg.B) for s in cfg.seeds}
     opt, _, _ = resolve_optimizer(cfg, problems[cfg.seeds[0]][1].n)  # n is the same for every seed
@@ -557,9 +540,8 @@ def sweep_kappa_gamma(
         obj, ds = problems[s]
         for state in _trajectory(cfg, opt, s, problems[s], list(runs.values())):
             pass
-        xs = state.x.reshape(len(runs), -1)  # a lone run steps from a 1-D state
-        final.append(np.concatenate([obj.evaluate(xs[i : i + EVAL_BLOCK], ds.X, ds.y)[0]
-                                     for i in range(0, len(runs), EVAL_BLOCK)]))
+        # a lone run steps from a 1-D state
+        final.append(obj.evaluate(state.x.reshape(len(runs), -1), ds.X, ds.y)[0])
     mean = dict(zip(runs, (float(np.mean(losses)) for losses in zip(*final))))
     return [[mean[key] for key in row] for row in keys]
 

@@ -13,14 +13,12 @@ factors' unit-weight mean, with the bits of ``per_sample_grads(...).mean(axis=0)
 Over a whole ``Dataset``, linear regression's is G x - b (``dataset_mean_grad``,
 G and b cached), and over a ``DatasetStack`` each row's own.
 
-``evaluate`` is the one whole-dataset loss: the mean loss and mean gradient
-at a block of up to ``EVAL_BLOCK`` states, under ``one_blas_thread``;
-``full_loss`` is its loss at one state. The MLP's and the quadratic's states
-each run one forward pass, and their gradients are ``==`` to ``mean_grad``.
-The linear models hold each state's coefficients in a row of a zero-padded
-block W, and take the block's gradients from one product ``W @ X / n``, which
-differs from ``mean_grad`` in the order of the sum; logistic regression's
-margins come from one padded product ``XS @ X.T``, not the step's ``X @ x``.
+``evaluate`` is the one whole-dataset loss: the mean losses and gradients at
+any number of states, under ``one_blas_thread``, each state's bits its own
+whatever the others; ``full_loss`` is its loss at one state. The MLP's and the
+quadratic's gradients are ``==`` to ``mean_grad``. The linear models take a
+block's gradients from one zero-padded product ``W @ X / n``, which differs
+from ``mean_grad`` in the order of the sum.
 """
 
 from __future__ import annotations
@@ -292,11 +290,11 @@ class Objective:
 
     @one_blas_thread()
     def evaluate(self, xs, X, y) -> tuple[np.ndarray, np.ndarray]:
-        """Mean losses (k,) and mean gradients (k, d) at the k rows of ``xs``,
-        1 <= k <= ``EVAL_BLOCK``. Here each state runs its kind's
-        ``_loss_and_mean_grad``, one forward pass for the loss and ``mean_grad``;
-        the linear models' override takes one product for the block's gradients."""
-        xs = self._check_block(xs)
+        """Mean losses (k,) and mean gradients (k, d) at the k >= 1 rows of
+        ``xs``; each state's bits do not depend on the others. Here each state
+        runs its kind's ``_loss_and_mean_grad``; the linear models' override
+        takes one product a block of ``EVAL_BLOCK`` states."""
+        xs = self._check_states(xs)
         losses, grads = np.empty(len(xs)), np.empty(xs.shape)
         for i, x in enumerate(xs):
             losses[i], grads[i] = self._loss_and_mean_grad(x, X, y)
@@ -315,12 +313,10 @@ class Objective:
         rng = seeding.substream(seed, seeding.INIT)
         return scale * rng.standard_normal(self.dim)
 
-    def _check_block(self, xs) -> np.ndarray:
+    def _check_states(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim or not 1 <= len(xs) <= EVAL_BLOCK:
-            raise ValueError(
-                f"states must have shape (k, {self.dim}) with 1 <= k <= {EVAL_BLOCK}, got {xs.shape}"
-            )
+        if xs.ndim != 2 or xs.shape[1] != self.dim or len(xs) < 1:
+            raise ValueError(f"states must have shape (k, {self.dim}) with k >= 1, got {xs.shape}")
         return xs
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
@@ -418,11 +414,16 @@ class _GeneralisedLinear(Objective):
 
     @one_blas_thread()
     def evaluate(self, xs, X, y):
-        """Each state's loss and coefficients, in a row of W; the block's
+        """Each state's loss and coefficients, in a row of W; a block's
         gradients from one product (see ``EVAL_BLOCK``)."""
-        xs = self._check_block(xs)
-        losses, W = self._block_coefs(xs, X, y)
-        return losses, (W @ X)[: len(xs)] / len(X)
+        xs = self._check_states(xs)
+        losses, grads = np.empty(len(xs)), np.empty(xs.shape)
+        for start in range(0, len(xs), EVAL_BLOCK):
+            block = xs[start : start + EVAL_BLOCK]
+            rows = slice(start, start + len(block))
+            losses[rows], W = self._block_coefs(block, X, y)
+            grads[rows] = (W @ X)[: len(block)] / len(X)
+        return losses, grads
 
     def grad_factors(self, x, X, y, ahead=None, a=0.0):
         c = self._coef(x, X, y)

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -848,6 +849,62 @@ def test_stack_whose_gram_mean_overflows_falls_back_row_by_row():
     with pytest.raises(FloatingPointError, match=r"^step 4: .*non-finite mean gradient .* in row 1 "
                                                  r"of the stack, at kappa 0\.2 and gamma -1\.0$"):
         disk._observe(obj, xs, big, cfg, noise, 4, kappa=np.full((len(xs), 1), 0.2), gamma=-1.0)
+
+
+@pytest.mark.parametrize("base", disk.BASE_OPTIMIZERS)
+def test_noise_blocks_at_zero_step_as_no_noise(base):
+    """At sigma 0 ``noise_blocks`` yields rows of -0.0 in the blocks a drawn
+    level has and leaves the generator where it is; -0.0 adds nothing to any
+    row, signed zeros included, where +0.0 would turn -0.0 into +0.0. So a
+    stack row stepped on those rows, beside a noised row, has the bytes of its
+    run stepped alone at sigma_dp = 0 with None rows, here through signed
+    zeros (p = 1, y = 0, x_0 = -0.0). A negative or non-finite sigma is
+    refused."""
+    T = 70  # past a block
+    rng, untouched = rng_for(3), rng_for(3)
+    blocks = list(disk.noise_blocks(rng, 0.0, 1, T))
+    assert rng.bit_generator.state == untouched.bit_generator.state
+    assert [b.shape for b in blocks] == [b.shape for b in disk.noise_blocks(rng_for(3), 0.7, 1, T)]
+    zeros = np.concatenate(blocks)
+    values = np.array([-0.0, 0.0, 1.5, -np.inf])
+    assert np.signbit(zeros).all() and (values + zeros[0]).tobytes() == values.tobytes()
+    obj = make_objective("linear-regression", 1)
+    ds = objectives.Dataset(gen_linear_regression(40, 1, 0.1, seed=4).X, np.zeros(40))
+    cfg = DiskConfig(kappa=0.6, gamma=-1.0, eta=0.2, clip=None, clip_variant="none", sigma_dp=0.2,
+                     base=base)
+    stack, alone = DiskState(x=np.full((2, 1), -0.0)), DiskState(x=np.array([-0.0]))
+    for zero, row in zip(zeros, noise_rows(rng_for(5), cfg.sigma_dp, 1, T)):
+        stack = disk_step(stack, ds, obj, cfg, np.stack([zero, row]))
+        alone = disk_step(alone, ds, obj, replace(cfg, sigma_dp=0.0), None)
+    assert_rows_are_single_runs(stack, [alone])
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^sigma must be finite and >= 0"):
+            next(disk.noise_blocks(rng_for(3), sigma, 1, T))
+
+
+@pytest.mark.parametrize("kind, variant", [("linear-regression", "standard"),
+                                           ("logistic-regression", "none")], ids=["clipped", "no-gram"])
+def test_dataset_stack_is_refused_off_the_gram_path(kind, variant):
+    """A ``DatasetStack`` serves only an unclipped step on Gram statistics: a
+    clipped step, or an objective without them, is refused by name."""
+    obj = make_objective(kind, 3)
+    data = objectives.DatasetStack(tuple(gen_classification(20, 3, seed=s) for s in (1, 2)))
+    cfg = DiskConfig(clip=1.0, clip_variant=variant)
+    with pytest.raises(ValueError, match=rf"^step 0: a DatasetStack takes an unclipped step on Gram "
+                                         rf"statistics, got clip_variant '{variant}' on {type(obj).__name__}$"):
+        disk_step(DiskState(x=np.zeros((2, 3))), data, obj, cfg, None)
+
+
+def test_dataset_stack_needs_one_dataset_a_row():
+    """A ``DatasetStack`` is not broadcast: a stack of one dataset under a
+    2-row state, or of two under a 1-D state, is refused."""
+    obj, ds, xs = stack_problem(p=3)
+    cfg = DiskConfig(clip=None, clip_variant="none")
+    for datasets, x in (((ds,), xs[:2]), ((ds, ds), xs[0])):
+        with pytest.raises(ValueError, match=rf"^step 0: a DatasetStack of {len(datasets)} datasets "
+                                             rf"needs a state of as many rows, got shape "
+                                             rf"{re.escape(str(x.shape))}$"):
+            disk_step(DiskState(x=x.copy()), objectives.DatasetStack(datasets), obj, cfg, None)
 
 
 # each row's (kappa, gamma, lookahead weight): a two-point row; a row at

@@ -456,21 +456,25 @@ def comparison_bytes(rows):
     ([0.0, 0.05, 0.5], (0, 1), 4, 1.0),  # every row at kappa 1 and a = 0
     ([0.3, 0.0, 0.05], (2,), 5, 0.25),  # a = -3 on the noisy-kf rows
     ([0.0, 0.05, 0.5], (0, 1, 2), 1, 0.6),  # three seeds at p = 1, a level of 0 among them
+    ([0.0, 0.0], (0, 1), 4, 0.6),  # every level 0: no noise rows at all
+    ([-0.0, 0.05, 0.0], (1, 2), 1, 0.6),  # a level of -0.0, and 0.0 as its duplicate
 ], ids=["benchmark-levels", "duplicates-and-zeros", "past-a-block", "k-equals-p", "default",
-        "kappa-1", "kappa-0.25", "three-seeds-p1"])
+        "kappa-1", "kappa-0.25", "three-seeds-p1", "all-zero", "minus-zero"])
 def test_compare_filters_equals_the_per_run_oracle(levels, seeds, p, kappa):
-    """Stepping every seed's methods and levels as stacks, on one draw of each
-    (seed, level)'s noise, gives each row the bytes of its own run in the
-    per-run loop, in its order; a duplicated level and a level of 0 included."""
+    """Stepping every seed's methods and levels as one stack, on one draw of
+    each (seed, level)'s noise, gives each row the bytes of its own run in the
+    per-run loop, in its order; a duplicated level, levels of 0 and -0.0, and
+    levels that are all 0 included."""
     got = compare_filters(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=kappa)
     want = ref.compare_filters_reference(noise_levels=levels, seeds=seeds, n=50, p=p, T=12, kappa=kappa)
     assert comparison_bytes(got) == comparison_bytes(want)
 
 
 def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, monkeypatch, capsys):
-    """A compare-filters op at the benchmark's levels steps each seed and
-    method once a step: T steps, each one stack of every seed and method at
-    every level, and each level's noise drawn once a seed."""
+    """A compare-filters op steps each seed and method once a step: T steps,
+    each one stack of every seed and method at every level, a level of 0
+    included, and each level's noise rows taken once a seed. At the
+    benchmark's levels that is a 12-row stack; with a level of 0 too, 18."""
     steps, draws = [], []
     real_step, real_blocks = harness.disk_step, harness.noise_blocks
 
@@ -484,10 +488,13 @@ def test_compare_filters_op_steps_each_seed_and_method_once_a_step(tmp_path, mon
 
     monkeypatch.setattr(harness, "disk_step", counted_step)
     monkeypatch.setattr(harness, "noise_blocks", counted_blocks)
-    assert cli_main(["compare-filters", "--seeds", "4,5", "--noise-levels", "0.05,0.5", "--n", "40",
-                     "--p", "3", "--T", "7", "--outdir", str(tmp_path)]) == 0
-    assert steps == [(12, 3)] * 7
-    assert draws == [0.05, 0.5] * 2
+    for levels, rows in (([0.05, 0.5], 12), ([0.0, 0.05, 0.5], 18)):
+        steps.clear()
+        draws.clear()
+        assert cli_main(["compare-filters", "--seeds", "4,5", "--noise-levels", ",".join(map(str, levels)),
+                         "--n", "40", "--p", "3", "--T", "7", "--outdir", str(tmp_path)]) == 0
+        assert steps == [(rows, 3)] * 7
+        assert draws == levels * 2
 
 
 def test_compare_filters_refuses_a_level_whose_noise_overflows():

@@ -469,11 +469,23 @@ def test_evaluation_bits_do_not_depend_on_the_callers_blas_thread_count():
     assert f1 == f2 and f1 == l1.tolist()
 
 
-@pytest.mark.parametrize("k", [0, EVAL_BLOCK + 1])
-def test_evaluate_rejects_a_block_outside_one_to_eval_block(k):
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_evaluate_past_one_block_is_its_chunks(kind):
+    """``evaluate`` takes any k >= 1 states: EVAL_BLOCK + 3 of them give the
+    bytes of the same states evaluated in chunks of at most EVAL_BLOCK."""
+    obj, ds, xs = _evaluation_problem(kind, 300, 6, EVAL_BLOCK + 3, 40.5, 9)
+    losses, grads = obj.evaluate(xs, ds.X, ds.y)
+    assert losses.shape == (EVAL_BLOCK + 3,) and grads.shape == xs.shape
+    for size in (EVAL_BLOCK, 3, 1):
+        chunks = [obj.evaluate(xs[i : i + size], ds.X, ds.y) for i in range(0, len(xs), size)]
+        assert np.concatenate([c[0] for c in chunks]).tobytes() == losses.tobytes()
+        assert np.concatenate([c[1] for c in chunks]).tobytes() == grads.tobytes()
+
+
+def test_evaluate_rejects_no_states():
     obj, ds, _ = build("logistic-regression", 3, 0)
-    with pytest.raises(ValueError, match="states must have shape"):
-        obj.evaluate(np.zeros((k, obj.dim)), ds.X, ds.y)
+    with pytest.raises(ValueError, match=r"states must have shape \(k, 3\) with k >= 1, got \(0, 3\)"):
+        obj.evaluate(np.zeros((0, obj.dim)), ds.X, ds.y)
 
 
 @pytest.mark.parametrize("in_dim, hidden", [(4, 0), (0, 3)])
