@@ -4,9 +4,9 @@ One step: combine per-sample gradients at two points (x and a lookahead
 x + gamma * d_prev), clip the combination, privatise the batch mean with
 Gaussian noise, pass it through an exponential filter with weight kappa, and
 feed the filtered gradient to ``apply_base_update`` (sgd, momentum, adam, adamw).
-Every step observes through ``_observe`` and takes its Gaussian noise as an
-input row from ``noise_rows``, one ``standard_normal(d)`` a step, drawn in
-blocks; a row that is missing, misshapen or given at sigma_dp = 0 is refused.
+Every step observes through ``_observe`` and adds its Gaussian noise, an input
+row from ``noise_rows``, one ``standard_normal(d)`` a step, drawn in blocks;
+at sigma_dp = 0 the row is -0.0, and a missing or misshapen row is refused.
 Clipped or on a minibatch the step clips and averages ``Objective.grad_factors``
 and never forms the (B, d) matrix. Unclipped over a whole linear-regression
 ``Dataset`` it is G z - b from cached Gram statistics: O(p^2) a step, not O(np).
@@ -204,27 +204,19 @@ def noise_blocks(
 
 def noise_rows(
     rng: np.random.Generator, sigma: float, d: int, T: int
-) -> Iterator[np.ndarray | None]:
+) -> Iterator[np.ndarray]:
     """The T noise rows of a run, sigma * N(0, I_d) one a step, from
-    ``noise_blocks``. Each row is None when sigma is 0, and no number is drawn."""
-    return (None if sigma == 0 else row for block in noise_blocks(rng, sigma, d, T) for row in block)
+    ``noise_blocks``: rows of -0.0 at sigma 0, where no number is drawn."""
+    return (row for block in noise_blocks(rng, sigma, d, T) for row in block)
 
 
-def _check_noise(noise, cfg: DiskConfig, x, t: int) -> None:
-    """Refuse a noise row that is missing at sigma_dp > 0, given at 0, or not
-    an array of x's shape or, for a stack, of one of its rows: no step may
-    release an un-noised mean."""
-    if noise is None:
-        if cfg.sigma_dp != 0:
-            raise ValueError(f"step {t}: sigma_dp = {cfg.sigma_dp!r} needs a noise row, got None")
-    elif cfg.sigma_dp == 0:
-        raise ValueError(f"step {t}: sigma_dp = 0 takes no noise row, got {type(noise).__name__}")
-    elif not isinstance(noise, np.ndarray) or noise.shape not in (x.shape, x.shape[-1:]):
+def _check_noise(noise, x, t: int) -> None:
+    """Refuse a noise row that is not an array of x's shape or, for a stack, of
+    one of its rows, None included: no step may release an un-noised mean."""
+    if not isinstance(noise, np.ndarray) or noise.shape not in (x.shape, x.shape[-1:]):
         shapes = " or ".join(map(str, dict.fromkeys((x.shape[-1:], x.shape))))
-        raise ValueError(
-            f"step {t}: the noise row must be an array of shape {shapes}, "
-            f"got {type(noise).__name__} of shape {np.shape(noise)}"
-        )
+        got = repr(noise) if np.ndim(noise) == 0 else f"{type(noise).__name__} of shape {np.shape(noise)}"
+        raise ValueError(f"step {t}: needs a noise row, got {got}; a row is an array of shape {shapes}")
 
 
 def _finite(g: np.ndarray) -> bool:
@@ -281,7 +273,7 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
     row's ``kappa`` and ``gamma`` where given. A ``DatasetStack`` is refused
     unless it has one dataset a row of x and the step is unclipped on Gram
     statistics."""
-    _check_noise(noise, cfg, x, t)
+    _check_noise(noise, x, t)
     stacked = isinstance(batch, DatasetStack)
     if stacked and np.shape(x)[:-1] != (len(batch.datasets),):
         raise ValueError(f"step {t}: a DatasetStack of {len(batch.datasets)} datasets needs a "
@@ -300,7 +292,7 @@ def _observe(obj: Objective, x, batch, cfg: DiskConfig, noise, t: int, ahead=Non
             rows[row] = _factored_mean(obj, xs[row], data, cfg, t,
                                        None if ahead is None else np.atleast_2d(ahead)[row],
                                        a[row] if isinstance(a, np.ndarray) else a, kappa, gamma, [i])
-    return g if noise is None else g + noise
+    return g + noise
 
 
 def reads_gamma(cfg: DiskConfig, kappa: float) -> bool:
@@ -322,7 +314,7 @@ def disk_step(
     batch: tuple[np.ndarray, np.ndarray] | Dataset | DatasetStack,
     obj: Objective,
     cfg: DiskConfig,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
     kappa: float | np.ndarray | None = None,
     gamma: float | np.ndarray | None = None,
     a: float | np.ndarray | None = None,
@@ -331,19 +323,18 @@ def disk_step(
     """One filtered-optimizer step on a minibatch (Xb, yb) or a whole ``Dataset``,
     at weight ``kappa``, lookahead ``gamma`` and step size ``eta`` (``cfg``'s
     when None), observing with lookahead weight ``a`` (``lookahead_weight``
-    when None). ``noise`` is the step's row of ``noise_rows`` (None at
-    sigma_dp = 0), added to the clipped mean.
+    when None). ``noise`` is the step's row of ``noise_rows``, added to the
+    clipped mean; the step does not read ``cfg.sigma_dp``.
 
     A state whose ``x`` is a (k, d) stack steps k runs at once, each row with
     the bits of its run stepped alone; ``noise`` is then (k, d), a row per
-    run, or one (d,) row that every run adds (so ``cfg.sigma_dp`` only says
-    whether noise is given). The rows share a minibatch, or on the Gram path
-    take a ``DatasetStack``, a dataset a row. They may differ in kappa, gamma,
-    lookahead weight and step size, given as (k, 1) columns ``kappa``,
-    ``gamma``, ``a`` (each row's config's ``lookahead_weight``) and ``eta``.
-    Kappa and ``a`` select rather than multiply: a row at a = 0 observes at x
-    itself, and a row at kappa 1 takes g as its filtered gradient, whatever
-    its ahead point or previous filter holds."""
+    run, or one (d,) row that every run adds. The rows share a minibatch, or
+    on the Gram path take a ``DatasetStack``, a dataset a row. They may differ
+    in kappa, gamma, lookahead weight and step size, given as (k, 1) columns
+    ``kappa``, ``gamma``, ``a`` (each row's config's ``lookahead_weight``) and
+    ``eta``. Kappa and ``a`` select rather than multiply: a row at a = 0
+    observes at x itself, and a row at kappa 1 takes g as its filtered
+    gradient, whatever its ahead point or previous filter holds."""
     kappa = cfg.kappa if kappa is None else kappa
     gamma = cfg.gamma if gamma is None else gamma
     a = lookahead_weight(cfg, kappa, gamma) if a is None else a
@@ -370,7 +361,7 @@ def dpsgd_step(
     batch: tuple[np.ndarray, np.ndarray] | Dataset,
     obj: Objective,
     cfg: DiskConfig,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
 ) -> DiskState:
     """Plain DP-SGD: ``disk_step`` at kappa 1 on the sgd base, whatever ``cfg``
     sets them to."""

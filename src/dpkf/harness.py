@@ -364,20 +364,12 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem, cell
 
 
 @one_blas_thread()
-def run_experiment(
-    cfg: ExperimentConfig,
-    seed: int | None = None,
-    problem: tuple[Objective, Dataset] | None = None,
-) -> MetricsTrace:
-    """Run one algorithm for T steps, recording every state; deterministic per seed.
-    A state whose loss or gradient is not finite raises ``FloatingPointError``.
-
-    ``problem`` is ``build_problem(cfg.objective, seed, cfg.B)``, passed in by
-    callers that run one seed's problem more than once.
-    """
-    seed = cfg.seeds[0] if seed is None else seed
-    if problem is None:
-        problem = build_problem(cfg.objective, seed, batch_floor=cfg.B)
+def run_experiment(cfg: ExperimentConfig) -> MetricsTrace:
+    """Run one algorithm for T steps on the problem of ``cfg.seeds[0]``,
+    recording every state; deterministic per seed. A state whose loss or
+    gradient is not finite raises ``FloatingPointError``."""
+    seed = cfg.seeds[0]
+    problem = build_problem(cfg.objective, seed, batch_floor=cfg.B)
     obj, ds = problem
     opt, delta, q = resolve_optimizer(cfg, ds.n)
     eps_sched = _epsilon_schedule(cfg, opt, delta, q)
@@ -448,9 +440,9 @@ def compare_filters(
 
     Every (seed, distinct level, method) is a row of one stack, stepped on its
     seed's data and step size, its method's kappa and lookahead weight, and its
-    (seed, level)'s noise rows (-0.0 at a level of 0, None when every level is
-    0): one ``disk_step`` a step. Every row has the bits of its run stepped
-    alone, and each seed's rows are evaluated on its data in one call.
+    (seed, level)'s noise rows (-0.0 at a level of 0): one ``disk_step`` a
+    step. Every row has the bits of its run stepped alone, and each seed's
+    rows are evaluated on its data in one call.
     """
     if not seeds:
         return []
@@ -461,8 +453,7 @@ def compare_filters(
     if not levels:
         return []
     obj = LinearRegression(p)
-    shared = DiskConfig(kappa=kappa, gamma=-1.0, clip=None, clip_variant="none", base="sgd",
-                        sigma_dp=max(levels))
+    shared = DiskConfig(kappa=kappa, gamma=-1.0, clip=None, clip_variant="none", base="sgd")
     methods = [replace(shared, **PRESETS[m].overrides) for m in COMPARISON_METHODS]
     columns = [(c.kappa, lookahead_weight(c, c.kappa, c.gamma)) for c in methods]
     etas = [1.0 / obj.smoothness(ds) for ds in datasets]
@@ -471,11 +462,10 @@ def compare_filters(
     data = DatasetStack(tuple(datasets[i] for i, _, _ in keys))
     blocks = zip(*(noise_blocks(seeding.substream(seed, seeding.DP_NOISE, f"sigma={s!r}"), s, p, T)
                    for seed in seeds for s in levels))
-    noise = (None if shared.sigma_dp == 0 else row  # each (seed, level)'s row once a method
-             for pairs in blocks for row in np.stack([block for block in pairs for _ in methods], axis=1))
     state = DiskState(x=np.zeros((len(keys), p)))
-    for row in noise:
-        state = disk_step(state, data, obj, shared, row, kappas, a=weights, eta=eta)
+    for pairs in blocks:  # each (seed, level)'s row once a method
+        for row in np.stack([block for block in pairs for _ in methods], axis=1):
+            state = disk_step(state, data, obj, shared, row, kappas, a=weights, eta=eta)
     losses = np.concatenate([obj.evaluate(xs, ds.X, ds.y)[0]  # a seed's rows on its own data
                              for xs, ds in zip(state.x.reshape(len(seeds), -1, p), datasets)])
     final = dict(zip(keys, losses.tolist()))  # (seed index, level, method index) -> final loss

@@ -265,7 +265,6 @@ class Objective:
     """Base class: per-sample gradients, vectorised over a batch, and the
     whole-dataset mean losses and gradients of ``evaluate``."""
 
-    kind: str = ""
     dim: int = 0
 
     def grad_factors(self, x, X, y, ahead=None, a: float = 0.0) -> GradFactors:
@@ -344,8 +343,6 @@ class Quadratic(Objective):
     Samples carry no information, so the stochastic-gradient variance is
     exactly zero; this is the workhorse for closed-form checks.
     """
-
-    kind = "quadratic"
 
     def __init__(self, H: np.ndarray, x_star: np.ndarray | None = None):
         H = np.asarray(H, dtype=float)
@@ -445,8 +442,6 @@ class _GeneralisedLinear(Objective):
 class LinearRegression(_GeneralisedLinear):
     """Squared loss f(x; (a, y)) = 0.5 (<a, x> - y)^2."""
 
-    kind = "linear-regression"
-
     def _coef(self, x, X, y):
         return self._margins(x, X) - y
 
@@ -479,7 +474,6 @@ class LinearRegression(_GeneralisedLinear):
 class LogisticRegression(_GeneralisedLinear):
     """Logistic loss with labels in {-1, +1}: f = log(1 + exp(-y <a, x>))."""
 
-    kind = "logistic-regression"
     curvature = 0.25
 
     @staticmethod
@@ -518,8 +512,6 @@ class TinyMLP(Objective):
     Parameters are packed flat as [W1 (h*p), b1 (h), w2 (h), b2 (1)]. Small
     enough (< 2000 parameters) to run in seconds yet genuinely non-convex.
     """
-
-    kind = "mlp"
 
     def __init__(self, in_dim: int, hidden: int = 16):
         if hidden < 1 or in_dim < 1:

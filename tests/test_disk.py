@@ -47,6 +47,12 @@ def rng_for(seed):
     return seeding.substream(seed, seeding.DP_NOISE)
 
 
+def quiet(d):
+    """A step's noise row at sigma_dp = 0, as ``noise_rows`` yields it: d
+    entries (or a shape) of -0.0, which add nothing, signed zeros included."""
+    return np.full(d, -0.0)
+
+
 def quadratic_problem(d=5, lo=0.5, hi=2.0):
     obj = make_objective("quadratic", d, H=np.diag(np.linspace(lo, hi, d)))
     return obj, obj.placeholder_dataset(4)
@@ -337,7 +343,7 @@ def test_non_finite_gradients_abort(kind):
     X = np.array([[1e308, 1e308]])
     y = np.array([0.0])
     with pytest.raises(FloatingPointError, match="non-finite"):
-        disk_step(state, (X, y), obj, cfg, None)
+        disk_step(state, (X, y), obj, cfg, quiet(obj.dim))
     # A NaN feature or an infinite target, clipped and unclipped, at one point
     # and at two; the message names the step.
     X = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
@@ -357,7 +363,7 @@ def test_non_finite_gradients_abort(kind):
     for opt, batch in itertools.product(configs, [(nan_X, y), (X, inf_y)]):
         for step_fn in (disk_step, dpsgd_step):
             with pytest.raises(FloatingPointError, match=r"^step 7: \d+ non-finite"):
-                step_fn(DiskState(x=x0, d_prev=0.1 * x0, t=7), batch, obj, opt, None)
+                step_fn(DiskState(x=x0, d_prev=0.1 * x0, t=7), batch, obj, opt, quiet(obj.dim))
     if kind != "linear-regression":
         return
     # Full batch from the Gram statistics: a step far above 2/L diverges, and
@@ -372,11 +378,11 @@ def test_non_finite_gradients_abort(kind):
         for _ in harness._trajectory(cfg, harness.resolve_optimizer(cfg, ds.n)[0], 3, (obj, ds)):
             pass
     with pytest.raises(FloatingPointError, match=r"^step \d+: non-finite evaluation, loss inf"):
-        harness.run_experiment(cfg, problem=(obj, ds))
+        harness.run_experiment(cfg)
     # an empty batch is refused before the dataset builds any statistics
     fresh = gen_linear_regression(30, 2, 0.1, seed=3)
     with pytest.raises(ValueError, match="batch must be non-empty"):
-        disk_step(DiskState(x=x0), fresh.subset(np.arange(0)), obj, configs[0], None)
+        disk_step(DiskState(x=x0), fresh.subset(np.arange(0)), obj, configs[0], quiet(obj.dim))
     assert "second_moment" not in vars(fresh) and "moment_xy" not in vars(fresh)
 
 
@@ -396,7 +402,7 @@ def test_a_nan_feature_reaches_the_named_error_without_a_warning(kind, variant):
         for kappa in (1.0, 0.6):
             cfg = DiskConfig(kappa=kappa, clip=1.0, clip_variant=variant)
             with pytest.raises(FloatingPointError, match=r"^step 7: \d+ non-finite"):
-                disk_step(DiskState(x=x0, d_prev=0.1 * x0, t=7), (X, y), obj, cfg, None)
+                disk_step(DiskState(x=x0, d_prev=0.1 * x0, t=7), (X, y), obj, cfg, quiet(obj.dim))
         G = np.array([[3.0, 4.0], [np.nan, 1e-170], [1e200, 0.0]])
         out = clip_batch(G, 0.5, variant)
     assert np.isnan(out[1]).any()
@@ -520,7 +526,7 @@ def observation_cases(draw):
 def test_factored_observation_matches_per_sample_matrix(case, variant, C):
     obj, batch, x, ahead, a = case
     cfg = DiskConfig(clip=C, clip_variant=variant, sigma_dp=0.0)
-    got = disk._observe(obj, x, batch, cfg, None, 0, ahead, 0.0 if a is None else a)
+    got = disk._observe(obj, x, batch, cfg, quiet(obj.dim), 0, ahead, 0.0 if a is None else a)
     want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
     assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
 
@@ -551,7 +557,7 @@ def test_gram_observation_matches_per_sample_matrix(case):
     ds = objectives.Dataset(*batch)
     rows_path = mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("rows"))
     with contextlib.nullcontext() if huge_x else rows_path:
-        got = disk._observe(obj, x, ds, cfg, None, 0, ahead, 0.0 if a is None else a)
+        got = disk._observe(obj, x, ds, cfg, quiet(obj.dim), 0, ahead, 0.0 if a is None else a)
     want = matrix_observe(matrix_rows(obj, x, batch, ahead, a), cfg, rng_for(0))
     assert row_norms((got - want)[None])[0] <= 1e-12 * summand_scale(obj, x, batch, ahead, a, cfg)
 
@@ -576,7 +582,7 @@ def test_overflowing_row_clips_to_the_sensitivity(kind, huge, variant, a):
         sq = sum(np.sum(c**2) * np.sum(f**2) for c, f in zip(fac.coefs, fac.feats))
     assert sq == 0.0 if huge == "tiny" else not np.isfinite(sq)
     C = 1e-3
-    g = disk._observe(obj, x, batch, DiskConfig(clip=C, clip_variant=variant), None, 0, ahead, a)
+    g = disk._observe(obj, x, batch, DiskConfig(clip=C, clip_variant=variant), quiet(obj.dim), 0, ahead, a)
     want = clip_sensitivity(variant, C)
     if huge == "tiny":
         norm = abs(fac.coefs[0][0, 0]) * 5e-70
@@ -614,7 +620,8 @@ def test_noise_rows_are_the_per_step_draws(d):
     """A run's noise rows, drawn in blocks, are the numbers of one
     ``standard_normal(d)`` a step, scaled: across block edges (64 rows, or
     4 at d = 2^15, where a block is capped near 1 MB), and the generator is
-    left where the per-step draws leave it. At sigma 0 every row is None."""
+    left where the per-step draws leave it. At sigma 0 every row is -0.0,
+    and the generator does not move."""
     for T in (1, 63, 64, 65, 130) if d < 2**15 else (1, 4, 9):
         rng, per_step = rng_for(3), rng_for(3)
         rows = list(noise_rows(rng, 0.7, d, T))
@@ -622,27 +629,53 @@ def test_noise_rows_are_the_per_step_draws(d):
         for row in rows:
             assert row.tobytes() == (0.7 * per_step.standard_normal(d)).tobytes()
         assert rng.standard_normal() == per_step.standard_normal()
-        assert list(noise_rows(rng_for(3), 0.0, d, T)) == [None] * T
+        quiet_rows = list(noise_rows(rng, 0.0, d, T))
+        assert len(quiet_rows) == T and all(r.tobytes() == quiet(d).tobytes() for r in quiet_rows)
+        assert rng.standard_normal() == per_step.standard_normal()
 
 
-@pytest.mark.parametrize("sigma_dp, noise, match", [
-    (0.1, None, "needs a noise row, got None"),
-    (0.0, np.zeros(4), "takes no noise row"),
-    (0.1, np.zeros(3), r"shape \(4,\), got ndarray of shape \(3,\)"),
-    (0.1, np.zeros((1, 4)), r"shape \(4,\), got ndarray of shape \(1, 4\)"),
-    (0.1, [0.0] * 4, "got list"),
-    (0.1, rng_for(0), "got Generator"),
-], ids=["missing", "at-sigma-0", "short", "2d", "list", "generator"])
+@pytest.mark.parametrize("noise, match", [
+    (None, "needs a noise row, got None"),
+    (np.zeros(3), r"got ndarray of shape \(3,\); a row is an array of shape \(4,\)$"),
+    (np.zeros((1, 4)), r"got ndarray of shape \(1, 4\); a row is an array of shape \(4,\)$"),
+    ([0.0] * 4, "got list"),
+    (rng_for(0), "got Generator"),
+], ids=["missing", "short", "2d", "list", "generator"])
+@pytest.mark.parametrize("sigma_dp", [0.0, 0.1])
 @pytest.mark.parametrize("step_fn", [disk_step, dpsgd_step])
 def test_steps_refuse_a_missing_or_stray_noise_row(step_fn, sigma_dp, noise, match):
-    """No step releases an un-noised mean: a missing row, a row at sigma_dp
-    0, and a row that is not an array of x's shape (a stray ``Generator``
-    among them) each raise before anything is observed."""
+    """No step releases an un-noised mean: a missing row and a row that is
+    not an array of x's shape (a stray ``Generator`` among them) each raise
+    before anything is observed, at any sigma_dp, 0 included."""
     obj, ds = quadratic_problem(4)
     cfg = DiskConfig(sigma_dp=sigma_dp)
     with mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("observed")):
         with pytest.raises(ValueError, match=f"^step 3: .*{match}"):
             step_fn(DiskState(x=np.ones(4), t=3), (ds.X, ds.y), obj, cfg, noise)
+
+
+@pytest.mark.parametrize("variant", ["standard", "none"])
+@pytest.mark.parametrize("k", [None, 3], ids=["run", "stack"])
+@settings(max_examples=25, deadline=None)
+@given(sigma_dp=st.one_of(st.just(0.0), st.floats(0.0, 1e300)))
+def test_step_does_not_read_sigma_dp(k, variant, sigma_dp):
+    """The step takes its noise as data: from one state, batch and noise row,
+    a clipped or unclipped two-point step gives the same bytes at any
+    ``cfg.sigma_dp``, 0 included, for a lone run and a stack."""
+    obj, ds = single_point_problem("linear-regression")
+    cfg = DiskConfig(kappa=0.6, eta=0.05, clip=None if variant == "none" else 1.0, clip_variant=variant,
+                     base="momentum")
+    shape = (obj.dim,) if k is None else (k, obj.dim)
+    rng = rng_for(8)
+    state = DiskState(x=rng.standard_normal(shape), g_filt=0.1 * rng.standard_normal(shape),
+                      d_prev=0.1 * rng.standard_normal(shape), moments={"buf": rng.standard_normal(shape)}, t=2)
+    noise = 0.3 * rng.standard_normal(shape)
+    batch = ds if variant == "none" else ds.subset(np.arange(8))
+    want = disk_step(state, batch, obj, cfg, noise)
+    got = disk_step(state, batch, obj, replace(cfg, sigma_dp=sigma_dp), noise)
+    for g, w in ((got.x, want.x), (got.g_filt, want.g_filt), (got.d_prev, want.d_prev),
+                 (got.moments["buf"], want.moments["buf"])):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_finiteness_checks_raise_no_warning():
@@ -743,8 +776,7 @@ def test_stacked_step_is_each_row_stepped_alone(method, filter_init, sigma_dp):
         singles = [DiskState(x=x.copy(), d_prev=d.copy()) for x, d in zip(xs, d_prev)]
         with np.errstate(invalid="ignore"):  # the unread ahead points
             for rows in zip(*streams):
-                noise = None if sigma_dp == 0 else np.array(rows)
-                stack = disk_step(stack, ds, obj, shared, noise, **columns)
+                stack = disk_step(stack, ds, obj, shared, np.array(rows), **columns)
                 singles = [disk_step(s, ds, obj, cfg, row) for s, cfg, row in zip(singles, cfgs, rows)]
         assert stack.x.shape == (k, p)
         assert_rows_are_single_runs(stack, singles)
@@ -772,8 +804,8 @@ def test_mixed_stack_reads_no_ahead_point_at_a_zero_and_no_filter_at_kappa_one()
                    for x, f, d in zip(xs, g_filt, d_prev)]
         with np.errstate(invalid="ignore"):
             for _ in range(3):
-                stack = disk_step(stack, data, obj, shared, None, **columns)
-                singles = [disk_step(s, data, obj, cfg, None) for s, cfg in zip(singles, cfgs)]
+                stack = disk_step(stack, data, obj, shared, quiet(p), **columns)
+                singles = [disk_step(s, data, obj, cfg, quiet(p)) for s, cfg in zip(singles, cfgs)]
         assert np.isfinite(stack.g_filt).all()
         assert_rows_are_single_runs(stack, singles)
 
@@ -807,9 +839,8 @@ def test_stack_over_datasets_is_each_row_stepped_alone(p, sigma_dp, base):
     streams = [noise_rows(rng_for(10 + i), sigma_dp * (i + 1), p, 5) for i in range(len(xs))]
     stack, singles = DiskState(x=xs.copy()), [DiskState(x=x.copy()) for x in xs]
     for rows in zip(*streams):
-        noise = None if sigma_dp == 0 else np.array(rows)
         with mock.patch.object(type(obj), "grad_factors", side_effect=AssertionError("rows")):
-            stack = disk_step(stack, data, obj, shared, noise, kappa, a=a, eta=eta)
+            stack = disk_step(stack, data, obj, shared, np.array(rows), kappa, a=a, eta=eta)
         singles = [disk_step(s, d, obj, c, row) for s, d, c, row in zip(singles, data.datasets, cfgs, rows)]
     assert_rows_are_single_runs(stack, singles)
 
@@ -857,9 +888,8 @@ def test_noise_blocks_at_zero_step_as_no_noise(base):
     level has and leaves the generator where it is; -0.0 adds nothing to any
     row, signed zeros included, where +0.0 would turn -0.0 into +0.0. So a
     stack row stepped on those rows, beside a noised row, has the bytes of its
-    run stepped alone at sigma_dp = 0 with None rows, here through signed
-    zeros (p = 1, y = 0, x_0 = -0.0). A negative or non-finite sigma is
-    refused."""
+    run stepped alone on them, here through signed zeros (p = 1, y = 0,
+    x_0 = -0.0). A negative or non-finite sigma is refused."""
     T = 70  # past a block
     rng, untouched = rng_for(3), rng_for(3)
     blocks = list(disk.noise_blocks(rng, 0.0, 1, T))
@@ -875,7 +905,7 @@ def test_noise_blocks_at_zero_step_as_no_noise(base):
     stack, alone = DiskState(x=np.full((2, 1), -0.0)), DiskState(x=np.array([-0.0]))
     for zero, row in zip(zeros, noise_rows(rng_for(5), cfg.sigma_dp, 1, T)):
         stack = disk_step(stack, ds, obj, cfg, np.stack([zero, row]))
-        alone = disk_step(alone, ds, obj, replace(cfg, sigma_dp=0.0), None)
+        alone = disk_step(alone, ds, obj, replace(cfg, sigma_dp=0.0), zero)
     assert_rows_are_single_runs(stack, [alone])
     for sigma in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"^sigma must be finite and >= 0"):
@@ -892,7 +922,7 @@ def test_dataset_stack_is_refused_off_the_gram_path(kind, variant):
     cfg = DiskConfig(clip=1.0, clip_variant=variant)
     with pytest.raises(ValueError, match=rf"^step 0: a DatasetStack takes an unclipped step on Gram "
                                          rf"statistics, got clip_variant '{variant}' on {type(obj).__name__}$"):
-        disk_step(DiskState(x=np.zeros((2, 3))), data, obj, cfg, None)
+        disk_step(DiskState(x=np.zeros((2, 3))), data, obj, cfg, quiet(3))
 
 
 def test_dataset_stack_needs_one_dataset_a_row():
@@ -904,7 +934,7 @@ def test_dataset_stack_needs_one_dataset_a_row():
         with pytest.raises(ValueError, match=rf"^step 0: a DatasetStack of {len(datasets)} datasets "
                                              rf"needs a state of as many rows, got shape "
                                              rf"{re.escape(str(x.shape))}$"):
-            disk_step(DiskState(x=x.copy()), objectives.DatasetStack(datasets), obj, cfg, None)
+            disk_step(DiskState(x=x.copy()), objectives.DatasetStack(datasets), obj, cfg, quiet(3))
 
 
 # each row's (kappa, gamma, lookahead weight): a two-point row; a row at
@@ -967,7 +997,8 @@ def test_stack_takes_one_noise_row_for_every_run():
     once = disk_step(DiskState(x=xs.copy()), batch, obj, cfg, row)
     each = disk_step(DiskState(x=xs.copy()), batch, obj, cfg, np.tile(row, (3, 1)))
     assert once.x.tobytes() == each.x.tobytes() and once.g_filt.tobytes() == each.g_filt.tobytes()
-    with pytest.raises(ValueError, match=r"^step 0: .*shape \(4,\) or \(3, 4\), got ndarray of shape \(2, 4\)"):
+    with pytest.raises(ValueError, match=r"^step 0: .*got ndarray of shape \(2, 4\); a row is an array of "
+                                         r"shape \(4,\) or \(3, 4\)$"):
         disk_step(DiskState(x=xs.copy()), batch, obj, cfg, np.tile(row, (2, 1)))
 
 
@@ -998,7 +1029,7 @@ def per_sample_step(state, batch, obj, cfg, rng):
     quadratic's rows are B copies of one shared row, whose mean is that row
     times the mean weight, 1: a mean over the copies would round at some B."""
     G = obj.per_sample_grads(state.x, *batch)
-    if obj.kind == "quadratic":
+    if isinstance(obj, objectives.Quadratic):
         assert (G == G[0]).all()
         G = G[:1] * np.ones(len(G)).mean()
     g = matrix_observe(G, cfg, rng)
@@ -1137,7 +1168,7 @@ def kf_step(state, p, batch, obj, opt, cfg, rng):
     ``disk_step`` at (k_t, cfg.gamma) with a noise row drawn for this step
     alone. Returns the new state, p and k_t. A run starts at p = sigma_w^2."""
     p, k = scalar_gain_step(p, cfg.sigma_h_sq, cfg.sigma_v_sq, cfg.sigma_w_sq)
-    noise = opt.sigma_dp * rng.standard_normal(state.x.shape[0]) if opt.sigma_dp > 0 else None
+    noise = opt.sigma_dp * rng.standard_normal(state.x.shape[0]) if opt.sigma_dp > 0 else quiet(state.x.shape[0])
     return disk_step(state, batch, obj, opt, noise, k, cfg.gamma), p, k
 
 
@@ -1431,4 +1462,4 @@ def test_steps_reject_empty_batch(step):
             kf_step(DiskState(x=np.ones(3)), cfg.sigma_w_sq, empty, obj, opt, cfg, rng_for(0))
         else:
             step_fn = disk_step if step.startswith("disk") else dpsgd_step
-            step_fn(DiskState(x=np.ones(3)), empty, obj, opt, None)
+            step_fn(DiskState(x=np.ones(3)), empty, obj, opt, quiet(3))

@@ -185,6 +185,22 @@ MLP_ADAMW = {
 }
 SWEEP_GRID_3X3 = ["sweep", "--kappas", "0.3,0.5,1.0", "--gammas=-1.0,0.5,2.0"]
 
+# sigma_dp = 0 at p = 1: every step adds a noise row of -0.0, which keeps
+# every bit, signed zeros included. A clipped two-point train run, a sweep
+# whose three distinct runs step as one stack, and a comparison whose every
+# level is 0.
+LINREG_P1_QUIET = {
+    "seed": 10,
+    "objective": {"kind": "linear-regression", "n": 40, "p": 1},
+    "algorithm": "disk",
+    "optimizer": {
+        "kappa": 0.6, "gamma": 0.5, "eta": 0.1, "clip": 1.0,
+        "clip_variant": "standard", "sigma_dp": 0.0,
+    },
+    "T": 8,
+    "B": 10,
+}
+
 # name -> (config or None, argv after the subcommand, CSV file name)
 COMMANDS = {
     "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
@@ -208,6 +224,8 @@ COMMANDS = {
     "sweep-full-kf": (FULLKF, SWEEP_GRID, "sweep.csv"),
     "sweep-noisy-lp": (dict(LOGREG, algorithm="noisy-lp"), SWEEP_GRID, "sweep.csv"),
     "sweep-mlp-adamw": (MLP_ADAMW, SWEEP_GRID_3X3, "sweep.csv"),
+    "train-linreg-p1-quiet": (LINREG_P1_QUIET, ["train"], "trace.csv"),
+    "sweep-linreg-p1-quiet": (LINREG_P1_QUIET, SWEEP_GRID, "sweep.csv"),
     "compare-filters": (
         None,
         ["compare-filters", "--seeds", "0,1", "--noise-levels", "0.05,0.5",
@@ -241,6 +259,12 @@ COMMANDS = {
         ["compare-filters", "--seeds", "0,1,2", "--p", "1", "--noise-levels", "0,0.05,0.5"],
         "comparison.csv",
     ),
+    # every level 0
+    "compare-filters-quiet-p1": (
+        None,
+        ["compare-filters", "--seeds", "0,1", "--p", "1", "--noise-levels", "0"],
+        "comparison.csv",
+    ),
 }
 
 GOLDEN = {
@@ -249,18 +273,21 @@ GOLDEN = {
     "compare-filters-levels": "38b0939181af0bee36d6a9dbbc34490af75b2fd44a7ad05ddb710ad91eab0397",
     "compare-filters-kappa1": "9e4aa63e63a20c160397dd3ce29e1c5d2802f5e97fdaaa441a7834290284f36f",
     "compare-filters-seeds3-p1": "70889651058981984bad7239cee61bf43f270202dbda230e0944bbb3defc475b",
+    "compare-filters-quiet-p1": "0b87d4bd85428b0f3e5b8e2ca8cee1667a2efc54f973beb58057c83bb6ef42b7",
     "sweep-linreg-full-batch": "d449b753031da5826035df4415fc426ef59153293af890d3b288d7fe0efe2f29",
     "sweep-full-kf": "ddd1357cd76e60689f51fdc4ba4daee2b52a48cf14d578120b6dd0dce4272e3e",
     "sweep-logreg-seeds": "1628861caf94e3efdda1d6ec12ca586e749aec60eaa6f87f40cc9c703ba0fd41",
     "sweep-mlp": "ba36e8f7854c68916321917e4a518c8b35669af33b95fab79e80c9cce46f0850",
     "sweep-noisy-lp": "2c05541c1f046a730509868f2819a28472d12b9c2b925f6d967308e385d98cd6",
     "sweep-mlp-adamw": "15c38ca71c925a8ef8ebba891332c5e711d77f28d2e50aca0279fd1533e8d094",
+    "sweep-linreg-p1-quiet": "6746356b2b375e630e5056c51c97208531c7997c8ddea117f5d25f07855fa71c",
     "train-disk": "5f0543b2f89ca3a07f0ebef9b86e8d1e1f1afe8ff0fcf750150cc19964616026",
     "train-dpsgd": "0faf0c1b01a79791981075584dd22122652ef60dbdd7bf39a07d47d5d2eafcad",
     "train-dpsgd-target": "8128d60b8af5ceeb3ff2e7d6e26a4e663a145b82083148f3ab2c6788fa588441",
     "train-dpsgd-unclipped": "d316657440fbec15bc578a989ba334578cd415050b81edbc2dd0b6274100768f",
     "train-linreg-p1": "bfa6904c6df4ac77f67b0182b2990b40f5477dd8e0e3ec62139e5b77b80b731b",
     "train-linreg-p1-noisy-gd": "b5951f53179fbd669e291b9be11c8b2d2df33e97446519953db05802ebec1ffd",
+    "train-linreg-p1-quiet": "8233cadfc54bb3134c7fa0d3703b479b514ecb2737442bf075a6deae54ea9fbc",
     "train-logreg-bench": "c8c2906de952798ff4c9590350abf753e54da7e43c619c8c04bb3b8d2cc69bdf",
     "train-logreg-wide": "843b1e2ee7d5cb8925045ca7ad49aa0d26d2d10ecc6e90a1672e3dabf9f800e9",
     "train-mlp-wide": "08664153f68b2f3d34b5a5b27178068ff5836c74f3adb33f37a4fe8c2b119f23",
@@ -277,6 +304,7 @@ SVG_GOLDEN = {
     "compare-filters-levels": "ed1a051bbad44168a7baf5bcfa204801418dff64115d5b891e2913a41c82ffb4",
     "compare-filters-kappa1": "44c0ed92af8aab765ed734d9e35bf9c56b85bac2aebf5bcc3d38c719a8e592cc",
     "compare-filters-seeds3-p1": "76d7bcd61b70208745641e25acd92142d147e9892741007b9e34261505b024b0",
+    "compare-filters-quiet-p1": "c51eb54307aa3a48ac9aa3590e4c65b42bda19594dc5df13d6f25d0cd2ee7185",
     "compare-filters-wide": "c8928f68618d5a45cde834de3509187706977f57300344a782c5022066695b66",
     "sweep-full-kf": "9f38bee5cf01ed8bc9df21e3019db78e1576cb35d7cb96baa958e8b7ed16ffbc",
     "sweep-linreg-full-batch": "a086f592a3ff0410337d668653146ca8a174ce8264af781dd6aff0affa4783fa",
@@ -284,6 +312,7 @@ SVG_GOLDEN = {
     "sweep-mlp": "3d45f658f2f2dbfde80ea287e17ff61e750ac2e281adaec16ef91331f2e06f05",
     "sweep-noisy-lp": "577512e0c9e3e118a69799ec6336fbcc8995aeb2c98f1108913859d34fd19476",
     "sweep-mlp-adamw": "3abe4d32c39ba4dcad66e1df2d4f133df6ee84e2a32d2871ac44efc1db3153e5",
+    "sweep-linreg-p1-quiet": "9b0ce39cb64a7ba558813cfa836af6cc9abac075141e9639379a6b22c58f2d83",
     "train-disk": "0afee63f5ad15deae0e82237291bf179ee40673a7e2ae54af822ce25bd34d325",
     "train-dpsgd": "1f8153f6d3be8c1743cf18bcaa419936edc5f9dceb2c72cabf02c3543dc5ae4e",
     "train-dpsgd-target": "64bd01e151bab1bc5e569ebc3850eb93bd427b71259d1a2bdaf6a57bd72c89a6",
@@ -291,6 +320,7 @@ SVG_GOLDEN = {
     "train-full-kf": "a8608da5f097f5355850b2dd4e488d01ea668e3e77932f70e2e66e9a10ffb15a",
     "train-linreg-p1": "aecc33ed309f47326a9ada577c25c806709ca712a7146a2a3167aa93a8f84bde",
     "train-linreg-p1-noisy-gd": "dcb027a9d54d59048f00e685762f689f37a3abaa465b2f77943472a3954cc10f",
+    "train-linreg-p1-quiet": "db761c5662a55f664e5e6ffb4acb574a22d69a30327f148b8f7117a02103f534",
     "train-logreg-bench": "863b278e76b0aec8b904b675b3d0e7d75e709ebf0819ba27bd11a531e889638a",
     "train-logreg-wide": "a865633c27676a922a2c79f43d462bdfcb761b4e14947e8f82c300c752b539be",
     "train-mlp-wide": "16c5f0fe1bb1a3fe168e414d2e9438036fc8dd0faeb277f61804860e39df138a",

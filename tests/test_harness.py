@@ -413,9 +413,9 @@ def test_full_kf_meets_a_privacy_target():
 
 def test_run_deterministic_per_seed():
     cfg = ExperimentConfig.from_dict(logistic_raw())
-    a = run_experiment(cfg, seed=3)
-    b = run_experiment(cfg, seed=3)
-    c = run_experiment(cfg, seed=4)
+    a = run_experiment(replace(cfg, seeds=(3,)))
+    b = run_experiment(replace(cfg, seeds=(3,)))
+    c = run_experiment(replace(cfg, seeds=(4,)))
     assert [r.loss for r in a.records] == [r.loss for r in b.records]
     assert [r.loss for r in a.records] != [r.loss for r in c.records]
 
@@ -456,7 +456,7 @@ def comparison_bytes(rows):
     ([0.0, 0.05, 0.5], (0, 1), 4, 1.0),  # every row at kappa 1 and a = 0
     ([0.3, 0.0, 0.05], (2,), 5, 0.25),  # a = -3 on the noisy-kf rows
     ([0.0, 0.05, 0.5], (0, 1, 2), 1, 0.6),  # three seeds at p = 1, a level of 0 among them
-    ([0.0, 0.0], (0, 1), 4, 0.6),  # every level 0: no noise rows at all
+    ([0.0, 0.0], (0, 1), 4, 0.6),  # every level 0: every noise row -0.0
     ([-0.0, 0.05, 0.0], (1, 2), 1, 0.6),  # a level of -0.0, and 0.0 as its duplicate
 ], ids=["benchmark-levels", "duplicates-and-zeros", "past-a-block", "k-equals-p", "default",
         "kappa-1", "kappa-0.25", "three-seeds-p1", "all-zero", "minus-zero"])
@@ -560,7 +560,7 @@ def cell_by_cell(kappas, gammas, cfg):
     """The seed mean of ``run_experiment``'s final loss at every cell."""
     def cell(kappa, gamma):
         cell_cfg = replace(cfg, optimizer=replace(cfg.optimizer, kappa=kappa, gamma=gamma))
-        return float(np.mean([run_experiment(cell_cfg, seed=s).final_loss for s in cfg.seeds]))
+        return float(np.mean([run_experiment(replace(cell_cfg, seeds=(s,))).final_loss for s in cfg.seeds]))
 
     return [[cell(k, g) for g in gammas] for k in kappas]
 
@@ -570,7 +570,7 @@ def test_sweep_single_cell_equals_single_run():
     cfg = ExperimentConfig.from_dict(raw)
     matrix = sweep_kappa_gamma([0.7], [0.5], cfg)
     assert len(matrix) == 1 and len(matrix[0]) == 1
-    single = run_experiment(cfg, seed=2)
+    single = run_experiment(cfg)
     assert matrix[0][0] == pytest.approx(single.final_loss)
 
 
@@ -580,7 +580,7 @@ def test_sweep_kappa_one_row_matches_dpsgd_baseline():
     matrix = sweep_kappa_gamma([0.5, 1.0], [0.5, 2.0], cfg)
     assert len(matrix) == 2 and len(matrix[0]) == 2
     dpsgd_cfg = ExperimentConfig.from_dict(dict(raw, algorithm="dpsgd"))
-    baseline = np.mean([run_experiment(dpsgd_cfg, seed=s).final_loss for s in (1, 2)])
+    baseline = np.mean([run_experiment(replace(dpsgd_cfg, seeds=(s,))).final_loss for s in (1, 2)])
     for j in range(2):  # gamma is not read at kappa = 1: DP-SGD bit for bit
         assert matrix[1][j] == float(baseline)
 
@@ -1443,7 +1443,8 @@ def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
 
     cfg = ExperimentConfig.from_dict(logistic_raw(objective=objective, T=5, B=20))
     obj, ds = harness.build_problem(cfg.objective, 1, batch_floor=cfg.B)
-    want = run_experiment(cfg, 1, (obj, ds))
+    monkeypatch.setattr(harness, "build_problem", lambda *args, **kwargs: (obj, ds))
+    want = run_experiment(cfg)
     x0 = obj.init_point(1)
     bounded = obj.smoothness(ds) is not None
     want_pc = problem_constants_for(obj, ds, x0, f_star=0.0) if bounded else None
@@ -1458,7 +1459,7 @@ def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
         monkeypatch.setattr(type(obj), name, method)
 
     guard("mean_grad")
-    got = run_experiment(cfg, 1, (obj, ds))
+    got = run_experiment(cfg)
     assert got.csv_lines() == want.csv_lines()
     assert (got.loss0, got.grad0_norm) == (want.loss0, want.grad0_norm)
     if bounded:
@@ -1478,9 +1479,9 @@ def test_run_rows_do_not_depend_on_where_a_block_ends(objective):
 
     raw = logistic_raw(objective=objective, T=20, B=20)
     obj, ds = harness.build_problem(raw["objective"], 1, batch_floor=20)
-    longer = run_experiment(ExperimentConfig.from_dict(raw), 1, (obj, ds))
+    longer = run_experiment(ExperimentConfig.from_dict(raw))
     for T in (1, 6, 7, 8, 16):
-        trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=T)), 1, (obj, ds))
+        trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=T)))
         assert (trace.loss0, trace.grad0_norm) == (longer.loss0, longer.grad0_norm)
         assert trace.csv_lines() == longer.csv_lines()[: T + 1]
     pc = problem_constants_for(obj, ds, obj.init_point(1), f_star=0.0)
@@ -1502,10 +1503,10 @@ def test_run_stops_at_a_state_whose_loss_overflows(objective):
            "optimizer": {"sigma_dp": 0.0}, "B": 1}
     obj, ds = harness.build_problem(objective, 2)
     raw["optimizer"]["eta"] = 1e40 / obj.smoothness(ds)
-    trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=3)), 2, (obj, ds))
+    trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=3)))
     assert all(math.isfinite(r.loss) and math.isfinite(r.grad_norm) for r in trace.records)
     with pytest.raises(FloatingPointError, match=r"^step 4: non-finite evaluation, loss inf"):
-        run_experiment(ExperimentConfig.from_dict(dict(raw, T=4)), 2, (obj, ds))
+        run_experiment(ExperimentConfig.from_dict(dict(raw, T=4)))
 
 
 def test_train_evaluation_holds_one_block_buffer(monkeypatch):
@@ -1520,7 +1521,8 @@ def test_train_evaluation_holds_one_block_buffer(monkeypatch):
            "algorithm": "noisy-gd", "optimizer": {"eta": 0.2, "sigma_dp": 0.01}, "T": 17, "B": 64}
     cfg = ExperimentConfig.from_dict(raw)
     obj, ds = harness.build_problem(cfg.objective, 1, batch_floor=cfg.B)
-    run_experiment(cfg, 1, (obj, ds))  # numpy's own first-use allocations
+    monkeypatch.setattr(harness, "build_problem", lambda *args, **kwargs: (obj, ds))  # built before tracing
+    run_experiment(cfg)  # numpy's own first-use allocations
     evaluate, peaks = type(obj).evaluate, []
 
     def traced(self, *args):
@@ -1533,7 +1535,7 @@ def test_train_evaluation_holds_one_block_buffer(monkeypatch):
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        run_experiment(cfg, 1, (obj, ds))
+        run_experiment(cfg)
         tracemalloc.reset_peak()
         level = tracemalloc.get_traced_memory()[0]
         obj._coef(obj.init_point(1), ds.X, ds.y)
