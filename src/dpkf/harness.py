@@ -6,9 +6,10 @@ deterministic CSV/SVG emission.
 field's default. ``resolve_optimizer`` is the one place a run's optimizer is
 resolved (preset, calibrated sigma_dp), for ``train``, ``sweep`` and ``bounds``.
 A training run and a sweep's runs step through ``_trajectory``.
-``run_experiment`` evaluates every state, ``EVAL_BLOCK`` at a time, and stops
-at the first whose loss or gradient is not finite; a sweep evaluates only its
-runs' last states. A sweep runs each distinct trajectory once per seed
+``run_experiment`` evaluates every state, ``EVAL_STATES`` to an ``evaluate``
+call (one coefficient buffer, one gradient product), and stops at the first
+whose loss or gradient is not finite; a sweep evaluates only its runs' last
+states. A sweep runs each distinct trajectory once per seed
 (``_run_key``), a seed's runs one stack. ``compare_filters`` steps every seed,
 noise level and method as one stack.
 
@@ -35,7 +36,7 @@ from . import seeding, svgplot
 from .disk import (DiskConfig, DiskState, FullFilterConfig, disk_step, lookahead_weight,
                    noise_blocks, noise_rows, reads_gamma)
 from .objectives import (
-    EVAL_BLOCK,
+    EVAL_STATES,
     Dataset,
     DatasetStack,
     LinearRegression,
@@ -367,16 +368,25 @@ def _trajectory(cfg: ExperimentConfig, opt: DiskConfig, seed: int, problem, cell
 def run_experiment(cfg: ExperimentConfig) -> MetricsTrace:
     """Run one algorithm for T steps on the problem of ``cfg.seeds[0]``,
     recording every state; deterministic per seed. A state whose loss or
-    gradient is not finite raises ``FloatingPointError``."""
+    gradient is not finite raises ``FloatingPointError``, and so does a step
+    that fails, once the states before it are evaluated."""
     seed = cfg.seeds[0]
     problem = build_problem(cfg.objective, seed, batch_floor=cfg.B)
     obj, ds = problem
     opt, delta, q = resolve_optimizer(cfg, ds.n)
     eps_sched = _epsilon_schedule(cfg, opt, delta, q)
-    states = _trajectory(cfg, opt, seed, problem)
+    failed: list[FloatingPointError] = []
+
+    def stepped():
+        try:
+            yield from _trajectory(cfg, opt, seed, problem)
+        except FloatingPointError as exc:
+            failed.append(exc)
+
+    states = stepped()
     records: list[StepRecord] = []
     t = 0
-    while block := list(itertools.islice(states, EVAL_BLOCK)):
+    while block := list(itertools.islice(states, EVAL_STATES)):
         losses, grads = obj.evaluate([s.x for s in block], ds.X, ds.y)
         finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)
         if not finite.all():
@@ -394,6 +404,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsTrace:
                     eps_sched[t - 1],
                 ))
             t += 1
+    if failed:
+        raise failed[0]
     return MetricsTrace(records, loss0, grad0_norm, seed)
 
 

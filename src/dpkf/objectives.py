@@ -16,9 +16,10 @@ G and b cached), and over a ``DatasetStack`` each row's own.
 ``evaluate`` is the one whole-dataset loss: the mean losses and gradients at
 any number of states, under ``one_blas_thread``, each state's bits its own
 whatever the others; ``full_loss`` is its loss at one state. The MLP's and the
-quadratic's gradients are ``==`` to ``mean_grad``. The linear models take a
-block's gradients from one zero-padded product ``W @ X / n``, which differs
-from ``mean_grad`` in the order of the sum.
+quadratic's gradients are ``==`` to ``mean_grad``. The linear models take the
+gradients of up to ``EVAL_STATES`` states from one zero-padded product
+``W @ X / n``, which differs from ``mean_grad`` in the order of the sum; the
+logistic margins stay one 8-row product a block (see ``EVAL_BLOCK``).
 """
 
 from __future__ import annotations
@@ -36,15 +37,21 @@ import numpy as np
 
 from . import seeding
 
-# States per ``evaluate`` block. OpenBLAS picks its kernel by the row count of
-# the left factor, and a row's bits differ between 1-4 rows and 8 (n 5000,
+# Rows of an ``evaluate`` product. OpenBLAS picks its kernel by the row count
+# of the left factor, and a row's bits differ between 1-4 rows and 8 (n 5000,
 # p 50); at 8 rows they are the same at every position. So the logistic
-# margins ``XS @ X.T`` and the gradients ``W @ X`` always take 8 rows, zero
-# past the states given, and a state's loss and gradient bits depend on the
-# state alone. At large n ``W @ X`` also depends on the BLAS thread count
-# (n 5000: other bits at 2 threads than at 1), so ``evaluate`` holds
-# ``one_blas_thread``.
+# margins ``XS @ X.T`` take 8 rows a product, zero past the states given: at
+# 32 rows a margin's bits depend on its row at (500, 32), (300, 60), (500, 20)
+# and (64, 50). The gradients ``W @ X`` take up to EVAL_STATES states in one
+# product, zero-padded to a multiple of 8 rows, where a row's bits are the
+# same at 8, 16, 24 and 32 rows and every position; at 64 rows they move at
+# (1000, 20), (500, 32) and (300, 60). One 32-row product streams X once, not
+# four times (n 5000: 470 against 814 us). A state's loss and gradient bits
+# thus depend on the state alone. At large n ``W @ X`` also depends on the
+# BLAS thread count (n 5000: other bits at 2 threads than at 1), so
+# ``evaluate`` holds ``one_blas_thread``.
 EVAL_BLOCK = 8
+EVAL_STATES = 32
 
 
 @functools.cache
@@ -178,8 +185,11 @@ class GradFactors:
         bits of the dense rows' ``mean(axis=0)`` and without the rows: einsum
         adds them in order when the feature columns, C-contiguous and at least
         two, are its inner loop, with or without a run axis; one column is the
-        dense product, whose mean sums pairwise. A shared row's mean is the row
-        times the mean weight: a mean over its n copies would round at some n."""
+        dense product, whose mean sums pairwise. Shared 2-D features and a
+        stack's coefficients of two or more columns take one 2-D einsum, the
+        run axis folded into the columns, (B, k*h). A shared row's mean is the
+        row times the mean weight: a mean over its n copies would round at
+        some n."""
         means = []
         for c, f in zip(self.coefs, self.feats):
             c = c if weights is None else weights[..., None] * c
@@ -187,6 +197,11 @@ class GradFactors:
                 means.append(f[..., 0, :] * c.mean(axis=-2))
             elif f.shape[-1] == 1:
                 means.append((c * f).mean(axis=-2))
+            elif c.ndim == 3 and f.ndim == 2 and c.shape[-1] > 1:
+                runs, B, h = c.shape
+                folded = c.swapaxes(0, 1).reshape(B, runs * h)
+                m = np.einsum("ij,im->mj", np.ascontiguousarray(f), folded)
+                means.append(m.reshape(runs, -1) / B)
             else:
                 m = np.einsum("...ik,...im->...km", c, np.ascontiguousarray(f))
                 means.append(m.reshape(m.shape[:-2] + (-1,)) / c.shape[-2])
@@ -292,7 +307,7 @@ class Objective:
         """Mean losses (k,) and mean gradients (k, d) at the k >= 1 rows of
         ``xs``; each state's bits do not depend on the others. Here each state
         runs its kind's ``_loss_and_mean_grad``; the linear models' override
-        takes one product a block of ``EVAL_BLOCK`` states."""
+        takes one gradient product for up to ``EVAL_STATES`` states."""
         xs = self._check_states(xs)
         losses, grads = np.empty(len(xs)), np.empty(xs.shape)
         for i, x in enumerate(xs):
@@ -405,18 +420,19 @@ class _GeneralisedLinear(Objective):
         raise NotImplementedError
 
     def _block_coefs(self, xs, X, y):
-        """The mean losses (k,) at the k states ``xs`` and their coefficients
-        c, one state a row of a zero-padded (EVAL_BLOCK, n) block."""
+        """The mean losses (k,) at the k <= EVAL_STATES states ``xs`` and
+        their coefficients c, one state a row of a (k, n) block zero-padded
+        to a multiple of EVAL_BLOCK rows."""
         raise NotImplementedError
 
     @one_blas_thread()
     def evaluate(self, xs, X, y):
-        """Each state's loss and coefficients, in a row of W; a block's
-        gradients from one product (see ``EVAL_BLOCK``)."""
+        """Each state's loss and coefficients, in a row of W; the gradients of
+        up to EVAL_STATES states from one product (see ``EVAL_BLOCK``)."""
         xs = self._check_states(xs)
         losses, grads = np.empty(len(xs)), np.empty(xs.shape)
-        for start in range(0, len(xs), EVAL_BLOCK):
-            block = xs[start : start + EVAL_BLOCK]
+        for start in range(0, len(xs), EVAL_STATES):
+            block = xs[start : start + EVAL_STATES]
             rows = slice(start, start + len(block))
             losses[rows], W = self._block_coefs(block, X, y)
             grads[rows] = (W @ X)[: len(block)] / len(X)
@@ -437,6 +453,11 @@ class _GeneralisedLinear(Objective):
         if dataset is None:
             return None
         return float(np.linalg.eigvalsh(dataset.second_moment)[-1]) * self.curvature
+
+
+def _padded(k: int) -> int:
+    """k rows rounded up to a multiple of EVAL_BLOCK."""
+    return -(-k // EVAL_BLOCK) * EVAL_BLOCK
 
 
 class LinearRegression(_GeneralisedLinear):
@@ -463,7 +484,7 @@ class LinearRegression(_GeneralisedLinear):
             return g
 
     def _block_coefs(self, xs, X, y):
-        W = np.zeros((EVAL_BLOCK, len(X)))
+        W = np.zeros((_padded(len(xs)), len(X)))
         losses = np.empty(len(xs))
         for i, x in enumerate(xs):
             W[i] = r = self._coef(x, X, y)
@@ -490,13 +511,15 @@ class LogisticRegression(_GeneralisedLinear):
         return self._weights(m, _exp_neg_abs(m), y, out=m)
 
     def _block_coefs(self, xs, X, y):
-        # the margins y_i <a_i, x>, zero-padded to EVAL_BLOCK rows, from one
-        # product whose rows OpenBLAS computes alike; each row gives its loss,
-        # then is overwritten by its weights; one e and one loss row serve
-        # every row
-        XS = np.zeros((EVAL_BLOCK, X.shape[1]))
+        # the margins y_i <a_i, x>, zero-padded, from one 8-row product a block
+        # (rows OpenBLAS computes alike) written into its rows of W; each row
+        # gives its loss, then is overwritten by its weights; one e and one
+        # loss row serve every row
+        XS = np.zeros((_padded(len(xs)), X.shape[1]))
         XS[: len(xs)] = xs
-        W = XS @ X.T
+        W = np.empty((len(XS), len(X)))
+        for s in range(0, len(W), EVAL_BLOCK):
+            np.matmul(XS[s : s + EVAL_BLOCK], X.T, out=W[s : s + EVAL_BLOCK])
         W *= y
         losses, e, row = np.empty(len(xs)), np.empty(len(X)), np.empty(len(X))
         for i, m in enumerate(W[: len(xs)]):

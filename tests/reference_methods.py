@@ -90,14 +90,15 @@ def logistic_weights(m: np.ndarray, e: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def logistic_evaluate(xs: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logistic ``evaluate`` at the k rows of ``xs`` from the formulas above:
-    the same padded margin and gradient products, and each row's e, loss and
-    weights allocated afresh."""
+    """Logistic ``evaluate`` at the k <= EVAL_STATES rows of ``xs`` from the
+    formulas above: the same padded products, one of 8 rows for each block's
+    margins and one for the gradients, and each row's e, loss and weights
+    allocated afresh."""
     k = len(xs)
-    XS = np.zeros((EVAL_BLOCK, X.shape[1]))
+    XS = np.zeros((-(-k // EVAL_BLOCK) * EVAL_BLOCK, X.shape[1]))
     XS[:k] = xs
     with one_blas_thread():
-        W = XS @ X.T * y
+        W = np.concatenate([XS[s : s + EVAL_BLOCK] @ X.T for s in range(0, len(XS), EVAL_BLOCK)]) * y
         losses = np.empty(k)
         for i in range(k):
             e = np.exp(-np.abs(W[i]))

@@ -201,6 +201,32 @@ LINREG_P1_QUIET = {
     "B": 10,
 }
 
+# Runs long enough that whole-dataset evaluation takes more than one 8-state
+# block a call: 41 states are a 32-row gradient product and a 16-row one, 71
+# states two of 32 rows and one of 8. The linear run is small-fullkf's op.
+LOGREG_LONG = {
+    "seed": 11,
+    "objective": {"kind": "logistic-regression", "n": 300, "p": 60},
+    "algorithm": "disk",
+    "optimizer": {
+        "kappa": 0.6, "gamma": 0.5, "eta": 0.1, "clip": 1.0,
+        "clip_variant": "automatic", "sigma_dp": 0.02, "base": "momentum",
+    },
+    "T": 40,
+    "B": 30,
+}
+
+LINREG_LONG_FILTER = {"eta": 0.05, "clip": 1.0, "clip_variant": "standard", "sigma_dp": 0.05}
+LINREG_LONG = {
+    "seed": 12,
+    "objective": {"kind": "linear-regression", "n": 500, "p": 32},
+    "algorithm": "full-kf",
+    "optimizer": dict(LINREG_LONG_FILTER),
+    "full_filter": dict(LINREG_LONG_FILTER),
+    "T": 70,
+    "B": 50,
+}
+
 # name -> (config or None, argv after the subcommand, CSV file name)
 COMMANDS = {
     "train-dpsgd": (dict(LOGREG, algorithm="dpsgd"), ["train"], "trace.csv"),
@@ -225,6 +251,8 @@ COMMANDS = {
     "sweep-noisy-lp": (dict(LOGREG, algorithm="noisy-lp"), SWEEP_GRID, "sweep.csv"),
     "sweep-mlp-adamw": (MLP_ADAMW, SWEEP_GRID_3X3, "sweep.csv"),
     "train-linreg-p1-quiet": (LINREG_P1_QUIET, ["train"], "trace.csv"),
+    "train-logreg-long": (LOGREG_LONG, ["train"], "trace.csv"),
+    "train-linreg-long": (LINREG_LONG, ["train"], "trace.csv"),
     "sweep-linreg-p1-quiet": (LINREG_P1_QUIET, SWEEP_GRID, "sweep.csv"),
     "compare-filters": (
         None,
@@ -288,6 +316,8 @@ GOLDEN = {
     "train-linreg-p1": "bfa6904c6df4ac77f67b0182b2990b40f5477dd8e0e3ec62139e5b77b80b731b",
     "train-linreg-p1-noisy-gd": "b5951f53179fbd669e291b9be11c8b2d2df33e97446519953db05802ebec1ffd",
     "train-linreg-p1-quiet": "8233cadfc54bb3134c7fa0d3703b479b514ecb2737442bf075a6deae54ea9fbc",
+    "train-logreg-long": "241021647a5b14bef214da02300df64bc6477b1d6052fb6765f9170014141b8d",
+    "train-linreg-long": "301dbc47fc643425d111f2dee33e444fb32a989a67fce67d5caf120c44b4cb41",
     "train-logreg-bench": "c8c2906de952798ff4c9590350abf753e54da7e43c619c8c04bb3b8d2cc69bdf",
     "train-logreg-wide": "843b1e2ee7d5cb8925045ca7ad49aa0d26d2d10ecc6e90a1672e3dabf9f800e9",
     "train-mlp-wide": "08664153f68b2f3d34b5a5b27178068ff5836c74f3adb33f37a4fe8c2b119f23",
@@ -321,6 +351,8 @@ SVG_GOLDEN = {
     "train-linreg-p1": "aecc33ed309f47326a9ada577c25c806709ca712a7146a2a3167aa93a8f84bde",
     "train-linreg-p1-noisy-gd": "dcb027a9d54d59048f00e685762f689f37a3abaa465b2f77943472a3954cc10f",
     "train-linreg-p1-quiet": "db761c5662a55f664e5e6ffb4acb574a22d69a30327f148b8f7117a02103f534",
+    "train-logreg-long": "28dd6d7f2dd16f1e52a2085d053c48a81ff515ae0803de7f7f8c8a0466894467",
+    "train-linreg-long": "75cdced54a00d34cfe504d710a2f7818e88ec01e05b54b2a58dca8d7468fc1f9",
     "train-logreg-bench": "863b278e76b0aec8b904b675b3d0e7d75e709ebf0819ba27bd11a531e889638a",
     "train-logreg-wide": "a865633c27676a922a2c79f43d462bdfcb761b4e14947e8f82c300c752b539be",
     "train-mlp-wide": "16c5f0fe1bb1a3fe168e414d2e9438036fc8dd0faeb277f61804860e39df138a",

@@ -31,7 +31,7 @@ from dpkf.harness import (
     run_experiment,
     sweep_kappa_gamma,
 )
-from dpkf.objectives import EVAL_BLOCK, LinearRegression
+from dpkf.objectives import EVAL_BLOCK, EVAL_STATES, LinearRegression
 from dpkf.privacy import PrivacyError, compose_and_convert, subsampled_curve
 import reference_methods as ref
 from test_golden import CALIBRATE_COMMANDS, CALIBRATE_GOLDEN, FULLKF, SMALL_FULLKF
@@ -1423,7 +1423,7 @@ def test_cli_bounds_evaluates_the_preset_train_runs(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Whole-dataset evaluation: one forward pass per state, blocks of EVAL_BLOCK
+# Whole-dataset evaluation: one forward pass per state, EVAL_STATES a call
 # ---------------------------------------------------------------------------
 
 
@@ -1472,15 +1472,16 @@ def test_whole_dataset_evaluation_takes_the_pair(objective, monkeypatch):
     ids=["logistic-wide", "linear-p1"],
 )
 def test_run_rows_do_not_depend_on_where_a_block_ends(objective):
-    """Runs of T + 1 = 2, 7, 8, 9 and 17 states give the first rows of a longer
-    run bit for bit, whether a state lands in a full or a padded block. A lone
-    state (x_0 in ``bounds``) gives the run's gap0 and grad0 bits too."""
+    """Runs of T + 1 = 2, 7, 8, 9, 17, 32, 33 and 34 states give the first rows
+    of a longer run bit for bit, whether a state lands in a full or a padded
+    block, in the first ``evaluate`` call or the second. A lone state (x_0 in
+    ``bounds``) gives the run's gap0 and grad0 bits too."""
     from dpkf.theory import problem_constants_for
 
-    raw = logistic_raw(objective=objective, T=20, B=20)
+    raw = logistic_raw(objective=objective, T=40, B=20)
     obj, ds = harness.build_problem(raw["objective"], 1, batch_floor=20)
     longer = run_experiment(ExperimentConfig.from_dict(raw))
-    for T in (1, 6, 7, 8, 16):
+    for T in (1, 6, 7, 8, 16, 31, 32, 33):
         trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=T)))
         assert (trace.loss0, trace.grad0_norm) == (longer.loss0, longer.grad0_norm)
         assert trace.csv_lines() == longer.csv_lines()[: T + 1]
@@ -1488,7 +1489,7 @@ def test_run_rows_do_not_depend_on_where_a_block_ends(objective):
     assert (pc.gap0, math.sqrt(pc.grad0_sq)) == (longer.loss0, longer.grad0_norm)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize(
     "objective",
     [{"kind": "linear-regression", "n": 30, "p": 2}, {"kind": "quadratic", "dim": 3}],
@@ -1497,28 +1498,52 @@ def test_run_rows_do_not_depend_on_where_a_block_ends(objective):
 def test_run_stops_at_a_state_whose_loss_overflows(objective):
     """Full-batch descent at eta = 1e40 / L grows the iterate about 1e40-fold a
     step, so the loss, quadratic in it, first overflows at x_4; no step before
-    it overflows. T = 3 writes finite rows, T = 4 names step 4 instead of
-    writing an inf row."""
+    it overflows. T = 3 writes finite rows; T = 4, and T = 12 and 40, whose
+    step 8 fails on a non-finite mean gradient within the first ``evaluate``
+    call's states, name step 4 instead of writing an inf row."""
     raw = {"seed": 2, "objective": objective, "algorithm": "noisy-gd",
            "optimizer": {"sigma_dp": 0.0}, "B": 1}
     obj, ds = harness.build_problem(objective, 2)
     raw["optimizer"]["eta"] = 1e40 / obj.smoothness(ds)
     trace = run_experiment(ExperimentConfig.from_dict(dict(raw, T=3)))
     assert all(math.isfinite(r.loss) and math.isfinite(r.grad_norm) for r in trace.records)
-    with pytest.raises(FloatingPointError, match=r"^step 4: non-finite evaluation, loss inf"):
-        run_experiment(ExperimentConfig.from_dict(dict(raw, T=4)))
+    for T in (4, 12, 40):
+        with pytest.raises(FloatingPointError, match=r"^step 4: non-finite evaluation, loss inf"):
+            run_experiment(ExperimentConfig.from_dict(dict(raw, T=T)))
+
+
+def test_run_raises_a_failed_step_after_its_states_are_evaluated(monkeypatch):
+    """A step that raises ``FloatingPointError`` within an ``evaluate`` call's
+    states ends the run with that error once the states before it are
+    evaluated and found finite."""
+    cfg = ExperimentConfig.from_dict(logistic_raw(T=40))
+    step, evaluated = harness.disk_step, []
+
+    def failing(state, *args):
+        if state.t == 9:
+            raise FloatingPointError("step 10: a failed step")
+        return step(state, *args)
+
+    monkeypatch.setattr(harness, "disk_step", failing)
+    evaluate = objectives.LogisticRegression.evaluate
+    monkeypatch.setattr(objectives.LogisticRegression, "evaluate",
+                        lambda self, xs, *a: evaluated.append(len(xs)) or evaluate(self, xs, *a))
+    with pytest.raises(FloatingPointError, match=r"^step 10: a failed step$"):
+        run_experiment(cfg)
+    assert evaluated == [10]
 
 
 def test_train_evaluation_holds_one_block_buffer(monkeypatch):
     """At the benchmark's n 5000, p 50, a run's evaluation allocates, above the
-    run's entry level, one block's (EVAL_BLOCK, n) margins, which become its
+    run's entry level, one call's (EVAL_STATES, n) margins, which become its
     weights, and one state's forward-pass temporaries (the step's margins and
-    weights at one state, measured alone), plus 64 KB for the block's
-    (EVAL_BLOCK, d) arrays, states and records: less than a second buffer."""
+    weights at one state, measured alone), plus 4 KB a state for its x,
+    g_filt, d_prev and record and its rows of the call's (EVAL_STATES, d)
+    arrays (113 KB in all when measured): less than a second buffer."""
     import tracemalloc
 
     raw = {"seed": 1, "objective": {"kind": "logistic-regression", "n": 5000, "p": 50},
-           "algorithm": "noisy-gd", "optimizer": {"eta": 0.2, "sigma_dp": 0.01}, "T": 17, "B": 64}
+           "algorithm": "noisy-gd", "optimizer": {"eta": 0.2, "sigma_dp": 0.01}, "T": 40, "B": 64}
     cfg = ExperimentConfig.from_dict(raw)
     obj, ds = harness.build_problem(cfg.objective, 1, batch_floor=cfg.B)
     monkeypatch.setattr(harness, "build_problem", lambda *args, **kwargs: (obj, ds))  # built before tracing
@@ -1542,9 +1567,9 @@ def test_train_evaluation_holds_one_block_buffer(monkeypatch):
         one_state = tracemalloc.get_traced_memory()[1] - level
     finally:
         tracemalloc.stop()
-    buffer = EVAL_BLOCK * ds.n * 8
-    assert len(peaks) == 3  # 18 states: 8, 8 and a padded 2
-    assert max(peaks) <= buffer + one_state + 64 * 1024 < 2 * buffer + one_state
+    buffer = EVAL_STATES * ds.n * 8
+    assert len(peaks) == 2  # 41 states: 32 and 9, padded to 16 rows
+    assert max(peaks) <= buffer + one_state + EVAL_STATES * 4 * 1024 < 2 * buffer + one_state
 
 
 def test_cli_runs_bundled_openblas_on_one_thread(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from dpkf.objectives import (
     _log1p_exp_neg,
     _sigmoid_neg,
     EVAL_BLOCK,
+    EVAL_STATES,
     Dataset,
     GradFactors,
     full_gradient,
@@ -324,6 +325,35 @@ def test_factored_mean_is_bitwise_dense_mean(B, k, m, weighted, order, seed):
     assert np.array_equal(GradFactors([c], [np.asarray(f, order=order)]).mean(w), dense)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 12),
+    B=st.one_of(st.just(1), st.integers(1, 80)),
+    h=st.one_of(st.just(1), st.integers(1, 20)),
+    p=st.one_of(st.just(1), st.integers(1, 25)),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=3, B=64, h=16, p=21, weighted=False, seed=0)  # sweep-mlp's [X | 1] block
+@example(k=3, B=64, h=16, p=21, weighted=True, seed=1)
+@example(k=2, B=1, h=2, p=1, weighted=True, seed=2)
+@example(k=5, B=40, h=1, p=7, weighted=False, seed=3)  # a GLM stack's one column
+def test_stacked_factored_mean_is_each_rows_own_mean(k, B, h, p, weighted, seed):
+    """A (k, B, h) stack of coefficients on shared (B, p) features: each run's
+    mean, weights in (0, 1] or none, has the bytes of its own 2-D mean, with
+    -0.0, huge (overflowing, then inf - inf) and tiny (subnormal) coefficients."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, -0.0, 1e300, 1e-310], size=(k, B, h), p=[0.55, 0.15, 0.15, 0.15])
+    c = rng.standard_normal((k, B, h)) * scale
+    f = rng.standard_normal((B, p))
+    w = 1.0 - rng.random((k, B)) if weighted else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = GradFactors([c], [f]).mean(w)
+        for i in range(k):
+            own = GradFactors([c[i]], [f]).mean(None if w is None else w[i])
+            assert got[i].tobytes() == own.tobytes()
+
+
 def _gamma(m: int) -> float:
     """Higham's gamma_m = m u / (1 - m u), u the unit roundoff of float64."""
     u = np.finfo(float).eps / 2
@@ -400,24 +430,58 @@ def test_evaluate_keeps_loss_bits_and_sums_gradients_within_the_bound(kind, n, p
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize(
-    "n, p", [(5000, 50), (3000, 50), (500, 32), (1000, 20), (80, 5), (40, 1), (17, 1), (1, 3)]
+    "n, p",
+    [(5000, 50), (3000, 50), (500, 32), (300, 60), (500, 20), (64, 50), (1000, 20), (80, 5),
+     (40, 1), (17, 1), (1, 3)],
 )
 def test_evaluate_row_bits_depend_on_the_state_alone(kind, n, p):
     """A state's loss and gradient have the same bits at every position of a
-    block, in a partial block and alone; the linear models' product is padded
-    to EVAL_BLOCK rows, where OpenBLAS computes every row alike."""
-    obj, ds, xs = _evaluation_problem(kind, n, p, EVAL_BLOCK, 40.5, n + p)
+    call of EVAL_STATES, in a shorter call and alone; the linear models'
+    margins take 8-row products and their gradients one product padded to a
+    multiple of EVAL_BLOCK rows, where OpenBLAS computes every row alike."""
+    obj, ds, xs = _evaluation_problem(kind, n, p, EVAL_STATES, 40.5, n + p)
     losses, grads = obj.evaluate(xs, ds.X, ds.y)
-    for shift in range(1, EVAL_BLOCK):
+    for shift in range(1, EVAL_STATES):
         got_l, got_g = obj.evaluate(np.roll(xs, shift, axis=0), ds.X, ds.y)
-        assert np.array_equal(np.roll(got_l, -shift), losses)
-        assert np.array_equal(np.roll(got_g, -shift, axis=0), grads)
-    for k in range(1, EVAL_BLOCK):
+        assert np.roll(got_l, -shift).tobytes() == losses.tobytes()
+        assert np.roll(got_g, -shift, axis=0).tobytes() == grads.tobytes()
+    for k in range(1, EVAL_STATES):
         got_l, got_g = obj.evaluate(xs[:k], ds.X, ds.y)
-        assert np.array_equal(got_l, losses[:k]) and np.array_equal(got_g, grads[:k])
-    for i in range(EVAL_BLOCK):
+        assert got_l.tobytes() == losses[:k].tobytes() and got_g.tobytes() == grads[:k].tobytes()
+    for i in range(EVAL_STATES):
         got_l, got_g = obj.evaluate(xs[i : i + 1], ds.X, ds.y)
-        assert np.array_equal(got_l, losses[i : i + 1]) and np.array_equal(got_g, grads[i : i + 1])
+        assert got_l.tobytes() == losses[i : i + 1].tobytes()
+        assert got_g.tobytes() == grads[i : i + 1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["linear-regression", "logistic-regression"]),
+    n=st.integers(1, 400),
+    p=st.one_of(st.just(1), st.integers(1, 64)),
+    k=st.integers(1, 2 * EVAL_STATES + 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="logistic-regression", n=5000, p=50, k=2 * EVAL_STATES + 3, seed=0)  # the benchmark's
+@example(kind="logistic-regression", n=500, p=32, k=2 * EVAL_STATES + 3, seed=1)
+@example(kind="logistic-regression", n=300, p=60, k=2 * EVAL_STATES + 3, seed=2)
+@example(kind="logistic-regression", n=64, p=50, k=2 * EVAL_STATES + 3, seed=3)
+@example(kind="linear-regression", n=5000, p=50, k=2 * EVAL_STATES + 3, seed=4)
+@example(kind="linear-regression", n=500, p=32, k=2 * EVAL_STATES + 3, seed=5)
+@example(kind="linear-regression", n=300, p=60, k=2 * EVAL_STATES + 3, seed=6)
+@example(kind="linear-regression", n=64, p=50, k=2 * EVAL_STATES + 3, seed=7)
+def test_a_states_evaluation_bytes_do_not_depend_on_its_call(kind, n, p, k, seed):
+    """Each of k states, 1 to 2 x EVAL_STATES + 3, has the loss and gradient
+    bytes of the state evaluated alone, in the call as given and in the call
+    shuffled, so at any position of a full or padded product."""
+    obj, ds, xs = _evaluation_problem(kind, n, p, k, 40.5, seed)
+    alone = [obj.evaluate(x[None], ds.X, ds.y) for x in xs]
+    order = np.random.default_rng(seed).permutation(k)
+    for perm in (np.arange(k), order):
+        losses, grads = obj.evaluate(xs[perm], ds.X, ds.y)
+        for row, i in enumerate(perm):
+            assert losses[row : row + 1].tobytes() == alone[i][0].tobytes()
+            assert grads[row : row + 1].tobytes() == alone[i][1].tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -447,7 +511,7 @@ def test_evaluation_bits_do_not_depend_on_the_callers_blas_thread_count():
     if blas is None:
         pytest.skip("numpy bundles no OpenBLAS")
     get, put = blas
-    xs = np.random.default_rng(3).standard_normal((EVAL_BLOCK, 50)) / 4
+    xs = np.random.default_rng(3).standard_normal((EVAL_STATES, 50)) / 4
     problems = [
         (make_objective("logistic-regression", 50), gen_classification(5000, 50, 3)),
         (make_objective("linear-regression", 50), gen_linear_regression(5000, 50, 0.3, 3)),
@@ -471,12 +535,14 @@ def test_evaluation_bits_do_not_depend_on_the_callers_blas_thread_count():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_evaluate_past_one_block_is_its_chunks(kind):
-    """``evaluate`` takes any k >= 1 states: EVAL_BLOCK + 3 of them give the
-    bytes of the same states evaluated in chunks of at most EVAL_BLOCK."""
-    obj, ds, xs = _evaluation_problem(kind, 300, 6, EVAL_BLOCK + 3, 40.5, 9)
+    """``evaluate`` takes any k >= 1 states: 2 x EVAL_STATES + 3 of them give
+    the bytes of the same states evaluated in chunks of at most EVAL_STATES,
+    EVAL_BLOCK + 1, EVAL_BLOCK, 3 and 1."""
+    k = 2 * EVAL_STATES + 3
+    obj, ds, xs = _evaluation_problem(kind, 300, 6, k, 40.5, 9)
     losses, grads = obj.evaluate(xs, ds.X, ds.y)
-    assert losses.shape == (EVAL_BLOCK + 3,) and grads.shape == xs.shape
-    for size in (EVAL_BLOCK, 3, 1):
+    assert losses.shape == (k,) and grads.shape == xs.shape
+    for size in (EVAL_STATES, EVAL_BLOCK + 1, EVAL_BLOCK, 3, 1):
         chunks = [obj.evaluate(xs[i : i + size], ds.X, ds.y) for i in range(0, len(xs), size)]
         assert np.concatenate([c[0] for c in chunks]).tobytes() == losses.tobytes()
         assert np.concatenate([c[1] for c in chunks]).tobytes() == grads.tobytes()
@@ -605,7 +671,7 @@ def test_logistic_helpers_keep_the_bits_of_their_first_formulas(m, y):
             assert helper(over, over) is over and same_bits(over, want)
 
 
-@pytest.mark.parametrize("k", [1, 5, EVAL_BLOCK])
+@pytest.mark.parametrize("k", [1, 5, EVAL_BLOCK, EVAL_BLOCK + 3, EVAL_STATES])
 @pytest.mark.parametrize("n, p", [(5000, 50), (300, 60), (40, 1)])
 def test_logistic_evaluate_keeps_the_bits_of_the_allocating_row_loop(n, p, k):
     """``evaluate``'s losses and gradients, from reused row buffers, are the
